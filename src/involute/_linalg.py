@@ -66,10 +66,6 @@ def vecmat(v: Vector, a: Matrix) -> Vector:
     return [sum(v[i] * a[i][j] for i in range(n)) for j in range(len(a[0]))]
 
 
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
 def trace(a: Matrix) -> Fraction:
     return sum(a[i][i] for i in range(len(a)))
 
@@ -134,21 +130,12 @@ def poly_from_roots(roots: Vector) -> list[Fraction]:
 
 
 def inverse(a: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination; raises SingularMatrix."""
+    """Exact inverse as the right half of rref([A | I]); raises SingularMatrix."""
     n = len(a)
-    aug = [a[i][:] + identity(n)[i] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrix("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    r, pivots = rref([row + e for row, e in zip(a, identity(n))])
+    if pivots != list(range(n)):
+        raise SingularMatrix("matrix is singular")
+    return [row[n:] for row in r]
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:

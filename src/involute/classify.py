@@ -20,8 +20,6 @@ candidate family, so a match is exact, never inferred from (mu, nu) alone.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
@@ -154,8 +152,8 @@ def is_globally_reversible(lam) -> bool:
     """Reversibility of every top-right submatrix walk of P^lambda.
 
     The m x m top-right submatrix equals P of the truncated sequence
-    lambda_0..lambda_{m-1}, and truncation preserves stochasticity, so the
-    check walks the truncations.
+    lambda_0..lambda_{m-1}, and truncation preserves stochasticity, so each
+    truncation's walk is read off the one P as a slice.
     """
     lam = [as_rational(v) for v in lam]
     check = is_stochastic(lam)
@@ -165,9 +163,7 @@ def is_globally_reversible(lam) -> bool:
     if not _zero_accessible(p):
         raise ZeroNotAccessible("state 0 unreachable; the walk never mixes")
     for m in range(2, len(lam) + 1):
-        sub = pl_matrix(lam[:m])
-        assert sub == _top_right_submatrix(p, m)
-        reversible, _ = reversible_with_some_distribution(sub)
+        reversible, _ = reversible_with_some_distribution(_top_right_submatrix(p, m))
         if not reversible:
             return False
     return True
@@ -226,7 +222,6 @@ class SearchConfig:
     samples: int = 1000
     seed: int = 20240
     grid_max_n: int = 5
-    threads: int = 1
 
 
 @dataclass
@@ -266,26 +261,6 @@ class SearchSummary:
         ]
 
 
-def _evaluate_candidates(candidates: list) -> list:
-    out = []
-    for lam in candidates:
-        if not is_stochastic(lam):
-            continue
-        reversible, _ = reversible_with_some_distribution(pl_matrix(lam))
-        classification = None
-        if reversible:
-            classification = classify_walk(lam)
-        out.append(SearchRecord(lam, True, reversible, classification))
-    return out
-
-
-def default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("INVOLUTE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def conjecture_search(n: int, config: SearchConfig | None = None) -> SearchSummary:
     """Sweep stochastic eigenvalue sequences and classify the reversible ones.
 
@@ -303,15 +278,13 @@ def conjecture_search(n: int, config: SearchConfig | None = None) -> SearchSumma
 
         rng = _random.Random(config.seed + n)
         candidates = [random_stochastic_lambda(n, rng) for _ in range(config.samples)]
-    threads = config.threads if config.threads > 0 else default_threads()
-    if threads > 1 and len(candidates) > 512:
-        chunk = (len(candidates) + threads - 1) // threads
-        chunks = [candidates[i : i + chunk] for i in range(0, len(candidates), chunk)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_evaluate_candidates, chunks))
-        records = [r for part in parts for r in part]
-    else:
-        records = _evaluate_candidates(candidates)
+    records = []
+    for lam in candidates:
+        if not is_stochastic(lam):
+            continue
+        reversible, _ = reversible_with_some_distribution(pl_matrix(lam))
+        classification = classify_walk(lam) if reversible else None
+        records.append(SearchRecord(lam, True, reversible, classification))
     records.sort(key=lambda r: r.lam)
     return SearchSummary(
         n=n,

@@ -307,7 +307,6 @@ def cmd_conjecture(args):
         max_denominator=args.max_denominator,
         samples=args.samples,
         seed=args.seed,
-        threads=args.threads if args.threads else cls.default_threads(),
     )
     summary = cls.conjecture_search(args.n, config)
     for record in summary.records:
@@ -452,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-denominator", type=int, default=8)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=20240)
-    p.add_argument("--threads", type=int, default=0, help="0 reads INVOLUTE_THREADS")
     p.set_defaults(func=cmd_conjecture)
 
     p = sub.add_parser("repro", help="reproduce the reference displays and tables")

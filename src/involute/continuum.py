@@ -193,8 +193,8 @@ def _beta_moment(a: int, b: int, k: int) -> Fraction:
     return Fraction(math.factorial(p) * math.factorial(a), math.factorial(p + a + 1))
 
 
-def _gram_schmidt(gram_inner, dim: int) -> list:
-    """Monic exact GS in coefficient space, then float normalization."""
+def _monic_gram_schmidt(gram_inner, dim: int) -> tuple[list, list]:
+    """Monic exact GS in coefficient space: the vectors and their squared norms."""
     monic: list[list[Fraction]] = []
     norms: list[Fraction] = []
     for d in range(dim):
@@ -206,11 +206,7 @@ def _gram_schmidt(gram_inner, dim: int) -> list:
             vec = [vi - coeff * pi for vi, pi in zip(vec, prev)]
         monic.append(vec)
         norms.append(gram_inner(vec, vec))
-    out = []
-    for vec, nn in zip(monic, norms):
-        scale = 1.0 / math.sqrt(float(nn))
-        out.append(tuple(float(c) * scale for c in vec))
-    return out
+    return monic, norms
 
 
 def jacobi_eigenfunctions(a: int, b: int, dmax: int) -> list:
@@ -229,17 +225,7 @@ def jacobi_eigenfunctions(a: int, b: int, dmax: int) -> list:
             pj * qk * moments[j + k] for j, pj in enumerate(p) for k, qk in enumerate(q)
         )
 
-    monic: list[list[Fraction]] = []
-    norms: list[Fraction] = []
-    for d in range(dmax + 1):
-        vec = [Fraction(0)] * (d + 1)
-        vec[d] = Fraction(1)
-        for e in range(d):
-            prev = monic[e] + [Fraction(0)] * (d + 1 - len(monic[e]))
-            coeff = inner(vec, prev) / norms[e]
-            vec = [vi - coeff * pi for vi, pi in zip(vec, prev)]
-        monic.append(vec)
-        norms.append(inner(vec, vec))
+    monic, norms = _monic_gram_schmidt(inner, dmax + 1)
     alphas = [float(inner([Fraction(0)] + p, p) / h) for p, h in zip(monic, norms)]
     betas = [0.0] + [float(norms[k] / norms[k - 1]) for k in range(1, dmax + 1)]
     out = []
@@ -292,7 +278,11 @@ def trig_eigenfunctions(dmax: int) -> list:
                 total += pj * qk * cache[key]
         return total
 
-    return [PolyFunction(c, "cosine") for c in _gram_schmidt(inner, dmax + 1)]
+    out = []
+    for vec, h in zip(*_monic_gram_schmidt(inner, dmax + 1)):
+        scale = 1.0 / math.sqrt(float(h))
+        out.append(PolyFunction(tuple(float(c) * scale for c in vec), "cosine"))
+    return out
 
 
 def eigenfunctions(walk: ContinuousWalk, dmax: int) -> list:

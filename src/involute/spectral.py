@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg as la
-from .errors import IndexOutOfDomain, UnsupportedFamily
+from .errors import IndexOutOfDomain, InvoluteError, UnsupportedFamily
 from .exactnum import binom
 from .transform import pascal_column
 from .walk import Distribution, invariant_closed_form, transition_matrix
@@ -93,7 +93,8 @@ def right_eigenvectors(spec: WeightSpec, n: int, dmax: int | None = None) -> Eig
             coeff = pi_inner(pi, v, w) / pi_inner(pi, w, w)
             v = [a - coeff * b for a, b in zip(v, w)]
         v = la.clear_denominators(v)
-        assert la.matvec(walk.P, v) == [values[d] * x for x in v]
+        if la.matvec(walk.P, v) != [values[d] * x for x in v]:
+            raise InvoluteError(f"Gram-Schmidt vector d={d} is not an eigenvector of P")
         rights.append(v)
     lefts = [left_from_right(pi, v) for v in rights]
     return EigenSystem(n, values, rights, lefts, pi)

@@ -27,9 +27,6 @@ from .errors import NotStochastic, OutOfRange
 from .exactnum import as_rational, binom
 from .walk import WalkMatrix, ergodicity
 
-CROSSCHECK_CAP = 16
-
-
 @dataclass
 class PascalMatrix:
     n: int
@@ -55,21 +52,33 @@ def _coerce_lambda(lam) -> list:
     return lam
 
 
+def _difference_rows(lam):
+    """Forward differences of lambda, one row per start index, from the tail.
+
+    Yields the rows for y = n-1, n-2, ..., 0; the row for y is
+    [D_0(y), ..., D_{n-1-y}(y)] with D_0 = lambda and
+    D_k(y) = D_{k-1}(y) - D_{k-1}(y+1) = sum_e (-1)^e binom(k, e) lambda_{y+e},
+    so H[x][y] = binom(x, y) D_{x-y}(y) and the last entry of the row for
+    y = n-1-z is the z-th alternating sum.
+    """
+    row: list = []
+    for v in reversed(lam):
+        prev, row = row, [v]
+        for p in prev:
+            row.append(row[-1] - p)
+        yield row
+
+
 def binomial_transform(lam) -> list:
     """Lower-triangular H with diagonal lambda; exact rational entries."""
     lam = _coerce_lambda(lam)
     n = len(lam)
     h = la.zeros(n)
-    for x in range(n):
-        for y in range(x + 1):
-            s = sum((-1) ** e * binom(x - y, e) * lam[y + e] for e in range(x - y + 1))
-            h[x][y] = binom(x, y) * s
-    if n <= CROSSCHECK_CAP:
-        b = pascal(n)
-        diag = la.zeros(n)
-        for d in range(n):
-            diag[d][d] = lam[d]
-        assert la.mat_eq(h, la.matmul(la.matmul(b.forward, diag), b.inverse))
+    for y, row in zip(range(n - 1, -1, -1), _difference_rows(lam)):
+        c = 1  # binom(y + k, y), advanced down the column
+        for k, v in enumerate(row):
+            h[y + k][y] = c * v
+            c = c * (y + k + 1) // (k + 1)
     return h
 
 
@@ -93,29 +102,23 @@ class StochasticCheck:
 def is_stochastic(lam) -> StochasticCheck:
     """Stochasticity of P^lambda via the n alternating-sum inequalities."""
     lam = _coerce_lambda(lam)
-    n = len(lam)
     if lam[0] != 1:
         return StochasticCheck(False, None, f"lambda_0 = {lam[0]} != 1")
-    for z in range(n):
-        s = sum((-1) ** e * binom(z, e) * lam[n - 1 - z + e] for e in range(z + 1))
-        if s < 0:
-            return StochasticCheck(False, z, f"alternating sum at z={z} is {s} < 0")
-    if n <= CROSSCHECK_CAP:
-        p = pl_matrix(lam)
-        assert all(v >= 0 for row in p for v in row)
-        assert all(sum(row) == 1 for row in p)
+    for z, row in enumerate(_difference_rows(lam)):
+        if row[-1] < 0:
+            return StochasticCheck(False, z, f"alternating sum at z={z} is {row[-1]} < 0")
     return StochasticCheck(True)
 
 
 def is_ergodic_lambda(lam) -> bool:
     """Ergodicity of the walk P^lambda, decided on its support graph.
 
-    Equivalent, for n >= 3, to state 0 being accessible from everywhere;
-    the strictly-decreasing-then-constant eigenvalue structure with a tail
-    of length at most n/2 is asserted whenever the answer is True.
+    State 0 being accessible from everywhere is necessary but not
+    sufficient: lambda = (1, 1/2, 1/2, 1/2) splits into two classes.  For
+    n >= 3 an ergodic lambda strictly decreases and then stays constant on
+    a tail of length s with 2s <= n and lambda_{n-1} > 0.
     """
     lam = _coerce_lambda(lam)
-    n = len(lam)
     if lam[0] != 1:
         raise NotStochastic("lambda_0 != 1, not a walk at all")
     p = pl_matrix(lam)
@@ -123,14 +126,7 @@ def is_ergodic_lambda(lam) -> bool:
         return False
     if not is_stochastic(lam):
         raise NotStochastic("lambda fails the stochasticity inequalities")
-    report = ergodicity(p)
-    if report.ergodic and n >= 3:
-        s = 1
-        while s < n and lam[n - 1 - s] == lam[n - 1]:
-            s += 1
-        assert 2 * s <= n and lam[n - 1] > 0
-        assert all(lam[d] > lam[d + 1] for d in range(n - s))
-    return report.ergodic
+    return ergodicity(p).ergodic
 
 
 def _zero_accessible(p_rows) -> bool:
@@ -167,9 +163,15 @@ def check_adep(m) -> bool:
     return la.charpoly(lj) == target
 
 
+def _first_non_adep_size(rows) -> int | None:
+    """Smallest k whose top-left k x k block fails ADEP; None under GADEP."""
+    return next(
+        (k for k in range(1, len(rows) + 1) if not check_adep(la.top_left(rows, k))), None
+    )
+
+
 def check_gadep(m) -> bool:
-    rows = _require_lower_triangular(m)
-    return all(check_adep(la.top_left(rows, k)) for k in range(1, len(rows) + 1))
+    return _first_non_adep_size(_require_lower_triangular(m)) is None
 
 
 def is_binomial_transform(m) -> bool:
@@ -220,26 +222,19 @@ class PropertyReport:
 def property_report(m) -> PropertyReport:
     rows = _require_lower_triangular(m)
     n = len(rows)
-    adep = check_adep(rows)
-    witness = None
-    gadep = True
-    for k in range(1, n + 1):
-        if not check_adep(la.top_left(rows, k)):
-            gadep = False
-            witness = k
-            break
+    witness = _first_non_adep_size(rows)
+    gadep = witness is None
+    # the loop already decided size n unless it stopped below it
+    adep = gadep or (witness < n and check_adep(rows))
     ibt = is_binomial_transform(rows)
-    if gadep and not ibt and witness is None:
+    if gadep and not ibt:
         # locate the first entry disagreeing with the transform of the diagonal
         expected = binomial_transform([rows[d][d] for d in range(n)])
         witness = next(
             (x, y) for x in range(n) for y in range(x + 1) if rows[x][y] != expected[x][y]
         )
     # a full eigenbasis of Pascal columns is exactly global eigenbasis action
-    report = PropertyReport(adep, gadep, ibt, ibt, witness)
-    assert not (report.is_binomial_transform and not report.gadep)
-    assert not (report.gadep and not report.adep)
-    return report
+    return PropertyReport(adep, gadep, ibt, ibt, witness)
 
 
 def gadep_counterexample(which: str, tau) -> list:
@@ -290,13 +285,15 @@ def random_stochastic_lambda(n: int, rng, max_weight: int = 60) -> list:
         if any(weights):
             break
     total = sum(weights)
-    bottom = [Fraction(w, total) for w in weights]
+    # the bottom row of H is binom(n-1, y) D_{n-1-y}(y); undo the forward
+    # differences from the tail, D_{k-1}(y) = D_k(y) + D_{k-1}(y+1)
     lam: list = [Fraction(0)] * n
+    row: list = []  # [D_{n-1-y}(y), ..., D_0(y)], highest difference first
     for y in range(n - 1, -1, -1):
-        s = bottom[y] / binom(n - 1, y)
-        tail = sum((-1) ** e * binom(n - 1 - y, e) * lam[y + e] for e in range(1, n - y))
-        lam[y] = s - tail
-    assert lam[0] == 1
+        prev, row = row, [Fraction(weights[y], total) / binom(n - 1, y)]
+        for p in prev:
+            row.append(row[-1] + p)
+        lam[y] = row[-1]
     return lam
 
 

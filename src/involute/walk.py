@@ -250,7 +250,6 @@ def invariant_closed_form(spec: WeightSpec, n: int) -> Distribution:
         ap, bp = spec.a_prime, spec.b_prime
         raw = [binom(ap - 1, n - 1 - x) * binom(ap + bp - 2, x) for x in range(n)]
         total = binom(2 * ap + bp - 3, n - 1)
-    assert sum(raw) == total
     return Distribution(n, [r / total for r in raw])
 
 
@@ -260,6 +259,14 @@ def detailed_balance(w, pi) -> bool:
     n = len(rows)
     pv = list(pi)
     return all(pv[x] * rows[x][z] == pv[z] * rows[z][x] for x in range(n) for z in range(x, n))
+
+
+def _support_symmetric(rows) -> bool:
+    """P[x][z] != 0 exactly when P[z][x] != 0; reversibility needs this."""
+    n = len(rows)
+    return all(
+        (rows[x][z] == 0) == (rows[z][x] == 0) for x in range(n) for z in range(x + 1, n)
+    )
 
 
 def reversible_with_some_distribution(w):
@@ -272,10 +279,8 @@ def reversible_with_some_distribution(w):
     """
     rows = _rows(w)
     n = len(rows)
-    for x in range(n):
-        for z in range(x + 1, n):
-            if (rows[x][z] == 0) != (rows[z][x] == 0):
-                return False, None
+    if not _support_symmetric(rows):
+        return False, None
     pi = [None] * n
     for root in range(n):
         if pi[root] is not None:
@@ -336,10 +341,8 @@ def kolmogorov(w, max_len: int | None = None, samples: int | None = None, seed: 
                 "cycle criterion needs a strictly positive stationary distribution"
             )
     # asymmetric support kills reversibility before any cycle is formed
-    for x in range(n):
-        for z in range(x + 1, n):
-            if (rows[x][z] == 0) != (rows[z][x] == 0):
-                return False
+    if not _support_symmetric(rows):
+        return False
     adj_sets = [
         {z for z in range(n) if z != x and rows[x][z] != 0} for x in range(n)
     ]

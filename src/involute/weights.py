@@ -240,6 +240,8 @@ def custom_from_csv(text: str, n: int | None = None) -> Custom:
             if table:
                 raise MalformedWeight(f"bad row {line!r}")
             continue  # header
+        if (y, x) in table:
+            raise MalformedWeight(f"duplicate row for (y, x) = ({y}, {x}): {line!r}")
         table[(y, x)] = parse_rational(parts[2])
         max_x = max(max_x, x)
     if n is None:

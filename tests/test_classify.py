@@ -216,12 +216,3 @@ def test_grid_reversibility_agrees_with_detailed_balance():
         assert record.reversible == detailed_balance(p, stationary(p))
         compared += 1
     assert compared > 20
-
-
-def test_threaded_search_is_deterministic():
-    sequential = conjecture_search(4, SearchConfig(max_denominator=5, threads=1))
-    threaded = conjecture_search(4, SearchConfig(max_denominator=5, threads=2))
-    assert [r.lam for r in sequential.records] == [r.lam for r in threaded.records]
-    assert [r.reversible for r in sequential.records] == [
-        r.reversible for r in threaded.records
-    ]

@@ -1,10 +1,18 @@
 """Command-line behavior: output shapes, exit codes, determinism."""
 
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import involute
 from involute.cli import main
+
+PACKAGE_DIR = Path(involute.__file__).parent
 
 
 def run(capsys, *argv):
@@ -65,6 +73,14 @@ def test_custom_weight_through_cli(tmp_path, capsys):
     assert out.splitlines()[1:] == ["0,1", "3/4,1/4"]
     code, out, _ = run(capsys, "--format", "csv", "stationary", "--custom", str(target))
     assert code == 0 and out.strip() == "3/7,4/7"
+
+
+def test_custom_weight_duplicate_row(tmp_path, capsys):
+    target = tmp_path / "weight.csv"
+    target.write_text("y,x,value\n0,0,2\n0,1,1\n1,1,3\n0,1,5\n")
+    code, out, err = run(capsys, "matrix", "--custom", str(target))
+    assert code == 2 and out == ""
+    assert "duplicate" in err and "'0,1,5'" in err
 
 
 def test_stationary_and_spectrum(capsys):
@@ -186,3 +202,36 @@ def test_usage_errors(capsys):
     assert code == 2
     with pytest.raises(SystemExit):
         run(capsys, "nonsense")
+
+
+def test_package_has_no_assert_statements():
+    # invariants are tests or explicit raises, so python -O cannot change them
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name}: assert at lines {lines}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--lambda", "1,1/2,3/10,1/5"],
+        ["check", "--lambda", "1,1/2,3/10,1/5", "globally-reversible"],
+        ["eigvec", "--gamma", "1", "0", "--n", "5"],
+        ["check", "--lambda", "1,1/2,1/2,3/4", "stochastic"],
+    ],
+)
+def test_cli_same_under_optimize(argv):
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "involute.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        for flags in ([], ["-O"])
+    ]
+    plain, optimized = runs
+    assert plain.returncode in (0, 2) and (plain.stdout or plain.stderr)
+    assert (optimized.returncode, optimized.stdout, optimized.stderr) == (
+        plain.returncode, plain.stdout, plain.stderr
+    )

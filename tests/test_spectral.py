@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from involute import _linalg as la
-from involute.errors import UnsupportedFamily
+from involute.errors import InvoluteError, UnsupportedFamily
 from involute.spectral import (
     EigenSystem,
     eigenvalues_closed_form,
@@ -92,6 +92,14 @@ def test_final_right_eigenvector_a0():
             system = right_eigenvectors(spec, n)
             ref = [(-1) ** x * binom(n + b, x + b + 1) for x in range(n)]
             assert la.clear_denominators(ref) == system.right_vectors[n - 1]
+
+
+def test_right_eigenvectors_rejects_a_wrong_eigenvalue(monkeypatch):
+    from involute import spectral
+
+    monkeypatch.setattr(spectral, "eigenvalues_closed_form", lambda spec, n: [F(2)] * n)
+    with pytest.raises(InvoluteError, match="d=0"):
+        right_eigenvectors(GammaAB(0, 0), 3)
 
 
 def test_left_from_right():

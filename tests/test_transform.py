@@ -33,6 +33,7 @@ from involute.weights import DeltaAB, GammaAB, GammaC
 lambda_lists = st.lists(
     st.fractions(min_value=-2, max_value=2, max_denominator=8), min_size=1, max_size=8
 )
+rng_seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def test_binomial_transform_examples():
@@ -103,6 +104,47 @@ def test_is_ergodic_lambda_examples():
     # lambda = (1, 1) gives the deterministic flip: 0 is accessible but the
     # walk is periodic, so it does not mix
     assert not is_ergodic_lambda([F(1), F(1)])
+
+
+@given(
+    st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=8), min_size=1, max_size=16)
+)
+@settings(max_examples=30, deadline=None)
+def test_binomial_transform_is_pascal_conjugate(lam):
+    n = len(lam)
+    b = pascal(n)
+    diag = la.zeros(n)
+    for d in range(n):
+        diag[d][d] = lam[d]
+    assert binomial_transform(lam) == la.matmul(la.matmul(b.forward, diag), b.inverse)
+
+
+@given(st.integers(min_value=1, max_value=10), rng_seeds)
+@settings(max_examples=40, deadline=None)
+def test_truncations_are_top_right_blocks(n, seed):
+    lam = random_stochastic_lambda(n, random.Random(seed))
+    p = pl_matrix(lam)
+    for m in range(1, n + 1):
+        block = [row[n - m :] for row in p[:m]]
+        assert pl_matrix(lam[:m]) == block
+
+
+def test_ergodic_lambda_structure():
+    rng = random.Random(23)
+    sampled = [random_stochastic_lambda(n, rng) for n in (3, 4, 6, 8) for _ in range(25)]
+    grid = [lam for n in (3, 4, 5) for lam in lambda_grid(n, 4) if is_stochastic(lam)]
+    ergodic = 0
+    for lam in sampled + grid:
+        if not is_ergodic_lambda(lam):
+            continue
+        ergodic += 1
+        n = len(lam)
+        s = 1
+        while s < n and lam[n - 1 - s] == lam[n - 1]:
+            s += 1
+        assert 2 * s <= n and lam[n - 1] > 0
+        assert all(lam[d] > lam[d + 1] for d in range(n - s))
+    assert ergodic > 100
 
 
 def test_binomial_transform_recurrence():
@@ -226,6 +268,14 @@ def test_random_stochastic_lambda_is_stochastic():
         for _ in range(25):
             lam = random_stochastic_lambda(n, rng)
             assert is_stochastic(lam)
+
+
+def test_random_stochastic_lambda_inverts_the_bottom_row():
+    for n in (1, 2, 5, 9):
+        lam = random_stochastic_lambda(n, random.Random(n))
+        draws = random.Random(n)
+        weights = [draws.randint(0, 60) for _ in range(n)]
+        assert binomial_transform(lam)[-1] == [F(w, sum(weights)) for w in weights]
 
 
 def test_lambda_grid_covers_only_nonincreasing():
