@@ -10,7 +10,6 @@ land in a family (or at the deterministic flip J).
 from fractions import Fraction as F
 
 from involute.classify import (
-    SearchConfig,
     classification_label,
     classify_walk,
     conjecture_search,
@@ -35,7 +34,7 @@ for lam in EXAMPLES:
 print()
 
 for n in (3, 4):
-    summary = conjecture_search(n, SearchConfig(max_denominator=6))
+    summary = conjecture_search(n, max_denominator=6)
     print(
         f"n={n}: {summary.stochastic} stochastic grid points, "
         f"{summary.reversible} reversible, "

@@ -27,13 +27,7 @@ from typing import Union
 from .errors import NotStochastic, OutOfRange, ZeroNotAccessible
 from .exactnum import as_rational
 from .spectral import family_lambda
-from .transform import (
-    _zero_accessible,
-    is_stochastic,
-    lambda_grid,
-    pl_matrix,
-    random_stochastic_lambda,
-)
+from .transform import _zero_accessible, is_stochastic, pl_matrix, stochastic_grid
 from .walk import reversible_with_some_distribution
 from .weights import DeltaAB, GammaAB, GammaC, WeightSpec
 
@@ -182,10 +176,16 @@ def classify_walk(lam) -> Classification:
     check = is_stochastic(lam)
     if not check:
         raise NotStochastic(check.reason)
+    return _classify(lam, pl_matrix(lam))
+
+
+def _classify(lam: list, p: list) -> Classification:
+    """classify_walk for a stochastic lam (n >= 3) whose P is already built."""
     if all(v == 1 for v in lam):
         return IdentityWalk()
-    if not _zero_accessible(pl_matrix(lam)):
+    if not _zero_accessible(p):
         raise ZeroNotAccessible("state 0 unreachable; the walk never mixes")
+    n = len(lam)
     mu, nu = lam[1], lam[2]
     try:
         candidate = params_from_mu_nu(mu, nu, n)
@@ -214,16 +214,6 @@ def classification_label(c: Classification) -> str:
     return f"not classified: {c.reason}"
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Grid search for small n, seeded stochastic sampling for larger n."""
-
-    max_denominator: int = 8
-    samples: int = 1000
-    seed: int = 20240
-    grid_max_n: int = 5
-
-
 @dataclass
 class SearchRecord:
     lam: list
@@ -247,7 +237,6 @@ class SearchRecord:
 @dataclass
 class SearchSummary:
     n: int
-    evaluated: int
     stochastic: int
     reversible: int
     records: list = field(default_factory=list)  # stochastic candidates only
@@ -261,34 +250,23 @@ class SearchSummary:
         ]
 
 
-def conjecture_search(n: int, config: SearchConfig | None = None) -> SearchSummary:
+def conjecture_search(n: int, *, max_denominator: int = 8) -> SearchSummary:
     """Sweep stochastic eigenvalue sequences and classify the reversible ones.
 
-    For n up to config.grid_max_n the sweep is an exhaustive non-increasing
-    grid over fractions of bounded denominator; beyond that it draws seeded
-    random stochastic sequences.  Records cover every stochastic candidate.
+    The sweep is the exact grid of stochastic sequences whose entries have
+    denominator at most max_denominator; records cover every one of them.
     """
     if n < 3 or n > 8:
         raise OutOfRange("the desk-scale sweep covers 3 <= n <= 8")
-    config = config or SearchConfig()
-    if n <= config.grid_max_n:
-        candidates = list(lambda_grid(n, config.max_denominator))
-    else:
-        import random as _random
-
-        rng = _random.Random(config.seed + n)
-        candidates = [random_stochastic_lambda(n, rng) for _ in range(config.samples)]
     records = []
-    for lam in candidates:
-        if not is_stochastic(lam):
-            continue
-        reversible, _ = reversible_with_some_distribution(pl_matrix(lam))
-        classification = classify_walk(lam) if reversible else None
+    for lam in stochastic_grid(n, max_denominator):
+        p = pl_matrix(lam)
+        reversible, _ = reversible_with_some_distribution(p)
+        classification = _classify(lam, p) if reversible else None
         records.append(SearchRecord(lam, True, reversible, classification))
     records.sort(key=lambda r: r.lam)
     return SearchSummary(
         n=n,
-        evaluated=len(candidates),
         stochastic=len(records),
         reversible=sum(1 for r in records if r.reversible),
         records=records,

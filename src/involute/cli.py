@@ -303,12 +303,7 @@ def cmd_continuum(args):
 
 
 def cmd_conjecture(args):
-    config = cls.SearchConfig(
-        max_denominator=args.max_denominator,
-        samples=args.samples,
-        seed=args.seed,
-    )
-    summary = cls.conjecture_search(args.n, config)
+    summary = cls.conjecture_search(args.n, max_denominator=args.max_denominator)
     for record in summary.records:
         print(json.dumps(record.to_dict()))
     bad = summary.unclassified_reversible
@@ -316,7 +311,7 @@ def cmd_conjecture(args):
         json.dumps(
             {
                 "n": summary.n,
-                "evaluated": summary.evaluated,
+                "evaluated": summary.stochastic,  # the grid holds only stochastic points
                 "stochastic": summary.stochastic,
                 "reversible": summary.reversible,
                 "unclassified_reversible": len(bad),
@@ -449,8 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conjecture", help="desk-scale reversibility sweep (JSON lines)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-denominator", type=int, default=8)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=20240)
     p.set_defaults(func=cmd_conjecture)
 
     p = sub.add_parser("repro", help="reproduce the reference displays and tables")

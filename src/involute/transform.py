@@ -18,7 +18,7 @@ GADEP; the parametrized counterexample matrices show the converse fails.
 
 from __future__ import annotations
 
-import itertools
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,10 +63,19 @@ def _difference_rows(lam):
     """
     row: list = []
     for v in reversed(lam):
-        prev, row = row, [v]
-        for p in prev:
-            row.append(row[-1] - p)
+        row = _difference_row(row, v)
         yield row
+
+
+def _difference_row(prev: list, v) -> list:
+    """The difference row for index y from the row for y+1 and lambda_y = v.
+
+    Its last entry, v - sum(prev), is the alternating sum at z = n-1-y.
+    """
+    row = [v]
+    for p in prev:
+        row.append(row[-1] - p)
+    return row
 
 
 def binomial_transform(lam) -> list:
@@ -297,19 +306,30 @@ def random_stochastic_lambda(n: int, rng, max_weight: int = 60) -> list:
     return lam
 
 
-def lambda_grid(n: int, max_denominator: int) -> "itertools.chain":
-    """Exhaustive non-increasing grids for the stochastic region.
+def stochastic_grid(n: int, max_denominator: int):
+    """Every stochastic lambda of length n with entries p/q, q <= max_denominator.
 
-    Any stochastic sequence is non-increasing (consecutive differences are
-    entries of H up to positive factors), so enumerating non-increasing
-    tuples over the Farey fractions of bounded denominator covers every
-    stochastic grid point.
+    The sequence is built from the tail with the difference table: lambda_y
+    must be at least lambda_{y+1} (H[y+1][y] >= 0) and at least the sum of
+    the row for y+1 (the alternating sum at z = n-1-y is lambda_y minus that
+    sum), so one bisect cuts every failing value and no visited suffix fails
+    an inequality.  lambda_0 is 1.
     """
+    if n < 1:
+        raise OutOfRange("need at least one eigenvalue")
+    if max_denominator < 1:
+        raise OutOfRange(f"max_denominator must be >= 1, got {max_denominator}")
     values = sorted(
-        {Fraction(p, q) for q in range(1, max_denominator + 1) for p in range(q + 1)},
-        reverse=True,
+        {Fraction(p, q) for q in range(1, max_denominator + 1) for p in range(q + 1)}
     )
-    def tuples():
-        for combo in itertools.combinations_with_replacement(values, n - 1):
-            yield [Fraction(1), *combo]
-    return tuples()
+
+    def extend(suffix: list, row: list):
+        floor = max(suffix[0] if suffix else 0, sum(row))
+        if len(suffix) == n - 1:
+            if floor <= 1:
+                yield [Fraction(1), *suffix]
+            return
+        for v in values[bisect.bisect_left(values, floor) :]:
+            yield from extend([v, *suffix], _difference_row(row, v))
+
+    return extend([], [])

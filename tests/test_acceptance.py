@@ -17,7 +17,6 @@ from involute.classify import (
     GammaABPoint,
     GammaCPoint,
     NotClassified,
-    SearchConfig,
     classify_walk,
     conjecture_search,
     params_from_mu_nu,
@@ -222,17 +221,16 @@ def test_criterion_05_classification_round_trip():
 
 
 def test_criterion_06_conjecture_sweep():
-    with report(6, "reversible sweep: grids n=3..5 (den<=8), 1000 samples n=6..8"):
+    with report(6, "reversible sweep: exact stochastic grids n=3..8 (den<=8)"):
         import time
 
+        # n <= 5 equals the non-increasing grid filtered by is_stochastic
+        stochastic = {3: 154, 4: 325, 5: 274, 6: 156, 7: 94, 8: 68}
         start = time.time()
-        for n in (3, 4, 5):
-            summary = conjecture_search(n, SearchConfig(max_denominator=8))
+        for n in range(3, 9):
+            summary = conjecture_search(n, max_denominator=8)
+            assert summary.stochastic == stochastic[n]
             assert summary.reversible > 0
-            assert summary.unclassified_reversible == []
-        for n in (6, 7, 8):
-            summary = conjecture_search(n, SearchConfig(samples=1000, seed=20240))
-            assert summary.stochastic == 1000
             assert summary.unclassified_reversible == []
             for record in summary.records:
                 if record.reversible:

@@ -11,7 +11,6 @@ from involute.classify import (
     GammaCPoint,
     IdentityWalk,
     NotClassified,
-    SearchConfig,
     a_prime_ladder,
     classify_walk,
     conjecture_search,
@@ -154,7 +153,7 @@ def test_globally_reversible_errors():
 
 
 def test_conjecture_search_n3_small_grid():
-    summary = conjecture_search(3, SearchConfig(max_denominator=6))
+    summary = conjecture_search(3, max_denominator=6)
     assert summary.stochastic > 0
     assert summary.reversible > 0
     assert summary.unclassified_reversible == []
@@ -164,13 +163,6 @@ def test_conjecture_search_n3_small_grid():
     assert classify_walk(lam) == GammaABPoint(F(1), F(1))
 
 
-def test_conjecture_search_sampled():
-    summary = conjecture_search(6, SearchConfig(samples=60, seed=99))
-    assert summary.evaluated == 60
-    assert summary.stochastic == 60
-    assert summary.unclassified_reversible == []
-
-
 def test_conjecture_search_range():
     with pytest.raises(OutOfRange):
         conjecture_search(9)
@@ -178,19 +170,29 @@ def test_conjecture_search_range():
 
 def test_classified_points_are_globally_reversible():
     # whatever params_from_mu_nu returns must itself be a globally
-    # reversible stochastic walk reproducing (mu, nu)
+    # reversible stochastic walk reproducing (mu, nu); mu has denominator
+    # 9..40, off the den <= 8 sweep grid, and nu lies anywhere below mu, on
+    # mu^2 or on the exceptional ladder
     import random
 
     from involute.transform import is_stochastic
 
     rng = random.Random(1618)
-    checked = 0
-    for _ in range(300):
-        n = rng.randint(3, 6)
-        mu = F(rng.randint(2, 11), 12)
-        nu = F(rng.randint(0, 11), 12)
-        if not 0 <= nu < mu < 1:
-            continue
+    kinds = set()
+    checked = perturbed = 0
+    for trial in range(300):
+        n = rng.randint(3, 8)
+        q = rng.randint(9, 40)
+        mu = F(rng.randint(1, q - 1), q)
+        if trial % 3 == 0:
+            nu = mu * F(rng.randint(0, q - 1), q)
+        elif trial % 3 == 1:
+            nu = mu * mu
+        else:
+            ladder = exceptional_ladder(mu, n) if mu > F(1, 2) else []
+            if not ladder:
+                continue
+            nu = rng.choice(ladder)[1]
         point = params_from_mu_nu(mu, nu, n)
         if isinstance(point, NotClassified):
             continue
@@ -199,15 +201,28 @@ def test_classified_points_are_globally_reversible():
         assert is_stochastic(lam)
         assert is_globally_reversible(lam)
         assert classify_walk(lam) == point
+        kinds.add(type(point))
         checked += 1
-    assert checked >= 50
+        if n < 4:
+            continue
+        # lowering one lambda_d, d >= 3, keeps (mu, nu) but leaves the family
+        d = rng.randint(3, n - 1)
+        for k in (2, 16, 1024):
+            off = lam[:d] + [lam[d] - lam[d] / k] + lam[d + 1 :]
+            if off != lam and is_stochastic(off):
+                assert isinstance(classify_walk(off), NotClassified)
+                assert not is_globally_reversible(off)
+                perturbed += 1
+                break
+    assert kinds == {GammaABPoint, GammaCPoint, DeltaRealPoint, DeltaIntegerPoint}
+    assert checked >= 150 and perturbed >= 50
 
 
 def test_grid_reversibility_agrees_with_detailed_balance():
     from involute.transform import pl_matrix
     from involute.walk import detailed_balance, ergodicity, stationary
 
-    summary = conjecture_search(3, SearchConfig(max_denominator=5))
+    summary = conjecture_search(3, max_denominator=5)
     compared = 0
     for record in summary.records:
         p = pl_matrix(record.lam)

@@ -135,6 +135,13 @@ def test_conjecture_command(capsys):
     assert summary["unclassified_reversible"] == 0
 
 
+def test_conjecture_rejects_empty_grid(capsys):
+    for den in ("0", "-3"):
+        code, out, err = run(capsys, "conjecture", "--n", "3", "--max-denominator", den)
+        assert code == 2 and out == ""
+        assert "max_denominator" in err
+
+
 def test_repro_targets(capsys):
     code, out, _ = run(capsys, "repro", "intro-matrices")
     assert code == 0 and out.count("P for") == 6

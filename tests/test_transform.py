@@ -1,5 +1,6 @@
 """Binomial transforms, stochasticity, ADEP/GADEP, conjugators."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from involute import _linalg as la
-from involute.errors import SingularMatrix
+from involute.errors import OutOfRange, SingularMatrix
 from involute.exactnum import binom
 from involute.spectral import eigenvalues_closed_form, family_lambda
 from involute.transform import (
@@ -20,12 +21,12 @@ from involute.transform import (
     is_binomial_transform,
     is_ergodic_lambda,
     is_stochastic,
-    lambda_grid,
     pascal,
     pascal_column,
     pl_matrix,
     property_report,
     random_stochastic_lambda,
+    stochastic_grid,
 )
 from involute.walk import transition_matrix
 from involute.weights import DeltaAB, GammaAB, GammaC
@@ -132,7 +133,7 @@ def test_truncations_are_top_right_blocks(n, seed):
 def test_ergodic_lambda_structure():
     rng = random.Random(23)
     sampled = [random_stochastic_lambda(n, rng) for n in (3, 4, 6, 8) for _ in range(25)]
-    grid = [lam for n in (3, 4, 5) for lam in lambda_grid(n, 4) if is_stochastic(lam)]
+    grid = [lam for n in (3, 4, 5) for lam in stochastic_grid(n, 4)]
     ergodic = 0
     for lam in sampled + grid:
         if not is_ergodic_lambda(lam):
@@ -278,9 +279,24 @@ def test_random_stochastic_lambda_inverts_the_bottom_row():
         assert binomial_transform(lam)[-1] == [F(w, sum(weights)) for w in weights]
 
 
-def test_lambda_grid_covers_only_nonincreasing():
-    grid = list(lambda_grid(3, 3))
-    assert [F(1), F(1), F(1)] in grid
-    assert all(lam[1] >= lam[2] for lam in grid)
-    # Farey fractions with denominator <= 3 on [0, 1]: 0, 1/3, 1/2, 2/3, 1
-    assert len(grid) == 15  # 5 values, multisets of size 2
+def test_stochastic_grid_matches_filtered_grid():
+    # oracle: every non-increasing tuple over the Farey fractions, filtered
+    for den in range(1, 7):
+        farey = {F(p, q) for q in range(1, den + 1) for p in range(q + 1)}
+        values = sorted(farey, reverse=True)
+        for n in range(1, 6):
+            oracle = [
+                [F(1), *combo]
+                for combo in itertools.combinations_with_replacement(values, n - 1)
+                if is_stochastic([F(1), *combo])
+            ]
+            grid = list(stochastic_grid(n, den))
+            assert sorted(grid) == sorted(oracle)
+            assert len({tuple(lam) for lam in grid}) == len(grid)
+    assert [F(1), F(1), F(1)] in list(stochastic_grid(3, 1))
+
+
+def test_stochastic_grid_rejects_empty_grids():
+    for n, den in ((3, 0), (3, -2), (0, 8)):
+        with pytest.raises(OutOfRange):
+            stochastic_grid(n, den)
