@@ -43,10 +43,6 @@ def copy(a: Matrix) -> Matrix:
     return [row[:] for row in a]
 
 
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
-
-
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     n, k, m = len(a), len(b), len(b[0])
     bt = list(zip(*b))

@@ -7,14 +7,16 @@ the two eigenvalues mu = lambda_1 and nu = lambda_2:
     nu > mu^2            gamma(a, b) with  a = mu(mu-nu)/(nu-mu^2) - 1,
                                            b = (1-mu)(mu-nu)/(nu-mu^2) - 1
     nu = mu^2            gamma(c) with c = (1-mu)/mu
-    nu_m(mu) < nu < mu^2 delta(-a, -b), valid while n <= min(ceil a', ceil b')
+    nu_m(mu) < nu < mu^2 delta(-a, -b), valid while n <= domain_limit
     nu = nu_m(mu)        delta(a'_m(mu), m), the exceptional ladder
                          nu_m(mu) = mu(m mu - 1)/(m - 2 + mu),
                          a'_m(mu) = ((m-2) mu + 1)/(1 - mu)
 
-The ladder values nu_m(mu) increase with m and converge to mu^2.  The
-classifier always re-verifies the whole eigenvalue sequence against the
-candidate family, so a match is exact, never inferred from (mu, nu) alone.
+The ladder values nu_m(mu) increase with m and converge to mu^2.  A
+classified walk comes back as its weight spec, GammaAB, GammaC or DeltaAB
+(the ladder is the DeltaAB with integer b' = m).  The classifier always
+re-verifies the whole eigenvalue sequence against the candidate family, so
+a match is exact, never inferred from (mu, nu) alone.
 """
 
 from __future__ import annotations
@@ -29,42 +31,7 @@ from .exactnum import as_rational
 from .spectral import family_lambda
 from .transform import _zero_accessible, is_stochastic, pl_matrix, stochastic_grid
 from .walk import reversible_with_some_distribution
-from .weights import DeltaAB, GammaAB, GammaC, WeightSpec
-
-
-@dataclass(frozen=True)
-class GammaABPoint:
-    a: Fraction
-    b: Fraction
-
-    def weight_spec(self) -> WeightSpec:
-        return GammaAB(self.a, self.b)
-
-
-@dataclass(frozen=True)
-class GammaCPoint:
-    c: Fraction
-
-    def weight_spec(self) -> WeightSpec:
-        return GammaC(self.c)
-
-
-@dataclass(frozen=True)
-class DeltaRealPoint:
-    a_prime: Fraction
-    b_prime: Fraction
-
-    def weight_spec(self) -> WeightSpec:
-        return DeltaAB(self.a_prime, self.b_prime)
-
-
-@dataclass(frozen=True)
-class DeltaIntegerPoint:
-    a_prime: Fraction
-    m: int
-
-    def weight_spec(self) -> WeightSpec:
-        return DeltaAB(self.a_prime, Fraction(self.m))
+from .weights import DeltaAB, GammaAB, GammaC, domain_limit
 
 
 @dataclass(frozen=True)
@@ -77,9 +44,7 @@ class NotClassified:
     reason: str
 
 
-Classification = Union[
-    GammaABPoint, GammaCPoint, DeltaRealPoint, DeltaIntegerPoint, IdentityWalk, NotClassified
-]
+Classification = Union[GammaAB, GammaC, DeltaAB, IdentityWalk, NotClassified]
 
 
 def a_from_mu_nu(mu: Fraction, nu: Fraction) -> Fraction:
@@ -103,7 +68,7 @@ def _min_ladder_m(mu: Fraction, n: int) -> int:
 
 
 def params_from_mu_nu(mu, nu, n: int) -> Classification:
-    """Family parameters from the second and third eigenvalues."""
+    """Family weight spec from the second and third eigenvalues."""
     mu, nu = as_rational(mu), as_rational(nu)
     if not (1 > mu > nu >= 0):
         raise OutOfRange(f"need 1 > mu > nu >= 0, got mu={mu}, nu={nu}")
@@ -111,21 +76,16 @@ def params_from_mu_nu(mu, nu, n: int) -> Classification:
         raise OutOfRange("classification needs n >= 3")
     musq = mu * mu
     if nu > musq:
-        return GammaABPoint(a_from_mu_nu(mu, nu), b_from_mu_nu(mu, nu))
+        return GammaAB(a_from_mu_nu(mu, nu), b_from_mu_nu(mu, nu))
     if nu == musq:
-        return GammaCPoint((1 - mu) / mu)
-    a_prime = -a_from_mu_nu(mu, nu)
-    b_prime = -b_from_mu_nu(mu, nu)
-    if b_prime.denominator == 1:
-        m = int(b_prime)
-        if m < 2:
-            return NotClassified(f"ladder index m={m} below 2")
-        if m < _min_ladder_m(mu, n) or n > math.ceil(a_prime):
-            return NotClassified(f"delta({a_prime},{m}) does not reach n={n}")
-        return DeltaIntegerPoint(a_prime, m)
-    if n > min(math.ceil(a_prime), math.ceil(b_prime)):
-        return NotClassified(f"delta({a_prime},{b_prime}) does not reach n={n}")
-    return DeltaRealPoint(a_prime, b_prime)
+        return GammaC((1 - mu) / mu)
+    # nu < mu^2 < mu gives a', b' > 1, and an integer b' is a ladder index m >= 2
+    spec = DeltaAB(-a_from_mu_nu(mu, nu), -b_from_mu_nu(mu, nu))
+    if n > domain_limit(spec) or (
+        spec.b_prime.denominator == 1 and spec.b_prime < _min_ladder_m(mu, n)
+    ):
+        return NotClassified(f"delta({spec.a_prime},{spec.b_prime}) does not reach n={n}")
+    return spec
 
 
 def exceptional_ladder(mu, n: int) -> list:
@@ -193,22 +153,20 @@ def _classify(lam: list, p: list) -> Classification:
         return NotClassified(str(exc))
     if isinstance(candidate, NotClassified):
         return candidate
-    spec = candidate.weight_spec()
     for d in range(n):
-        if lam[d] != family_lambda(spec, d):
+        if lam[d] != family_lambda(candidate, d):
             return NotClassified(f"lambda_{d} mismatches the candidate family")
     return candidate
 
 
 def classification_label(c: Classification) -> str:
-    if isinstance(c, GammaABPoint):
+    if isinstance(c, GammaAB):
         return f"gamma(a={c.a}, b={c.b})"
-    if isinstance(c, GammaCPoint):
+    if isinstance(c, GammaC):
         return f"gamma(c={c.c})"
-    if isinstance(c, DeltaRealPoint):
-        return f"delta(a'={c.a_prime}, b'={c.b_prime})"
-    if isinstance(c, DeltaIntegerPoint):
-        return f"delta(a'={c.a_prime}, m={c.m})"
+    if isinstance(c, DeltaAB):
+        kind = "m" if c.b_prime.denominator == 1 else "b'"
+        return f"delta(a'={c.a_prime}, {kind}={c.b_prime})"
     if isinstance(c, IdentityWalk):
         return "J(n)"
     return f"not classified: {c.reason}"

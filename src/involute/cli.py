@@ -106,10 +106,6 @@ def cmd_stationary(args):
     spec = _family_from_args(args)
     w = _walk_from_source(spec, args.n)
     pi = walk.stationary(w)
-    if not isinstance(spec, (list, Custom)):
-        closed = walk.invariant_closed_form(spec, w.n)
-        if closed.weights != pi.weights:
-            raise AssertionError("closed form disagrees with the exact solve")
     _emit_vector(pi.weights, args.format, "pi")
 
 

@@ -28,8 +28,7 @@ from fractions import Fraction
 from numpy.polynomial.legendre import leggauss
 
 from .errors import OutOfRange, QuadratureNonConvergence
-from .exactnum import binom
-from .spectral import right_eigenvectors
+from .spectral import family_lambda, right_eigenvectors
 from .weights import GammaAB
 
 GRID_POINTS = 101  # evaluation grid k/101, k = 1..101; x = 0 stays excluded
@@ -150,8 +149,7 @@ def kappa_norm(a: int, b: int, x: float) -> float:
 def walk_eigenvalue(walk: ContinuousWalk, d: int) -> float:
     """Signed eigenvalue of L_P for eigenfunction index d."""
     if walk.kind == "kappa":
-        lam = binom(walk.a + d, d) / binom(walk.a + walk.b + d + 1, d)
-        return (-1) ** d * float(lam)
+        return (-1) ** d * float(family_lambda(GammaAB(walk.a, walk.b), d))
     return (-1) ** d / (d + 1)
 
 

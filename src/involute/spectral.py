@@ -124,16 +124,6 @@ class MixingReport:
     empirical_rate: float
 
 
-def second_abs_eigenvalue(spec: WeightSpec) -> Fraction:
-    if isinstance(spec, GammaAB):
-        return (spec.a + 1) / (spec.a + spec.b + 2)
-    if isinstance(spec, GammaC):
-        return 1 / (spec.c + 1)
-    if isinstance(spec, DeltaAB):
-        return (spec.a_prime - 1) / (spec.a_prime + spec.b_prime - 2)
-    raise UnsupportedFamily("no closed-form spectral gap for custom weights")
-
-
 def mixing_report(spec: WeightSpec, n: int, t_max: int = 40, x0: int = 0) -> MixingReport:
     """Fit the geometric decay of ||P^t[x0]/pi - 1||_inf from exact powers.
 
@@ -154,4 +144,4 @@ def mixing_report(spec: WeightSpec, n: int, t_max: int = 40, x0: int = 0) -> Mix
     tbar = sum(t for t, _ in pts) / len(pts)
     ybar = sum(y for _, y in pts) / len(pts)
     slope = sum((t - tbar) * (y - ybar) for t, y in pts) / sum((t - tbar) ** 2 for t, _ in pts)
-    return MixingReport(second_abs_eigenvalue(spec), math.exp(slope))
+    return MixingReport(family_lambda(spec, 1), math.exp(slope))

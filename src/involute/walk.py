@@ -45,7 +45,7 @@ class WalkMatrix:
     H: list
 
     @classmethod
-    def from_p(cls, p_rows, strict: bool = True) -> "WalkMatrix":
+    def from_p(cls, p_rows) -> "WalkMatrix":
         n = len(p_rows)
         rows = [[as_rational(v) for v in row] for row in p_rows]
         for x, row in enumerate(rows):
@@ -53,13 +53,10 @@ class WalkMatrix:
                 raise OutOfRange("transition matrix must be square")
             if sum(row) != 1 or any(v < 0 for v in row):
                 raise OutOfRange(f"row {x} is not a probability distribution")
-            if strict and any(row[z] != 0 for z in range(n - 1 - x)):
+            if any(row[z] != 0 for z in range(n - 1 - x)):
                 raise OutOfRange(f"row {x} breaks the anti-triangular support")
         h = [[rows[x][n - 1 - y] for y in range(n)] for x in range(n)]
         return cls(n, rows, h)
-
-    def antidiag(self) -> list:
-        return la.antidiag(self.n)
 
 
 @dataclass
@@ -301,7 +298,7 @@ def reversible_with_some_distribution(w):
     return True, Distribution(n, [p / total for p in pi])
 
 
-def _undirected_cycles(adj_sets: list, max_len: int):
+def _undirected_cycles(adj_sets: list):
     """Simple cycles of length >= 3, one representative per rotation and
     reflection: smallest vertex first, second vertex below the last."""
     n = len(adj_sets)
@@ -314,7 +311,7 @@ def _undirected_cycles(adj_sets: list, max_len: int):
             for u in sorted(adj_sets[v]):
                 if u == start and len(path) >= 3 and path[1] < path[-1]:
                     yield tuple(path)
-                if u > start and u not in in_path and len(path) < max_len:
+                if u > start and u not in in_path:
                     path.append(u)
                     in_path.add(u)
                     yield from extend()
@@ -324,11 +321,10 @@ def _undirected_cycles(adj_sets: list, max_len: int):
         yield from extend()
 
 
-def kolmogorov(w, max_len: int | None = None, samples: int | None = None, seed: int = 0) -> bool:
+def kolmogorov(w) -> bool:
     """Cycle criterion: reversible iff every cycle product is direction-free.
 
-    Exhaustive enumeration is capped at n = 12; pass `samples` to switch to
-    randomized cycle sampling for larger chains (can only certify False).
+    Cycles are enumerated exhaustively, which is capped at n = 12.
     """
     rows = _rows(w)
     n = len(rows)
@@ -343,33 +339,14 @@ def kolmogorov(w, max_len: int | None = None, samples: int | None = None, seed: 
     # asymmetric support kills reversibility before any cycle is formed
     if not _support_symmetric(rows):
         return False
+    if n > KOLMOGOROV_EXHAUSTIVE_CAP:
+        raise OutOfRange(
+            f"exhaustive cycle enumeration capped at n={KOLMOGOROV_EXHAUSTIVE_CAP}"
+        )
     adj_sets = [
         {z for z in range(n) if z != x and rows[x][z] != 0} for x in range(n)
     ]
-    if samples is not None:
-        rng = random.Random(seed)
-        nodes = list(range(n))
-        for _ in range(samples):
-            length = rng.randint(3, max(3, n))
-            cyc = []
-            v = rng.choice(nodes)
-            cyc.append(v)
-            for _ in range(length - 1):
-                options = [u for u in adj_sets[cyc[-1]] if u not in cyc]
-                if not options:
-                    break
-                cyc.append(rng.choice(options))
-            if len(cyc) >= 3 and cyc[0] in adj_sets[cyc[-1]]:
-                if not _cycle_balanced(rows, cyc):
-                    return False
-        return True
-    if n > KOLMOGOROV_EXHAUSTIVE_CAP:
-        raise OutOfRange(
-            f"exhaustive cycle enumeration capped at n={KOLMOGOROV_EXHAUSTIVE_CAP}; "
-            "pass samples= for randomized checking"
-        )
-    cap = max_len if max_len is not None else n
-    for cyc in _undirected_cycles(adj_sets, cap):
+    for cyc in _undirected_cycles(adj_sets):
         if not _cycle_balanced(rows, list(cyc)):
             return False
     return True

@@ -9,7 +9,7 @@ three named families are
     delta(a', b')[y, x] = binom(a'-1, y) * binom(b'-1, x-y)    (a', b' > 1)
 
 gamma(a, b) and gamma(c) are strictly positive on every n; delta lives on a
-bounded domain that depends on whether b' is an integer.  A weight is atomic
+bounded domain, given in closed form by domain_limit.  A weight is atomic
 when it only depends on the lower endpoint and star-symmetric when it is
 invariant under the order anti-involution [y, x] -> [x*, y*], x* = n-1-x.
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .errors import IndexOutOfDomain, MalformedWeight, OutOfRange, UnsupportedFamily
+from .errors import IndexOutOfDomain, MalformedWeight, OutOfRange
 from .exactnum import as_rational, binom
 from .serialize import parse_rational
 
@@ -110,39 +110,19 @@ class FactorizationResult:
 def domain_limit(spec: WeightSpec):
     """Largest n the weight is defined on, or UNBOUNDED.
 
-    For delta the decisive criterion is a sign scan of the actual values
-    (strict positivity for non-integer b', non-negativity plus a positive
-    diagonal for integer b'); the ceiling formulas are only a bound.
+    delta is binom(a'-1, y) * binom(b'-1, x-y).  For a non-integer r > 0,
+    binom(r, k) > 0 exactly when k <= ceil r; for an integer r >= 0 it is
+    >= 0 for every k.  So delta has a positive diagonal for n <= ceil a'
+    and, for non-integer b', is strictly positive for n <= ceil b'; for
+    integer b' non-negativity plus the positive diagonal is enough.
     """
     if isinstance(spec, (GammaAB, GammaC)):
         return UNBOUNDED
     if isinstance(spec, Custom):
         return spec.n
-    return _delta_domain(spec)
-
-
-def _delta_value(spec: DeltaAB, y: int, x: int) -> Fraction:
-    return binom(spec.a_prime - 1, y) * binom(spec.b_prime - 1, x - y)
-
-
-def _delta_domain(spec: DeltaAB) -> int:
-    integer_b = spec.b_prime.denominator == 1
-    cap = math.ceil(spec.a_prime) + 1
-
-    def admits(n: int) -> bool:
-        for x in range(n):
-            if _delta_value(spec, x, x) <= 0:
-                return False
-            for y in range(x + 1):
-                v = _delta_value(spec, y, x)
-                if v < 0 or (v == 0 and not integer_b):
-                    return False
-        return True
-
-    n = 1
-    while n < cap and admits(n + 1):
-        n += 1
-    return n
+    if spec.b_prime.denominator == 1:
+        return math.ceil(spec.a_prime)
+    return min(math.ceil(spec.a_prime), math.ceil(spec.b_prime))
 
 
 def weight_value(spec: WeightSpec, y: int, x: int) -> Fraction:
@@ -156,7 +136,7 @@ def weight_value(spec: WeightSpec, y: int, x: int) -> Fraction:
     if isinstance(spec, GammaC):
         return binom(x, y) * spec.c ** (x - y)
     if isinstance(spec, DeltaAB):
-        return _delta_value(spec, y, x)
+        return binom(spec.a_prime - 1, y) * binom(spec.b_prime - 1, x - y)
     return spec.table.get((y, x), Fraction(0))
 
 
@@ -265,7 +245,3 @@ def spec_label(spec: WeightSpec) -> str:
         return f"delta({spec.a_prime},{spec.b_prime})"
     return f"custom(n={spec.n})"
 
-
-def require_named(spec: WeightSpec):
-    if isinstance(spec, Custom):
-        raise UnsupportedFamily("no closed form for custom weight tables")

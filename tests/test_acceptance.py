@@ -12,10 +12,6 @@ from fractions import Fraction as F
 
 from involute import _linalg as la
 from involute.classify import (
-    DeltaIntegerPoint,
-    DeltaRealPoint,
-    GammaABPoint,
-    GammaCPoint,
     NotClassified,
     classify_walk,
     conjecture_search,
@@ -195,21 +191,17 @@ def test_criterion_05_classification_round_trip():
                 spec = GammaAB(a, b)
                 for n in range(3, 9):
                     lam = [family_lambda(spec, d) for d in range(n)]
-                    assert classify_walk(lam) == GammaABPoint(a, b)
+                    assert classify_walk(lam) == spec
         for c in GRID_C:
             for n in range(3, 9):
                 lam = [family_lambda(GammaC(c), d) for d in range(n)]
-                assert classify_walk(lam) == GammaCPoint(c)
+                assert classify_walk(lam) == GammaC(c)
         for spec in GRID_DELTA:
             n = int(domain_limit(spec))
             if n < 3:
                 continue
             lam = [family_lambda(spec, d) for d in range(n)]
-            result = classify_walk(lam)
-            if spec.b_prime.denominator == 1:
-                assert result == DeltaIntegerPoint(spec.a_prime, int(spec.b_prime))
-            else:
-                assert result == DeltaRealPoint(spec.a_prime, spec.b_prime)
+            assert classify_walk(lam) == spec
         table = {
             F(10, 23): (F(17), 9),
             F(13, 30): (F(15), 8),
@@ -217,7 +209,7 @@ def test_criterion_05_classification_round_trip():
             F(3, 7): (F(11), 6),
         }
         for nu, (ap, m) in table.items():
-            assert params_from_mu_nu(F(2, 3), nu, 10) == DeltaIntegerPoint(ap, m)
+            assert params_from_mu_nu(F(2, 3), nu, 10) == DeltaAB(ap, m)
 
 
 def test_criterion_06_conjecture_sweep():

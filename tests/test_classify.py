@@ -5,13 +5,10 @@ from fractions import Fraction as F
 import pytest
 
 from involute.classify import (
-    DeltaIntegerPoint,
-    DeltaRealPoint,
-    GammaABPoint,
-    GammaCPoint,
     IdentityWalk,
     NotClassified,
     a_prime_ladder,
+    classification_label,
     classify_walk,
     conjecture_search,
     exceptional_ladder,
@@ -29,9 +26,9 @@ def family_eigenvalues(spec, n):
 
 
 def test_params_from_mu_nu_examples():
-    assert params_from_mu_nu(F(2, 3), F(1, 2), 4) == GammaABPoint(F(1), F(0))
-    assert params_from_mu_nu(F(1, 3), F(1, 9), 4) == GammaCPoint(F(2))
-    assert params_from_mu_nu(F(2, 3), F(10, 23), 10) == DeltaIntegerPoint(F(17), 9)
+    assert params_from_mu_nu(F(2, 3), F(1, 2), 4) == GammaAB(F(1), F(0))
+    assert params_from_mu_nu(F(1, 3), F(1, 9), 4) == GammaC(F(2))
+    assert params_from_mu_nu(F(2, 3), F(10, 23), 10) == DeltaAB(F(17), 9)
 
 
 def test_params_from_mu_nu_range_errors():
@@ -53,9 +50,8 @@ def test_params_round_trip_mu_nu():
         (F(2, 3), F(10, 23), 10),
     ]
     for mu, nu, n in samples:
-        point = params_from_mu_nu(mu, nu, n)
-        assert not isinstance(point, NotClassified)
-        spec = point.weight_spec()
+        spec = params_from_mu_nu(mu, nu, n)
+        assert not isinstance(spec, NotClassified)
         assert family_lambda(spec, 1) == mu
         assert family_lambda(spec, 2) == nu
 
@@ -79,9 +75,9 @@ def test_ladder_monotone_to_mu_squared():
 
 
 def test_classify_walk_examples():
-    assert classify_walk([F(1), F(1, 2), F(1, 3), F(1, 4)]) == GammaABPoint(F(0), F(0))
-    assert classify_walk([F(1), F(2, 3), F(4, 9), F(8, 27)]) == GammaCPoint(F(1, 2))
-    assert classify_walk([F(1), F(3, 4), F(1, 2), F(1, 4)]) == DeltaIntegerPoint(F(4), 2)
+    assert classify_walk([F(1), F(1, 2), F(1, 3), F(1, 4)]) == GammaAB(F(0), F(0))
+    assert classify_walk([F(1), F(2, 3), F(4, 9), F(8, 27)]) == GammaC(F(1, 2))
+    assert classify_walk([F(1), F(3, 4), F(1, 2), F(1, 4)]) == DeltaAB(F(4), 2)
 
 
 def test_classify_walk_errors():
@@ -109,17 +105,20 @@ def test_round_trip_gamma_ab():
         for b in values:
             spec = GammaAB(a, b)
             for n in range(3, 9):
-                assert classify_walk(family_eigenvalues(spec, n)) == GammaABPoint(a, b)
+                assert classify_walk(family_eigenvalues(spec, n)) == GammaAB(a, b)
 
 
 def test_round_trip_gamma_c_and_delta():
     for c in (F(1, 2), F(1), F(2)):
         for n in range(3, 9):
-            assert classify_walk(family_eigenvalues(GammaC(c), n)) == GammaCPoint(c)
-    assert classify_walk(family_eigenvalues(DeltaAB(4, 2), 4)) == DeltaIntegerPoint(F(4), 2)
-    assert classify_walk(family_eigenvalues(DeltaAB(5, 3), 5)) == DeltaIntegerPoint(F(5), 3)
+            assert classify_walk(family_eigenvalues(GammaC(c), n)) == GammaC(c)
+    assert classify_walk(family_eigenvalues(DeltaAB(4, 2), 4)) == DeltaAB(F(4), 2)
+    assert classify_walk(family_eigenvalues(DeltaAB(5, 3), 5)) == DeltaAB(F(5), 3)
     spec = DeltaAB(F(7, 2), F(5, 2))
-    assert classify_walk(family_eigenvalues(spec, 3)) == DeltaRealPoint(F(7, 2), F(5, 2))
+    assert classify_walk(family_eigenvalues(spec, 3)) == DeltaAB(F(7, 2), F(5, 2))
+    # an integer b' is printed as the ladder index m
+    assert classification_label(DeltaAB(4, 2)) == "delta(a'=4, m=2)"
+    assert classification_label(spec) == "delta(a'=7/2, b'=5/2)"
 
 
 def test_is_globally_reversible_examples():
@@ -134,14 +133,14 @@ def test_ladder_point_walk_is_globally_reversible():
     lam = family_eigenvalues(spec, 10)
     assert lam[1] == F(2, 3) and lam[2] == F(10, 23)
     assert is_globally_reversible(lam)
-    assert classify_walk(lam) == DeltaIntegerPoint(F(17), 9)
+    assert classify_walk(lam) == DeltaAB(F(17), 9)
 
 
 def test_round_trip_half_integer_delta():
     spec = DeltaAB(F(9, 2), F(7, 2))
     for n in (3, 4):
         lam = family_eigenvalues(spec, n)
-        assert classify_walk(lam) == DeltaRealPoint(F(9, 2), F(7, 2))
+        assert classify_walk(lam) == DeltaAB(F(9, 2), F(7, 2))
         assert is_globally_reversible(lam)
 
 
@@ -160,7 +159,7 @@ def test_conjecture_search_n3_small_grid():
     # gamma(1,1) eigenvalues appear in the n=4 grid story: verify directly
     lam = family_eigenvalues(GammaAB(1, 1), 4)
     assert lam == [F(1), F(1, 2), F(3, 10), F(1, 5)]
-    assert classify_walk(lam) == GammaABPoint(F(1), F(1))
+    assert classify_walk(lam) == GammaAB(F(1), F(1))
 
 
 def test_conjecture_search_range():
@@ -193,15 +192,16 @@ def test_classified_points_are_globally_reversible():
             if not ladder:
                 continue
             nu = rng.choice(ladder)[1]
-        point = params_from_mu_nu(mu, nu, n)
-        if isinstance(point, NotClassified):
+        spec = params_from_mu_nu(mu, nu, n)
+        if isinstance(spec, NotClassified):
             continue
-        lam = family_eigenvalues(point.weight_spec(), n)
+        lam = family_eigenvalues(spec, n)
         assert lam[1] == mu and lam[2] == nu
         assert is_stochastic(lam)
         assert is_globally_reversible(lam)
-        assert classify_walk(lam) == point
-        kinds.add(type(point))
+        assert classify_walk(lam) == spec
+        # delta with integer b' is the exceptional ladder, a kind of its own
+        kinds.add((type(spec), isinstance(spec, DeltaAB) and spec.b_prime.denominator == 1))
         checked += 1
         if n < 4:
             continue
@@ -214,7 +214,7 @@ def test_classified_points_are_globally_reversible():
                 assert not is_globally_reversible(off)
                 perturbed += 1
                 break
-    assert kinds == {GammaABPoint, GammaCPoint, DeltaRealPoint, DeltaIntegerPoint}
+    assert kinds == {(GammaAB, False), (GammaC, False), (DeltaAB, False), (DeltaAB, True)}
     assert checked >= 150 and perturbed >= 50
 
 

@@ -9,13 +9,13 @@ from involute.errors import InvoluteError, UnsupportedFamily
 from involute.spectral import (
     EigenSystem,
     eigenvalues_closed_form,
+    family_lambda,
     final_left_eigenvalue,
     final_left_eigenvector,
     left_from_right,
     mixing_report,
     pi_inner,
     right_eigenvectors,
-    second_abs_eigenvalue,
 )
 from involute.exactnum import binom
 from involute.transform import pascal
@@ -143,9 +143,10 @@ def test_left_vectors_are_left_eigenvectors():
 
 
 def test_second_abs_eigenvalue():
-    assert second_abs_eigenvalue(GammaAB(0, 0)) == F(1, 2)
-    assert second_abs_eigenvalue(GammaC(1)) == F(1, 2)
-    assert second_abs_eigenvalue(DeltaAB(4, 2)) == F(3, 4)
+    assert family_lambda(GammaAB(0, 0), 1) == F(1, 2)
+    assert family_lambda(GammaAB(F(1, 2), 2), 1) == F(1, 3)
+    assert family_lambda(GammaC(1), 1) == F(1, 2)
+    assert family_lambda(DeltaAB(4, 2), 1) == F(3, 4)
 
 
 def test_mixing_report_gamma00():

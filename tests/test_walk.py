@@ -193,9 +193,6 @@ def test_kolmogorov_cap_and_sampling():
     w = lambda_walk(lam)
     with pytest.raises(OutOfRange):
         kolmogorov(w)
-    assert kolmogorov(w, samples=200, seed=7)
-    bad = lambda_walk([F(1), F(3, 5), F(3, 10), F(1, 20)])
-    assert not kolmogorov(bad, samples=500, seed=1)
 
 
 def test_kolmogorov_iff_detailed_balance():

@@ -73,21 +73,35 @@ def test_domain_limits():
     assert domain_limit(GammaC(3)) == UNBOUNDED
     assert domain_limit(DeltaAB(4, 2)) == 4
     assert domain_limit(DeltaAB(5, 3)) == 5
-    # the sign scan is authoritative: binom(3/2, 3) < 0 kills n = 4
+    # non-integer b' caps n at ceil b' = 3: binom(3/2, 3) < 0 kills n = 4
     assert domain_limit(DeltaAB(F(7, 2), F(5, 2))) == 3
     assert domain_limit(Custom(3, {(y, x): F(1) for x in range(3) for y in range(x + 1)})) == 3
 
 
-def test_domain_limit_matches_ceiling_formula():
-    import math
+def _scanned_delta_domain(spec):
+    """Oracle: the first column x with a non-positive diagonal, a negative
+    value, or (for non-integer b') a zero value bounds the domain."""
+    integer_b = spec.b_prime.denominator == 1
+    x = 0
+    while True:
+        column = [
+            binom(spec.a_prime - 1, y) * binom(spec.b_prime - 1, x - y) for y in range(x + 1)
+        ]
+        if column[x] <= 0 or any(v < 0 or (v == 0 and not integer_b) for v in column):
+            return x
+        x += 1
 
-    for ap, bp in [(4, 2), (5, 3), (6, 2), (F(9, 2), F(7, 2)), (F(11, 3), 4), (F(7, 2), F(5, 2))]:
-        spec = DeltaAB(ap, bp)
-        if spec.b_prime.denominator == 1:
-            expected = math.ceil(spec.a_prime)
-        else:
-            expected = min(math.ceil(spec.a_prime), math.ceil(spec.b_prime))
-        assert domain_limit(spec) == expected
+
+def test_domain_limit_matches_ceiling_formula():
+    # a' = p/q, q <= 3, in (1, 6]; b' = p/q, q in {1, 2, 4}, in (1, 5]: 320
+    # specs with integer a', integer b' and b' in (1, 2) among them
+    a_primes = {F(p, q) for q in (1, 2, 3) for p in range(q + 1, 6 * q + 1)}
+    b_primes = {F(p, q) for q in (1, 2, 4) for p in range(q + 1, 5 * q + 1)}
+    assert len(a_primes) * len(b_primes) == 320
+    for ap in a_primes:
+        for bp in b_primes:
+            spec = DeltaAB(ap, bp)
+            assert domain_limit(spec) == _scanned_delta_domain(spec)
 
 
 def test_weight_value_outside_domain():
