@@ -1,14 +1,18 @@
 """Dense exact-rational matrix helpers (desk scale, n <= ~100).
 
-Matrices are plain lists of lists of Fractions.  Nothing here is clever:
-the whole point of the package is that every entry stays an exact rational,
-so we trade speed for transparency.
+Matrices are plain lists of lists of Fractions, and every result is exact.
+The kernels that dominate run on integers instead: a row is scaled by the
+lcm of its denominators (integer_row), elimination keeps rows primitive,
+and the characteristic polynomial runs on the integer matrix D*A.  Every
+division in them is exact, so no gcd is paid per operation and Fractions
+are only formed once, for the result.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import SingularMatrix
 
@@ -31,35 +35,17 @@ def identity(n: int) -> Matrix:
     return out
 
 
-def antidiag(n: int) -> Matrix:
-    """J(n): ones on the anti-diagonal, the matrix of x -> n-1-x."""
-    out = zeros(n)
-    for i in range(n):
-        out[i][n - 1 - i] = _ONE
-    return out
-
-
-def copy(a: Matrix) -> Matrix:
-    return [row[:] for row in a]
-
-
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
     bt = list(zip(*b))
-    out = []
-    for i in range(n):
-        ai = a[i]
-        out.append([sum(ai[t] * bc[t] for t in range(k)) for bc in bt])
-    return out
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def matvec(a: Matrix, v: Vector) -> Vector:
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def vecmat(v: Vector, a: Matrix) -> Vector:
-    n = len(a)
-    return [sum(v[i] * a[i][j] for i in range(n)) for j in range(len(a[0]))]
+    return [sum(map(mul, v, col)) for col in zip(*a)]
 
 
 def trace(a: Matrix) -> Fraction:
@@ -79,40 +65,40 @@ def is_upper_triangular(a: Matrix) -> bool:
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    na, nb = len(a), len(b)
-    ma, mb = len(a[0]), len(b[0])
-    out = zeros(na * nb, ma * mb)
-    for i in range(na):
-        for j in range(ma):
-            aij = a[i][j]
+    nb, mb = len(b), len(b[0])
+    out = zeros(len(a) * nb, len(a[0]) * mb)
+    b_nonzero = [[(l, v) for l, v in enumerate(row) if v != 0] for row in b]
+    for i, arow in enumerate(a):
+        for j, aij in enumerate(arow):
             if aij == 0:
                 continue
-            for k in range(nb):
-                for l in range(mb):
-                    out[i * nb + k][j * mb + l] = aij * b[k][l]
+            for k, entries in enumerate(b_nonzero):
+                out_row = out[i * nb + k]
+                for l, v in entries:
+                    out_row[j * mb + l] = aij * v
     return out
 
 
 def charpoly(a: Matrix) -> list[Fraction]:
     """Coefficients [1, c1, ..., cn] of det(X I - A), by Faddeev-LeVerrier.
 
-    All divisions are by integers, so the computation is exact over the
-    rationals.
+    It runs on the integer matrix B = D A, D the lcm of all denominators:
+    the coefficients of det(X I - B) are integers, so the division of the
+    trace by k is exact, and coefficient k of A is c_k(B) / D^k.
     """
     n = len(a)
-    coeffs = [_ONE]
-    if n == 0:
-        return coeffs
-    m = copy(a)
-    c = -trace(m)
-    coeffs.append(c)
-    for k in range(2, n + 1):
-        for i in range(n):
-            m[i][i] += c
-        m = matmul(a, m)
-        c = Fraction(-trace(m), k)
-        coeffs.append(c)
-    return coeffs
+    d = math.lcm(*(x.denominator for row in a for x in row))
+    b = [[x.numerator * (d // x.denominator) for x in row] for row in a]
+    coeffs = [1]
+    m = b
+    for k in range(1, n + 1):
+        if k > 1:
+            m = [row[:] for row in m]
+            for i in range(n):
+                m[i][i] += coeffs[-1]
+            m = matmul(b, m)
+        coeffs.append(-trace(m) // k)
+    return [Fraction(c, d**k) for k, c in enumerate(coeffs)]
 
 
 def poly_from_roots(roots: Vector) -> list[Fraction]:
@@ -134,29 +120,51 @@ def inverse(a: Matrix) -> Matrix:
     return [row[n:] for row in r]
 
 
+def integer_row(row: Vector) -> tuple[list[int], int]:
+    """(d * row, d) with d the lcm of the row's denominators."""
+    d = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row], d
+
+
+def primitive(row: list[int]) -> list[int]:
+    """An integer row divided by its content, the gcd of its entries."""
+    g = math.gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column indices."""
-    m = copy(a)
+    """Reduced row echelon form and pivot column indices.
+
+    Fraction-free Gauss-Jordan on integer rows: a row with entry f in the
+    pivot column becomes (p/g) row - (f/g) pivot_row, g = gcd(p, f), and is
+    then made primitive, so the integers stay small.  No step changes the
+    row space, and the RREF is unique, so dividing the pivot rows by their
+    pivots at the end gives the RREF over the rationals.
+    """
+    m = [primitive(integer_row(row)[0]) for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        prow = m[r]
+        p = prow[c]
         for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                g = math.gcd(p, f)
+                pg, fg = p // g, f // g
+                m[i] = primitive([pg * x - fg * y for x, y in zip(m[i], prow)])
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return m, pivots
+    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    return out + [[_ZERO] * cols for _ in range(rows - r)], pivots
 
 
 def kernel_basis(a: Matrix) -> list[Vector]:

@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import _linalg as la
 from .errors import IndexOutOfDomain, InvoluteError, UnsupportedFamily
 from .exactnum import binom
-from .transform import pascal_column
 from .walk import Distribution, invariant_closed_form, transition_matrix
 from .weights import Custom, DeltaAB, GammaAB, GammaC, WeightSpec, domain_limit
 
@@ -75,8 +75,12 @@ def pi_inner(pi, v, w) -> Fraction:
 def right_eigenvectors(spec: WeightSpec, n: int, dmax: int | None = None) -> EigenSystem:
     """pi-weighted Gram-Schmidt of the Pascal columns, verified exactly.
 
-    Only gamma(a, b) walks carry the orthogonality theory used here.  Each
-    output vector is checked to be an exact eigenvector of P before return.
+    Only gamma(a, b) walks carry the orthogonality theory used here.  The
+    orthogonalization runs on integers: with pi scaled to integers, each
+    step v <- <w,w> v - <v,w> w followed by removing the content is a
+    positive multiple of the rational step, so clearing denominators gives
+    the same vectors.  Each output vector is checked to be an exact
+    eigenvector of P, on the integer rows of P, before return.
     """
     if not isinstance(spec, GammaAB):
         raise UnsupportedFamily("right eigenvector theory requires gamma(a, b)")
@@ -84,18 +88,25 @@ def right_eigenvectors(spec: WeightSpec, n: int, dmax: int | None = None) -> Eig
         raise IndexOutOfDomain("n must be >= 1")
     top = n if dmax is None else min(dmax + 1, n)
     pi = invariant_closed_form(spec, n)
-    walk = transition_matrix(spec, n)
+    p_int, p_den = zip(*(la.integer_row(row) for row in transition_matrix(spec, n).P))
     values = eigenvalues_closed_form(spec, n)[:top]
+    pi_int = la.integer_row(pi.weights)[0]
     rights: list[list] = []
+    cache: list[tuple] = []  # (w, pi * w, <w, w>) for each stored w
     for d in range(top):
-        v = pascal_column(n, d)
-        for w in rights:
-            coeff = pi_inner(pi, v, w) / pi_inner(pi, w, w)
-            v = [a - coeff * b for a, b in zip(v, w)]
-        v = la.clear_denominators(v)
-        if la.matvec(walk.P, v) != [values[d] * x for x in v]:
+        v = [math.comb(x, d) for x in range(n)]
+        for w, pw, ww in cache:
+            vw = sum(map(mul, v, pw))
+            v = la.primitive([ww * a - vw * b for a, b in zip(v, w)])
+        if next(x for x in v if x) < 0:
+            v = [-x for x in v]
+        num, den = values[d].numerator, values[d].denominator
+        pv = la.matvec(p_int, v)
+        if any(den * s != num * dx * vx for s, dx, vx in zip(pv, p_den, v)):
             raise InvoluteError(f"Gram-Schmidt vector d={d} is not an eigenvector of P")
-        rights.append(v)
+        pw = [p * x for p, x in zip(pi_int, v)]
+        cache.append((v, pw, sum(map(mul, pw, v))))
+        rights.append([Fraction(x) for x in v])
     lefts = [left_from_right(pi, v) for v in rights]
     return EigenSystem(n, values, rights, lefts, pi)
 

@@ -93,9 +93,7 @@ def binomial_transform(lam) -> list:
 
 def pl_matrix(lam) -> list:
     """P = H J: the binomial transform with its columns reversed."""
-    h = binomial_transform(lam)
-    n = len(h)
-    return [[h[x][n - 1 - z] for z in range(n)] for x in range(n)]
+    return [row[::-1] for row in binomial_transform(lam)]
 
 
 @dataclass(frozen=True)
@@ -167,7 +165,7 @@ def check_adep(m) -> bool:
     """
     rows = _require_lower_triangular(m)
     n = len(rows)
-    lj = la.matmul(rows, la.antidiag(n))
+    lj = [row[::-1] for row in rows]  # L J reverses the columns of L
     target = la.poly_from_roots([(-1) ** d * rows[d][d] for d in range(n)])
     return la.charpoly(lj) == target
 
@@ -202,7 +200,7 @@ def check_conjugator(q, global_check: bool = False) -> bool:
     sizes = range(1, n + 1) if global_check else [n]
     for k in sizes:
         sub = la.top_left(rows, k)
-        conj = la.matmul(la.matmul(la.inverse(sub), la.antidiag(k)), sub)
+        conj = la.matmul([row[::-1] for row in la.inverse(sub)], sub)
         if not la.is_upper_triangular(conj):
             return False
         if any(conj[x][x] != (-1) ** x for x in range(k)):

@@ -31,7 +31,7 @@ from .errors import (
     ZeroNorm,
 )
 from .exactnum import as_rational, binom
-from .weights import Custom, GammaAB, GammaC, WeightSpec, domain_limit, norm, weight_value
+from .weights import Custom, GammaAB, GammaC, WeightSpec, domain_limit, norm_table, weight_table
 
 KOLMOGOROV_EXHAUSTIVE_CAP = 12
 
@@ -51,12 +51,12 @@ class WalkMatrix:
         for x, row in enumerate(rows):
             if len(row) != n:
                 raise OutOfRange("transition matrix must be square")
-            if sum(row) != 1 or any(v < 0 for v in row):
+            nonzero = [v for v in row if v]
+            if sum(nonzero) != 1 or any(v < 0 for v in nonzero):
                 raise OutOfRange(f"row {x} is not a probability distribution")
-            if any(row[z] != 0 for z in range(n - 1 - x)):
+            if any(row[: n - 1 - x]):
                 raise OutOfRange(f"row {x} breaks the anti-triangular support")
-        h = [[rows[x][n - 1 - y] for y in range(n)] for x in range(n)]
-        return cls(n, rows, h)
+        return cls(n, rows, [row[::-1] for row in rows])  # H = P J
 
 
 @dataclass
@@ -111,16 +111,15 @@ def transition_matrix(spec: WeightSpec, n: int) -> WalkMatrix:
     """Exact P and H for the weight on {0, ..., n-1}."""
     if n < 1 or n > domain_limit(spec):
         raise IndexOutOfDomain(f"n={n} is outside the weight's domain")
-    norms = [norm(spec, x) for x in range(n)]
+    norms = norm_table(spec, n)
     if any(nx == 0 for nx in norms):
         bad = next(x for x in range(n) if norms[x] == 0)
         raise ZeroNorm(f"N_{bad} = 0, no step distribution at state {bad}")
     h = [
-        [weight_value(spec, y, x) / norms[x] if y <= x else Fraction(0) for y in range(n)]
-        for x in range(n)
+        [v / nx for v in row] + [Fraction(0)] * (n - 1 - x)
+        for x, (row, nx) in enumerate(zip(weight_table(spec, n), norms))
     ]
-    p = [[h[x][n - 1 - z] for z in range(n)] for x in range(n)]
-    return WalkMatrix(n, p, h)
+    return WalkMatrix(n, [row[::-1] for row in h], h)  # P = H J
 
 
 def support(w) -> list:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .errors import IndexOutOfDomain, MalformedWeight, OutOfRange
-from .exactnum import as_rational, binom
+from .exactnum import as_rational
 from .serialize import parse_rational
 
 UNBOUNDED = math.inf
@@ -125,50 +125,96 @@ def domain_limit(spec: WeightSpec):
     return min(math.ceil(spec.a_prime), math.ceil(spec.b_prime))
 
 
+def _terms(ratio, length: int) -> list:
+    """[t_0, ..., t_{length-1}] with t_0 = 1 and t_{k+1} = t_k * ratio(k)."""
+    out = [Fraction(1)]
+    for k in range(length - 1):
+        out.append(out[-1] * ratio(k))
+    return out
+
+
+def _rising(r, length: int) -> list:
+    """binom(r+k, k) for k < length."""
+    return _terms(lambda k: (r + k + 1) / (k + 1), length)
+
+
+def _falling(r, length: int) -> list:
+    """binom(r, k) for k < length."""
+    return _terms(lambda k: (r - k) / (k + 1), length)
+
+
+def _sequences(spec: WeightSpec, length: int):
+    """A named family as 1-D sequences of the given length: (u, v, pascal, N).
+
+    w[y, x] = u[y] * v[x-y], times comb(x, y) when pascal is set, and N is
+    the column sum N_x; each sequence is advanced by its term ratio.
+    """
+    if isinstance(spec, GammaAB):
+        a, b = spec.a, spec.b
+        return _rising(a, length), _rising(b, length), False, _rising(a + b + 1, length)
+    if isinstance(spec, GammaC):
+        c = spec.c
+        return [1] * length, _terms(lambda k: c, length), True, _terms(lambda k: c + 1, length)
+    ap, bp = spec.a_prime - 1, spec.b_prime - 1
+    return _falling(ap, length), _falling(bp, length), False, _falling(ap + bp, length)
+
+
 def weight_value(spec: WeightSpec, y: int, x: int) -> Fraction:
     """Exact value of the weight on the interval [y, x]."""
     if y < 0 or y > x:
         raise IndexOutOfDomain(f"need 0 <= y <= x, got y={y}, x={x}")
     if x >= domain_limit(spec):
         raise IndexOutOfDomain(f"x={x} is outside the weight's domain")
-    if isinstance(spec, GammaAB):
-        return binom(spec.a + y, y) * binom(spec.b + x - y, x - y)
-    if isinstance(spec, GammaC):
-        return binom(x, y) * spec.c ** (x - y)
-    if isinstance(spec, DeltaAB):
-        return binom(spec.a_prime - 1, y) * binom(spec.b_prime - 1, x - y)
-    return spec.table.get((y, x), Fraction(0))
+    if isinstance(spec, Custom):
+        return spec.table.get((y, x), Fraction(0))
+    u, v, pascal, _ = _sequences(spec, x + 1)
+    return u[y] * v[x - y] * (math.comb(x, y) if pascal else 1)
+
+
+def weight_table(spec: WeightSpec, n: int) -> list:
+    """Rows [w[0, x], ..., w[x, x]] for x < n, in O(n^2) exact operations."""
+    if n > domain_limit(spec):
+        raise IndexOutOfDomain(f"n={n} exceeds the weight's domain")
+    if isinstance(spec, Custom):
+        return [[spec.table.get((y, x), Fraction(0)) for y in range(x + 1)] for x in range(n)]
+    u, v, pascal, _ = _sequences(spec, n)
+    if pascal:
+        return [[u[y] * v[x - y] * math.comb(x, y) for y in range(x + 1)] for x in range(n)]
+    return [[u[y] * v[x - y] for y in range(x + 1)] for x in range(n)]
 
 
 def norm(spec: WeightSpec, x: int) -> Fraction:
     """Column sum N_x = sum_{y <= x} weight[y, x], by closed form when named."""
     if x < 0 or x >= domain_limit(spec):
         raise IndexOutOfDomain(f"x={x} is outside the weight's domain")
-    if isinstance(spec, GammaAB):
-        return binom(x + spec.a + spec.b + 1, x)
-    if isinstance(spec, GammaC):
-        return (spec.c + 1) ** x
-    if isinstance(spec, DeltaAB):
-        return binom((spec.a_prime - 1) + (spec.b_prime - 1), x)
-    return sum(spec.table.get((y, x), Fraction(0)) for y in range(x + 1))
+    if isinstance(spec, Custom):
+        return sum(spec.table.get((y, x), Fraction(0)) for y in range(x + 1))
+    return _sequences(spec, x + 1)[3][x]
+
+
+def norm_table(spec: WeightSpec, n: int) -> list:
+    """[N_0, ..., N_{n-1}], by the closed forms' term ratios when named."""
+    if n > domain_limit(spec):
+        raise IndexOutOfDomain(f"n={n} exceeds the weight's domain")
+    if isinstance(spec, Custom):
+        return [norm(spec, x) for x in range(n)]
+    return _sequences(spec, n)[3]
 
 
 def classify_weight(spec: WeightSpec, n: int) -> WeightFlags:
     """Decide atomic / star-symmetric / strictly positive by exhaustive check."""
-    if n > domain_limit(spec):
-        raise IndexOutOfDomain(f"n={n} exceeds the weight's domain")
+    w = weight_table(spec, n)
     atomic = True
     star = True
     positive = True
     for x in range(n):
         for y in range(x + 1):
-            v = weight_value(spec, y, x)
+            v = w[x][y]
             if v <= 0:
                 positive = False
-            if v != weight_value(spec, y, y):
+            if v != w[y][y]:
                 atomic = False
-            ys, xs = n - 1 - x, n - 1 - y
-            if v != weight_value(spec, ys, xs):
+            if v != w[n - 1 - y][n - 1 - x]:
                 star = False
     return WeightFlags(atomic, star, positive)
 
@@ -182,21 +228,20 @@ def factorize(spec: WeightSpec, n: int, pi) -> FactorizationResult:
     came out star-symmetric, which happens exactly when the walk is
     reversible with respect to pi.
     """
-    if n > domain_limit(spec):
-        raise IndexOutOfDomain(f"n={n} exceeds the weight's domain")
+    w = weight_table(spec, n)
     pi = [as_rational(p) for p in pi]
     if len(pi) != n or any(p <= 0 for p in pi):
         raise OutOfRange("pi must be a strictly positive vector of length n")
-    norms = [norm(spec, x) for x in range(n)]
+    norms = norm_table(spec, n)
     if any(nx == 0 for nx in norms):
         raise MalformedWeight("a column sum N_x vanishes")
     alpha = [pi[n - 1 - y] / norms[n - 1 - y] for y in range(n)]
-    scale = weight_value(spec, 0, 0) / alpha[0]
+    scale = w[0][0] / alpha[0]
     alpha = [a * scale for a in alpha]
     beta = {}
     for x in range(n):
         for y in range(x + 1):
-            beta[(y, x)] = weight_value(spec, y, x) / alpha[y]
+            beta[(y, x)] = w[x][y] / alpha[y]
     valid = all(
         beta[(y, x)] == beta[(n - 1 - x, n - 1 - y)] for x in range(n) for y in range(x + 1)
     )

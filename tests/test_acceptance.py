@@ -141,6 +141,11 @@ def test_criterion_03_invariant_exactness():
                 assert detailed_balance(w, pi)
 
 
+def antidiag(n):
+    """J(n): ones on the anti-diagonal, the matrix of x -> n-1-x."""
+    return [[F(1) if x + z == n - 1 else F(0) for z in range(n)] for x in range(n)]
+
+
 def _pascal_sandwich(lam):
     # independent oracle for P^lambda: B Diag(lambda) B^{-1} J, all explicit
     n = len(lam)
@@ -149,7 +154,7 @@ def _pascal_sandwich(lam):
     for d in range(n):
         diag[d][d] = lam[d]
     h = la.matmul(la.matmul(b.forward, diag), b.inverse)
-    return la.matmul(h, la.antidiag(n))
+    return la.matmul(h, antidiag(n))
 
 
 def test_criterion_04_stochasticity_equivalence():

@@ -1,0 +1,83 @@
+"""Exact linear algebra against sympy as an independent oracle."""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from involute import _linalg as la
+from involute.errors import SingularMatrix
+
+sympy = pytest.importorskip("sympy")
+
+
+def _random_matrix(rng, rows, cols):
+    """Seeded rational entries, with zero rows, zero columns and rank drops mixed in."""
+    a = [
+        [F(0) if rng.random() < 0.2 else F(rng.randint(-9, 9), rng.randint(1, 12))
+         for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    kind = rng.randrange(6)  # 0, 4 and 5 keep the random matrix
+    if kind == 1 and rows > 1:
+        i, j = rng.sample(range(rows), 2)
+        c = F(rng.randint(-3, 3), rng.randint(1, 4))
+        a[i] = [c * v + w for v, w in zip(a[j], a[rng.randrange(rows)])]
+    elif kind == 2:
+        a[rng.randrange(rows)] = [F(0)] * cols
+    elif kind == 3:
+        j = rng.randrange(cols)
+        for row in a:
+            row[j] = F(0)
+    return a
+
+
+def _cases(count, square=False):
+    rng = random.Random(20260501)
+    out = [[[F(0)]], [[F(-7, 3)]]]
+    while len(out) < count:
+        rows = rng.randint(1, 6)
+        cols = rows if square else rng.randint(1, 7)
+        out.append(_random_matrix(rng, rows, cols))
+    return out
+
+
+def _sym(a):
+    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in a])
+
+
+def _frac(x):
+    x = sympy.Rational(x)
+    return F(int(x.p), int(x.q))
+
+
+def _rows(m):
+    return [[_frac(v) for v in m.row(i)] for i in range(m.rows)]
+
+
+def test_rref_and_kernel_match_sympy():
+    for a in _cases(150):
+        r, pivots = la.rref(a)
+        ref, ref_pivots = _sym(a).rref()
+        assert (r, pivots) == (_rows(ref), list(ref_pivots)), a
+        kernel = la.kernel_basis(a)
+        assert kernel == [[_frac(v) for v in vec] for vec in _sym(a).nullspace()], a
+        assert all(la.matvec(a, v) == [0] * len(a) for v in kernel)
+
+
+def test_charpoly_and_inverse_match_sympy():
+    x = sympy.Symbol("x")
+    singular = 0
+    for a in _cases(150, square=True):
+        assert la.charpoly(a) == [_frac(c) for c in _sym(a).charpoly(x).all_coeffs()], a
+        if _sym(a).det() == 0:
+            singular += 1
+            with pytest.raises(SingularMatrix):
+                la.inverse(a)
+        else:
+            assert la.inverse(a) == _rows(_sym(a).inv()), a
+    assert 30 <= singular <= 120  # both branches are exercised
+
+
+def test_charpoly_of_empty_matrix():
+    assert la.charpoly([]) == [1]

@@ -18,7 +18,7 @@ from involute.spectral import (
     right_eigenvectors,
 )
 from involute.exactnum import binom
-from involute.transform import pascal
+from involute.transform import pascal, pascal_column
 from involute.walk import invariant_closed_form, transition_matrix
 from involute.weights import Custom, DeltaAB, GammaAB, GammaC
 
@@ -83,6 +83,32 @@ def test_right_eigenvectors_structure():
                 w1 = system.right_vectors[1]
                 ref = [(a + b + 2) * (n - 1) - (2 * a + b + 3) * x for x in range(n)]
                 assert la.clear_denominators(ref) == w1
+
+
+def _rational_gram_schmidt(spec, n):
+    """Oracle: the Fraction Gram-Schmidt of the Pascal columns under pi."""
+    pi = invariant_closed_form(spec, n)
+    rights = []
+    for d in range(n):
+        v = pascal_column(n, d)
+        for w in rights:
+            coeff = pi_inner(pi, v, w) / pi_inner(pi, w, w)
+            v = [a - coeff * b for a, b in zip(v, w)]
+        rights.append(la.clear_denominators(v))
+    return rights
+
+
+def test_right_eigenvectors_match_rational_gram_schmidt():
+    cases = 0
+    for a in (F(-2, 3), F(0), F(1, 3), F(1), F(5, 2)):
+        for b in (F(-1, 2), F(0), F(2, 3), F(3)):
+            for n in (1, 2, 3, 6, 9, 14):
+                spec = GammaAB(a, b)
+                system = right_eigenvectors(spec, n)
+                assert system.right_vectors == _rational_gram_schmidt(spec, n)
+                assert right_eigenvectors(spec, n, dmax=2).right_vectors == system.right_vectors[:3]
+                cases += 1
+    assert cases == 120
 
 
 def test_final_right_eigenvector_a0():

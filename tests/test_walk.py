@@ -271,6 +271,32 @@ def test_subset_walk_multiplicity():
     assert detailed_balance(sub.walk, sub.pi)
 
 
+@pytest.mark.parametrize(
+    "p_rows, message",
+    [
+        # a negative entry offset by a positive one: the row still sums to 1
+        ([[0, 1], [F(-1, 2), F(3, 2)]], "row 1 is not a probability distribution"),
+        ([[0, 1], [F(1, 2), F(1, 3)]], "row 1 is not a probability distribution"),
+        ([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]], "row 0 breaks the anti-triangular support"),
+        ([[0, 0, 1], [0, F(1, 2), F(1, 2)], [F(1, 4), F(3, 4)]], "must be square"),
+        ([[0, 1], [F(1, 2), F(1, 2)], [0, 1]], "must be square"),
+    ],
+)
+def test_from_p_rejects_non_walks(p_rows, message):
+    with pytest.raises(OutOfRange, match=message):
+        WalkMatrix.from_p(p_rows)
+
+
+def test_from_p_round_trips_subset_walks():
+    for m in range(1, 6):
+        for p in (F(1, 3), F(3, 4)):
+            sub = subset_walk(m, p)
+            assert WalkMatrix.from_p(sub.walk.P) == sub.walk
+            size = 2**m
+            assert sub.walk.H == [[sub.walk.P[x][size - 1 - y] for y in range(size)]
+                                  for x in range(size)]
+
+
 def test_custom_weight_walk_roundtrip():
     table = {(0, 0): F(2), (0, 1): F(1), (1, 1): F(3)}
     w = transition_matrix(Custom(2, table), 2)

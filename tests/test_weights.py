@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from involute.errors import IndexOutOfDomain, MalformedWeight, OutOfRange
 from involute.exactnum import binom
@@ -20,6 +22,8 @@ from involute.weights import (
     domain_limit,
     factorize,
     norm,
+    norm_table,
+    weight_table,
     weight_value,
 )
 
@@ -66,6 +70,62 @@ def test_norm_closed_form_matches_direct_sum():
         for x in range(top):
             direct = sum(weight_value(spec, y, x) for y in range(x + 1))
             assert norm(spec, x) == direct
+
+
+def _closed_form(spec, y, x):
+    """The family formulas of the module docstring, one binom per factor."""
+    if isinstance(spec, GammaAB):
+        return binom(y + spec.a, y) * binom(spec.b + x - y, x - y)
+    if isinstance(spec, GammaC):
+        return binom(x, y) * spec.c ** (x - y)
+    return binom(spec.a_prime - 1, y) * binom(spec.b_prime - 1, x - y)
+
+
+def _closed_norm(spec, x):
+    if isinstance(spec, GammaAB):
+        return binom(x + spec.a + spec.b + 1, x)
+    if isinstance(spec, GammaC):
+        return (spec.c + 1) ** x
+    return binom(spec.a_prime + spec.b_prime - 2, x)
+
+
+def _params(lower, upper):
+    # integers and fractions with denominators up to 7, strictly above lower
+    return st.fractions(min_value=lower, max_value=upper, max_denominator=7).filter(
+        lambda v: v > lower
+    )
+
+
+named_specs = st.one_of(
+    st.builds(GammaAB, _params(-1, 6), _params(-1, 6)),
+    st.builds(GammaC, _params(0, 4)),
+    st.builds(DeltaAB, _params(1, 14), _params(1, 14)),
+)
+
+
+@given(named_specs, st.data())
+@settings(max_examples=120, deadline=None)
+def test_weight_table_matches_weight_value_and_closed_forms(spec, data):
+    limit = domain_limit(spec)
+    n = data.draw(st.integers(min_value=1, max_value=14 if limit == UNBOUNDED else limit))
+    table = weight_table(spec, n)
+    assert [len(row) for row in table] == list(range(1, n + 1))
+    for x in range(n):
+        for y in range(x + 1):
+            assert table[x][y] == weight_value(spec, y, x) == _closed_form(spec, y, x)
+    norms = norm_table(spec, n)
+    assert norms == [norm(spec, x) for x in range(n)]
+    assert norms == [_closed_norm(spec, x) for x in range(n)]
+
+
+def test_weight_table_custom_and_domain():
+    spec = Custom(3, {(0, 0): F(1), (0, 1): F(2), (1, 1): F(1, 2), (2, 2): F(3)})
+    assert weight_table(spec, 3) == [[1], [2, F(1, 2)], [0, 0, 3]]
+    assert norm_table(spec, 3) == [1, F(5, 2), 3]
+    with pytest.raises(IndexOutOfDomain):
+        weight_table(DeltaAB(4, 2), 5)
+    with pytest.raises(IndexOutOfDomain):
+        norm_table(spec, 4)
 
 
 def test_domain_limits():
