@@ -10,7 +10,7 @@ distances below halve as n doubles.
 from involute.continuum import (
     cts_invariant,
     discrete_convergence,
-    eigen_residual,
+    eigen_residuals,
     fixed_point_residual,
     jacobi_eigenfunctions,
     kappa_walk,
@@ -21,7 +21,7 @@ from involute.continuum import (
 for walk, name in ((kappa_walk(0, 0), "kappa(0,0)"),
                    (kappa_walk(1, 2), "kappa(1,2)"),
                    (trig_walk(), "trig")):
-    residuals = [eigen_residual(walk, d) for d in range(4)]
+    residuals = eigen_residuals(walk, 3)
     values = [walk_eigenvalue(walk, d) for d in range(4)]
     print(f"{name}: eigenvalues {['%.4f' % v for v in values]}")
     print(f"  eigen residuals {['%.1e' % r for r in residuals]}")

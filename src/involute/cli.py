@@ -8,6 +8,7 @@ diagnostic naming the violated condition), 1 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -275,12 +276,23 @@ def cmd_subsets(args):
     print("eigenvalues=" + ",".join(format_vector(sub.eigenvalues)))
 
 
+def _parse_sizes(text: str) -> list:
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise InvoluteError(f"--sizes needs comma-separated integers, got {text!r}") from None
+
+
 def cmd_continuum(args):
-    w = cont.trig_walk() if args.trig else cont.kappa_walk(args.kappa[0], args.kappa[1])
+    if args.trig and args.kappa is not None:
+        raise InvoluteError("choose one of --kappa/--trig")
+    kappa = args.kappa or (0, 0)
+    w = cont.trig_walk() if args.trig else cont.kappa_walk(*kappa)
     if args.residual is not None:
+        residuals = cont.eigen_residuals(w, args.residual)
         print("d,residual")
-        for d in range(args.residual + 1):
-            print(f"{d},{cont.eigen_residual(w, d):.3e}")
+        for d, r in enumerate(residuals):
+            print(f"{d},{r:.3e}")
     elif args.fixed_point:
         print(f"fixed_point_residual,{cont.fixed_point_residual(w):.3e}")
     elif args.invariant:
@@ -289,8 +301,11 @@ def cmd_continuum(args):
             x = k / cont.GRID_POINTS
             print(f"{x:.6f},{cont.cts_invariant(w, x):.12f}")
     elif args.convergence is not None:
-        sizes = [int(s) for s in args.sizes.split(",")]
-        dists = cont.discrete_convergence(args.kappa[0], args.kappa[1], args.convergence, sizes)
+        if args.trig:
+            raise InvoluteError("--convergence compares with the discrete gamma(a,b) walk; "
+                                "use --kappa, not --trig")
+        sizes = _parse_sizes(args.sizes)
+        dists = cont.discrete_convergence(*kappa, args.convergence, sizes)
         print("n,distance")
         for n, dist in zip(sizes, dists):
             print(f"{n},{dist:.8f}")
@@ -428,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_subsets)
 
     p = sub.add_parser("continuum", help="interval walk residuals and invariants")
-    p.add_argument("--kappa", nargs=2, type=int, metavar=("A", "B"), default=(0, 0))
+    p.add_argument("--kappa", nargs=2, type=int, metavar=("A", "B"),
+                   help="kappa(a,b) weight (default 0 0)")
     p.add_argument("--trig", action="store_true")
     p.add_argument("--residual", type=int, metavar="DMAX")
     p.add_argument("--fixed-point", action="store_true")
@@ -454,9 +470,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import, and reused by later calls
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.func(args)
     except (InvoluteError, CheckFailed) as exc:

@@ -12,11 +12,20 @@ invariant density.  Its eigenfunctions are shifted-Jacobi-type orthogonal
 polynomials for kappa (eigenvalues (-1)^d binom(a+d,d)/binom(a+b+d+1,d))
 and a cosine ladder for the trigonometric walk (eigenvalues (-1)^d/(d+1)).
 
-Gram matrices for the eigenfunction constructions are computed as exact
-rationals (Beta moments, respectively closed-form sine integrals) and only
-converted to floats at the final normalization, which keeps orthogonality
-stable up to degree ~12.  All integrals go through adaptive Gauss-Legendre
-quadrature with interval bisection.
+For kappa(a, b), L_P maps polynomials of degree <= D to themselves; on the
+monomial basis it is an upper-triangular matrix over Q (`lp_triangular`)
+whose diagonal holds the eigenvalues, so the eigenfunctions are its exact
+eigenvectors, found by back-substitution.  The trigonometric eigenfunctions
+come from exact Gram-Schmidt over closed-form sine integrals.  Either way
+the construction is exact and only the final normalization is a float,
+which keeps orthogonality stable up to degree ~12.
+
+The kappa eigen residuals integrate a polynomial of degree a+b+d, so one
+Gauss-Legendre panel of order floor((a+b+d)/2)+1 is exact for it; that
+panel runs over the whole evaluation grid at once with numpy.  Every other
+integral (the trigonometric walk, `lp_apply`, `lh_apply` and the
+fixed-point check) goes through adaptive Gauss-Legendre quadrature with
+interval bisection.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import OutOfRange, QuadratureNonConvergence
@@ -108,7 +118,8 @@ class PolyFunction:
     Orthogonal polynomials built by the eigenfunction pipeline also carry
     their three-term recurrence; beyond degree ~8 the monomial coefficients
     grow so large that Horner evaluation loses 1e-9 of accuracy to
-    cancellation, while the recurrence stays at machine precision.
+    cancellation, while the recurrence stays at machine precision.  The
+    monomial basis also evaluates elementwise on numpy arrays.
     """
 
     coefficients: tuple
@@ -207,24 +218,74 @@ def _monic_gram_schmidt(gram_inner, dim: int) -> tuple[list, list]:
     return monic, norms
 
 
+def _check_dmax(dmax: int) -> None:
+    if not 0 <= dmax <= 12:
+        raise OutOfRange(f"eigenfunction construction supported for 0 <= dmax <= 12, got {dmax}")
+
+
+def lp_triangular(a: int, b: int, dmax: int) -> list:
+    """L_P of kappa(a, b) on polynomials of degree <= dmax, exact over Q.
+
+    Entry [i][k] is the coefficient of x^i in L_P x^k.  Substituting
+    z = 1 - x + x u and integrating u^j against the Beta(a+1, b+1) weight,
+
+        L_P x^k = sum_j C(k,j) r_j (1-x)^(k-j) x^j,   r_j = (b+1)_j / (a+b+2)_j.
+
+    Expanding (1-x)^(k-j) and using C(k,j) C(k-j,i-j) = C(k,i) C(i,j), the
+    entry is C(k,i) s_i with the alternating sum
+    s_i = sum_j (-1)^(i-j) C(i,j) r_j.  So the matrix is upper triangular,
+    and its diagonal s_0, ..., s_dmax holds the signed eigenvalues.
+    """
+    r = [Fraction(1)]
+    for j in range(dmax):
+        r.append(r[-1] * Fraction(b + 1 + j, a + b + 2 + j))
+    s = [
+        sum((-1) ** (i - j) * math.comb(i, j) * r[j] for j in range(i + 1))
+        for i in range(dmax + 1)
+    ]
+    return [[math.comb(k, i) * s[i] for k in range(dmax + 1)] for i in range(dmax + 1)]
+
+
+def jacobi_monic(a: int, b: int, dmax: int) -> list:
+    """Monic eigenfunctions g_0, ..., g_dmax of kappa(a, b), exact over Q.
+
+    g_d is the monomial coefficient list [c_0, ..., c_d = 1] of the
+    eigenvector of `lp_triangular` for its diagonal entry d.  The diagonal
+    entries are distinct (their absolute values fall by the factor
+    (a+d+1)/(a+b+d+2) < 1 at each step), so back-substitution determines it:
+
+        c_i = sum_{i<k<=d} T[i][k] c_k / (T[d][d] - T[i][i]).
+
+    Eigenvectors of the self-adjoint L_P for distinct eigenvalues are
+    orthogonal under the invariant density, so these are the monic
+    orthogonal polynomials of that weight.
+    """
+    t = lp_triangular(a, b, dmax)
+    monic = []
+    for d in range(dmax + 1):
+        c = [Fraction(0)] * d + [Fraction(1)]
+        for i in range(d - 1, -1, -1):
+            c[i] = sum(t[i][k] * c[k] for k in range(i + 1, d + 1)) / (t[d][d] - t[i][i])
+        monic.append(c)
+    return monic
+
+
 def jacobi_eigenfunctions(a: int, b: int, dmax: int) -> list:
     """Orthonormal polynomials for the weight (1-x)^a x^(a+b+1) on [0, 1].
 
-    These are shifted Jacobi polynomials with parameters (a, a+b+1); their
-    Gram matrix is assembled from exact rational Beta moments, and each
-    output carries its exact three-term recurrence for stable evaluation.
+    These are shifted Jacobi polynomials with parameters (a, a+b+1), the
+    normalized `jacobi_monic`.  Each output carries its exact three-term
+    recurrence x g_k = g_{k+1} + alpha_k g_k + beta_k g_{k-1} for stable
+    evaluation: alpha_k = [x^(k-1)] g_k - [x^k] g_{k+1} by comparing
+    coefficients, and beta_k = h_k / h_{k-1}, where the squared norm
+    h_k = <g_k, x^k> is a sum of exact rational Beta moments.
     """
-    if dmax > 12:
-        raise OutOfRange("eigenfunction construction supported for dmax <= 12")
-    moments = [_beta_moment(a, b, k) for k in range(2 * dmax + 2)]
-
-    def inner(p, q):
-        return sum(
-            pj * qk * moments[j + k] for j, pj in enumerate(p) for k, qk in enumerate(q)
-        )
-
-    monic, norms = _monic_gram_schmidt(inner, dmax + 1)
-    alphas = [float(inner([Fraction(0)] + p, p) / h) for p, h in zip(monic, norms)]
+    _check_dmax(dmax)
+    monic = jacobi_monic(a, b, dmax)
+    moments = [_beta_moment(a, b, k) for k in range(2 * dmax + 1)]
+    norms = [sum(c * moments[j + d] for j, c in enumerate(g)) for d, g in enumerate(monic)]
+    alphas = [float((g[-2] if d else 0) - nxt[-2])
+              for d, (g, nxt) in enumerate(zip(monic, monic[1:]))]
     betas = [0.0] + [float(norms[k] / norms[k - 1]) for k in range(1, dmax + 1)]
     out = []
     for d, (vec, h) in enumerate(zip(monic, norms)):
@@ -258,8 +319,7 @@ def _trig_moment(j: int, k: int) -> Fraction:
 
 def trig_eigenfunctions(dmax: int) -> list:
     """Orthonormal cosine-ladder eigenfunctions of the trigonometric walk."""
-    if dmax > 12:
-        raise OutOfRange("eigenfunction construction supported for dmax <= 12")
+    _check_dmax(dmax)
     cache: dict[tuple[int, int], Fraction] = {}
 
     def inner(p, q):
@@ -293,11 +353,45 @@ def _grid():
     return [k / GRID_POINTS for k in range(1, GRID_POINTS + 1)]
 
 
-def eigen_residual(walk: ContinuousWalk, d: int) -> float:
-    """max over the grid of |L_P g_d(x) - eigenvalue * g_d(x)|."""
-    g = eigenfunctions(walk, d)[d]
+def _kappa_lp_panel(a: int, b: int, g, degree: int, xs) -> np.ndarray:
+    """(L_P g)(x) for kappa(a, b) at every x of the array xs.
+
+    g is a polynomial of the given degree that evaluates on numpy arrays.
+    After z = 1 - x + x u the integrand (1-u)^a u^b g(z) is a polynomial of
+    degree a+b+degree in u, so one Gauss-Legendre panel of order
+    floor((a+b+degree)/2)+1 on [0, 1] integrates it exactly up to rounding.
+    """
+    nodes, weights = _gl((a + b + degree) // 2 + 1)
+    u = 0.5 * (np.asarray(nodes) + 1.0)
+    kernel = 0.5 * np.asarray(weights) * (1 - u) ** a * u**b
+    x = np.asarray(xs, dtype=float)[:, None]
+    values = np.broadcast_to(g(1 - x + x * u), (x.shape[0], u.size))
+    return (a + b + 1) * math.comb(a + b, a) * (values @ kernel)
+
+
+def _residual(walk: ContinuousWalk, g, d: int) -> float:
     lam = walk_eigenvalue(walk, d)
+    if walk.kind == "kappa":
+        xs = np.array(_grid())
+        return float(np.max(np.abs(_kappa_lp_panel(walk.a, walk.b, g, d, xs) - lam * g(xs))))
     return max(abs(lp_apply(walk, g, x) - lam * g(x)) for x in _grid())
+
+
+def eigen_residuals(walk: ContinuousWalk, dmax: int) -> list:
+    """max over the grid of |L_P g_d(x) - eigenvalue * g_d(x)|, for d = 0..dmax.
+
+    The eigenfunctions are built once.  For kappa, L_P g_d comes from one
+    exact Gauss-Legendre panel evaluated over the whole grid at once; for
+    the trigonometric walk, from adaptive quadrature at each grid point.
+    Either way it is an independent check of the eigenfunction against the
+    integral definition of L_P.
+    """
+    return [_residual(walk, g, d) for d, g in enumerate(eigenfunctions(walk, dmax))]
+
+
+def eigen_residual(walk: ContinuousWalk, d: int) -> float:
+    """The residual of `eigen_residuals` for the single index d."""
+    return _residual(walk, eigenfunctions(walk, d)[d], d)
 
 
 def cts_invariant(walk: ContinuousWalk, x: float) -> float:
@@ -311,28 +405,27 @@ def cts_invariant(walk: ContinuousWalk, x: float) -> float:
     return (math.pi / 2) * math.sin(math.pi * x) * (1 - math.cos(math.pi * x))
 
 
-def fixed_point_residual(walk: ContinuousWalk) -> float:
-    """max-grid residual of the stationarity equation (R_P pi)(z) = pi(z)."""
+def _rp_invariant(walk: ContinuousWalk, z: float) -> float:
+    """(R_P pi)(z): the density at z after one step from the invariant law."""
     cfg = walk.quadrature
     if walk.kind == "kappa":
         a, b = walk.a, walk.b
 
-        def r_applied(z: float) -> float:
-            def integrand(x: float) -> float:
-                return (1 - z) ** a * (x + z - 1) ** b / kappa_norm(a, b, x) * cts_invariant(walk, x)
-
-            return adaptive_quad(integrand, 1 - z, 1.0, cfg.tolerance, cfg)
+        def integrand(x: float) -> float:
+            return (1 - z) ** a * (x + z - 1) ** b / kappa_norm(a, b, x) * cts_invariant(walk, x)
 
     else:
 
-        def r_applied(z: float) -> float:
-            def integrand(x: float) -> float:
-                n_x = (1 - math.cos(math.pi * x)) / math.pi
-                return math.sin(math.pi * (1 - z)) / n_x * cts_invariant(walk, x)
+        def integrand(x: float) -> float:
+            n_x = (1 - math.cos(math.pi * x)) / math.pi
+            return math.sin(math.pi * (1 - z)) / n_x * cts_invariant(walk, x)
 
-            return adaptive_quad(integrand, 1 - z, 1.0, cfg.tolerance, cfg)
+    return adaptive_quad(integrand, 1 - z, 1.0, cfg.tolerance, cfg)
 
-    return max(abs(r_applied(z) - cts_invariant(walk, z)) for z in _grid())
+
+def fixed_point_residual(walk: ContinuousWalk) -> float:
+    """max-grid residual of the stationarity equation (R_P pi)(z) = pi(z)."""
+    return max(abs(_rp_invariant(walk, z) - cts_invariant(walk, z)) for z in _grid())
 
 
 def discrete_convergence(a: int, b: int, d: int, n_list) -> list:
@@ -347,8 +440,11 @@ def discrete_convergence(a: int, b: int, d: int, n_list) -> list:
     """
     if a < 0 or b < 0:
         raise OutOfRange("discrete comparison needs integers a, b >= 0")
-    if d > 5:
-        raise OutOfRange("discrete comparison supported for d <= 5")
+    if not 0 <= d <= 5:
+        raise OutOfRange(f"discrete comparison supported for 0 <= d <= 5, got d={d}")
+    for n in n_list:
+        if n <= d:
+            raise OutOfRange(f"the n-state walk has eigenvectors d < n; need n > {d}, got n={n}")
     g = jacobi_eigenfunctions(a, b, d)[d]
     spec = GammaAB(Fraction(a), Fraction(b))
     out = []

@@ -192,6 +192,54 @@ def test_continuum_commands(capsys):
     assert float(rows[2].split(",")[1]) < float(rows[1].split(",")[1])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--residual", "-1"],
+        ["--residual", "13"],
+        ["--convergence", "-1"],
+        ["--convergence", "1", "--sizes", "1,2"],
+        ["--convergence", "1", "--sizes", "10,x"],
+        ["--trig", "--convergence", "1"],
+        ["--trig", "--kappa", "1", "1", "--residual", "1"],
+    ],
+)
+def test_continuum_input_errors(capsys, argv):
+    code, out, err = run(capsys, "continuum", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_main_reuses_one_parser(capsys):
+    from involute import cli
+
+    argvs = [
+        ["--format", "json", "matrix", "--gammac", "1/2", "--n", "4"],
+        ["matrix", "--gamma", "0", "0", "--n", "4"],
+        ["--format", "csv", "stationary", "--gamma", "1", "0", "--n", "5"],
+        ["continuum", "--kappa", "1", "0", "--residual", "2"],
+        ["continuum", "--residual", "1"],
+        ["--format", "json", "ladder", "--mu", "2/3", "--n", "4"],
+        ["ladder", "--mu", "2/3", "--n", "4"],
+        ["--format", "csv", "spectrum", "--lambda", "1,1/2,1/3"],
+    ]
+    reused = [run(capsys, *argv) for argv in argvs]
+    assert cli._parser() is cli._parser()
+    for argv, got in zip(argvs, reused):
+        args = cli.build_parser().parse_args(argv)
+        args.func(args)
+        captured = capsys.readouterr()
+        assert got == (0, captured.out, captured.err)
+
+
+def test_import_builds_no_parser():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    probe = "import involute.cli as c; print(c._parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "0\n")
+
+
 def test_repro_fig2(capsys):
     code, out, _ = run(capsys, "repro", "fig2-convergence")
     assert code == 0

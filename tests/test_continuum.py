@@ -7,24 +7,33 @@ from fractions import Fraction as F
 import pytest
 
 from involute.continuum import (
+    GRID_POINTS,
     QuadratureConfig,
     adaptive_quad,
     cts_invariant,
     discrete_convergence,
     eigen_residual,
+    eigen_residuals,
     eigenfunctions,
     fixed_point_residual,
     jacobi_eigenfunctions,
+    jacobi_monic,
     kappa_norm,
     kappa_walk,
     lh_apply,
     lp_apply,
+    lp_triangular,
     trig_eigenfunctions,
     trig_walk,
     walk_eigenvalue,
     _beta_moment,
+    _kappa_lp_panel,
+    _monic_gram_schmidt,
+    _rp_invariant,
 )
 from involute.errors import OutOfRange, QuadratureNonConvergence
+from involute.spectral import family_lambda
+from involute.weights import GammaAB
 
 
 def quad(f, lo, hi, tol=1e-12):
@@ -183,3 +192,144 @@ def test_quadrature_budget():
     wobble = lambda x: math.sin(300 * x) / (1e-3 + abs(x - 0.37))
     with pytest.raises(QuadratureNonConvergence):
         adaptive_quad(wobble, 0.0, 1.0, 1e-14, cfg)
+
+
+def test_eigen_residuals_match_single_index():
+    for walk in (kappa_walk(1, 2), trig_walk()):
+        assert eigen_residuals(walk, 4) == [eigen_residual(walk, d) for d in range(5)]
+    for dmax in (-1, 13):
+        with pytest.raises(OutOfRange):
+            eigen_residuals(kappa_walk(0, 0), dmax)
+    with pytest.raises(OutOfRange):
+        discrete_convergence(0, 0, 1, [10, 1])
+    with pytest.raises(OutOfRange):
+        discrete_convergence(0, 0, -1, [10])
+
+
+# --- exact oracles for the triangular operator ----------------------------
+
+EXACT_AB = [(a, b) for a in range(4) for b in range(4)]
+
+
+def _lp_monomials_by_integration(a, b, dmax):
+    """Oracle: coefficient lists of L_P x^k, k <= dmax, straight from the
+    integral definition.  (1 - x + x u)^k is expanded as a polynomial in
+    (x, u) by repeated multiplication, and each u^j is integrated exactly
+    against (1-u)^a u^b / B(a+1, b+1)."""
+
+    def beta(p, q):  # B(p+1, q+1) for integers p, q >= 0
+        return F(math.factorial(p) * math.factorial(q), math.factorial(p + q + 1))
+
+    columns = []
+    power = {(0, 0): F(1)}  # {(deg_x, deg_u): coefficient} of (1 - x + x u)^k
+    for _ in range(dmax + 1):
+        col = [F(0)] * (dmax + 1)
+        for (i, j), coeff in power.items():
+            col[i] += coeff * beta(a, b + j) / beta(a, b)
+        columns.append(col)
+        nxt: dict = {}
+        for (i, j), coeff in power.items():
+            for step, sign in (((0, 0), 1), ((1, 0), -1), ((1, 1), 1)):
+                key = (i + step[0], j + step[1])
+                nxt[key] = nxt.get(key, F(0)) + sign * coeff
+        power = nxt
+    return columns
+
+
+def test_lp_triangular_is_lp_on_monomials():
+    for a, b in EXACT_AB:
+        t = lp_triangular(a, b, 12)
+        columns = _lp_monomials_by_integration(a, b, 12)
+        for k in range(13):
+            assert [row[k] for row in t] == columns[k]
+        for d in range(13):
+            assert t[d][d] == (-1) ** d * family_lambda(GammaAB(a, b), d)
+            assert all(t[i][d] == 0 for i in range(d + 1, 13))
+
+
+def test_monic_eigenfunctions_are_exact_eigenvectors():
+    # L_P g_d = lambda_d g_d as an identity of polynomials over Q
+    for a, b in EXACT_AB:
+        columns = _lp_monomials_by_integration(a, b, 12)
+        for d, g in enumerate(jacobi_monic(a, b, 12)):
+            assert len(g) == d + 1 and g[d] == 1
+            image = [sum(c * columns[k][i] for k, c in enumerate(g)) for i in range(13)]
+            lam = (-1) ** d * family_lambda(GammaAB(a, b), d)
+            assert image == [lam * c for c in g] + [F(0)] * (12 - d)
+
+
+def test_monic_eigenfunctions_match_gram_schmidt():
+    for a, b in ((0, 0), (1, 2), (2, 2), (2, 0), (3, 1)):
+        moments = [_beta_moment(a, b, k) for k in range(26)]
+
+        def inner(p, q):
+            return sum(pj * qk * moments[j + k] for j, pj in enumerate(p) for k, qk in enumerate(q))
+
+        monic, norms = _monic_gram_schmidt(inner, 13)
+        assert jacobi_monic(a, b, 12) == monic
+        # the recurrence read off the coefficients is Gram-Schmidt's
+        for d, g in enumerate(jacobi_eigenfunctions(a, b, 12)):
+            alphas, betas, scale = g.recurrence
+            assert alphas == tuple(
+                float(inner([F(0)] + p, p) / h) for p, h in zip(monic[:d], norms)
+            )
+            expected_betas = [0.0] + [float(norms[k] / norms[k - 1]) for k in range(1, d)]
+            assert betas == tuple(expected_betas[:d])
+            assert scale == 1.0 / math.sqrt(float(norms[d]))
+
+
+def test_monic_eigenfunctions_match_sympy_jacobi():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for a, b in EXACT_AB:
+        for d, g in enumerate(jacobi_monic(a, b, 12)):
+            poly = sympy.Poly(sympy.jacobi(d, a, a + b + 1, 2 * x - 1), x)
+            coeffs = [c / poly.LC() for c in reversed(poly.all_coeffs())]
+            assert g == [F(int(c.p), int(c.q)) for c in coeffs]
+
+
+# --- float oracles -----------------------------------------------------------
+
+
+def _scipy_quad(f, lo, hi):
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    value, _ = scipy_integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-13)
+    return value
+
+
+def _step_kernel(walk, x, z):
+    """P(x, z) = w[1-z, x] / N_x, the step density from the definition."""
+    if walk.kind == "kappa":
+        a, b = walk.a, walk.b
+        return (1 - z) ** a * (x - 1 + z) ** b / kappa_norm(a, b, x)
+    return math.sin(math.pi * (1 - z)) * math.pi / (1 - math.cos(math.pi * x))
+
+
+def test_lp_apply_matches_scipy():
+    fs = (lambda z: 1.0, lambda z: z**3 - 0.4 * z, math.exp, math.cos)
+    for walk in (kappa_walk(0, 0), kappa_walk(1, 2), kappa_walk(3, 0), trig_walk()):
+        for f in fs:
+            for x in (0.05, 0.3, 0.77, 1.0):
+                expected = _scipy_quad(lambda z: _step_kernel(walk, x, z) * f(z), 1 - x, 1.0)
+                assert abs(lp_apply(walk, f, x) - expected) < 1e-10
+
+
+def test_fixed_point_integral_matches_scipy():
+    for walk in (kappa_walk(0, 0), kappa_walk(2, 1), trig_walk()):
+        for z in (0.1, 0.5, 0.9, 1.0):
+            step = lambda x: cts_invariant(walk, x) * _step_kernel(walk, x, z)
+            expected = _scipy_quad(step, 1 - z, 1.0)
+            assert abs(_rp_invariant(walk, z) - expected) < 1e-9
+            assert abs(expected - cts_invariant(walk, z)) < 1e-9
+
+
+def test_panel_matches_adaptive_lp_apply():
+    xs = [k / GRID_POINTS for k in (1, 17, 50, 77, GRID_POINTS)]
+    for a, b in EXACT_AB:
+        walk = kappa_walk(a, b)
+        gs = jacobi_eigenfunctions(a, b, 12)
+        for d in (0, 1, 5, 8, 12):
+            panel = _kappa_lp_panel(a, b, gs[d], d, xs)
+            for x, value in zip(xs, panel):
+                adaptive = lp_apply(walk, gs[d], x)
+                assert abs(value - adaptive) <= 1e-12 * max(1.0, abs(adaptive))
