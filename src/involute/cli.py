@@ -286,6 +286,10 @@ def _parse_sizes(text: str) -> list:
 def cmd_continuum(args):
     if args.trig and args.kappa is not None:
         raise InvoluteError("choose one of --kappa/--trig")
+    modes = (args.residual is not None, args.fixed_point, args.invariant,
+             args.convergence is not None)
+    if sum(modes) != 1:
+        raise InvoluteError("choose one of --residual/--fixed-point/--invariant/--convergence")
     kappa = args.kappa or (0, 0)
     w = cont.trig_walk() if args.trig else cont.kappa_walk(*kappa)
     if args.residual is not None:
@@ -300,7 +304,7 @@ def cmd_continuum(args):
         for k in range(1, cont.GRID_POINTS + 1):
             x = k / cont.GRID_POINTS
             print(f"{x:.6f},{cont.cts_invariant(w, x):.12f}")
-    elif args.convergence is not None:
+    else:
         if args.trig:
             raise InvoluteError("--convergence compares with the discrete gamma(a,b) walk; "
                                 "use --kappa, not --trig")
@@ -309,8 +313,6 @@ def cmd_continuum(args):
         print("n,distance")
         for n, dist in zip(sizes, dists):
             print(f"{n},{dist:.8f}")
-    else:
-        raise InvoluteError("choose one of --residual/--fixed-point/--invariant/--convergence")
 
 
 def cmd_conjecture(args):
@@ -371,9 +373,9 @@ def cmd_repro(args):
             print(f"{m},{format_rational(cls.nu_ladder(m, Fraction(2, 3)))}")
     elif target == "fig2-convergence":
         print("d,n,distance")
-        for d in (1, 2):
-            sizes = [10, 20, 40, 80]
-            for n, dist in zip(sizes, cont.discrete_convergence(0, 0, d, sizes)):
+        sizes = [10, 20, 40, 80]
+        for d, dists in zip((1, 2), cont.convergence_table(0, 0, (1, 2), sizes)):
+            for n, dist in zip(sizes, dists):
                 print(f"{d},{n},{dist:.8f}")
     else:
         raise InvoluteError(f"unknown repro target {target!r}")
@@ -450,7 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed-point", action="store_true")
     p.add_argument("--invariant", action="store_true")
     p.add_argument("--convergence", type=int, metavar="D")
-    p.add_argument("--sizes", default="10,20,40,80")
+    p.add_argument("--sizes", default="10,20,40,80",
+                   help=f"comma-separated n for --convergence: at most "
+                        f"{cont.CONVERGENCE_MAX_SIZES} sizes, each n <= {cont.CONVERGENCE_MAX_N}")
     p.set_defaults(func=cmd_continuum)
 
     p = sub.add_parser("conjecture", help="desk-scale reversibility sweep (JSON lines)")

@@ -12,20 +12,21 @@ invariant density.  Its eigenfunctions are shifted-Jacobi-type orthogonal
 polynomials for kappa (eigenvalues (-1)^d binom(a+d,d)/binom(a+b+d+1,d))
 and a cosine ladder for the trigonometric walk (eigenvalues (-1)^d/(d+1)).
 
-For kappa(a, b), L_P maps polynomials of degree <= D to themselves; on the
-monomial basis it is an upper-triangular matrix over Q (`lp_triangular`)
+Both step operators map polynomials of degree <= D to themselves: kappa's
+in x, the trigonometric walk's in c = cos(pi x).  On the power basis each
+is an upper-triangular matrix over Q (`lp_triangular`, `trig_triangular`)
 whose diagonal holds the eigenvalues, so the eigenfunctions are its exact
-eigenvectors, found by back-substitution.  The trigonometric eigenfunctions
-come from exact Gram-Schmidt over closed-form sine integrals.  Either way
-the construction is exact and only the final normalization is a float,
+eigenvectors, found by back-substitution; the trigonometric ones are then
+converted exactly to Chebyshev coefficients, i.e. to the cosine ladder.
+The construction is exact and only the final normalization is a float,
 which keeps orthogonality stable up to degree ~12.
 
-The kappa eigen residuals integrate a polynomial of degree a+b+d, so one
-Gauss-Legendre panel of order floor((a+b+d)/2)+1 is exact for it; that
-panel runs over the whole evaluation grid at once with numpy.  Every other
-integral (the trigonometric walk, `lp_apply`, `lh_apply` and the
-fixed-point check) goes through adaptive Gauss-Legendre quadrature with
-interval bisection.
+The eigen residuals and the fixed-point check integrate polynomials (in u
+for kappa, in c for the trigonometric walk), so one Gauss-Legendre panel
+of order floor(degree/2)+1 is exact for each; that panel runs over the
+whole evaluation grid at once with numpy.  `lp_apply` and `lh_apply`
+take arbitrary observables and go through adaptive Gauss-Legendre
+quadrature with interval bisection.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.legendre import leggauss
 
 from .errors import OutOfRange, QuadratureNonConvergence
@@ -202,22 +204,6 @@ def _beta_moment(a: int, b: int, k: int) -> Fraction:
     return Fraction(math.factorial(p) * math.factorial(a), math.factorial(p + a + 1))
 
 
-def _monic_gram_schmidt(gram_inner, dim: int) -> tuple[list, list]:
-    """Monic exact GS in coefficient space: the vectors and their squared norms."""
-    monic: list[list[Fraction]] = []
-    norms: list[Fraction] = []
-    for d in range(dim):
-        vec = [Fraction(0)] * (d + 1)
-        vec[d] = Fraction(1)
-        for e in range(d):
-            prev = monic[e] + [Fraction(0)] * (d + 1 - len(monic[e]))
-            coeff = gram_inner(vec, prev) / norms[e]
-            vec = [vi - coeff * pi for vi, pi in zip(vec, prev)]
-        monic.append(vec)
-        norms.append(gram_inner(vec, vec))
-    return monic, norms
-
-
 def _check_dmax(dmax: int) -> None:
     if not 0 <= dmax <= 12:
         raise OutOfRange(f"eigenfunction construction supported for 0 <= dmax <= 12, got {dmax}")
@@ -246,28 +232,36 @@ def lp_triangular(a: int, b: int, dmax: int) -> list:
     return [[math.comb(k, i) * s[i] for k in range(dmax + 1)] for i in range(dmax + 1)]
 
 
-def jacobi_monic(a: int, b: int, dmax: int) -> list:
-    """Monic eigenfunctions g_0, ..., g_dmax of kappa(a, b), exact over Q.
+def _monic_eigenvectors(t: list) -> list:
+    """Monic eigenvectors of an upper-triangular matrix with distinct diagonal.
 
-    g_d is the monomial coefficient list [c_0, ..., c_d = 1] of the
-    eigenvector of `lp_triangular` for its diagonal entry d.  The diagonal
-    entries are distinct (their absolute values fall by the factor
-    (a+d+1)/(a+b+d+2) < 1 at each step), so back-substitution determines it:
+    The eigenvector for diagonal entry d is [c_0, ..., c_d = 1], determined
+    by back-substitution:
 
         c_i = sum_{i<k<=d} T[i][k] c_k / (T[d][d] - T[i][i]).
 
     Eigenvectors of the self-adjoint L_P for distinct eigenvalues are
-    orthogonal under the invariant density, so these are the monic
-    orthogonal polynomials of that weight.
+    orthogonal under the invariant density, so for a triangular L_P these
+    are the monic orthogonal polynomials of that weight.
     """
-    t = lp_triangular(a, b, dmax)
     monic = []
-    for d in range(dmax + 1):
+    for d in range(len(t)):
         c = [Fraction(0)] * d + [Fraction(1)]
         for i in range(d - 1, -1, -1):
             c[i] = sum(t[i][k] * c[k] for k in range(i + 1, d + 1)) / (t[d][d] - t[i][i])
         monic.append(c)
     return monic
+
+
+def jacobi_monic(a: int, b: int, dmax: int) -> list:
+    """Monic eigenfunctions g_0, ..., g_dmax of kappa(a, b), exact over Q.
+
+    g_d is the monomial coefficient list of the eigenvector of
+    `lp_triangular` for its diagonal entry d.  The diagonal entries are
+    distinct (their absolute values fall by the factor (a+d+1)/(a+b+d+2) < 1
+    at each step), so back-substitution determines it.
+    """
+    return _monic_eigenvectors(lp_triangular(a, b, dmax))
 
 
 def jacobi_eigenfunctions(a: int, b: int, dmax: int) -> list:
@@ -296,50 +290,59 @@ def jacobi_eigenfunctions(a: int, b: int, dmax: int) -> list:
     return out
 
 
-def _sine_integral_times_pi(m: int) -> Fraction:
-    # pi * integral of sin(m pi x) over [0, 1]
-    if m == 0:
-        return Fraction(0)
-    if m % 2 == 0:
-        return Fraction(0)
-    return Fraction(2 * (1 if m > 0 else -1), abs(m))
+def trig_triangular(dmax: int) -> list:
+    """L_P of the trigonometric walk on powers of c = cos(pi x), exact over Q.
+
+    With c = cos(pi z), sin(pi z) dz / N_x is the uniform law on
+    [-1, -cos(pi x)], so (L_P f)(x) is the mean of f over that interval:
+
+        L_P c^k = (-1)^k / (k+1) * sum_{i<=k} c^i,   c = cos(pi x).
+
+    Entry [i][k] is the coefficient of c^i in L_P c^k.  The matrix is upper
+    triangular and its diagonal holds the eigenvalues (-1)^k/(k+1).
+    """
+    return [[Fraction((-1) ** k, k + 1) if i <= k else Fraction(0) for k in range(dmax + 1)]
+            for i in range(dmax + 1)]
 
 
-def _trig_moment(j: int, k: int) -> Fraction:
-    """Exact integral of pi_x cos(j pi x) cos(k pi x) for the trig walk."""
+def trig_monic(dmax: int) -> list:
+    """Monic eigenfunctions g_0, ..., g_dmax of the trigonometric walk in
+    powers of c = cos(pi x), exact over Q: the eigenvectors of
+    `trig_triangular`, whose diagonal entries are distinct."""
+    return _monic_eigenvectors(trig_triangular(dmax))
 
-    def t(q: int) -> Fraction:
-        return (
-            Fraction(1, 4) * (_sine_integral_times_pi(1 + q) + _sine_integral_times_pi(1 - q))
-            - Fraction(1, 8) * (_sine_integral_times_pi(2 + q) + _sine_integral_times_pi(2 - q))
-        )
 
-    return Fraction(1, 2) * (t(j + k) + t(abs(j - k)))
+def _chebyshev(p: list) -> list:
+    """Exact Chebyshev coefficients of the power series p in c.
+
+    c^k = 2^-k sum_m C(k, m) T_|k-2m|(c), and T_j(cos(pi x)) = cos(j pi x).
+    """
+    out = [Fraction(0)] * len(p)
+    for k, coeff in enumerate(p):
+        for m in range(k + 1):
+            out[abs(k - 2 * m)] += coeff * Fraction(math.comb(k, m), 2**k)
+    return out
 
 
 def trig_eigenfunctions(dmax: int) -> list:
-    """Orthonormal cosine-ladder eigenfunctions of the trigonometric walk."""
+    """Orthonormal cosine-ladder eigenfunctions of the trigonometric walk.
+
+    Each `trig_monic` g_d becomes its exact Chebyshev expansion, scaled to
+    leading coefficient 1 in cos(d pi x).  The invariant law in c is
+    (1-c)/2 dc on [-1, 1], with moments mu_m = 1/(m+1) for even m and
+    -1/(m+2) for odd m.  g_d is orthogonal to lower powers of c, so its
+    squared norm is <g_d, c^d>, a sum of exact moments.
+    """
     _check_dmax(dmax)
-    cache: dict[tuple[int, int], Fraction] = {}
-
-    def inner(p, q):
-        total = Fraction(0)
-        for j, pj in enumerate(p):
-            if pj == 0:
-                continue
-            for k, qk in enumerate(q):
-                if qk == 0:
-                    continue
-                key = (min(j, k), max(j, k))
-                if key not in cache:
-                    cache[key] = _trig_moment(j, k)
-                total += pj * qk * cache[key]
-        return total
-
+    moments = [Fraction(1, m + 1) if m % 2 == 0 else Fraction(-1, m + 2)
+               for m in range(2 * dmax + 1)]
     out = []
-    for vec, h in zip(*_monic_gram_schmidt(inner, dmax + 1)):
+    for d, g in enumerate(trig_monic(dmax)):
+        cheb = _chebyshev(g)
+        lead = cheb[-1]
+        h = sum(c * moments[j + d] for j, c in enumerate(g)) / lead**2
         scale = 1.0 / math.sqrt(float(h))
-        out.append(PolyFunction(tuple(float(c) * scale for c in vec), "cosine"))
+        out.append(PolyFunction(tuple(float(c / lead) * scale for c in cheb), "cosine"))
     return out
 
 
@@ -353,38 +356,60 @@ def _grid():
     return [k / GRID_POINTS for k in range(1, GRID_POINTS + 1)]
 
 
+def _unit_panel(degree: int):
+    """Gauss-Legendre nodes on [0, 1] and weights summing to 1, of order
+    floor(degree/2)+1: exact up to rounding for polynomials of that degree."""
+    nodes, weights = _gl(degree // 2 + 1)
+    return 0.5 * (np.asarray(nodes) + 1.0), 0.5 * np.asarray(weights)
+
+
 def _kappa_lp_panel(a: int, b: int, g, degree: int, xs) -> np.ndarray:
     """(L_P g)(x) for kappa(a, b) at every x of the array xs.
 
     g is a polynomial of the given degree that evaluates on numpy arrays.
     After z = 1 - x + x u the integrand (1-u)^a u^b g(z) is a polynomial of
-    degree a+b+degree in u, so one Gauss-Legendre panel of order
-    floor((a+b+degree)/2)+1 on [0, 1] integrates it exactly up to rounding.
+    degree a+b+degree in u, so one Gauss-Legendre panel on [0, 1]
+    integrates it exactly up to rounding.
     """
-    nodes, weights = _gl((a + b + degree) // 2 + 1)
-    u = 0.5 * (np.asarray(nodes) + 1.0)
-    kernel = 0.5 * np.asarray(weights) * (1 - u) ** a * u**b
+    u, w = _unit_panel(a + b + degree)
+    kernel = w * (1 - u) ** a * u**b
     x = np.asarray(xs, dtype=float)[:, None]
     values = np.broadcast_to(g(1 - x + x * u), (x.shape[0], u.size))
     return (a + b + 1) * math.comb(a + b, a) * (values @ kernel)
 
 
+def _trig_lp_panel(g, xs) -> np.ndarray:
+    """(L_P g)(x) for the trigonometric walk at every x of the array xs.
+
+    g is a cosine expansion: g(z) = G(cos(pi z)) with G = sum_k g_k T_k.
+    (L_P g)(x) is the mean of G over [-1, -cos(pi x)] (see
+    `trig_triangular`), and G is a polynomial of degree deg g, so one
+    Gauss-Legendre panel gives it exactly up to rounding.
+    """
+    u, w = _unit_panel(g.degree)
+    length = 1 - np.cos(np.pi * np.asarray(xs, dtype=float))
+    return chebval(-1 + length[:, None] * u, g.coefficients) @ w
+
+
 def _residual(walk: ContinuousWalk, g, d: int) -> float:
-    lam = walk_eigenvalue(walk, d)
+    xs = np.array(_grid())
     if walk.kind == "kappa":
-        xs = np.array(_grid())
-        return float(np.max(np.abs(_kappa_lp_panel(walk.a, walk.b, g, d, xs) - lam * g(xs))))
-    return max(abs(lp_apply(walk, g, x) - lam * g(x)) for x in _grid())
+        lp, values = _kappa_lp_panel(walk.a, walk.b, g, d, xs), g(xs)
+    else:
+        lp = _trig_lp_panel(g, xs)
+        # g itself straight from its cosine terms, not through c = cos(pi x)
+        values = np.cos(np.pi * np.outer(xs, np.arange(d + 1))) @ np.asarray(g.coefficients)
+    return float(np.max(np.abs(lp - walk_eigenvalue(walk, d) * values)))
 
 
 def eigen_residuals(walk: ContinuousWalk, dmax: int) -> list:
     """max over the grid of |L_P g_d(x) - eigenvalue * g_d(x)|, for d = 0..dmax.
 
-    The eigenfunctions are built once.  For kappa, L_P g_d comes from one
-    exact Gauss-Legendre panel evaluated over the whole grid at once; for
-    the trigonometric walk, from adaptive quadrature at each grid point.
-    Either way it is an independent check of the eigenfunction against the
-    integral definition of L_P.
+    The eigenfunctions are built once.  L_P g_d comes from one exact
+    Gauss-Legendre panel evaluated over the whole grid at once: in the
+    variable u of `lp_apply` for kappa, in c = cos(pi z) for the
+    trigonometric walk.  Either way it is an independent check of the
+    eigenfunction against the integral definition of L_P.
     """
     return [_residual(walk, g, d) for d, g in enumerate(eigenfunctions(walk, dmax))]
 
@@ -394,38 +419,56 @@ def eigen_residual(walk: ContinuousWalk, d: int) -> float:
     return _residual(walk, eigenfunctions(walk, d)[d], d)
 
 
+def _kappa_density(a: int, b: int, x):
+    """Invariant density of kappa(a, b); x may be a numpy array."""
+    c = (2 * a + b + 2) * math.comb(2 * a + b + 1, a)
+    return c * (1 - x) ** a * x ** (a + b + 1)
+
+
 def cts_invariant(walk: ContinuousWalk, x: float) -> float:
     """Normalized invariant density at x."""
     if not 0 <= x <= 1:
         raise OutOfRange(f"x={x} outside [0, 1]")
     if walk.kind == "kappa":
-        a, b = walk.a, walk.b
-        c = (2 * a + b + 2) * math.comb(2 * a + b + 1, a)
-        return c * (1 - x) ** a * x ** (a + b + 1)
+        return _kappa_density(walk.a, walk.b, x)
     return (math.pi / 2) * math.sin(math.pi * x) * (1 - math.cos(math.pi * x))
 
 
-def _rp_invariant(walk: ContinuousWalk, z: float) -> float:
-    """(R_P pi)(z): the density at z after one step from the invariant law."""
-    cfg = walk.quadrature
+def _rp_invariant(walk: ContinuousWalk, z):
+    """(R_P pi)(z): the density at z after one step from the invariant law.
+
+    z is a float or an array.  One Gauss-Legendre panel gives the integral
+    exactly up to rounding.  For kappa the integrand over x in [1-z, 1],
+    w[1-z, x]/N_x * pi(x), is a polynomial of degree a+b in x, since N_x
+    cancels the factor x^(a+b+1) of pi.  For the trigonometric walk,
+    c = cos(pi x) turns pi(x) dx into (1-c)/2 dc and the step density into
+    pi sin(pi z)/(1-c), so the integrand over c in [-1, -cos(pi z)] has
+    degree 0.
+    """
+    z = np.asarray(z, dtype=float)[..., None]
     if walk.kind == "kappa":
         a, b = walk.a, walk.b
-
-        def integrand(x: float) -> float:
-            return (1 - z) ** a * (x + z - 1) ** b / kappa_norm(a, b, x) * cts_invariant(walk, x)
-
+        u, w = _unit_panel(a + b)
+        length, x = z, 1 - z + z * u
+        values = (1 - z) ** a * (x + z - 1) ** b / kappa_norm(a, b, x) * _kappa_density(a, b, x)
     else:
-
-        def integrand(x: float) -> float:
-            n_x = (1 - math.cos(math.pi * x)) / math.pi
-            return math.sin(math.pi * (1 - z)) / n_x * cts_invariant(walk, x)
-
-    return adaptive_quad(integrand, 1 - z, 1.0, cfg.tolerance, cfg)
+        u, w = _unit_panel(0)
+        length = 1 - np.cos(np.pi * z)
+        c = -1 + length * u
+        step = np.pi * np.sin(np.pi * (1 - z)) / (1 - c)
+        values = step * (1 - c) / 2
+    return (length * values) @ w
 
 
 def fixed_point_residual(walk: ContinuousWalk) -> float:
     """max-grid residual of the stationarity equation (R_P pi)(z) = pi(z)."""
-    return max(abs(_rp_invariant(walk, z) - cts_invariant(walk, z)) for z in _grid())
+    grid = _grid()
+    pi = np.array([cts_invariant(walk, z) for z in grid])
+    return float(np.max(np.abs(_rp_invariant(walk, grid) - pi)))
+
+
+CONVERGENCE_MAX_N = 400  # the exact n-state eigensystem costs about 4x per doubling of n
+CONVERGENCE_MAX_SIZES = 8
 
 
 def discrete_convergence(a: int, b: int, d: int, n_list) -> list:
@@ -437,27 +480,42 @@ def discrete_convergence(a: int, b: int, d: int, n_list) -> list:
     to exactly zero because both sides are affine with the same root).
     Both vectors are scaled to sup-norm 1 over the grid with matching sign
     at the left endpoint, and the sup-distance over the n points returns.
+    Supported: 0 <= d <= 5, d < n <= CONVERGENCE_MAX_N, and at most
+    CONVERGENCE_MAX_SIZES sizes.
     """
+    return convergence_table(a, b, [d], n_list)[0]
+
+
+def convergence_table(a: int, b: int, degrees, n_list) -> list:
+    """`discrete_convergence` for each d of degrees: one row of distances
+    per d.  Each n's exact eigensystem is built once, up to max(degrees)."""
     if a < 0 or b < 0:
         raise OutOfRange("discrete comparison needs integers a, b >= 0")
-    if not 0 <= d <= 5:
-        raise OutOfRange(f"discrete comparison supported for 0 <= d <= 5, got d={d}")
+    for d in degrees:
+        if not 0 <= d <= 5:
+            raise OutOfRange(f"discrete comparison supported for 0 <= d <= 5, got d={d}")
+    if len(n_list) > CONVERGENCE_MAX_SIZES:
+        raise OutOfRange(f"at most {CONVERGENCE_MAX_SIZES} sizes, got {len(n_list)}")
+    top = max(degrees)
     for n in n_list:
-        if n <= d:
-            raise OutOfRange(f"the n-state walk has eigenvectors d < n; need n > {d}, got n={n}")
-    g = jacobi_eigenfunctions(a, b, d)[d]
+        if n <= top:
+            raise OutOfRange(f"the n-state walk has eigenvectors d < n; need n > {top}, got n={n}")
+        if n > CONVERGENCE_MAX_N:
+            raise OutOfRange(f"discrete comparison supported for n <= {CONVERGENCE_MAX_N}, got n={n}")
+    gs = jacobi_eigenfunctions(a, b, top)
     spec = GammaAB(Fraction(a), Fraction(b))
-    out = []
+    table = [[] for _ in degrees]
     for n in n_list:
-        system = right_eigenvectors(spec, n, dmax=d)
-        w = [float(v) for v in system.right_vectors[d]]
-        gvals = [g(i / n) for i in range(n)]
-        w_hat = _sup_normalize(w)
-        g_hat = _sup_normalize(gvals)
-        if _leading_sign(w_hat) != _leading_sign(g_hat):
-            w_hat = [-v for v in w_hat]
-        out.append(max(abs(p - q) for p, q in zip(w_hat, g_hat)))
-    return out
+        system = right_eigenvectors(spec, n, dmax=top)
+        for d, row in zip(degrees, table):
+            w = [float(v) for v in system.right_vectors[d]]
+            gvals = [gs[d](i / n) for i in range(n)]
+            w_hat = _sup_normalize(w)
+            g_hat = _sup_normalize(gvals)
+            if _leading_sign(w_hat) != _leading_sign(g_hat):
+                w_hat = [-v for v in w_hat]
+            row.append(max(abs(p - q) for p, q in zip(w_hat, g_hat)))
+    return table
 
 
 def _sup_normalize(values: list) -> list:

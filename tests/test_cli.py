@@ -202,6 +202,12 @@ def test_continuum_commands(capsys):
         ["--convergence", "1", "--sizes", "10,x"],
         ["--trig", "--convergence", "1"],
         ["--trig", "--kappa", "1", "1", "--residual", "1"],
+        [],
+        ["--residual", "1", "--fixed-point"],
+        ["--invariant", "--convergence", "1"],
+        ["--trig", "--fixed-point", "--invariant"],
+        ["--convergence", "1", "--sizes", "10,401"],
+        ["--convergence", "1", "--sizes", ",".join(["10"] * 9)],
     ],
 )
 def test_continuum_input_errors(capsys, argv):
@@ -274,6 +280,9 @@ def test_package_has_no_assert_statements():
         ["check", "--lambda", "1,1/2,3/10,1/5", "globally-reversible"],
         ["eigvec", "--gamma", "1", "0", "--n", "5"],
         ["check", "--lambda", "1,1/2,1/2,3/4", "stochastic"],
+        ["continuum", "--trig", "--residual", "8"],
+        ["continuum", "--kappa", "2", "1", "--fixed-point"],
+        ["repro", "fig2-convergence"],
     ],
 )
 def test_cli_same_under_optimize(argv):

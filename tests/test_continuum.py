@@ -7,9 +7,12 @@ from fractions import Fraction as F
 import pytest
 
 from involute.continuum import (
+    CONVERGENCE_MAX_N,
+    CONVERGENCE_MAX_SIZES,
     GRID_POINTS,
     QuadratureConfig,
     adaptive_quad,
+    convergence_table,
     cts_invariant,
     discrete_convergence,
     eigen_residual,
@@ -24,12 +27,15 @@ from involute.continuum import (
     lp_apply,
     lp_triangular,
     trig_eigenfunctions,
+    trig_monic,
+    trig_triangular,
     trig_walk,
     walk_eigenvalue,
     _beta_moment,
+    _chebyshev,
     _kappa_lp_panel,
-    _monic_gram_schmidt,
     _rp_invariant,
+    _trig_lp_panel,
 )
 from involute.errors import OutOfRange, QuadratureNonConvergence
 from involute.spectral import family_lambda
@@ -206,7 +212,56 @@ def test_eigen_residuals_match_single_index():
         discrete_convergence(0, 0, -1, [10])
 
 
-# --- exact oracles for the triangular operator ----------------------------
+# --- exact oracles for the triangular operators ---------------------------
+
+
+def _monic_gram_schmidt(gram_inner, dim: int) -> tuple[list, list]:
+    """Monic exact GS in coefficient space: the vectors and their squared norms."""
+    monic: list[list[F]] = []
+    norms: list[F] = []
+    for d in range(dim):
+        vec = [F(0)] * (d + 1)
+        vec[d] = F(1)
+        for e in range(d):
+            prev = monic[e] + [F(0)] * (d + 1 - len(monic[e]))
+            coeff = gram_inner(vec, prev) / norms[e]
+            vec = [vi - coeff * pi for vi, pi in zip(vec, prev)]
+        monic.append(vec)
+        norms.append(gram_inner(vec, vec))
+    return monic, norms
+
+
+def _sine_integral_times_pi(m: int) -> F:
+    # pi * integral of sin(m pi x) over [0, 1]
+    if m == 0:
+        return F(0)
+    if m % 2 == 0:
+        return F(0)
+    return F(2 * (1 if m > 0 else -1), abs(m))
+
+
+def _trig_moment(j: int, k: int) -> F:
+    """Exact integral of pi_x cos(j pi x) cos(k pi x) for the trig walk."""
+
+    def t(q: int) -> F:
+        return (
+            F(1, 4) * (_sine_integral_times_pi(1 + q) + _sine_integral_times_pi(1 - q))
+            - F(1, 8) * (_sine_integral_times_pi(2 + q) + _sine_integral_times_pi(2 - q))
+        )
+
+    return F(1, 2) * (t(j + k) + t(abs(j - k)))
+
+
+def _trig_gram_schmidt(dim):
+    """Oracle: monic Gram-Schmidt of cos(k pi x), k < dim, under the
+    invariant density, from closed-form sine integrals."""
+
+    def inner(p, q):
+        return sum(pj * qk * _trig_moment(j, k) for j, pj in enumerate(p)
+                   for k, qk in enumerate(q) if pj and qk)
+
+    return _monic_gram_schmidt(inner, dim)
+
 
 EXACT_AB = [(a, b) for a in range(4) for b in range(4)]
 
@@ -333,3 +388,117 @@ def test_panel_matches_adaptive_lp_apply():
             for x, value in zip(xs, panel):
                 adaptive = lp_apply(walk, gs[d], x)
                 assert abs(value - adaptive) <= 1e-12 * max(1.0, abs(adaptive))
+
+
+# --- the trigonometric walk in c = cos(pi x) ---------------------------------
+
+
+def _trig_lp_powers_by_integration(dmax):
+    """Oracle: coefficient lists, in C = cos(pi x), of L_P c^k for k <= dmax.
+    The integral of c^k over [-1, -C] is ((-C)^(k+1) - (-1)^(k+1))/(k+1);
+    it is divided exactly by the interval length 1 - C."""
+    columns = []
+    for k in range(dmax + 1):
+        rem = [F(0)] * (k + 2)
+        rem[k + 1] += F((-1) ** (k + 1), k + 1)
+        rem[0] -= F((-1) ** (k + 1), k + 1)
+        quot = [F(0)] * (dmax + 1)
+        for i in range(k + 1, 0, -1):  # subtract quot[i-1] C^(i-1) (1 - C)
+            quot[i - 1] = -rem[i]
+            rem[i - 1] += rem[i]
+            rem[i] = F(0)
+        assert rem == [F(0)] * (k + 2)
+        columns.append(quot)
+    return columns
+
+
+def _chebyshev_to_power(cheb):
+    """Power coefficients of sum_k cheb[k] T_k, from T_{k+1} = 2c T_k - T_{k-1}."""
+    size = len(cheb)
+    ts = [[F(1)] + [F(0)] * (size - 1), [F(0), F(1)] + [F(0)] * (size - 2)][:size]
+    while len(ts) < size:
+        shifted = [F(0)] + [2 * c for c in ts[-1][:-1]]
+        ts.append([s - p for s, p in zip(shifted, ts[-2])])
+    return [sum(c * t[i] for c, t in zip(cheb, ts)) for i in range(size)]
+
+
+def test_trig_triangular_is_lp_on_powers_of_cos():
+    t = trig_triangular(12)
+    columns = _trig_lp_powers_by_integration(12)
+    for k in range(13):
+        assert [row[k] for row in t] == columns[k]
+        assert t[k][k] == F((-1) ** k, k + 1)
+
+
+def test_trig_monic_eigenfunctions_are_exact_eigenvectors():
+    columns = _trig_lp_powers_by_integration(12)
+    for d, g in enumerate(trig_monic(12)):
+        assert len(g) == d + 1 and g[d] == 1
+        image = [sum(c * columns[k][i] for k, c in enumerate(g)) for i in range(13)]
+        assert image == [F((-1) ** d, d + 1) * c for c in g] + [F(0)] * (12 - d)
+
+
+def test_trig_eigenfunctions_match_gram_schmidt():
+    monic, norms = _trig_gram_schmidt(13)
+    for d, (g, vec, h, out) in enumerate(zip(trig_monic(12), monic, norms,
+                                             trig_eigenfunctions(12))):
+        power = _chebyshev_to_power(vec)
+        assert g == [c / power[d] for c in power]
+        assert _chebyshev(g) == [c / power[d] for c in vec]
+        # the float coefficients are the Gram-Schmidt ones, bit for bit
+        scale = 1.0 / math.sqrt(float(h))
+        assert out.basis == "cosine"
+        assert out.coefficients == tuple(float(c) * scale for c in vec)
+
+
+def test_trig_panel_matches_adaptive_lp_apply():
+    xs = [k / GRID_POINTS for k in (1, 17, 50, 77, GRID_POINTS)]
+    walk = trig_walk()
+    gs = trig_eigenfunctions(12)
+    for d in (0, 1, 5, 8, 12):
+        panel = _trig_lp_panel(gs[d], xs)
+        for x, value in zip(xs, panel):
+            adaptive = lp_apply(walk, gs[d], x)
+            assert abs(value - adaptive) <= 1e-12 * max(1.0, abs(adaptive))
+    assert max(eigen_residuals(walk, 12)) < 1e-10
+
+
+def test_trig_lp_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    g = trig_eigenfunctions(8)[8]
+    xs = [0.05, 0.3, 0.77, 1.0]
+    with mpmath.workdps(30):
+        pi = mpmath.pi
+
+        def g_mp(z):
+            return sum(c * mpmath.cos(k * pi * z) for k, c in enumerate(g.coefficients))
+
+        for x, value in zip(xs, _trig_lp_panel(g, xs)):
+            x = mpmath.mpf(x)
+            integral = mpmath.quad(lambda z: mpmath.sin(pi * z) * g_mp(z), [1 - x, 1])
+            expected = float(pi * integral / (1 - mpmath.cos(pi * x)))
+            assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def test_fixed_point_panel_matches_scalar_and_scipy():
+    grid = [k / GRID_POINTS for k in range(1, GRID_POINTS + 1)]
+    for walk in [kappa_walk(a, b) for a, b in EXACT_AB] + [trig_walk()]:
+        whole = _rp_invariant(walk, grid)
+        for z, value in zip(grid, whole):
+            assert abs(value - _rp_invariant(walk, z)) <= 1e-14 * max(1.0, abs(value))
+        for z in (0.1, 0.5, 1.0):
+            step = lambda x: cts_invariant(walk, x) * _step_kernel(walk, x, z)
+            assert abs(_rp_invariant(walk, z) - _scipy_quad(step, 1 - z, 1.0)) < 1e-9
+        assert fixed_point_residual(walk) < 1e-7
+
+
+def test_convergence_table_and_budget():
+    sizes = [10, 20, 40, 80]
+    table = convergence_table(0, 0, (1, 2), sizes)
+    assert table == [discrete_convergence(0, 0, d, sizes) for d in (1, 2)]
+    with pytest.raises(OutOfRange):
+        discrete_convergence(0, 0, 1, [10, CONVERGENCE_MAX_N + 1])
+    with pytest.raises(OutOfRange):
+        discrete_convergence(0, 0, 1, [10] * (CONVERGENCE_MAX_SIZES + 1))
+    with pytest.raises(OutOfRange):
+        convergence_table(0, 0, (1, 6), [10])
