@@ -187,16 +187,19 @@ def cmd_check(args):
                 raise CheckFailed("kolmogorov: a cycle product depends on direction")
             print("kolmogorov criterion holds")
             return
-        try:
-            pi = walk.stationary(w)
-        except InvoluteError:
-            # reducible chains: reversibility against any positive distribution
-            ok, _ = walk.reversible_with_some_distribution(w)
-            if not ok:
-                raise CheckFailed("not reversible: detailed balance fails")
-            print("reversible (chain is reducible; distribution not unique)")
+        found = walk._potentials(w)
+        if found is not None:
+            _, trees = found
+            print("reversible" if trees == 1
+                  else "reversible (chain is reducible; distribution not unique)")
             return
-        if not walk.detailed_balance(w, pi):
+        # Transient states carry no stationary mass, so detailed balance
+        # against a unique stationary law can hold on an asymmetric support.
+        try:
+            balanced = walk.detailed_balance(w, walk.stationary(w))
+        except InvoluteError:
+            balanced = False
+        if not balanced:
             raise CheckFailed("not reversible: detailed balance fails")
         print("reversible")
         return
@@ -290,6 +293,8 @@ def cmd_continuum(args):
              args.convergence is not None)
     if sum(modes) != 1:
         raise InvoluteError("choose one of --residual/--fixed-point/--invariant/--convergence")
+    if args.sizes is not None and args.convergence is None:
+        raise InvoluteError("--sizes applies only to --convergence")
     kappa = args.kappa or (0, 0)
     w = cont.trig_walk() if args.trig else cont.kappa_walk(*kappa)
     if args.residual is not None:
@@ -308,7 +313,7 @@ def cmd_continuum(args):
         if args.trig:
             raise InvoluteError("--convergence compares with the discrete gamma(a,b) walk; "
                                 "use --kappa, not --trig")
-        sizes = _parse_sizes(args.sizes)
+        sizes = _parse_sizes(args.sizes or "10,20,40,80")
         dists = cont.discrete_convergence(*kappa, args.convergence, sizes)
         print("n,distance")
         for n, dist in zip(sizes, dists):
@@ -452,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed-point", action="store_true")
     p.add_argument("--invariant", action="store_true")
     p.add_argument("--convergence", type=int, metavar="D")
-    p.add_argument("--sizes", default="10,20,40,80",
-                   help=f"comma-separated n for --convergence: at most "
+    p.add_argument("--sizes",
+                   help=f"comma-separated n for --convergence (default 10,20,40,80): at most "
                         f"{cont.CONVERGENCE_MAX_SIZES} sizes, each n <= {cont.CONVERGENCE_MAX_N}")
     p.set_defaults(func=cmd_continuum)
 

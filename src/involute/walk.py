@@ -7,10 +7,18 @@ P[x][z] = 0 whenever x + z < n - 1.  Writing H for the lower-triangular
 down-step matrix H[x][y] = w[y, x] / N_x and J for the anti-diagonal
 permutation, P = H J.
 
-This module provides exact construction, stationary distributions (both by
-closed form and by exact elimination), ergodicity reports, reversibility
-checks (detailed balance and the cycle-product criterion), simulation, the
-two-step down-up walk, and the Kronecker-power walk on subsets.
+This module provides exact construction, stationary distributions (closed
+forms, detailed-balance potentials, and exact elimination for walks that are
+not reversible), ergodicity reports, reversibility checks (detailed balance and
+the cycle-product criterion, both decided by one spanning-tree check),
+simulation, the two-step down-up walk, and the Kronecker-power walk on subsets.
+
+One engine decides reversibility.  Detailed balance pi_x P[x][z] = pi_z P[z][x]
+fixes the ratio pi_z / pi_x along every edge of the support graph, so the
+potentials are spread over a spanning forest and every equation is then
+checked exactly (_potentials).  The stationary law of a reversible walk, the
+Kolmogorov criterion and reversibility against some positive distribution are
+all read from that one check.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import _linalg as la
 from .errors import (
@@ -32,8 +41,6 @@ from .errors import (
 )
 from .exactnum import as_rational, binom
 from .weights import Custom, GammaAB, GammaC, WeightSpec, domain_limit, norm_table, weight_table
-
-KOLMOGOROV_EXHAUSTIVE_CAP = 12
 
 
 @dataclass
@@ -98,9 +105,21 @@ class SubsetWalk:
 
     m: int
     p: Fraction
-    walk: WalkMatrix
     pi: Distribution
     eigenvalues: list  # expanded multiset, (-p)^e repeated binom(m, e) times
+
+    @cached_property
+    def walk(self) -> WalkMatrix:
+        """The dense 2^m x 2^m transition matrix, built on first access.
+
+        It is the Kronecker power of the 2-state walk [[0,1],[p,1-p]]; the
+        factors are ordered so that factor i acts on bit i.
+        """
+        q = [[Fraction(0), Fraction(1)], [self.p, 1 - self.p]]
+        mat = q
+        for _ in range(self.m - 1):
+            mat = la.kron(q, mat)
+        return WalkMatrix.from_p(mat)
 
 
 def _rows(w) -> list:
@@ -210,19 +229,80 @@ def ergodicity(w) -> ErgodicityReport:
     return ErgodicityReport(irreducible, aperiodic, irreducible and aperiodic, comps)
 
 
-def stationary(w) -> Distribution:
-    """The unique pi with pi P = pi, by exact elimination on (P - I)^T."""
+def _potentials(w):
+    """Detailed-balance potentials of a walk, from one spanning forest.
+
+    Detailed balance pi_x P[x][z] = pi_z P[z][x] needs a symmetric support
+    and forces pi_z = pi_x P[x][z] / P[z][x] along every support edge.  So
+    each tree of a spanning forest of the support graph is grown from a root
+    with pi = 1, and then every equation is checked exactly, on integers:
+    (a/b)(p/q) == (c/d)(r/s) as a*p*d*s == c*r*b*q.  Returns (pi, trees),
+    pi unnormalized with pi = 1 at each root and trees the number of trees
+    grown (the connected components of the support), or None when the
+    support is not symmetric or some equation fails.
+    """
     rows = _rows(w)
+    n = len(rows)
+    nbrs = [[z for z in range(n) if row[z] and z != x] for x, row in enumerate(rows)]
+    if not all(rows[z][x] for x in range(n) for z in nbrs[x]):
+        return None
+    pi = [None] * n
+    trees = 0
+    for root in range(n):
+        if pi[root] is not None:
+            continue
+        trees += 1
+        pi[root] = Fraction(1)
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for z in nbrs[x]:
+                if pi[z] is None:
+                    pi[z] = pi[x] * rows[x][z] / rows[z][x]
+                    stack.append(z)
+    num = [v.numerator for v in pi]
+    den = [v.denominator for v in pi]
+    for x in range(n):
+        for z in nbrs[x]:
+            if z > x:
+                forward, backward = rows[x][z], rows[z][x]
+                if (num[x] * forward.numerator * den[z] * backward.denominator
+                        != num[z] * backward.numerator * den[x] * forward.denominator):
+                    return None
+    return pi, trees
+
+
+def _normalized(weights) -> Distribution:
+    total = sum(weights)
+    return Distribution(len(weights), [v / total for v in weights])
+
+
+def stationary(w) -> Distribution:
+    """The unique pi with pi P = pi, for a walk whose rows sum to 1.
+
+    When the potentials exist and span one tree, they are pi.  The support
+    is then symmetric and connected, so the walk is irreducible and its
+    stationary law unique; and summing pi_x P[x][z] = pi_z P[z][x] over x
+    gives (pi P)_z = pi_z, because row z of P sums to 1.  Walks that are not
+    reversible (most --lambda and --custom walks) or are reducible fall back
+    to exact elimination on (P - I)^T.
+    """
+    found = _potentials(w)
+    if found is not None and found[1] == 1:
+        return _normalized(found[0])
+    return _stationary_by_elimination(_rows(w))
+
+
+def _stationary_by_elimination(rows) -> Distribution:
     n = len(rows)
     m = [[rows[i][j] - (1 if i == j else 0) for i in range(n)] for j in range(n)]
     kernel = la.kernel_basis(m)
     if len(kernel) != 1:
         raise NotIrreducible(f"stationary space has dimension {len(kernel)}")
     v = kernel[0]
-    total = sum(v)
-    if total == 0:
+    if sum(v) == 0:
         raise NotIrreducible("kernel vector has zero mass")
-    return Distribution(n, [x / total for x in v])
+    return _normalized(v)
 
 
 def invariant_closed_form(spec: WeightSpec, n: int) -> Distribution:
@@ -257,108 +337,39 @@ def detailed_balance(w, pi) -> bool:
     return all(pv[x] * rows[x][z] == pv[z] * rows[z][x] for x in range(n) for z in range(x, n))
 
 
-def _support_symmetric(rows) -> bool:
-    """P[x][z] != 0 exactly when P[z][x] != 0; reversibility needs this."""
-    n = len(rows)
-    return all(
-        (rows[x][z] == 0) == (rows[z][x] == 0) for x in range(n) for z in range(x + 1, n)
-    )
-
-
 def reversible_with_some_distribution(w):
     """Decide reversibility against any strictly positive distribution.
 
-    Detailed balance forces pi ratios along every edge of the support graph,
-    so propagate ratios over a spanning forest and verify all equations.
-    Returns (True, pi) or (False, None).  pi is normalized and positive; for
+    Returns (True, pi) or (False, None), pi the normalized potentials.  For
     reducible chains the split of mass between components is arbitrary.
     """
-    rows = _rows(w)
-    n = len(rows)
-    if not _support_symmetric(rows):
+    found = _potentials(w)
+    if found is None:
         return False, None
-    pi = [None] * n
-    for root in range(n):
-        if pi[root] is not None:
-            continue
-        pi[root] = Fraction(1)
-        queue = [root]
-        while queue:
-            x = queue.pop()
-            for z in range(n):
-                if z == x or rows[x][z] == 0:
-                    continue
-                if pi[z] is None:
-                    pi[z] = pi[x] * rows[x][z] / rows[z][x]
-                    queue.append(z)
-    if not all(pi[x] * rows[x][z] == pi[z] * rows[z][x] for x in range(n) for z in range(x, n)):
-        return False, None
-    total = sum(pi)
-    return True, Distribution(n, [p / total for p in pi])
-
-
-def _undirected_cycles(adj_sets: list):
-    """Simple cycles of length >= 3, one representative per rotation and
-    reflection: smallest vertex first, second vertex below the last."""
-    n = len(adj_sets)
-    for start in range(n):
-        path = [start]
-        in_path = {start}
-
-        def extend():
-            v = path[-1]
-            for u in sorted(adj_sets[v]):
-                if u == start and len(path) >= 3 and path[1] < path[-1]:
-                    yield tuple(path)
-                if u > start and u not in in_path:
-                    path.append(u)
-                    in_path.add(u)
-                    yield from extend()
-                    in_path.discard(u)
-                    path.pop()
-
-        yield from extend()
+    return True, _normalized(found[0])
 
 
 def kolmogorov(w) -> bool:
     """Cycle criterion: reversible iff every cycle product is direction-free.
 
-    Cycles are enumerated exhaustively, which is capped at n = 12.
+    The criterion needs a strictly positive stationary distribution, that
+    is, no communicating class may leak.  The map from a cycle to the ratio
+    of its forward and backward products is a homomorphism on the cycle
+    space of the support graph, and the fundamental cycles of a spanning
+    forest are a basis of that space.  So every cycle balances exactly when
+    the fundamental cycles do, which is exactly when the spanning-tree
+    potentials satisfy every detailed-balance equation.  No cycle is
+    enumerated, and n is not capped.
     """
     rows = _rows(w)
     n = len(rows)
-    # a strictly positive stationary distribution exists iff no class leaks
-    report = ergodicity(rows)
-    for comp in report.communicating_classes:
+    for comp in _sccs(support(rows)):
         comp_set = set(comp)
         if any(rows[x][z] != 0 and z not in comp_set for x in comp for z in range(n)):
             raise NoPositiveStationary(
                 "cycle criterion needs a strictly positive stationary distribution"
             )
-    # asymmetric support kills reversibility before any cycle is formed
-    if not _support_symmetric(rows):
-        return False
-    if n > KOLMOGOROV_EXHAUSTIVE_CAP:
-        raise OutOfRange(
-            f"exhaustive cycle enumeration capped at n={KOLMOGOROV_EXHAUSTIVE_CAP}"
-        )
-    adj_sets = [
-        {z for z in range(n) if z != x and rows[x][z] != 0} for x in range(n)
-    ]
-    for cyc in _undirected_cycles(adj_sets):
-        if not _cycle_balanced(rows, list(cyc)):
-            return False
-    return True
-
-
-def _cycle_balanced(rows, cyc: list) -> bool:
-    forward = Fraction(1)
-    backward = Fraction(1)
-    k = len(cyc)
-    for i in range(k):
-        forward *= rows[cyc[i]][cyc[(i + 1) % k]]
-        backward *= rows[cyc[(i + 1) % k]][cyc[i]]
-    return forward == backward
+    return _potentials(rows) is not None
 
 
 def simulate(w, x0: int, steps: int, seed: int) -> SimulationResult:
@@ -404,22 +415,19 @@ def two_step(w) -> list:
 def subset_walk(m: int, p) -> SubsetWalk:
     """Kronecker power of the 2-state walk [[0,1],[p,1-p]] on subset bitmasks.
 
-    Bit i of the state index records whether element i+1 is in the subset;
-    the Kronecker factors are ordered to match, so factor i acts on bit i.
+    Bit i of the state index records whether element i+1 is in the subset.
+    The invariant law p^(m-|X|) / (1+p)^m and the spectrum are closed forms;
+    the dense matrix is built only when `walk` is read.
     """
     p = as_rational(p)
     if not 0 < p < 1:
         raise OutOfRange(f"need 0 < p < 1, got {p}")
     if not 1 <= m <= 10:
         raise OutOfRange("subset walk supported for 1 <= m <= 10")
-    q = [[Fraction(0), Fraction(1)], [p, 1 - p]]
-    mat = q
-    for _ in range(m - 1):
-        mat = la.kron(q, mat)
-    size = 2**m
     denom = (1 + p) ** m
-    pi = [p ** (m - bin(s).count("1")) / denom for s in range(size)]
+    by_size = [p ** (m - k) / denom for k in range(m + 1)]
+    pi = [by_size[bin(s).count("1")] for s in range(2**m)]
     eigenvalues = []
     for e in range(m + 1):
         eigenvalues.extend([(-p) ** e] * math.comb(m, e))
-    return SubsetWalk(m, p, WalkMatrix.from_p(mat), Distribution(size, pi), eigenvalues)
+    return SubsetWalk(m, p, Distribution(2**m, pi), eigenvalues)

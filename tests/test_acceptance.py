@@ -321,6 +321,17 @@ def test_criterion_09_subset_walk():
                                 lam *= -p
                         assert la.matvec(sub.walk.P, vec) == [lam * v for v in vec]
                         assert la.matvec(p2, vec) == [lam * lam * v for v in vec]
+        # lumped by |X| from every start X, the subset walk is the gamma(c)
+        # walk on {0..m} with c = 1/p - 1
+        for m in (3, 5):
+            for p in (F(1, 3), F(1, 2), F(2, 3)):
+                sub = subset_walk(m, p)
+                lumped = transition_matrix(GammaC(1 / p - 1), m + 1).P
+                for s, row in enumerate(sub.walk.P):
+                    by_size = [F(0)] * (m + 1)
+                    for t, v in enumerate(row):
+                        by_size[bin(t).count("1")] += v
+                    assert by_size == lumped[bin(s).count("1")]
 
 
 def test_criterion_10_continuum_spectra():

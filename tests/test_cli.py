@@ -56,6 +56,18 @@ def test_check_reversible_and_conjugator(capsys):
     # the deterministic flip is reducible for n = 3 yet reversible
     code, out, _ = run(capsys, "check", "--lambda", "1,1,1", "reversible")
     assert code == 0 and "reducible" in out
+    # states 1..4 are transient: detailed balance holds against the unique
+    # stationary law, though no positive distribution balances
+    code, out, _ = run(capsys, "check", "--lambda", "1,1/2,1/2,1/2,1/2,1/2", "reversible")
+    assert (code, out) == (0, "reversible\n")
+    code, _, err = run(capsys, "check", "--lambda", "1,1/2,1/2,1/2,1/2,1/2", "kolmogorov")
+    assert code == 2 and "strictly positive" in err
+
+
+def test_kolmogorov_at_fourteen_states(capsys):
+    # the criterion enumerates no cycles, so n is not capped
+    code, out, _ = run(capsys, "check", "--gamma", "1", "1/3", "--n", "14", "kolmogorov")
+    assert (code, out) == (0, "kolmogorov criterion holds\n")
 
 
 def test_check_matrix_file(tmp_path, capsys):
@@ -208,6 +220,8 @@ def test_continuum_commands(capsys):
         ["--trig", "--fixed-point", "--invariant"],
         ["--convergence", "1", "--sizes", "10,401"],
         ["--convergence", "1", "--sizes", ",".join(["10"] * 9)],
+        ["--residual", "1", "--sizes", "10,x"],
+        ["--fixed-point", "--sizes", "10,20"],
     ],
 )
 def test_continuum_input_errors(capsys, argv):
@@ -283,6 +297,8 @@ def test_package_has_no_assert_statements():
         ["continuum", "--trig", "--residual", "8"],
         ["continuum", "--kappa", "2", "1", "--fixed-point"],
         ["repro", "fig2-convergence"],
+        ["check", "--gamma", "1", "1/3", "--n", "14", "kolmogorov"],
+        ["stationary", "--gammac", "1/3", "--n", "80"],
     ],
 )
 def test_cli_same_under_optimize(argv):

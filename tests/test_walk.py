@@ -8,8 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from involute import _linalg as la
-from involute.errors import NotIrreducible, OutOfRange
-from involute.transform import lambda_walk, pl_matrix, random_stochastic_lambda
+from involute import walk
+from involute.errors import NoPositiveStationary, NotIrreducible, OutOfRange
+from involute.transform import lambda_walk, pl_matrix, random_stochastic_lambda, stochastic_grid
 from involute.walk import (
     WalkMatrix,
     detailed_balance,
@@ -24,7 +25,7 @@ from involute.walk import (
     transition_matrix,
     two_step,
 )
-from involute.weights import Custom, DeltaAB, GammaAB, GammaC
+from involute.weights import Custom, DeltaAB, GammaAB, GammaC, domain_limit
 
 
 def rows(entries):
@@ -182,17 +183,115 @@ def test_kolmogorov_examples():
 
 
 def test_kolmogorov_needs_positive_stationary():
-    from involute.errors import NoPositiveStationary
-
     with pytest.raises(NoPositiveStationary):
         kolmogorov([[F(1), F(0)], [F(1, 2), F(1, 2)]])
 
 
-def test_kolmogorov_cap_and_sampling():
+def test_kolmogorov_n14_matches_detailed_balance():
+    # the criterion enumerates no cycles, so n is not capped
     lam = [F(1)] + [F(1, k) for k in range(2, 15)]
     w = lambda_walk(lam)
-    with pytest.raises(OutOfRange):
-        kolmogorov(w)
+    assert kolmogorov(w) == detailed_balance(w, stationary(w))
+
+
+def _undirected_cycles(adj_sets: list):
+    """Simple cycles of length >= 3, one representative per rotation and
+    reflection: smallest vertex first, second vertex below the last."""
+    n = len(adj_sets)
+    for start in range(n):
+        path = [start]
+        in_path = {start}
+
+        def extend():
+            v = path[-1]
+            for u in sorted(adj_sets[v]):
+                if u == start and len(path) >= 3 and path[1] < path[-1]:
+                    yield tuple(path)
+                if u > start and u not in in_path:
+                    path.append(u)
+                    in_path.add(u)
+                    yield from extend()
+                    in_path.discard(u)
+                    path.pop()
+
+        yield from extend()
+
+
+def _cycle_balanced(rows, cyc: list) -> bool:
+    forward = F(1)
+    backward = F(1)
+    k = len(cyc)
+    for i in range(k):
+        forward *= rows[cyc[i]][cyc[(i + 1) % k]]
+        backward *= rows[cyc[(i + 1) % k]][cyc[i]]
+    return forward == backward
+
+
+def _kolmogorov_by_cycles(rows) -> bool:
+    """Exhaustive oracle: symmetric support and every simple cycle balanced."""
+    n = len(rows)
+    if any((rows[x][z] == 0) != (rows[z][x] == 0) for x in range(n) for z in range(n)):
+        return False
+    adj_sets = [{z for z in range(n) if z != x and rows[x][z] != 0} for x in range(n)]
+    return all(_cycle_balanced(rows, list(cyc)) for cyc in _undirected_cycles(adj_sets))
+
+
+def test_kolmogorov_matches_exhaustive_cycle_oracle():
+    compared = reversible = 0
+    for n in range(3, 8):
+        for lam in stochastic_grid(n, 6):
+            p = pl_matrix(lam)
+            try:
+                verdict = kolmogorov(p)
+            except NoPositiveStationary:
+                continue
+            assert verdict == _kolmogorov_by_cycles(p), lam
+            compared += 1
+            reversible += verdict
+    assert compared == 113
+    assert 0 < reversible < compared
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Counts the calls stationary makes to the elimination fallback."""
+    calls = []
+    eliminate = walk._stationary_by_elimination
+
+    def counted(rows):
+        calls.append(len(rows))
+        return eliminate(rows)
+
+    monkeypatch.setattr(walk, "_stationary_by_elimination", counted)
+    return calls
+
+
+def test_stationary_tree_path_matches_elimination(eliminations):
+    specs = [GammaAB(0, 0), GammaAB(1, F(1, 3)), GammaAB(F(1, 2), F(2, 3)), GammaC(F(1, 3)),
+             GammaC(2), DeltaAB(F(81, 2), 3), DeltaAB(F(21, 2), F(43, 4))]
+    for spec in specs:
+        for n in (2, 7, 11, 40):
+            if isinstance(spec, DeltaAB) and n > domain_limit(spec):
+                continue
+            w = transition_matrix(spec, n)
+            pi = stationary(w)
+            assert eliminations == []
+            assert pi.weights == walk._stationary_by_elimination(w.P).weights
+            assert pi.weights == invariant_closed_form(spec, n).weights
+            assert la.vecmat(pi.weights, w.P) == pi.weights
+            eliminations.clear()
+
+
+def test_stationary_falls_back_to_elimination(eliminations):
+    w = lambda_walk([F(1), F(3, 5), F(3, 10), F(1, 20)])
+    assert not reversible_with_some_distribution(w)[0]
+    pi = stationary(w)
+    assert eliminations == [4]
+    assert la.vecmat(pi.weights, w.P) == pi.weights
+    # reversible but reducible: the potentials span two trees
+    with pytest.raises(NotIrreducible, match="dimension 2"):
+        stationary(WalkMatrix.from_p([[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
+    assert eliminations == [4, 3]
 
 
 def test_kolmogorov_iff_detailed_balance():
