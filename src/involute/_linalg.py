@@ -87,8 +87,7 @@ def charpoly(a: Matrix) -> list[Fraction]:
     trace by k is exact, and coefficient k of A is c_k(B) / D^k.
     """
     n = len(a)
-    d = math.lcm(*(x.denominator for row in a for x in row))
-    b = [[x.numerator * (d // x.denominator) for x in row] for row in a]
+    b, d = integer_matrix(a)
     coeffs = [1]
     m = b
     for k in range(1, n + 1):
@@ -124,6 +123,13 @@ def integer_row(row: Vector) -> tuple[list[int], int]:
     """(d * row, d) with d the lcm of the row's denominators."""
     d = math.lcm(*(x.denominator for x in row))
     return [x.numerator * (d // x.denominator) for x in row], d
+
+
+def integer_matrix(a: Matrix) -> tuple[list[list[int]], int]:
+    """(D * A, D) with D the lcm of all denominators of A."""
+    cols = len(a[0]) if a else 0
+    flat, d = integer_row([x for row in a for x in row])
+    return [flat[i * cols:(i + 1) * cols] for i in range(len(a))], d
 
 
 def primitive(row: list[int]) -> list[int]:
@@ -184,20 +190,29 @@ def kernel_basis(a: Matrix) -> list[Vector]:
     return basis
 
 
+def triangular_eigenvectors(t: list) -> list[list[int]]:
+    """Eigenvectors of an integer upper-triangular matrix with distinct diagonal.
+
+    Vector d is [c_0, ..., c_d] with c_d > 0, by back-substitution:
+    (T[d][d] - T[i][i]) c_i = sum_{i<k<=d} T[i][k] c_k.  When c_i = s / D,
+    the entries found so far are scaled by D / gcd(s, D) > 0, which is
+    coprime to the new entry s / gcd(s, D): the vector stays primitive.
+    """
+    out = []
+    for d in range(len(t)):
+        c = [0] * d + [1]
+        for i in range(d - 1, -1, -1):
+            s = sum(map(mul, t[i][i + 1:d + 1], c[i + 1:]))
+            den = t[d][d] - t[i][i]
+            g = math.gcd(s, den) if den > 0 else -math.gcd(s, den)
+            c = [x * (den // g) for x in c]
+            c[i] = s // g
+        out.append(c)
+    return out
+
+
 def clear_denominators(v: Vector) -> Vector:
     """Scale a rational vector to coprime integers, first nonzero entry > 0."""
-    nz = [x for x in v if x != 0]
-    if not nz:
-        return [Fraction(0)] * len(v)
-    lcm = 1
-    for x in nz:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    ints = [x * lcm for x in v]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x.numerator))
-    ints = [x / g for x in ints]
-    first = next(x for x in ints if x != 0)
-    if first < 0:
-        ints = [-x for x in ints]
-    return ints
+    ints = primitive(integer_row(v)[0])
+    sign = -1 if next((x for x in ints if x), 0) < 0 else 1
+    return [Fraction(sign * x) for x in ints]

@@ -135,25 +135,27 @@ def cmd_eigvec(args):
     print("final-left=" + ",".join(format_vector(spectral.final_left_eigenvector(args.n))))
 
 
-def _check_matrix_source(args):
-    if args.matrix is not None:
-        with open(args.matrix) as fh:
-            return matrix_from_csv(fh.read())
-    spec = _family_from_args(args)
-    if isinstance(spec, list):
-        return spec
-    w = _walk_from_source(spec, args.n)
-    return w
+def _check_source(args):
+    """An eigenvalue list, a WalkMatrix, or --matrix rows for matrix properties."""
+    if args.matrix is None:
+        spec = _family_from_args(args)
+        return spec if isinstance(spec, list) else _walk_from_source(spec, args.n)
+    if args.property in ("stochastic", "globally-reversible"):
+        raise InvoluteError(f"check {args.property} needs --lambda")
+    with open(args.matrix) as fh:
+        rows = matrix_from_csv(fh.read())
+    if args.property in ("ergodic", "reversible", "kolmogorov"):
+        return walk.WalkMatrix.from_p(rows)  # square, stochastic, anti-triangular
+    return rows
 
 
 def cmd_check(args):
     prop = args.property
-    source = _check_matrix_source(args)
+    source = _check_source(args)
     if prop == "stochastic":
-        lam = source if isinstance(source, list) else None
-        if lam is None:
+        if not isinstance(source, list):
             raise InvoluteError("check stochastic needs --lambda")
-        res = transform.is_stochastic(lam)
+        res = transform.is_stochastic(source)
         if not res:
             raise CheckFailed(f"not stochastic: {res.reason}"
                               + (f" (witness z={res.witness})" if res.witness is not None else ""))

@@ -16,8 +16,9 @@ Both step operators map polynomials of degree <= D to themselves: kappa's
 in x, the trigonometric walk's in c = cos(pi x).  On the power basis each
 is an upper-triangular matrix over Q (`lp_triangular`, `trig_triangular`)
 whose diagonal holds the eigenvalues, so the eigenfunctions are its exact
-eigenvectors, found by back-substitution; the trigonometric ones are then
-converted exactly to Chebyshev coefficients, i.e. to the cosine ladder.
+eigenvectors, found by the integer back-substitution that also gives the
+discrete eigenvectors (`_linalg.triangular_eigenvectors`); the
+trigonometric ones are then converted exactly to Chebyshev coefficients.
 The construction is exact and only the final normalization is a float,
 which keeps orthogonality stable up to degree ~12.
 
@@ -32,13 +33,14 @@ quadrature with interval bisection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.legendre import leggauss
 
+from . import _linalg as la
 from .errors import OutOfRange, QuadratureNonConvergence
 from .spectral import family_lambda, right_eigenvectors
 from .weights import GammaAB
@@ -53,12 +55,14 @@ class QuadratureConfig:
     panel_order: int = 20
 
 
+_QUAD = QuadratureConfig()  # the setting of lp_apply and lh_apply
+
+
 @dataclass(frozen=True)
 class ContinuousWalk:
     kind: str  # "kappa" or "trig"
     a: int = 0
     b: int = 0
-    quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
 
     def __post_init__(self):
         if self.kind not in ("kappa", "trig"):
@@ -67,12 +71,12 @@ class ContinuousWalk:
             raise OutOfRange("kappa(a, b) needs integers a, b >= 0")
 
 
-def kappa_walk(a: int, b: int, **quad) -> ContinuousWalk:
-    return ContinuousWalk("kappa", a, b, QuadratureConfig(**quad))
+def kappa_walk(a: int, b: int) -> ContinuousWalk:
+    return ContinuousWalk("kappa", a, b)
 
 
-def trig_walk(**quad) -> ContinuousWalk:
-    return ContinuousWalk("trig", quadrature=QuadratureConfig(**quad))
+def trig_walk() -> ContinuousWalk:
+    return ContinuousWalk("trig")
 
 
 _GL_CACHE: dict = {}
@@ -171,16 +175,15 @@ def lp_apply(walk: ContinuousWalk, f, x: float) -> float:
     if not 0 < x <= 1:
         raise OutOfRange(f"L_P is defined for 0 < x <= 1, got {x}")
     g = _as_callable(f)
-    cfg = walk.quadrature
     if walk.kind == "kappa":
         a, b = walk.a, walk.b
         const = (a + b + 1) * math.comb(a + b, a)
         # substitute z = 1 - x + x u to keep the integrand O(1) near x = 0
         integrand = lambda u: (1 - u) ** a * u**b * g(1 - x + x * u)
-        return const * adaptive_quad(integrand, 0.0, 1.0, cfg.tolerance, cfg)
+        return const * adaptive_quad(integrand, 0.0, 1.0, _QUAD.tolerance, _QUAD)
     denom = 1 - math.cos(math.pi * x)
     integrand = lambda z: math.sin(math.pi * z) * g(z)
-    value = adaptive_quad(integrand, 1 - x, 1.0, cfg.tolerance * denom / math.pi, cfg)
+    value = adaptive_quad(integrand, 1 - x, 1.0, _QUAD.tolerance * denom / math.pi, _QUAD)
     return math.pi * value / denom
 
 
@@ -189,12 +192,11 @@ def lh_apply(walk: ContinuousWalk, f, x: float) -> float:
     if not 0 < x <= 1:
         raise OutOfRange(f"L_H is defined for 0 < x <= 1, got {x}")
     g = _as_callable(f)
-    cfg = walk.quadrature
     if walk.kind == "kappa":
         a, b = walk.a, walk.b
         const = (a + b + 1) * math.comb(a + b, a)
         integrand = lambda w: w**a * (1 - w) ** b * g(x * w)
-        return const * adaptive_quad(integrand, 0.0, 1.0, cfg.tolerance, cfg)
+        return const * adaptive_quad(integrand, 0.0, 1.0, _QUAD.tolerance, _QUAD)
     return lp_apply(walk, lambda z: g(1 - z), x)
 
 
@@ -232,25 +234,12 @@ def lp_triangular(a: int, b: int, dmax: int) -> list:
     return [[math.comb(k, i) * s[i] for k in range(dmax + 1)] for i in range(dmax + 1)]
 
 
-def _monic_eigenvectors(t: list) -> list:
-    """Monic eigenvectors of an upper-triangular matrix with distinct diagonal.
-
-    The eigenvector for diagonal entry d is [c_0, ..., c_d = 1], determined
-    by back-substitution:
-
-        c_i = sum_{i<k<=d} T[i][k] c_k / (T[d][d] - T[i][i]).
-
-    Eigenvectors of the self-adjoint L_P for distinct eigenvalues are
-    orthogonal under the invariant density, so for a triangular L_P these
-    are the monic orthogonal polynomials of that weight.
-    """
-    monic = []
-    for d in range(len(t)):
-        c = [Fraction(0)] * d + [Fraction(1)]
-        for i in range(d - 1, -1, -1):
-            c[i] = sum(t[i][k] * c[k] for k in range(i + 1, d + 1)) / (t[d][d] - t[i][i])
-        monic.append(c)
-    return monic
+def _monic(t: list) -> list:
+    """Monic eigenvectors of the rational upper-triangular matrix t, scaled
+    to integers.  For the self-adjoint L_P they are orthogonal under the
+    invariant density: the monic orthogonal polynomials of that weight."""
+    return [[Fraction(x, v[-1]) for x in v]
+            for v in la.triangular_eigenvectors(la.integer_matrix(t)[0])]
 
 
 def jacobi_monic(a: int, b: int, dmax: int) -> list:
@@ -261,7 +250,7 @@ def jacobi_monic(a: int, b: int, dmax: int) -> list:
     distinct (their absolute values fall by the factor (a+d+1)/(a+b+d+2) < 1
     at each step), so back-substitution determines it.
     """
-    return _monic_eigenvectors(lp_triangular(a, b, dmax))
+    return _monic(lp_triangular(a, b, dmax))
 
 
 def jacobi_eigenfunctions(a: int, b: int, dmax: int) -> list:
@@ -309,7 +298,7 @@ def trig_monic(dmax: int) -> list:
     """Monic eigenfunctions g_0, ..., g_dmax of the trigonometric walk in
     powers of c = cos(pi x), exact over Q: the eigenvectors of
     `trig_triangular`, whose diagonal entries are distinct."""
-    return _monic_eigenvectors(trig_triangular(dmax))
+    return _monic(trig_triangular(dmax))
 
 
 def _chebyshev(p: list) -> list:
@@ -467,7 +456,7 @@ def fixed_point_residual(walk: ContinuousWalk) -> float:
     return float(np.max(np.abs(_rp_invariant(walk, grid) - pi)))
 
 
-CONVERGENCE_MAX_N = 400  # the exact n-state eigensystem costs about 4x per doubling of n
+CONVERGENCE_MAX_N = 400  # input budget; the eigensystem costs ~2x per doubling of n
 CONVERGENCE_MAX_SIZES = 8
 
 

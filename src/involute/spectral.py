@@ -6,12 +6,12 @@ The signed eigenvalue sequence of P is (-1)^d lambda_d with
     gamma(c):      lambda_d = 1 / (c+1)^d
     delta(a', b'): lambda_d = binom(a'-1, d) / binom(a'+b'-2, d)
 
-Right eigenvectors of P(gamma(a, b)) are the Gram-Schmidt orthogonalization
-of the Pascal columns v(0), ..., v(n-1) under the stationary inner product
-<v, w> = sum_x pi_x v_x w_x; they are kept as integer-cleared rational
-vectors, orthogonal but deliberately not normalized.  pi_x v_x gives the
-left eigenvector for the same eigenvalue, and the final left eigenvector is
-the alternating Pascal row (-1)^x binom(n-1, x) independently of a and b.
+Right eigenvectors of P(gamma(a, b)) come from back-substitution in the
+Pascal basis (`right_eigenvectors`): the Gram-Schmidt vectors of the Pascal
+columns under <v, w> = sum_x pi_x v_x w_x, integer-cleared, orthogonal but
+deliberately not normalized.  pi_x v_x gives the left eigenvector for the
+same eigenvalue, and the final left eigenvector is the alternating Pascal
+row (-1)^x binom(n-1, x) independently of a and b.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import accumulate
 
 from . import _linalg as la
-from .errors import IndexOutOfDomain, InvoluteError, UnsupportedFamily
+from .errors import IndexOutOfDomain, UnsupportedFamily
 from .exactnum import binom
 from .walk import Distribution, invariant_closed_form, transition_matrix
 from .weights import Custom, DeltaAB, GammaAB, GammaC, WeightSpec, domain_limit
@@ -73,40 +73,34 @@ def pi_inner(pi, v, w) -> Fraction:
 
 
 def right_eigenvectors(spec: WeightSpec, n: int, dmax: int | None = None) -> EigenSystem:
-    """pi-weighted Gram-Schmidt of the Pascal columns, verified exactly.
+    """Right eigenvectors of P(gamma(a, b)), by back-substitution.
 
-    Only gamma(a, b) walks carry the orthogonality theory used here.  The
-    orthogonalization runs on integers: with pi scaled to integers, each
-    step v <- <w,w> v - <v,w> w followed by removing the content is a
-    positive multiple of the rational step, so clearing denominators gives
-    the same vectors.  Each output vector is checked to be an exact
-    eigenvector of P, on the integer rows of P, before return.
+    With B the Pascal matrix, P = H J and H = B Diag(lambda) B^-1, entry
+    [i][k] of B^-1 P B is (-1)^i lambda_i C(n-1-i, k-i), the forward
+    differences at x = 0 of C(n-1-x, k).  It is upper triangular with a
+    distinct diagonal for gamma(a, b), so eigenvector d is B times the
+    eigenvector of its top (d+1) x (d+1) block, scaled to coprime integers
+    with the first nonzero entry > 0.
     """
     if not isinstance(spec, GammaAB):
         raise UnsupportedFamily("right eigenvector theory requires gamma(a, b)")
     if n < 1:
         raise IndexOutOfDomain("n must be >= 1")
     top = n if dmax is None else min(dmax + 1, n)
+    values = eigenvalues_closed_form(spec, top)  # lambda_d does not depend on n
+    scaled = la.integer_row(values)[0]
+    t = [[scaled[i] * math.comb(n - 1 - i, k - i) if k >= i else 0 for k in range(top)]
+         for i in range(top)]
+    rights = []
+    for c in la.triangular_eigenvectors(t):
+        # v = B c by prefix sums, f_k(x) = c_k + sum_{y<x} f_(k+1)(y) for k = d..0;
+        # B is unimodular, so v is primitive because c is.
+        v = [c[-1]] * n
+        for ck in reversed(c[:-1]):
+            v = [ck + s for s in accumulate(v[:-1], initial=0)]
+        sign = -1 if next(x for x in v if x) < 0 else 1
+        rights.append([Fraction(sign * x) for x in v])
     pi = invariant_closed_form(spec, n)
-    p_int, p_den = zip(*(la.integer_row(row) for row in transition_matrix(spec, n).P))
-    values = eigenvalues_closed_form(spec, n)[:top]
-    pi_int = la.integer_row(pi.weights)[0]
-    rights: list[list] = []
-    cache: list[tuple] = []  # (w, pi * w, <w, w>) for each stored w
-    for d in range(top):
-        v = [math.comb(x, d) for x in range(n)]
-        for w, pw, ww in cache:
-            vw = sum(map(mul, v, pw))
-            v = la.primitive([ww * a - vw * b for a, b in zip(v, w)])
-        if next(x for x in v if x) < 0:
-            v = [-x for x in v]
-        num, den = values[d].numerator, values[d].denominator
-        pv = la.matvec(p_int, v)
-        if any(den * s != num * dx * vx for s, dx, vx in zip(pv, p_den, v)):
-            raise InvoluteError(f"Gram-Schmidt vector d={d} is not an eigenvector of P")
-        pw = [p * x for p, x in zip(pi_int, v)]
-        cache.append((v, pw, sum(map(mul, pw, v))))
-        rights.append([Fraction(x) for x in v])
     lefts = [left_from_right(pi, v) for v in rights]
     return EigenSystem(n, values, rights, lefts, pi)
 
@@ -136,20 +130,19 @@ class MixingReport:
 
 
 def mixing_report(spec: WeightSpec, n: int, t_max: int = 40, x0: int = 0) -> MixingReport:
-    """Fit the geometric decay of ||P^t[x0]/pi - 1||_inf from exact powers.
+    """Fit the geometric decay of ||P^t[x0]/pi - 1||_inf from exact rows.
 
-    Matrix powers stay rational; floats only enter when taking the norm.
+    Row x0 of P^t is stepped by vecmat and stays rational; floats only enter at the norm.
     The fitted rate is the least-squares slope of log-norm against t over
     the second half of the window, where the second eigenvalue dominates.
     """
     walk = transition_matrix(spec, n)
     pi = invariant_closed_form(spec, n)
-    power = walk.P
+    row = walk.P[x0]
     norms = []
     for _ in range(t_max):
-        row = power[x0]
         norms.append(float(max(abs(row[z] / pi[z] - 1) for z in range(n))))
-        power = la.matmul(power, walk.P)
+        row = la.vecmat(row, walk.P)
     lo = t_max // 2
     pts = [(t + 1, math.log(v)) for t, v in enumerate(norms) if v > 0 and t + 1 > lo]
     tbar = sum(t for t, _ in pts) / len(pts)

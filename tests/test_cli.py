@@ -77,6 +77,38 @@ def test_check_matrix_file(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "prop, expected",
+    [
+        ("reversible", (0, "reversible\n", "")),
+        ("kolmogorov", (0, "kolmogorov criterion holds\n", "")),
+        ("ergodic", (0, "ergodic\n", "")),
+        ("stochastic", (2, "", "error: check stochastic needs --lambda\n")),
+        ("globally-reversible", (2, "", "error: check globally-reversible needs --lambda\n")),
+    ],
+)
+def test_check_matrix_walk_properties(tmp_path, capsys, prop, expected):
+    target = tmp_path / "walk.csv"
+    target.write_text("0,1\n1/2,1/2\n")
+    assert run(capsys, "check", "--matrix", str(target), prop) == expected
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0,1,0\n1/2,1/2,0\n", "must be square"),
+        ("0,1\n1/2,1/3\n", "row 1 is not a probability distribution"),
+        ("1,0\n1/2,1/2\n", "row 0 breaks the anti-triangular support"),
+    ],
+)
+def test_check_matrix_rejects_a_non_walk(tmp_path, capsys, text, message):
+    target = tmp_path / "walk.csv"
+    target.write_text(text)
+    for prop in ("reversible", "kolmogorov", "ergodic"):
+        code, out, err = run(capsys, "check", "--matrix", str(target), prop)
+        assert (code, out) == (2, "") and message in err and err.startswith("error: ")
+
+
 def test_custom_weight_through_cli(tmp_path, capsys):
     target = tmp_path / "weight.csv"
     target.write_text("y,x,value\n0,0,2\n0,1,1\n1,1,3\n")
@@ -299,6 +331,8 @@ def test_package_has_no_assert_statements():
         ["repro", "fig2-convergence"],
         ["check", "--gamma", "1", "1/3", "--n", "14", "kolmogorov"],
         ["stationary", "--gammac", "1/3", "--n", "80"],
+        ["eigvec", "--gamma", "1", "1/3", "--n", "24"],
+        ["check", "--matrix", str(Path(__file__).parent / "data" / "walk3.csv"), "reversible"],
     ],
 )
 def test_cli_same_under_optimize(argv):

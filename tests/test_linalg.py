@@ -81,3 +81,27 @@ def test_charpoly_and_inverse_match_sympy():
 
 def test_charpoly_of_empty_matrix():
     assert la.charpoly([]) == [1]
+
+
+def test_triangular_eigenvectors_match_sympy():
+    rng = random.Random(20261018)
+    for _ in range(40):
+        size = rng.randint(1, 7)
+        diagonal = rng.sample(range(-30, 31), size)
+        t = [[diagonal[i] if i == k else rng.randint(-20, 20) if k > i else 0
+              for k in range(size)] for i in range(size)]
+        found = la.triangular_eigenvectors(t)
+        assert len(found) == size
+        by_value = {int(val): vecs for val, _, vecs in sympy.Matrix(t).eigenvects()}
+        for d, c in enumerate(found):
+            (ref,) = by_value[diagonal[d]]
+            ref = [_frac(x) / _frac(ref[d]) for x in ref]
+            assert len(c) == d + 1 and c[d] > 0 and all(x == 0 for x in ref[d + 1:])
+            assert c == la.primitive(la.integer_row(ref[:d + 1])[0]), t
+
+
+def test_clear_denominators_examples():
+    assert la.clear_denominators([F(-1, 2), F(0), F(3, 4)]) == [F(2), F(0), F(-3)]
+    assert la.clear_denominators([F(0), F(6), F(-4)]) == [F(0), F(3), F(-2)]
+    assert la.clear_denominators([F(0), F(0)]) == [F(0), F(0)]
+    assert la.clear_denominators([]) == []

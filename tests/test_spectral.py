@@ -1,13 +1,15 @@
 """Closed-form spectra, pi-orthogonal eigenvectors, mixing rates."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 
 from involute import _linalg as la
-from involute.errors import InvoluteError, UnsupportedFamily
+from involute.errors import UnsupportedFamily
 from involute.spectral import (
     EigenSystem,
+    MixingReport,
     eigenvalues_closed_form,
     family_lambda,
     final_left_eigenvalue,
@@ -120,12 +122,47 @@ def test_final_right_eigenvector_a0():
             assert la.clear_denominators(ref) == system.right_vectors[n - 1]
 
 
-def test_right_eigenvectors_rejects_a_wrong_eigenvalue(monkeypatch):
-    from involute import spectral
+def _integer_gram_schmidt(spec, n, top):
+    """Oracle: pi-weighted Gram-Schmidt of the Pascal columns on integers.
 
-    monkeypatch.setattr(spectral, "eigenvalues_closed_form", lambda spec, n: [F(2)] * n)
-    with pytest.raises(InvoluteError, match="d=0"):
-        right_eigenvectors(GammaAB(0, 0), 3)
+    With pi scaled to integers, v <- <w,w> v - <v,w> w followed by removing
+    the content is a positive multiple of the rational step.
+    """
+    pi_int = la.integer_row(invariant_closed_form(spec, n).weights)[0]
+    rights, cache = [], []
+    for d in range(top):
+        v = [math.comb(x, d) for x in range(n)]
+        for w, pw, ww in cache:
+            vw = sum(a * b for a, b in zip(v, pw))
+            v = la.primitive([ww * a - vw * b for a, b in zip(v, w)])
+        if next(x for x in v if x) < 0:
+            v = [-x for x in v]
+        pw = [p * x for p, x in zip(pi_int, v)]
+        cache.append((v, pw, sum(a * b for a, b in zip(pw, v))))
+        rights.append([F(x) for x in v])
+    return rights
+
+
+def _exact_eigenvector(scaled_rows, value, v):
+    """P v == value v exactly, checked on the rows (d * row, d) of P."""
+    v = [int(x) for x in v]
+    return all(
+        value.denominator * sum(a * x for a, x in zip(ints, v)) == value.numerator * den * vx
+        for (ints, den), vx in zip(scaled_rows, v)
+    )
+
+
+@pytest.mark.parametrize("spec", [GammaAB(F(1), F(1, 3)), GammaAB(F(-1, 2), F(5, 2))])
+def test_right_eigenvectors_are_exact_eigenvectors(spec):
+    for n, dmax in ((24, None), (40, None), (80, 2)):
+        system = right_eigenvectors(spec, n, dmax=dmax)
+        top = n if dmax is None else dmax + 1
+        assert len(system.right_vectors) == len(system.eigenvalues) == top
+        assert system.right_vectors == _integer_gram_schmidt(spec, n, top)
+        p = [la.integer_row(row) for row in transition_matrix(spec, n).P]
+        for value, v in zip(system.eigenvalues, system.right_vectors):
+            assert any(v) and _exact_eigenvector(p, value, v)
+        assert not _exact_eigenvector(p, system.eigenvalues[1], system.right_vectors[0])
 
 
 def test_left_from_right():
@@ -179,6 +216,28 @@ def test_mixing_report_gamma00():
     report = mixing_report(GammaAB(0, 0), 8)
     assert report.second_abs_eigenvalue == F(1, 2)
     assert abs(report.empirical_rate - 0.5) < 0.025
+
+
+def _mixing_by_powers(spec, n, t_max, x0):
+    """Oracle: mixing_report from whole matrix powers P^t."""
+    p = transition_matrix(spec, n).P
+    pi = invariant_closed_form(spec, n)
+    power, norms = p, []
+    for _ in range(t_max):
+        norms.append(float(max(abs(power[x0][z] / pi[z] - 1) for z in range(n))))
+        power = la.matmul(power, p)
+    lo = t_max // 2
+    pts = [(t + 1, math.log(v)) for t, v in enumerate(norms) if v > 0 and t + 1 > lo]
+    tbar = sum(t for t, _ in pts) / len(pts)
+    ybar = sum(y for _, y in pts) / len(pts)
+    slope = sum((t - tbar) * (y - ybar) for t, y in pts) / sum((t - tbar) ** 2 for t, _ in pts)
+    return MixingReport(family_lambda(spec, 1), math.exp(slope))
+
+
+def test_mixing_report_matches_matrix_powers():
+    for spec, n, t_max, x0 in ((GammaAB(0, 0), 8, 40, 0), (GammaAB(F(1, 2), 1), 6, 12, 3),
+                               (GammaC(F(1, 3)), 7, 20, 6), (DeltaAB(5, 3), 5, 16, 1)):
+        assert mixing_report(spec, n, t_max, x0) == _mixing_by_powers(spec, n, t_max, x0)
 
 
 def test_unsupported_family():
