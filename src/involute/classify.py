@@ -28,10 +28,9 @@ from typing import Union
 
 from .errors import NotStochastic, OutOfRange, ZeroNotAccessible
 from .exactnum import as_rational
-from .spectral import family_lambda
 from .transform import _zero_accessible, is_stochastic, pl_matrix, stochastic_grid
 from .walk import reversible_with_some_distribution
-from .weights import DeltaAB, GammaAB, GammaC, domain_limit
+from .weights import DeltaAB, GammaAB, GammaC, domain_limit, down_step_diagonal
 
 
 @dataclass(frozen=True)
@@ -153,8 +152,8 @@ def _classify(lam: list, p: list) -> Classification:
         return NotClassified(str(exc))
     if isinstance(candidate, NotClassified):
         return candidate
-    for d in range(n):
-        if lam[d] != family_lambda(candidate, d):
+    for d, expected in enumerate(down_step_diagonal(candidate, n)):
+        if lam[d] != expected:
             return NotClassified(f"lambda_{d} mismatches the candidate family")
     return candidate
 

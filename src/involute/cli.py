@@ -54,8 +54,16 @@ def _family_from_args(args) -> object:
         return DeltaAB(parse_rational(args.delta[0]), parse_rational(args.delta[1]))
     if getattr(args, "lam", None) is not None:
         return parse_rational_list(args.lam)
-    with open(args.custom) as fh:
-        return custom_from_csv(fh.read())
+    return custom_from_csv(_read_file(args.custom))
+
+
+def _read_file(path: str) -> str:
+    """Contents of a file named on the command line; unreadable is bad input."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InvoluteError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def _walk_from_source(source, n) -> walk.WalkMatrix:
@@ -142,8 +150,7 @@ def _check_source(args):
         return spec if isinstance(spec, list) else _walk_from_source(spec, args.n)
     if args.property in ("stochastic", "globally-reversible"):
         raise InvoluteError(f"check {args.property} needs --lambda")
-    with open(args.matrix) as fh:
-        rows = matrix_from_csv(fh.read())
+    rows = matrix_from_csv(_read_file(args.matrix))
     if args.property in ("ergodic", "reversible", "kolmogorov"):
         return walk.WalkMatrix.from_p(rows)  # square, stochastic, anti-triangular
     return rows

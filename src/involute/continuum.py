@@ -32,6 +32,7 @@ quadrature with interval bisection.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,20 +43,15 @@ from numpy.polynomial.legendre import leggauss
 
 from . import _linalg as la
 from .errors import OutOfRange, QuadratureNonConvergence
-from .spectral import family_lambda, right_eigenvectors
+from .spectral import eigenvalues_closed_form, family_lambda, right_eigenvectors
 from .weights import GammaAB
 
 GRID_POINTS = 101  # evaluation grid k/101, k = 1..101; x = 0 stays excluded
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    tolerance: float = 1e-10
-    node_budget: int = 2**15
-    panel_order: int = 20
-
-
-_QUAD = QuadratureConfig()  # the setting of lp_apply and lh_apply
+QUAD_TOLERANCE = 1e-10  # absolute tolerance of lp_apply and lh_apply
+QUAD_NODE_BUDGET = 2**15  # integrand evaluations before QuadratureNonConvergence
+QUAD_PANEL_ORDER = 20
 
 
 @dataclass(frozen=True)
@@ -79,30 +75,27 @@ def trig_walk() -> ContinuousWalk:
     return ContinuousWalk("trig")
 
 
-_GL_CACHE: dict = {}
-
-
+@functools.cache
 def _gl(order: int):
-    if order not in _GL_CACHE:
-        nodes, weights = leggauss(order)
-        _GL_CACHE[order] = (list(map(float, nodes)), list(map(float, weights)))
-    return _GL_CACHE[order]
+    nodes, weights = leggauss(order)
+    return list(map(float, nodes)), list(map(float, weights))
 
 
-def adaptive_quad(f, lo: float, hi: float, tol: float, config: QuadratureConfig) -> float:
-    """Gauss-Legendre panels refined by bisection until the panel estimate
-    stabilizes within tol; raises QuadratureNonConvergence on budget."""
+def adaptive_quad(f, lo: float, hi: float, tol: float) -> float:
+    """Gauss-Legendre panels of order QUAD_PANEL_ORDER refined by bisection
+    until the panel estimate stabilizes within tol; raises
+    QuadratureNonConvergence after QUAD_NODE_BUDGET integrand evaluations."""
     if lo == hi:
         return 0.0
-    nodes, weights = _gl(config.panel_order)
+    nodes, weights = _gl(QUAD_PANEL_ORDER)
     used = 0
 
     def panel(a: float, b: float) -> float:
         nonlocal used
-        used += config.panel_order
-        if used > config.node_budget:
+        used += QUAD_PANEL_ORDER
+        if used > QUAD_NODE_BUDGET:
             raise QuadratureNonConvergence(
-                f"node budget {config.node_budget} exhausted on [{lo}, {hi}]"
+                f"node budget {QUAD_NODE_BUDGET} exhausted on [{lo}, {hi}]"
             )
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         return half * math.fsum(w * f(mid + half * t) for t, w in zip(nodes, weights))
@@ -121,16 +114,16 @@ def adaptive_quad(f, lo: float, hi: float, tol: float, config: QuadratureConfig)
 class PolyFunction:
     """Finite expansion in monomials x^k or cosines cos(k pi x).
 
-    Orthogonal polynomials built by the eigenfunction pipeline also carry
-    their three-term recurrence; beyond degree ~8 the monomial coefficients
-    grow so large that Horner evaluation loses 1e-9 of accuracy to
-    cancellation, while the recurrence stays at machine precision.  The
-    monomial basis also evaluates elementwise on numpy arrays.
+    Monomial expansions come from `jacobi_eigenfunctions` and carry their
+    three-term recurrence, which evaluates them: beyond degree ~8 the
+    monomial coefficients grow so large that Horner evaluation would lose
+    1e-9 of accuracy to cancellation, while the recurrence stays at machine
+    precision and also evaluates elementwise on numpy arrays.
     """
 
     coefficients: tuple
     basis: str = "monomial"
-    recurrence: tuple | None = None  # (alphas, betas, scale) for monic p_d
+    recurrence: tuple | None = None  # (alphas, betas, scale) for monic p_d; monomial only
 
     @property
     def degree(self) -> int:
@@ -141,17 +134,11 @@ class PolyFunction:
             return math.fsum(
                 c * math.cos(k * math.pi * x) for k, c in enumerate(self.coefficients)
             )
-        if self.recurrence is not None:
-            alphas, betas, scale = self.recurrence
-            d = self.degree
-            prev, cur = 0.0, 1.0
-            for k in range(d):
-                prev, cur = cur, (x - alphas[k]) * cur - (betas[k] * prev if k else 0.0)
-            return scale * cur
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        alphas, betas, scale = self.recurrence
+        prev, cur = 0.0, 1.0
+        for k in range(self.degree):
+            prev, cur = cur, (x - alphas[k]) * cur - (betas[k] * prev if k else 0.0)
+        return scale * cur
 
 
 def _as_callable(f):
@@ -180,10 +167,10 @@ def lp_apply(walk: ContinuousWalk, f, x: float) -> float:
         const = (a + b + 1) * math.comb(a + b, a)
         # substitute z = 1 - x + x u to keep the integrand O(1) near x = 0
         integrand = lambda u: (1 - u) ** a * u**b * g(1 - x + x * u)
-        return const * adaptive_quad(integrand, 0.0, 1.0, _QUAD.tolerance, _QUAD)
+        return const * adaptive_quad(integrand, 0.0, 1.0, QUAD_TOLERANCE)
     denom = 1 - math.cos(math.pi * x)
     integrand = lambda z: math.sin(math.pi * z) * g(z)
-    value = adaptive_quad(integrand, 1 - x, 1.0, _QUAD.tolerance * denom / math.pi, _QUAD)
+    value = adaptive_quad(integrand, 1 - x, 1.0, QUAD_TOLERANCE * denom / math.pi)
     return math.pi * value / denom
 
 
@@ -196,7 +183,7 @@ def lh_apply(walk: ContinuousWalk, f, x: float) -> float:
         a, b = walk.a, walk.b
         const = (a + b + 1) * math.comb(a + b, a)
         integrand = lambda w: w**a * (1 - w) ** b * g(x * w)
-        return const * adaptive_quad(integrand, 0.0, 1.0, _QUAD.tolerance, _QUAD)
+        return const * adaptive_quad(integrand, 0.0, 1.0, QUAD_TOLERANCE)
     return lp_apply(walk, lambda z: g(1 - z), x)
 
 
@@ -220,18 +207,13 @@ def lp_triangular(a: int, b: int, dmax: int) -> list:
         L_P x^k = sum_j C(k,j) r_j (1-x)^(k-j) x^j,   r_j = (b+1)_j / (a+b+2)_j.
 
     Expanding (1-x)^(k-j) and using C(k,j) C(k-j,i-j) = C(k,i) C(i,j), the
-    entry is C(k,i) s_i with the alternating sum
-    s_i = sum_j (-1)^(i-j) C(i,j) r_j.  So the matrix is upper triangular,
-    and its diagonal s_0, ..., s_dmax holds the signed eigenvalues.
+    entry is C(k,i) s_i with s_i = sum_j (-1)^(i-j) C(i,j) r_j, which is
+    (-1)^i (a+1)_i / (a+b+2)_i by Chu-Vandermonde: the signed eigenvalue
+    sigma_i of the discrete gamma(a, b) walk.  So the matrix is Diag(sigma)
+    times the transposed Pascal matrix, with the eigenvalues on its diagonal.
     """
-    r = [Fraction(1)]
-    for j in range(dmax):
-        r.append(r[-1] * Fraction(b + 1 + j, a + b + 2 + j))
-    s = [
-        sum((-1) ** (i - j) * math.comb(i, j) * r[j] for j in range(i + 1))
-        for i in range(dmax + 1)
-    ]
-    return [[math.comb(k, i) * s[i] for k in range(dmax + 1)] for i in range(dmax + 1)]
+    sigma = eigenvalues_closed_form(GammaAB(a, b), dmax + 1)
+    return [[math.comb(k, i) * s for k in range(dmax + 1)] for i, s in enumerate(sigma)]
 
 
 def _monic(t: list) -> list:

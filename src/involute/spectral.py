@@ -1,6 +1,7 @@
 """Closed-form spectra and eigenvectors of the named family walks.
 
-The signed eigenvalue sequence of P is (-1)^d lambda_d with
+The signed eigenvalues of P = H J are (-1)^d lambda_d, with lambda_d =
+w[d, d] / N_d the diagonal of H (`weights.down_step_diagonal`):
 
     gamma(a, b):   lambda_d = binom(a+d, d) / binom(a+b+d+1, d)
     gamma(c):      lambda_d = 1 / (c+1)^d
@@ -11,7 +12,7 @@ Pascal basis (`right_eigenvectors`): the Gram-Schmidt vectors of the Pascal
 columns under <v, w> = sum_x pi_x v_x w_x, integer-cleared, orthogonal but
 deliberately not normalized.  pi_x v_x gives the left eigenvector for the
 same eigenvalue, and the final left eigenvector is the alternating Pascal
-row (-1)^x binom(n-1, x) independently of a and b.
+row (-1)^x binom(n-1, x), up to sign the last row of B^-1, for the last eigenvalue.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from fractions import Fraction
 from itertools import accumulate
 
 from . import _linalg as la
-from .errors import IndexOutOfDomain, UnsupportedFamily
+from .errors import IndexOutOfDomain, OutOfRange, UnsupportedFamily
 from .exactnum import binom
 from .walk import Distribution, invariant_closed_form, transition_matrix
-from .weights import Custom, DeltaAB, GammaAB, GammaC, WeightSpec, domain_limit
+from .weights import Custom, GammaAB, WeightSpec, domain_limit, down_step_diagonal
 
 
 @dataclass
@@ -49,14 +50,12 @@ class EigenSystem:
 
 
 def family_lambda(spec: WeightSpec, d: int) -> Fraction:
-    """Unsigned eigenvalue lambda_d of the down-step matrix H."""
-    if isinstance(spec, GammaAB):
-        return binom(spec.a + d, d) / binom(spec.a + spec.b + d + 1, d)
-    if isinstance(spec, GammaC):
-        return 1 / (spec.c + 1) ** d
-    if isinstance(spec, DeltaAB):
-        return binom(spec.a_prime - 1, d) / binom(spec.a_prime + spec.b_prime - 2, d)
-    raise UnsupportedFamily("no closed-form eigenvalues for custom weights")
+    """Unsigned eigenvalue lambda_d of the down-step matrix H: its entry H[d][d]."""
+    if isinstance(spec, Custom):
+        raise UnsupportedFamily("no closed-form eigenvalues for custom weights")
+    if d < 0:
+        raise OutOfRange(f"lambda_d needs d >= 0, got {d}")
+    return down_step_diagonal(spec, d + 1)[d]
 
 
 def eigenvalues_closed_form(spec: WeightSpec, n: int) -> list:
@@ -65,7 +64,7 @@ def eigenvalues_closed_form(spec: WeightSpec, n: int) -> list:
         raise UnsupportedFamily("no closed-form eigenvalues for custom weights")
     if n < 1 or n > domain_limit(spec):
         raise IndexOutOfDomain(f"n={n} is outside the weight's domain")
-    return [(-1) ** d * family_lambda(spec, d) for d in range(n)]
+    return [(-1) ** d * lam for d, lam in enumerate(down_step_diagonal(spec, n))]
 
 
 def pi_inner(pi, v, w) -> Fraction:
@@ -119,8 +118,7 @@ def final_left_eigenvector(n: int) -> list:
 
 def final_left_eigenvalue(spec: GammaAB, n: int) -> Fraction:
     """Eigenvalue of the alternating Pascal row under any gamma(a, b) walk."""
-    a, b = spec.a, spec.b
-    return (-1) ** (n - 1) * binom(n + a - 1, n - 1) / binom(n + a + b, n - 1)
+    return eigenvalues_closed_form(spec, n)[n - 1]
 
 
 @dataclass

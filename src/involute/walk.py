@@ -39,8 +39,9 @@ from .errors import (
     UnsupportedFamily,
     ZeroNorm,
 )
-from .exactnum import as_rational, binom
-from .weights import Custom, GammaAB, GammaC, WeightSpec, domain_limit, norm_table, weight_table
+from .exactnum import as_rational
+from .weights import (Custom, GammaC, WeightSpec, atomic_part, domain_limit, down_step_diagonal,
+                      norm_table, weight_table)
 
 
 @dataclass
@@ -306,27 +307,15 @@ def _stationary_by_elimination(rows) -> Distribution:
 
 
 def invariant_closed_form(spec: WeightSpec, n: int) -> Distribution:
-    """Closed-form stationary distribution for the named families."""
+    """Stationary law of a named family: pi_x ∝ alpha_{x*} N_x, alpha the atomic
+    part of w = alpha * beta (`weights.atomic_part`), since pi_x P[x][z] is then
+    alpha_{x*} alpha_{z*} beta[z*, x], symmetric as beta is star-symmetric."""
     if isinstance(spec, Custom):
         raise UnsupportedFamily("closed-form invariant only for named families")
     if n < 1 or n > domain_limit(spec):
         raise IndexOutOfDomain(f"n={n} is outside the weight's domain")
-    if isinstance(spec, GammaAB):
-        raw = [
-            binom(n - 1 - x + spec.a, n - 1 - x) * binom(x + spec.a + spec.b + 1, x)
-            for x in range(n)
-        ]
-        total = binom(n + 2 * spec.a + spec.b + 1, n - 1)
-    elif isinstance(spec, GammaC):
-        # alpha_{x*} N_x with atomic part binom(n-1, y); the binomial theorem
-        # gives the normalization (c+2)^(n-1)
-        raw = [binom(n - 1, x) * (spec.c + 1) ** x for x in range(n)]
-        total = (spec.c + 2) ** (n - 1)
-    else:
-        ap, bp = spec.a_prime, spec.b_prime
-        raw = [binom(ap - 1, n - 1 - x) * binom(ap + bp - 2, x) for x in range(n)]
-        total = binom(2 * ap + bp - 3, n - 1)
-    return Distribution(n, [r / total for r in raw])
+    alpha, norms = atomic_part(spec, n), norm_table(spec, n)
+    return _normalized([alpha[n - 1 - x] * nx for x, nx in enumerate(norms)])
 
 
 def detailed_balance(w, pi) -> bool:
@@ -416,18 +405,20 @@ def subset_walk(m: int, p) -> SubsetWalk:
     """Kronecker power of the 2-state walk [[0,1],[p,1-p]] on subset bitmasks.
 
     Bit i of the state index records whether element i+1 is in the subset.
-    The invariant law p^(m-|X|) / (1+p)^m and the spectrum are closed forms;
-    the dense matrix is built only when `walk` is read.
+    The subset size performs the gamma(c) walk on m+1 states, c = 1/p - 1,
+    so pi_X = pi^gamma(c)_|X| / C(m, |X|) = p^(m-|X|) / (1+p)^m and each
+    signed eigenvalue (-p)^e of gamma(c) repeats C(m, e) times.  The dense
+    matrix is built only when `walk` is read.
     """
     p = as_rational(p)
     if not 0 < p < 1:
         raise OutOfRange(f"need 0 < p < 1, got {p}")
     if not 1 <= m <= 10:
         raise OutOfRange("subset walk supported for 1 <= m <= 10")
-    denom = (1 + p) ** m
-    by_size = [p ** (m - k) / denom for k in range(m + 1)]
+    spec = GammaC(1 / p - 1)
+    by_size = [w / math.comb(m, k) for k, w in enumerate(invariant_closed_form(spec, m + 1))]
     pi = [by_size[bin(s).count("1")] for s in range(2**m)]
     eigenvalues = []
-    for e in range(m + 1):
-        eigenvalues.extend([(-p) ** e] * math.comb(m, e))
+    for e, lam in enumerate(down_step_diagonal(spec, m + 1)):
+        eigenvalues.extend([(-1) ** e * lam] * math.comb(m, e))
     return SubsetWalk(m, p, Distribution(2**m, pi), eigenvalues)

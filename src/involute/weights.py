@@ -126,37 +126,63 @@ def domain_limit(spec: WeightSpec):
 
 
 def _terms(ratio, length: int) -> list:
-    """[t_0, ..., t_{length-1}] with t_0 = 1 and t_{k+1} = t_k * ratio(k)."""
+    """[t_0, ..., t_{length-1}] with t_0 = 1 and t_{k+1} = t_k * p / q, (p, q) = ratio(k);
+    the running products stay integers, so each term is reduced only once."""
+    num = den = 1
     out = [Fraction(1)]
     for k in range(length - 1):
-        out.append(out[-1] * ratio(k))
-    return out
+        p, q = ratio(k)
+        num, den = num * p, den * q
+        out.append(Fraction(num, den))
+    return out[:length]
 
 
-def _rising(r, length: int) -> list:
-    """binom(r+k, k) for k < length."""
-    return _terms(lambda k: (r + k + 1) / (k + 1), length)
+def _rising(r):
+    """Term ratio (r+k+1)/(k+1) of binom(r+k, k)."""
+    p, q = r.numerator, r.denominator
+    return lambda k: (p + (k + 1) * q, (k + 1) * q)
 
 
-def _falling(r, length: int) -> list:
-    """binom(r, k) for k < length."""
-    return _terms(lambda k: (r - k) / (k + 1), length)
+def _falling(r):
+    """Term ratio (r-k)/(k+1) of binom(r, k)."""
+    p, q = r.numerator, r.denominator
+    return lambda k: (p - k * q, (k + 1) * q)
 
 
-def _sequences(spec: WeightSpec, length: int):
-    """A named family as 1-D sequences of the given length: (u, v, pascal, N).
-
-    w[y, x] = u[y] * v[x-y], times comb(x, y) when pascal is set, and N is
-    the column sum N_x; each sequence is advanced by its term ratio.
-    """
+def _ratios(spec: WeightSpec):
+    """Term ratios of a named family's 1-D sequences (u, v, pascal, N), each
+    starting at 1: w[y, x] = u[y] * v[x-y], times comb(x, y) when pascal is
+    set, and N_x is the column sum."""
     if isinstance(spec, GammaAB):
         a, b = spec.a, spec.b
-        return _rising(a, length), _rising(b, length), False, _rising(a + b + 1, length)
+        return _rising(a), _rising(b), False, _rising(a + b + 1)
     if isinstance(spec, GammaC):
-        c = spec.c
-        return [1] * length, _terms(lambda k: c, length), True, _terms(lambda k: c + 1, length)
+        p, q = spec.c.numerator, spec.c.denominator
+        return (lambda k: (1, 1)), (lambda k: (p, q)), True, (lambda k: (p + q, q))
     ap, bp = spec.a_prime - 1, spec.b_prime - 1
-    return _falling(ap, length), _falling(bp, length), False, _falling(ap + bp, length)
+    return _falling(ap), _falling(bp), False, _falling(ap + bp)
+
+
+def down_step_diagonal(spec: WeightSpec, n: int) -> list:
+    """lambda_d = H[d][d] = w[d, d] / N_d for d < n, for a named family: the
+    diagonal of the lower-triangular H = B Diag(lambda) B^-1.  It does not
+    depend on n and is defined past the domain while N_d != 0."""
+    u, _, _, norms = _ratios(spec)
+
+    def ratio(k):  # of u_d / N_d, so each lambda_d is reduced once
+        (pu, qu), (pn, qn) = u(k), norms(k)
+        return pu * qn, qu * pn
+
+    return _terms(ratio, n)
+
+
+def atomic_part(spec: WeightSpec, n: int) -> list:
+    """alpha_y for y < n, with w[y, x] = alpha_y * beta[y, x] and beta
+    star-symmetric on n states: u[y] of `_ratios`, times C(n-1, y) for the
+    Pascal-type gamma(c), as C(x, y) C(n-1, x) = C(n-1, y) C(n-1-y, x-y)."""
+    ratio, _, pascal, _ = _ratios(spec)
+    u = _terms(ratio, n)
+    return [uy * math.comb(n - 1, y) for y, uy in enumerate(u)] if pascal else u
 
 
 def weight_value(spec: WeightSpec, y: int, x: int) -> Fraction:
@@ -165,10 +191,7 @@ def weight_value(spec: WeightSpec, y: int, x: int) -> Fraction:
         raise IndexOutOfDomain(f"need 0 <= y <= x, got y={y}, x={x}")
     if x >= domain_limit(spec):
         raise IndexOutOfDomain(f"x={x} is outside the weight's domain")
-    if isinstance(spec, Custom):
-        return spec.table.get((y, x), Fraction(0))
-    u, v, pascal, _ = _sequences(spec, x + 1)
-    return u[y] * v[x - y] * (math.comb(x, y) if pascal else 1)
+    return weight_table(spec, x + 1)[x][y]
 
 
 def weight_table(spec: WeightSpec, n: int) -> list:
@@ -177,7 +200,8 @@ def weight_table(spec: WeightSpec, n: int) -> list:
         raise IndexOutOfDomain(f"n={n} exceeds the weight's domain")
     if isinstance(spec, Custom):
         return [[spec.table.get((y, x), Fraction(0)) for y in range(x + 1)] for x in range(n)]
-    u, v, pascal, _ = _sequences(spec, n)
+    ru, rv, pascal, _ = _ratios(spec)
+    u, v = _terms(ru, n), _terms(rv, n)
     if pascal:
         return [[u[y] * v[x - y] * math.comb(x, y) for y in range(x + 1)] for x in range(n)]
     return [[u[y] * v[x - y] for y in range(x + 1)] for x in range(n)]
@@ -187,9 +211,7 @@ def norm(spec: WeightSpec, x: int) -> Fraction:
     """Column sum N_x = sum_{y <= x} weight[y, x], by closed form when named."""
     if x < 0 or x >= domain_limit(spec):
         raise IndexOutOfDomain(f"x={x} is outside the weight's domain")
-    if isinstance(spec, Custom):
-        return sum(spec.table.get((y, x), Fraction(0)) for y in range(x + 1))
-    return _sequences(spec, x + 1)[3][x]
+    return norm_table(spec, x + 1)[x]
 
 
 def norm_table(spec: WeightSpec, n: int) -> list:
@@ -197,8 +219,8 @@ def norm_table(spec: WeightSpec, n: int) -> list:
     if n > domain_limit(spec):
         raise IndexOutOfDomain(f"n={n} exceeds the weight's domain")
     if isinstance(spec, Custom):
-        return [norm(spec, x) for x in range(n)]
-    return _sequences(spec, n)[3]
+        return [sum(row) for row in weight_table(spec, n)]
+    return _terms(_ratios(spec)[3], n)
 
 
 def classify_weight(spec: WeightSpec, n: int) -> WeightFlags:

@@ -127,6 +127,15 @@ def test_custom_weight_duplicate_row(tmp_path, capsys):
     assert "duplicate" in err and "'0,1,5'" in err
 
 
+@pytest.mark.parametrize("argv", [["check", "--matrix", "{}", "gadep"],
+                                  ["matrix", "--custom", "{}"]])
+def test_missing_input_file_is_bad_input(tmp_path, capsys, argv):
+    missing = str(tmp_path / "missing.csv")
+    code, out, err = run(capsys, *[a.format(missing) for a in argv])
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {missing}: No such file or directory\n"
+
+
 def test_stationary_and_spectrum(capsys):
     code, out, _ = run(capsys, "--format", "csv", "stationary", "--gamma", "0", "0", "--n", "4")
     assert code == 0 and out.strip() == "1/10,1/5,3/10,2/5"
@@ -313,7 +322,9 @@ def test_usage_errors(capsys):
 
 def test_package_has_no_assert_statements():
     # invariants are tests or explicit raises, so python -O cannot change them
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
+    paths = sorted(PACKAGE_DIR.rglob("*.py"))
+    assert len(paths) > 10
+    for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert lines == [], f"{path.name}: assert at lines {lines}"

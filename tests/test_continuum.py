@@ -6,11 +6,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from involute import continuum
 from involute.continuum import (
     CONVERGENCE_MAX_N,
     CONVERGENCE_MAX_SIZES,
     GRID_POINTS,
-    QuadratureConfig,
     adaptive_quad,
     convergence_table,
     cts_invariant,
@@ -43,7 +43,7 @@ from involute.weights import GammaAB
 
 
 def quad(f, lo, hi, tol=1e-12):
-    return adaptive_quad(f, lo, hi, tol, QuadratureConfig(tolerance=tol))
+    return adaptive_quad(f, lo, hi, tol)
 
 
 def test_kappa_norm_examples():
@@ -193,11 +193,11 @@ def test_eigenfunction_dispatch():
     assert eigenfunctions(trig_walk(), 2)[2].basis == "cosine"
 
 
-def test_quadrature_budget():
-    cfg = QuadratureConfig(tolerance=1e-14, node_budget=60)
+def test_quadrature_budget(monkeypatch):
+    monkeypatch.setattr(continuum, "QUAD_NODE_BUDGET", 60)
     wobble = lambda x: math.sin(300 * x) / (1e-3 + abs(x - 0.37))
     with pytest.raises(QuadratureNonConvergence):
-        adaptive_quad(wobble, 0.0, 1.0, 1e-14, cfg)
+        adaptive_quad(wobble, 0.0, 1.0, 1e-14)
 
 
 def test_eigen_residuals_match_single_index():
