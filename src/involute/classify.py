@@ -17,6 +17,12 @@ classified walk comes back as its weight spec, GammaAB, GammaC or DeltaAB
 (the ladder is the DeltaAB with integer b' = m).  The classifier always
 re-verifies the whole eigenvalue sequence against the candidate family, so
 a match is exact, never inferred from (mu, nu) alone.
+
+The conjecture sweep runs on the integer lattice of `stochastic_lattice`:
+each sequence is a tuple of integers lambda_y * L, L = lcm(1..den), its
+walk is the integer matrix L * P and detailed balance is decided on that
+matrix, whose scale does not change the verdict.  The only Fractions a
+record forms are its entries lambda_y = v / L, one per entry.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ from typing import Union
 
 from .errors import NotStochastic, OutOfRange, ZeroNotAccessible
 from .exactnum import as_rational
-from .transform import _zero_accessible, is_stochastic, pl_matrix, stochastic_grid
-from .walk import reversible_with_some_distribution
+from .transform import _pl_rows, _zero_accessible, is_stochastic, pl_matrix, stochastic_lattice
+from .walk import _potentials
 from .weights import DeltaAB, GammaAB, GammaC, domain_limit, down_step_diagonal
 
 
@@ -106,7 +112,8 @@ def is_globally_reversible(lam) -> bool:
 
     The m x m top-right submatrix equals P of the truncated sequence
     lambda_0..lambda_{m-1}, and truncation preserves stochasticity, so each
-    truncation's walk is read off the one P as a slice.
+    truncation's walk is read off the one P as a slice, and only the
+    verdict of its detailed-balance potentials is read.
     """
     lam = [as_rational(v) for v in lam]
     check = is_stochastic(lam)
@@ -116,8 +123,7 @@ def is_globally_reversible(lam) -> bool:
     if not _zero_accessible(p):
         raise ZeroNotAccessible("state 0 unreachable; the walk never mixes")
     for m in range(2, len(lam) + 1):
-        reversible, _ = reversible_with_some_distribution(_top_right_submatrix(p, m))
-        if not reversible:
+        if _potentials(_top_right_submatrix(p, m)) is None:
             return False
     return True
 
@@ -139,7 +145,10 @@ def classify_walk(lam) -> Classification:
 
 
 def _classify(lam: list, p: list) -> Classification:
-    """classify_walk for a stochastic lam (n >= 3) whose P is already built."""
+    """classify_walk for a stochastic lam (n >= 3) whose P is already built.
+
+    P is read only for its support, so any positive multiple of it will do.
+    """
     if all(v == 1 for v in lam):
         return IdentityWalk()
     if not _zero_accessible(p):
@@ -211,17 +220,20 @@ def conjecture_search(n: int, *, max_denominator: int = 8) -> SearchSummary:
     """Sweep stochastic eigenvalue sequences and classify the reversible ones.
 
     The sweep is the exact grid of stochastic sequences whose entries have
-    denominator at most max_denominator; records cover every one of them.
+    denominator at most max_denominator; records cover every one of them, in
+    the sorted order of the sequences.  It walks the integer lattice, so the
+    walk L * P and its detailed-balance verdict stay on integers.
     """
     if n < 3 or n > 8:
         raise OutOfRange("the desk-scale sweep covers 3 <= n <= 8")
+    scale, lattice = stochastic_lattice(n, max_denominator)
     records = []
-    for lam in stochastic_grid(n, max_denominator):
-        p = pl_matrix(lam)
-        reversible, _ = reversible_with_some_distribution(p)
+    for scaled in lattice:
+        p = _pl_rows(scaled)
+        reversible = _potentials(p) is not None
+        lam = [Fraction(v, scale) for v in scaled]
         classification = _classify(lam, p) if reversible else None
         records.append(SearchRecord(lam, True, reversible, classification))
-    records.sort(key=lambda r: r.lam)
     return SearchSummary(
         n=n,
         stochastic=len(records),

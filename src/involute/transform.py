@@ -14,11 +14,18 @@ A lower-triangular L has the anti-diagonal eigenvalue property (ADEP) when
 the eigenvalues of L J are (-1)^d L[d][d]; the global variant (GADEP) asks
 the same of every top-left submatrix.  Binomial transforms always have
 GADEP; the parametrized counterexample matrices show the converse fails.
+
+The grid of stochastic sequences whose entries have denominator at most
+den is enumerated on an integer lattice (`stochastic_lattice`): scaled by
+L = lcm(1..den), the grid values, the difference rows, the stochasticity
+floors and L * P are all integers, and the transform core takes them as
+they are.  `stochastic_grid` is the same lattice as Fractions v / L.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,9 +85,12 @@ def _difference_row(prev: list, v) -> list:
     return row
 
 
-def binomial_transform(lam) -> list:
-    """Lower-triangular H with diagonal lambda; exact rational entries."""
-    lam = _coerce_lambda(lam)
+def _binomial_rows(lam: list) -> list:
+    """H from the difference table of lam, in lam's own arithmetic.
+
+    Nothing is coerced: Fractions give the exact H, and integers lambda * L
+    give the integer matrix L * H, since H is linear in lambda.
+    """
     n = len(lam)
     h = la.zeros(n)
     for y, row in zip(range(n - 1, -1, -1), _difference_rows(lam)):
@@ -91,9 +101,19 @@ def binomial_transform(lam) -> list:
     return h
 
 
+def _pl_rows(lam: list) -> list:
+    """P = H J for an uncoerced lam: L * P on the integer lattice."""
+    return [row[::-1] for row in _binomial_rows(lam)]
+
+
+def binomial_transform(lam) -> list:
+    """Lower-triangular H with diagonal lambda; exact rational entries."""
+    return _binomial_rows(_coerce_lambda(lam))
+
+
 def pl_matrix(lam) -> list:
     """P = H J: the binomial transform with its columns reversed."""
-    return [row[::-1] for row in binomial_transform(lam)]
+    return _pl_rows(_coerce_lambda(lam))
 
 
 @dataclass(frozen=True)
@@ -280,54 +300,44 @@ def lambda_walk(lam) -> WalkMatrix:
     return WalkMatrix.from_p(pl_matrix(lam))
 
 
-def random_stochastic_lambda(n: int, rng, max_weight: int = 60) -> list:
-    """Draw a stochastic eigenvalue sequence by sampling the bottom row.
+def stochastic_lattice(n: int, max_denominator: int) -> tuple:
+    """Every stochastic lambda of length n with entries p/q, q <= max_denominator,
+    on integers: (L, [(L, lambda_1 L, ..., lambda_{n-1} L), ...]).
 
-    The bottom row of H determines non-negativity of the whole matrix and
-    carries lambda triangularly, so a random point of the simplex maps to a
-    uniform-ish stochastic sequence with lambda_0 = 1 automatically.
-    """
-    while True:
-        weights = [rng.randint(0, max_weight) for _ in range(n)]
-        if any(weights):
-            break
-    total = sum(weights)
-    # the bottom row of H is binom(n-1, y) D_{n-1-y}(y); undo the forward
-    # differences from the tail, D_{k-1}(y) = D_k(y) + D_{k-1}(y+1)
-    lam: list = [Fraction(0)] * n
-    row: list = []  # [D_{n-1-y}(y), ..., D_0(y)], highest difference first
-    for y in range(n - 1, -1, -1):
-        prev, row = row, [Fraction(weights[y], total) / binom(n - 1, y)]
-        for p in prev:
-            row.append(row[-1] + p)
-        lam[y] = row[-1]
-    return lam
-
-
-def stochastic_grid(n: int, max_denominator: int):
-    """Every stochastic lambda of length n with entries p/q, q <= max_denominator.
-
-    The sequence is built from the tail with the difference table: lambda_y
-    must be at least lambda_{y+1} (H[y+1][y] >= 0) and at least the sum of
-    the row for y+1 (the alternating sum at z = n-1-y is lambda_y minus that
-    sum), so one bisect cuts every failing value and no visited suffix fails
-    an inequality.  lambda_0 is 1.
+    L = lcm(1..max_denominator) scales every grid value to an integer, and
+    with it the difference rows and the stochasticity floors.  The sequence
+    is built from the tail with the difference table: lambda_y must be at
+    least lambda_{y+1} (H[y+1][y] >= 0) and at least the sum of the row for
+    y+1 (the alternating sum at z = n-1-y is lambda_y minus that sum), so one
+    bisect cuts every failing value and no visited suffix fails an
+    inequality.  lambda_0 is 1, that is L.  The tuples come sorted, which is
+    the order of the sequences themselves, as all share the one scale.
     """
     if n < 1:
         raise OutOfRange("need at least one eigenvalue")
     if max_denominator < 1:
         raise OutOfRange(f"max_denominator must be >= 1, got {max_denominator}")
+    scale = math.lcm(*range(1, max_denominator + 1))
     values = sorted(
-        {Fraction(p, q) for q in range(1, max_denominator + 1) for p in range(q + 1)}
+        {p * (scale // q) for q in range(1, max_denominator + 1) for p in range(q + 1)}
     )
+    lattice: list = []
 
-    def extend(suffix: list, row: list):
+    def extend(suffix: tuple, row: list):
         floor = max(suffix[0] if suffix else 0, sum(row))
         if len(suffix) == n - 1:
-            if floor <= 1:
-                yield [Fraction(1), *suffix]
+            if floor <= scale:
+                lattice.append((scale, *suffix))
             return
         for v in values[bisect.bisect_left(values, floor) :]:
-            yield from extend([v, *suffix], _difference_row(row, v))
+            extend((v, *suffix), _difference_row(row, v))
 
-    return extend([], [])
+    extend((), [])
+    lattice.sort()
+    return scale, lattice
+
+
+def stochastic_grid(n: int, max_denominator: int) -> list:
+    """The stochastic lattice as sorted lists of Fractions lambda_y = v / L."""
+    scale, lattice = stochastic_lattice(n, max_denominator)
+    return [[Fraction(v, scale) for v in scaled] for scaled in lattice]

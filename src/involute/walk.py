@@ -69,6 +69,8 @@ class WalkMatrix:
 
 @dataclass
 class Distribution:
+    """An exact probability law; a public Distribution(...) is validated."""
+
     n: int
     weights: list
 
@@ -78,6 +80,13 @@ class Distribution:
             raise OutOfRange("distribution entries must be non-negative")
         if sum(self.weights) != 1:
             raise OutOfRange("distribution entries must sum to 1")
+
+    @classmethod
+    def _built(cls, weights: list) -> "Distribution":
+        """A law of non-negative Fractions built here to sum to 1, unchecked."""
+        law = object.__new__(cls)
+        law.n, law.weights = len(weights), weights
+        return law
 
     def __getitem__(self, i):
         return self.weights[i]
@@ -241,6 +250,10 @@ def _potentials(w):
     pi unnormalized with pi = 1 at each root and trees the number of trees
     grown (the connected components of the support), or None when the
     support is not symmetric or some equation fails.
+
+    Only ratios P[x][z] / P[z][x] enter, so the verdict is the same for any
+    positive multiple c * P, and the entries may be ints: the integer L * P
+    of a lattice walk is decided without forming P.
     """
     rows = _rows(w)
     n = len(rows)
@@ -274,8 +287,9 @@ def _potentials(w):
 
 
 def _normalized(weights) -> Distribution:
+    """Non-negative Fraction weights scaled to sum to 1."""
     total = sum(weights)
-    return Distribution(len(weights), [v / total for v in weights])
+    return Distribution._built([v / total for v in weights])
 
 
 def stationary(w) -> Distribution:
@@ -421,4 +435,4 @@ def subset_walk(m: int, p) -> SubsetWalk:
     eigenvalues = []
     for e, lam in enumerate(down_step_diagonal(spec, m + 1)):
         eigenvalues.extend([(-1) ** e * lam] * math.comb(m, e))
-    return SubsetWalk(m, p, Distribution(2**m, pi), eigenvalues)
+    return SubsetWalk(m, p, Distribution._built(pi), eigenvalues)

@@ -41,7 +41,6 @@ from involute.transform import (
     is_binomial_transform,
     is_stochastic,
     pascal,
-    random_stochastic_lambda,
 )
 from involute.walk import (
     detailed_balance,
@@ -52,6 +51,8 @@ from involute.walk import (
     two_step,
 )
 from involute.weights import UNBOUNDED, DeltaAB, GammaAB, GammaC, domain_limit
+
+from test_transform import random_stochastic_lambda
 
 GRID_AB = [F(-1, 2), F(0), F(1, 2), F(1), F(2)]
 GRID_C = [F(1, 2), F(1), F(2)]

@@ -7,6 +7,8 @@ import pytest
 from involute.classify import (
     IdentityWalk,
     NotClassified,
+    SearchRecord,
+    _classify,
     a_prime_ladder,
     classification_label,
     classify_walk,
@@ -18,6 +20,8 @@ from involute.classify import (
 )
 from involute.errors import NotStochastic, OutOfRange, ZeroNotAccessible
 from involute.spectral import family_lambda
+from involute.transform import pl_matrix, stochastic_grid
+from involute.walk import reversible_with_some_distribution
 from involute.weights import DeltaAB, GammaAB, GammaC
 
 
@@ -160,6 +164,30 @@ def test_conjecture_search_n3_small_grid():
     lam = family_eigenvalues(GammaAB(1, 1), 4)
     assert lam == [F(1), F(1, 2), F(3, 10), F(1, 5)]
     assert classify_walk(lam) == GammaAB(F(1), F(1))
+
+
+def _fraction_sweep(n, max_denominator):
+    """Oracle: the sweep on Fractions, with a normalized law per walk and a
+    final sort of the records by their eigenvalue lists."""
+    records = []
+    for lam in stochastic_grid(n, max_denominator):
+        p = pl_matrix(lam)
+        reversible, _ = reversible_with_some_distribution(p)
+        classification = _classify(lam, p) if reversible else None
+        records.append(SearchRecord(lam, True, reversible, classification))
+    records.sort(key=lambda r: r.lam)
+    return records
+
+
+def test_conjecture_search_matches_fraction_oracle():
+    reversible = 0
+    for n in range(3, 6):
+        for den in range(1, 9):
+            expected = [r.to_dict() for r in _fraction_sweep(n, den)]
+            got = [r.to_dict() for r in conjecture_search(n, max_denominator=den).records]
+            assert got == expected, (n, den)
+            reversible += sum(r["reversible"] for r in got)
+    assert reversible > 0
 
 
 def test_conjecture_search_range():

@@ -344,6 +344,7 @@ def test_package_has_no_assert_statements():
         ["stationary", "--gammac", "1/3", "--n", "80"],
         ["eigvec", "--gamma", "1", "1/3", "--n", "24"],
         ["check", "--matrix", str(Path(__file__).parent / "data" / "walk3.csv"), "reversible"],
+        ["conjecture", "--n", "4", "--max-denominator", "8"],
     ],
 )
 def test_cli_same_under_optimize(argv):

@@ -25,8 +25,8 @@ from involute.transform import (
     pascal_column,
     pl_matrix,
     property_report,
-    random_stochastic_lambda,
     stochastic_grid,
+    stochastic_lattice,
 )
 from involute.walk import transition_matrix
 from involute.weights import DeltaAB, GammaAB, GammaC
@@ -35,6 +35,30 @@ lambda_lists = st.lists(
     st.fractions(min_value=-2, max_value=2, max_denominator=8), min_size=1, max_size=8
 )
 rng_seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def random_stochastic_lambda(n: int, rng, max_weight: int = 60) -> list:
+    """Draw a stochastic eigenvalue sequence by sampling the bottom row.
+
+    The bottom row of H determines non-negativity of the whole matrix and
+    carries lambda triangularly, so a random point of the simplex maps to a
+    uniform-ish stochastic sequence with lambda_0 = 1 automatically.
+    """
+    while True:
+        weights = [rng.randint(0, max_weight) for _ in range(n)]
+        if any(weights):
+            break
+    total = sum(weights)
+    # the bottom row of H is binom(n-1, y) D_{n-1-y}(y); undo the forward
+    # differences from the tail, D_{k-1}(y) = D_k(y) + D_{k-1}(y+1)
+    lam: list = [F(0)] * n
+    row: list = []  # [D_{n-1-y}(y), ..., D_0(y)], highest difference first
+    for y in range(n - 1, -1, -1):
+        prev, row = row, [F(weights[y], total) / binom(n - 1, y)]
+        for p in prev:
+            row.append(row[-1] + p)
+        lam[y] = row[-1]
+    return lam
 
 
 def test_binomial_transform_examples():
@@ -299,6 +323,15 @@ def test_stochastic_grid_matches_filtered_grid():
             assert sorted(grid) == sorted(oracle)
             assert len({tuple(lam) for lam in grid}) == len(grid)
     assert [F(1), F(1), F(1)] in list(stochastic_grid(3, 1))
+
+
+def test_stochastic_lattice_is_sorted_integer_grid():
+    for n, den in ((1, 1), (3, 6), (5, 8)):
+        scale, lattice = stochastic_lattice(n, den)
+        assert scale == {1: 1, 6: 60, 8: 840}[den]
+        assert all(type(v) is int and t[0] == scale for t in lattice for v in t)
+        assert lattice == sorted(set(lattice))
+        assert stochastic_grid(n, den) == [[F(v, scale) for v in t] for t in lattice]
 
 
 def test_stochastic_grid_rejects_empty_grids():

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from involute import _linalg as la
 from involute import walk
 from involute.errors import NoPositiveStationary, NotIrreducible, OutOfRange
-from involute.transform import lambda_walk, pl_matrix, random_stochastic_lambda, stochastic_grid
+from involute.transform import _pl_rows, lambda_walk, pl_matrix, stochastic_grid, stochastic_lattice
 from involute.walk import (
+    Distribution,
     WalkMatrix,
     detailed_balance,
     ergodicity,
@@ -26,6 +27,8 @@ from involute.walk import (
     two_step,
 )
 from involute.weights import Custom, DeltaAB, GammaAB, GammaC, domain_limit
+
+from test_transform import random_stochastic_lambda
 
 
 def rows(entries):
@@ -252,6 +255,25 @@ def test_kolmogorov_matches_exhaustive_cycle_oracle():
     assert 0 < reversible < compared
 
 
+def test_potentials_verdict_is_scale_free():
+    # the sweep decides detailed balance on the integer L * P of each walk
+    compared = reversible = 0
+    for n in range(1, 7):
+        scale, lattice = stochastic_lattice(n, 6)
+        for scaled in lattice:
+            lam = [F(v, scale) for v in scaled]
+            p = pl_matrix(lam)
+            scaled_p = _pl_rows(list(scaled))
+            assert all(type(v) is int for row in scaled_p for v in row if v)
+            assert scaled_p == [[v * scale for v in row] for row in p]
+            verdict = walk._potentials(p) is not None
+            assert (walk._potentials(scaled_p) is not None) == verdict, lam
+            compared += 1
+            reversible += verdict
+    assert compared == sum(len(stochastic_grid(n, 6)) for n in range(1, 7))
+    assert 0 < reversible < compared
+
+
 @pytest.fixture
 def eliminations(monkeypatch):
     """Counts the calls stationary makes to the elimination fallback."""
@@ -361,6 +383,19 @@ def test_subset_walk_m2():
     assert sorted(sub.eigenvalues) == sorted([F(1), F(-1, 2), F(-1, 2), F(1, 4)])
     # charpoly agrees with the closed-form multiset
     assert la.charpoly(sub.walk.P) == la.poly_from_roots(sub.eigenvalues)
+
+
+def test_distribution_validates_public_laws():
+    assert Distribution(2, ["1/3", F(2, 3)]).weights == [F(1, 3), F(2, 3)]
+    with pytest.raises(OutOfRange, match="non-negative"):
+        Distribution(3, [F(1, 2), F(-1, 2), F(1)])
+    with pytest.raises(OutOfRange, match="sum to 1"):
+        Distribution(2, [F(1, 2), F(1, 3)])
+    # laws built inside the package skip the checks but would pass them
+    built = [subset_walk(4, F(2, 3)).pi, stationary(transition_matrix(GammaAB(1, 2), 6)),
+             stationary(lambda_walk([F(1), F(3, 5), F(3, 10), F(1, 20)]))]
+    for law in built:
+        assert Distribution(law.n, law.weights) == law
 
 
 def test_subset_walk_multiplicity():
