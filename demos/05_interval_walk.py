@@ -1,10 +1,12 @@
 """The continuous walk on [0, 1] and its discrete shadows.
 
 The polynomial walk kappa(a, b) has step operator eigenfunctions that are
-shifted Jacobi polynomials; the trigonometric walk swaps them for a cosine
-ladder with eigenvalues (-1)^d/(d+1).  Rescaled exact eigenvectors of the
-n-state discrete walk converge to the continuous eigenfunctions; the
-distances below halve as n doubles.
+shifted Jacobi polynomials, orthonormal under the invariant density.  The
+trigonometric walk is kappa(0, 0) in the coordinate
+phi(x) = (1 - cos(pi x))/2: its eigenfunctions are those of kappa(0, 0) read
+at phi(x), with the same eigenvalues (-1)^d/(d+1).  Rescaled exact
+eigenvectors of the n-state discrete walk converge to the continuous
+eigenfunctions; the distances below halve as n doubles.
 """
 
 from involute.continuum import (

@@ -7,27 +7,47 @@ step operator acting on observables is
 
     (L_P f)(x) = integral over z in [1-x, 1] of  w[1-z, x]/N_x * f(z) dz,
 
-a compact self-adjoint operator on the Hilbert space weighted by the
-invariant density.  Its eigenfunctions are shifted-Jacobi-type orthogonal
-polynomials for kappa (eigenvalues (-1)^d binom(a+d,d)/binom(a+b+d+1,d))
-and a cosine ladder for the trigonometric walk (eigenvalues (-1)^d/(d+1)).
+a compact self-adjoint operator on L^2(pi), the Hilbert space weighted by
+the invariant density pi.  For kappa its eigenfunctions are shifted-Jacobi
+polynomials with eigenvalues (-1)^d binom(a+d,d)/binom(a+b+d+1,d).  Every
+eigenfunction here is normalized in L^2(pi), which is a probability law,
+so g_0 = 1.
 
-Both step operators map polynomials of degree <= D to themselves: kappa's
-in x, the trigonometric walk's in c = cos(pi x).  On the power basis each
-is an upper-triangular matrix over Q (`lp_triangular`, `trig_triangular`)
-whose diagonal holds the eigenvalues, so the eigenfunctions are its exact
-eigenvectors, found by the integer back-substitution that also gives the
-discrete eigenvectors (`_linalg.triangular_eigenvectors`); the
-trigonometric ones are then converted exactly to Chebyshev coefficients.
-The construction is exact and only the final normalization is a float,
-which keeps orthogonality stable up to degree ~12.
+The trigonometric walk is kappa(0, 0) in the coordinate
 
-The eigen residuals and the fixed-point check integrate polynomials (in u
-for kappa, in c for the trigonometric walk), so one Gauss-Legendre panel
-of order floor(degree/2)+1 is exact for each; that panel runs over the
-whole evaluation grid at once with numpy.  `lp_apply` and `lh_apply`
-take arbitrary observables and go through adaptive Gauss-Legendre
-quadrature with interval bisection.
+    phi(x) = (1 - cos(pi x))/2 = sin^2(pi x/2),   phi'(x) = (pi/2) sin(pi x):
+
+  * phi(1 - y) = 1 - phi(y), so phi commutes with the involution y -> 1-y;
+  * if y has density proportional to sin(pi y) on [0, x], its distribution
+    function is (1 - cos(pi y))/(1 - cos(pi x)) = phi(y)/phi(x), so phi(y)
+    is uniform on [0, phi(x)]: that is kappa(0, 0)'s step from phi(x);
+  * so L_P^trig (g o phi) = (L_P^kappa(0,0) g) o phi, and both walks have
+    the eigenvalues (-1)^d/(d+1) with eigenfunctions g_d and g_d o phi;
+  * the invariant density pushes forward: pi_trig = 2 phi phi', which is
+    (pi/2) sin(pi x)(1 - cos(pi x)).  Composition with phi is an isometry
+    of L^2(2u du) onto L^2(pi_trig), so g_d o phi stays orthonormal.
+
+So every walk is kappa(a, b) in a coordinate, and `_coordinate` is the one
+place that knows phi and phi' (for kappa, phi(x) = x).  The residuals
+evaluate kappa's operators at phi(grid); the one-step density R_P pi and
+the invariant density pick up the factor phi'.
+
+The step operator of kappa(a, b) maps polynomials of degree <= D to
+themselves.  On monomials it is an upper-triangular matrix over Q
+(`lp_triangular`) whose diagonal holds the eigenvalues, so the
+eigenfunctions are its exact eigenvectors, found by the integer
+back-substitution that also gives the discrete eigenvectors
+(`_linalg.triangular_eigenvectors`).  The construction is exact and only
+the final normalization is a float, which keeps orthogonality stable up to
+degree ~12.
+
+The eigen residuals and the fixed-point check integrate polynomials in the
+variable u of `lp_apply`, so one Gauss-Legendre panel of order
+floor(degree/2)+1 is exact for each; that panel runs over the whole
+evaluation grid at once with numpy.  `lp_apply` and `lh_apply` take
+arbitrary observables and integrate the definition of each walk directly,
+by adaptive Gauss-Legendre quadrature with interval bisection: they are the
+reference that the exact path is tested against.
 """
 
 from __future__ import annotations
@@ -38,7 +58,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.legendre import leggauss
 
 from . import _linalg as la
@@ -54,17 +73,23 @@ QUAD_NODE_BUDGET = 2**15  # integrand evaluations before QuadratureNonConvergenc
 QUAD_PANEL_ORDER = 20
 
 
+def _check_ab(a, b) -> None:
+    if not (isinstance(a, int) and isinstance(b, int)) or a < 0 or b < 0:
+        raise OutOfRange(f"kappa(a, b) needs integers a, b >= 0, got a={a!r}, b={b!r}")
+
+
 @dataclass(frozen=True)
 class ContinuousWalk:
-    kind: str  # "kappa" or "trig"
+    kind: str  # "kappa" or "trig"; trig runs as kappa(0, 0) in its coordinate
     a: int = 0
     b: int = 0
 
     def __post_init__(self):
         if self.kind not in ("kappa", "trig"):
             raise OutOfRange(f"unknown continuous walk kind {self.kind!r}")
-        if self.kind == "kappa" and (self.a < 0 or self.b < 0):
-            raise OutOfRange("kappa(a, b) needs integers a, b >= 0")
+        if self.kind == "trig" and (self.a, self.b) != (0, 0):
+            raise OutOfRange(f"the trigonometric walk has a = b = 0, got {self.a!r}, {self.b!r}")
+        _check_ab(self.a, self.b)
 
 
 def kappa_walk(a: int, b: int) -> ContinuousWalk:
@@ -73,6 +98,15 @@ def kappa_walk(a: int, b: int) -> ContinuousWalk:
 
 def trig_walk() -> ContinuousWalk:
     return ContinuousWalk("trig")
+
+
+def _coordinate(walk: ContinuousWalk, x):
+    """(phi(x), phi'(x)) for the coordinate in which the walk is kappa(a, b);
+    x may be a numpy array.  See the module docstring for the trigonometric
+    walk's phi(x) = (1 - cos(pi x))/2."""
+    if walk.kind == "kappa":
+        return x, 1.0
+    return (1 - np.cos(np.pi * x)) / 2, (np.pi / 2) * np.sin(np.pi * x)
 
 
 @functools.cache
@@ -112,28 +146,24 @@ def adaptive_quad(f, lo: float, hi: float, tol: float) -> float:
 
 @dataclass(frozen=True)
 class PolyFunction:
-    """Finite expansion in monomials x^k or cosines cos(k pi x).
+    """Polynomial in monomials of its variable: x for kappa(a, b), phi(x)
+    for the trigonometric walk.
 
-    Monomial expansions come from `jacobi_eigenfunctions` and carry their
-    three-term recurrence, which evaluates them: beyond degree ~8 the
+    The coefficients come from `jacobi_eigenfunctions`, which also supplies
+    the three-term recurrence that evaluates them: beyond degree ~8 the
     monomial coefficients grow so large that Horner evaluation would lose
     1e-9 of accuracy to cancellation, while the recurrence stays at machine
     precision and also evaluates elementwise on numpy arrays.
     """
 
     coefficients: tuple
-    basis: str = "monomial"
-    recurrence: tuple | None = None  # (alphas, betas, scale) for monic p_d; monomial only
+    recurrence: tuple  # (alphas, betas, scale) for the monic polynomial
 
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
     def __call__(self, x: float) -> float:
-        if self.basis != "monomial":
-            return math.fsum(
-                c * math.cos(k * math.pi * x) for k, c in enumerate(self.coefficients)
-            )
         alphas, betas, scale = self.recurrence
         prev, cur = 0.0, 1.0
         for k in range(self.degree):
@@ -152,9 +182,7 @@ def kappa_norm(a: int, b: int, x: float) -> float:
 
 def walk_eigenvalue(walk: ContinuousWalk, d: int) -> float:
     """Signed eigenvalue of L_P for eigenfunction index d."""
-    if walk.kind == "kappa":
-        return (-1) ** d * float(family_lambda(GammaAB(walk.a, walk.b), d))
-    return (-1) ** d / (d + 1)
+    return (-1) ** d * float(family_lambda(GammaAB(walk.a, walk.b), d))
 
 
 def lp_apply(walk: ContinuousWalk, f, x: float) -> float:
@@ -216,39 +244,38 @@ def lp_triangular(a: int, b: int, dmax: int) -> list:
     return [[math.comb(k, i) * s for k in range(dmax + 1)] for i, s in enumerate(sigma)]
 
 
-def _monic(t: list) -> list:
-    """Monic eigenvectors of the rational upper-triangular matrix t, scaled
-    to integers.  For the self-adjoint L_P they are orthogonal under the
-    invariant density: the monic orthogonal polynomials of that weight."""
-    return [[Fraction(x, v[-1]) for x in v]
-            for v in la.triangular_eigenvectors(la.integer_matrix(t)[0])]
-
-
 def jacobi_monic(a: int, b: int, dmax: int) -> list:
     """Monic eigenfunctions g_0, ..., g_dmax of kappa(a, b), exact over Q.
 
     g_d is the monomial coefficient list of the eigenvector of
-    `lp_triangular` for its diagonal entry d.  The diagonal entries are
-    distinct (their absolute values fall by the factor (a+d+1)/(a+b+d+2) < 1
-    at each step), so back-substitution determines it.
+    `lp_triangular` for its diagonal entry d, scaled to leading coefficient
+    1.  The diagonal entries are distinct (their absolute values fall by the
+    factor (a+d+1)/(a+b+d+2) < 1 at each step), so back-substitution
+    determines it.  For the self-adjoint L_P these are the monic orthogonal
+    polynomials of the invariant density.
     """
-    return _monic(lp_triangular(a, b, dmax))
+    t = la.integer_matrix(lp_triangular(a, b, dmax))[0]
+    return [[Fraction(x, v[-1]) for x in v] for v in la.triangular_eigenvectors(t)]
 
 
 def jacobi_eigenfunctions(a: int, b: int, dmax: int) -> list:
-    """Orthonormal polynomials for the weight (1-x)^a x^(a+b+1) on [0, 1].
+    """Eigenfunctions of kappa(a, b), orthonormal in L^2(pi).
 
-    These are shifted Jacobi polynomials with parameters (a, a+b+1), the
-    normalized `jacobi_monic`.  Each output carries its exact three-term
-    recurrence x g_k = g_{k+1} + alpha_k g_k + beta_k g_{k-1} for stable
-    evaluation: alpha_k = [x^(k-1)] g_k - [x^k] g_{k+1} by comparing
-    coefficients, and beta_k = h_k / h_{k-1}, where the squared norm
-    h_k = <g_k, x^k> is a sum of exact rational Beta moments.
+    pi is proportional to (1-x)^a x^(a+b+1) on [0, 1], so these are shifted
+    Jacobi polynomials with parameters (a, a+b+1), the normalized
+    `jacobi_monic`.  For a = b = 0 they are also the trigonometric walk's
+    eigenfunctions in its coordinate phi (see the module docstring).  Each
+    output carries its exact three-term recurrence
+    x g_k = g_{k+1} + alpha_k g_k + beta_k g_{k-1} for stable evaluation:
+    alpha_k = [x^(k-1)] g_k - [x^k] g_{k+1} by comparing coefficients, and
+    beta_k = h_k / h_{k-1}, where the squared norm h_k = <g_k, x^k> is a
+    sum of exact rational Beta moments.
     """
     _check_dmax(dmax)
     monic = jacobi_monic(a, b, dmax)
     moments = [_beta_moment(a, b, k) for k in range(2 * dmax + 1)]
-    norms = [sum(c * moments[j + d] for j, c in enumerate(g)) for d, g in enumerate(monic)]
+    norms = [sum(c * moments[j + d] for j, c in enumerate(g)) / moments[0]
+             for d, g in enumerate(monic)]
     alphas = [float((g[-2] if d else 0) - nxt[-2])
               for d, (g, nxt) in enumerate(zip(monic, monic[1:]))]
     betas = [0.0] + [float(norms[k] / norms[k - 1]) for k in range(1, dmax + 1)]
@@ -256,71 +283,8 @@ def jacobi_eigenfunctions(a: int, b: int, dmax: int) -> list:
     for d, (vec, h) in enumerate(zip(monic, norms)):
         scale = 1.0 / math.sqrt(float(h))
         coeffs = tuple(float(c) * scale for c in vec)
-        rec = (tuple(alphas[:d]), tuple(betas[:d]), scale)
-        out.append(PolyFunction(coeffs, "monomial", rec))
+        out.append(PolyFunction(coeffs, (tuple(alphas[:d]), tuple(betas[:d]), scale)))
     return out
-
-
-def trig_triangular(dmax: int) -> list:
-    """L_P of the trigonometric walk on powers of c = cos(pi x), exact over Q.
-
-    With c = cos(pi z), sin(pi z) dz / N_x is the uniform law on
-    [-1, -cos(pi x)], so (L_P f)(x) is the mean of f over that interval:
-
-        L_P c^k = (-1)^k / (k+1) * sum_{i<=k} c^i,   c = cos(pi x).
-
-    Entry [i][k] is the coefficient of c^i in L_P c^k.  The matrix is upper
-    triangular and its diagonal holds the eigenvalues (-1)^k/(k+1).
-    """
-    return [[Fraction((-1) ** k, k + 1) if i <= k else Fraction(0) for k in range(dmax + 1)]
-            for i in range(dmax + 1)]
-
-
-def trig_monic(dmax: int) -> list:
-    """Monic eigenfunctions g_0, ..., g_dmax of the trigonometric walk in
-    powers of c = cos(pi x), exact over Q: the eigenvectors of
-    `trig_triangular`, whose diagonal entries are distinct."""
-    return _monic(trig_triangular(dmax))
-
-
-def _chebyshev(p: list) -> list:
-    """Exact Chebyshev coefficients of the power series p in c.
-
-    c^k = 2^-k sum_m C(k, m) T_|k-2m|(c), and T_j(cos(pi x)) = cos(j pi x).
-    """
-    out = [Fraction(0)] * len(p)
-    for k, coeff in enumerate(p):
-        for m in range(k + 1):
-            out[abs(k - 2 * m)] += coeff * Fraction(math.comb(k, m), 2**k)
-    return out
-
-
-def trig_eigenfunctions(dmax: int) -> list:
-    """Orthonormal cosine-ladder eigenfunctions of the trigonometric walk.
-
-    Each `trig_monic` g_d becomes its exact Chebyshev expansion, scaled to
-    leading coefficient 1 in cos(d pi x).  The invariant law in c is
-    (1-c)/2 dc on [-1, 1], with moments mu_m = 1/(m+1) for even m and
-    -1/(m+2) for odd m.  g_d is orthogonal to lower powers of c, so its
-    squared norm is <g_d, c^d>, a sum of exact moments.
-    """
-    _check_dmax(dmax)
-    moments = [Fraction(1, m + 1) if m % 2 == 0 else Fraction(-1, m + 2)
-               for m in range(2 * dmax + 1)]
-    out = []
-    for d, g in enumerate(trig_monic(dmax)):
-        cheb = _chebyshev(g)
-        lead = cheb[-1]
-        h = sum(c * moments[j + d] for j, c in enumerate(g)) / lead**2
-        scale = 1.0 / math.sqrt(float(h))
-        out.append(PolyFunction(tuple(float(c / lead) * scale for c in cheb), "cosine"))
-    return out
-
-
-def eigenfunctions(walk: ContinuousWalk, dmax: int) -> list:
-    if walk.kind == "kappa":
-        return jacobi_eigenfunctions(walk.a, walk.b, dmax)
-    return trig_eigenfunctions(dmax)
 
 
 def _grid():
@@ -349,45 +313,24 @@ def _kappa_lp_panel(a: int, b: int, g, degree: int, xs) -> np.ndarray:
     return (a + b + 1) * math.comb(a + b, a) * (values @ kernel)
 
 
-def _trig_lp_panel(g, xs) -> np.ndarray:
-    """(L_P g)(x) for the trigonometric walk at every x of the array xs.
-
-    g is a cosine expansion: g(z) = G(cos(pi z)) with G = sum_k g_k T_k.
-    (L_P g)(x) is the mean of G over [-1, -cos(pi x)] (see
-    `trig_triangular`), and G is a polynomial of degree deg g, so one
-    Gauss-Legendre panel gives it exactly up to rounding.
-    """
-    u, w = _unit_panel(g.degree)
-    length = 1 - np.cos(np.pi * np.asarray(xs, dtype=float))
-    return chebval(-1 + length[:, None] * u, g.coefficients) @ w
-
-
-def _residual(walk: ContinuousWalk, g, d: int) -> float:
-    xs = np.array(_grid())
-    if walk.kind == "kappa":
-        lp, values = _kappa_lp_panel(walk.a, walk.b, g, d, xs), g(xs)
-    else:
-        lp = _trig_lp_panel(g, xs)
-        # g itself straight from its cosine terms, not through c = cos(pi x)
-        values = np.cos(np.pi * np.outer(xs, np.arange(d + 1))) @ np.asarray(g.coefficients)
-    return float(np.max(np.abs(lp - walk_eigenvalue(walk, d) * values)))
-
-
 def eigen_residuals(walk: ContinuousWalk, dmax: int) -> list:
     """max over the grid of |L_P g_d(x) - eigenvalue * g_d(x)|, for d = 0..dmax.
 
-    The eigenfunctions are built once.  L_P g_d comes from one exact
-    Gauss-Legendre panel evaluated over the whole grid at once: in the
-    variable u of `lp_apply` for kappa, in c = cos(pi z) for the
-    trigonometric walk.  Either way it is an independent check of the
-    eigenfunction against the integral definition of L_P.
+    g_d is `jacobi_eigenfunctions(a, b, dmax)[d]` read in the walk's
+    coordinate, so the grid is mapped by phi once and L_P g_d comes from one
+    exact Gauss-Legendre panel in the variable u of `lp_apply`, evaluated
+    over the whole mapped grid at once.  It is an independent check of the
+    eigenfunction against the integral definition of kappa's L_P; for the
+    trigonometric walk it rests on the identity of the module docstring,
+    which the tests check against `lp_apply`.
     """
-    return [_residual(walk, g, d) for d, g in enumerate(eigenfunctions(walk, dmax))]
-
-
-def eigen_residual(walk: ContinuousWalk, d: int) -> float:
-    """The residual of `eigen_residuals` for the single index d."""
-    return _residual(walk, eigenfunctions(walk, d)[d], d)
+    a, b = walk.a, walk.b
+    u, _ = _coordinate(walk, np.array(_grid()))
+    out = []
+    for d, g in enumerate(jacobi_eigenfunctions(a, b, dmax)):
+        lp = _kappa_lp_panel(a, b, g, d, u)
+        out.append(float(np.max(np.abs(lp - walk_eigenvalue(walk, d) * g(u)))))
+    return out
 
 
 def _kappa_density(a: int, b: int, x):
@@ -397,38 +340,30 @@ def _kappa_density(a: int, b: int, x):
 
 
 def cts_invariant(walk: ContinuousWalk, x: float) -> float:
-    """Normalized invariant density at x."""
+    """Normalized invariant density at x: kappa's at phi(x), times phi'(x)."""
     if not 0 <= x <= 1:
         raise OutOfRange(f"x={x} outside [0, 1]")
-    if walk.kind == "kappa":
-        return _kappa_density(walk.a, walk.b, x)
-    return (math.pi / 2) * math.sin(math.pi * x) * (1 - math.cos(math.pi * x))
+    u, du = _coordinate(walk, x)
+    return float(_kappa_density(walk.a, walk.b, u) * du)
 
 
 def _rp_invariant(walk: ContinuousWalk, z):
     """(R_P pi)(z): the density at z after one step from the invariant law.
 
-    z is a float or an array.  One Gauss-Legendre panel gives the integral
-    exactly up to rounding.  For kappa the integrand over x in [1-z, 1],
-    w[1-z, x]/N_x * pi(x), is a polynomial of degree a+b in x, since N_x
-    cancels the factor x^(a+b+1) of pi.  For the trigonometric walk,
-    c = cos(pi x) turns pi(x) dx into (1-c)/2 dc and the step density into
-    pi sin(pi z)/(1-c), so the integrand over c in [-1, -cos(pi z)] has
-    degree 0.
+    z is a float or an array.  In the coordinate s = phi(z) the walk is
+    kappa(a, b), whose one-step density at s is the integral over x in
+    [1-s, 1] of w[1-s, x]/N_x * pi(x).  That integrand is a polynomial of
+    degree a+b in x, since N_x cancels the factor x^(a+b+1) of pi, so one
+    Gauss-Legendre panel gives it exactly up to rounding.  The density in z
+    is the one in s times phi'(z).
     """
-    z = np.asarray(z, dtype=float)[..., None]
-    if walk.kind == "kappa":
-        a, b = walk.a, walk.b
-        u, w = _unit_panel(a + b)
-        length, x = z, 1 - z + z * u
-        values = (1 - z) ** a * (x + z - 1) ** b / kappa_norm(a, b, x) * _kappa_density(a, b, x)
-    else:
-        u, w = _unit_panel(0)
-        length = 1 - np.cos(np.pi * z)
-        c = -1 + length * u
-        step = np.pi * np.sin(np.pi * (1 - z)) / (1 - c)
-        values = step * (1 - c) / 2
-    return (length * values) @ w
+    a, b = walk.a, walk.b
+    s, ds = _coordinate(walk, np.asarray(z, dtype=float))
+    s = s[..., None]
+    u, w = _unit_panel(a + b)
+    x = 1 - s + s * u
+    values = (1 - s) ** a * (x + s - 1) ** b / kappa_norm(a, b, x) * _kappa_density(a, b, x)
+    return (s * values) @ w * ds
 
 
 def fixed_point_residual(walk: ContinuousWalk) -> float:
@@ -460,8 +395,7 @@ def discrete_convergence(a: int, b: int, d: int, n_list) -> list:
 def convergence_table(a: int, b: int, degrees, n_list) -> list:
     """`discrete_convergence` for each d of degrees: one row of distances
     per d.  Each n's exact eigensystem is built once, up to max(degrees)."""
-    if a < 0 or b < 0:
-        raise OutOfRange("discrete comparison needs integers a, b >= 0")
+    _check_ab(a, b)
     for d in degrees:
         if not 0 <= d <= 5:
             raise OutOfRange(f"discrete comparison supported for 0 <= d <= 5, got d={d}")

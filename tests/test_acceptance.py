@@ -19,7 +19,7 @@ from involute.classify import (
 )
 from involute.continuum import (
     discrete_convergence,
-    eigen_residual,
+    eigen_residuals,
     fixed_point_residual,
     kappa_walk,
     trig_walk,
@@ -342,8 +342,7 @@ def test_criterion_10_continuum_spectra():
         start = time.time()
         walks = [kappa_walk(a, b) for a in range(3) for b in range(3)] + [trig_walk()]
         for walk in walks:
-            for d in range(7):
-                assert eigen_residual(walk, d) < 1e-8
+            assert max(eigen_residuals(walk, 6)) < 1e-8
         trig = walks[-1]
         for d in range(7):
             assert walk_eigenvalue(trig, d) == (-1) ** d / (d + 1)

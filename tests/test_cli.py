@@ -1,6 +1,8 @@
 """Command-line behavior: output shapes, exit codes, determinism."""
 
 import ast
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -330,6 +332,27 @@ def test_package_has_no_assert_statements():
         assert lines == [], f"{path.name}: assert at lines {lines}"
 
 
+def _bench_function_metrics() -> tuple:
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "bench" / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["FUNCTION_METRICS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/run.py defines no FUNCTION_METRICS")
+
+
+def test_bench_function_metrics_name_public_functions():
+    # the traced bench reads each of these spans by name, so a rename must fail here
+    metrics = _bench_function_metrics()
+    assert metrics
+    for name, _ in metrics:
+        layer, function = name.split(".")
+        module = importlib.import_module(
+            "involute." + ("_linalg" if layer == "linalg" else layer))
+        obj = getattr(module, function, None)
+        assert not function.startswith("_") and inspect.isfunction(obj), name
+        assert obj.__module__ == module.__name__, name
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -345,6 +368,8 @@ def test_package_has_no_assert_statements():
         ["eigvec", "--gamma", "1", "1/3", "--n", "24"],
         ["check", "--matrix", str(Path(__file__).parent / "data" / "walk3.csv"), "reversible"],
         ["conjecture", "--n", "4", "--max-denominator", "8"],
+        ["continuum", "--trig", "--fixed-point"],
+        ["continuum", "--trig", "--invariant"],
     ],
 )
 def test_cli_same_under_optimize(argv):

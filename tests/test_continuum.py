@@ -11,13 +11,12 @@ from involute.continuum import (
     CONVERGENCE_MAX_N,
     CONVERGENCE_MAX_SIZES,
     GRID_POINTS,
+    ContinuousWalk,
     adaptive_quad,
     convergence_table,
     cts_invariant,
     discrete_convergence,
-    eigen_residual,
     eigen_residuals,
-    eigenfunctions,
     fixed_point_residual,
     jacobi_eigenfunctions,
     jacobi_monic,
@@ -26,16 +25,11 @@ from involute.continuum import (
     lh_apply,
     lp_apply,
     lp_triangular,
-    trig_eigenfunctions,
-    trig_monic,
-    trig_triangular,
     trig_walk,
     walk_eigenvalue,
     _beta_moment,
-    _chebyshev,
     _kappa_lp_panel,
     _rp_invariant,
-    _trig_lp_panel,
 )
 from involute.errors import OutOfRange, QuadratureNonConvergence
 from involute.spectral import family_lambda
@@ -44,6 +38,11 @@ from involute.weights import GammaAB
 
 def quad(f, lo, hi, tol=1e-12):
     return adaptive_quad(f, lo, hi, tol)
+
+
+def _phi(x):
+    """The coordinate in which the trigonometric walk is kappa(0, 0)."""
+    return (1 - math.cos(math.pi * x)) / 2
 
 
 def test_kappa_norm_examples():
@@ -81,15 +80,15 @@ def test_lp_apply_examples():
 
 def test_jacobi_eigenfunctions():
     g = jacobi_eigenfunctions(0, 0, 2)
-    assert abs(g[0](0.5) - math.sqrt(2)) < 1e-14
+    assert abs(g[0](0.5) - 1) < 1e-14
     # g1 is proportional to x - 2/3
     root = -g[1].coefficients[0] / g[1].coefficients[1]
     assert abs(root - 2 / 3) < 1e-14
-    # orthogonality under the weight x (a = b = 0)
+    # orthonormality in L^2(pi), pi(x) = 2x (a = b = 0)
     for d, e in ((0, 1), (0, 2), (1, 2)):
-        inner = quad(lambda x: x * g[d](x) * g[e](x), 0.0, 1.0)
+        inner = quad(lambda x: 2 * x * g[d](x) * g[e](x), 0.0, 1.0)
         assert abs(inner) < 1e-12
-        norm = quad(lambda x: x * g[d](x) * g[d](x), 0.0, 1.0)
+        norm = quad(lambda x: 2 * x * g[d](x) * g[d](x), 0.0, 1.0)
         assert abs(norm - 1) < 1e-12
 
 
@@ -100,17 +99,17 @@ def test_walk_eigenvalues():
 
 
 def test_eigen_residual_examples():
-    assert eigen_residual(kappa_walk(0, 0), 1) < 1e-8
-    assert eigen_residual(kappa_walk(1, 2), 3) < 1e-8
-    assert eigen_residual(trig_walk(), 0) < 1e-12
+    assert eigen_residuals(kappa_walk(0, 0), 1)[1] < 1e-8
+    assert eigen_residuals(kappa_walk(1, 2), 3)[3] < 1e-8
+    assert eigen_residuals(trig_walk(), 0)[0] < 1e-12
 
 
 def test_eigen_residual_high_degree():
     # recurrence-based evaluation keeps the full dmax <= 12 range usable;
     # naive Horner on the monomial coefficients would lose ~1e-9 here
-    assert eigen_residual(kappa_walk(0, 0), 12) < 1e-10
-    assert eigen_residual(kappa_walk(2, 2), 12) < 1e-10
-    assert eigen_residual(trig_walk(), 12) < 1e-10
+    assert eigen_residuals(kappa_walk(0, 0), 12)[12] < 1e-10
+    assert eigen_residuals(kappa_walk(2, 2), 12)[12] < 1e-10
+    assert eigen_residuals(trig_walk(), 12)[12] < 1e-10
 
 
 def test_lh_fixes_monomials():
@@ -133,7 +132,8 @@ def test_trig_cosine_power_identity():
 
 
 def test_trig_eigenfunction_orthonormality():
-    g = trig_eigenfunctions(4)
+    # the trigonometric walk's eigenfunctions are g_d o phi, g_d those of kappa(0, 0)
+    g = [lambda x, gd=gd: gd(_phi(x)) for gd in jacobi_eigenfunctions(0, 0, 4)]
 
     def density(x):
         return (math.pi / 2) * math.sin(math.pi * x) * (1 - math.cos(math.pi * x))
@@ -166,6 +166,9 @@ def test_cts_invariant():
     for x in (0.0, 0.3, 1.0):
         assert abs(cts_invariant(w, x) - 2 * x) < 1e-15
     assert abs(cts_invariant(trig_walk(), 0.5) - math.pi / 2) < 1e-15
+    for x in (0.0, 0.2, 0.7, 1.0):
+        closed = (math.pi / 2) * math.sin(math.pi * x) * (1 - math.cos(math.pi * x))
+        assert abs(cts_invariant(trig_walk(), x) - closed) < 1e-15
     # kappa(1, 0): density 12 (1-x) x^2 integrates to one
     w10 = kappa_walk(1, 0)
     assert abs(cts_invariant(w10, 0.5) - 1.5) < 1e-15
@@ -188,9 +191,29 @@ def test_discrete_convergence():
     assert all(d2[i + 1] < d2[i] for i in range(3))
 
 
-def test_eigenfunction_dispatch():
-    assert eigenfunctions(kappa_walk(1, 0), 2)[2].basis == "monomial"
-    assert eigenfunctions(trig_walk(), 2)[2].basis == "cosine"
+def test_kappa_walk_needs_integer_parameters():
+    for bad in (F(1, 2), F(2), 0.5, -1):
+        with pytest.raises(OutOfRange):
+            kappa_walk(bad, 0)
+        with pytest.raises(OutOfRange):
+            kappa_walk(0, bad)
+    with pytest.raises(OutOfRange):
+        ContinuousWalk("cosine")
+
+
+def test_trig_walk_takes_no_parameters():
+    for a, b in ((2, 0), (0, 1), (F(1, 2), 0), (-1, 0)):
+        with pytest.raises(OutOfRange):
+            ContinuousWalk("trig", a, b)
+    assert ContinuousWalk("trig", 0, 0) == trig_walk()
+
+
+def test_convergence_table_needs_integer_parameters():
+    for a, b in ((F(1, 2), 0), (0, 0.5), (-1, 0)):
+        with pytest.raises(OutOfRange):
+            convergence_table(a, b, (1,), [10])
+        with pytest.raises(OutOfRange):
+            discrete_convergence(a, b, 1, [10])
 
 
 def test_quadrature_budget(monkeypatch):
@@ -201,8 +224,9 @@ def test_quadrature_budget(monkeypatch):
 
 
 def test_eigen_residuals_match_single_index():
+    # g_d does not depend on dmax, so neither does its residual
     for walk in (kappa_walk(1, 2), trig_walk()):
-        assert eigen_residuals(walk, 4) == [eigen_residual(walk, d) for d in range(5)]
+        assert eigen_residuals(walk, 4) == [eigen_residuals(walk, d)[d] for d in range(5)]
     for dmax in (-1, 13):
         with pytest.raises(OutOfRange):
             eigen_residuals(kappa_walk(0, 0), dmax)
@@ -330,7 +354,8 @@ def test_monic_eigenfunctions_match_gram_schmidt():
             )
             expected_betas = [0.0] + [float(norms[k] / norms[k - 1]) for k in range(1, d)]
             assert betas == tuple(expected_betas[:d])
-            assert scale == 1.0 / math.sqrt(float(norms[d]))
+            # orthonormal in L^2(pi): the weight is divided by its total mass
+            assert scale == 1.0 / math.sqrt(float(norms[d] / moments[0]))
 
 
 def test_monic_eigenfunctions_match_sympy_jacobi():
@@ -390,7 +415,7 @@ def test_panel_matches_adaptive_lp_apply():
                 assert abs(value - adaptive) <= 1e-12 * max(1.0, abs(adaptive))
 
 
-# --- the trigonometric walk in c = cos(pi x) ---------------------------------
+# --- the trigonometric walk: kappa(0, 0) in phi(x) = (1 - cos(pi x))/2 -------
 
 
 def _trig_lp_powers_by_integration(dmax):
@@ -422,58 +447,78 @@ def _chebyshev_to_power(cheb):
     return [sum(c * t[i] for c, t in zip(cheb, ts)) for i in range(size)]
 
 
-def test_trig_triangular_is_lp_on_powers_of_cos():
-    t = trig_triangular(12)
-    columns = _trig_lp_powers_by_integration(12)
-    for k in range(13):
-        assert [row[k] for row in t] == columns[k]
-        assert t[k][k] == F((-1) ** k, k + 1)
+def _compose_phi(g):
+    """Power coefficients in c of g((1 - c)/2), exactly: g read at phi(x)
+    as a polynomial in c = cos(pi x)."""
+    out = [F(0)] * len(g)
+    power = [F(1)]  # ((1 - c)/2)^k
+    for coeff in g:
+        for i, p in enumerate(power):
+            out[i] += coeff * p
+        power = [(p - q) / 2 for p, q in zip(power + [F(0)], [F(0)] + power)]
+    return out
 
 
-def test_trig_monic_eigenfunctions_are_exact_eigenvectors():
+def test_trig_eigenfunctions_are_kappa00_in_phi():
+    # G_d(c) = g_d((1 - c)/2), g_d the monic eigenfunctions of kappa(0, 0), is an
+    # exact eigenvector of the trigonometric L_P on powers of c = cos(pi x), and
+    # it is proportional to the monic cosine Gram-Schmidt polynomial
     columns = _trig_lp_powers_by_integration(12)
-    for d, g in enumerate(trig_monic(12)):
-        assert len(g) == d + 1 and g[d] == 1
-        image = [sum(c * columns[k][i] for k, c in enumerate(g)) for i in range(13)]
-        assert image == [F((-1) ** d, d + 1) * c for c in g] + [F(0)] * (12 - d)
+    gram, _ = _trig_gram_schmidt(13)
+    for d, g in enumerate(jacobi_monic(0, 0, 12)):
+        G = _compose_phi(g)
+        assert len(G) == d + 1 and G[d] == F(-1, 2) ** d
+        image = [sum(c * columns[k][i] for k, c in enumerate(G)) for i in range(13)]
+        assert image == [F((-1) ** d, d + 1) * c for c in G] + [F(0)] * (12 - d)
+        power = _chebyshev_to_power(gram[d])
+        assert [c * power[d] / G[d] for c in G] == power
 
 
 def test_trig_eigenfunctions_match_gram_schmidt():
     monic, norms = _trig_gram_schmidt(13)
-    for d, (g, vec, h, out) in enumerate(zip(trig_monic(12), monic, norms,
-                                             trig_eigenfunctions(12))):
+    outs = jacobi_eigenfunctions(0, 0, 12)
+    for d, (g, vec, h, out) in enumerate(zip(jacobi_monic(0, 0, 12), monic, norms, outs)):
+        G = _compose_phi(g)
         power = _chebyshev_to_power(vec)
-        assert g == [c / power[d] for c in power]
-        assert _chebyshev(g) == [c / power[d] for c in vec]
-        # the float coefficients are the Gram-Schmidt ones, bit for bit
-        scale = 1.0 / math.sqrt(float(h))
-        assert out.basis == "cosine"
-        assert out.coefficients == tuple(float(c) * scale for c in vec)
+        lead = power[d] / G[d]  # the cosine expansion is lead * (g_d o phi)
+        assert [lead * c for c in G] == power
+        # composition with phi is an isometry, so the float scale is the
+        # Gram-Schmidt one, bit for bit
+        assert out.recurrence[2] == 1.0 / math.sqrt(float(h / lead**2))
+        sign = 1 if lead > 0 else -1
+        for x in (0.05, 0.3, 0.5, 0.77, 1.0):
+            cosine = sum(float(c) * math.cos(k * math.pi * x) for k, c in enumerate(vec))
+            expected = cosine / math.sqrt(float(h))
+            assert abs(sign * out(_phi(x)) - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 def test_trig_panel_matches_adaptive_lp_apply():
     xs = [k / GRID_POINTS for k in (1, 17, 50, 77, GRID_POINTS)]
     walk = trig_walk()
-    gs = trig_eigenfunctions(12)
+    gs = jacobi_eigenfunctions(0, 0, 12)
     for d in (0, 1, 5, 8, 12):
-        panel = _trig_lp_panel(gs[d], xs)
+        panel = _kappa_lp_panel(0, 0, gs[d], d, [_phi(x) for x in xs])
         for x, value in zip(xs, panel):
-            adaptive = lp_apply(walk, gs[d], x)
+            adaptive = lp_apply(walk, lambda z: gs[d](_phi(z)), x)
             assert abs(value - adaptive) <= 1e-12 * max(1.0, abs(adaptive))
     assert max(eigen_residuals(walk, 12)) < 1e-10
 
 
 def test_trig_lp_matches_mpmath():
     mpmath = pytest.importorskip("mpmath")
-    g = trig_eigenfunctions(8)[8]
+    g = jacobi_eigenfunctions(0, 0, 8)[8]
+    monic = jacobi_monic(0, 0, 8)[8]
     xs = [0.05, 0.3, 0.77, 1.0]
     with mpmath.workdps(30):
         pi = mpmath.pi
 
         def g_mp(z):
-            return sum(c * mpmath.cos(k * pi * z) for k, c in enumerate(g.coefficients))
+            u = (1 - mpmath.cos(pi * z)) / 2
+            exact = sum(mpmath.mpf(c.numerator) / c.denominator * u**k
+                        for k, c in enumerate(monic))
+            return g.recurrence[2] * exact
 
-        for x, value in zip(xs, _trig_lp_panel(g, xs)):
+        for x, value in zip(xs, _kappa_lp_panel(0, 0, g, 8, [_phi(x) for x in xs])):
             x = mpmath.mpf(x)
             integral = mpmath.quad(lambda z: mpmath.sin(pi * z) * g_mp(z), [1 - x, 1])
             expected = float(pi * integral / (1 - mpmath.cos(pi * x)))
