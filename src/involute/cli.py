@@ -3,6 +3,9 @@
 Every subcommand prints deterministically for a fixed argv and seed.
 Exit codes: 0 success, 2 precondition or validation failure (with a
 diagnostic naming the violated condition), 1 internal error.
+
+`continuum` is imported inside the two handlers that use it, because it
+loads numpy and every other command is exact.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ import sys
 from fractions import Fraction
 
 from . import classify as cls
-from . import continuum as cont
 from . import spectral, transform, walk
+from ._continuum import CONVERGENCE_MAX_N, CONVERGENCE_MAX_SIZES
 from .errors import InvoluteError
 from .serialize import (
     format_rational,
@@ -296,6 +299,8 @@ def _parse_sizes(text: str) -> list:
 
 
 def cmd_continuum(args):
+    from . import continuum as cont
+
     if args.trig and args.kappa is not None:
         raise InvoluteError("choose one of --kappa/--trig")
     modes = (args.residual is not None, args.fixed_point, args.invariant,
@@ -386,6 +391,8 @@ def cmd_repro(args):
         for m in range(2, 7):
             print(f"{m},{format_rational(cls.nu_ladder(m, Fraction(2, 3)))}")
     elif target == "fig2-convergence":
+        from . import continuum as cont
+
         print("d,n,distance")
         sizes = [10, 20, 40, 80]
         for d, dists in zip((1, 2), cont.convergence_table(0, 0, (1, 2), sizes)):
@@ -468,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--convergence", type=int, metavar="D")
     p.add_argument("--sizes",
                    help=f"comma-separated n for --convergence (default 10,20,40,80): at most "
-                        f"{cont.CONVERGENCE_MAX_SIZES} sizes, each n <= {cont.CONVERGENCE_MAX_N}")
+                        f"{CONVERGENCE_MAX_SIZES} sizes, each n <= {CONVERGENCE_MAX_N}")
     p.set_defaults(func=cmd_continuum)
 
     p = sub.add_parser("conjecture", help="desk-scale reversibility sweep (JSON lines)")

@@ -46,8 +46,9 @@ variable u of `lp_apply`, so one Gauss-Legendre panel of order
 floor(degree/2)+1 is exact for each; that panel runs over the whole
 evaluation grid at once with numpy.  `lp_apply` and `lh_apply` take
 arbitrary observables and integrate the definition of each walk directly,
-by adaptive Gauss-Legendre quadrature with interval bisection: they are the
-reference that the exact path is tested against.
+by adaptive Gauss-Legendre quadrature with interval bisection
+(`_continuum.adaptive_quad`, which needs no numpy): they are the reference
+that the exact path is tested against.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import _linalg as la
-from .errors import OutOfRange, QuadratureNonConvergence
+from ._continuum import CONVERGENCE_MAX_N, CONVERGENCE_MAX_SIZES, adaptive_quad
+from .errors import OutOfRange
 from .spectral import eigenvalues_closed_form, family_lambda, right_eigenvectors
 from .weights import GammaAB
 
@@ -69,8 +71,6 @@ GRID_POINTS = 101  # evaluation grid k/101, k = 1..101; x = 0 stays excluded
 
 
 QUAD_TOLERANCE = 1e-10  # absolute tolerance of lp_apply and lh_apply
-QUAD_NODE_BUDGET = 2**15  # integrand evaluations before QuadratureNonConvergence
-QUAD_PANEL_ORDER = 20
 
 
 def _check_ab(a, b) -> None:
@@ -107,41 +107,6 @@ def _coordinate(walk: ContinuousWalk, x):
     if walk.kind == "kappa":
         return x, 1.0
     return (1 - np.cos(np.pi * x)) / 2, (np.pi / 2) * np.sin(np.pi * x)
-
-
-@functools.cache
-def _gl(order: int):
-    nodes, weights = leggauss(order)
-    return list(map(float, nodes)), list(map(float, weights))
-
-
-def adaptive_quad(f, lo: float, hi: float, tol: float) -> float:
-    """Gauss-Legendre panels of order QUAD_PANEL_ORDER refined by bisection
-    until the panel estimate stabilizes within tol; raises
-    QuadratureNonConvergence after QUAD_NODE_BUDGET integrand evaluations."""
-    if lo == hi:
-        return 0.0
-    nodes, weights = _gl(QUAD_PANEL_ORDER)
-    used = 0
-
-    def panel(a: float, b: float) -> float:
-        nonlocal used
-        used += QUAD_PANEL_ORDER
-        if used > QUAD_NODE_BUDGET:
-            raise QuadratureNonConvergence(
-                f"node budget {QUAD_NODE_BUDGET} exhausted on [{lo}, {hi}]"
-            )
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        return half * math.fsum(w * f(mid + half * t) for t, w in zip(nodes, weights))
-
-    def refine(a: float, b: float, whole: float, tol: float) -> float:
-        mid = 0.5 * (a + b)
-        left, right = panel(a, mid), panel(mid, b)
-        if abs(left + right - whole) <= tol:
-            return left + right
-        return refine(a, mid, left, 0.5 * tol) + refine(mid, b, right, 0.5 * tol)
-
-    return refine(lo, hi, panel(lo, hi), tol)
 
 
 @dataclass(frozen=True)
@@ -190,16 +155,16 @@ def lp_apply(walk: ContinuousWalk, f, x: float) -> float:
     if not 0 < x <= 1:
         raise OutOfRange(f"L_P is defined for 0 < x <= 1, got {x}")
     g = _as_callable(f)
+    # substitute z = 1 - x + x u to keep the integrand O(1) near x = 0
     if walk.kind == "kappa":
         a, b = walk.a, walk.b
         const = (a + b + 1) * math.comb(a + b, a)
-        # substitute z = 1 - x + x u to keep the integrand O(1) near x = 0
         integrand = lambda u: (1 - u) ** a * u**b * g(1 - x + x * u)
         return const * adaptive_quad(integrand, 0.0, 1.0, QUAD_TOLERANCE)
-    denom = 1 - math.cos(math.pi * x)
-    integrand = lambda z: math.sin(math.pi * z) * g(z)
-    value = adaptive_quad(integrand, 1 - x, 1.0, QUAD_TOLERANCE * denom / math.pi)
-    return math.pi * value / denom
+    # sin(pi z) = sin(pi x (1 - u)), and N_x = (1 - cos(pi x))/pi = 2 sin^2(pi x/2)/pi
+    const = math.pi * x / (2 * math.sin(math.pi * x / 2) ** 2)
+    integrand = lambda u: const * math.sin(math.pi * x * (1 - u)) * g(1 - x + x * u)
+    return adaptive_quad(integrand, 0.0, 1.0, QUAD_TOLERANCE)
 
 
 def lh_apply(walk: ContinuousWalk, f, x: float) -> float:
@@ -291,11 +256,12 @@ def _grid():
     return [k / GRID_POINTS for k in range(1, GRID_POINTS + 1)]
 
 
+@functools.cache
 def _unit_panel(degree: int):
     """Gauss-Legendre nodes on [0, 1] and weights summing to 1, of order
     floor(degree/2)+1: exact up to rounding for polynomials of that degree."""
-    nodes, weights = _gl(degree // 2 + 1)
-    return 0.5 * (np.asarray(nodes) + 1.0), 0.5 * np.asarray(weights)
+    nodes, weights = leggauss(degree // 2 + 1)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 def _kappa_lp_panel(a: int, b: int, g, degree: int, xs) -> np.ndarray:
@@ -371,10 +337,6 @@ def fixed_point_residual(walk: ContinuousWalk) -> float:
     grid = _grid()
     pi = np.array([cts_invariant(walk, z) for z in grid])
     return float(np.max(np.abs(_rp_invariant(walk, grid) - pi)))
-
-
-CONVERGENCE_MAX_N = 400  # input budget; the eigensystem costs ~2x per doubling of n
-CONVERGENCE_MAX_SIZES = 8
 
 
 def discrete_convergence(a: int, b: int, d: int, n_list) -> list:

@@ -67,10 +67,6 @@ def eigenvalues_closed_form(spec: WeightSpec, n: int) -> list:
     return [(-1) ** d * lam for d, lam in enumerate(down_step_diagonal(spec, n))]
 
 
-def pi_inner(pi, v, w) -> Fraction:
-    return sum(p * a * b for p, a, b in zip(pi, v, w))
-
-
 def right_eigenvectors(spec: WeightSpec, n: int, dmax: int | None = None) -> EigenSystem:
     """Right eigenvectors of P(gamma(a, b)), by back-substitution.
 

@@ -381,6 +381,8 @@ def simulate(w, x0: int, steps: int, seed: int) -> SimulationResult:
     n = len(rows)
     if not 0 <= x0 < n:
         raise OutOfRange(f"start state {x0} outside 0..{n - 1}")
+    if steps < 0:
+        raise OutOfRange(f"steps must be >= 0, got {steps}")
     cum = []
     for row in rows:
         acc = 0.0
@@ -407,12 +409,6 @@ def simulate(w, x0: int, steps: int, seed: int) -> SimulationResult:
 
 def total_variation(p, q) -> float:
     return 0.5 * sum(abs(float(a) - float(b)) for a, b in zip(p, q))
-
-
-def two_step(w) -> list:
-    """P squared: the down-up walk taking two involutive steps at a time."""
-    rows = _rows(w)
-    return la.matmul(rows, rows)
 
 
 def subset_walk(m: int, p) -> SubsetWalk:

@@ -92,13 +92,6 @@ WeightSpec = Union[GammaAB, GammaC, DeltaAB, Custom]
 
 
 @dataclass(frozen=True)
-class WeightFlags:
-    atomic: bool
-    star_symmetric: bool
-    strictly_positive: bool
-
-
-@dataclass(frozen=True)
 class FactorizationResult:
     """Atomic part alpha, star-symmetric part beta, with alpha_y*beta[y,x]=w[y,x]."""
 
@@ -185,15 +178,6 @@ def atomic_part(spec: WeightSpec, n: int) -> list:
     return [uy * math.comb(n - 1, y) for y, uy in enumerate(u)] if pascal else u
 
 
-def weight_value(spec: WeightSpec, y: int, x: int) -> Fraction:
-    """Exact value of the weight on the interval [y, x]."""
-    if y < 0 or y > x:
-        raise IndexOutOfDomain(f"need 0 <= y <= x, got y={y}, x={x}")
-    if x >= domain_limit(spec):
-        raise IndexOutOfDomain(f"x={x} is outside the weight's domain")
-    return weight_table(spec, x + 1)[x][y]
-
-
 def weight_table(spec: WeightSpec, n: int) -> list:
     """Rows [w[0, x], ..., w[x, x]] for x < n, in O(n^2) exact operations."""
     if n > domain_limit(spec):
@@ -221,24 +205,6 @@ def norm_table(spec: WeightSpec, n: int) -> list:
     if isinstance(spec, Custom):
         return [sum(row) for row in weight_table(spec, n)]
     return _terms(_ratios(spec)[3], n)
-
-
-def classify_weight(spec: WeightSpec, n: int) -> WeightFlags:
-    """Decide atomic / star-symmetric / strictly positive by exhaustive check."""
-    w = weight_table(spec, n)
-    atomic = True
-    star = True
-    positive = True
-    for x in range(n):
-        for y in range(x + 1):
-            v = w[x][y]
-            if v <= 0:
-                positive = False
-            if v != w[y][y]:
-                atomic = False
-            if v != w[n - 1 - y][n - 1 - x]:
-                star = False
-    return WeightFlags(atomic, star, positive)
 
 
 def factorize(spec: WeightSpec, n: int, pi) -> FactorizationResult:
@@ -293,13 +259,6 @@ def custom_from_csv(text: str, n: int | None = None) -> Custom:
         max_x = max(max_x, x)
     if n is None:
         n = max_x + 1
-    return Custom(n, table)
-
-
-def custom_from_down_step(h_rows) -> Custom:
-    """Wrap a lower-triangular down-step matrix as a custom weight table."""
-    n = len(h_rows)
-    table = {(y, x): as_rational(h_rows[x][y]) for x in range(n) for y in range(x + 1)}
     return Custom(n, table)
 
 

@@ -31,7 +31,6 @@ from involute.spectral import (
     final_left_eigenvalue,
     final_left_eigenvector,
     mixing_report,
-    pi_inner,
     right_eigenvectors,
 )
 from involute.transform import (
@@ -48,10 +47,10 @@ from involute.walk import (
     stationary,
     subset_walk,
     transition_matrix,
-    two_step,
 )
 from involute.weights import UNBOUNDED, DeltaAB, GammaAB, GammaC, domain_limit
 
+from oracles import pi_inner, two_step
 from test_transform import random_stochastic_lambda
 
 GRID_AB = [F(-1, 2), F(0), F(1, 2), F(1), F(2)]

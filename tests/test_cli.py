@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -166,6 +167,12 @@ def test_simulate_deterministic(capsys):
     assert len(out1.splitlines()) == 52
 
 
+def test_simulate_rejects_negative_steps(capsys):
+    code, out, err = run(capsys, "simulate", "--gamma", "1", "1", "--n", "4", "--steps", "-5")
+    assert (code, out) == (2, "")
+    assert "steps must be >= 0" in err
+
+
 def test_subsets_command(capsys):
     code, out, _ = run(capsys, "subsets", "--m", "2", "--p", "1/2")
     assert code == 0
@@ -303,6 +310,46 @@ def test_import_builds_no_parser():
     assert (done.returncode, done.stdout) == (0, "0\n")
 
 
+EXACT_ARGVS = [
+    ["matrix", "--gamma", "1", "1", "--n", "4"],
+    ["stationary", "--gamma", "1", "1", "--n", "4"],
+    ["spectrum", "--gamma", "1", "1", "--n", "4"],
+    ["eigvec", "--gamma", "1", "1", "--n", "4"],
+    ["check", "--gamma", "1", "1", "--n", "4", "kolmogorov"],
+    ["classify", "--lambda", "1,1/2,1/4,1/8"],
+    ["conjecture", "--n", "3", "--max-denominator", "4"],
+    ["subsets", "--m", "2", "--p", "1/2"],
+    ["simulate", "--gamma", "1", "1", "--n", "4", "--steps", "10"],
+    ["repro", "example7-table"],
+]
+FLOAT_ARGVS = [["continuum", "--trig", "--fixed-point"], ["repro", "fig2-convergence"]]
+
+
+def test_exact_commands_leave_numpy_unloaded():
+    # only the interval path needs floats; every other command starts without numpy
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "import involute\n"
+        "import involute.cli as c\n"
+        "c.build_parser()\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    exact = [c.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "    loaded = 'numpy' in sys.modules\n"
+        "    floats = [c.main(argv) for argv in json.loads(sys.argv[2])]\n"
+        "print(json.dumps([exact, loaded, floats]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(EXACT_ARGVS), json.dumps(FLOAT_ARGVS)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    exact, loaded, floats = json.loads(done.stdout)
+    assert exact == [0] * len(EXACT_ARGVS)
+    assert loaded is False
+    assert floats == [0] * len(FLOAT_ARGVS)
+
+
 def test_repro_fig2(capsys):
     code, out, _ = run(capsys, "repro", "fig2-convergence")
     assert code == 0
@@ -341,16 +388,20 @@ def _bench_function_metrics() -> tuple:
 
 
 def test_bench_function_metrics_name_public_functions():
-    # the traced bench reads each of these spans by name, so a rename must fail here
+    # the traced bench reads each of these spans by name, so a rename must fail here;
+    # bench/spans.py names a layer after a module's last name part, leading "_" dropped
     metrics = _bench_function_metrics()
     assert metrics
     for name, _ in metrics:
         layer, function = name.split(".")
-        module = importlib.import_module(
-            "involute." + ("_linalg" if layer == "linalg" else layer))
-        obj = getattr(module, function, None)
-        assert not function.startswith("_") and inspect.isfunction(obj), name
-        assert obj.__module__ == module.__name__, name
+        owners = []
+        for module_name in (f"involute.{layer}", f"involute._{layer}"):
+            if importlib.util.find_spec(module_name) is None:
+                continue
+            obj = getattr(importlib.import_module(module_name), function, None)
+            if inspect.isfunction(obj) and obj.__module__ == module_name:
+                owners.append(module_name)
+        assert not function.startswith("_") and len(owners) == 1, name
 
 
 @pytest.mark.parametrize(

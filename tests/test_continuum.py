@@ -4,9 +4,10 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
-from involute import continuum
+from involute import _continuum
 from involute.continuum import (
     CONVERGENCE_MAX_N,
     CONVERGENCE_MAX_SIZES,
@@ -216,8 +217,17 @@ def test_convergence_table_needs_integer_parameters():
             discrete_convergence(a, b, 1, [10])
 
 
+def test_gauss_legendre_matches_numpy():
+    # the reference quadrature finds its own nodes, numpy-free
+    for order in range(1, _continuum.QUAD_PANEL_ORDER + 1):
+        nodes, weights = _continuum._gauss_legendre(order)
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(order)
+        assert np.allclose(nodes, want_nodes, rtol=0, atol=1e-15)
+        assert np.allclose(weights, want_weights, rtol=0, atol=2e-15)
+
+
 def test_quadrature_budget(monkeypatch):
-    monkeypatch.setattr(continuum, "QUAD_NODE_BUDGET", 60)
+    monkeypatch.setattr(_continuum, "QUAD_NODE_BUDGET", 60)
     wobble = lambda x: math.sin(300 * x) / (1e-3 + abs(x - 0.37))
     with pytest.raises(QuadratureNonConvergence):
         adaptive_quad(wobble, 0.0, 1.0, 1e-14)
@@ -375,6 +385,18 @@ def _scipy_quad(f, lo, hi):
     scipy_integrate = pytest.importorskip("scipy.integrate")
     value, _ = scipy_integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-13)
     return value
+
+
+def test_trig_lp_apply_near_zero():
+    # z = 1 - x + x u keeps the trigonometric integrand O(1) as x -> 0, where
+    # cos(7 pi z) = T_7(1 - 2 phi(z)) goes through the exact kappa(0, 0) panel
+    t = trig_walk()
+    t7 = np.polynomial.Chebyshev.basis(7)
+    for x in (1e-9, 1e-7, 1e-5):
+        assert abs(lp_apply(t, lambda z: 1.0, x) - 1.0) < 1e-10
+        adaptive = lp_apply(t, lambda z: math.cos(7 * math.pi * z), x)
+        panel = _kappa_lp_panel(0, 0, lambda u: t7(1 - 2 * u), 7, [_phi(x)])[0]
+        assert abs(panel - adaptive) <= 1e-12 * max(1.0, abs(adaptive))
 
 
 def _step_kernel(walk, x, z):

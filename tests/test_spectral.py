@@ -16,13 +16,14 @@ from involute.spectral import (
     final_left_eigenvector,
     left_from_right,
     mixing_report,
-    pi_inner,
     right_eigenvectors,
 )
 from involute.exactnum import binom
 from involute.transform import pascal, pascal_column
 from involute.walk import invariant_closed_form, transition_matrix
 from involute.weights import Custom, DeltaAB, GammaAB, GammaC
+
+from oracles import pi_inner
 
 GRID_AB = [F(-1, 2), F(0), F(1, 2), F(1), F(2)]
 

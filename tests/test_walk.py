@@ -24,10 +24,10 @@ from involute.walk import (
     subset_walk,
     total_variation,
     transition_matrix,
-    two_step,
 )
 from involute.weights import Custom, DeltaAB, GammaAB, GammaC, domain_limit
 
+from oracles import two_step
 from test_transform import random_stochastic_lambda
 
 
@@ -336,6 +336,13 @@ def test_simulate_deterministic_flip():
     flip = WalkMatrix.from_p([[0, 1], [1, 0]])
     result = simulate(flip, 0, 5, seed=99)
     assert result.trajectory == [0, 1, 0, 1, 0, 1]
+
+
+def test_simulate_rejects_negative_steps():
+    w = transition_matrix(GammaAB(1, 1), 4)
+    assert simulate(w, 0, 0, seed=0).trajectory == [0]
+    with pytest.raises(OutOfRange):
+        simulate(w, 0, -5, seed=0)
 
 
 def test_simulate_reaches_stationary():

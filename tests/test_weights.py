@@ -16,16 +16,15 @@ from involute.weights import (
     DeltaAB,
     GammaAB,
     GammaC,
-    classify_weight,
     custom_from_csv,
-    custom_from_down_step,
     domain_limit,
     factorize,
     norm,
     norm_table,
     weight_table,
-    weight_value,
 )
+
+from oracles import classify_weight, custom_from_down_step, weight_value
 
 
 def test_weight_value_examples():
