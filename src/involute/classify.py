@@ -34,8 +34,8 @@ from typing import Union
 
 from .errors import NotStochastic, OutOfRange, ZeroNotAccessible
 from .exactnum import as_rational
-from .transform import _pl_rows, _zero_accessible, is_stochastic, pl_matrix, stochastic_lattice
-from .walk import _potentials
+from .transform import _pl_rows, is_stochastic, pl_matrix, stochastic_lattice
+from .walk import _potentials, _zero_reachable
 from .weights import DeltaAB, GammaAB, GammaC, domain_limit, down_step_diagonal
 
 
@@ -120,7 +120,7 @@ def is_globally_reversible(lam) -> bool:
     if not check:
         raise NotStochastic(check.reason)
     p = pl_matrix(lam)
-    if not _zero_accessible(p):
+    if not _zero_reachable(p):
         raise ZeroNotAccessible("state 0 unreachable; the walk never mixes")
     for m in range(2, len(lam) + 1):
         if _potentials(_top_right_submatrix(p, m)) is None:
@@ -151,7 +151,7 @@ def _classify(lam: list, p: list) -> Classification:
     """
     if all(v == 1 for v in lam):
         return IdentityWalk()
-    if not _zero_accessible(p):
+    if not _zero_reachable(p):
         raise ZeroNotAccessible("state 0 unreachable; the walk never mixes")
     n = len(lam)
     mu, nu = lam[1], lam[2]

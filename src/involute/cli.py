@@ -146,84 +146,63 @@ def cmd_eigvec(args):
     print("final-left=" + ",".join(format_vector(spectral.final_left_eigenvector(args.n))))
 
 
+_LAMBDA_PROPERTIES = ("stochastic", "globally-reversible")
+_WALK_PROPERTIES = ("ergodic", "reversible", "kolmogorov")
+
+
 def _check_source(args):
-    """An eigenvalue list, a WalkMatrix, or --matrix rows for matrix properties."""
-    if args.matrix is None:
-        spec = _family_from_args(args)
-        return spec if isinstance(spec, list) else _walk_from_source(spec, args.n)
-    if args.property in ("stochastic", "globally-reversible"):
-        raise InvoluteError(f"check {args.property} needs --lambda")
-    rows = matrix_from_csv(_read_file(args.matrix))
-    if args.property in ("ergodic", "reversible", "kolmogorov"):
-        return walk.WalkMatrix.from_p(rows)  # square, stochastic, anti-triangular
-    return rows
+    """The input resolved for the property's group: the eigenvalue list for
+    the lambda properties, a WalkMatrix for the walk properties, and the
+    lower-triangular matrix (H, or the --matrix rows) for the rest."""
+    prop = args.property
+    if args.matrix is not None:
+        if prop in _LAMBDA_PROPERTIES:
+            raise InvoluteError(f"check {prop} needs --lambda")
+        rows = matrix_from_csv(_read_file(args.matrix))
+        # a walk is square, stochastic and anti-triangular
+        return walk.WalkMatrix.from_p(rows) if prop in _WALK_PROPERTIES else rows
+    spec = _family_from_args(args)
+    if isinstance(spec, list) and prop not in _WALK_PROPERTIES:
+        return spec if prop in _LAMBDA_PROPERTIES else transform.binomial_transform(spec)
+    w = _walk_from_source(spec, args.n)
+    if prop in _LAMBDA_PROPERTIES:
+        raise InvoluteError(f"check {prop} needs --lambda")
+    return w if prop in _WALK_PROPERTIES else w.H
 
 
 def cmd_check(args):
     prop = args.property
     source = _check_source(args)
     if prop == "stochastic":
-        if not isinstance(source, list):
-            raise InvoluteError("check stochastic needs --lambda")
         res = transform.is_stochastic(source)
         if not res:
             raise CheckFailed(f"not stochastic: {res.reason}"
                               + (f" (witness z={res.witness})" if res.witness is not None else ""))
         print("stochastic: all alternating sums are non-negative")
-        return
-    if prop == "ergodic":
-        if isinstance(source, list):
-            ok = transform.is_ergodic_lambda(source)
-            if not ok:
-                raise CheckFailed("not ergodic: the support graph does not mix")
-            print("ergodic")
-            return
+    elif prop == "globally-reversible":
+        if not cls.is_globally_reversible(source):
+            raise CheckFailed("not globally reversible: a top-right submatrix fails")
+        print("globally reversible")
+    elif prop == "ergodic":
         report = walk.ergodicity(source)
         if not report.ergodic:
             raise CheckFailed(
                 f"not ergodic: irreducible={report.irreducible} aperiodic={report.aperiodic}"
             )
         print("ergodic")
-        return
-    if prop in ("reversible", "globally-reversible", "kolmogorov"):
-        if prop == "globally-reversible":
-            if not isinstance(source, list):
-                raise InvoluteError("check globally-reversible needs --lambda")
-            if not cls.is_globally_reversible(source):
-                raise CheckFailed("not globally reversible: a top-right submatrix fails")
-            print("globally reversible")
-            return
-        w = transform.lambda_walk(source) if isinstance(source, list) else source
-        if prop == "kolmogorov":
-            if not walk.kolmogorov(w):
-                raise CheckFailed("kolmogorov: a cycle product depends on direction")
-            print("kolmogorov criterion holds")
-            return
-        found = walk._potentials(w)
-        if found is not None:
-            _, trees = found
-            print("reversible" if trees == 1
-                  else "reversible (chain is reducible; distribution not unique)")
-            return
-        # Transient states carry no stationary mass, so detailed balance
-        # against a unique stationary law can hold on an asymmetric support.
-        try:
-            balanced = walk.detailed_balance(w, walk.stationary(w))
-        except InvoluteError:
-            balanced = False
-        if not balanced:
+    elif prop == "kolmogorov":
+        if not walk.kolmogorov(source):
+            raise CheckFailed("kolmogorov: a cycle product depends on direction")
+        print("kolmogorov criterion holds")
+    elif prop == "reversible":
+        # reversible against a strictly positive law, the sweep's verdict
+        found = walk._potentials(source)
+        if found is None:
             raise CheckFailed("not reversible: detailed balance fails")
-        print("reversible")
-        return
-    # matrix-shaped properties
-    if isinstance(source, list) and source and isinstance(source[0], Fraction):
-        mat = transform.binomial_transform(source)
-    elif isinstance(source, walk.WalkMatrix):
-        mat = source.H
-    else:
-        mat = source
-    if prop in ("adep", "gadep", "binomial-transform"):
-        report = transform.property_report(mat)
+        print("reversible" if found[1] == 1
+              else "reversible (chain is reducible; distribution not unique)")
+    elif prop in ("adep", "gadep", "binomial-transform"):
+        report = transform.property_report(source)
         if args.format == "json":
             print(json.dumps(report.to_dict()))
         verdict = {
@@ -236,7 +215,7 @@ def cmd_check(args):
         if args.format != "json":
             print(f"{prop} holds")
     elif prop == "conjugator":
-        if not transform.check_conjugator(mat, global_check=args.global_check):
+        if not transform.check_conjugator(source, global_check=args.global_check):
             raise CheckFailed("not an anti-diagonal conjugator")
         print("anti-diagonal conjugator" + (" (global)" if args.global_check else ""))
     else:

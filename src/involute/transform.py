@@ -32,7 +32,7 @@ from fractions import Fraction
 from . import _linalg as la
 from .errors import NotStochastic, OutOfRange
 from .exactnum import as_rational, binom
-from .walk import WalkMatrix, ergodicity
+from .walk import WalkMatrix
 
 @dataclass
 class PascalMatrix:
@@ -45,11 +45,6 @@ def pascal(n: int) -> PascalMatrix:
     fwd = [[binom(x, y) for y in range(n)] for x in range(n)]
     inv = [[(-1) ** (x + y) * binom(x, y) for y in range(n)] for x in range(n)]
     return PascalMatrix(n, fwd, inv)
-
-
-def pascal_column(n: int, d: int) -> list:
-    """v(d): the column vector (binom(0,d), ..., binom(n-1,d))."""
-    return [binom(x, d) for x in range(n)]
 
 
 def _coerce_lambda(lam) -> list:
@@ -137,38 +132,6 @@ def is_stochastic(lam) -> StochasticCheck:
     return StochasticCheck(True)
 
 
-def is_ergodic_lambda(lam) -> bool:
-    """Ergodicity of the walk P^lambda, decided on its support graph.
-
-    State 0 being accessible from everywhere is necessary but not
-    sufficient: lambda = (1, 1/2, 1/2, 1/2) splits into two classes.  For
-    n >= 3 an ergodic lambda strictly decreases and then stays constant on
-    a tail of length s with 2s <= n and lambda_{n-1} > 0.
-    """
-    lam = _coerce_lambda(lam)
-    if lam[0] != 1:
-        raise NotStochastic("lambda_0 != 1, not a walk at all")
-    p = pl_matrix(lam)
-    if not _zero_accessible(p):
-        return False
-    if not is_stochastic(lam):
-        raise NotStochastic("lambda fails the stochasticity inequalities")
-    return ergodicity(p).ergodic
-
-
-def _zero_accessible(p_rows) -> bool:
-    n = len(p_rows)
-    reach_0 = {0}
-    changed = True
-    while changed:
-        changed = False
-        for x in range(n):
-            if x not in reach_0 and any(p_rows[x][z] != 0 and z in reach_0 for z in range(n)):
-                reach_0.add(x)
-                changed = True
-    return len(reach_0) == n
-
-
 def _require_lower_triangular(m) -> list:
     rows = [[as_rational(v) for v in row] for row in m]
     if not la.is_lower_triangular(rows):
@@ -201,15 +164,20 @@ def check_gadep(m) -> bool:
     return _first_non_adep_size(_require_lower_triangular(m)) is None
 
 
+def _transform_of_diagonal(rows: list) -> list:
+    """B Diag(L[d][d]) B^{-1}: the binomial transform with L's diagonal."""
+    return _binomial_rows([row[d] for d, row in enumerate(rows)])
+
+
 def is_binomial_transform(m) -> bool:
-    """True iff every Pascal column v(d) is an eigenvector: L v(d) = L[d][d] v(d)."""
+    """True iff L is the binomial transform of its own diagonal.
+
+    That is the same as every Pascal column v(d) being an eigenvector,
+    L v(d) = L[d][d] v(d): these n equations say L B = B Diag, and B is
+    invertible.
+    """
     rows = _require_lower_triangular(m)
-    n = len(rows)
-    for d in range(n):
-        v = pascal_column(n, d)
-        if la.matvec(rows, v) != [rows[d][d] * x for x in v]:
-            return False
-    return True
+    return rows == _transform_of_diagonal(rows)
 
 
 def check_conjugator(q, global_check: bool = False) -> bool:
@@ -253,10 +221,10 @@ def property_report(m) -> PropertyReport:
     gadep = witness is None
     # the loop already decided size n unless it stopped below it
     adep = gadep or (witness < n and check_adep(rows))
-    ibt = is_binomial_transform(rows)
+    expected = _transform_of_diagonal(rows)
+    ibt = rows == expected
     if gadep and not ibt:
         # locate the first entry disagreeing with the transform of the diagonal
-        expected = binomial_transform([rows[d][d] for d in range(n)])
         witness = next(
             (x, y) for x in range(n) for y in range(x + 1) if rows[x][y] != expected[x][y]
         )

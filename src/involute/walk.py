@@ -9,16 +9,22 @@ permutation, P = H J.
 
 This module provides exact construction, stationary distributions (closed
 forms, detailed-balance potentials, and exact elimination for walks that are
-not reversible), ergodicity reports, reversibility checks (detailed balance and
-the cycle-product criterion, both decided by one spanning-tree check),
-simulation, the two-step down-up walk, and the Kronecker-power walk on subsets.
+not reversible), ergodicity reports, the reversibility verdict and the
+cycle-product criterion, seeded simulation, and the Kronecker-power walk on
+subsets.
 
 One engine decides reversibility.  Detailed balance pi_x P[x][z] = pi_z P[z][x]
 fixes the ratio pi_z / pi_x along every edge of the support graph, so the
 potentials are spread over a spanning forest and every equation is then
-checked exactly (_potentials).  The stationary law of a reversible walk, the
-Kolmogorov criterion and reversibility against some positive distribution are
-all read from that one check.
+checked exactly (_potentials).  A walk is reversible when they exist, that
+is, when detailed balance holds against a strictly positive law; a walk with
+transient states is not.  The stationary law of a reversible walk and the
+Kolmogorov criterion are read from that one check.
+
+One engine decides reachability: the strongly connected components of the
+support graph (_sccs).  Ergodicity reads them, and the closed classes, those
+that no step leaves (_closed_classes), decide whether every state is
+recurrent and whether state 0 is reached from every state.
 """
 
 from __future__ import annotations
@@ -152,56 +158,51 @@ def transition_matrix(spec: WeightSpec, n: int) -> WalkMatrix:
 
 
 def support(w) -> list:
-    rows = _rows(w)
-    n = len(rows)
-    return [[z for z in range(n) if rows[x][z] != 0] for x in range(n)]
+    return [[z for z, v in enumerate(row) if v] for row in _rows(w)]
 
 
 def _sccs(adj: list) -> list:
     """Strongly connected components, Tarjan's algorithm, iterative."""
     n = len(adj)
-    index = [None] * n
+    index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
     comps: list[list[int]] = []
     counter = 0
     for root in range(n):
-        if index[root] is not None:
+        if index[root] >= 0:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(adj[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for i in range(pi, len(adj[v])):
-                u = adj[v][i]
-                if index[u] is None:
-                    work[-1] = (v, i + 1)
-                    work.append((u, 0))
-                    advanced = True
+            v, edges = work[-1]
+            for u in edges:
+                if index[u] < 0:
+                    index[u] = low[u] = counter
+                    counter += 1
+                    stack.append(u)
+                    on_stack[u] = True
+                    work.append((u, iter(adj[u])))
                     break
-                if on_stack[u]:
-                    low[v] = min(low[v], index[u])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    comp.append(u)
-                    if u == v:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if on_stack[u] and index[u] < low[v]:
+                    low[v] = index[u]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        u = stack.pop()
+                        on_stack[u] = False
+                        comp.append(u)
+                        if u == v:
+                            break
+                    comps.append(sorted(comp))
     return sorted(comps)
 
 
@@ -237,6 +238,27 @@ def ergodicity(w) -> ErgodicityReport:
         if has_cycle and _class_period(adj, comp) != 1:
             aperiodic = False
     return ErgodicityReport(irreducible, aperiodic, irreducible and aperiodic, comps)
+
+
+def _closed_classes(w) -> list:
+    """The communicating classes that no step leaves, in `_sccs` order."""
+    adj = support(w)
+    closed = []
+    for comp in _sccs(adj):
+        comp_set = set(comp)
+        if all(z in comp_set for x in comp for z in adj[x]):
+            closed.append(comp)
+    return closed
+
+
+def _zero_reachable(w) -> bool:
+    """State 0 is reached from every state.
+
+    Every state reaches some closed class and no step leaves one, so 0 is
+    reached from everywhere exactly when one class is closed and holds 0.
+    """
+    closed = _closed_classes(w)
+    return len(closed) == 1 and 0 in closed[0]
 
 
 def _potentials(w):
@@ -332,47 +354,23 @@ def invariant_closed_form(spec: WeightSpec, n: int) -> Distribution:
     return _normalized([alpha[n - 1 - x] * nx for x, nx in enumerate(norms)])
 
 
-def detailed_balance(w, pi) -> bool:
-    """Exact check of pi_x P[x][z] == pi_z P[z][x] for all pairs."""
-    rows = _rows(w)
-    n = len(rows)
-    pv = list(pi)
-    return all(pv[x] * rows[x][z] == pv[z] * rows[z][x] for x in range(n) for z in range(x, n))
-
-
-def reversible_with_some_distribution(w):
-    """Decide reversibility against any strictly positive distribution.
-
-    Returns (True, pi) or (False, None), pi the normalized potentials.  For
-    reducible chains the split of mass between components is arbitrary.
-    """
-    found = _potentials(w)
-    if found is None:
-        return False, None
-    return True, _normalized(found[0])
-
-
 def kolmogorov(w) -> bool:
     """Cycle criterion: reversible iff every cycle product is direction-free.
 
     The criterion needs a strictly positive stationary distribution, that
-    is, no communicating class may leak.  The map from a cycle to the ratio
-    of its forward and backward products is a homomorphism on the cycle
-    space of the support graph, and the fundamental cycles of a spanning
-    forest are a basis of that space.  So every cycle balances exactly when
-    the fundamental cycles do, which is exactly when the spanning-tree
-    potentials satisfy every detailed-balance equation.  No cycle is
-    enumerated, and n is not capped.
+    is, the closed classes must cover every state.  The map from a cycle to
+    the ratio of its forward and backward products is a homomorphism on the
+    cycle space of the support graph, and the fundamental cycles of a
+    spanning forest are a basis of that space.  So every cycle balances
+    exactly when the fundamental cycles do, which is exactly when the
+    spanning-tree potentials satisfy every detailed-balance equation.  No
+    cycle is enumerated, and n is not capped.
     """
-    rows = _rows(w)
-    n = len(rows)
-    for comp in _sccs(support(rows)):
-        comp_set = set(comp)
-        if any(rows[x][z] != 0 and z not in comp_set for x in comp for z in range(n)):
-            raise NoPositiveStationary(
-                "cycle criterion needs a strictly positive stationary distribution"
-            )
-    return _potentials(rows) is not None
+    if sum(len(comp) for comp in _closed_classes(w)) != len(_rows(w)):
+        raise NoPositiveStationary(
+            "cycle criterion needs a strictly positive stationary distribution"
+        )
+    return _potentials(w) is not None
 
 
 def simulate(w, x0: int, steps: int, seed: int) -> SimulationResult:

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 from involute import _linalg as la
 from involute.errors import IndexOutOfDomain
-from involute.exactnum import as_rational
-from involute.walk import WalkMatrix
+from involute.exactnum import as_rational, binom
+from involute.walk import WalkMatrix, _normalized, _potentials
 from involute.weights import Custom, domain_limit, weight_table
 
 
@@ -61,3 +61,41 @@ def two_step(w) -> list:
 def pi_inner(pi, v, w) -> Fraction:
     """<v, w> = sum_x pi_x v_x w_x."""
     return sum(p * a * b for p, a, b in zip(pi, v, w))
+
+
+def detailed_balance(w, pi) -> bool:
+    """Exact check of pi_x P[x][z] == pi_z P[z][x] for all pairs."""
+    rows = w.P if isinstance(w, WalkMatrix) else w
+    n = len(rows)
+    pv = list(pi)
+    return all(pv[x] * rows[x][z] == pv[z] * rows[z][x] for x in range(n) for z in range(x, n))
+
+
+def reversible_with_some_distribution(w):
+    """(True, pi) when detailed balance holds against a strictly positive
+    law, pi the normalized potentials, else (False, None).  For reducible
+    chains the split of mass between components is arbitrary."""
+    found = _potentials(w)
+    if found is None:
+        return False, None
+    return True, _normalized(found[0])
+
+
+def zero_accessible(p_rows) -> bool:
+    """State 0 is reached from every state: grow the set of states that
+    reach 0 until no state joins it."""
+    n = len(p_rows)
+    reach_0 = {0}
+    changed = True
+    while changed:
+        changed = False
+        for x in range(n):
+            if x not in reach_0 and any(p_rows[x][z] != 0 and z in reach_0 for z in range(n)):
+                reach_0.add(x)
+                changed = True
+    return len(reach_0) == n
+
+
+def pascal_column(n: int, d: int) -> list:
+    """v(d): the column vector (binom(0,d), ..., binom(n-1,d))."""
+    return [binom(x, d) for x in range(n)]

@@ -42,7 +42,6 @@ from involute.transform import (
     pascal,
 )
 from involute.walk import (
-    detailed_balance,
     invariant_closed_form,
     stationary,
     subset_walk,
@@ -50,7 +49,7 @@ from involute.walk import (
 )
 from involute.weights import UNBOUNDED, DeltaAB, GammaAB, GammaC, domain_limit
 
-from oracles import pi_inner, two_step
+from oracles import detailed_balance, pi_inner, two_step
 from test_transform import random_stochastic_lambda
 
 GRID_AB = [F(-1, 2), F(0), F(1, 2), F(1), F(2)]

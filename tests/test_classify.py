@@ -21,8 +21,9 @@ from involute.classify import (
 from involute.errors import NotStochastic, OutOfRange, ZeroNotAccessible
 from involute.spectral import family_lambda
 from involute.transform import pl_matrix, stochastic_grid
-from involute.walk import reversible_with_some_distribution
 from involute.weights import DeltaAB, GammaAB, GammaC
+
+from oracles import detailed_balance, reversible_with_some_distribution
 
 
 def family_eigenvalues(spec, n):
@@ -246,16 +247,32 @@ def test_classified_points_are_globally_reversible():
     assert checked >= 150 and perturbed >= 50
 
 
-def test_grid_reversibility_agrees_with_detailed_balance():
-    from involute.transform import pl_matrix
-    from involute.walk import detailed_balance, ergodicity, stationary
+def test_grid_reversibility_agrees_with_detailed_balance(capsys):
+    # one verdict: the sweep's record, `check reversible` and `kolmogorov`
+    # agree on every walk, transient states included, and detailed balance
+    # against the stationary law agrees on every irreducible walk
+    from involute.cli import main
+    from involute.errors import NoPositiveStationary
+    from involute.serialize import format_rational
+    from involute.walk import ergodicity, kolmogorov, stationary
 
-    summary = conjecture_search(3, max_denominator=5)
-    compared = 0
-    for record in summary.records:
-        p = pl_matrix(record.lam)
-        if not ergodicity(p).irreducible:
-            continue
-        assert record.reversible == detailed_balance(p, stationary(p))
-        compared += 1
-    assert compared > 20
+    compared = transient = reversible = 0
+    for n in range(3, 7):
+        for record in conjecture_search(n, max_denominator=6).records:
+            text = ",".join(format_rational(v) for v in record.lam)
+            code = main(["check", "--lambda", text, "reversible"])
+            capsys.readouterr()
+            assert (code == 0) == record.reversible, text
+            p = pl_matrix(record.lam)
+            try:
+                assert kolmogorov(p) == record.reversible, text
+            except NoPositiveStationary:
+                assert not record.reversible, text
+                transient += 1
+                continue
+            if ergodicity(p).irreducible:
+                assert detailed_balance(p, stationary(p)) == record.reversible, text
+            compared += 1
+            reversible += record.reversible
+    assert compared + transient == 217
+    assert transient > 60 and reversible > 20

@@ -60,11 +60,23 @@ def test_check_reversible_and_conjugator(capsys):
     code, out, _ = run(capsys, "check", "--lambda", "1,1,1", "reversible")
     assert code == 0 and "reducible" in out
     # states 1..4 are transient: detailed balance holds against the unique
-    # stationary law, though no positive distribution balances
-    code, out, _ = run(capsys, "check", "--lambda", "1,1/2,1/2,1/2,1/2,1/2", "reversible")
-    assert (code, out) == (0, "reversible\n")
+    # stationary law, but no strictly positive law balances, so the walk is
+    # not reversible, as the sweep records it
+    code, out, err = run(capsys, "check", "--lambda", "1,1/2,1/2,1/2,1/2,1/2", "reversible")
+    assert (code, out) == (2, "") and "not reversible: detailed balance fails" in err
     code, _, err = run(capsys, "check", "--lambda", "1,1/2,1/2,1/2,1/2,1/2", "kolmogorov")
     assert code == 2 and "strictly positive" in err
+
+
+def test_check_ergodic_lambda(capsys):
+    # the same walk check as --gamma and --matrix: a non-walk is rejected first
+    code, out, err = run(capsys, "check", "--lambda", "1,1/2,0,0", "ergodic")
+    assert (code, out) == (2, "") and "alternating sum at z=3" in err
+    code, out, err = run(capsys, "check", "--lambda", "1,1/2,1/2,1/2", "ergodic")
+    assert (code, out) == (2, "")
+    assert err == "error: not ergodic: irreducible=False aperiodic=False\n"
+    code, out, _ = run(capsys, "check", "--lambda", "1,1/2,1/3,1/4", "ergodic")
+    assert (code, out) == (0, "ergodic\n")
 
 
 def test_kolmogorov_at_fourteen_states(capsys):

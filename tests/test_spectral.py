@@ -19,11 +19,11 @@ from involute.spectral import (
     right_eigenvectors,
 )
 from involute.exactnum import binom
-from involute.transform import pascal, pascal_column
+from involute.transform import pascal
 from involute.walk import invariant_closed_form, transition_matrix
 from involute.weights import Custom, DeltaAB, GammaAB, GammaC
 
-from oracles import pi_inner
+from oracles import pascal_column, pi_inner
 
 GRID_AB = [F(-1, 2), F(0), F(1, 2), F(1), F(2)]
 

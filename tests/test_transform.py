@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from involute import _linalg as la
-from involute.errors import OutOfRange, SingularMatrix
+from involute.errors import NotStochastic, OutOfRange, SingularMatrix
 from involute.exactnum import binom
 from involute.spectral import eigenvalues_closed_form, family_lambda
 from involute.transform import (
@@ -19,17 +19,18 @@ from involute.transform import (
     check_gadep,
     gadep_counterexample,
     is_binomial_transform,
-    is_ergodic_lambda,
     is_stochastic,
+    lambda_walk,
     pascal,
-    pascal_column,
     pl_matrix,
     property_report,
     stochastic_grid,
     stochastic_lattice,
 )
-from involute.walk import transition_matrix
+from involute.walk import ergodicity, transition_matrix
 from involute.weights import DeltaAB, GammaAB, GammaC
+
+from oracles import pascal_column
 
 lambda_lists = st.lists(
     st.fractions(min_value=-2, max_value=2, max_denominator=8), min_size=1, max_size=8
@@ -124,11 +125,13 @@ def test_stochasticity_equivalence(lam):
 
 
 def test_is_ergodic_lambda_examples():
-    assert is_ergodic_lambda([F(1), F(1, 2), F(1, 3), F(1, 4)])
-    assert not is_ergodic_lambda([F(1), F(1, 2), F(0), F(0)])
+    assert ergodicity(lambda_walk([F(1), F(1, 2), F(1, 3), F(1, 4)])).ergodic
+    # the alternating sum at z = 3 is -1/2: not a walk at all
+    with pytest.raises(NotStochastic, match="alternating sum at z=3"):
+        lambda_walk([F(1), F(1, 2), F(0), F(0)])
     # lambda = (1, 1) gives the deterministic flip: 0 is accessible but the
     # walk is periodic, so it does not mix
-    assert not is_ergodic_lambda([F(1), F(1)])
+    assert not ergodicity(lambda_walk([F(1), F(1)])).ergodic
 
 
 @given(
@@ -160,7 +163,7 @@ def test_ergodic_lambda_structure():
     grid = [lam for n in (3, 4, 5) for lam in stochastic_grid(n, 4)]
     ergodic = 0
     for lam in sampled + grid:
-        if not is_ergodic_lambda(lam):
+        if not ergodicity(lambda_walk(lam)).ergodic:
             continue
         ergodic += 1
         n = len(lam)

@@ -14,11 +14,9 @@ from involute.transform import _pl_rows, lambda_walk, pl_matrix, stochastic_grid
 from involute.walk import (
     Distribution,
     WalkMatrix,
-    detailed_balance,
     ergodicity,
     invariant_closed_form,
     kolmogorov,
-    reversible_with_some_distribution,
     simulate,
     stationary,
     subset_walk,
@@ -27,7 +25,7 @@ from involute.walk import (
 )
 from involute.weights import Custom, DeltaAB, GammaAB, GammaC, domain_limit
 
-from oracles import two_step
+from oracles import detailed_balance, reversible_with_some_distribution, two_step, zero_accessible
 from test_transform import random_stochastic_lambda
 
 
@@ -163,9 +161,50 @@ def test_constant_tail_walk_is_reducible_despite_zero_access():
     report = ergodicity(p)
     assert not report.irreducible
     assert report.communicating_classes == [[0, 3], [1, 2]]
-    from involute.transform import _zero_accessible
+    assert walk._zero_reachable(p)
 
-    assert _zero_accessible(p)
+
+def test_closed_classes():
+    # state 1 leaks into the absorbing state 0
+    leaky = [[F(1), F(0)], [F(1, 2), F(1, 2)]]
+    assert walk._closed_classes(leaky) == [[0]]
+    assert walk._zero_reachable(leaky)
+    # two closed classes: 0 is not reached from state 1
+    assert walk._closed_classes([[1, 0], [0, 1]]) == [[0], [1]]
+    assert not walk._zero_reachable([[1, 0], [0, 1]])
+    # 0 transient: its class is not closed
+    assert walk._closed_classes([[0, 1], [0, 1]]) == [[1]]
+    assert not walk._zero_reachable([[0, 1], [0, 1]])
+
+
+def test_zero_reachable_matches_fixed_point_oracle():
+    # every stochastic grid walk for n <= 7, den <= 6, and random supports
+    cases = [_pl_rows(scaled) for n in range(1, 8) for scaled in stochastic_lattice(n, 6)[1]]
+    rng = random.Random(3256)
+    for _ in range(1500):
+        n = rng.randint(1, 7)
+        cases.append([[rng.randint(0, 1) for _ in range(n)] for _ in range(n)])
+    verdicts = [walk._zero_reachable(p) for p in cases]
+    assert verdicts == [zero_accessible(p) for p in cases]
+    assert 0 < sum(verdicts) < len(cases)
+
+
+def test_sccs_are_mutual_reachability_classes():
+    rng = random.Random(1729)
+    for _ in range(500):
+        n = rng.randint(1, 9)
+        adj = walk.support([[int(rng.random() < 0.3) for _ in range(n)] for _ in range(n)])
+        reach = []
+        for x in range(n):
+            seen, todo = {x}, [x]
+            while todo:
+                for z in adj[todo.pop()]:
+                    if z not in seen:
+                        seen.add(z)
+                        todo.append(z)
+            reach.append(seen)
+        classes = {tuple(z for z in sorted(reach[x]) if x in reach[z]) for x in range(n)}
+        assert walk._sccs(adj) == sorted(list(c) for c in classes)
 
 
 def test_detailed_balance_examples():
