@@ -5,8 +5,9 @@ adaptive quadrature under the integral-definition reference.
 CLI reads the budgets when it builds its parser, so taking them from this
 module keeps numpy out of every command that does not work on [0, 1].
 `adaptive_quad` runs on plain floats and finds its Gauss-Legendre nodes by
-Newton's method on the Legendre recurrence, so the reference shares no code
-with the numpy panels of `continuum` that the tests check against it.  The
+Newton's method on the Legendre recurrence.  The numpy panels of `continuum`
+take their nodes from the same rule; the tests check the rule against
+numpy's `leggauss` and the panels against scipy and mpmath quadrature.  The
 bench tracer (bench/spans.py) names a layer after the last part of a module
 name, leading underscores dropped, so these functions trace as `continuum.*`
 on every workload.

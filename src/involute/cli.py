@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -37,27 +38,39 @@ class CheckFailed(Exception):
     """A requested property check failed; carries the diagnostic."""
 
 
-def _family_from_args(args) -> object:
-    sources = [
-        args.gamma is not None,
-        args.gammac is not None,
-        args.delta is not None,
-        getattr(args, "lam", None) is not None,
-        getattr(args, "custom", None) is not None,
-    ]
-    if sum(sources) != 1:
+def _source_from_args(args) -> tuple:
+    """The input the family flags name, as (source, n).
+
+    An eigenvalue sequence comes back as its list with its length; a weight
+    spec with --n, else the custom table's size.  No matrix is built here.
+    """
+    lam = getattr(args, "lam", None)
+    sources = [args.gamma, args.gammac, args.delta, lam, getattr(args, "custom", None)]
+    if sum(s is not None for s in sources) != 1:
         raise InvoluteError(
             "exactly one of --gamma/--gammac/--delta/--lambda/--custom is required"
         )
+    if lam is not None:
+        seq = parse_rational_list(lam)
+        return seq, len(seq)
     if args.gamma is not None:
-        return GammaAB(parse_rational(args.gamma[0]), parse_rational(args.gamma[1]))
-    if args.gammac is not None:
-        return GammaC(parse_rational(args.gammac))
-    if args.delta is not None:
-        return DeltaAB(parse_rational(args.delta[0]), parse_rational(args.delta[1]))
-    if getattr(args, "lam", None) is not None:
-        return parse_rational_list(args.lam)
-    return custom_from_csv(_read_file(args.custom))
+        spec = GammaAB(parse_rational(args.gamma[0]), parse_rational(args.gamma[1]))
+    elif args.gammac is not None:
+        spec = GammaC(parse_rational(args.gammac))
+    elif args.delta is not None:
+        spec = DeltaAB(parse_rational(args.delta[0]), parse_rational(args.delta[1]))
+    else:
+        spec = custom_from_csv(_read_file(args.custom))
+    if args.n is None and not isinstance(spec, Custom):
+        raise InvoluteError("--n is required for family weights")
+    return spec, spec.n if args.n is None else args.n
+
+
+def _walk(source, n) -> walk.WalkMatrix:
+    """The walk of a resolved source: the lambda walk of a list, else the weight's."""
+    if isinstance(source, list):
+        return transform.lambda_walk(source)
+    return walk.transition_matrix(source, n)
 
 
 def _read_file(path: str) -> str:
@@ -67,17 +80,6 @@ def _read_file(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise InvoluteError(f"cannot read {path}: {exc.strerror}") from None
-
-
-def _walk_from_source(source, n) -> walk.WalkMatrix:
-    if isinstance(source, list):  # an eigenvalue sequence
-        return transform.lambda_walk(source)
-    if n is None:
-        if isinstance(source, Custom):
-            n = source.n
-        else:
-            raise InvoluteError("--n is required for family weights")
-    return walk.transition_matrix(source, n)
 
 
 def _add_family_flags(p: argparse.ArgumentParser, with_lambda: bool = True):
@@ -90,11 +92,11 @@ def _add_family_flags(p: argparse.ArgumentParser, with_lambda: bool = True):
     p.add_argument("--n", type=int, help="number of states")
 
 
-def _emit_matrix(rows, fmt: str, **meta):
+def _emit_matrix(rows, fmt: str):
     if fmt == "csv":
         sys.stdout.write(matrix_to_csv(rows))
     elif fmt == "json":
-        print(matrix_to_json(rows, **meta))
+        print(matrix_to_json(rows))
     else:
         print(matrix_to_pretty(rows))
 
@@ -109,41 +111,34 @@ def _emit_vector(v, fmt: str, name: str):
 
 
 def cmd_matrix(args):
-    spec = _family_from_args(args)
-    w = _walk_from_source(spec, args.n)
+    w = _walk(*_source_from_args(args))
     _emit_matrix(w.H if args.down_step else w.P, args.format)
 
 
 def cmd_stationary(args):
-    spec = _family_from_args(args)
-    w = _walk_from_source(spec, args.n)
-    pi = walk.stationary(w)
+    pi = walk.stationary(_walk(*_source_from_args(args)))
     _emit_vector(pi.weights, args.format, "pi")
 
 
 def cmd_spectrum(args):
-    spec = _family_from_args(args)
-    if isinstance(spec, list):
+    source, n = _source_from_args(args)
+    if isinstance(source, list):
         # the sequence lists H's eigenvalues; P alternates their signs
-        signed = [(-1) ** d * v for d, v in enumerate(spec)]
+        signed = [(-1) ** d * v for d, v in enumerate(source)]
     else:
-        if args.n is None:
-            raise InvoluteError("--n is required")
-        signed = spectral.eigenvalues_closed_form(spec, args.n)
+        signed = spectral.eigenvalues_closed_form(source, n)
     _emit_vector(signed, args.format, "eigenvalues")
 
 
 def cmd_eigvec(args):
-    spec = _family_from_args(args)
-    if not isinstance(spec, GammaAB):
-        raise InvoluteError("eigvec requires --gamma A B")
-    system = spectral.right_eigenvectors(spec, args.n, dmax=args.d)
+    spec, n = _source_from_args(args)
+    system = spectral.right_eigenvectors(spec, n, dmax=args.d)
     if args.format == "json":
         print(json.dumps(system.to_dict()))
         return
     for d, (value, vec) in enumerate(zip(system.eigenvalues, system.right_vectors)):
         print(f"d={d}  eigenvalue={format_rational(value)}  right=" + ",".join(format_vector(vec)))
-    print("final-left=" + ",".join(format_vector(spectral.final_left_eigenvector(args.n))))
+    print("final-left=" + ",".join(format_vector(spectral.final_left_eigenvector(n))))
 
 
 _LAMBDA_PROPERTIES = ("stochastic", "globally-reversible")
@@ -161,12 +156,14 @@ def _check_source(args):
         rows = matrix_from_csv(_read_file(args.matrix))
         # a walk is square, stochastic and anti-triangular
         return walk.WalkMatrix.from_p(rows) if prop in _WALK_PROPERTIES else rows
-    spec = _family_from_args(args)
-    if isinstance(spec, list) and prop not in _WALK_PROPERTIES:
-        return spec if prop in _LAMBDA_PROPERTIES else transform.binomial_transform(spec)
-    w = _walk_from_source(spec, args.n)
+    source, n = _source_from_args(args)
     if prop in _LAMBDA_PROPERTIES:
-        raise InvoluteError(f"check {prop} needs --lambda")
+        if not isinstance(source, list):
+            raise InvoluteError(f"check {prop} needs --lambda")
+        return source
+    if isinstance(source, list) and prop not in _WALK_PROPERTIES:
+        return transform.binomial_transform(source)
+    w = _walk(source, n)
     return w if prop in _WALK_PROPERTIES else w.H
 
 
@@ -250,8 +247,7 @@ def cmd_ladder(args):
 
 
 def cmd_simulate(args):
-    spec = _family_from_args(args)
-    w = _walk_from_source(spec, args.n)
+    w = _walk(*_source_from_args(args))
     result = walk.simulate(w, args.start, args.steps, args.seed)
     if args.empirical:
         print(",".join(f"{f:.6f}" for f in result.empirical))
@@ -402,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(p)
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("eigvec", help="pi-orthogonal right eigenvectors (gamma(a,b))")
+    p = sub.add_parser("eigvec", help="pi-orthogonal right eigenvectors")
     _add_family_flags(p, with_lambda=False)
     p.add_argument("--d", type=int, default=None, help="largest eigenvector index")
     p.set_defaults(func=cmd_eigvec)
@@ -471,6 +467,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.set_defaults(func=cmd_repro)
+    # argparse takes only integers and decimals for negative numbers, so "-1/3"
+    # would read as a flag; every negative rational is a value here
+    negative = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+    for p in sub.choices.values():
+        p._negative_number_matcher = negative
     return parser
 
 

@@ -59,10 +59,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import _linalg as la
-from ._continuum import CONVERGENCE_MAX_N, CONVERGENCE_MAX_SIZES, adaptive_quad
+from ._continuum import CONVERGENCE_MAX_N, CONVERGENCE_MAX_SIZES, _gauss_legendre, adaptive_quad
 from .errors import OutOfRange
 from .spectral import eigenvalues_closed_form, family_lambda, right_eigenvectors
 from .weights import GammaAB
@@ -260,7 +259,7 @@ def _grid():
 def _unit_panel(degree: int):
     """Gauss-Legendre nodes on [0, 1] and weights summing to 1, of order
     floor(degree/2)+1: exact up to rounding for polynomials of that degree."""
-    nodes, weights = leggauss(degree // 2 + 1)
+    nodes, weights = map(np.array, _gauss_legendre(degree // 2 + 1))
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
 

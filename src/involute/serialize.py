@@ -44,11 +44,10 @@ def format_vector(v) -> list[str]:
     return [format_rational(x) for x in v]
 
 
-def matrix_to_csv(rows, header: bool = True) -> str:
+def matrix_to_csv(rows) -> str:
     out = io.StringIO()
     n_cols = len(rows[0]) if rows else 0
-    if header:
-        out.write(",".join(f"c{j}" for j in range(n_cols)) + "\n")
+    out.write(",".join(f"c{j}" for j in range(n_cols)) + "\n")
     for row in rows:
         out.write(",".join(format_rational(x) for x in row) + "\n")
     return out.getvalue()
@@ -76,10 +75,9 @@ def matrix_from_csv(text: str):
     return rows
 
 
-def matrix_to_json(rows, **extra) -> str:
-    payload = {"n": len(rows), "entries": [[format_rational(x) for x in row] for row in rows]}
-    payload.update(extra)
-    return json.dumps(payload)
+def matrix_to_json(rows) -> str:
+    entries = [[format_rational(x) for x in row] for row in rows]
+    return json.dumps({"n": len(rows), "entries": entries})
 
 
 def matrix_to_pretty(rows, structural_dots: bool = True) -> str:

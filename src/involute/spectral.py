@@ -7,7 +7,7 @@ w[d, d] / N_d the diagonal of H (`weights.down_step_diagonal`):
     gamma(c):      lambda_d = 1 / (c+1)^d
     delta(a', b'): lambda_d = binom(a'-1, d) / binom(a'+b'-2, d)
 
-Right eigenvectors of P(gamma(a, b)) come from back-substitution in the
+Right eigenvectors of every family walk come from back-substitution in the
 Pascal basis (`right_eigenvectors`): the Gram-Schmidt vectors of the Pascal
 columns under <v, w> = sum_x pi_x v_x w_x, integer-cleared, orthogonal but
 deliberately not normalized.  pi_x v_x gives the left eigenvector for the
@@ -26,7 +26,7 @@ from . import _linalg as la
 from .errors import IndexOutOfDomain, OutOfRange, UnsupportedFamily
 from .exactnum import binom
 from .walk import Distribution, invariant_closed_form, transition_matrix
-from .weights import Custom, GammaAB, WeightSpec, domain_limit, down_step_diagonal
+from .weights import Custom, WeightSpec, domain_limit, down_step_diagonal
 
 
 @dataclass
@@ -68,19 +68,19 @@ def eigenvalues_closed_form(spec: WeightSpec, n: int) -> list:
 
 
 def right_eigenvectors(spec: WeightSpec, n: int, dmax: int | None = None) -> EigenSystem:
-    """Right eigenvectors of P(gamma(a, b)), by back-substitution.
+    """Right eigenvectors of a family walk P, by back-substitution.
 
     With B the Pascal matrix, P = H J and H = B Diag(lambda) B^-1, entry
     [i][k] of B^-1 P B is (-1)^i lambda_i C(n-1-i, k-i), the forward
-    differences at x = 0 of C(n-1-x, k).  It is upper triangular with a
-    distinct diagonal for gamma(a, b), so eigenvector d is B times the
-    eigenvector of its top (d+1) x (d+1) block, scaled to coprime integers
-    with the first nonzero entry > 0.
+    differences at x = 0 of C(n-1-x, k).  It is upper triangular, and every
+    named family has distinct signed lambda_d within its domain, so
+    eigenvector d is B times the eigenvector of its top (d+1) x (d+1) block,
+    scaled to coprime integers with the first nonzero entry > 0.
     """
-    if not isinstance(spec, GammaAB):
-        raise UnsupportedFamily("right eigenvector theory requires gamma(a, b)")
     if n < 1:
         raise IndexOutOfDomain("n must be >= 1")
+    if dmax is not None and dmax < 0:
+        raise OutOfRange(f"eigenvectors need dmax >= 0, got {dmax}")
     top = n if dmax is None else min(dmax + 1, n)
     values = eigenvalues_closed_form(spec, top)  # lambda_d does not depend on n
     scaled = la.integer_row(values)[0]
@@ -112,8 +112,8 @@ def final_left_eigenvector(n: int) -> list:
     return [(-1) ** x * binom(n - 1, x) for x in range(n)]
 
 
-def final_left_eigenvalue(spec: GammaAB, n: int) -> Fraction:
-    """Eigenvalue of the alternating Pascal row under any gamma(a, b) walk."""
+def final_left_eigenvalue(spec: WeightSpec, n: int) -> Fraction:
+    """Eigenvalue of the alternating Pascal row under any family walk."""
     return eigenvalues_closed_form(spec, n)[n - 1]
 
 

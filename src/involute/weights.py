@@ -236,7 +236,7 @@ def factorize(spec: WeightSpec, n: int, pi) -> FactorizationResult:
     return FactorizationResult(alpha, beta, valid)
 
 
-def custom_from_csv(text: str, n: int | None = None) -> Custom:
+def custom_from_csv(text: str) -> Custom:
     """Load a custom weight from CSV rows 'y,x,p/q' (header line tolerated)."""
     table: dict[tuple[int, int], Fraction] = {}
     max_x = -1
@@ -257,9 +257,7 @@ def custom_from_csv(text: str, n: int | None = None) -> Custom:
             raise MalformedWeight(f"duplicate row for (y, x) = ({y}, {x}): {line!r}")
         table[(y, x)] = parse_rational(parts[2])
         max_x = max(max_x, x)
-    if n is None:
-        n = max_x + 1
-    return Custom(n, table)
+    return Custom(max_x + 1, table)
 
 
 def spec_label(spec: WeightSpec) -> str:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import involute
+from involute import walk
 from involute.cli import main
 
 PACKAGE_DIR = Path(involute.__file__).parent
@@ -192,11 +193,52 @@ def test_subsets_command(capsys):
     assert "eigenvalues=1,-1/2,-1/2,1/4" in out
 
 
-def test_eigvec_command(capsys):
+def test_eigvec_command(tmp_path, capsys):
     code, out, _ = run(capsys, "eigvec", "--gamma", "0", "0", "--n", "4")
     assert code == 0
     assert "d=1" in out and "2,1,0,-1" in out
     assert "final-left=1,-3,3,-1" in out
+    # every named family runs through the same engine; a custom table has no closed form
+    code, out, _ = run(capsys, "eigvec", "--delta", "4", "2", "--n", "4")
+    assert (code, out.splitlines()[1]) == (0, "d=1  eigenvalue=-3/4  right=12,5,-2,-9")
+    code, out, _ = run(capsys, "eigvec", "--gammac", "1/3", "--n", "4")
+    assert (code, out.splitlines()[3]) == (0, "d=3  eigenvalue=-27/64  right=64,-48,36,-27")
+    target = tmp_path / "weight.csv"
+    target.write_text("0,0,2\n0,1,1\n1,1,3\n")
+    code, out, err = run(capsys, "eigvec", "--custom", str(target))
+    assert (code, out) == (2, "") and "custom weights" in err
+
+
+@pytest.mark.parametrize("command", ["eigvec", "spectrum", "matrix", "stationary", "simulate"])
+def test_family_weight_needs_n(capsys, command):
+    assert run(capsys, command, "--gamma", "1", "1") == (
+        2, "", "error: --n is required for family weights\n")
+
+
+def test_eigvec_rejects_negative_d(capsys):
+    code, out, err = run(capsys, "eigvec", "--gamma", "1", "1", "--n", "4", "--d", "-1")
+    assert (code, out, err) == (2, "", "error: eigenvectors need dmax >= 0, got -1\n")
+
+
+@pytest.mark.parametrize("prop", ["stochastic", "globally-reversible"])
+def test_check_lambda_property_builds_no_walk(monkeypatch, capsys, prop):
+    def refuse(*args):
+        raise AssertionError("a walk was built")
+
+    monkeypatch.setattr(walk, "transition_matrix", refuse)
+    code, out, err = run(capsys, "check", "--gamma", "1", "1", "--n", "500", prop)
+    assert (code, out, err) == (2, "", f"error: check {prop} needs --lambda\n")
+
+
+def test_negative_rational_arguments(capsys):
+    # gamma(a, b) is valid for a, b > -1, so "-1/3" is a value, not a flag
+    code, out, _ = run(capsys, "--format", "csv", "matrix", "--gamma", "-1/3", "-2/3", "--n", "3")
+    assert code == 0
+    assert out.splitlines()[1:] == ["0,0,1", "0,2/3,1/3", "5/9,2/9,2/9"]
+    code, out, _ = run(capsys, "--format", "csv", "matrix", "--gamma", "-0.5", "0", "--n", "3")
+    assert code == 0 and out.splitlines()[3] == "1/5,4/15,8/15"
+    code, out, err = run(capsys, "matrix", "--gamma", "-1", "0", "--n", "3")
+    assert (code, out) == (2, "") and "a, b > -1" in err
 
 
 def test_conjecture_command(capsys):
@@ -433,6 +475,8 @@ def test_bench_function_metrics_name_public_functions():
         ["conjecture", "--n", "4", "--max-denominator", "8"],
         ["continuum", "--trig", "--fixed-point"],
         ["continuum", "--trig", "--invariant"],
+        ["eigvec", "--gammac", "1/3", "--n", "12"],
+        ["eigvec", "--delta", "21/2", "43/4", "--n", "10"],
     ],
 )
 def test_cli_same_under_optimize(argv):

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from involute import _linalg as la
-from involute.errors import UnsupportedFamily
+from involute.errors import OutOfRange, UnsupportedFamily
 from involute.spectral import (
     EigenSystem,
     MixingReport,
@@ -21,7 +21,7 @@ from involute.spectral import (
 from involute.exactnum import binom
 from involute.transform import pascal
 from involute.walk import invariant_closed_form, transition_matrix
-from involute.weights import Custom, DeltaAB, GammaAB, GammaC
+from involute.weights import Custom, DeltaAB, GammaAB, GammaC, domain_limit
 
 from oracles import pascal_column, pi_inner
 
@@ -153,16 +153,27 @@ def _exact_eigenvector(scaled_rows, value, v):
     )
 
 
-@pytest.mark.parametrize("spec", [GammaAB(F(1), F(1, 3)), GammaAB(F(-1, 2), F(5, 2))])
+@pytest.mark.parametrize("spec", [
+    GammaAB(F(1), F(1, 3)), GammaAB(F(-1, 2), F(5, 2)),
+    GammaC(F(1, 3)), GammaC(F(5, 2)),
+    # delta up to its domain edge: non-integer a' and b', then integer b'
+    DeltaAB(F(21, 2), F(43, 4)), DeltaAB(F(25, 2), F(11, 2)), DeltaAB(4, 2),
+    DeltaAB(13, 7), DeltaAB(F(17, 2), 3), DeltaAB(F(7, 3), 5),
+])
 def test_right_eigenvectors_are_exact_eigenvectors(spec):
-    for n, dmax in ((24, None), (40, None), (80, 2)):
+    # the Pascal-basis engine needs only H = B Diag(lambda) B^-1 with distinct
+    # signed lambda, which every named family has within its domain
+    sizes = [(n, None) for n in (*range(2, 13), 24, 40)] + [(80, 2)]
+    for n, dmax in [(n, dmax) for n, dmax in sizes if n <= domain_limit(spec)]:
         system = right_eigenvectors(spec, n, dmax=dmax)
         top = n if dmax is None else dmax + 1
         assert len(system.right_vectors) == len(system.eigenvalues) == top
         assert system.right_vectors == _integer_gram_schmidt(spec, n, top)
-        p = [la.integer_row(row) for row in transition_matrix(spec, n).P]
-        for value, v in zip(system.eigenvalues, system.right_vectors):
+        walk = transition_matrix(spec, n)
+        p = [la.integer_row(row) for row in walk.P]
+        for value, v, u in zip(system.eigenvalues, system.right_vectors, system.left_vectors):
             assert any(v) and _exact_eigenvector(p, value, v)
+            assert la.vecmat(u, walk.P) == [value * x for x in u]
         assert not _exact_eigenvector(p, system.eigenvalues[1], system.right_vectors[0])
 
 
@@ -185,14 +196,15 @@ def test_final_left_eigenvector_examples():
 
 
 def test_final_left_eigenvector_over_grid():
-    for a in (F(0), F(1, 2), F(1), F(2)):
-        for b in (F(0), F(1, 2), F(1), F(2)):
-            spec = GammaAB(a, b)
-            for n in range(2, 11):
-                u = final_left_eigenvector(n)
-                p = transition_matrix(spec, n).P
-                lam = final_left_eigenvalue(spec, n)
-                assert la.vecmat(u, p) == [lam * x for x in u]
+    grid = (F(0), F(1, 2), F(1), F(2))
+    specs = [GammaAB(a, b) for a in grid for b in grid]
+    specs += [GammaC(F(1, 3)), GammaC(2), DeltaAB(13, 7), DeltaAB(F(21, 2), F(43, 4))]
+    for spec in specs:
+        for n in range(2, min(10, domain_limit(spec)) + 1):
+            u = final_left_eigenvector(n)
+            p = transition_matrix(spec, n).P
+            lam = final_left_eigenvalue(spec, n)
+            assert la.vecmat(u, p) == [lam * x for x in u]
 
 
 def test_left_vectors_are_left_eigenvectors():
@@ -246,7 +258,13 @@ def test_unsupported_family():
     with pytest.raises(UnsupportedFamily):
         eigenvalues_closed_form(custom, 2)
     with pytest.raises(UnsupportedFamily):
-        right_eigenvectors(GammaC(1), 3)
+        right_eigenvectors(custom, 2)
+
+
+def test_right_eigenvectors_reject_negative_dmax():
+    with pytest.raises(OutOfRange, match="dmax >= 0, got -1"):
+        right_eigenvectors(GammaAB(1, 1), 4, dmax=-1)
+    assert len(right_eigenvectors(GammaAB(1, 1), 4, dmax=0).right_vectors) == 1
 
 
 def test_eigensystem_serialization():
