@@ -40,10 +40,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
-def matvec(a: Matrix, v: Vector) -> Vector:
-    return [sum(map(mul, row, v)) for row in a]
-
-
 def vecmat(v: Vector, a: Matrix) -> Vector:
     return [sum(map(mul, v, col)) for col in zip(*a)]
 

@@ -39,19 +39,24 @@ class CheckFailed(Exception):
 
 
 def _source_from_args(args) -> tuple:
-    """The input the family flags name, as (source, n).
+    """The one input the source flags name, as (source, n).
 
-    An eigenvalue sequence comes back as its list with its length; a weight
-    spec with --n, else the custom table's size.  No matrix is built here.
+    An eigenvalue sequence comes back as its list with its length, and the
+    rows of a `check --matrix` file with their number; a weight spec with
+    --n, else the custom table's size.  No walk is built here.
     """
-    lam = getattr(args, "lam", None)
-    sources = [args.gamma, args.gammac, args.delta, lam, getattr(args, "custom", None)]
+    matrix = getattr(args, "matrix", None)
+    sources = [args.gamma, args.gammac, args.delta, args.lam, args.custom, matrix]
     if sum(s is not None for s in sources) != 1:
-        raise InvoluteError(
-            "exactly one of --gamma/--gammac/--delta/--lambda/--custom is required"
-        )
-    if lam is not None:
-        seq = parse_rational_list(lam)
+        names = "--gamma/--gammac/--delta/--lambda/--custom"
+        if hasattr(args, "matrix"):
+            names += "/--matrix"
+        raise InvoluteError(f"exactly one of {names} is required")
+    if matrix is not None:
+        rows = matrix_from_csv(_read_file(matrix))
+        return rows, len(rows)
+    if args.lam is not None:
+        seq = parse_rational_list(args.lam)
         return seq, len(seq)
     if args.gamma is not None:
         spec = GammaAB(parse_rational(args.gamma[0]), parse_rational(args.gamma[1]))
@@ -73,6 +78,16 @@ def _walk(source, n) -> walk.WalkMatrix:
     return walk.transition_matrix(source, n)
 
 
+def _sequence_from_args(args) -> list:
+    """The eigenvalue sequence of the walk the source flags name: a --lambda
+    list once it passes the stochasticity check of `matrix --lambda`, else
+    the named family's down-step diagonal."""
+    source, n = _source_from_args(args)
+    if isinstance(source, list):
+        return transform.stochastic_sequence(source)
+    return spectral.family_sequence(source, n)
+
+
 def _read_file(path: str) -> str:
     """Contents of a file named on the command line; unreadable is bad input."""
     try:
@@ -82,12 +97,11 @@ def _read_file(path: str) -> str:
         raise InvoluteError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _add_family_flags(p: argparse.ArgumentParser, with_lambda: bool = True):
+def _add_family_flags(p: argparse.ArgumentParser):
     p.add_argument("--gamma", nargs=2, metavar=("A", "B"), help="gamma(a,b) weight")
     p.add_argument("--gammac", metavar="C", help="gamma(c) weight")
     p.add_argument("--delta", nargs=2, metavar=("AP", "BP"), help="delta(a',b') weight")
-    if with_lambda:
-        p.add_argument("--lambda", dest="lam", metavar="L0,L1,...", help="eigenvalue sequence")
+    p.add_argument("--lambda", dest="lam", metavar="L0,L1,...", help="eigenvalue sequence")
     p.add_argument("--custom", metavar="FILE", help="custom weight CSV (rows y,x,p/q)")
     p.add_argument("--n", type=int, help="number of states")
 
@@ -121,24 +135,18 @@ def cmd_stationary(args):
 
 
 def cmd_spectrum(args):
-    source, n = _source_from_args(args)
-    if isinstance(source, list):
-        # the sequence lists H's eigenvalues; P alternates their signs
-        signed = [(-1) ** d * v for d, v in enumerate(source)]
-    else:
-        signed = spectral.eigenvalues_closed_form(source, n)
+    signed = spectral.signed_eigenvalues(_sequence_from_args(args))
     _emit_vector(signed, args.format, "eigenvalues")
 
 
 def cmd_eigvec(args):
-    spec, n = _source_from_args(args)
-    system = spectral.right_eigenvectors(spec, n, dmax=args.d)
+    system = spectral.eigensystem(_sequence_from_args(args), dmax=args.d)
     if args.format == "json":
         print(json.dumps(system.to_dict()))
         return
     for d, (value, vec) in enumerate(zip(system.eigenvalues, system.right_vectors)):
         print(f"d={d}  eigenvalue={format_rational(value)}  right=" + ",".join(format_vector(vec)))
-    print("final-left=" + ",".join(format_vector(spectral.final_left_eigenvector(n))))
+    print("final-left=" + ",".join(format_vector(spectral.final_left_eigenvector(system.n))))
 
 
 _LAMBDA_PROPERTIES = ("stochastic", "globally-reversible")
@@ -150,18 +158,15 @@ def _check_source(args):
     the lambda properties, a WalkMatrix for the walk properties, and the
     lower-triangular matrix (H, or the --matrix rows) for the rest."""
     prop = args.property
-    if args.matrix is not None:
-        if prop in _LAMBDA_PROPERTIES:
-            raise InvoluteError(f"check {prop} needs --lambda")
-        rows = matrix_from_csv(_read_file(args.matrix))
-        # a walk is square, stochastic and anti-triangular
-        return walk.WalkMatrix.from_p(rows) if prop in _WALK_PROPERTIES else rows
     source, n = _source_from_args(args)
     if prop in _LAMBDA_PROPERTIES:
-        if not isinstance(source, list):
+        if args.lam is None:
             raise InvoluteError(f"check {prop} needs --lambda")
         return source
-    if isinstance(source, list) and prop not in _WALK_PROPERTIES:
+    if args.matrix is not None:
+        # a walk is square, stochastic and anti-triangular
+        return walk.WalkMatrix.from_p(source) if prop in _WALK_PROPERTIES else source
+    if args.lam is not None and prop not in _WALK_PROPERTIES:
         return transform.binomial_transform(source)
     w = _walk(source, n)
     return w if prop in _WALK_PROPERTIES else w.H
@@ -398,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(p)
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("eigvec", help="pi-orthogonal right eigenvectors")
-    _add_family_flags(p, with_lambda=False)
+    p = sub.add_parser("eigvec", help="right and left eigenvectors and the stationary law")
+    _add_family_flags(p)
     p.add_argument("--d", type=int, default=None, help="largest eigenvector index")
     p.set_defaults(func=cmd_eigvec)
 

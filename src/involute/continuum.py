@@ -63,7 +63,7 @@ import numpy as np
 from . import _linalg as la
 from ._continuum import CONVERGENCE_MAX_N, CONVERGENCE_MAX_SIZES, _gauss_legendre, adaptive_quad
 from .errors import OutOfRange
-from .spectral import eigenvalues_closed_form, family_lambda, right_eigenvectors
+from .spectral import eigenvalues_closed_form, family_lambda, family_sequence, right_eigenvectors
 from .weights import GammaAB
 
 GRID_POINTS = 101  # evaluation grid k/101, k = 1..101; x = 0 stays excluded
@@ -355,7 +355,7 @@ def discrete_convergence(a: int, b: int, d: int, n_list) -> list:
 
 def convergence_table(a: int, b: int, degrees, n_list) -> list:
     """`discrete_convergence` for each d of degrees: one row of distances
-    per d.  Each n's exact eigensystem is built once, up to max(degrees)."""
+    per d.  Each n's exact right eigenvectors are built once, up to max(degrees)."""
     _check_ab(a, b)
     for d in degrees:
         if not 0 <= d <= 5:
@@ -369,12 +369,13 @@ def convergence_table(a: int, b: int, degrees, n_list) -> list:
         if n > CONVERGENCE_MAX_N:
             raise OutOfRange(f"discrete comparison supported for n <= {CONVERGENCE_MAX_N}, got n={n}")
     gs = jacobi_eigenfunctions(a, b, top)
-    spec = GammaAB(Fraction(a), Fraction(b))
+    # right vector d depends on lambda_0..lambda_d and n only
+    lam = family_sequence(GammaAB(Fraction(a), Fraction(b)), top + 1)
     table = [[] for _ in degrees]
     for n in n_list:
-        system = right_eigenvectors(spec, n, dmax=top)
+        rights = right_eigenvectors(lam, n)
         for d, row in zip(degrees, table):
-            w = [float(v) for v in system.right_vectors[d]]
+            w = [float(v) for v in rights[d]]
             gvals = [gs[d](i / n) for i in range(n)]
             w_hat = _sup_normalize(w)
             g_hat = _sup_normalize(gvals)

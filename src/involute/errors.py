@@ -47,3 +47,7 @@ class SingularMatrix(InvoluteError):
 
 class QuadratureNonConvergence(InvoluteError):
     """Adaptive quadrature exhausted its node budget before reaching tolerance."""
+
+
+class RepeatedEigenvalue(InvoluteError):
+    """Two signed eigenvalues coincide, so back-substitution cannot separate them."""

@@ -1,18 +1,33 @@
-"""Closed-form spectra and eigenvectors of the named family walks.
+"""Spectra and eigenvectors of every walk built from an eigenvalue sequence.
 
-The signed eigenvalues of P = H J are (-1)^d lambda_d, with lambda_d =
-w[d, d] / N_d the diagonal of H (`weights.down_step_diagonal`):
+A sequence lambda_0 = 1, lambda_1, ..., lambda_{n-1} gives the down-step
+matrix H = B Diag(lambda) B^-1, B the Pascal matrix, and the walk P = H J.
+The signed eigenvalues of P are (-1)^d lambda_d, the anti-diagonal
+eigenvalue property.  A named family's sequence is the diagonal of its H,
+w[d, d] / N_d (`weights.down_step_diagonal`):
 
     gamma(a, b):   lambda_d = binom(a+d, d) / binom(a+b+d+1, d)
     gamma(c):      lambda_d = 1 / (c+1)^d
     delta(a', b'): lambda_d = binom(a'-1, d) / binom(a'+b'-2, d)
 
-Right eigenvectors of every family walk come from back-substitution in the
-Pascal basis (`right_eigenvectors`): the Gram-Schmidt vectors of the Pascal
-columns under <v, w> = sum_x pi_x v_x w_x, integer-cleared, orthogonal but
-deliberately not normalized.  pi_x v_x gives the left eigenvector for the
-same eigenvalue, and the final left eigenvector is the alternating Pascal
-row (-1)^x binom(n-1, x), up to sign the last row of B^-1, for the last eigenvalue.
+For every sequence, reversible walk or not, T = B^-1 P B is upper
+triangular with T[i][k] = (-1)^i lambda_i C(n-1-i, k-i).  When the signed
+eigenvalues are distinct, back-substitution on the integer-scaled T
+(`_linalg.triangular_eigenvectors`) gives every eigenvector:
+
+- right vector d is B c, c the eigenvector of T for T[d][d]
+  (`right_eigenvectors`);
+- left vector d is w B^-1, w the eigenvector of T^T, found by the same
+  back-substitution on T^T read in reversed index order (`eigensystem`);
+- pi is the left vector for mu_0 = 1, normalized to sum 1.
+
+Each vector is scaled to coprime integers with first nonzero entry > 0.  For
+a reversible walk the right vectors are pi-orthogonal and u_x = pi_x v_x up
+to scale.  A repeated signed eigenvalue, as in lambda = (1, 0, 0), is
+refused with RepeatedEigenvalue before any solve: back-substitution would
+divide by zero.  The final left eigenvector of every walk is the
+alternating Pascal row (-1)^x binom(n-1, x), up to sign the last row of
+B^-1, for the last eigenvalue.
 """
 
 from __future__ import annotations
@@ -21,9 +36,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import mul
 
 from . import _linalg as la
-from .errors import IndexOutOfDomain, OutOfRange, UnsupportedFamily
+from .errors import IndexOutOfDomain, OutOfRange, RepeatedEigenvalue, UnsupportedFamily
 from .exactnum import binom
 from .walk import Distribution, invariant_closed_form, transition_matrix
 from .weights import Custom, WeightSpec, domain_limit, down_step_diagonal
@@ -33,8 +49,8 @@ from .weights import Custom, WeightSpec, domain_limit, down_step_diagonal
 class EigenSystem:
     n: int
     eigenvalues: list  # signed, index d
-    right_vectors: list  # integer-cleared rationals, pairwise pi-orthogonal
-    left_vectors: list
+    right_vectors: list  # integer-cleared rationals, pi-orthogonal for a reversible walk
+    left_vectors: list  # integer-cleared rationals, u P = eigenvalue * u
     pi: Distribution
 
     def to_dict(self) -> dict:
@@ -58,34 +74,63 @@ def family_lambda(spec: WeightSpec, d: int) -> Fraction:
     return down_step_diagonal(spec, d + 1)[d]
 
 
-def eigenvalues_closed_form(spec: WeightSpec, n: int) -> list:
-    """Signed sequence ((-1)^d lambda_d) of the transition matrix P."""
+def family_sequence(spec: WeightSpec, n: int) -> list:
+    """The eigenvalue sequence lambda_0, ..., lambda_{n-1} of a named family walk."""
     if isinstance(spec, Custom):
         raise UnsupportedFamily("no closed-form eigenvalues for custom weights")
     if n < 1 or n > domain_limit(spec):
         raise IndexOutOfDomain(f"n={n} is outside the weight's domain")
-    return [(-1) ** d * lam for d, lam in enumerate(down_step_diagonal(spec, n))]
+    return down_step_diagonal(spec, n)
 
 
-def right_eigenvectors(spec: WeightSpec, n: int, dmax: int | None = None) -> EigenSystem:
-    """Right eigenvectors of a family walk P, by back-substitution.
+def signed_eigenvalues(lam) -> list:
+    """The eigenvalues ((-1)^d lambda_d) of P from the sequence of H."""
+    return [(-1) ** d * v for d, v in enumerate(lam)]
 
-    With B the Pascal matrix, P = H J and H = B Diag(lambda) B^-1, entry
-    [i][k] of B^-1 P B is (-1)^i lambda_i C(n-1-i, k-i), the forward
-    differences at x = 0 of C(n-1-x, k).  It is upper triangular, and every
-    named family has distinct signed lambda_d within its domain, so
-    eigenvector d is B times the eigenvector of its top (d+1) x (d+1) block,
-    scaled to coprime integers with the first nonzero entry > 0.
+
+def eigenvalues_closed_form(spec: WeightSpec, n: int) -> list:
+    """Signed sequence ((-1)^d lambda_d) of the transition matrix P."""
+    return signed_eigenvalues(family_sequence(spec, n))
+
+
+def _pascal_triangular(lam, n: int) -> list:
+    """The positive integer multiple of the top k x k block of T = B^-1 P B,
+    k = len(lam), for the n-state walk; raises RepeatedEigenvalue."""
+    signed = signed_eigenvalues(lam)
+    first: dict = {}
+    for d, value in enumerate(signed):
+        if first.setdefault(value, d) != d:
+            raise RepeatedEigenvalue(
+                f"signed eigenvalue {value} repeats at d={first[value]} and d'={d}; "
+                "eigenvectors need distinct signed eigenvalues"
+            )
+    scaled = la.integer_row(signed)[0]
+    k = len(lam)
+    return [[scaled[i] * math.comb(n - 1 - i, j - i) if j >= i else 0 for j in range(k)]
+            for i in range(k)]
+
+
+def _oriented(v: list) -> list:
+    """A primitive integer vector as Fractions, first nonzero entry > 0."""
+    sign = -1 if next(x for x in v if x) < 0 else 1
+    return [Fraction(sign * x) for x in v]
+
+
+def right_eigenvectors(lam, n: int | None = None) -> list:
+    """Right eigenvectors v_0, ..., v_{k-1} of the n-state walk whose
+    eigenvalue sequence begins with lam, k = len(lam) <= n; n defaults to k.
+
+    T is upper triangular, so eigenvector d of T lives on its top
+    (d+1) x (d+1) block: v_d depends only on lambda_0..lambda_d and n, and a
+    prefix of the sequence gives the first vectors of the whole walk.
     """
-    if n < 1:
-        raise IndexOutOfDomain("n must be >= 1")
-    if dmax is not None and dmax < 0:
-        raise OutOfRange(f"eigenvectors need dmax >= 0, got {dmax}")
-    top = n if dmax is None else min(dmax + 1, n)
-    values = eigenvalues_closed_form(spec, top)  # lambda_d does not depend on n
-    scaled = la.integer_row(values)[0]
-    t = [[scaled[i] * math.comb(n - 1 - i, k - i) if k >= i else 0 for k in range(top)]
-         for i in range(top)]
+    n = len(lam) if n is None else n
+    if not 1 <= len(lam) <= n:
+        raise IndexOutOfDomain(f"need 1 <= len(lam) <= n, got {len(lam)} values for n={n}")
+    return _right_vectors(_pascal_triangular(lam, n), n)
+
+
+def _right_vectors(t: list, n: int) -> list:
     rights = []
     for c in la.triangular_eigenvectors(t):
         # v = B c by prefix sums, f_k(x) = c_k + sum_{y<x} f_(k+1)(y) for k = d..0;
@@ -93,16 +138,47 @@ def right_eigenvectors(spec: WeightSpec, n: int, dmax: int | None = None) -> Eig
         v = [c[-1]] * n
         for ck in reversed(c[:-1]):
             v = [ck + s for s in accumulate(v[:-1], initial=0)]
-        sign = -1 if next(x for x in v if x) < 0 else 1
-        rights.append([Fraction(sign * x) for x in v])
-    pi = invariant_closed_form(spec, n)
-    lefts = [left_from_right(pi, v) for v in rights]
-    return EigenSystem(n, values, rights, lefts, pi)
+        rights.append(_oriented(v))
+    return rights
 
 
-def left_from_right(pi, v) -> list:
-    """u_x = pi_x v_x turns a right eigenvector into a left one."""
-    return la.clear_denominators([p * x for p, x in zip(pi, v)])
+def eigensystem(lam, dmax: int | None = None) -> EigenSystem:
+    """Signed eigenvalues, right and left eigenvectors for d <= dmax, and pi,
+    of the walk of lam.
+
+    lam must be stochastic (`transform.stochastic_sequence`), as a named
+    family's sequence is within its domain.  With S[i][k] = T[n-1-k][n-1-i],
+    T^T in reversed index order, S is upper triangular, and its eigenvector
+    for S[j][j] = T[d][d], j = n-1-d, read backwards is the w with
+    w T = T[d][d] w, zero below index d.  The left vector u = w B^-1 is
+    primitive because B^-1 is unimodular.  With distinct signed eigenvalues
+    1 is a simple eigenvalue, so pi, u_0 over its sum, is the one
+    stationary law.
+    """
+    n = len(lam)
+    if n < 1:
+        raise IndexOutOfDomain("need at least one eigenvalue")
+    if dmax is not None and dmax < 0:
+        raise OutOfRange(f"eigenvectors need dmax >= 0, got {dmax}")
+    top = n if dmax is None else min(dmax + 1, n)
+    t = _pascal_triangular(lam, n)
+    backwards = la.triangular_eigenvectors(
+        [[t[n - 1 - k][n - 1 - i] for k in range(n)] for i in range(n)])
+    # u = w B^-1 means sum_y u_y t^y = W(t - 1), W(t) = sum_x w_x t^x, so
+    # U(-t) is W(-t) shifted by +1: on coefficients listed from the top, that
+    # shift is prefix sums of the first m for m = n, ..., 2.  c lists w from
+    # the top, c[k] = w_(n-1-k), and sign turns W into W(-t) and back.
+    sign = [(-1) ** (n - 1 - k) for k in range(n)]
+    lefts = []
+    for c in reversed(backwards[n - top:]):
+        r = list(map(mul, sign, c + [0] * (n - len(c))))
+        for m in range(n, 1, -1):
+            r[:m] = accumulate(r[:m])
+        lefts.append(_oriented(list(map(mul, sign, r))[::-1]))
+    total = sum(x.numerator for x in lefts[0])
+    pi = Distribution._built([Fraction(x.numerator, total) for x in lefts[0]])
+    rights = _right_vectors(la.top_left(t, top), n)
+    return EigenSystem(n, signed_eigenvalues(lam[:top]), rights, lefts, pi)
 
 
 def final_left_eigenvector(n: int) -> list:
@@ -110,11 +186,6 @@ def final_left_eigenvector(n: int) -> list:
     if n < 1:
         raise IndexOutOfDomain("n must be >= 1")
     return [(-1) ** x * binom(n - 1, x) for x in range(n)]
-
-
-def final_left_eigenvalue(spec: WeightSpec, n: int) -> Fraction:
-    """Eigenvalue of the alternating Pascal row under any family walk."""
-    return eigenvalues_closed_form(spec, n)[n - 1]
 
 
 @dataclass

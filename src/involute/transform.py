@@ -260,12 +260,23 @@ def gadep_counterexample(which: str, tau) -> list:
     raise OutOfRange(f"unknown counterexample {which!r}; use 'L4' or 'H5'")
 
 
-def lambda_walk(lam) -> WalkMatrix:
-    """P^lambda wrapped as a WalkMatrix; raises NotStochastic when invalid."""
+def stochastic_sequence(lam) -> list:
+    """lam as Fractions, once P^lambda is stochastic; raises NotStochastic."""
+    lam = _coerce_lambda(lam)
     check = is_stochastic(lam)
     if not check:
         raise NotStochastic(check.reason)
-    return WalkMatrix.from_p(pl_matrix(lam))
+    return lam
+
+
+def lambda_walk(lam) -> WalkMatrix:
+    """P^lambda wrapped as a WalkMatrix; raises NotStochastic when invalid.
+
+    The checked sequence makes P stochastic, and P = H J with H lower
+    triangular is anti-triangular, so the matrix is not validated again.
+    """
+    h = _binomial_rows(stochastic_sequence(lam))
+    return WalkMatrix(len(h), [row[::-1] for row in h], h)
 
 
 def stochastic_lattice(n: int, max_denominator: int) -> tuple:

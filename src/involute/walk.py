@@ -129,13 +129,16 @@ class SubsetWalk:
         """The dense 2^m x 2^m transition matrix, built on first access.
 
         It is the Kronecker power of the 2-state walk [[0,1],[p,1-p]]; the
-        factors are ordered so that factor i acts on bit i.
+        factors are ordered so that factor i acts on bit i.  The power is
+        stochastic, and an entry [x][z] is nonzero only where every bit has
+        x_i + z_i >= 1, so x + z >= 2^m - 1: it is anti-triangular, and it
+        is not validated again.
         """
         q = [[Fraction(0), Fraction(1)], [self.p, 1 - self.p]]
         mat = q
         for _ in range(self.m - 1):
             mat = la.kron(q, mat)
-        return WalkMatrix.from_p(mat)
+        return WalkMatrix(len(mat), mat, [row[::-1] for row in mat])
 
 
 def _rows(w) -> list:

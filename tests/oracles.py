@@ -3,6 +3,7 @@ time: the tests use them as oracles for the closed forms and fast paths."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from involute import _linalg as la
 from involute.errors import IndexOutOfDomain
@@ -50,6 +51,11 @@ def custom_from_down_step(h_rows) -> Custom:
     n = len(h_rows)
     table = {(y, x): as_rational(h_rows[x][y]) for x in range(n) for y in range(x + 1)}
     return Custom(n, table)
+
+
+def matvec(a, v) -> list:
+    """A v for a matrix of rows and a column vector."""
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def two_step(w) -> list:

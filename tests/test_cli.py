@@ -110,6 +110,18 @@ def test_check_matrix_walk_properties(tmp_path, capsys, prop, expected):
 
 
 @pytest.mark.parametrize(
+    "extra",
+    [["--gamma", "1", "1", "--n", "3", "reversible"], ["--lambda", "1,1/2", "stochastic"]],
+)
+def test_check_matrix_is_one_source(capsys, extra):
+    # --matrix counts as a source like the family flags: no second one is ignored
+    target = Path(__file__).parent / "data" / "walk3.csv"
+    assert run(capsys, "check", "--matrix", str(target), *extra) == (
+        2, "", "error: exactly one of --gamma/--gammac/--delta/--lambda/--custom/--matrix "
+               "is required\n")
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         ("0,1,0\n1/2,1/2,0\n", "must be square"),
@@ -207,6 +219,27 @@ def test_eigvec_command(tmp_path, capsys):
     target.write_text("0,0,2\n0,1,1\n1,1,3\n")
     code, out, err = run(capsys, "eigvec", "--custom", str(target))
     assert (code, out) == (2, "") and "custom weights" in err
+
+
+def test_eigvec_lambda(capsys):
+    code, out, _ = run(capsys, "eigvec", "--lambda", "1,1/2,3/10,1/5")
+    assert (code, out.splitlines()[2:]) == (
+        0, ["d=2  eigenvalue=3/10  right=30,-5,-12,9", "d=3  eigenvalue=-1/5  right=5,-5,3,-1",
+            "final-left=1,-3,3,-1"])
+    # pi is the mu_0 left vector over its sum
+    code, out, _ = run(capsys, "--format", "json", "eigvec", "--lambda", "1,1/2,3/10,1/5")
+    payload = json.loads(out)
+    assert payload["left_vectors"][0] == ["1", "3", "5", "5"]
+    assert payload["pi"] == ["1/14", "3/14", "5/14", "5/14"]
+    assert run(capsys, "eigvec", "--lambda", "1,0,0") == (
+        2, "", "error: signed eigenvalue 0 repeats at d=1 and d'=2; "
+               "eigenvectors need distinct signed eigenvalues\n")
+
+
+@pytest.mark.parametrize("command", ["matrix", "spectrum", "eigvec"])
+def test_lambda_commands_share_the_stochastic_check(capsys, command):
+    assert run(capsys, command, "--lambda", "1,1/2,1") == (
+        2, "", "error: alternating sum at z=1 is -1/2 < 0\n")
 
 
 @pytest.mark.parametrize("command", ["eigvec", "spectrum", "matrix", "stationary", "simulate"])
@@ -477,6 +510,8 @@ def test_bench_function_metrics_name_public_functions():
         ["continuum", "--trig", "--invariant"],
         ["eigvec", "--gammac", "1/3", "--n", "12"],
         ["eigvec", "--delta", "21/2", "43/4", "--n", "10"],
+        ["eigvec", "--lambda", "1,1/2,3/10,1/5"],
+        ["eigvec", "--lambda", "1,0,0"],
     ],
 )
 def test_cli_same_under_optimize(argv):

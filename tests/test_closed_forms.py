@@ -17,7 +17,7 @@ import sympy
 from involute.continuum import lp_triangular
 from involute.errors import OutOfRange
 from involute.exactnum import binom
-from involute.spectral import eigenvalues_closed_form, family_lambda, final_left_eigenvalue
+from involute.spectral import eigenvalues_closed_form, family_lambda
 from involute.walk import invariant_closed_form, subset_walk, transition_matrix
 from involute.weights import (DeltaAB, GammaAB, GammaC, atomic_part, domain_limit,
                               down_step_diagonal, norm_table)
@@ -104,7 +104,7 @@ def test_final_left_eigenvalue_matches_binomial_formula():
         a, b = spec.a, spec.b
         for n in range(1, N_MAX + 1):
             expected = (-1) ** (n - 1) * binom(n + a - 1, n - 1) / binom(n + a + b, n - 1)
-            assert final_left_eigenvalue(spec, n) == expected
+            assert eigenvalues_closed_form(spec, n)[-1] == expected
 
 
 def test_lp_triangular_matches_alternating_sums():

@@ -8,6 +8,8 @@ import pytest
 from involute import _linalg as la
 from involute.errors import SingularMatrix
 
+from oracles import matvec
+
 sympy = pytest.importorskip("sympy")
 
 
@@ -62,7 +64,7 @@ def test_rref_and_kernel_match_sympy():
         assert (r, pivots) == (_rows(ref), list(ref_pivots)), a
         kernel = la.kernel_basis(a)
         assert kernel == [[_frac(v) for v in vec] for vec in _sym(a).nullspace()], a
-        assert all(la.matvec(a, v) == [0] * len(a) for v in kernel)
+        assert all(matvec(a, v) == [0] * len(a) for v in kernel)
 
 
 def test_charpoly_and_inverse_match_sympy():

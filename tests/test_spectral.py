@@ -1,4 +1,4 @@
-"""Closed-form spectra, pi-orthogonal eigenvectors, mixing rates."""
+"""Closed-form spectra, the eigen-engine on eigenvalue sequences, mixing rates."""
 
 import math
 from fractions import Fraction as F
@@ -6,24 +6,24 @@ from fractions import Fraction as F
 import pytest
 
 from involute import _linalg as la
-from involute.errors import OutOfRange, UnsupportedFamily
+from involute.errors import IndexOutOfDomain, OutOfRange, RepeatedEigenvalue, UnsupportedFamily
 from involute.spectral import (
     EigenSystem,
     MixingReport,
+    eigensystem,
     eigenvalues_closed_form,
     family_lambda,
-    final_left_eigenvalue,
+    family_sequence,
     final_left_eigenvector,
-    left_from_right,
     mixing_report,
     right_eigenvectors,
 )
 from involute.exactnum import binom
-from involute.transform import pascal
-from involute.walk import invariant_closed_form, transition_matrix
+from involute.transform import pascal, pl_matrix, stochastic_grid
+from involute.walk import _stationary_by_elimination, invariant_closed_form, transition_matrix
 from involute.weights import Custom, DeltaAB, GammaAB, GammaC, domain_limit
 
-from oracles import pascal_column, pi_inner
+from oracles import matvec, pascal_column, pi_inner
 
 GRID_AB = [F(-1, 2), F(0), F(1, 2), F(1), F(2)]
 
@@ -56,8 +56,12 @@ def test_eigenvalues_decreasing_in_abs():
         assert all(mags[d] > mags[d + 1] for d in range(n - 1))
 
 
+def _family_system(spec, n, dmax=None):
+    return eigensystem(family_sequence(spec, n), dmax=dmax)
+
+
 def test_right_eigenvector_example():
-    system = right_eigenvectors(GammaAB(0, 0), 4)
+    system = _family_system(GammaAB(0, 0), 4)
     assert system.right_vectors[0] == [F(1)] * 4
     assert system.right_vectors[1] == [F(2), F(1), F(0), F(-1)]
     assert system.eigenvalues == [F(1), F(-1, 2), F(1, 3), F(-1, 4)]
@@ -68,7 +72,7 @@ def test_right_eigenvectors_structure():
         for b in (F(0), F(1)):
             spec = GammaAB(a, b)
             for n in (3, 5, 6):
-                system = right_eigenvectors(spec, n)
+                system = _family_system(spec, n)
                 # pairwise pi-orthogonality, exact
                 for d in range(n):
                     for e in range(d + 1, n):
@@ -79,7 +83,7 @@ def test_right_eigenvectors_structure():
                 # degree-d property: coordinates in the Pascal basis stop at d
                 binv = pascal(n).inverse
                 for d, vec in enumerate(system.right_vectors):
-                    coords = la.matvec(binv, vec)
+                    coords = matvec(binv, vec)
                     assert all(coords[k] == 0 for k in range(d + 1, n))
                     assert coords[d] != 0
                 # second eigenvector is affine with the documented slope
@@ -107,9 +111,10 @@ def test_right_eigenvectors_match_rational_gram_schmidt():
         for b in (F(-1, 2), F(0), F(2, 3), F(3)):
             for n in (1, 2, 3, 6, 9, 14):
                 spec = GammaAB(a, b)
-                system = right_eigenvectors(spec, n)
-                assert system.right_vectors == _rational_gram_schmidt(spec, n)
-                assert right_eigenvectors(spec, n, dmax=2).right_vectors == system.right_vectors[:3]
+                rights = right_eigenvectors(family_sequence(spec, n))
+                assert rights == _rational_gram_schmidt(spec, n)
+                # vector d needs only lambda_0..lambda_d and n
+                assert right_eigenvectors(family_sequence(spec, min(n, 3)), n) == rights[:3]
                 cases += 1
     assert cases == 120
 
@@ -118,9 +123,9 @@ def test_final_right_eigenvector_a0():
     for b in (0, 1, 2):
         for n in (3, 5, 8):
             spec = GammaAB(0, b)
-            system = right_eigenvectors(spec, n)
+            rights = right_eigenvectors(family_sequence(spec, n))
             ref = [(-1) ** x * binom(n + b, x + b + 1) for x in range(n)]
-            assert la.clear_denominators(ref) == system.right_vectors[n - 1]
+            assert la.clear_denominators(ref) == rights[n - 1]
 
 
 def _integer_gram_schmidt(spec, n, top):
@@ -165,7 +170,7 @@ def test_right_eigenvectors_are_exact_eigenvectors(spec):
     # signed lambda, which every named family has within its domain
     sizes = [(n, None) for n in (*range(2, 13), 24, 40)] + [(80, 2)]
     for n, dmax in [(n, dmax) for n, dmax in sizes if n <= domain_limit(spec)]:
-        system = right_eigenvectors(spec, n, dmax=dmax)
+        system = _family_system(spec, n, dmax=dmax)
         top = n if dmax is None else dmax + 1
         assert len(system.right_vectors) == len(system.eigenvalues) == top
         assert system.right_vectors == _integer_gram_schmidt(spec, n, top)
@@ -177,13 +182,20 @@ def test_right_eigenvectors_are_exact_eigenvectors(spec):
         assert not _exact_eigenvector(p, system.eigenvalues[1], system.right_vectors[0])
 
 
-def test_left_from_right():
-    pi = invariant_closed_form(GammaAB(0, 0), 4)
-    assert left_from_right(pi, [F(1)] * 4) == [F(1), F(2), F(3), F(4)]
-    u = left_from_right(pi, [F(2), F(1), F(0), F(-1)])
-    assert u == [F(1), F(1), F(0), F(-2)]
-    p = transition_matrix(GammaAB(0, 0), 4).P
-    assert la.vecmat(u, p) == [F(-1, 2) * x for x in u]
+def test_family_left_vectors_are_pi_times_right():
+    # a reversible walk has u_x = pi_x v_x up to scale: the transposed solve
+    # must agree with the closed-form invariant law
+    system = _family_system(GammaAB(0, 0), 4)
+    assert system.left_vectors[:2] == [[F(1), F(2), F(3), F(4)], [F(1), F(1), F(0), F(-2)]]
+    for spec in (GammaAB(F(1, 2), F(-1, 3)), GammaC(F(5, 2)), DeltaAB(F(21, 2), F(43, 4))):
+        for n in range(1, min(12, domain_limit(spec)) + 1):
+            system = _family_system(spec, n)
+            pi = invariant_closed_form(spec, n)
+            assert system.pi.weights == pi.weights
+            assert system.left_vectors == [
+                la.clear_denominators([p * x for p, x in zip(pi, v)])
+                for v in system.right_vectors
+            ]
 
 
 def test_final_left_eigenvector_examples():
@@ -192,7 +204,7 @@ def test_final_left_eigenvector_examples():
     p = transition_matrix(GammaAB(0, 0), 3).P
     u = final_left_eigenvector(3)
     assert la.vecmat(u, p) == [F(1, 3) * x for x in u]
-    assert final_left_eigenvalue(GammaAB(1, 0), 4) == F(-2, 5)
+    assert eigenvalues_closed_form(GammaAB(1, 0), 4)[-1] == F(-2, 5)
 
 
 def test_final_left_eigenvector_over_grid():
@@ -203,14 +215,14 @@ def test_final_left_eigenvector_over_grid():
         for n in range(2, min(10, domain_limit(spec)) + 1):
             u = final_left_eigenvector(n)
             p = transition_matrix(spec, n).P
-            lam = final_left_eigenvalue(spec, n)
+            lam = eigenvalues_closed_form(spec, n)[-1]
             assert la.vecmat(u, p) == [lam * x for x in u]
 
 
 def test_left_vectors_are_left_eigenvectors():
     spec = GammaAB(F(1, 2), F(1))
     n = 5
-    system = right_eigenvectors(spec, n)
+    system = _family_system(spec, n)
     p = transition_matrix(spec, n).P
     for value, u in zip(system.eigenvalues, system.left_vectors):
         assert la.vecmat(u, p) == [value * x for x in u]
@@ -258,17 +270,64 @@ def test_unsupported_family():
     with pytest.raises(UnsupportedFamily):
         eigenvalues_closed_form(custom, 2)
     with pytest.raises(UnsupportedFamily):
-        right_eigenvectors(custom, 2)
+        family_sequence(custom, 2)
 
 
-def test_right_eigenvectors_reject_negative_dmax():
+def test_eigensystem_rejects_negative_dmax():
+    lam = family_sequence(GammaAB(1, 1), 4)
     with pytest.raises(OutOfRange, match="dmax >= 0, got -1"):
-        right_eigenvectors(GammaAB(1, 1), 4, dmax=-1)
-    assert len(right_eigenvectors(GammaAB(1, 1), 4, dmax=0).right_vectors) == 1
+        eigensystem(lam, dmax=-1)
+    system = eigensystem(lam, dmax=0)
+    assert len(system.right_vectors) == len(system.left_vectors) == 1
+    assert system.pi.weights == invariant_closed_form(GammaAB(1, 1), 4).weights
+    for lam, n in (([], 4), (lam, 3)):
+        with pytest.raises(IndexOutOfDomain, match="len\\(lam\\) <= n"):
+            right_eigenvectors(lam, n)
+
+
+def _exact_left(p, value, u):
+    return la.vecmat(u, p) == [value * x for x in u]
+
+
+def test_eigensystem_of_every_grid_walk():
+    # every walk of the grid, reversible or not: each vector checked exactly
+    # against P, and pi against exact elimination on (P - I)^T
+    solved = refused = vectors = 0
+    for n in range(2, 8):
+        for lam in stochastic_grid(n, 6):
+            p = pl_matrix(lam)
+            signed = [(-1) ** d * v for d, v in enumerate(lam)]
+            if len(set(signed)) < n:
+                with pytest.raises(RepeatedEigenvalue, match="repeats at d=\\d+ and d'=\\d+"):
+                    eigensystem(lam)
+                refused += 1
+                continue
+            system = eigensystem(lam)
+            assert system.eigenvalues == signed
+            for value, v, u in zip(signed, system.right_vectors, system.left_vectors):
+                assert matvec(p, v) == [value * x for x in v] and any(v)
+                assert _exact_left(p, value, u) and any(u)
+                vectors += 1
+            assert system.pi.weights == _stationary_by_elimination(p).weights
+            assert system.left_vectors[-1] == la.clear_denominators(final_left_eigenvector(n))
+            solved += 1
+    assert (solved, refused, vectors) == (146, 109, 539)
+
+
+def test_repeated_eigenvalue_is_refused_before_solving():
+    with pytest.raises(RepeatedEigenvalue, match="eigenvalue 0 repeats at d=1 and d'=2"):
+        eigensystem([F(1), F(0), F(0)])
+    with pytest.raises(RepeatedEigenvalue, match="eigenvalue 0 repeats at d=1 and d'=2"):
+        right_eigenvectors([F(1), F(0), F(0)])
+    # the first vectors need only their own prefix to be distinct
+    rights = right_eigenvectors([F(1), F(0)], 3)
+    assert rights == [[F(1)] * 3, [F(2), F(1), F(0)]]
+    p = pl_matrix([F(1), F(0), F(0)])
+    assert [matvec(p, v) for v in rights] == [[F(1)] * 3, [F(0)] * 3]
 
 
 def test_eigensystem_serialization():
-    system = right_eigenvectors(GammaAB(0, 0), 3)
+    system = _family_system(GammaAB(0, 0), 3)
     payload = system.to_dict()
     assert payload["eigenvalues"] == ["1", "-1/2", "1/3"]
     assert payload["pi"] == ["1/6", "1/3", "1/2"]

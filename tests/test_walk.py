@@ -477,6 +477,26 @@ def test_from_p_round_trips_subset_walks():
                                   for x in range(size)]
 
 
+def _is_walk(w) -> bool:
+    """P square, stochastic and anti-triangular, with H = P J."""
+    n = w.n
+    return len(w.P) == n and w.H == [row[::-1] for row in w.P] and all(
+        len(row) == n and sum(row) == 1 and min(row) >= 0 and not any(row[:n - 1 - x])
+        for x, row in enumerate(w.P)
+    )
+
+
+def test_built_walks_are_stochastic_and_anti_triangular():
+    # lambda_walk and the subset walk skip from_p's checks: their construction is the proof
+    for n in range(1, 7):
+        for lam in stochastic_grid(n, 4):
+            assert _is_walk(lambda_walk(lam))
+    for m in range(1, 7):
+        for p in (F(1, 3), F(3, 4)):
+            assert _is_walk(subset_walk(m, p).walk)
+    assert not _is_walk(WalkMatrix(2, [[F(1, 2), F(1, 2)], [0, 1]], [[F(1, 2), F(1, 2)], [1, 0]]))
+
+
 def test_custom_weight_walk_roundtrip():
     table = {(0, 0): F(2), (0, 1): F(1), (1, 1): F(3)}
     w = transition_matrix(Custom(2, table), 2)
