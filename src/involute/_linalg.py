@@ -186,8 +186,9 @@ def kernel_basis(a: Matrix) -> list[Vector]:
     return basis
 
 
-def triangular_eigenvectors(t: list) -> list[list[int]]:
-    """Eigenvectors of an integer upper-triangular matrix with distinct diagonal.
+def triangular_eigenvectors(t: list, first: int = 0) -> list[list[int]]:
+    """Eigenvectors d = first, ..., len(t)-1 of an integer upper-triangular
+    matrix with distinct diagonal.
 
     Vector d is [c_0, ..., c_d] with c_d > 0, by back-substitution:
     (T[d][d] - T[i][i]) c_i = sum_{i<k<=d} T[i][k] c_k.  When c_i = s / D,
@@ -195,7 +196,7 @@ def triangular_eigenvectors(t: list) -> list[list[int]]:
     coprime to the new entry s / gcd(s, D): the vector stays primitive.
     """
     out = []
-    for d in range(len(t)):
+    for d in range(first, len(t)):
         c = [0] * d + [1]
         for i in range(d - 1, -1, -1):
             s = sum(map(mul, t[i][i + 1:d + 1], c[i + 1:]))

@@ -163,14 +163,14 @@ def eigensystem(lam, dmax: int | None = None) -> EigenSystem:
     top = n if dmax is None else min(dmax + 1, n)
     t = _pascal_triangular(lam, n)
     backwards = la.triangular_eigenvectors(
-        [[t[n - 1 - k][n - 1 - i] for k in range(n)] for i in range(n)])
+        [[t[n - 1 - k][n - 1 - i] for k in range(n)] for i in range(n)], n - top)
     # u = w B^-1 means sum_y u_y t^y = W(t - 1), W(t) = sum_x w_x t^x, so
     # U(-t) is W(-t) shifted by +1: on coefficients listed from the top, that
     # shift is prefix sums of the first m for m = n, ..., 2.  c lists w from
     # the top, c[k] = w_(n-1-k), and sign turns W into W(-t) and back.
     sign = [(-1) ** (n - 1 - k) for k in range(n)]
     lefts = []
-    for c in reversed(backwards[n - top:]):
+    for c in reversed(backwards):
         r = list(map(mul, sign, c + [0] * (n - len(c))))
         for m in range(n, 1, -1):
             r[:m] = accumulate(r[:m])
