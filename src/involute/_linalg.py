@@ -192,8 +192,9 @@ def triangular_eigenvectors(t: list, first: int = 0) -> list[list[int]]:
 
     Vector d is [c_0, ..., c_d] with c_d > 0, by back-substitution:
     (T[d][d] - T[i][i]) c_i = sum_{i<k<=d} T[i][k] c_k.  When c_i = s / D,
-    the entries found so far are scaled by D / gcd(s, D) > 0, which is
-    coprime to the new entry s / gcd(s, D): the vector stays primitive.
+    the entries found so far, c_{i+1..d}, are scaled by D / gcd(s, D) > 0,
+    which is coprime to the new entry s / gcd(s, D): the vector stays
+    primitive.  The entries below i are still zero and are not touched.
     """
     out = []
     for d in range(first, len(t)):
@@ -202,7 +203,9 @@ def triangular_eigenvectors(t: list, first: int = 0) -> list[list[int]]:
             s = sum(map(mul, t[i][i + 1:d + 1], c[i + 1:]))
             den = t[d][d] - t[i][i]
             g = math.gcd(s, den) if den > 0 else -math.gcd(s, den)
-            c = [x * (den // g) for x in c]
+            scale = den // g
+            if scale != 1:
+                c[i + 1:] = [x * scale for x in c[i + 1:]]
             c[i] = s // g
         out.append(c)
     return out

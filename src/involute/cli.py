@@ -257,9 +257,9 @@ def cmd_simulate(args):
     if args.empirical:
         print(",".join(f"{f:.6f}" for f in result.empirical))
         return
-    print("step,state")
-    for t, x in enumerate(result.trajectory):
-        print(f"{t},{x}")
+    out = sys.stdout
+    out.write("step,state\n")
+    out.writelines(f"{t},{x}\n" for t, x in enumerate(result.trajectory))
 
 
 def cmd_subsets(args):

@@ -17,8 +17,9 @@ from .errors import OutOfRange
 DOT = "·"
 
 
-def format_rational(q: Fraction) -> str:
-    q = Fraction(q)
+def format_rational(q: int | Fraction) -> str:
+    """"p/q", or "p" when the denominator is 1, for an int or a Fraction:
+    both carry .numerator and .denominator, so nothing is converted."""
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -43,11 +44,10 @@ from .errors import (
     NotIrreducible,
     OutOfRange,
     UnsupportedFamily,
-    ZeroNorm,
 )
 from .exactnum import as_rational
 from .weights import (Custom, GammaC, WeightSpec, atomic_part, domain_limit, down_step_diagonal,
-                      norm_table, weight_table)
+                      down_step_table, norm_table)
 
 
 @dataclass
@@ -149,14 +149,10 @@ def transition_matrix(spec: WeightSpec, n: int) -> WalkMatrix:
     """Exact P and H for the weight on {0, ..., n-1}."""
     if n < 1 or n > domain_limit(spec):
         raise IndexOutOfDomain(f"n={n} is outside the weight's domain")
-    norms = norm_table(spec, n)
-    if any(nx == 0 for nx in norms):
-        bad = next(x for x in range(n) if norms[x] == 0)
-        raise ZeroNorm(f"N_{bad} = 0, no step distribution at state {bad}")
-    h = [
-        [v / nx for v in row] + [Fraction(0)] * (n - 1 - x)
-        for x, (row, nx) in enumerate(zip(weight_table(spec, n), norms))
-    ]
+    h = down_step_table(spec, n)
+    zero = Fraction(0)
+    for x, row in enumerate(h):
+        row += [zero] * (n - 1 - x)
     return WalkMatrix(n, [row[::-1] for row in h], h)  # P = H J
 
 
@@ -393,19 +389,17 @@ def simulate(w, x0: int, steps: int, seed: int) -> SimulationResult:
             c.append(acc)
         c[-1] = 1.0
         cum.append(c)
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
     traj = [x0]
-    counts = [0] * n
-    counts[x0] += 1
+    append = traj.append
     x = x0
     for _ in range(steps):
-        x = bisect_right(cum[x], rng.random())
-        if x >= n:
-            x = n - 1
-        traj.append(x)
-        counts[x] += 1
+        # draw() < 1.0 = c[-1], so the index is at most n - 1
+        x = bisect_right(cum[x], draw())
+        append(x)
+    counts = Counter(traj)
     total = steps + 1
-    return SimulationResult(traj, [c / total for c in counts])
+    return SimulationResult(traj, [counts[x] / total for x in range(n)])
 
 
 def total_variation(p, q) -> float:

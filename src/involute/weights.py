@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .errors import IndexOutOfDomain, MalformedWeight, OutOfRange
+from .errors import IndexOutOfDomain, MalformedWeight, OutOfRange, ZeroNorm
 from .exactnum import as_rational
 from .serialize import parse_rational
 
@@ -119,14 +119,21 @@ def domain_limit(spec: WeightSpec):
 
 
 def _terms(ratio, length: int) -> list:
-    """[t_0, ..., t_{length-1}] with t_0 = 1 and t_{k+1} = t_k * p / q, (p, q) = ratio(k);
-    the running products stay integers, so each term is reduced only once."""
+    """[t_0, ..., t_{length-1}] as reduced integer pairs (num, den), den > 0,
+    with t_0 = 1 and t_{k+1} = t_k * p / q, (p, q) = ratio(k): the running
+    product stays on integers and is reduced once per term."""
     num = den = 1
-    out = [Fraction(1)]
+    out = [(1, 1)]
     for k in range(length - 1):
         p, q = ratio(k)
         num, den = num * p, den * q
-        out.append(Fraction(num, den))
+        if den < 0:
+            num, den = -num, -den
+        elif not den:
+            raise ZeroDivisionError(f"term {k + 1} has a zero denominator")
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        out.append((num, den))
     return out[:length]
 
 
@@ -166,7 +173,7 @@ def down_step_diagonal(spec: WeightSpec, n: int) -> list:
         (pu, qu), (pn, qn) = u(k), norms(k)
         return pu * qn, qu * pn
 
-    return _terms(ratio, n)
+    return [Fraction(p, q) for p, q in _terms(ratio, n)]
 
 
 def atomic_part(spec: WeightSpec, n: int) -> list:
@@ -175,20 +182,70 @@ def atomic_part(spec: WeightSpec, n: int) -> list:
     Pascal-type gamma(c), as C(x, y) C(n-1, x) = C(n-1, y) C(n-1-y, x-y)."""
     ratio, _, pascal, _ = _ratios(spec)
     u = _terms(ratio, n)
-    return [uy * math.comb(n - 1, y) for y, uy in enumerate(u)] if pascal else u
+    if pascal:
+        return [Fraction(p * math.comb(n - 1, y), q) for y, (p, q) in enumerate(u)]
+    return [Fraction(p, q) for p, q in u]
+
+
+def _scaled_rows(spec: WeightSpec, scale: list) -> list:
+    """Rows [w[0, x] f_x / e_x, ..., w[x, x] f_x / e_x] for x < len(scale),
+    scale[x] = (e_x, f_x) a pair of integers: the norm pair N_x = e_x / f_x
+    for the rows of H, (1, 1) for the weights.  Each entry is one
+    Fraction(num, den) of integer products.
+
+    A named family's entry is a_y c_{x-y} f_x [C(x, y)] / (b_y d_{x-y} e_x),
+    with u_y = a_y / b_y and v_k = c_k / d_k the reduced term pairs; a
+    custom entry p / q gives p f_x / (q e_x).
+    """
+    if isinstance(spec, Custom):
+        zero = Fraction(0)
+        return [[Fraction(w.numerator * f, w.denominator * e)
+                 for w in (spec.table.get((y, x), zero) for y in range(x + 1))]
+                for x, (e, f) in enumerate(scale)]
+    ru, rv, pascal, _ = _ratios(spec)
+    u, v = _terms(ru, len(scale)), _terms(rv, len(scale))
+    rows = []
+    for x, (e, f) in enumerate(scale):
+        pairs = zip(u, v[x::-1])  # (u_y, v_{x-y}) for y = 0..x
+        if pascal:
+            rows.append([Fraction(a * c * f * math.comb(x, y), b * d * e)
+                         for y, ((a, b), (c, d)) in enumerate(pairs)])
+        else:
+            rows.append([Fraction(a * c * f, b * d * e) for (a, b), (c, d) in pairs])
+    return rows
+
+
+def _norm_pairs(spec: WeightSpec, n: int) -> list:
+    """[N_0, ..., N_{n-1}] as integer pairs (num, den)."""
+    if isinstance(spec, Custom):
+        zero = Fraction(0)
+        sums = (sum(spec.table.get((y, x), zero) for y in range(x + 1)) for x in range(n))
+        return [(s.numerator, s.denominator) for s in sums]
+    return _terms(_ratios(spec)[3], n)
+
+
+def _check_n(spec: WeightSpec, n: int):
+    if n > domain_limit(spec):
+        raise IndexOutOfDomain(f"n={n} exceeds the weight's domain")
 
 
 def weight_table(spec: WeightSpec, n: int) -> list:
-    """Rows [w[0, x], ..., w[x, x]] for x < n, in O(n^2) exact operations."""
-    if n > domain_limit(spec):
-        raise IndexOutOfDomain(f"n={n} exceeds the weight's domain")
-    if isinstance(spec, Custom):
-        return [[spec.table.get((y, x), Fraction(0)) for y in range(x + 1)] for x in range(n)]
-    ru, rv, pascal, _ = _ratios(spec)
-    u, v = _terms(ru, n), _terms(rv, n)
-    if pascal:
-        return [[u[y] * v[x - y] * math.comb(x, y) for y in range(x + 1)] for x in range(n)]
-    return [[u[y] * v[x - y] for y in range(x + 1)] for x in range(n)]
+    """Rows [w[0, x], ..., w[x, x]] for x < n, in O(n^2) integer products."""
+    _check_n(spec, n)
+    return _scaled_rows(spec, [(1, 1)] * n)
+
+
+def down_step_table(spec: WeightSpec, n: int) -> list:
+    """Rows [w[0, x] / N_x, ..., w[x, x] / N_x] for x < n: the lower
+    triangle of the down-step matrix H, from the same integer terms as
+    weight_table, so each entry is reduced once.  Raises ZeroNorm when a
+    column sum vanishes."""
+    _check_n(spec, n)
+    norms = _norm_pairs(spec, n)
+    bad = next((x for x, (e, _) in enumerate(norms) if not e), None)
+    if bad is not None:
+        raise ZeroNorm(f"N_{bad} = 0, no step distribution at state {bad}")
+    return _scaled_rows(spec, norms)
 
 
 def norm(spec: WeightSpec, x: int) -> Fraction:
@@ -200,11 +257,8 @@ def norm(spec: WeightSpec, x: int) -> Fraction:
 
 def norm_table(spec: WeightSpec, n: int) -> list:
     """[N_0, ..., N_{n-1}], by the closed forms' term ratios when named."""
-    if n > domain_limit(spec):
-        raise IndexOutOfDomain(f"n={n} exceeds the weight's domain")
-    if isinstance(spec, Custom):
-        return [sum(row) for row in weight_table(spec, n)]
-    return _terms(_ratios(spec)[3], n)
+    _check_n(spec, n)
+    return [Fraction(e, f) for e, f in _norm_pairs(spec, n)]
 
 
 def factorize(spec: WeightSpec, n: int, pi) -> FactorizationResult:

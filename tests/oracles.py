@@ -1,6 +1,8 @@
 """Direct readings of the definitions that the library never needs at run
 time: the tests use them as oracles for the closed forms and fast paths."""
 
+import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -9,7 +11,7 @@ from involute import _linalg as la
 from involute.errors import IndexOutOfDomain
 from involute.exactnum import as_rational, binom
 from involute.walk import WalkMatrix, _normalized, _potentials
-from involute.weights import Custom, domain_limit, weight_table
+from involute.weights import Custom, DeltaAB, GammaAB, GammaC, domain_limit, weight_table
 
 
 def weight_value(spec, y: int, x: int) -> Fraction:
@@ -19,6 +21,28 @@ def weight_value(spec, y: int, x: int) -> Fraction:
     if x >= domain_limit(spec):
         raise IndexOutOfDomain(f"x={x} is outside the weight's domain")
     return weight_table(spec, x + 1)[x][y]
+
+
+def closed_form_weight(spec, y: int, x: int) -> Fraction:
+    """The family formulas of the `weights` docstring, one binom per factor;
+    a custom table's entry, 0 when missing."""
+    if isinstance(spec, GammaAB):
+        return binom(y + spec.a, y) * binom(spec.b + x - y, x - y)
+    if isinstance(spec, GammaC):
+        return binom(x, y) * spec.c ** (x - y)
+    if isinstance(spec, DeltaAB):
+        return binom(spec.a_prime - 1, y) * binom(spec.b_prime - 1, x - y)
+    return spec.table.get((y, x), Fraction(0))
+
+
+def division_route(spec, n: int) -> tuple:
+    """(w, H) by the definitions: the weight rows [w[0, x], ..., w[x, x]]
+    from `closed_form_weight`, and H[x] = [w[0, x] / N_x, ..., w[x, x] / N_x]
+    padded with zeros to length n, one Fraction division per entry, N_x the
+    row's sum."""
+    w = [[closed_form_weight(spec, y, x) for y in range(x + 1)] for x in range(n)]
+    h = [[v / sum(row) for v in row] + [Fraction(0)] * (n - 1 - x) for x, row in enumerate(w)]
+    return w, h
 
 
 @dataclass(frozen=True)
@@ -62,6 +86,35 @@ def two_step(w) -> list:
     """P squared: the down-up walk taking two involutive steps at a time."""
     rows = w.P if isinstance(w, WalkMatrix) else w
     return la.matmul(rows, rows)
+
+
+def simulate_stepwise(w, x0: int, steps: int, seed: int) -> tuple:
+    """(trajectory, empirical) by inverse-CDF sampling one step at a time:
+    each state is clamped to n - 1 and counted as it is drawn."""
+    rows = w.P if isinstance(w, WalkMatrix) else w
+    n = len(rows)
+    cum = []
+    for row in rows:
+        acc = 0.0
+        c = []
+        for v in row:
+            acc += float(v)
+            c.append(acc)
+        c[-1] = 1.0
+        cum.append(c)
+    rng = random.Random(seed)
+    traj = [x0]
+    counts = [0] * n
+    counts[x0] += 1
+    x = x0
+    for _ in range(steps):
+        x = bisect_right(cum[x], rng.random())
+        if x >= n:
+            x = n - 1
+        traj.append(x)
+        counts[x] += 1
+    total = steps + 1
+    return traj, [c / total for c in counts]
 
 
 def pi_inner(pi, v, w) -> Fraction:

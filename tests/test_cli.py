@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,11 @@ import pytest
 import involute
 from involute import walk
 from involute.cli import main
+from involute.transform import lambda_walk
+from involute.walk import transition_matrix
+from involute.weights import DeltaAB, GammaAB
+
+from oracles import simulate_stepwise
 
 PACKAGE_DIR = Path(involute.__file__).parent
 
@@ -319,6 +325,22 @@ def test_down_step_and_lambda_spectrum(capsys):
     assert out.strip() == "1,-1/2,1/3"
 
 
+def test_simulate_output_matches_stepwise_loop(capsys):
+    sources = [(("--gamma", "1", "1/3", "--n", "20"), transition_matrix(GammaAB(1, F(1, 3)), 20)),
+               (("--delta", "4", "2", "--n", "4"), transition_matrix(DeltaAB(4, 2), 4)),
+               (("--lambda", "1,2/3,1/3,0"), lambda_walk([F(1), F(2, 3), F(1, 3), F(0)]))]
+    for flags, w in sources:
+        for start, steps, seed in ((0, 0, 0), (0, 300, 5), (w.n - 1, 2000, 31)):
+            traj, empirical = simulate_stepwise(w, start, steps, seed)
+            argv = ("simulate", *flags, "--start", str(start), "--steps", str(steps),
+                    "--seed", str(seed))
+            code, out, _ = run(capsys, *argv)
+            assert (code, out) == (0, "step,state\n" + "".join(f"{t},{x}\n"
+                                                                for t, x in enumerate(traj)))
+            code, out, _ = run(capsys, *argv, "--empirical")
+            assert (code, out) == (0, ",".join(f"{f:.6f}" for f in empirical) + "\n")
+
+
 def test_simulate_empirical(capsys):
     code, out, _ = run(capsys, "simulate", "--gammac", "1", "--n", "3", "--steps", "500",
                        "--seed", "3", "--empirical")
@@ -408,6 +430,9 @@ EXACT_ARGVS = [
     ["subsets", "--m", "2", "--p", "1/2"],
     ["simulate", "--gamma", "1", "1", "--n", "4", "--steps", "10"],
     ["repro", "example7-table"],
+    ["--format", "json", "matrix", "--gamma", "2", "2/3", "--n", "12"],
+    ["matrix", "--gammac", "1/3", "--n", "8"],
+    ["simulate", "--gamma", "1", "1", "--n", "4", "--steps", "10", "--empirical"],
 ]
 FLOAT_ARGVS = [["continuum", "--trig", "--fixed-point"], ["repro", "fig2-convergence"]]
 
@@ -512,6 +537,9 @@ def test_bench_function_metrics_name_public_functions():
         ["eigvec", "--delta", "21/2", "43/4", "--n", "10"],
         ["eigvec", "--lambda", "1,1/2,3/10,1/5"],
         ["eigvec", "--lambda", "1,0,0"],
+        ["--format", "json", "matrix", "--gamma", "2", "2/3", "--n", "12"],
+        ["matrix", "--gammac", "1/3", "--n", "8"],
+        ["simulate", "--gamma", "1", "1", "--n", "4", "--steps", "10", "--empirical"],
     ],
 )
 def test_cli_same_under_optimize(argv):

@@ -23,6 +23,17 @@ def test_rational_round_trip():
     assert format_rational(F(-1, 2)) == "-1/2"
 
 
+def test_format_rational_of_ints_and_fractions():
+    # an int and a Fraction of the same value print alike
+    big = 3**200
+    cases = [(0, "0"), (F(0), "0"), (7, "7"), (F(7), "7"), (-12, "-12"), (F(-12, 1), "-12"),
+             (F(-1, 2), "-1/2"), (F(6, -4), "-3/2"), (big, str(big)), (-big, f"-{big}"),
+             (F(big, 2**64), f"{big}/{2**64}"), (F(-big, 5**90), f"-{big}/{5**90}")]
+    for value, text in cases:
+        assert format_rational(value) == text
+        assert parse_rational(text) == value
+
+
 def test_parse_errors():
     with pytest.raises(OutOfRange):
         parse_rational("eleven")

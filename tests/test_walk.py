@@ -23,9 +23,17 @@ from involute.walk import (
     total_variation,
     transition_matrix,
 )
-from involute.weights import Custom, DeltaAB, GammaAB, GammaC, domain_limit
+from involute.weights import (Custom, DeltaAB, GammaAB, GammaC, domain_limit, down_step_diagonal,
+                              norm_table, weight_table)
 
-from oracles import detailed_balance, reversible_with_some_distribution, two_step, zero_accessible
+from oracles import (
+    detailed_balance,
+    division_route,
+    reversible_with_some_distribution,
+    simulate_stepwise,
+    two_step,
+    zero_accessible,
+)
 from test_transform import random_stochastic_lambda
 
 
@@ -384,6 +392,24 @@ def test_simulate_rejects_negative_steps():
         simulate(w, 0, -5, seed=0)
 
 
+# a stochastic lambda whose P has zeros inside the support: row 3 is 0, 1, 0, 0
+ZERO_ENTRY_LAMBDA = [F(1), F(2, 3), F(1, 3), F(0)]
+
+
+def test_simulate_matches_stepwise_loop():
+    walks = [transition_matrix(GammaAB(1, F(1, 3)), n) for n in (1, 2, 5, 20)]
+    walks += [transition_matrix(GammaC(F(3, 2)), 7), transition_matrix(DeltaAB(4, 2), 4),
+              lambda_walk(ZERO_ENTRY_LAMBDA)]
+    assert walks[-1].P[3] == [0, 1, 0, 0]
+    for w in walks:
+        for x0 in {0, w.n - 1}:
+            for seed in (0, 1, 7, 20260):
+                for steps in (0, 1, 500):
+                    result = simulate(w, x0, steps, seed)
+                    assert (result.trajectory, result.empirical) == simulate_stepwise(
+                        w, x0, steps, seed)
+
+
 def test_simulate_reaches_stationary():
     w = transition_matrix(GammaAB(0, 0), 4)
     result = simulate(w, 0, 10**6, seed=12345)
@@ -495,6 +521,32 @@ def test_built_walks_are_stochastic_and_anti_triangular():
         for p in (F(1, 3), F(3, 4)):
             assert _is_walk(subset_walk(m, p).walk)
     assert not _is_walk(WalkMatrix(2, [[F(1, 2), F(1, 2)], [0, 1]], [[F(1, 2), F(1, 2)], [1, 0]]))
+
+
+DIVISION_SPECS = [
+    GammaAB(F(-1, 3), 2), GammaAB(1, F(-1, 2)), GammaAB(F(-1, 2), F(-1, 3)), GammaAB(2, F(2, 3)),
+    GammaC(F(1, 3)), GammaC(1), GammaC(F(3, 2)),
+    # domain edges 3, 11 and 4; integer b' gives zero weights, binom(1, k) = 0 for k >= 2
+    DeltaAB(F(7, 2), F(5, 2)), DeltaAB(F(21, 2), F(43, 4)), DeltaAB(4, 2), DeltaAB(5, 3),
+    Custom(5, {(0, 0): F(2), (0, 1): F(0), (1, 1): F(1, 3), (0, 2): F(5, 7), (2, 2): F(3),
+               (1, 3): F(4), (3, 3): F(0), (0, 4): F(1, 2), (4, 4): F(9, 4)}),
+]
+
+
+def test_construction_matches_division_route():
+    zeros = 0
+    for spec in DIVISION_SPECS:
+        top = min(15, domain_limit(spec))
+        for n in range(1, top + 1):
+            w, h = division_route(spec, n)
+            assert weight_table(spec, n) == w
+            walk = transition_matrix(spec, n)
+            assert (walk.H, walk.P) == (h, [row[::-1] for row in h])
+            assert norm_table(spec, n) == [sum(row) for row in w]
+            if not isinstance(spec, Custom):
+                assert down_step_diagonal(spec, n) == [h[d][d] for d in range(n)]
+        zeros += sum(v == 0 for row in w for v in row)
+    assert zeros > 10
 
 
 def test_custom_weight_walk_roundtrip():

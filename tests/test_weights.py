@@ -24,7 +24,7 @@ from involute.weights import (
     weight_table,
 )
 
-from oracles import classify_weight, custom_from_down_step, weight_value
+from oracles import classify_weight, closed_form_weight, custom_from_down_step, weight_value
 
 
 def test_weight_value_examples():
@@ -71,15 +71,6 @@ def test_norm_closed_form_matches_direct_sum():
             assert norm(spec, x) == direct
 
 
-def _closed_form(spec, y, x):
-    """The family formulas of the module docstring, one binom per factor."""
-    if isinstance(spec, GammaAB):
-        return binom(y + spec.a, y) * binom(spec.b + x - y, x - y)
-    if isinstance(spec, GammaC):
-        return binom(x, y) * spec.c ** (x - y)
-    return binom(spec.a_prime - 1, y) * binom(spec.b_prime - 1, x - y)
-
-
 def _closed_norm(spec, x):
     if isinstance(spec, GammaAB):
         return binom(x + spec.a + spec.b + 1, x)
@@ -111,7 +102,7 @@ def test_weight_table_matches_weight_value_and_closed_forms(spec, data):
     assert [len(row) for row in table] == list(range(1, n + 1))
     for x in range(n):
         for y in range(x + 1):
-            assert table[x][y] == weight_value(spec, y, x) == _closed_form(spec, y, x)
+            assert table[x][y] == weight_value(spec, y, x) == closed_form_weight(spec, y, x)
     norms = norm_table(spec, n)
     assert norms == [norm(spec, x) for x in range(n)]
     assert norms == [_closed_norm(spec, x) for x in range(n)]
