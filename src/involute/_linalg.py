@@ -3,9 +3,9 @@
 Matrices are plain lists of lists of Fractions, and every result is exact.
 The kernels that dominate run on integers instead: a row is scaled by the
 lcm of its denominators (integer_row), elimination keeps rows primitive,
-and the characteristic polynomial runs on the integer matrix D*A.  Every
-division in them is exact, so no gcd is paid per operation and Fractions
-are only formed once, for the result.
+and the characteristic polynomial runs division-free on the integer matrix
+D*A.  Every division in them is exact, so no gcd is paid per operation and
+Fractions are only formed once, for the result.
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ def vecmat(v: Vector, a: Matrix) -> Vector:
     return [sum(map(mul, v, col)) for col in zip(*a)]
 
 
-def trace(a: Matrix) -> Fraction:
-    return sum(a[i][i] for i in range(len(a)))
-
-
 def top_left(a: Matrix, m: int) -> Matrix:
     return [row[:m] for row in a[:m]]
 
@@ -76,23 +72,26 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 
 def charpoly(a: Matrix) -> list[Fraction]:
-    """Coefficients [1, c1, ..., cn] of det(X I - A), by Faddeev-LeVerrier.
+    """Coefficients [1, c1, ..., cn] of det(X I - A), by Berkowitz.
 
-    It runs on the integer matrix B = D A, D the lcm of all denominators:
-    the coefficients of det(X I - B) are integers, so the division of the
-    trace by k is exact, and coefficient k of A is c_k(B) / D^k.
+    It runs on the integer matrix B = D A, D the lcm of all denominators,
+    and coefficient k of A is c_k(B) / D^k.  Berkowitz needs no division:
+    the polynomial of the block B_(r+1) is the lower-triangular Toeplitz
+    matrix with first column [1, -B[r][r], -S R, -S B_r R, ...,
+    -S B_r^(r-1) R] times that of B_r, R the column above B[r][r] and S
+    the row to its left, so it only adds and multiplies integers.
     """
-    n = len(a)
     b, d = integer_matrix(a)
     coeffs = [1]
-    m = b
-    for k in range(1, n + 1):
-        if k > 1:
-            m = [row[:] for row in m]
-            for i in range(n):
-                m[i][i] += coeffs[-1]
-            m = matmul(b, m)
-        coeffs.append(-trace(m) // k)
+    for r, row in enumerate(b):
+        above = b[:r]  # map stops at len(v) = r, so these rows act as B_r
+        v = [brow[r] for brow in above]
+        col = [1, -row[r]]
+        for k in range(r):
+            if k:
+                v = [sum(map(mul, brow, v)) for brow in above]
+            col.append(-sum(map(mul, row, v)))
+        coeffs = [sum(map(mul, col[i::-1], coeffs)) for i in range(r + 2)]
     return [Fraction(c, d**k) for k, c in enumerate(coeffs)]
 
 

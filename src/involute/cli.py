@@ -151,6 +151,12 @@ def cmd_eigvec(args):
 
 _LAMBDA_PROPERTIES = ("stochastic", "globally-reversible")
 _WALK_PROPERTIES = ("ergodic", "reversible", "kolmogorov")
+# each verdict's own test, and its field in the full PropertyReport
+_TRIANGULAR_PROPERTIES = {
+    "adep": (transform.check_adep, "adep"),
+    "gadep": (transform.check_gadep, "gadep"),
+    "binomial-transform": (transform.is_binomial_transform, "is_binomial_transform"),
+}
 
 
 def _check_source(args):
@@ -203,18 +209,16 @@ def cmd_check(args):
             raise CheckFailed("not reversible: detailed balance fails")
         print("reversible" if found[1] == 1
               else "reversible (chain is reducible; distribution not unique)")
-    elif prop in ("adep", "gadep", "binomial-transform"):
-        report = transform.property_report(source)
-        if args.format == "json":
+    elif prop in _TRIANGULAR_PROPERTIES:
+        decide, field = _TRIANGULAR_PROPERTIES[prop]
+        # the whole report is built only to print it or to name a witness
+        report = transform.property_report(source) if args.format == "json" else None
+        if report is not None:
             print(json.dumps(report.to_dict()))
-        verdict = {
-            "adep": report.adep,
-            "gadep": report.gadep,
-            "binomial-transform": report.is_binomial_transform,
-        }[prop]
-        if not verdict:
+        if not (getattr(report, field) if report else decide(source)):
+            report = report or transform.property_report(source)
             raise CheckFailed(f"{prop} fails (witness: {report.witness})")
-        if args.format != "json":
+        if report is None:
             print(f"{prop} holds")
     elif prop == "conjugator":
         if not transform.check_conjugator(source, global_check=args.global_check):

@@ -14,6 +14,9 @@ A lower-triangular L has the anti-diagonal eigenvalue property (ADEP) when
 the eigenvalues of L J are (-1)^d L[d][d]; the global variant (GADEP) asks
 the same of every top-left submatrix.  Binomial transforms always have
 GADEP; the parametrized counterexample matrices show the converse fails.
+`check_adep` tests size n alone, with one characteristic polynomial, and
+`check_gadep` the sizes 1..n up to the first failure; `is_binomial_transform`
+needs none.  `property_report` decides all three and names a witness.
 
 The grid of stochastic sequences whose entries have denominator at most
 den is enumerated on an integer lattice (`stochastic_lattice`): scaled by
@@ -134,29 +137,33 @@ def is_stochastic(lam) -> StochasticCheck:
 
 def _require_lower_triangular(m) -> list:
     rows = [[as_rational(v) for v in row] for row in m]
+    if any(len(row) != len(rows) for row in rows):
+        raise OutOfRange("matrix must be square")
     if not la.is_lower_triangular(rows):
         raise OutOfRange("matrix must be lower-triangular")
     return rows
 
 
+def _adep(rows) -> bool:
+    """ADEP of already coerced lower-triangular rows: one charpoly, of L J."""
+    target = la.poly_from_roots([(-1) ** d * row[d] for d, row in enumerate(rows)])
+    return la.charpoly([row[::-1] for row in rows]) == target  # J reverses columns
+
+
 def check_adep(m) -> bool:
     """Anti-diagonal eigenvalue property, as an exact char-poly multiset test.
 
-    charpoly(L J) is compared with prod_d (X - (-1)^d L[d][d]); this does not
-    verify diagonalizability of L J, so repeated eigenvalues are accepted on
-    multiset evidence alone.
+    It tests size n only: charpoly(L J) is compared with
+    prod_d (X - (-1)^d L[d][d]).  This does not verify diagonalizability
+    of L J, so repeated eigenvalues are accepted on multiset evidence alone.
     """
-    rows = _require_lower_triangular(m)
-    n = len(rows)
-    lj = [row[::-1] for row in rows]  # L J reverses the columns of L
-    target = la.poly_from_roots([(-1) ** d * rows[d][d] for d in range(n)])
-    return la.charpoly(lj) == target
+    return _adep(_require_lower_triangular(m))
 
 
 def _first_non_adep_size(rows) -> int | None:
     """Smallest k whose top-left k x k block fails ADEP; None under GADEP."""
     return next(
-        (k for k in range(1, len(rows) + 1) if not check_adep(la.top_left(rows, k))), None
+        (k for k in range(1, len(rows) + 1) if not _adep(la.top_left(rows, k))), None
     )
 
 
@@ -220,7 +227,7 @@ def property_report(m) -> PropertyReport:
     witness = _first_non_adep_size(rows)
     gadep = witness is None
     # the loop already decided size n unless it stopped below it
-    adep = gadep or (witness < n and check_adep(rows))
+    adep = gadep or (witness < n and _adep(rows))
     expected = _transform_of_diagonal(rows)
     ibt = rows == expected
     if gadep and not ibt:

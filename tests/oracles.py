@@ -77,6 +77,25 @@ def custom_from_down_step(h_rows) -> Custom:
     return Custom(n, table)
 
 
+def charpoly_faddeev_leverrier(a) -> list:
+    """[1, c1, ..., cn] of det(X I - A) by Faddeev-LeVerrier on B = D A, D
+    the lcm of all denominators: M_1 = B, M_k = B (M_(k-1) + c_(k-1) I) and
+    c_k = -tr(M_k) / k, a division that is exact on the integer c_k(B).
+    Coefficient k of A is c_k(B) / D^k."""
+    n = len(a)
+    b, d = la.integer_matrix(a)
+    coeffs = [1]
+    m = b
+    for k in range(1, n + 1):
+        if k > 1:
+            m = [row[:] for row in m]
+            for i in range(n):
+                m[i][i] += coeffs[-1]
+            m = la.matmul(b, m)
+        coeffs.append(-sum(m[i][i] for i in range(n)) // k)
+    return [Fraction(c, d**k) for k, c in enumerate(coeffs)]
+
+
 def matvec(a, v) -> list:
     """A v for a matrix of rows and a column vector."""
     return [sum(map(mul, row, v)) for row in a]

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import involute
-from involute import walk
+from involute import _linalg, walk
 from involute.cli import main
 from involute.transform import lambda_walk
 from involute.walk import transition_matrix
@@ -141,6 +141,47 @@ def test_check_matrix_rejects_a_non_walk(tmp_path, capsys, text, message):
     for prop in ("reversible", "kolmogorov", "ergodic"):
         code, out, err = run(capsys, "check", "--matrix", str(target), prop)
         assert (code, out) == (2, "") and message in err and err.startswith("error: ")
+
+
+DATA_DIR = Path(__file__).parent / "data"
+# Exit code, stdout and stderr of `check adep|gadep|binomial-transform` in
+# every format, recorded when the CLI built the full property report (and
+# Faddeev-LeVerrier characteristic polynomials) for every check; DATA/ names
+# tests/data.  The matrices: L4 and H5 at tau = 1/4 (GADEP holds, not a
+# binomial transform), block2_fails (ADEP at size 3, not at size 2) and
+# fails_at_n (ADEP holds below size 3 only), walk3 (not lower-triangular).
+TRIANGULAR_CASES = json.loads((DATA_DIR / "check_triangular.json").read_text())
+
+
+@pytest.mark.parametrize("case", TRIANGULAR_CASES, ids=lambda c: " ".join(c["argv"]))
+def test_check_triangular_properties_as_recorded(capsys, case):
+    argv = [a.replace("DATA/", f"{DATA_DIR}/") for a in case["argv"]]
+    assert run(capsys, *argv) == (case["code"], case["out"], case["err"])
+
+
+@pytest.mark.parametrize("prop, calls", [("adep", 1), ("binomial-transform", 0)])
+def test_check_decides_only_the_printed_property(monkeypatch, capsys, prop, calls):
+    seen = []
+    charpoly = _linalg.charpoly
+
+    def counting(a):
+        seen.append(len(a))
+        return charpoly(a)
+
+    monkeypatch.setattr(_linalg, "charpoly", counting)
+    code, out, _ = run(capsys, "check", "--gamma", "2", "4/3", "--n", "12", prop)
+    assert (code, out) == (0, f"{prop} holds\n")
+    assert seen == [12] * calls
+
+
+@pytest.mark.parametrize("text", ["1,0,0\n1,1,0\n", "1,0\n1,1\n1,1\n"])
+def test_check_triangular_needs_a_square_matrix(tmp_path, capsys, text):
+    target = tmp_path / "mat.csv"
+    target.write_text(text)
+    for prop in ("adep", "gadep", "binomial-transform"):
+        for fmt in ("pretty", "json"):
+            assert run(capsys, "--format", fmt, "check", "--matrix", str(target), prop) == (
+                2, "", "error: matrix must be square\n")
 
 
 def test_custom_weight_through_cli(tmp_path, capsys):
@@ -540,6 +581,9 @@ def test_bench_function_metrics_name_public_functions():
         ["--format", "json", "matrix", "--gamma", "2", "2/3", "--n", "12"],
         ["matrix", "--gammac", "1/3", "--n", "8"],
         ["simulate", "--gamma", "1", "1", "--n", "4", "--steps", "10", "--empirical"],
+        ["check", "--gamma", "2", "4/3", "--n", "12", "adep"],
+        ["--format", "json", "check", "--gamma", "1", "1/3", "--n", "8", "gadep"],
+        ["check", "--matrix", str(DATA_DIR / "l4.csv"), "binomial-transform"],
     ],
 )
 def test_cli_same_under_optimize(argv):

@@ -7,8 +7,11 @@ import pytest
 
 from involute import _linalg as la
 from involute.errors import SingularMatrix
+from involute.transform import gadep_counterexample
+from involute.walk import transition_matrix
+from involute.weights import DeltaAB, GammaAB, GammaC, domain_limit
 
-from oracles import matvec
+from oracles import charpoly_faddeev_leverrier, matvec
 
 sympy = pytest.importorskip("sympy")
 
@@ -79,6 +82,34 @@ def test_charpoly_and_inverse_match_sympy():
         else:
             assert la.inverse(a) == _rows(_sym(a).inv()), a
     assert 30 <= singular <= 120  # both branches are exercised
+
+
+def _charpoly_cases():
+    """Random matrices n = 0..14 (singular ones, zero rows and zero columns
+    mixed in), the anti-triangular H J of family walks up to n = 16, and the
+    L4 and H5 counterexamples."""
+    rng = random.Random(20261101)
+    cases = [[]] + [_random_matrix(rng, n, n) for n in range(1, 15) for _ in range(4)]
+    specs = [GammaAB(2, F(4, 3)), GammaAB(F(-1, 3), F(1, 2)), GammaC(F(1, 3)), GammaC(3),
+             DeltaAB(F(21, 2), F(43, 4)), DeltaAB(9, 4)]
+    for spec in specs:
+        for n in (1, 2, 5, 9, 12, 16):
+            if n <= domain_limit(spec):
+                cases.append([row[::-1] for row in transition_matrix(spec, n).H])
+    cases += [gadep_counterexample(which, tau)
+              for which in ("L4", "H5") for tau in (0, F(1, 4), 1)]
+    return cases
+
+
+def test_charpoly_matches_faddeev_leverrier_and_sympy():
+    x = sympy.Symbol("x")
+    cases = _charpoly_cases()
+    assert sum(_sym(a).det() == 0 for a in cases if a) >= 10
+    for a in cases:
+        found = la.charpoly(a)
+        assert found == charpoly_faddeev_leverrier(a), a
+        ref = _sym(a).charpoly(x).all_coeffs() if a else [1]
+        assert found == [_frac(c) for c in ref], a
 
 
 def test_charpoly_of_empty_matrix():
