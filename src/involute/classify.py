@@ -21,13 +21,15 @@ a match is exact, never inferred from (mu, nu) alone.
 The conjecture sweep runs on the integer lattice of `stochastic_lattice`:
 each sequence is a tuple of integers lambda_y * L, L = lcm(1..den), its
 walk is the integer matrix L * P and detailed balance is decided on that
-matrix, whose scale does not change the verdict.  The only Fractions a
-record forms are its entries lambda_y = v / L, one per entry.
+matrix, whose scale does not change the verdict, by potentials kept as
+integer pairs.  The potentials also decide reachability, so no record runs
+a search for it.  A sweep forms one Fraction v / L per distinct grid value,
+shared by every record that holds it, and the (mu, nu) case split of a
+reversible record forms one Fraction per family parameter.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
@@ -52,14 +54,6 @@ class NotClassified:
 Classification = Union[GammaAB, GammaC, DeltaAB, IdentityWalk, NotClassified]
 
 
-def a_from_mu_nu(mu: Fraction, nu: Fraction) -> Fraction:
-    return mu * (mu - nu) / (nu - mu * mu) - 1
-
-
-def b_from_mu_nu(mu: Fraction, nu: Fraction) -> Fraction:
-    return (1 - mu) * (mu - nu) / (nu - mu * mu) - 1
-
-
 def nu_ladder(m: int, mu: Fraction) -> Fraction:
     return mu * (m * mu - 1) / (m - 2 + mu)
 
@@ -69,23 +63,38 @@ def a_prime_ladder(m: int, mu: Fraction) -> Fraction:
 
 
 def _min_ladder_m(mu: Fraction, n: int) -> int:
-    return math.floor((1 - mu) / mu * (n - 2)) + 2
+    """floor((1 - mu) / mu * (n - 2)) + 2, on the integers of mu = p/q."""
+    p, q = mu.numerator, mu.denominator
+    return (q - p) * (n - 2) // p + 2
 
 
 def params_from_mu_nu(mu, nu, n: int) -> Classification:
-    """Family weight spec from the second and third eigenvalues."""
+    """Family weight spec from the second and third eigenvalues.
+
+    The case split runs on the integers of mu = p/q and nu = r/s, q, s > 0.
+    gap = r q^2 - p^2 s has the sign of nu - mu^2, and with
+    lead = p s - r q, which is positive as mu > nu,
+
+        a + 1 = p lead / gap,   b + 1 = (q - p) lead / gap,   c = (q - p) / p,
+
+    and delta(-a, -b) has a' = (gap - p lead) / gap and
+    b' = (gap - (q - p) lead) / gap.  So each parameter is one Fraction of
+    integer products, and the domain and ladder tests read those Fractions.
+    """
     mu, nu = as_rational(mu), as_rational(nu)
-    if not (1 > mu > nu >= 0):
+    p, q, r, s = mu.numerator, mu.denominator, nu.numerator, nu.denominator
+    lead = p * s - r * q
+    if not (p < q and lead > 0 and r >= 0):
         raise OutOfRange(f"need 1 > mu > nu >= 0, got mu={mu}, nu={nu}")
     if n < 3:
         raise OutOfRange("classification needs n >= 3")
-    musq = mu * mu
-    if nu > musq:
-        return GammaAB(a_from_mu_nu(mu, nu), b_from_mu_nu(mu, nu))
-    if nu == musq:
-        return GammaC((1 - mu) / mu)
+    gap = r * q * q - p * p * s
+    if gap > 0:
+        return GammaAB(Fraction(p * lead - gap, gap), Fraction((q - p) * lead - gap, gap))
+    if gap == 0:
+        return GammaC(Fraction(q - p, p))
     # nu < mu^2 < mu gives a', b' > 1, and an integer b' is a ladder index m >= 2
-    spec = DeltaAB(-a_from_mu_nu(mu, nu), -b_from_mu_nu(mu, nu))
+    spec = DeltaAB(Fraction(gap - p * lead, gap), Fraction(gap - (q - p) * lead, gap))
     if n > domain_limit(spec) or (
         spec.b_prime.denominator == 1 and spec.b_prime < _min_ladder_m(mu, n)
     ):
@@ -141,17 +150,19 @@ def classify_walk(lam) -> Classification:
     check = is_stochastic(lam)
     if not check:
         raise NotStochastic(check.reason)
-    return _classify(lam, pl_matrix(lam))
+    return _classify(lam, _zero_reachable(pl_matrix(lam)))
 
 
-def _classify(lam: list, p: list) -> Classification:
-    """classify_walk for a stochastic lam (n >= 3) whose P is already built.
+def _classify(lam: list, reaches_zero: bool) -> Classification:
+    """classify_walk for a stochastic lam (n >= 3), told by its caller
+    whether state 0 is reached from every state of the walk.
 
-    P is read only for its support, so any positive multiple of it will do.
+    The all-ones sequence is decided before reachability: its walk J has
+    no single closed class, yet it is the identity walk, not an error.
     """
     if all(v == 1 for v in lam):
         return IdentityWalk()
-    if not _zero_reachable(p):
+    if not reaches_zero:
         raise ZeroNotAccessible("state 0 unreachable; the walk never mixes")
     n = len(lam)
     mu, nu = lam[1], lam[2]
@@ -222,18 +233,24 @@ def conjecture_search(n: int, *, max_denominator: int = 8) -> SearchSummary:
     The sweep is the exact grid of stochastic sequences whose entries have
     denominator at most max_denominator; records cover every one of them, in
     the sorted order of the sequences.  It walks the integer lattice, so the
-    walk L * P and its detailed-balance verdict stay on integers.
+    walk L * P and its detailed-balance verdict stay on integers, and each
+    distinct grid value becomes one Fraction v / L, shared by the records.
+
+    Reachability needs no search of its own: potentials that span one tree
+    mean a symmetric, connected support, so the walk is irreducible and 0
+    is reached from every state, while with more trees each tree is a class
+    that no step leaves.
     """
     if n < 3 or n > 8:
         raise OutOfRange("the desk-scale sweep covers 3 <= n <= 8")
     scale, lattice = stochastic_lattice(n, max_denominator)
+    value = {v: Fraction(v, scale) for v in set().union(*lattice)}
     records = []
     for scaled in lattice:
-        p = _pl_rows(scaled)
-        reversible = _potentials(p) is not None
-        lam = [Fraction(v, scale) for v in scaled]
-        classification = _classify(lam, p) if reversible else None
-        records.append(SearchRecord(lam, True, reversible, classification))
+        found = _potentials(_pl_rows(scaled))
+        lam = [value[v] for v in scaled]
+        classification = None if found is None else _classify(lam, found[1] == 1)
+        records.append(SearchRecord(lam, True, found is not None, classification))
     return SearchSummary(
         n=n,
         stochastic=len(records),

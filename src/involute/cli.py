@@ -320,8 +320,7 @@ def cmd_continuum(args):
 
 def cmd_conjecture(args):
     summary = cls.conjecture_search(args.n, max_denominator=args.max_denominator)
-    for record in summary.records:
-        print(json.dumps(record.to_dict()))
+    sys.stdout.write("".join(json.dumps(record.to_dict()) + "\n" for record in summary.records))
     bad = summary.unclassified_reversible
     print(
         json.dumps(
@@ -464,7 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conjecture", help="desk-scale reversibility sweep (JSON lines)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-denominator", type=int, default=8)
+    p.add_argument("--max-denominator", type=int, default=8, metavar="D",
+                   help=f"grid denominators up to D (default 8); the lattice may visit at "
+                        f"most {transform.LATTICE_BUDGET} suffixes, enough for n=5 at D=16")
     p.set_defaults(func=cmd_conjecture)
 
     p = sub.add_parser("repro", help="reproduce the reference displays and tables")

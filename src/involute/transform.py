@@ -87,10 +87,12 @@ def _binomial_rows(lam: list) -> list:
     """H from the difference table of lam, in lam's own arithmetic.
 
     Nothing is coerced: Fractions give the exact H, and integers lambda * L
-    give the integer matrix L * H, since H is linear in lambda.
+    give the integer matrix L * H, since H is linear in lambda.  The zeros
+    above the diagonal take lam's type too, so L * H holds only ints.
     """
     n = len(lam)
-    h = la.zeros(n)
+    zero = lam[0] * 0 if lam else 0
+    h = [[zero] * n for _ in range(n)]
     for y, row in zip(range(n - 1, -1, -1), _difference_rows(lam)):
         c = 1  # binom(y + k, y), advanced down the column
         for k, v in enumerate(row):
@@ -135,10 +137,15 @@ def is_stochastic(lam) -> StochasticCheck:
     return StochasticCheck(True)
 
 
-def _require_lower_triangular(m) -> list:
+def _require_square(m) -> list:
     rows = [[as_rational(v) for v in row] for row in m]
     if any(len(row) != len(rows) for row in rows):
         raise OutOfRange("matrix must be square")
+    return rows
+
+
+def _require_lower_triangular(m) -> list:
+    rows = _require_square(m)
     if not la.is_lower_triangular(rows):
         raise OutOfRange("matrix must be lower-triangular")
     return rows
@@ -190,7 +197,7 @@ def is_binomial_transform(m) -> bool:
 def check_conjugator(q, global_check: bool = False) -> bool:
     """Anti-diagonal conjugator test: Q^{-1} J Q upper-triangular with
     diagonal (-1)^x; the global variant checks every top-left submatrix."""
-    rows = [[as_rational(v) for v in row] for row in q]
+    rows = _require_square(q)
     n = len(rows)
     sizes = range(1, n + 1) if global_check else [n]
     for k in sizes:
@@ -286,6 +293,11 @@ def lambda_walk(lam) -> WalkMatrix:
     return WalkMatrix(len(h), [row[::-1] for row in h], h)
 
 
+# suffixes stochastic_lattice may visit: n = 5 at den 16 visits 273,416 and
+# n = 4 at den 20 visits 192,008, while n = 6 at den 16 needs 670,527
+LATTICE_BUDGET = 300_000
+
+
 def stochastic_lattice(n: int, max_denominator: int) -> tuple:
     """Every stochastic lambda of length n with entries p/q, q <= max_denominator,
     on integers: (L, [(L, lambda_1 L, ..., lambda_{n-1} L), ...]).
@@ -298,6 +310,13 @@ def stochastic_lattice(n: int, max_denominator: int) -> tuple:
     bisect cuts every failing value and no visited suffix fails an
     inequality.  lambda_0 is 1, that is L.  The tuples come sorted, which is
     the order of the sequences themselves, as all share the one scale.
+
+    The suffixes visited below the root are counted as each bisect admits
+    them, and past LATTICE_BUDGET the walk stops with OutOfRange, so an
+    oversized grid is refused in a fraction of a second instead of running
+    for minutes.  The grid holds about 3 D^2 / pi^2 values for D =
+    max_denominator, and the count grows about 15-fold per doubling of D at
+    n = 3, 50-fold at n = 4 and faster at larger n.
     """
     if n < 1:
         raise OutOfRange("need at least one eigenvalue")
@@ -308,14 +327,23 @@ def stochastic_lattice(n: int, max_denominator: int) -> tuple:
         {p * (scale // q) for q in range(1, max_denominator + 1) for p in range(q + 1)}
     )
     lattice: list = []
+    visited = 0
 
     def extend(suffix: tuple, row: list):
+        nonlocal visited
         floor = max(suffix[0] if suffix else 0, sum(row))
         if len(suffix) == n - 1:
             if floor <= scale:
                 lattice.append((scale, *suffix))
             return
-        for v in values[bisect.bisect_left(values, floor) :]:
+        start = bisect.bisect_left(values, floor)
+        visited += len(values) - start
+        if visited > LATTICE_BUDGET:
+            raise OutOfRange(
+                f"n={n} at max_denominator={max_denominator} visits more than "
+                f"{LATTICE_BUDGET} lattice suffixes, the sweep's budget"
+            )
+        for v in values[start:]:
             extend((v, *suffix), _difference_row(row, v))
 
     extend((), [])

@@ -24,7 +24,10 @@ Kolmogorov criterion are read from that one check.
 One engine decides reachability: the strongly connected components of the
 support graph (_sccs).  Ergodicity reads them, and the closed classes, those
 that no step leaves (_closed_classes), decide whether every state is
-recurrent and whether state 0 is reached from every state.
+recurrent and whether state 0 is reached from every state.  For a walk
+whose potentials exist their tree count already answers the last question:
+each tree spans a connected piece of a symmetric support, a class that no
+step leaves, so 0 is reached from every state exactly when there is one.
 """
 
 from __future__ import annotations
@@ -266,37 +269,44 @@ def _potentials(w):
     Detailed balance pi_x P[x][z] = pi_z P[z][x] needs a symmetric support
     and forces pi_z = pi_x P[x][z] / P[z][x] along every support edge.  So
     each tree of a spanning forest of the support graph is grown from a root
-    with pi = 1, and then every equation is checked exactly, on integers:
-    (a/b)(p/q) == (c/d)(r/s) as a*p*d*s == c*r*b*q.  Returns (pi, trees),
-    pi unnormalized with pi = 1 at each root and trees the number of trees
-    grown (the connected components of the support), or None when the
-    support is not symmetric or some equation fails.
+    with pi = 1, and then every equation is checked exactly.  Both steps run
+    on integers: each pi_x is kept as a reduced pair num[x] / den[x], an
+    edge spreads it as a cross-multiplied pair reduced by one gcd, and an
+    equation (a/b)(p/q) == (c/d)(r/s) is checked as a*p*d*s == c*r*b*q.
+    Returns (pi, trees), pi unnormalized Fractions with pi = 1 at each root
+    and trees the number of trees grown (the connected components of the
+    support), or None when the support is not symmetric or some equation
+    fails.
 
     Only ratios P[x][z] / P[z][x] enter, so the verdict is the same for any
-    positive multiple c * P, and the entries may be ints: the integer L * P
-    of a lattice walk is decided without forming P.
+    positive multiple c * P.  Entries are read by their numerator and
+    denominator, which ints have too: the integer L * P of a lattice walk
+    takes the same path as a Fraction P, without forming P.
     """
     rows = _rows(w)
     n = len(rows)
     nbrs = [[z for z in range(n) if row[z] and z != x] for x, row in enumerate(rows)]
     if not all(rows[z][x] for x in range(n) for z in nbrs[x]):
         return None
-    pi = [None] * n
+    num = [0] * n
+    den = [0] * n  # 0 until the state's tree reaches it
     trees = 0
     for root in range(n):
-        if pi[root] is not None:
+        if den[root]:
             continue
         trees += 1
-        pi[root] = Fraction(1)
+        num[root] = den[root] = 1
         stack = [root]
         while stack:
             x = stack.pop()
             for z in nbrs[x]:
-                if pi[z] is None:
-                    pi[z] = pi[x] * rows[x][z] / rows[z][x]
+                if not den[z]:
+                    forward, backward = rows[x][z], rows[z][x]
+                    a = num[x] * forward.numerator * backward.denominator
+                    b = den[x] * forward.denominator * backward.numerator
+                    g = math.gcd(a, b)
+                    num[z], den[z] = a // g, b // g
                     stack.append(z)
-    num = [v.numerator for v in pi]
-    den = [v.denominator for v in pi]
     for x in range(n):
         for z in nbrs[x]:
             if z > x:
@@ -304,7 +314,7 @@ def _potentials(w):
                 if (num[x] * forward.numerator * den[z] * backward.denominator
                         != num[z] * backward.numerator * den[x] * forward.denominator):
                     return None
-    return pi, trees
+    return [Fraction(a, b) for a, b in zip(num, den)], trees
 
 
 def _normalized(weights) -> Distribution:

@@ -1,6 +1,7 @@
 """Direct readings of the definitions that the library never needs at run
 time: the tests use them as oracles for the closed forms and fast paths."""
 
+import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -8,7 +9,8 @@ from fractions import Fraction
 from operator import mul
 
 from involute import _linalg as la
-from involute.errors import IndexOutOfDomain
+from involute.classify import NotClassified
+from involute.errors import IndexOutOfDomain, OutOfRange
 from involute.exactnum import as_rational, binom
 from involute.walk import WalkMatrix, _normalized, _potentials
 from involute.weights import Custom, DeltaAB, GammaAB, GammaC, domain_limit, weight_table
@@ -177,3 +179,33 @@ def zero_accessible(p_rows) -> bool:
 def pascal_column(n: int, d: int) -> list:
     """v(d): the column vector (binom(0,d), ..., binom(n-1,d))."""
     return [binom(x, d) for x in range(n)]
+
+
+def a_from_mu_nu(mu: Fraction, nu: Fraction) -> Fraction:
+    return mu * (mu - nu) / (nu - mu * mu) - 1
+
+
+def b_from_mu_nu(mu: Fraction, nu: Fraction) -> Fraction:
+    return (1 - mu) * (mu - nu) / (nu - mu * mu) - 1
+
+
+def params_by_fractions(mu: Fraction, nu: Fraction, n: int):
+    """The (mu, nu) case split of the `classify` docstring in Fraction
+    arithmetic: the closed forms for a, b and c, compared with mu^2, and the
+    ladder bound floor((1 - mu) / mu (n - 2)) + 2 on an integer b'."""
+    if not (1 > mu > nu >= 0):
+        raise OutOfRange(f"need 1 > mu > nu >= 0, got mu={mu}, nu={nu}")
+    if n < 3:
+        raise OutOfRange("classification needs n >= 3")
+    musq = mu * mu
+    if nu > musq:
+        return GammaAB(a_from_mu_nu(mu, nu), b_from_mu_nu(mu, nu))
+    if nu == musq:
+        return GammaC((1 - mu) / mu)
+    spec = DeltaAB(-a_from_mu_nu(mu, nu), -b_from_mu_nu(mu, nu))
+    if n > domain_limit(spec) or (
+        spec.b_prime.denominator == 1
+        and spec.b_prime < math.floor((1 - mu) / mu * (n - 2)) + 2
+    ):
+        return NotClassified(f"delta({spec.a_prime},{spec.b_prime}) does not reach n={n}")
+    return spec

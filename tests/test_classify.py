@@ -23,7 +23,14 @@ from involute.spectral import family_lambda
 from involute.transform import pl_matrix, stochastic_grid
 from involute.weights import DeltaAB, GammaAB, GammaC
 
-from oracles import detailed_balance, reversible_with_some_distribution
+from oracles import (
+    a_from_mu_nu,
+    b_from_mu_nu,
+    detailed_balance,
+    params_by_fractions,
+    reversible_with_some_distribution,
+    zero_accessible,
+)
 
 
 def family_eigenvalues(spec, n):
@@ -61,6 +68,38 @@ def test_params_round_trip_mu_nu():
         assert family_lambda(spec, 2) == nu
 
 
+def test_params_from_mu_nu_matches_fraction_oracle():
+    # the integer (mu, nu) split against the Fraction formulas, on every
+    # pair of the den <= 12 grid and a few negative nu, for n = 3..8: the
+    # same spec type and parameters, or the same NotClassified reason, or
+    # the same OutOfRange message
+    grid = sorted({F(p, q) for q in range(1, 13) for p in range(q + 1)})
+    kinds = {}
+    for mu in grid:
+        for nu in grid + [F(-1, 2), F(-1, 12)]:
+            for n in range(3, 9):
+                try:
+                    expected = params_by_fractions(mu, nu, n)
+                except OutOfRange as exc:
+                    with pytest.raises(OutOfRange) as got:
+                        params_from_mu_nu(mu, nu, n)
+                    assert str(got.value) == str(exc)
+                    continue
+                got = params_from_mu_nu(mu, nu, n)
+                assert type(got) is type(expected) and got == expected, (mu, nu, n)
+                ladder = isinstance(got, DeltaAB) and got.b_prime.denominator == 1
+                kinds[type(got), ladder] = kinds.get((type(got), ladder), 0) + 1
+    assert set(kinds) == {(GammaAB, False), (GammaC, False), (DeltaAB, False),
+                          (DeltaAB, True), (NotClassified, False)}
+
+
+def test_mu_nu_fraction_formulas_invert_family_eigenvalues():
+    # the oracle's closed forms read a and b back from gamma(a, b)
+    for a, b in ((F(1), F(0)), (F(1, 3), F(5, 2)), (F(-1, 2), F(7))):
+        lam = family_eigenvalues(GammaAB(a, b), 3)
+        assert (a_from_mu_nu(lam[1], lam[2]), b_from_mu_nu(lam[1], lam[2])) == (a, b)
+
+
 def test_exceptional_ladder_reference_table():
     ladder = exceptional_ladder(F(2, 3), 10)
     assert ladder == [
@@ -95,7 +134,13 @@ def test_classify_walk_errors():
 
 
 def test_classify_walk_identity():
-    assert classify_walk([F(1), F(1), F(1)]) == IdentityWalk()
+    # J(n) has no single closed class, yet it is the identity walk: the
+    # identity is decided before reachability
+    for n in (3, 4, 7):
+        assert classify_walk([F(1)] * n) == IdentityWalk()
+        assert _classify([F(1)] * n, False) == IdentityWalk()
+    with pytest.raises(ZeroNotAccessible):
+        _classify([F(1), F(1, 2), F(1, 2), F(1, 2)], False)
 
 
 def test_classify_walk_rejects_near_family():
@@ -168,13 +213,14 @@ def test_conjecture_search_n3_small_grid():
 
 
 def _fraction_sweep(n, max_denominator):
-    """Oracle: the sweep on Fractions, with a normalized law per walk and a
-    final sort of the records by their eigenvalue lists."""
+    """Oracle: the sweep on Fractions, with a normalized law per walk,
+    reachability by fixed point and a final sort of the records by their
+    eigenvalue lists."""
     records = []
     for lam in stochastic_grid(n, max_denominator):
         p = pl_matrix(lam)
         reversible, _ = reversible_with_some_distribution(p)
-        classification = _classify(lam, p) if reversible else None
+        classification = _classify(lam, zero_accessible(p)) if reversible else None
         records.append(SearchRecord(lam, True, reversible, classification))
     records.sort(key=lambda r: r.lam)
     return records
@@ -189,6 +235,27 @@ def test_conjecture_search_matches_fraction_oracle():
             assert got == expected, (n, den)
             reversible += sum(r["reversible"] for r in got)
     assert reversible > 0
+
+
+def test_conjecture_search_never_searches_reachability(monkeypatch):
+    # the potentials' tree count decides reachability in the sweep, so the
+    # strongly-connected-components pass never runs; classify_walk still
+    # runs it, which shows the spy is live
+    from involute import classify, walk
+
+    seen = []
+    reachable = walk._zero_reachable
+
+    def spy(w):
+        seen.append(len(w))
+        return reachable(w)
+
+    monkeypatch.setattr(walk, "_zero_reachable", spy)
+    monkeypatch.setattr(classify, "_zero_reachable", spy)
+    summary = conjecture_search(4, max_denominator=8)
+    assert summary.reversible > 0 and seen == []
+    assert classify_walk(family_eigenvalues(GammaAB(1, 1), 4)) == GammaAB(F(1), F(1))
+    assert seen == [4]
 
 
 def test_conjecture_search_range():

@@ -184,6 +184,16 @@ def test_check_triangular_needs_a_square_matrix(tmp_path, capsys, text):
                 2, "", "error: matrix must be square\n")
 
 
+@pytest.mark.parametrize("text", ["1,0,5\n1,1,0\n", "1,0\n1,1\n1,1\n"])
+def test_check_conjugator_needs_a_square_matrix(tmp_path, capsys, text):
+    # a wide matrix once passed on its left block, a tall one read as singular
+    target = tmp_path / "mat.csv"
+    target.write_text(text)
+    for flags in ((), ("--global",)):
+        assert run(capsys, "check", "--matrix", str(target), "conjugator", *flags) == (
+            2, "", "error: matrix must be square\n")
+
+
 def test_custom_weight_through_cli(tmp_path, capsys):
     target = tmp_path / "weight.csv"
     target.write_text("y,x,value\n0,0,2\n0,1,1\n1,1,3\n")
@@ -336,6 +346,19 @@ def test_conjecture_rejects_empty_grid(capsys):
         code, out, err = run(capsys, "conjecture", "--n", "3", "--max-denominator", den)
         assert code == 2 and out == ""
         assert "max_denominator" in err
+
+
+def test_conjecture_refuses_a_grid_past_the_budget(capsys):
+    import time
+
+    from involute.transform import LATTICE_BUDGET
+
+    start = time.perf_counter()
+    code, out, err = run(capsys, "conjecture", "--n", "4", "--max-denominator", "40")
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (2, "")
+    assert err.startswith("error: n=4 at max_denominator=40") and str(LATTICE_BUDGET) in err
+    assert elapsed < 2
 
 
 def test_repro_targets(capsys):

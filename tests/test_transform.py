@@ -13,6 +13,7 @@ from involute.errors import NotStochastic, OutOfRange, SingularMatrix
 from involute.exactnum import binom
 from involute.spectral import eigenvalues_closed_form, family_lambda
 from involute.transform import (
+    LATTICE_BUDGET,
     binomial_transform,
     check_adep,
     check_conjugator,
@@ -289,6 +290,10 @@ def test_check_conjugator_examples():
     assert not check_conjugator(la.identity(2))
     with pytest.raises(SingularMatrix):
         check_conjugator([[F(0)]])
+    for shape in ([[1, 0, 5], [1, 1, 0]], [[1, 0], [1, 1], [1, 1]]):
+        for global_check in (False, True):
+            with pytest.raises(OutOfRange, match="matrix must be square"):
+                check_conjugator(shape, global_check=global_check)
 
 
 def test_pascal_column():
@@ -335,6 +340,17 @@ def test_stochastic_lattice_is_sorted_integer_grid():
         assert all(type(v) is int and t[0] == scale for t in lattice for v in t)
         assert lattice == sorted(set(lattice))
         assert stochastic_grid(n, den) == [[F(v, scale) for v in t] for t in lattice]
+
+
+def test_stochastic_lattice_budget():
+    # n = 5 at den 16 fits the budget; n = 6 at den 16 visits 670,527
+    # suffixes and is refused before the enumeration ends
+    scale, lattice = stochastic_lattice(5, 16)
+    assert len(lattice) == 23089
+    assert len(stochastic_lattice(4, 20)[1]) == 42879
+    for n, den in ((6, 16), (4, 40), (3, 60)):
+        with pytest.raises(OutOfRange, match=f"more than {LATTICE_BUDGET} lattice suffixes"):
+            stochastic_lattice(n, den)
 
 
 def test_stochastic_grid_rejects_empty_grids():

@@ -303,22 +303,31 @@ def test_kolmogorov_matches_exhaustive_cycle_oracle():
 
 
 def test_potentials_verdict_is_scale_free():
-    # the sweep decides detailed balance on the integer L * P of each walk
-    compared = reversible = 0
-    for n in range(1, 7):
+    # the sweep decides detailed balance on the integer L * P of each walk:
+    # integer pairs spread from L * P and from the Fraction P give the same
+    # potentials and tree count, positive and balancing P, and one tree
+    # exactly when 0 is reached from every state, which the sweep relies on
+    compared = one_tree = several = 0
+    for n in range(1, 8):
         scale, lattice = stochastic_lattice(n, 6)
         for scaled in lattice:
-            lam = [F(v, scale) for v in scaled]
-            p = pl_matrix(lam)
+            p = pl_matrix([F(v, scale) for v in scaled])
             scaled_p = _pl_rows(list(scaled))
-            assert all(type(v) is int for row in scaled_p for v in row if v)
+            assert all(type(v) is int for row in scaled_p for v in row)
             assert scaled_p == [[v * scale for v in row] for row in p]
-            verdict = walk._potentials(p) is not None
-            assert (walk._potentials(scaled_p) is not None) == verdict, lam
+            found = walk._potentials(p)
+            assert walk._potentials(scaled_p) == found, scaled
             compared += 1
-            reversible += verdict
-    assert compared == sum(len(stochastic_grid(n, 6)) for n in range(1, 7))
-    assert 0 < reversible < compared
+            if found is None:
+                continue
+            pi, trees = found
+            assert all(type(v) is F and v > 0 for v in pi)
+            assert detailed_balance(p, pi)
+            assert walk._zero_reachable(p) == (trees == 1), scaled
+            one_tree += trees == 1
+            several += trees > 1
+    assert compared == sum(len(stochastic_grid(n, 6)) for n in range(1, 8))
+    assert one_tree > 50 and several > 0 and one_tree + several < compared
 
 
 @pytest.fixture
