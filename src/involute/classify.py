@@ -30,10 +30,10 @@ reversible record forms one Fraction per family parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
+from ._record import FrozenRecord, Record
 from .errors import NotStochastic, OutOfRange, ZeroNotAccessible
 from .exactnum import as_rational
 from .transform import _pl_rows, is_stochastic, pl_matrix, stochastic_lattice
@@ -41,14 +41,17 @@ from .walk import _potentials, _zero_reachable
 from .weights import DeltaAB, GammaAB, GammaC, domain_limit, down_step_diagonal
 
 
-@dataclass(frozen=True)
-class IdentityWalk:
+class IdentityWalk(FrozenRecord):
     """All eigenvalues 1: H is the identity and P is the deterministic flip J."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class NotClassified:
-    reason: str
+
+class NotClassified(FrozenRecord):
+    __slots__ = _fields = ("reason",)
+
+    def __init__(self, reason: str):
+        self._freeze(reason)
 
 
 Classification = Union[GammaAB, GammaC, DeltaAB, IdentityWalk, NotClassified]
@@ -79,7 +82,13 @@ def params_from_mu_nu(mu, nu, n: int) -> Classification:
 
     and delta(-a, -b) has a' = (gap - p lead) / gap and
     b' = (gap - (q - p) lead) / gap.  So each parameter is one Fraction of
-    integer products, and the domain and ladder tests read those Fractions.
+    integer products, and the domain test reads those Fractions.
+
+    The domain test is the whole admissibility test, ladder included.  An
+    integer b' = m is admissible when m >= floor((1 - mu)/mu (n - 2)) + 2
+    (`_min_ladder_m`).  With a' - 1 = (m - 1) mu / (1 - mu), m below that
+    bound means a' <= n - 1, so n > ceil(a') = domain_limit, which the
+    domain test already rejects.
     """
     mu, nu = as_rational(mu), as_rational(nu)
     p, q, r, s = mu.numerator, mu.denominator, nu.numerator, nu.denominator
@@ -95,9 +104,7 @@ def params_from_mu_nu(mu, nu, n: int) -> Classification:
         return GammaC(Fraction(q - p, p))
     # nu < mu^2 < mu gives a', b' > 1, and an integer b' is a ladder index m >= 2
     spec = DeltaAB(Fraction(gap - p * lead, gap), Fraction(gap - (q - p) * lead, gap))
-    if n > domain_limit(spec) or (
-        spec.b_prime.denominator == 1 and spec.b_prime < _min_ladder_m(mu, n)
-    ):
+    if n > domain_limit(spec):
         return NotClassified(f"delta({spec.a_prime},{spec.b_prime}) does not reach n={n}")
     return spec
 
@@ -191,18 +198,35 @@ def classification_label(c: Classification) -> str:
     return f"not classified: {c.reason}"
 
 
-@dataclass
-class SearchRecord:
-    lam: list
-    stochastic: bool
-    reversible: bool
-    classification: Classification | None
+class SearchRecord(Record):
+    __slots__ = _fields = ("lam", "stochastic", "reversible", "classification")
 
-    def to_dict(self) -> dict:
+    def __init__(self, lam: list, stochastic: bool, reversible: bool,
+                 classification: Classification | None):
+        self.lam, self.stochastic, self.reversible = lam, stochastic, reversible
+        self.classification = classification
+
+    def to_dict(self, text: dict | None = None) -> dict:
+        """The record as JSON-ready values.
+
+        A caller that converts every record of one sweep passes one `text`
+        dict, id(value) -> its format_rational string, so each grid value,
+        which the records share, is formatted once.  It is keyed by id
+        because a Fraction hash costs about as much as the formatting, so
+        the dict must not outlive the records whose values it holds.
+        """
         from .serialize import format_rational
 
+        if text is None:
+            text = {}
+        lam = []
+        for v in self.lam:
+            s = text.get(id(v))
+            if s is None:
+                s = text[id(v)] = format_rational(v)
+            lam.append(s)
         return {
-            "lambda": [format_rational(v) for v in self.lam],
+            "lambda": lam,
             "stochastic": self.stochastic,
             "reversible": self.reversible,
             "classification": None
@@ -211,12 +235,12 @@ class SearchRecord:
         }
 
 
-@dataclass
-class SearchSummary:
-    n: int
-    stochastic: int
-    reversible: int
-    records: list = field(default_factory=list)  # stochastic candidates only
+class SearchSummary(Record):
+    __slots__ = _fields = ("n", "stochastic", "reversible", "records")
+
+    def __init__(self, n: int, stochastic: int, reversible: int, records: list | None = None):
+        self.n, self.stochastic, self.reversible = n, stochastic, reversible
+        self.records = [] if records is None else records  # stochastic candidates only
 
     @property
     def unclassified_reversible(self) -> list:

@@ -320,7 +320,9 @@ def cmd_continuum(args):
 
 def cmd_conjecture(args):
     summary = cls.conjecture_search(args.n, max_denominator=args.max_denominator)
-    sys.stdout.write("".join(json.dumps(record.to_dict()) + "\n" for record in summary.records))
+    text = {}  # one string per grid value, shared by the records
+    sys.stdout.write("".join(json.dumps(record.to_dict(text)) + "\n"
+                             for record in summary.records))
     bad = summary.unclassified_reversible
     print(
         json.dumps(

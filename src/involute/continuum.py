@@ -55,13 +55,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import _linalg as la
 from ._continuum import CONVERGENCE_MAX_N, CONVERGENCE_MAX_SIZES, _gauss_legendre, adaptive_quad
+from ._record import FrozenRecord
 from .errors import OutOfRange
 from .spectral import eigenvalues_closed_form, family_lambda, family_sequence, right_eigenvectors
 from .weights import GammaAB
@@ -77,18 +77,17 @@ def _check_ab(a, b) -> None:
         raise OutOfRange(f"kappa(a, b) needs integers a, b >= 0, got a={a!r}, b={b!r}")
 
 
-@dataclass(frozen=True)
-class ContinuousWalk:
-    kind: str  # "kappa" or "trig"; trig runs as kappa(0, 0) in its coordinate
-    a: int = 0
-    b: int = 0
+class ContinuousWalk(FrozenRecord):
+    __slots__ = _fields = ("kind", "a", "b")
 
-    def __post_init__(self):
-        if self.kind not in ("kappa", "trig"):
-            raise OutOfRange(f"unknown continuous walk kind {self.kind!r}")
-        if self.kind == "trig" and (self.a, self.b) != (0, 0):
-            raise OutOfRange(f"the trigonometric walk has a = b = 0, got {self.a!r}, {self.b!r}")
-        _check_ab(self.a, self.b)
+    def __init__(self, kind: str, a: int = 0, b: int = 0):
+        # kind is "kappa" or "trig"; trig runs as kappa(0, 0) in its coordinate
+        if kind not in ("kappa", "trig"):
+            raise OutOfRange(f"unknown continuous walk kind {kind!r}")
+        if kind == "trig" and (a, b) != (0, 0):
+            raise OutOfRange(f"the trigonometric walk has a = b = 0, got {a!r}, {b!r}")
+        _check_ab(a, b)
+        self._freeze(kind, a, b)
 
 
 def kappa_walk(a: int, b: int) -> ContinuousWalk:
@@ -108,8 +107,7 @@ def _coordinate(walk: ContinuousWalk, x):
     return (1 - np.cos(np.pi * x)) / 2, (np.pi / 2) * np.sin(np.pi * x)
 
 
-@dataclass(frozen=True)
-class PolyFunction:
+class PolyFunction(FrozenRecord):
     """Polynomial in monomials of its variable: x for kappa(a, b), phi(x)
     for the trigonometric walk.
 
@@ -120,8 +118,11 @@ class PolyFunction:
     precision and also evaluates elementwise on numpy arrays.
     """
 
-    coefficients: tuple
-    recurrence: tuple  # (alphas, betas, scale) for the monic polynomial
+    __slots__ = _fields = ("coefficients", "recurrence")
+
+    def __init__(self, coefficients: tuple, recurrence: tuple):
+        # recurrence: (alphas, betas, scale) for the monic polynomial
+        self._freeze(coefficients, recurrence)
 
     @property
     def degree(self) -> int:

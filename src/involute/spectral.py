@@ -33,25 +33,28 @@ B^-1, for the last eigenvalue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
 from . import _linalg as la
+from ._record import Record
 from .errors import IndexOutOfDomain, OutOfRange, RepeatedEigenvalue, UnsupportedFamily
 from .exactnum import binom
 from .walk import Distribution, invariant_closed_form, transition_matrix
 from .weights import Custom, WeightSpec, domain_limit, down_step_diagonal
 
 
-@dataclass
-class EigenSystem:
-    n: int
-    eigenvalues: list  # signed, index d
-    right_vectors: list  # integer-cleared rationals, pi-orthogonal for a reversible walk
-    left_vectors: list  # integer-cleared rationals, u P = eigenvalue * u
-    pi: Distribution
+class EigenSystem(Record):
+    __slots__ = _fields = ("n", "eigenvalues", "right_vectors", "left_vectors", "pi")
+
+    def __init__(self, n: int, eigenvalues: list, right_vectors: list, left_vectors: list,
+                 pi: Distribution):
+        self.n = n
+        self.eigenvalues = eigenvalues  # signed, index d
+        self.right_vectors = right_vectors  # integer-cleared, pi-orthogonal if reversible
+        self.left_vectors = left_vectors  # integer-cleared rationals, u P = eigenvalue * u
+        self.pi = pi
 
     def to_dict(self) -> dict:
         from .serialize import format_rational, format_vector
@@ -188,10 +191,12 @@ def final_left_eigenvector(n: int) -> list:
     return [(-1) ** x * binom(n - 1, x) for x in range(n)]
 
 
-@dataclass
-class MixingReport:
-    second_abs_eigenvalue: Fraction
-    empirical_rate: float
+class MixingReport(Record):
+    __slots__ = _fields = ("second_abs_eigenvalue", "empirical_rate")
+
+    def __init__(self, second_abs_eigenvalue: Fraction, empirical_rate: float):
+        self.second_abs_eigenvalue = second_abs_eigenvalue
+        self.empirical_rate = empirical_rate
 
 
 def mixing_report(spec: WeightSpec, n: int, t_max: int = 40, x0: int = 0) -> MixingReport:

@@ -29,19 +29,21 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg as la
+from ._record import FrozenRecord, Record
 from .errors import NotStochastic, OutOfRange
 from .exactnum import as_rational, binom
 from .walk import WalkMatrix
 
-@dataclass
-class PascalMatrix:
-    n: int
-    forward: list  # binom(x, y)
-    inverse: list  # (-1)^(x+y) binom(x, y)
+class PascalMatrix(Record):
+    __slots__ = _fields = ("n", "forward", "inverse")
+
+    def __init__(self, n: int, forward: list, inverse: list):
+        self.n = n
+        self.forward = forward  # binom(x, y)
+        self.inverse = inverse  # (-1)^(x+y) binom(x, y)
 
 
 def pascal(n: int) -> PascalMatrix:
@@ -116,11 +118,11 @@ def pl_matrix(lam) -> list:
     return _pl_rows(_coerce_lambda(lam))
 
 
-@dataclass(frozen=True)
-class StochasticCheck:
-    ok: bool
-    witness: int | None = None  # failing index z, if any
-    reason: str = ""
+class StochasticCheck(FrozenRecord):
+    __slots__ = _fields = ("ok", "witness", "reason")
+
+    def __init__(self, ok: bool, witness: int | None = None, reason: str = ""):
+        self._freeze(ok, witness, reason)  # witness: the failing index z, if any
 
     def __bool__(self) -> bool:
         return self.ok
@@ -210,13 +212,16 @@ def check_conjugator(q, global_check: bool = False) -> bool:
     return True
 
 
-@dataclass
-class PropertyReport:
-    adep: bool
-    gadep: bool
-    eigenbasis_action: bool
-    is_binomial_transform: bool
-    witness: object = None  # failing submatrix size or (row, col) pair
+class PropertyReport(Record):
+    __slots__ = _fields = ("adep", "gadep", "eigenbasis_action", "is_binomial_transform",
+                           "witness")
+
+    def __init__(self, adep: bool, gadep: bool, eigenbasis_action: bool,
+                 is_binomial_transform: bool, witness: object = None):
+        self.adep, self.gadep = adep, gadep
+        self.eigenbasis_action = eigenbasis_action
+        self.is_binomial_transform = is_binomial_transform
+        self.witness = witness  # failing submatrix size or (row, col) pair
 
     def to_dict(self) -> dict:
         return {

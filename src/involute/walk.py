@@ -36,11 +36,11 @@ import math
 import random
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from . import _linalg as la
+from ._record import Record
 from .errors import (
     IndexOutOfDomain,
     NoPositiveStationary,
@@ -53,13 +53,13 @@ from .weights import (Custom, GammaC, WeightSpec, atomic_part, domain_limit, dow
                       down_step_table, norm_table)
 
 
-@dataclass
-class WalkMatrix:
+class WalkMatrix(Record):
     """Transition matrix P and down-step matrix H of an involutive walk."""
 
-    n: int
-    P: list
-    H: list
+    __slots__ = _fields = ("n", "P", "H")
+
+    def __init__(self, n: int, P: list, H: list):
+        self.n, self.P, self.H = n, P, H
 
     @classmethod
     def from_p(cls, p_rows) -> "WalkMatrix":
@@ -76,19 +76,18 @@ class WalkMatrix:
         return cls(n, rows, [row[::-1] for row in rows])  # H = P J
 
 
-@dataclass
-class Distribution:
+class Distribution(Record):
     """An exact probability law; a public Distribution(...) is validated."""
 
-    n: int
-    weights: list
+    __slots__ = _fields = ("n", "weights")
 
-    def __post_init__(self):
-        self.weights = [as_rational(w) for w in self.weights]
-        if any(w < 0 for w in self.weights):
+    def __init__(self, n: int, weights: list):
+        weights = [as_rational(w) for w in weights]
+        if any(w < 0 for w in weights):
             raise OutOfRange("distribution entries must be non-negative")
-        if sum(self.weights) != 1:
+        if sum(weights) != 1:
             raise OutOfRange("distribution entries must sum to 1")
+        self.n, self.weights = n, weights
 
     @classmethod
     def _built(cls, weights: list) -> "Distribution":
@@ -104,28 +103,32 @@ class Distribution:
         return iter(self.weights)
 
 
-@dataclass
-class ErgodicityReport:
-    irreducible: bool
-    aperiodic: bool
-    ergodic: bool
-    communicating_classes: list
+class ErgodicityReport(Record):
+    __slots__ = _fields = ("irreducible", "aperiodic", "ergodic", "communicating_classes")
+
+    def __init__(self, irreducible: bool, aperiodic: bool, ergodic: bool,
+                 communicating_classes: list):
+        self.irreducible, self.aperiodic, self.ergodic = irreducible, aperiodic, ergodic
+        self.communicating_classes = communicating_classes
 
 
-@dataclass
-class SimulationResult:
-    trajectory: list
-    empirical: list  # visit frequencies as floats
+class SimulationResult(Record):
+    __slots__ = _fields = ("trajectory", "empirical")
+
+    def __init__(self, trajectory: list, empirical: list):
+        self.trajectory = trajectory
+        self.empirical = empirical  # visit frequencies as floats
 
 
-@dataclass
-class SubsetWalk:
+class SubsetWalk(Record):
     """Down-up walk on subsets of {1..m}; state bitmask bit i = element i+1."""
 
-    m: int
-    p: Fraction
-    pi: Distribution
-    eigenvalues: list  # expanded multiset, (-p)^e repeated binom(m, e) times
+    _fields = ("m", "p", "pi", "eigenvalues")
+    __slots__ = _fields + ("__dict__",)  # the dict holds the cached walk
+
+    def __init__(self, m: int, p: Fraction, pi: Distribution, eigenvalues: list):
+        self.m, self.p, self.pi = m, p, pi
+        self.eigenvalues = eigenvalues  # expanded multiset, (-p)^e repeated binom(m, e) times
 
     @cached_property
     def walk(self) -> WalkMatrix:

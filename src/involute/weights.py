@@ -17,10 +17,10 @@ invariant under the order anti-involution [y, x] -> [x*, y*], x* = n-1-x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Union
 
+from ._record import FrozenRecord
 from .errors import IndexOutOfDomain, MalformedWeight, OutOfRange, ZeroNorm
 from .exactnum import as_rational
 from .serialize import parse_rational
@@ -28,76 +28,73 @@ from .serialize import parse_rational
 UNBOUNDED = math.inf
 
 
-@dataclass(frozen=True)
-class GammaAB:
-    a: Fraction
-    b: Fraction
+class GammaAB(FrozenRecord):
+    __slots__ = _fields = ("a", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_rational(self.a))
-        object.__setattr__(self, "b", as_rational(self.b))
-        if self.a <= -1 or self.b <= -1:
-            raise OutOfRange(f"gamma(a,b) needs a, b > -1, got ({self.a}, {self.b})")
+    def __init__(self, a: Fraction, b: Fraction):
+        a, b = as_rational(a), as_rational(b)
+        if a <= -1 or b <= -1:
+            raise OutOfRange(f"gamma(a,b) needs a, b > -1, got ({a}, {b})")
+        self._freeze(a, b)
 
 
-@dataclass(frozen=True)
-class GammaC:
-    c: Fraction
+class GammaC(FrozenRecord):
+    __slots__ = _fields = ("c",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "c", as_rational(self.c))
-        if self.c <= 0:
-            raise OutOfRange(f"gamma(c) needs c > 0, got {self.c}")
-
-
-@dataclass(frozen=True)
-class DeltaAB:
-    a_prime: Fraction
-    b_prime: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "a_prime", as_rational(self.a_prime))
-        object.__setattr__(self, "b_prime", as_rational(self.b_prime))
-        if self.a_prime <= 1 or self.b_prime <= 1:
-            raise OutOfRange(
-                f"delta(a',b') needs a', b' > 1, got ({self.a_prime}, {self.b_prime})"
-            )
+    def __init__(self, c: Fraction):
+        c = as_rational(c)
+        if c <= 0:
+            raise OutOfRange(f"gamma(c) needs c > 0, got {c}")
+        self._freeze(c)
 
 
-@dataclass(frozen=True)
-class Custom:
-    """Dense weight table on {0,...,n-1}; missing intervals default to 0."""
+class DeltaAB(FrozenRecord):
+    __slots__ = _fields = ("a_prime", "b_prime")
 
-    n: int
-    table: Mapping[tuple[int, int], Fraction] = field(hash=False)
+    def __init__(self, a_prime: Fraction, b_prime: Fraction):
+        a_prime, b_prime = as_rational(a_prime), as_rational(b_prime)
+        if a_prime <= 1 or b_prime <= 1:
+            raise OutOfRange(f"delta(a',b') needs a', b' > 1, got ({a_prime}, {b_prime})")
+        self._freeze(a_prime, b_prime)
 
-    def __post_init__(self):
-        if self.n < 1:
+
+class Custom(FrozenRecord):
+    """Dense weight table on {0,...,n-1}; missing intervals default to 0.
+
+    Equality compares n and the table; the hash reads n alone."""
+
+    __slots__ = _fields = ("n", "table")
+
+    def __init__(self, n: int, table: Mapping[tuple[int, int], Fraction]):
+        if n < 1:
             raise OutOfRange("custom weight needs n >= 1")
         clean = {}
-        for (y, x), v in self.table.items():
-            if not (0 <= y <= x < self.n):
-                raise IndexOutOfDomain(f"interval ({y},{x}) outside 0 <= y <= x < {self.n}")
+        for (y, x), v in table.items():
+            if not (0 <= y <= x < n):
+                raise IndexOutOfDomain(f"interval ({y},{x}) outside 0 <= y <= x < {n}")
             v = as_rational(v)
             if v < 0:
                 raise MalformedWeight(f"negative weight {v} at interval ({y},{x})")
             clean[(y, x)] = v
-        object.__setattr__(self, "table", clean)
-        for x in range(self.n):
+        for x in range(n):
             if sum(clean.get((y, x), Fraction(0)) for y in range(x + 1)) <= 0:
                 raise MalformedWeight(f"column sum N_{x} is not positive")
+        self._freeze(n, clean)
+
+    def __hash__(self) -> int:
+        return hash((self.n,))
 
 
 WeightSpec = Union[GammaAB, GammaC, DeltaAB, Custom]
 
 
-@dataclass(frozen=True)
-class FactorizationResult:
+class FactorizationResult(FrozenRecord):
     """Atomic part alpha, star-symmetric part beta, with alpha_y*beta[y,x]=w[y,x]."""
 
-    alpha: list
-    beta: dict
-    valid: bool
+    __slots__ = _fields = ("alpha", "beta", "valid")
+
+    def __init__(self, alpha: list, beta: dict, valid: bool):
+        self._freeze(alpha, beta, valid)
 
 
 def domain_limit(spec: WeightSpec):

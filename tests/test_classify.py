@@ -93,6 +93,26 @@ def test_params_from_mu_nu_matches_fraction_oracle():
                           (DeltaAB, True), (NotClassified, False)}
 
 
+def test_ladder_clause_never_decides_alone():
+    # params_from_mu_nu keeps only the domain test; the oracle also keeps the
+    # ladder clause (integer b' below floor((1 - mu)/mu (n - 2)) + 2).  On
+    # every delta pair of the den <= 24 grid with an integer b', for
+    # n = 3..40, the two agree, so the clause never rejects a spec alone.
+    grid = sorted({F(p, q) for q in range(1, 25) for p in range(1, q)})
+    pairs = [(mu, nu) for mu in grid for nu in [F(0)] + grid
+             if nu < mu * mu and (-b_from_mu_nu(mu, nu)).denominator == 1]
+    cut = kept = 0
+    for mu, nu in pairs:
+        for n in range(3, 41):
+            expected = params_by_fractions(mu, nu, n)
+            assert params_from_mu_nu(mu, nu, n) == expected, (mu, nu, n)
+            if isinstance(expected, NotClassified):
+                cut += 1
+            else:
+                kept += 1
+    assert cut > 0 and kept > 0
+
+
 def test_mu_nu_fraction_formulas_invert_family_eigenvalues():
     # the oracle's closed forms read a and b back from gamma(a, b)
     for a, b in ((F(1), F(0)), (F(1, 3), F(5, 2)), (F(-1, 2), F(7))):
@@ -231,7 +251,8 @@ def test_conjecture_search_matches_fraction_oracle():
     for n in range(3, 6):
         for den in range(1, 9):
             expected = [r.to_dict() for r in _fraction_sweep(n, den)]
-            got = [r.to_dict() for r in conjecture_search(n, max_denominator=den).records]
+            text = {}  # shared as cmd_conjecture shares it: the same dicts as unshared
+            got = [r.to_dict(text) for r in conjecture_search(n, max_denominator=den).records]
             assert got == expected, (n, den)
             reversible += sum(r["reversible"] for r in got)
     assert reversible > 0

@@ -502,27 +502,32 @@ FLOAT_ARGVS = [["continuum", "--trig", "--fixed-point"], ["repro", "fig2-converg
 
 
 def test_exact_commands_leave_numpy_unloaded():
-    # only the interval path needs floats; every other command starts without numpy
+    # only the interval path needs floats; every other command starts without numpy,
+    # and no command needs dataclasses or the inspect machinery it imports
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
     probe = (
         "import contextlib, io, json, sys\n"
+        "heavy = lambda: sorted({'dataclasses', 'inspect'} & set(sys.modules))\n"
         "import involute\n"
         "import involute.cli as c\n"
         "c.build_parser()\n"
+        "started = heavy()\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         "    exact = [c.main(argv) for argv in json.loads(sys.argv[1])]\n"
         "    loaded = 'numpy' in sys.modules\n"
+        "    ran = heavy()\n"
         "    floats = [c.main(argv) for argv in json.loads(sys.argv[2])]\n"
-        "print(json.dumps([exact, loaded, floats]))\n"
+        "print(json.dumps([exact, loaded, started, ran, floats]))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe, json.dumps(EXACT_ARGVS), json.dumps(FLOAT_ARGVS)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    exact, loaded, floats = json.loads(done.stdout)
+    exact, loaded, started, ran, floats = json.loads(done.stdout)
     assert exact == [0] * len(EXACT_ARGVS)
     assert loaded is False
+    assert started == [] and ran == []
     assert floats == [0] * len(FLOAT_ARGVS)
 
 

@@ -1,0 +1,144 @@
+"""Value semantics of the package's records: the repr, equality and hash
+each record class had as a dataclass, and its construction rules."""
+
+from fractions import Fraction as F
+
+import pytest
+
+from involute.classify import IdentityWalk, NotClassified, SearchRecord, SearchSummary
+from involute.continuum import ContinuousWalk, PolyFunction
+from involute.spectral import EigenSystem, MixingReport
+from involute.transform import PascalMatrix, PropertyReport, StochasticCheck
+from involute.walk import (Distribution, ErgodicityReport, SimulationResult, SubsetWalk,
+                           WalkMatrix, subset_walk)
+from involute.weights import Custom, DeltaAB, FactorizationResult, GammaAB, GammaC
+
+# (construction, the repr the dataclass gave it, frozen)
+CASES = [
+    (lambda: GammaAB(1, F(1, 2)), "GammaAB(a=Fraction(1, 1), b=Fraction(1, 2))", True),
+    (lambda: GammaC(2), "GammaC(c=Fraction(2, 1))", True),
+    (lambda: DeltaAB(4, 2), "DeltaAB(a_prime=Fraction(4, 1), b_prime=Fraction(2, 1))", True),
+    (lambda: Custom(2, {(0, 0): 1, (0, 1): F(1, 2), (1, 1): 3}),
+     "Custom(n=2, table={(0, 0): Fraction(1, 1), (0, 1): Fraction(1, 2), "
+     "(1, 1): Fraction(3, 1)})", True),
+    (lambda: FactorizationResult([F(1)], {(0, 0): F(1)}, True),
+     "FactorizationResult(alpha=[Fraction(1, 1)], beta={(0, 0): Fraction(1, 1)}, valid=True)",
+     True),
+    (lambda: WalkMatrix(1, [[F(1)]], [[F(1)]]),
+     "WalkMatrix(n=1, P=[[Fraction(1, 1)]], H=[[Fraction(1, 1)]])", False),
+    (lambda: Distribution(2, [F(1, 2), F(1, 2)]),
+     "Distribution(n=2, weights=[Fraction(1, 2), Fraction(1, 2)])", False),
+    (lambda: ErgodicityReport(True, True, True, [[0, 1]]),
+     "ErgodicityReport(irreducible=True, aperiodic=True, ergodic=True, "
+     "communicating_classes=[[0, 1]])", False),
+    (lambda: SimulationResult([0, 1], [0.5, 0.5]),
+     "SimulationResult(trajectory=[0, 1], empirical=[0.5, 0.5])", False),
+    (lambda: SubsetWalk(1, F(1, 3), Distribution(2, [F(1, 4), F(3, 4)]), [1, F(-1, 3)]),
+     "SubsetWalk(m=1, p=Fraction(1, 3), pi=Distribution(n=2, weights=[Fraction(1, 4), "
+     "Fraction(3, 4)]), eigenvalues=[1, Fraction(-1, 3)])", False),
+    (lambda: PascalMatrix(2, [[1, 0], [1, 1]], [[1, 0], [-1, 1]]),
+     "PascalMatrix(n=2, forward=[[1, 0], [1, 1]], inverse=[[1, 0], [-1, 1]])", False),
+    (lambda: StochasticCheck(True), "StochasticCheck(ok=True, witness=None, reason='')", True),
+    (lambda: PropertyReport(True, False, True, False),
+     "PropertyReport(adep=True, gadep=False, eigenbasis_action=True, "
+     "is_binomial_transform=False, witness=None)", False),
+    (lambda: IdentityWalk(), "IdentityWalk()", True),
+    (lambda: NotClassified("r"), "NotClassified(reason='r')", True),
+    (lambda: SearchRecord([F(1)], True, False, None),
+     "SearchRecord(lam=[Fraction(1, 1)], stochastic=True, reversible=False, "
+     "classification=None)", False),
+    (lambda: SearchSummary(3, 0, 0), "SearchSummary(n=3, stochastic=0, reversible=0, records=[])",
+     False),
+    (lambda: EigenSystem(1, [1], [[1]], [[1]], Distribution(1, [1])),
+     "EigenSystem(n=1, eigenvalues=[1], right_vectors=[[1]], left_vectors=[[1]], "
+     "pi=Distribution(n=1, weights=[Fraction(1, 1)]))", False),
+    (lambda: MixingReport(F(1, 2), 0.5),
+     "MixingReport(second_abs_eigenvalue=Fraction(1, 2), empirical_rate=0.5)", False),
+    (lambda: ContinuousWalk("kappa"), "ContinuousWalk(kind='kappa', a=0, b=0)", True),
+    (lambda: PolyFunction((1.0, 2.0), ((0.5,), (), 1.0)),
+     "PolyFunction(coefficients=(1.0, 2.0), recurrence=((0.5,), (), 1.0))", True),
+]
+IDS = [text.split("(", 1)[0] for _, text, _ in CASES]
+
+
+@pytest.mark.parametrize("make, text, frozen", CASES, ids=IDS)
+def test_repr_and_equality(make, text, frozen):
+    a, b = make(), make()
+    assert repr(a) == text
+    assert a == b and not a != b and a is not b
+    assert a != None and a != text  # noqa: E711
+    for other_make, _, _ in CASES:
+        other = other_make()
+        if type(other) is not type(a):
+            assert a != other and other != a
+
+
+def test_equality_needs_the_same_class():
+    assert GammaAB(2, 2) != DeltaAB(2, 2)
+    assert GammaAB(1, 2) != (F(1), F(2))
+    assert GammaAB(1, 2) != GammaAB(2, 1)
+    assert GammaAB(1, 2) == GammaAB(F(1), F(2))
+    assert StochasticCheck(False, 2, "x") != StochasticCheck(False, 3, "x")
+
+
+@pytest.mark.parametrize("make, text, frozen", [c for c in CASES if c[2]],
+                         ids=[i for i, c in zip(IDS, CASES) if c[2]])
+def test_frozen_fields_refuse_assignment_and_deletion(make, text, frozen):
+    value = make()
+    name = text.split("(", 1)[1].split("=", 1)[0] if "=" in text else "x"
+    with pytest.raises(AttributeError):
+        setattr(value, name, 3)
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    assert repr(value) == text
+
+
+def test_frozen_records_hash_by_value():
+    for make, _, frozen in CASES:
+        if frozen and not isinstance(make(), FactorizationResult):  # it holds a list
+            assert hash(make()) == hash(make())
+    assert len({GammaAB(1, 2), GammaAB(F(2, 2), 2), GammaC(1), NotClassified("r"),
+                NotClassified("r"), IdentityWalk(), IdentityWalk()}) == 4
+
+
+def test_custom_hash_ignores_the_table():
+    one, two = Custom(1, {(0, 0): 1}), Custom(1, {(0, 0): 2})
+    assert one != two
+    assert hash(one) == hash(two) == hash(Custom(1, {(0, 0): 5}))
+
+
+@pytest.mark.parametrize("make, text, frozen", [c for c in CASES if not c[2]],
+                         ids=[i for i, c in zip(IDS, CASES) if not c[2]])
+def test_mutable_records_are_unhashable(make, text, frozen):
+    with pytest.raises(TypeError):
+        hash(make())
+
+
+def test_keyword_construction_and_defaults():
+    assert StochasticCheck(ok=True) == StochasticCheck(True, None, "")
+    check = StochasticCheck(ok=False, witness=2, reason="x")
+    assert (check.ok, check.witness, check.reason, bool(check)) == (False, 2, "x", False)
+    report = PropertyReport(adep=True, gadep=False, eigenbasis_action=True,
+                            is_binomial_transform=False)
+    assert report.witness is None
+    assert report == PropertyReport(True, False, True, False, None)
+    assert ContinuousWalk(kind="trig") == ContinuousWalk("trig", 0, 0)
+    assert ContinuousWalk("kappa", b=2) == ContinuousWalk("kappa", 0, 2)
+    first = SearchSummary(n=3, stochastic=0, reversible=0)
+    second = SearchSummary(3, 0, 0)
+    first.records.append(SearchRecord([F(1)], True, False, None))
+    assert second.records == [] and first.records is not second.records
+    assert first != second
+
+
+def test_mutable_records_take_assignment():
+    law = Distribution(2, [F(1, 2), F(1, 2)])
+    law.weights = [F(1), F(0)]
+    assert list(law) == [F(1), F(0)] and law[0] == 1
+    assert Distribution._built([F(1, 4), F(3, 4)]) == Distribution(2, [F(1, 4), F(3, 4)])
+
+
+def test_subset_walk_caches_its_matrix():
+    walk = subset_walk(2, F(1, 3))
+    assert walk.walk is walk.walk
+    assert walk.walk.n == 4
