@@ -9,13 +9,12 @@ eigenvalue property, classifies the globally reversible walks, and checks
 the continuous analogue on [0, 1] numerically.
 """
 
-from .exactnum import Rational, binom, mbinom
+from .exactnum import Rational, binom
 from .weights import Custom, DeltaAB, GammaAB, GammaC, UNBOUNDED
 
 __all__ = [
     "Rational",
     "binom",
-    "mbinom",
     "GammaAB",
     "GammaC",
     "DeltaAB",

@@ -209,9 +209,3 @@ def triangular_eigenvectors(t: list, first: int = 0) -> list[list[int]]:
         out.append(c)
     return out
 
-
-def clear_denominators(v: Vector) -> Vector:
-    """Scale a rational vector to coprime integers, first nonzero entry > 0."""
-    ints = primitive(integer_row(v)[0])
-    sign = -1 if next((x for x in ints if x), 0) < 0 else 1
-    return [Fraction(sign * x) for x in ints]

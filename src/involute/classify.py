@@ -34,9 +34,9 @@ from fractions import Fraction
 from typing import Union
 
 from ._record import FrozenRecord, Record
-from .errors import NotStochastic, OutOfRange, ZeroNotAccessible
+from .errors import OutOfRange, ZeroNotAccessible
 from .exactnum import as_rational
-from .transform import _pl_rows, is_stochastic, pl_matrix, stochastic_lattice
+from .transform import _pl_rows, lambda_walk, stochastic_lattice, stochastic_sequence
 from .walk import _potentials, _zero_reachable
 from .weights import DeltaAB, GammaAB, GammaC, domain_limit, down_step_diagonal
 
@@ -114,6 +114,8 @@ def exceptional_ladder(mu, n: int) -> list:
     mu = as_rational(mu)
     if not Fraction(1, 2) < mu < 1:
         raise OutOfRange(f"ladder needs 1/2 < mu < 1, got {mu}")
+    if n < 3:
+        raise OutOfRange("classification needs n >= 3")
     lo = max(2, _min_ladder_m(mu, n))
     return [(m, nu_ladder(m, mu), a_prime_ladder(m, mu)) for m in range(n - 1, lo - 1, -1)]
 
@@ -131,15 +133,11 @@ def is_globally_reversible(lam) -> bool:
     truncation's walk is read off the one P as a slice, and only the
     verdict of its detailed-balance potentials is read.
     """
-    lam = [as_rational(v) for v in lam]
-    check = is_stochastic(lam)
-    if not check:
-        raise NotStochastic(check.reason)
-    p = pl_matrix(lam)
-    if not _zero_reachable(p):
+    w = lambda_walk(lam)
+    if not _zero_reachable(w):
         raise ZeroNotAccessible("state 0 unreachable; the walk never mixes")
-    for m in range(2, len(lam) + 1):
-        if _potentials(_top_right_submatrix(p, m)) is None:
+    for m in range(2, w.n + 1):
+        if _potentials(_top_right_submatrix(w.P, m)) is None:
             return False
     return True
 
@@ -150,14 +148,10 @@ def classify_walk(lam) -> Classification:
     After the (mu, nu) case split the full sequence is verified against the
     family's closed form; any mismatch gives NotClassified.
     """
-    lam = [as_rational(v) for v in lam]
-    n = len(lam)
-    if n < 3:
+    if len(lam) < 3:
         raise OutOfRange("classification needs n >= 3")
-    check = is_stochastic(lam)
-    if not check:
-        raise NotStochastic(check.reason)
-    return _classify(lam, _zero_reachable(pl_matrix(lam)))
+    lam = stochastic_sequence(lam)
+    return _classify(lam, _zero_reachable(_pl_rows(lam)))
 
 
 def _classify(lam: list, reaches_zero: bool) -> Classification:

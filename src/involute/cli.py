@@ -439,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="seeded trajectory CSV")
     _add_family_flags(p)
     p.add_argument("--start", type=int, default=0)
-    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--steps", type=int, default=1000,
+                   help=f"number of steps (default 1000, at most {walk.SIMULATION_BUDGET})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--empirical", action="store_true", help="print visit frequencies instead")
     p.set_defaults(func=cmd_simulate)

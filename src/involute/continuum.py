@@ -1,9 +1,9 @@
 """Floating-point involutive walks on the interval [0, 1].
 
 Two real weights are supported: the polynomial kernel kappa(a, b) with
-weight y^a (x-y)^b on [0, x] (integer a, b >= 0), and the trigonometric
-walk with atomic weight sin(pi y) and constant star-symmetric part.  The
-step operator acting on observables is
+weight y^a (x-y)^b on [0, x] (integers a, b >= 0, a + b <= 90), and the
+trigonometric walk with atomic weight sin(pi y) and constant star-symmetric
+part.  The step operator acting on observables is
 
     (L_P f)(x) = integral over z in [1-x, 1] of  w[1-z, x]/N_x * f(z) dz,
 
@@ -73,8 +73,15 @@ QUAD_TOLERANCE = 1e-10  # absolute tolerance of lp_apply and lh_apply
 
 
 def _check_ab(a, b) -> None:
+    """Integers a, b >= 0 with a + b <= 90.  Past that the float densities
+    break down: the fixed-point residual is nan from a + b = 92 for an even
+    split (x^(a+b+1) in N_x underflows to 0) and from 99 for a one-sided
+    pair, and from a = 520 the binomial in the density no longer fits a
+    float."""
     if not (isinstance(a, int) and isinstance(b, int)) or a < 0 or b < 0:
         raise OutOfRange(f"kappa(a, b) needs integers a, b >= 0, got a={a!r}, b={b!r}")
+    if a + b > 90:
+        raise OutOfRange(f"kappa(a, b) supported for a + b <= 90, got a={a}, b={b}")
 
 
 class ContinuousWalk(FrozenRecord):

@@ -1,10 +1,9 @@
-"""Exact rational scalars and generalized binomial coefficients.
+"""Exact rational scalars and the generalized binomial coefficient.
 
 Every discrete computation in this package runs over ``fractions.Fraction``,
 so equality checks are structural and nothing ever rounds.  The binomial
 coefficient is the falling-factorial form binom(r, d) = r(r-1)...(r-d+1)/d!,
-defined for any rational r and integer d >= 0; the multiset binomial
-mbinom(m, c) counts c-multisubsets of an m-set.
+defined for any rational r and integer d >= 0.
 """
 
 from __future__ import annotations
@@ -45,13 +44,3 @@ def binom(r, d: int) -> Fraction:
         num *= r - k
     return num / math.factorial(d)
 
-
-def mbinom(m, c: int) -> Fraction:
-    """Multiset binomial binom(m+c-1, c): c-multisubsets of an m-set.
-
-    For positive integer m it satisfies mbinom(m, c) = mbinom(c+1, m-1),
-    which extends the definition to rational first arguments elsewhere.
-    """
-    if c < 0:
-        raise OutOfRange(f"mbinom multiplicity must be >= 0, got {c}")
-    return binom(as_rational(m) + c - 1, c)

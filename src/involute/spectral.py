@@ -42,7 +42,7 @@ from ._record import Record
 from .errors import IndexOutOfDomain, OutOfRange, RepeatedEigenvalue, UnsupportedFamily
 from .exactnum import binom
 from .walk import Distribution, invariant_closed_form, transition_matrix
-from .weights import Custom, WeightSpec, domain_limit, down_step_diagonal
+from .weights import Custom, WeightSpec, _check_n, down_step_diagonal
 
 
 class EigenSystem(Record):
@@ -81,8 +81,7 @@ def family_sequence(spec: WeightSpec, n: int) -> list:
     """The eigenvalue sequence lambda_0, ..., lambda_{n-1} of a named family walk."""
     if isinstance(spec, Custom):
         raise UnsupportedFamily("no closed-form eigenvalues for custom weights")
-    if n < 1 or n > domain_limit(spec):
-        raise IndexOutOfDomain(f"n={n} is outside the weight's domain")
+    _check_n(spec, n)
     return down_step_diagonal(spec, n)
 
 
@@ -115,7 +114,7 @@ def _pascal_triangular(lam, n: int) -> list:
 
 def _oriented(v: list) -> list:
     """A primitive integer vector as Fractions, first nonzero entry > 0."""
-    sign = -1 if next(x for x in v if x) < 0 else 1
+    sign = -1 if next((x for x in v if x), 0) < 0 else 1
     return [Fraction(sign * x) for x in v]
 
 

@@ -1,4 +1,4 @@
-"""Pascal matrices, binomial transforms and anti-diagonal eigenvalue checks.
+"""Binomial transforms and anti-diagonal eigenvalue checks.
 
 The binomial transform of a sequence lambda_0, ..., lambda_{n-1} is the
 lower-triangular matrix
@@ -22,7 +22,7 @@ The grid of stochastic sequences whose entries have denominator at most
 den is enumerated on an integer lattice (`stochastic_lattice`): scaled by
 L = lcm(1..den), the grid values, the difference rows, the stochasticity
 floors and L * P are all integers, and the transform core takes them as
-they are.  `stochastic_grid` is the same lattice as Fractions v / L.
+they are.
 """
 
 from __future__ import annotations
@@ -34,22 +34,8 @@ from fractions import Fraction
 from . import _linalg as la
 from ._record import FrozenRecord, Record
 from .errors import NotStochastic, OutOfRange
-from .exactnum import as_rational, binom
+from .exactnum import as_rational
 from .walk import WalkMatrix
-
-class PascalMatrix(Record):
-    __slots__ = _fields = ("n", "forward", "inverse")
-
-    def __init__(self, n: int, forward: list, inverse: list):
-        self.n = n
-        self.forward = forward  # binom(x, y)
-        self.inverse = inverse  # (-1)^(x+y) binom(x, y)
-
-
-def pascal(n: int) -> PascalMatrix:
-    fwd = [[binom(x, y) for y in range(n)] for x in range(n)]
-    inv = [[(-1) ** (x + y) * binom(x, y) for y in range(n)] for x in range(n)]
-    return PascalMatrix(n, fwd, inv)
 
 
 def _coerce_lambda(lam) -> list:
@@ -355,8 +341,3 @@ def stochastic_lattice(n: int, max_denominator: int) -> tuple:
     lattice.sort()
     return scale, lattice
 
-
-def stochastic_grid(n: int, max_denominator: int) -> list:
-    """The stochastic lattice as sorted lists of Fractions lambda_y = v / L."""
-    scale, lattice = stochastic_lattice(n, max_denominator)
-    return [[Fraction(v, scale) for v in scaled] for scaled in lattice]

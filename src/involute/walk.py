@@ -41,15 +41,9 @@ from functools import cached_property
 
 from . import _linalg as la
 from ._record import Record
-from .errors import (
-    IndexOutOfDomain,
-    NoPositiveStationary,
-    NotIrreducible,
-    OutOfRange,
-    UnsupportedFamily,
-)
+from .errors import NoPositiveStationary, NotIrreducible, OutOfRange, UnsupportedFamily
 from .exactnum import as_rational
-from .weights import (Custom, GammaC, WeightSpec, atomic_part, domain_limit, down_step_diagonal,
+from .weights import (Custom, GammaC, WeightSpec, atomic_part, down_step_diagonal,
                       down_step_table, norm_table)
 
 
@@ -153,8 +147,6 @@ def _rows(w) -> list:
 
 def transition_matrix(spec: WeightSpec, n: int) -> WalkMatrix:
     """Exact P and H for the weight on {0, ..., n-1}."""
-    if n < 1 or n > domain_limit(spec):
-        raise IndexOutOfDomain(f"n={n} is outside the weight's domain")
     h = down_step_table(spec, n)
     zero = Fraction(0)
     for x, row in enumerate(h):
@@ -360,9 +352,8 @@ def invariant_closed_form(spec: WeightSpec, n: int) -> Distribution:
     alpha_{x*} alpha_{z*} beta[z*, x], symmetric as beta is star-symmetric."""
     if isinstance(spec, Custom):
         raise UnsupportedFamily("closed-form invariant only for named families")
-    if n < 1 or n > domain_limit(spec):
-        raise IndexOutOfDomain(f"n={n} is outside the weight's domain")
-    alpha, norms = atomic_part(spec, n), norm_table(spec, n)
+    norms = norm_table(spec, n)  # checks n before atomic_part runs
+    alpha = atomic_part(spec, n)
     return _normalized([alpha[n - 1 - x] * nx for x, nx in enumerate(norms)])
 
 
@@ -385,14 +376,23 @@ def kolmogorov(w) -> bool:
     return _potentials(w) is not None
 
 
+# steps simulate may take: the trajectory holds steps + 1 states (8 MB of
+# list at the budget), so a huge count is refused instead of exhausting memory
+SIMULATION_BUDGET = 1_000_000
+
+
 def simulate(w, x0: int, steps: int, seed: int) -> SimulationResult:
-    """Seeded trajectory by inverse-CDF sampling on float row copies."""
+    """Seeded trajectory by inverse-CDF sampling on float row copies;
+    0 <= steps <= SIMULATION_BUDGET."""
     rows = _rows(w)
     n = len(rows)
     if not 0 <= x0 < n:
         raise OutOfRange(f"start state {x0} outside 0..{n - 1}")
     if steps < 0:
         raise OutOfRange(f"steps must be >= 0, got {steps}")
+    if steps > SIMULATION_BUDGET:
+        raise OutOfRange(f"steps must be <= {SIMULATION_BUDGET}, the simulation budget, "
+                         f"got {steps}")
     cum = []
     for row in rows:
         acc = 0.0

@@ -88,15 +88,6 @@ class Custom(FrozenRecord):
 WeightSpec = Union[GammaAB, GammaC, DeltaAB, Custom]
 
 
-class FactorizationResult(FrozenRecord):
-    """Atomic part alpha, star-symmetric part beta, with alpha_y*beta[y,x]=w[y,x]."""
-
-    __slots__ = _fields = ("alpha", "beta", "valid")
-
-    def __init__(self, alpha: list, beta: dict, valid: bool):
-        self._freeze(alpha, beta, valid)
-
-
 def domain_limit(spec: WeightSpec):
     """Largest n the weight is defined on, or UNBOUNDED.
 
@@ -222,8 +213,9 @@ def _norm_pairs(spec: WeightSpec, n: int) -> list:
 
 
 def _check_n(spec: WeightSpec, n: int):
-    if n > domain_limit(spec):
-        raise IndexOutOfDomain(f"n={n} exceeds the weight's domain")
+    """The one test that the weight is defined on n states."""
+    if n < 1 or n > domain_limit(spec):
+        raise IndexOutOfDomain(f"n={n} is outside the weight's domain")
 
 
 def weight_table(spec: WeightSpec, n: int) -> list:
@@ -245,46 +237,10 @@ def down_step_table(spec: WeightSpec, n: int) -> list:
     return _scaled_rows(spec, norms)
 
 
-def norm(spec: WeightSpec, x: int) -> Fraction:
-    """Column sum N_x = sum_{y <= x} weight[y, x], by closed form when named."""
-    if x < 0 or x >= domain_limit(spec):
-        raise IndexOutOfDomain(f"x={x} is outside the weight's domain")
-    return norm_table(spec, x + 1)[x]
-
-
 def norm_table(spec: WeightSpec, n: int) -> list:
     """[N_0, ..., N_{n-1}], by the closed forms' term ratios when named."""
     _check_n(spec, n)
     return [Fraction(e, f) for e, f in _norm_pairs(spec, n)]
-
-
-def factorize(spec: WeightSpec, n: int, pi) -> FactorizationResult:
-    """Split the weight into an atomic part alpha and a candidate beta.
-
-    alpha_y is proportional to pi_{y*} / N_{y*}, the unique atomic part that
-    can work when the walk is reversible with respect to pi; the scalar gauge
-    is fixed by alpha_0 = weight[0, 0].  valid reports whether beta = w/alpha
-    came out star-symmetric, which happens exactly when the walk is
-    reversible with respect to pi.
-    """
-    w = weight_table(spec, n)
-    pi = [as_rational(p) for p in pi]
-    if len(pi) != n or any(p <= 0 for p in pi):
-        raise OutOfRange("pi must be a strictly positive vector of length n")
-    norms = norm_table(spec, n)
-    if any(nx == 0 for nx in norms):
-        raise MalformedWeight("a column sum N_x vanishes")
-    alpha = [pi[n - 1 - y] / norms[n - 1 - y] for y in range(n)]
-    scale = w[0][0] / alpha[0]
-    alpha = [a * scale for a in alpha]
-    beta = {}
-    for x in range(n):
-        for y in range(x + 1):
-            beta[(y, x)] = w[x][y] / alpha[y]
-    valid = all(
-        beta[(y, x)] == beta[(n - 1 - x, n - 1 - y)] for x in range(n) for y in range(x + 1)
-    )
-    return FactorizationResult(alpha, beta, valid)
 
 
 def custom_from_csv(text: str) -> Custom:

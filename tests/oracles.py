@@ -10,10 +10,13 @@ from operator import mul
 
 from involute import _linalg as la
 from involute.classify import NotClassified
-from involute.errors import IndexOutOfDomain, OutOfRange
+from involute.errors import IndexOutOfDomain, MalformedWeight, OutOfRange
 from involute.exactnum import as_rational, binom
+from involute.spectral import _oriented
+from involute.transform import stochastic_lattice
 from involute.walk import WalkMatrix, _normalized, _potentials
-from involute.weights import Custom, DeltaAB, GammaAB, GammaC, domain_limit, weight_table
+from involute.weights import (Custom, DeltaAB, GammaAB, GammaC, domain_limit, norm_table,
+                              weight_table)
 
 
 def weight_value(spec, y: int, x: int) -> Fraction:
@@ -70,6 +73,33 @@ def classify_weight(spec, n: int) -> WeightFlags:
             if v != w[n - 1 - y][n - 1 - x]:
                 star = False
     return WeightFlags(atomic, star, positive)
+
+
+def factorize(spec, n: int, pi) -> tuple:
+    """(alpha, beta, valid): the weight split into an atomic part alpha and
+    a candidate beta = w / alpha.
+
+    alpha_y is proportional to pi_{y*} / N_{y*}, the unique atomic part that
+    can work when the walk is reversible with respect to pi; the scalar gauge
+    is fixed by alpha_0 = weight[0, 0].  valid reports whether beta came out
+    star-symmetric, which happens exactly when the walk is reversible with
+    respect to pi.
+    """
+    w = weight_table(spec, n)
+    pi = [as_rational(p) for p in pi]
+    if len(pi) != n or any(p <= 0 for p in pi):
+        raise OutOfRange("pi must be a strictly positive vector of length n")
+    norms = norm_table(spec, n)
+    if any(nx == 0 for nx in norms):
+        raise MalformedWeight("a column sum N_x vanishes")
+    alpha = [pi[n - 1 - y] / norms[n - 1 - y] for y in range(n)]
+    scale = w[0][0] / alpha[0]
+    alpha = [a * scale for a in alpha]
+    beta = {(y, x): w[x][y] / alpha[y] for x in range(n) for y in range(x + 1)}
+    valid = all(
+        beta[(y, x)] == beta[(n - 1 - x, n - 1 - y)] for x in range(n) for y in range(x + 1)
+    )
+    return alpha, beta, valid
 
 
 def custom_from_down_step(h_rows) -> Custom:
@@ -179,6 +209,27 @@ def zero_accessible(p_rows) -> bool:
 def pascal_column(n: int, d: int) -> list:
     """v(d): the column vector (binom(0,d), ..., binom(n-1,d))."""
     return [binom(x, d) for x in range(n)]
+
+
+def pascal_matrix(n: int) -> list:
+    """B[x][y] = binom(x, y)."""
+    return [[binom(x, y) for y in range(n)] for x in range(n)]
+
+
+def pascal_inverse(n: int) -> list:
+    """B^-1[x][y] = (-1)^(x+y) binom(x, y)."""
+    return [[(-1) ** (x + y) * binom(x, y) for y in range(n)] for x in range(n)]
+
+
+def stochastic_grid(n: int, max_denominator: int) -> list:
+    """The stochastic lattice as sorted lists of Fractions lambda_y = v / L."""
+    scale, lattice = stochastic_lattice(n, max_denominator)
+    return [[Fraction(v, scale) for v in scaled] for scaled in lattice]
+
+
+def clear_denominators(v) -> list:
+    """A rational vector scaled to coprime integers, first nonzero entry > 0."""
+    return _oriented(la.primitive(la.integer_row(v)[0]))
 
 
 def a_from_mu_nu(mu: Fraction, nu: Fraction) -> Fraction:

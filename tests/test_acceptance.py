@@ -39,7 +39,6 @@ from involute.transform import (
     gadep_counterexample,
     is_binomial_transform,
     is_stochastic,
-    pascal,
 )
 from involute.walk import (
     invariant_closed_form,
@@ -49,7 +48,8 @@ from involute.walk import (
 )
 from involute.weights import UNBOUNDED, DeltaAB, GammaAB, GammaC, domain_limit
 
-from oracles import detailed_balance, matvec, pi_inner, two_step
+from oracles import (detailed_balance, matvec, pascal_inverse, pascal_matrix, pi_inner,
+                     two_step)
 from test_transform import random_stochastic_lambda
 
 GRID_AB = [F(-1, 2), F(0), F(1, 2), F(1), F(2)]
@@ -148,11 +148,10 @@ def antidiag(n):
 def _pascal_sandwich(lam):
     # independent oracle for P^lambda: B Diag(lambda) B^{-1} J, all explicit
     n = len(lam)
-    b = pascal(n)
     diag = la.zeros(n)
     for d in range(n):
         diag[d][d] = lam[d]
-    h = la.matmul(la.matmul(b.forward, diag), b.inverse)
+    h = la.matmul(la.matmul(pascal_matrix(n), diag), pascal_inverse(n))
     return la.matmul(h, antidiag(n))
 
 
@@ -247,11 +246,11 @@ def test_criterion_07_adep_gadep_conjugator():
                 assert check_gadep(mat)
                 assert not is_binomial_transform(mat)
         for n in range(1, 11):
-            assert check_conjugator(pascal(n).forward, global_check=True)
+            assert check_conjugator(pascal_matrix(n), global_check=True)
         rng = random.Random(271828)
         for _ in range(50):
             n = rng.randint(2, 10)
-            b = pascal(n).forward
+            b = pascal_matrix(n)
             x = rng.randint(1, n - 1)
             y = rng.randint(0, x - 1)
             bump = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
@@ -279,7 +278,7 @@ def test_criterion_08_eigenvector_structure():
                             system.pi, system.right_vectors[d], system.right_vectors[e]
                         ) == 0
                 if n not in binv_cache:
-                    binv_cache[n] = pascal(n).inverse
+                    binv_cache[n] = pascal_inverse(n)
                 for d, vec in enumerate(system.right_vectors):
                     coords = matvec(binv_cache[n], vec)
                     assert all(coords[k] == 0 for k in range(d + 1, n))

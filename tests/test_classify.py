@@ -20,7 +20,7 @@ from involute.classify import (
 )
 from involute.errors import NotStochastic, OutOfRange, ZeroNotAccessible
 from involute.spectral import family_lambda
-from involute.transform import pl_matrix, stochastic_grid
+from involute.transform import pl_matrix
 from involute.weights import DeltaAB, GammaAB, GammaC
 
 from oracles import (
@@ -29,6 +29,7 @@ from oracles import (
     detailed_balance,
     params_by_fractions,
     reversible_with_some_distribution,
+    stochastic_grid,
     zero_accessible,
 )
 

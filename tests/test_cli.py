@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -255,6 +256,25 @@ def test_simulate_rejects_negative_steps(capsys):
     assert "steps must be >= 0" in err
 
 
+def test_simulate_refuses_steps_past_the_budget(capsys, monkeypatch):
+    budget = walk.SIMULATION_BUDGET
+    assert budget >= 20 * 20_000  # well above the bench's longest run
+    argv = ("simulate", "--gamma", "1", "1", "--n", "4", "--empirical", "--steps")
+    code, out, _ = run(capsys, *argv, str(budget))
+    assert code == 0 and len(out.split(",")) == 4
+    monkeypatch.setattr(walk, "random", None)  # drawing a step would fail with exit 1
+    code, out, err = run(capsys, *argv, str(budget + 1))
+    assert (code, out) == (2, "")
+    assert f"steps must be <= {budget}" in err
+
+
+@pytest.mark.parametrize("n", ["2", "-5"])
+def test_ladder_needs_three_states(capsys, n):
+    code, out, err = run(capsys, "ladder", "--mu", "2/3", "--n", n)
+    assert (code, out) == (2, "")
+    assert "classification needs n >= 3" in err
+
+
 def test_subsets_command(capsys):
     code, out, _ = run(capsys, "subsets", "--m", "2", "--p", "1/2")
     assert code == 0
@@ -427,6 +447,17 @@ def test_continuum_commands(capsys):
     assert float(rows[2].split(",")[1]) < float(rows[1].split(",")[1])
 
 
+@pytest.mark.parametrize("a, b", [(90, 0), (0, 90), (45, 45)])
+def test_continuum_kappa_at_the_bound_is_finite(capsys, a, b):
+    for mode in (["--fixed-point"], ["--invariant"], ["--residual", "12"],
+                 ["--convergence", "5"]):
+        code, out, _ = run(capsys, "continuum", "--kappa", str(a), str(b), *mode)
+        assert code == 0
+        fields = [line.rsplit(",", 1)[1] for line in out.splitlines()]
+        values = [float(v) for v in fields if v not in ("pi", "residual", "distance")]
+        assert values and all(math.isfinite(v) for v in values), (mode, out)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -445,6 +476,11 @@ def test_continuum_commands(capsys):
         ["--convergence", "1", "--sizes", ",".join(["10"] * 9)],
         ["--residual", "1", "--sizes", "10,x"],
         ["--fixed-point", "--sizes", "10,20"],
+        ["--kappa", "91", "0", "--invariant"],
+        ["--kappa", "0", "91", "--fixed-point"],
+        ["--kappa", "45", "46", "--residual", "12"],
+        ["--kappa", "46", "45", "--convergence", "5"],
+        ["--kappa", "520", "0", "--invariant"],
     ],
 )
 def test_continuum_input_errors(capsys, argv):

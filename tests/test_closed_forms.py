@@ -15,7 +15,7 @@ import pytest
 import sympy
 
 from involute.continuum import lp_triangular
-from involute.errors import OutOfRange
+from involute.errors import IndexOutOfDomain, OutOfRange
 from involute.exactnum import binom
 from involute.spectral import eigenvalues_closed_form, family_lambda
 from involute.walk import invariant_closed_form, subset_walk, transition_matrix
@@ -89,8 +89,11 @@ def test_lambda_needs_a_nonnegative_index():
 
 
 def test_zero_length_sequences_are_empty():
+    # the norms are a weight table, so n = 0 is outside the weight's domain
     for spec in (GAMMA_AB[0], GAMMA_C[0], DELTA[0]):
-        assert down_step_diagonal(spec, 0) == atomic_part(spec, 0) == norm_table(spec, 0) == []
+        assert down_step_diagonal(spec, 0) == atomic_part(spec, 0) == []
+        with pytest.raises(IndexOutOfDomain, match="n=0 is outside the weight's domain"):
+            norm_table(spec, 0)
 
 
 def test_invariant_matches_binomial_formula():

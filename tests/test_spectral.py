@@ -19,11 +19,12 @@ from involute.spectral import (
     right_eigenvectors,
 )
 from involute.exactnum import binom
-from involute.transform import pascal, pl_matrix, stochastic_grid
+from involute.transform import pl_matrix
 from involute.walk import _stationary_by_elimination, invariant_closed_form, transition_matrix
 from involute.weights import Custom, DeltaAB, GammaAB, GammaC, domain_limit
 
-from oracles import matvec, pascal_column, pi_inner
+from oracles import (clear_denominators, matvec, pascal_column, pascal_inverse, pi_inner,
+                     stochastic_grid)
 
 GRID_AB = [F(-1, 2), F(0), F(1, 2), F(1), F(2)]
 
@@ -81,7 +82,7 @@ def test_right_eigenvectors_structure():
                             == 0
                         )
                 # degree-d property: coordinates in the Pascal basis stop at d
-                binv = pascal(n).inverse
+                binv = pascal_inverse(n)
                 for d, vec in enumerate(system.right_vectors):
                     coords = matvec(binv, vec)
                     assert all(coords[k] == 0 for k in range(d + 1, n))
@@ -89,7 +90,7 @@ def test_right_eigenvectors_structure():
                 # second eigenvector is affine with the documented slope
                 w1 = system.right_vectors[1]
                 ref = [(a + b + 2) * (n - 1) - (2 * a + b + 3) * x for x in range(n)]
-                assert la.clear_denominators(ref) == w1
+                assert clear_denominators(ref) == w1
 
 
 def _rational_gram_schmidt(spec, n):
@@ -101,7 +102,7 @@ def _rational_gram_schmidt(spec, n):
         for w in rights:
             coeff = pi_inner(pi, v, w) / pi_inner(pi, w, w)
             v = [a - coeff * b for a, b in zip(v, w)]
-        rights.append(la.clear_denominators(v))
+        rights.append(clear_denominators(v))
     return rights
 
 
@@ -125,7 +126,7 @@ def test_final_right_eigenvector_a0():
             spec = GammaAB(0, b)
             rights = right_eigenvectors(family_sequence(spec, n))
             ref = [(-1) ** x * binom(n + b, x + b + 1) for x in range(n)]
-            assert la.clear_denominators(ref) == rights[n - 1]
+            assert clear_denominators(ref) == rights[n - 1]
 
 
 def _integer_gram_schmidt(spec, n, top):
@@ -193,7 +194,7 @@ def test_family_left_vectors_are_pi_times_right():
             pi = invariant_closed_form(spec, n)
             assert system.pi.weights == pi.weights
             assert system.left_vectors == [
-                la.clear_denominators([p * x for p, x in zip(pi, v)])
+                clear_denominators([p * x for p, x in zip(pi, v)])
                 for v in system.right_vectors
             ]
 
@@ -227,7 +228,7 @@ def test_left_vectors_are_left_eigenvectors():
     for value, u in zip(system.eigenvalues, system.left_vectors):
         assert la.vecmat(u, p) == [value * x for x in u]
     # the last left vector is the alternating Pascal row up to scale
-    assert system.left_vectors[n - 1] == la.clear_denominators(final_left_eigenvector(n))
+    assert system.left_vectors[n - 1] == clear_denominators(final_left_eigenvector(n))
 
 
 def test_second_abs_eigenvalue():
@@ -309,7 +310,7 @@ def test_eigensystem_of_every_grid_walk():
                 assert _exact_left(p, value, u) and any(u)
                 vectors += 1
             assert system.pi.weights == _stationary_by_elimination(p).weights
-            assert system.left_vectors[-1] == la.clear_denominators(final_left_eigenvector(n))
+            assert system.left_vectors[-1] == clear_denominators(final_left_eigenvector(n))
             solved += 1
     assert (solved, refused, vectors) == (146, 109, 539)
 

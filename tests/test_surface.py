@@ -1,0 +1,101 @@
+"""The package defines no public name that only the tests reach.
+
+A public top-level name of a module in src/involute counts as reached when
+another module of the package, the CLI or a demo script imports it or reads
+it as `module.name`, or when the definition of a reached name in its own
+module uses it.  Imports are resolved, so a local variable that shares a
+name with a function elsewhere reaches nothing.  A reference that only the
+tests need belongs in tests/oracles.py.
+"""
+
+import ast
+from pathlib import Path
+
+import involute
+
+SRC = Path(involute.__file__).resolve().parent
+DEMOS = SRC.parent.parent / "demos"
+DEFINITIONS = (ast.FunctionDef, ast.ClassDef, ast.Assign, ast.AnnAssign)
+
+# kept although nothing in the package, the CLI or the demos reaches them
+EXEMPT = {
+    ("continuum", "lp_apply"): "quadrature of L_P's integral definition, the tests' reference "
+                               "for the exact panels",
+    ("continuum", "lh_apply"): "quadrature of L_H's integral definition, the tests' reference "
+                               "for the down-step identity",
+    ("weights", "weight_table"): "the weights w[y, x] themselves, the module's own concept, "
+                                 "which the oracles read",
+    ("__init__", "__version__"): "package metadata",
+}
+
+
+def _defined(tree: ast.Module) -> dict:
+    """Top-level definitions, private ones included: name -> node."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, DEFINITIONS):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+    return out
+
+
+def _public(name: str) -> bool:
+    """Dunder names count, except the export list __all__; a single leading
+    underscore marks a private name."""
+    if name.startswith("__") and name.endswith("__"):
+        return name != "__all__"
+    return not name.startswith("_")
+
+
+def _references(tree: ast.Module, modules: set) -> set:
+    """(module, name) pairs a file imports from the package, or reads as
+    module.name through a name it bound to a package module."""
+    refs, aliases = set(), {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1:
+            source = node.module or ""
+        elif node.module and node.module.split(".")[0] == "involute":
+            source = node.module.partition(".")[2]
+        else:
+            continue
+        for alias in node.names:
+            if not source and alias.name in modules:
+                aliases[alias.asname or alias.name] = alias.name
+            else:
+                refs.add((source or "__init__", alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            refs.add((aliases[node.value.id], node.attr))
+    return refs
+
+
+def test_every_public_name_is_reached_by_the_program():
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in SRC.glob("*.py")}
+    defined = {m: _defined(tree) for m, tree in trees.items()}
+    assert all(name in defined[m] for m, name in EXEMPT), "an exemption names nothing"
+    users = list(trees.items())
+    users += [("demos", ast.parse(p.read_text(), str(p))) for p in DEMOS.glob("*.py")]
+    reached = set(EXEMPT)
+    for user, tree in users:
+        reached |= {ref for ref in _references(tree, set(trees)) if ref[0] != user}
+    for m, tree in trees.items():
+        # code outside the definitions runs on import, as the CLI's __main__ block does
+        stack = [n for n in tree.body if not isinstance(n, DEFINITIONS)]
+        stack += [node for name, node in defined[m].items() if (m, name) in reached]
+        seen = set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Name) and sub.id in defined[m]:
+                        reached.add((m, sub.id))
+                        stack.append(defined[m][sub.id])
+    missing = sorted((m, name) for m, names in defined.items() for name in names
+                     if _public(name) and (m, name) not in reached)
+    assert missing == [], "only the tests reach these; move them to tests/oracles.py"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from involute import _linalg as la
 from involute import walk
 from involute.errors import NoPositiveStationary, NotIrreducible, OutOfRange
-from involute.transform import _pl_rows, lambda_walk, pl_matrix, stochastic_grid, stochastic_lattice
+from involute.transform import _pl_rows, lambda_walk, pl_matrix, stochastic_lattice
 from involute.walk import (
     Distribution,
     WalkMatrix,
@@ -31,6 +31,7 @@ from oracles import (
     division_route,
     reversible_with_some_distribution,
     simulate_stepwise,
+    stochastic_grid,
     two_step,
     zero_accessible,
 )

@@ -16,15 +16,16 @@ from involute.weights import (
     DeltaAB,
     GammaAB,
     GammaC,
+    atomic_part,
     custom_from_csv,
     domain_limit,
-    factorize,
-    norm,
+    down_step_table,
     norm_table,
     weight_table,
 )
 
-from oracles import classify_weight, closed_form_weight, custom_from_down_step, weight_value
+from oracles import (classify_weight, closed_form_weight, custom_from_down_step, factorize,
+                     weight_value)
 
 
 def test_weight_value_examples():
@@ -47,9 +48,9 @@ def test_parameter_validation():
 
 
 def test_norm_examples():
-    assert norm(GammaAB(0, 0), 3) == 4
-    assert norm(GammaC(1), 3) == 8
-    assert norm(DeltaAB(4, 2), 2) == 6
+    assert norm_table(GammaAB(0, 0), 4)[3] == 4
+    assert norm_table(GammaC(1), 4)[3] == 8
+    assert norm_table(DeltaAB(4, 2), 3)[2] == 6
 
 
 def test_norm_closed_form_matches_direct_sum():
@@ -68,7 +69,7 @@ def test_norm_closed_form_matches_direct_sum():
         top = 12 if limit == UNBOUNDED else int(limit)
         for x in range(top):
             direct = sum(weight_value(spec, y, x) for y in range(x + 1))
-            assert norm(spec, x) == direct
+            assert norm_table(spec, x + 1)[x] == direct
 
 
 def _closed_norm(spec, x):
@@ -104,7 +105,7 @@ def test_weight_table_matches_weight_value_and_closed_forms(spec, data):
         for y in range(x + 1):
             assert table[x][y] == weight_value(spec, y, x) == closed_form_weight(spec, y, x)
     norms = norm_table(spec, n)
-    assert norms == [norm(spec, x) for x in range(n)]
+    assert norms == [norm_table(spec, x + 1)[x] for x in range(n)]
     assert norms == [_closed_norm(spec, x) for x in range(n)]
 
 
@@ -116,6 +117,21 @@ def test_weight_table_custom_and_domain():
         weight_table(DeltaAB(4, 2), 5)
     with pytest.raises(IndexOutOfDomain):
         norm_table(spec, 4)
+
+
+def test_one_domain_check_for_every_caller():
+    from involute.spectral import family_sequence
+    from involute.walk import invariant_closed_form
+
+    tables = (weight_table, down_step_table, norm_table, transition_matrix)
+    named = tables + (invariant_closed_form, family_sequence)
+    cases = [(DeltaAB(4, 2), (0, -1, 5), named), (GammaC(2), (0, -1), named),
+             (Custom(2, {(0, 0): F(1), (1, 1): F(1)}), (0, 3), tables)]
+    for spec, sizes, builds in cases:
+        for n in sizes:
+            for build in builds:
+                with pytest.raises(IndexOutOfDomain, match=f"n={n} is outside the weight's"):
+                    build(spec, n)
 
 
 def test_domain_limits():
@@ -195,12 +211,13 @@ def test_classify_weight_gamma_grid():
 def test_factorize_constant_weight():
     spec = GammaAB(0, 0)
     pi = stationary(transition_matrix(spec, 4))
-    result = factorize(spec, 4, pi.weights)
-    assert result.valid
-    assert result.alpha[0] == weight_value(spec, 0, 0)
+    alpha, beta, valid = factorize(spec, 4, pi.weights)
+    assert valid
+    assert alpha == atomic_part(spec, 4)
+    assert alpha[0] == weight_value(spec, 0, 0)
     for x in range(4):
         for y in range(x + 1):
-            assert result.alpha[y] * result.beta[(y, x)] == weight_value(spec, y, x)
+            assert alpha[y] * beta[(y, x)] == weight_value(spec, y, x)
 
 
 def test_factorize_gamma_c_beta_shape():
@@ -208,18 +225,19 @@ def test_factorize_gamma_c_beta_shape():
     n = 3
     pi = stationary(transition_matrix(spec, n))
     assert pi.weights == [F(1, 9), F(4, 9), F(4, 9)]
-    result = factorize(spec, n, pi.weights)
-    assert result.valid
+    alpha, beta, valid = factorize(spec, n, pi.weights)
+    assert valid
+    assert alpha == atomic_part(spec, n)
     # beta[y,x] proportional to x! (n-1-y)! / (x-y)! * c^(x-y)
     import math
 
     def reference(y, x):
         return F(math.factorial(x) * math.factorial(n - 1 - y), math.factorial(x - y))
 
-    scale = result.beta[(0, 0)] / reference(0, 0)
+    scale = beta[(0, 0)] / reference(0, 0)
     for x in range(n):
         for y in range(x + 1):
-            assert result.beta[(y, x)] == scale * reference(y, x)
+            assert beta[(y, x)] == scale * reference(y, x)
 
 
 def test_factorize_delta_family():
@@ -227,16 +245,17 @@ def test_factorize_delta_family():
 
     spec = DeltaAB(4, 2)
     pi = invariant_closed_form(spec, 4)
-    result = factorize(spec, 4, pi.weights)
-    assert result.valid
-    assert result.alpha[0] == weight_value(spec, 0, 0)
+    alpha, _, valid = factorize(spec, 4, pi.weights)
+    assert valid
+    assert alpha == atomic_part(spec, 4)
+    assert alpha[0] == weight_value(spec, 0, 0)
 
 
 def test_factorize_detects_non_reversible_weight():
     lam = [F(1), F(3, 5), F(3, 10), F(1, 20)]
     spec = custom_from_down_step(binomial_transform(lam))
     pi = stationary(transition_matrix(spec, 4))
-    assert not factorize(spec, 4, pi.weights).valid
+    assert not factorize(spec, 4, pi.weights)[2]
 
 
 def test_factorize_requires_positive_pi():
@@ -250,4 +269,4 @@ def test_custom_csv_roundtrip():
     assert spec.n == 2
     assert weight_value(spec, 0, 1) == F(1, 2)
     assert weight_value(spec, 1, 1) == F(3, 2)
-    assert norm(spec, 1) == 2
+    assert norm_table(spec, 2)[1] == 2
