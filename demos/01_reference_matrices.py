@@ -9,7 +9,7 @@ itself carries the absolute values of the eigenvalues.
 from fractions import Fraction as F
 
 from involute.serialize import format_vector, matrix_to_pretty
-from involute.spectral import eigenvalues_closed_form
+from involute.spectral import family_sequence, signed_eigenvalues
 from involute.walk import stationary, transition_matrix
 from involute.weights import DeltaAB, GammaAB, GammaC, spec_label
 
@@ -27,7 +27,8 @@ for spec in SPECS:
     print(f"P for {spec_label(spec)}:")
     print(matrix_to_pretty(walk.P))
     print("stationary:", ", ".join(format_vector(stationary(walk).weights)))
-    print("eigenvalues:", ", ".join(format_vector(eigenvalues_closed_form(spec, 4))))
+    signed = signed_eigenvalues(family_sequence(spec, 4))
+    print("eigenvalues:", ", ".join(format_vector(signed)))
     anti = [walk.P[d][3 - d] for d in range(4)]
     print("anti-diagonal:", ", ".join(format_vector(anti)))
     print()

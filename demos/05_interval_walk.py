@@ -10,21 +10,23 @@ eigenfunctions; the distances below halve as n doubles.
 """
 
 from involute.continuum import (
+    convergence_table,
     cts_invariant,
-    discrete_convergence,
     eigen_residuals,
     fixed_point_residual,
     jacobi_eigenfunctions,
     kappa_walk,
     trig_walk,
-    walk_eigenvalue,
 )
+from involute.spectral import family_sequence, signed_eigenvalues
+from involute.weights import GammaAB
 
 for walk, name in ((kappa_walk(0, 0), "kappa(0,0)"),
                    (kappa_walk(1, 2), "kappa(1,2)"),
                    (trig_walk(), "trig")):
     residuals = eigen_residuals(walk, 3)
-    values = [walk_eigenvalue(walk, d) for d in range(4)]
+    # the trigonometric walk has kappa(0, 0)'s eigenvalues
+    values = signed_eigenvalues(family_sequence(GammaAB(walk.a, walk.b), 4))
     print(f"{name}: eigenvalues {['%.4f' % v for v in values]}")
     print(f"  eigen residuals {['%.1e' % r for r in residuals]}")
     print(f"  fixed-point residual {fixed_point_residual(walk):.1e}")
@@ -32,14 +34,13 @@ for walk, name in ((kappa_walk(0, 0), "kappa(0,0)"),
 print()
 
 g = jacobi_eigenfunctions(0, 0, 2)
-print("kappa(0,0) eigenfunctions: g1 root at",
-      -g[1].coefficients[0] / g[1].coefficients[1])
+# g_1 is proportional to x - alpha_0, the first recurrence coefficient
+print("kappa(0,0) eigenfunctions: g1 root at", g[1].recurrence[0][0])
 print()
 
 print("discrete -> continuous sup-distances (a=b=0):")
 print("n,distance_d1,distance_d2")
 sizes = [10, 20, 40, 80]
-d1 = discrete_convergence(0, 0, 1, sizes)
-d2 = discrete_convergence(0, 0, 2, sizes)
+d1, d2 = convergence_table(0, 0, (1, 2), sizes)
 for n, u, v in zip(sizes, d1, d2):
     print(f"{n},{u:.6f},{v:.6f}")

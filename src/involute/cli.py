@@ -220,12 +220,10 @@ def cmd_check(args):
             raise CheckFailed(f"{prop} fails (witness: {report.witness})")
         if report is None:
             print(f"{prop} holds")
-    elif prop == "conjugator":
+    else:  # conjugator; argparse's choices admit no other property
         if not transform.check_conjugator(source, global_check=args.global_check):
             raise CheckFailed("not an anti-diagonal conjugator")
         print("anti-diagonal conjugator" + (" (global)" if args.global_check else ""))
-    else:
-        raise InvoluteError(f"unknown property {prop!r}")
 
 
 def cmd_classify(args):
@@ -304,15 +302,14 @@ def cmd_continuum(args):
         print(f"fixed_point_residual,{cont.fixed_point_residual(w):.3e}")
     elif args.invariant:
         print("x,pi")
-        for k in range(1, cont.GRID_POINTS + 1):
-            x = k / cont.GRID_POINTS
+        for x in cont.grid():
             print(f"{x:.6f},{cont.cts_invariant(w, x):.12f}")
     else:
         if args.trig:
             raise InvoluteError("--convergence compares with the discrete gamma(a,b) walk; "
                                 "use --kappa, not --trig")
         sizes = _parse_sizes(args.sizes or "10,20,40,80")
-        dists = cont.discrete_convergence(*kappa, args.convergence, sizes)
+        (dists,) = cont.convergence_table(*kappa, [args.convergence], sizes)
         print("n,distance")
         for n, dist in zip(sizes, dists):
             print(f"{n},{dist:.8f}")
@@ -375,7 +372,7 @@ def cmd_repro(args):
         print("m,nu_m(2/3)")
         for m in range(2, 7):
             print(f"{m},{format_rational(cls.nu_ladder(m, Fraction(2, 3)))}")
-    elif target == "fig2-convergence":
+    else:  # fig2-convergence; argparse's choices admit no other target
         from . import continuum as cont
 
         print("d,n,distance")
@@ -383,8 +380,6 @@ def cmd_repro(args):
         for d, dists in zip((1, 2), cont.convergence_table(0, 0, (1, 2), sizes)):
             for n, dist in zip(sizes, dists):
                 print(f"{d},{n},{dist:.8f}")
-    else:
-        raise InvoluteError(f"unknown repro target {target!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

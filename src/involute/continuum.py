@@ -63,7 +63,7 @@ from . import _linalg as la
 from ._continuum import CONVERGENCE_MAX_N, CONVERGENCE_MAX_SIZES, _gauss_legendre, adaptive_quad
 from ._record import FrozenRecord
 from .errors import OutOfRange
-from .spectral import eigenvalues_closed_form, family_lambda, family_sequence, right_eigenvectors
+from .spectral import family_sequence, right_eigenvectors, signed_eigenvalues
 from .weights import GammaAB
 
 GRID_POINTS = 101  # evaluation grid k/101, k = 1..101; x = 0 stays excluded
@@ -73,11 +73,16 @@ QUAD_TOLERANCE = 1e-10  # absolute tolerance of lp_apply and lh_apply
 
 
 def _check_ab(a, b) -> None:
-    """Integers a, b >= 0 with a + b <= 90.  Past that the float densities
-    break down: the fixed-point residual is nan from a + b = 92 for an even
-    split (x^(a+b+1) in N_x underflows to 0) and from 99 for a one-sided
-    pair, and from a = 520 the binomial in the density no longer fits a
-    float."""
+    """Integers a, b >= 0 with a + b <= 90, the domain the tests cover.
+
+    The floats hold well past it: with the bound lifted, `continuum`
+    --residual 12, --fixed-point, --invariant and --convergence 5 all gave
+    finite output for (s, 0), (0, s) and (s//2, s - s//2) up to
+    a + b = 427.  The first failure, at 428 for the even split, is the
+    integer constant of `_rp_invariant` overflowing a float.  The eigen
+    residual is absolute and grows with sup |g_d| (1.6e-5 at (87, 0)); it
+    stays below 1e-13 relative to max(1, sup |g_d|) up to a + b = 90.
+    """
     if not (isinstance(a, int) and isinstance(b, int)) or a < 0 or b < 0:
         raise OutOfRange(f"kappa(a, b) needs integers a, b >= 0, got a={a!r}, b={b!r}")
     if a + b > 90:
@@ -115,25 +120,23 @@ def _coordinate(walk: ContinuousWalk, x):
 
 
 class PolyFunction(FrozenRecord):
-    """Polynomial in monomials of its variable: x for kappa(a, b), phi(x)
-    for the trigonometric walk.
-
-    The coefficients come from `jacobi_eigenfunctions`, which also supplies
-    the three-term recurrence that evaluates them: beyond degree ~8 the
-    monomial coefficients grow so large that Horner evaluation would lose
-    1e-9 of accuracy to cancellation, while the recurrence stays at machine
-    precision and also evaluates elementwise on numpy arrays.
+    """Polynomial in its variable, x for kappa(a, b) and phi(x) for the
+    trigonometric walk, given by the three-term recurrence of
+    `jacobi_eigenfunctions`: beyond degree ~8 the monomial coefficients
+    grow so large that Horner evaluation would lose 1e-9 of accuracy to
+    cancellation, while the recurrence stays at machine precision and also
+    evaluates elementwise on numpy arrays.
     """
 
-    __slots__ = _fields = ("coefficients", "recurrence")
+    __slots__ = _fields = ("recurrence",)
 
-    def __init__(self, coefficients: tuple, recurrence: tuple):
+    def __init__(self, recurrence: tuple):
         # recurrence: (alphas, betas, scale) for the monic polynomial
-        self._freeze(coefficients, recurrence)
+        self._freeze(recurrence)
 
     @property
     def degree(self) -> int:
-        return len(self.coefficients) - 1
+        return len(self.recurrence[0])
 
     def __call__(self, x: float) -> float:
         alphas, betas, scale = self.recurrence
@@ -143,34 +146,19 @@ class PolyFunction(FrozenRecord):
         return scale * cur
 
 
-def _as_callable(f):
-    return f if callable(f) else (lambda x: float(f))
-
-
-def kappa_norm(a: int, b: int, x: float) -> float:
-    """N(kappa)_x = x^(a+b+1) / ((a+b+1) binom(a+b, b))."""
-    return x ** (a + b + 1) / ((a + b + 1) * math.comb(a + b, b))
-
-
-def walk_eigenvalue(walk: ContinuousWalk, d: int) -> float:
-    """Signed eigenvalue of L_P for eigenfunction index d."""
-    return (-1) ** d * float(family_lambda(GammaAB(walk.a, walk.b), d))
-
-
 def lp_apply(walk: ContinuousWalk, f, x: float) -> float:
     """Quadrature evaluation of (L_P f)(x); undefined at x = 0."""
     if not 0 < x <= 1:
         raise OutOfRange(f"L_P is defined for 0 < x <= 1, got {x}")
-    g = _as_callable(f)
     # substitute z = 1 - x + x u to keep the integrand O(1) near x = 0
     if walk.kind == "kappa":
         a, b = walk.a, walk.b
         const = (a + b + 1) * math.comb(a + b, a)
-        integrand = lambda u: (1 - u) ** a * u**b * g(1 - x + x * u)
+        integrand = lambda u: (1 - u) ** a * u**b * f(1 - x + x * u)
         return const * adaptive_quad(integrand, 0.0, 1.0, QUAD_TOLERANCE)
     # sin(pi z) = sin(pi x (1 - u)), and N_x = (1 - cos(pi x))/pi = 2 sin^2(pi x/2)/pi
     const = math.pi * x / (2 * math.sin(math.pi * x / 2) ** 2)
-    integrand = lambda u: const * math.sin(math.pi * x * (1 - u)) * g(1 - x + x * u)
+    integrand = lambda u: const * math.sin(math.pi * x * (1 - u)) * f(1 - x + x * u)
     return adaptive_quad(integrand, 0.0, 1.0, QUAD_TOLERANCE)
 
 
@@ -178,24 +166,18 @@ def lh_apply(walk: ContinuousWalk, f, x: float) -> float:
     """Down-step operator; L_H f equals L_P applied to the reflection of f."""
     if not 0 < x <= 1:
         raise OutOfRange(f"L_H is defined for 0 < x <= 1, got {x}")
-    g = _as_callable(f)
     if walk.kind == "kappa":
         a, b = walk.a, walk.b
         const = (a + b + 1) * math.comb(a + b, a)
-        integrand = lambda w: w**a * (1 - w) ** b * g(x * w)
+        integrand = lambda w: w**a * (1 - w) ** b * f(x * w)
         return const * adaptive_quad(integrand, 0.0, 1.0, QUAD_TOLERANCE)
-    return lp_apply(walk, lambda z: g(1 - z), x)
+    return lp_apply(walk, lambda z: f(1 - z), x)
 
 
 def _beta_moment(a: int, b: int, k: int) -> Fraction:
     """Exact integral of (1-x)^a x^(a+b+1+k) over [0, 1]."""
     p = a + b + k + 1
     return Fraction(math.factorial(p) * math.factorial(a), math.factorial(p + a + 1))
-
-
-def _check_dmax(dmax: int) -> None:
-    if not 0 <= dmax <= 12:
-        raise OutOfRange(f"eigenfunction construction supported for 0 <= dmax <= 12, got {dmax}")
 
 
 def lp_triangular(a: int, b: int, dmax: int) -> list:
@@ -212,7 +194,7 @@ def lp_triangular(a: int, b: int, dmax: int) -> list:
     sigma_i of the discrete gamma(a, b) walk.  So the matrix is Diag(sigma)
     times the transposed Pascal matrix, with the eigenvalues on its diagonal.
     """
-    sigma = eigenvalues_closed_form(GammaAB(a, b), dmax + 1)
+    sigma = signed_eigenvalues(family_sequence(GammaAB(a, b), dmax + 1))
     return [[math.comb(k, i) * s for k in range(dmax + 1)] for i, s in enumerate(sigma)]
 
 
@@ -243,7 +225,8 @@ def jacobi_eigenfunctions(a: int, b: int, dmax: int) -> list:
     beta_k = h_k / h_{k-1}, where the squared norm h_k = <g_k, x^k> is a
     sum of exact rational Beta moments.
     """
-    _check_dmax(dmax)
+    if not 0 <= dmax <= 12:
+        raise OutOfRange(f"eigenfunction construction supported for 0 <= dmax <= 12, got {dmax}")
     monic = jacobi_monic(a, b, dmax)
     moments = [_beta_moment(a, b, k) for k in range(2 * dmax + 1)]
     norms = [sum(c * moments[j + d] for j, c in enumerate(g)) / moments[0]
@@ -251,15 +234,12 @@ def jacobi_eigenfunctions(a: int, b: int, dmax: int) -> list:
     alphas = [float((g[-2] if d else 0) - nxt[-2])
               for d, (g, nxt) in enumerate(zip(monic, monic[1:]))]
     betas = [0.0] + [float(norms[k] / norms[k - 1]) for k in range(1, dmax + 1)]
-    out = []
-    for d, (vec, h) in enumerate(zip(monic, norms)):
-        scale = 1.0 / math.sqrt(float(h))
-        coeffs = tuple(float(c) * scale for c in vec)
-        out.append(PolyFunction(coeffs, (tuple(alphas[:d]), tuple(betas[:d]), scale)))
-    return out
+    return [PolyFunction((tuple(alphas[:d]), tuple(betas[:d]), 1.0 / math.sqrt(float(h))))
+            for d, h in enumerate(norms)]
 
 
-def _grid():
+def grid() -> list:
+    """The evaluation grid k/GRID_POINTS, k = 1..GRID_POINTS."""
     return [k / GRID_POINTS for k in range(1, GRID_POINTS + 1)]
 
 
@@ -298,12 +278,11 @@ def eigen_residuals(walk: ContinuousWalk, dmax: int) -> list:
     which the tests check against `lp_apply`.
     """
     a, b = walk.a, walk.b
-    u, _ = _coordinate(walk, np.array(_grid()))
-    out = []
-    for d, g in enumerate(jacobi_eigenfunctions(a, b, dmax)):
-        lp = _kappa_lp_panel(a, b, g, d, u)
-        out.append(float(np.max(np.abs(lp - walk_eigenvalue(walk, d) * g(u)))))
-    return out
+    gs = jacobi_eigenfunctions(a, b, dmax)
+    sigma = signed_eigenvalues(family_sequence(GammaAB(a, b), dmax + 1))
+    u, _ = _coordinate(walk, np.array(grid()))
+    return [float(np.max(np.abs(_kappa_lp_panel(a, b, g, d, u) - float(sigma[d]) * g(u))))
+            for d, g in enumerate(gs)]
 
 
 def _kappa_density(a: int, b: int, x):
@@ -335,19 +314,23 @@ def _rp_invariant(walk: ContinuousWalk, z):
     s = s[..., None]
     u, w = _unit_panel(a + b)
     x = 1 - s + s * u
-    values = (1 - s) ** a * (x + s - 1) ** b / kappa_norm(a, b, x) * _kappa_density(a, b, x)
+    # 1/N_x = (a+b+1) binom(a+b, b) / x^(a+b+1) and, as in `_kappa_density`,
+    # pi(x) = (2a+b+2) binom(2a+b+1, a) (1-x)^a x^(a+b+1): the powers cancel
+    const = (a + b + 1) * math.comb(a + b, b) * (2 * a + b + 2) * math.comb(2 * a + b + 1, a)
+    values = const * (1 - s) ** a * (x + s - 1) ** b * (1 - x) ** a
     return (s * values) @ w * ds
 
 
 def fixed_point_residual(walk: ContinuousWalk) -> float:
     """max-grid residual of the stationarity equation (R_P pi)(z) = pi(z)."""
-    grid = _grid()
-    pi = np.array([cts_invariant(walk, z) for z in grid])
-    return float(np.max(np.abs(_rp_invariant(walk, grid) - pi)))
+    zs = grid()
+    pi = np.array([cts_invariant(walk, z) for z in zs])
+    return float(np.max(np.abs(_rp_invariant(walk, zs) - pi)))
 
 
-def discrete_convergence(a: int, b: int, d: int, n_list) -> list:
-    """Sup-distance between the rescaled discrete eigenvector and g_d.
+def convergence_table(a: int, b: int, degrees, n_list) -> list:
+    """Sup-distances between the rescaled discrete eigenvectors and g_d: one
+    row of distances per d of degrees, one entry per n of n_list.
 
     For each n the exact right eigenvector of the n-state gamma(a, b) walk
     is read as a function of x = i/n (entry i sits at n*x = i, matching the
@@ -355,15 +338,10 @@ def discrete_convergence(a: int, b: int, d: int, n_list) -> list:
     to exactly zero because both sides are affine with the same root).
     Both vectors are scaled to sup-norm 1 over the grid with matching sign
     at the left endpoint, and the sup-distance over the n points returns.
+    Each n's exact right eigenvectors are built once, up to max(degrees).
     Supported: 0 <= d <= 5, d < n <= CONVERGENCE_MAX_N, and at most
     CONVERGENCE_MAX_SIZES sizes.
     """
-    return convergence_table(a, b, [d], n_list)[0]
-
-
-def convergence_table(a: int, b: int, degrees, n_list) -> list:
-    """`discrete_convergence` for each d of degrees: one row of distances
-    per d.  Each n's exact right eigenvectors are built once, up to max(degrees)."""
     _check_ab(a, b)
     for d in degrees:
         if not 0 <= d <= 5:

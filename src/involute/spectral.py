@@ -68,15 +68,6 @@ class EigenSystem(Record):
         }
 
 
-def family_lambda(spec: WeightSpec, d: int) -> Fraction:
-    """Unsigned eigenvalue lambda_d of the down-step matrix H: its entry H[d][d]."""
-    if isinstance(spec, Custom):
-        raise UnsupportedFamily("no closed-form eigenvalues for custom weights")
-    if d < 0:
-        raise OutOfRange(f"lambda_d needs d >= 0, got {d}")
-    return down_step_diagonal(spec, d + 1)[d]
-
-
 def family_sequence(spec: WeightSpec, n: int) -> list:
     """The eigenvalue sequence lambda_0, ..., lambda_{n-1} of a named family walk."""
     if isinstance(spec, Custom):
@@ -88,11 +79,6 @@ def family_sequence(spec: WeightSpec, n: int) -> list:
 def signed_eigenvalues(lam) -> list:
     """The eigenvalues ((-1)^d lambda_d) of P from the sequence of H."""
     return [(-1) ** d * v for d, v in enumerate(lam)]
-
-
-def eigenvalues_closed_form(spec: WeightSpec, n: int) -> list:
-    """Signed sequence ((-1)^d lambda_d) of the transition matrix P."""
-    return signed_eigenvalues(family_sequence(spec, n))
 
 
 def _pascal_triangular(lam, n: int) -> list:
@@ -217,4 +203,4 @@ def mixing_report(spec: WeightSpec, n: int, t_max: int = 40, x0: int = 0) -> Mix
     tbar = sum(t for t, _ in pts) / len(pts)
     ybar = sum(y for _, y in pts) / len(pts)
     slope = sum((t - tbar) * (y - ybar) for t, y in pts) / sum((t - tbar) ** 2 for t, _ in pts)
-    return MixingReport(family_lambda(spec, 1), math.exp(slope))
+    return MixingReport(family_sequence(spec, n)[1], math.exp(slope))

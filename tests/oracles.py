@@ -260,3 +260,9 @@ def params_by_fractions(mu: Fraction, nu: Fraction, n: int):
     ):
         return NotClassified(f"delta({spec.a_prime},{spec.b_prime}) does not reach n={n}")
     return spec
+
+
+def kappa_norm(a: int, b: int, x: float) -> float:
+    """N(kappa)_x = x^(a+b+1) / ((a+b+1) binom(a+b, b)), the integral of
+    y^a (x-y)^b over [0, x]; the library only uses it cancelled."""
+    return x ** (a + b + 1) / ((a + b + 1) * math.comb(a + b, b))

@@ -18,20 +18,18 @@ from involute.classify import (
     params_from_mu_nu,
 )
 from involute.continuum import (
-    discrete_convergence,
+    convergence_table,
     eigen_residuals,
     fixed_point_residual,
     kappa_walk,
     trig_walk,
-    walk_eigenvalue,
 )
 from involute.spectral import (
     eigensystem,
-    eigenvalues_closed_form,
-    family_lambda,
     family_sequence,
     final_left_eigenvector,
     mixing_report,
+    signed_eigenvalues,
 )
 from involute.transform import (
     check_conjugator,
@@ -125,7 +123,7 @@ def test_criterion_02_spectrum_exactness():
         for spec in standard_specs():
             for n in sizes_for(spec, 2, 10):
                 p = transition_matrix(spec, n).P
-                roots = eigenvalues_closed_form(spec, n)
+                roots = signed_eigenvalues(family_sequence(spec, n))
                 assert la.charpoly(p) == la.poly_from_roots(roots)
         assert time.time() - start < 30.0
 
@@ -193,17 +191,17 @@ def test_criterion_05_classification_round_trip():
             for b in GRID_AB:
                 spec = GammaAB(a, b)
                 for n in range(3, 9):
-                    lam = [family_lambda(spec, d) for d in range(n)]
+                    lam = family_sequence(spec, n)
                     assert classify_walk(lam) == spec
         for c in GRID_C:
             for n in range(3, 9):
-                lam = [family_lambda(GammaC(c), d) for d in range(n)]
+                lam = family_sequence(GammaC(c), n)
                 assert classify_walk(lam) == GammaC(c)
         for spec in GRID_DELTA:
             n = int(domain_limit(spec))
             if n < 3:
                 continue
-            lam = [family_lambda(spec, d) for d in range(n)]
+            lam = family_sequence(spec, n)
             assert classify_walk(lam) == spec
         table = {
             F(10, 23): (F(17), 9),
@@ -266,7 +264,7 @@ def test_criterion_08_eigenvector_structure():
                 for n in range(2, 11):
                     u = final_left_eigenvector(n)
                     p = transition_matrix(spec, n).P
-                    lam = eigenvalues_closed_form(spec, n)[-1]
+                    lam = signed_eigenvalues(family_sequence(spec, n))[-1]
                     assert la.vecmat(u, p) == [lam * x for x in u]
         binv_cache = {}
         for spec in (GammaAB(0, 0), GammaAB(F(1, 2), 2), GammaAB(1, 1)):
@@ -340,9 +338,8 @@ def test_criterion_10_continuum_spectra():
         walks = [kappa_walk(a, b) for a in range(3) for b in range(3)] + [trig_walk()]
         for walk in walks:
             assert max(eigen_residuals(walk, 6)) < 1e-8
-        trig = walks[-1]
-        for d in range(7):
-            assert walk_eigenvalue(trig, d) == (-1) ** d / (d + 1)
+        for d, value in enumerate(signed_eigenvalues(family_sequence(GammaAB(0, 0), 7))):
+            assert float(value) == (-1) ** d / (d + 1)
         for walk in walks:
             assert fixed_point_residual(walk) < 1e-7
         assert time.time() - start < 120.0
@@ -350,8 +347,7 @@ def test_criterion_10_continuum_spectra():
 
 def test_criterion_11_discrete_to_continuous_convergence():
     with report(11, "eigenvector convergence distances strictly decrease in n"):
-        for d in (1, 2):
-            dists = discrete_convergence(0, 0, d, [10, 20, 40, 80])
+        for dists in convergence_table(0, 0, (1, 2), [10, 20, 40, 80]):
             assert all(dists[i + 1] < dists[i] for i in range(3))
 
 

@@ -19,7 +19,7 @@ from involute.classify import (
     params_from_mu_nu,
 )
 from involute.errors import NotStochastic, OutOfRange, ZeroNotAccessible
-from involute.spectral import family_lambda
+from involute.spectral import family_sequence
 from involute.transform import pl_matrix
 from involute.weights import DeltaAB, GammaAB, GammaC
 
@@ -32,10 +32,6 @@ from oracles import (
     stochastic_grid,
     zero_accessible,
 )
-
-
-def family_eigenvalues(spec, n):
-    return [family_lambda(spec, d) for d in range(n)]
 
 
 def test_params_from_mu_nu_examples():
@@ -65,8 +61,8 @@ def test_params_round_trip_mu_nu():
     for mu, nu, n in samples:
         spec = params_from_mu_nu(mu, nu, n)
         assert not isinstance(spec, NotClassified)
-        assert family_lambda(spec, 1) == mu
-        assert family_lambda(spec, 2) == nu
+        assert family_sequence(spec, 2)[1] == mu
+        assert family_sequence(spec, 3)[2] == nu
 
 
 def test_params_from_mu_nu_matches_fraction_oracle():
@@ -117,7 +113,7 @@ def test_ladder_clause_never_decides_alone():
 def test_mu_nu_fraction_formulas_invert_family_eigenvalues():
     # the oracle's closed forms read a and b back from gamma(a, b)
     for a, b in ((F(1), F(0)), (F(1, 3), F(5, 2)), (F(-1, 2), F(7))):
-        lam = family_eigenvalues(GammaAB(a, b), 3)
+        lam = family_sequence(GammaAB(a, b), 3)
         assert (a_from_mu_nu(lam[1], lam[2]), b_from_mu_nu(lam[1], lam[2])) == (a, b)
 
 
@@ -176,24 +172,24 @@ def test_round_trip_gamma_ab():
         for b in values:
             spec = GammaAB(a, b)
             for n in range(3, 9):
-                assert classify_walk(family_eigenvalues(spec, n)) == GammaAB(a, b)
+                assert classify_walk(family_sequence(spec, n)) == GammaAB(a, b)
 
 
 def test_round_trip_gamma_c_and_delta():
     for c in (F(1, 2), F(1), F(2)):
         for n in range(3, 9):
-            assert classify_walk(family_eigenvalues(GammaC(c), n)) == GammaC(c)
-    assert classify_walk(family_eigenvalues(DeltaAB(4, 2), 4)) == DeltaAB(F(4), 2)
-    assert classify_walk(family_eigenvalues(DeltaAB(5, 3), 5)) == DeltaAB(F(5), 3)
+            assert classify_walk(family_sequence(GammaC(c), n)) == GammaC(c)
+    assert classify_walk(family_sequence(DeltaAB(4, 2), 4)) == DeltaAB(F(4), 2)
+    assert classify_walk(family_sequence(DeltaAB(5, 3), 5)) == DeltaAB(F(5), 3)
     spec = DeltaAB(F(7, 2), F(5, 2))
-    assert classify_walk(family_eigenvalues(spec, 3)) == DeltaAB(F(7, 2), F(5, 2))
+    assert classify_walk(family_sequence(spec, 3)) == DeltaAB(F(7, 2), F(5, 2))
     # an integer b' is printed as the ladder index m
     assert classification_label(DeltaAB(4, 2)) == "delta(a'=4, m=2)"
     assert classification_label(spec) == "delta(a'=7/2, b'=5/2)"
 
 
 def test_is_globally_reversible_examples():
-    assert is_globally_reversible(family_eigenvalues(GammaAB(0, 0), 5))
+    assert is_globally_reversible(family_sequence(GammaAB(0, 0), 5))
     assert not is_globally_reversible([F(1), F(3, 5), F(3, 10), F(1, 20)])
     assert is_globally_reversible([F(1), F(2, 3), F(1, 3)])
 
@@ -201,7 +197,7 @@ def test_is_globally_reversible_examples():
 def test_ladder_point_walk_is_globally_reversible():
     # the mu = 2/3 ladder entry with 9 bands at n = 10
     spec = DeltaAB(17, 9)
-    lam = family_eigenvalues(spec, 10)
+    lam = family_sequence(spec, 10)
     assert lam[1] == F(2, 3) and lam[2] == F(10, 23)
     assert is_globally_reversible(lam)
     assert classify_walk(lam) == DeltaAB(F(17), 9)
@@ -210,7 +206,7 @@ def test_ladder_point_walk_is_globally_reversible():
 def test_round_trip_half_integer_delta():
     spec = DeltaAB(F(9, 2), F(7, 2))
     for n in (3, 4):
-        lam = family_eigenvalues(spec, n)
+        lam = family_sequence(spec, n)
         assert classify_walk(lam) == DeltaAB(F(9, 2), F(7, 2))
         assert is_globally_reversible(lam)
 
@@ -228,7 +224,7 @@ def test_conjecture_search_n3_small_grid():
     assert summary.reversible > 0
     assert summary.unclassified_reversible == []
     # gamma(1,1) eigenvalues appear in the n=4 grid story: verify directly
-    lam = family_eigenvalues(GammaAB(1, 1), 4)
+    lam = family_sequence(GammaAB(1, 1), 4)
     assert lam == [F(1), F(1, 2), F(3, 10), F(1, 5)]
     assert classify_walk(lam) == GammaAB(F(1), F(1))
 
@@ -276,7 +272,7 @@ def test_conjecture_search_never_searches_reachability(monkeypatch):
     monkeypatch.setattr(classify, "_zero_reachable", spy)
     summary = conjecture_search(4, max_denominator=8)
     assert summary.reversible > 0 and seen == []
-    assert classify_walk(family_eigenvalues(GammaAB(1, 1), 4)) == GammaAB(F(1), F(1))
+    assert classify_walk(family_sequence(GammaAB(1, 1), 4)) == GammaAB(F(1), F(1))
     assert seen == [4]
 
 
@@ -313,7 +309,7 @@ def test_classified_points_are_globally_reversible():
         spec = params_from_mu_nu(mu, nu, n)
         if isinstance(spec, NotClassified):
             continue
-        lam = family_eigenvalues(spec, n)
+        lam = family_sequence(spec, n)
         assert lam[1] == mu and lam[2] == nu
         assert is_stochastic(lam)
         assert is_globally_reversible(lam)

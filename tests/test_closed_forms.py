@@ -15,9 +15,9 @@ import pytest
 import sympy
 
 from involute.continuum import lp_triangular
-from involute.errors import IndexOutOfDomain, OutOfRange
+from involute.errors import IndexOutOfDomain
 from involute.exactnum import binom
-from involute.spectral import eigenvalues_closed_form, family_lambda
+from involute.spectral import family_sequence, signed_eigenvalues
 from involute.walk import invariant_closed_form, subset_walk, transition_matrix
 from involute.weights import (DeltaAB, GammaAB, GammaC, atomic_part, domain_limit,
                               down_step_diagonal, norm_table)
@@ -63,13 +63,13 @@ def sizes(spec):
 def test_lambda_matches_binomial_formula():
     for spec in SPECS:
         for n in sizes(spec):
-            assert eigenvalues_closed_form(spec, n) == [
+            assert signed_eigenvalues(family_sequence(spec, n)) == [
                 (-1) ** d * lambda_by_binom(spec, d) for d in range(n)
             ]
 
 
 def test_lambda_past_the_delta_domain():
-    # family_lambda reads H's diagonal wherever N_d != 0, inside the domain or not
+    # down_step_diagonal reads H's diagonal wherever N_d != 0, inside the domain or not
     checked = 0
     for spec in DELTA:
         for d in range(domain_limit(spec), N_MAX):
@@ -77,15 +77,9 @@ def test_lambda_past_the_delta_domain():
                 expected = lambda_by_binom(spec, d)
             except ZeroDivisionError:
                 continue
-            assert family_lambda(spec, d) == expected
+            assert down_step_diagonal(spec, d + 1)[d] == expected
             checked += 1
     assert checked > 50
-
-
-def test_lambda_needs_a_nonnegative_index():
-    for spec in (GAMMA_AB[0], GAMMA_C[0], DELTA[0]):
-        with pytest.raises(OutOfRange):
-            family_lambda(spec, -1)
 
 
 def test_zero_length_sequences_are_empty():
@@ -107,7 +101,7 @@ def test_final_left_eigenvalue_matches_binomial_formula():
         a, b = spec.a, spec.b
         for n in range(1, N_MAX + 1):
             expected = (-1) ** (n - 1) * binom(n + a - 1, n - 1) / binom(n + a + b, n - 1)
-            assert eigenvalues_closed_form(spec, n)[-1] == expected
+            assert signed_eigenvalues(family_sequence(spec, n))[-1] == expected
 
 
 def test_lp_triangular_matches_alternating_sums():
@@ -152,7 +146,7 @@ def test_sympy_eigenvalues_and_left_null_vector():
         for n in range(1, min(SYMPY_N_MAX, domain_limit(spec)) + 1):
             p = _sympy_matrix(transition_matrix(spec, n).P)
             found = Counter({_as_fraction(v): k for v, k in p.eigenvals().items()})
-            assert found == Counter(eigenvalues_closed_form(spec, n))
+            assert found == Counter(signed_eigenvalues(family_sequence(spec, n)))
             (null,) = (p.T - sympy.eye(n)).nullspace()
             total = sum(null)
             assert [_as_fraction(v / total) for v in null] == (

@@ -4,8 +4,11 @@ import math
 import random
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
+import sympy
+from scipy import integrate as scipy_integrate
 
 from involute import _continuum
 from involute.continuum import (
@@ -16,25 +19,25 @@ from involute.continuum import (
     adaptive_quad,
     convergence_table,
     cts_invariant,
-    discrete_convergence,
     eigen_residuals,
     fixed_point_residual,
+    grid,
     jacobi_eigenfunctions,
     jacobi_monic,
-    kappa_norm,
     kappa_walk,
     lh_apply,
     lp_apply,
     lp_triangular,
     trig_walk,
-    walk_eigenvalue,
     _beta_moment,
     _kappa_lp_panel,
     _rp_invariant,
 )
 from involute.errors import OutOfRange, QuadratureNonConvergence
-from involute.spectral import family_lambda
+from involute.spectral import family_sequence, signed_eigenvalues
 from involute.weights import GammaAB
+
+from oracles import kappa_norm
 
 
 def quad(f, lo, hi, tol=1e-12):
@@ -83,7 +86,7 @@ def test_jacobi_eigenfunctions():
     g = jacobi_eigenfunctions(0, 0, 2)
     assert abs(g[0](0.5) - 1) < 1e-14
     # g1 is proportional to x - 2/3
-    root = -g[1].coefficients[0] / g[1].coefficients[1]
+    root = g[1].recurrence[0][0]
     assert abs(root - 2 / 3) < 1e-14
     # orthonormality in L^2(pi), pi(x) = 2x (a = b = 0)
     for d, e in ((0, 1), (0, 2), (1, 2)):
@@ -94,9 +97,9 @@ def test_jacobi_eigenfunctions():
 
 
 def test_walk_eigenvalues():
-    assert walk_eigenvalue(kappa_walk(0, 0), 1) == -0.5
-    assert abs(walk_eigenvalue(kappa_walk(1, 2), 3) + 4 / 35) < 1e-16
-    assert walk_eigenvalue(trig_walk(), 2) == 1 / 3
+    # L_P's eigenvalues are the signed sequence of the discrete gamma(a, b) walk
+    assert signed_eigenvalues(family_sequence(GammaAB(0, 0), 3)) == [1, F(-1, 2), F(1, 3)]
+    assert signed_eigenvalues(family_sequence(GammaAB(1, 2), 4))[3] == F(-4, 35)
 
 
 def test_eigen_residual_examples():
@@ -113,11 +116,21 @@ def test_eigen_residual_high_degree():
     assert eigen_residuals(trig_walk(), 12)[12] < 1e-10
 
 
+def test_eigen_residual_relative_to_the_eigenfunction():
+    # the residual is absolute, so it grows with sup |g_d| over the grid
+    # (g_12 of kappa(87, 0) reaches 1.6e9 and its residual 1.6e-5); relative
+    # to max(1, sup |g_d|) it stays at rounding level across a + b <= 90
+    xs = np.array(grid())
+    for a, b in ((30, 0), (87, 0), (90, 0), (0, 90), (45, 45)):
+        gs = jacobi_eigenfunctions(a, b, 12)
+        for r, g in zip(eigen_residuals(kappa_walk(a, b), 12), gs):
+            assert r / max(1.0, float(np.max(np.abs(g(xs))))) < 1e-13
+
+
 def test_lh_fixes_monomials():
     for a, b in ((0, 0), (1, 1), (2, 0), (0, 2)):
         w = kappa_walk(a, b)
-        for d in range(7):
-            lam = abs(walk_eigenvalue(w, d))
+        for d, lam in enumerate(family_sequence(GammaAB(a, b), 7)):
             for x in (0.2, 0.7, 1.0):
                 assert abs(lh_apply(w, lambda y: y**d, x) - lam * x**d) < 1e-9
 
@@ -185,10 +198,10 @@ def test_fixed_point_residuals():
 
 
 def test_discrete_convergence():
-    assert discrete_convergence(0, 0, 0, [10, 25]) == [0.0, 0.0]
-    d1 = discrete_convergence(0, 0, 1, [10, 40])
+    assert convergence_table(0, 0, (0,), [10, 25]) == [[0.0, 0.0]]
+    (d1,) = convergence_table(0, 0, (1,), [10, 40])
     assert d1[1] < d1[0]
-    d2 = discrete_convergence(0, 0, 2, [10, 20, 40, 80])
+    (d2,) = convergence_table(0, 0, (2,), [10, 20, 40, 80])
     assert all(d2[i + 1] < d2[i] for i in range(3))
 
 
@@ -213,8 +226,6 @@ def test_convergence_table_needs_integer_parameters():
     for a, b in ((F(1, 2), 0), (0, 0.5), (-1, 0)):
         with pytest.raises(OutOfRange):
             convergence_table(a, b, (1,), [10])
-        with pytest.raises(OutOfRange):
-            discrete_convergence(a, b, 1, [10])
 
 
 def test_gauss_legendre_matches_numpy():
@@ -241,9 +252,9 @@ def test_eigen_residuals_match_single_index():
         with pytest.raises(OutOfRange):
             eigen_residuals(kappa_walk(0, 0), dmax)
     with pytest.raises(OutOfRange):
-        discrete_convergence(0, 0, 1, [10, 1])
+        convergence_table(0, 0, (1,), [10, 1])
     with pytest.raises(OutOfRange):
-        discrete_convergence(0, 0, -1, [10])
+        convergence_table(0, 0, (-1,), [10])
 
 
 # --- exact oracles for the triangular operators ---------------------------
@@ -331,8 +342,9 @@ def test_lp_triangular_is_lp_on_monomials():
         columns = _lp_monomials_by_integration(a, b, 12)
         for k in range(13):
             assert [row[k] for row in t] == columns[k]
+        sigma = signed_eigenvalues(family_sequence(GammaAB(a, b), 13))
         for d in range(13):
-            assert t[d][d] == (-1) ** d * family_lambda(GammaAB(a, b), d)
+            assert t[d][d] == sigma[d]
             assert all(t[i][d] == 0 for i in range(d + 1, 13))
 
 
@@ -340,11 +352,11 @@ def test_monic_eigenfunctions_are_exact_eigenvectors():
     # L_P g_d = lambda_d g_d as an identity of polynomials over Q
     for a, b in EXACT_AB:
         columns = _lp_monomials_by_integration(a, b, 12)
+        sigma = signed_eigenvalues(family_sequence(GammaAB(a, b), 13))
         for d, g in enumerate(jacobi_monic(a, b, 12)):
             assert len(g) == d + 1 and g[d] == 1
             image = [sum(c * columns[k][i] for k, c in enumerate(g)) for i in range(13)]
-            lam = (-1) ** d * family_lambda(GammaAB(a, b), d)
-            assert image == [lam * c for c in g] + [F(0)] * (12 - d)
+            assert image == [sigma[d] * c for c in g] + [F(0)] * (12 - d)
 
 
 def test_monic_eigenfunctions_match_gram_schmidt():
@@ -369,7 +381,6 @@ def test_monic_eigenfunctions_match_gram_schmidt():
 
 
 def test_monic_eigenfunctions_match_sympy_jacobi():
-    sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     for a, b in EXACT_AB:
         for d, g in enumerate(jacobi_monic(a, b, 12)):
@@ -382,7 +393,6 @@ def test_monic_eigenfunctions_match_sympy_jacobi():
 
 
 def _scipy_quad(f, lo, hi):
-    scipy_integrate = pytest.importorskip("scipy.integrate")
     value, _ = scipy_integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-13)
     return value
 
@@ -527,7 +537,6 @@ def test_trig_panel_matches_adaptive_lp_apply():
 
 
 def test_trig_lp_matches_mpmath():
-    mpmath = pytest.importorskip("mpmath")
     g = jacobi_eigenfunctions(0, 0, 8)[8]
     monic = jacobi_monic(0, 0, 8)[8]
     xs = [0.05, 0.3, 0.77, 1.0]
@@ -548,10 +557,11 @@ def test_trig_lp_matches_mpmath():
 
 
 def test_fixed_point_panel_matches_scalar_and_scipy():
-    grid = [k / GRID_POINTS for k in range(1, GRID_POINTS + 1)]
+    zs = grid()
+    assert zs == [k / GRID_POINTS for k in range(1, GRID_POINTS + 1)]
     for walk in [kappa_walk(a, b) for a, b in EXACT_AB] + [trig_walk()]:
-        whole = _rp_invariant(walk, grid)
-        for z, value in zip(grid, whole):
+        whole = _rp_invariant(walk, zs)
+        for z, value in zip(zs, whole):
             assert abs(value - _rp_invariant(walk, z)) <= 1e-14 * max(1.0, abs(value))
         for z in (0.1, 0.5, 1.0):
             step = lambda x: cts_invariant(walk, x) * _step_kernel(walk, x, z)
@@ -562,10 +572,10 @@ def test_fixed_point_panel_matches_scalar_and_scipy():
 def test_convergence_table_and_budget():
     sizes = [10, 20, 40, 80]
     table = convergence_table(0, 0, (1, 2), sizes)
-    assert table == [discrete_convergence(0, 0, d, sizes) for d in (1, 2)]
+    assert table == [convergence_table(0, 0, (d,), sizes)[0] for d in (1, 2)]
     with pytest.raises(OutOfRange):
-        discrete_convergence(0, 0, 1, [10, CONVERGENCE_MAX_N + 1])
+        convergence_table(0, 0, (1,), [10, CONVERGENCE_MAX_N + 1])
     with pytest.raises(OutOfRange):
-        discrete_convergence(0, 0, 1, [10] * (CONVERGENCE_MAX_SIZES + 1))
+        convergence_table(0, 0, (1,), [10] * (CONVERGENCE_MAX_SIZES + 1))
     with pytest.raises(OutOfRange):
         convergence_table(0, 0, (1, 6), [10])

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
 from involute import _linalg as la
 from involute.errors import SingularMatrix
@@ -12,8 +13,6 @@ from involute.walk import transition_matrix
 from involute.weights import DeltaAB, GammaAB, GammaC, domain_limit
 
 from oracles import charpoly_faddeev_leverrier, clear_denominators, matvec
-
-sympy = pytest.importorskip("sympy")
 
 
 def _random_matrix(rng, rows, cols):

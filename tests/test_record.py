@@ -50,8 +50,8 @@ CASES = [
     (lambda: MixingReport(F(1, 2), 0.5),
      "MixingReport(second_abs_eigenvalue=Fraction(1, 2), empirical_rate=0.5)", False),
     (lambda: ContinuousWalk("kappa"), "ContinuousWalk(kind='kappa', a=0, b=0)", True),
-    (lambda: PolyFunction((1.0, 2.0), ((0.5,), (), 1.0)),
-     "PolyFunction(coefficients=(1.0, 2.0), recurrence=((0.5,), (), 1.0))", True),
+    (lambda: PolyFunction(((0.5,), (0.0,), 2.0)),
+     "PolyFunction(recurrence=((0.5,), (0.0,), 2.0))", True),
 ]
 IDS = [text.split("(", 1)[0] for _, text, _ in CASES]
 

@@ -11,12 +11,11 @@ from involute.spectral import (
     EigenSystem,
     MixingReport,
     eigensystem,
-    eigenvalues_closed_form,
-    family_lambda,
     family_sequence,
     final_left_eigenvector,
     mixing_report,
     right_eigenvectors,
+    signed_eigenvalues,
 )
 from involute.exactnum import binom
 from involute.transform import pl_matrix
@@ -30,29 +29,30 @@ GRID_AB = [F(-1, 2), F(0), F(1, 2), F(1), F(2)]
 
 
 def test_eigenvalue_examples():
-    assert eigenvalues_closed_form(GammaAB(0, 0), 4) == [F(1), F(-1, 2), F(1, 3), F(-1, 4)]
-    assert eigenvalues_closed_form(GammaC(F(1, 2)), 4) == [F(1), F(-2, 3), F(4, 9), F(-8, 27)]
-    assert eigenvalues_closed_form(DeltaAB(4, 2), 4) == [F(1), F(-3, 4), F(1, 2), F(-1, 4)]
+    for spec, expected in ((GammaAB(0, 0), [F(1), F(-1, 2), F(1, 3), F(-1, 4)]),
+                           (GammaC(F(1, 2)), [F(1), F(-2, 3), F(4, 9), F(-8, 27)]),
+                           (DeltaAB(4, 2), [F(1), F(-3, 4), F(1, 2), F(-1, 4)])):
+        assert signed_eigenvalues(family_sequence(spec, 4)) == expected
 
 
 def test_eigenvalues_match_anti_diagonal():
     for spec in (GammaAB(1, 0), GammaC(2), DeltaAB(5, 3)):
         w = transition_matrix(spec, 4)
-        values = eigenvalues_closed_form(spec, 4)
+        values = signed_eigenvalues(family_sequence(spec, 4))
         assert [abs(values[d]) for d in range(4)] == [w.P[d][3 - d] for d in range(4)]
 
 
 def test_charpoly_matches_closed_form_spot():
     for spec, n in ((GammaAB(F(1, 2), F(-1, 2)), 6), (GammaC(3), 5), (DeltaAB(5, 3), 5)):
         w = transition_matrix(spec, n)
-        assert la.charpoly(w.P) == la.poly_from_roots(eigenvalues_closed_form(spec, n))
+        assert la.charpoly(w.P) == la.poly_from_roots(signed_eigenvalues(family_sequence(spec, n)))
 
 
 def test_eigenvalues_decreasing_in_abs():
     cases = [(GammaAB(a, b), 12) for a in GRID_AB for b in GRID_AB]
     cases += [(DeltaAB(13, 7), 12), (DeltaAB(F(25, 2), F(11, 2)), 6)]
     for spec, n in cases:
-        values = eigenvalues_closed_form(spec, n)
+        values = signed_eigenvalues(family_sequence(spec, n))
         mags = [abs(v) for v in values]
         assert all(mags[d] > mags[d + 1] for d in range(n - 1))
 
@@ -205,7 +205,7 @@ def test_final_left_eigenvector_examples():
     p = transition_matrix(GammaAB(0, 0), 3).P
     u = final_left_eigenvector(3)
     assert la.vecmat(u, p) == [F(1, 3) * x for x in u]
-    assert eigenvalues_closed_form(GammaAB(1, 0), 4)[-1] == F(-2, 5)
+    assert signed_eigenvalues(family_sequence(GammaAB(1, 0), 4))[-1] == F(-2, 5)
 
 
 def test_final_left_eigenvector_over_grid():
@@ -216,7 +216,7 @@ def test_final_left_eigenvector_over_grid():
         for n in range(2, min(10, domain_limit(spec)) + 1):
             u = final_left_eigenvector(n)
             p = transition_matrix(spec, n).P
-            lam = eigenvalues_closed_form(spec, n)[-1]
+            lam = signed_eigenvalues(family_sequence(spec, n))[-1]
             assert la.vecmat(u, p) == [lam * x for x in u]
 
 
@@ -232,10 +232,10 @@ def test_left_vectors_are_left_eigenvectors():
 
 
 def test_second_abs_eigenvalue():
-    assert family_lambda(GammaAB(0, 0), 1) == F(1, 2)
-    assert family_lambda(GammaAB(F(1, 2), 2), 1) == F(1, 3)
-    assert family_lambda(GammaC(1), 1) == F(1, 2)
-    assert family_lambda(DeltaAB(4, 2), 1) == F(3, 4)
+    assert family_sequence(GammaAB(0, 0), 2)[1] == F(1, 2)
+    assert family_sequence(GammaAB(F(1, 2), 2), 2)[1] == F(1, 3)
+    assert family_sequence(GammaC(1), 2)[1] == F(1, 2)
+    assert family_sequence(DeltaAB(4, 2), 2)[1] == F(3, 4)
 
 
 def test_mixing_report_gamma00():
@@ -257,7 +257,7 @@ def _mixing_by_powers(spec, n, t_max, x0):
     tbar = sum(t for t, _ in pts) / len(pts)
     ybar = sum(y for _, y in pts) / len(pts)
     slope = sum((t - tbar) * (y - ybar) for t, y in pts) / sum((t - tbar) ** 2 for t, _ in pts)
-    return MixingReport(family_lambda(spec, 1), math.exp(slope))
+    return MixingReport(family_sequence(spec, n)[1], math.exp(slope))
 
 
 def test_mixing_report_matches_matrix_powers():
@@ -268,8 +268,6 @@ def test_mixing_report_matches_matrix_powers():
 
 def test_unsupported_family():
     custom = Custom(2, {(0, 0): F(1), (0, 1): F(1), (1, 1): F(1)})
-    with pytest.raises(UnsupportedFamily):
-        eigenvalues_closed_form(custom, 2)
     with pytest.raises(UnsupportedFamily):
         family_sequence(custom, 2)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from involute import _linalg as la
 from involute.errors import NotStochastic, OutOfRange, SingularMatrix
 from involute.exactnum import binom
-from involute.spectral import eigenvalues_closed_form, family_lambda
+from involute.spectral import family_sequence, signed_eigenvalues
 from involute.transform import (
     LATTICE_BUDGET,
     binomial_transform,
@@ -89,7 +89,7 @@ def test_family_down_steps_are_binomial_transforms():
             if isinstance(spec, DeltaAB) and n > 5:
                 continue
             h = transition_matrix(spec, n).H
-            lam = [family_lambda(spec, d) for d in range(n)]
+            lam = family_sequence(spec, n)
             assert h == binomial_transform(lam)
             assert is_binomial_transform(h)
 
@@ -226,7 +226,8 @@ def test_check_adep_examples():
     h = transition_matrix(GammaAB(0, 0), 4).H
     assert check_adep(h)
     lj = la.matmul(h, antidiag(4))
-    assert la.charpoly(lj) == la.poly_from_roots(eigenvalues_closed_form(GammaAB(0, 0), 4))
+    signed = signed_eigenvalues(family_sequence(GammaAB(0, 0), 4))
+    assert la.charpoly(lj) == la.poly_from_roots(signed)
     assert check_adep(gadep_counterexample("L4", F(1)))
     # 2x2 hand oracle: [[1,0],[1,-1]] J has char poly X^2 - X + 1
     assert not check_adep([[F(1), F(0)], [F(1), F(-1)]])
