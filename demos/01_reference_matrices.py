@@ -23,12 +23,12 @@ SPECS = [
 ]
 
 for spec in SPECS:
-    walk = transition_matrix(spec, 4)
+    p = transition_matrix(spec, 4)
     print(f"P for {spec_label(spec)}:")
-    print(matrix_to_pretty(walk.P))
-    print("stationary:", ", ".join(format_vector(stationary(walk).weights)))
+    print(matrix_to_pretty(p))
+    print("stationary:", ", ".join(format_vector(stationary(p))))
     signed = signed_eigenvalues(family_sequence(spec, 4))
     print("eigenvalues:", ", ".join(format_vector(signed)))
-    anti = [walk.P[d][3 - d] for d in range(4)]
+    anti = [p[d][3 - d] for d in range(4)]
     print("anti-diagonal:", ", ".join(format_vector(anti)))
     print()

@@ -15,7 +15,7 @@ from involute.walk import simulate, subset_walk, total_variation
 m, p = 3, F(1, 3)
 sub = subset_walk(m, p)
 print(f"m={m}, p={p}: states are bitmasks, bit i <-> element i+1")
-print("pi           =", ", ".join(format_vector(sub.pi.weights)))
+print("pi           =", ", ".join(format_vector(sub.pi)))
 print("eigenvalues  =", ", ".join(format_vector(sub.eigenvalues)))
 
 counts = {}
@@ -24,5 +24,5 @@ for value in sub.eigenvalues:
 print("multiplicities:", {format_rational(k): v for k, v in counts.items()})
 
 run = simulate(sub.walk, x0=0, steps=200_000, seed=424242)
-tv = total_variation(run.empirical, [float(w) for w in sub.pi.weights])
+tv = total_variation(run.empirical, [float(w) for w in sub.pi])
 print(f"TV(empirical after 2e5 steps, pi) = {tv:.4f}")

@@ -22,8 +22,8 @@ for spec in (GammaAB(0, 0), GammaAB(2, 0), GammaC(1), DeltaAB(4, 2)):
 print()
 
 spec = GammaAB(F(1, 2), F(1, 2))
-walk = transition_matrix(spec, 6)
-pi = [float(w) for w in invariant_closed_form(spec, 6).weights]
+p = transition_matrix(spec, 6)
+pi = [float(w) for w in invariant_closed_form(spec, 6)]
 for steps in (1_000, 10_000, 100_000):
-    run = simulate(walk, x0=0, steps=steps, seed=7)
+    run = simulate(p, x0=0, steps=steps, seed=7)
     print(f"steps={steps:>6}: TV to pi = {total_variation(run.empirical, pi):.4f}")

@@ -109,13 +109,22 @@ def params_from_mu_nu(mu, nu, n: int) -> Classification:
     return spec
 
 
+# states exceptional_ladder may be asked for: the table holds up to n - 2
+# rows, and time and memory grow linearly in n; at mu = 99/100 the budget
+# takes about 0.3 s in process, while n = 200,000 took 8 s and 82 MB
+LADDER_BUDGET = 10_000
+
+
 def exceptional_ladder(mu, n: int) -> list:
-    """Admissible (m, nu_m(mu), a'_m(mu)) triples, largest m first."""
+    """Admissible (m, nu_m(mu), a'_m(mu)) triples, largest m first;
+    3 <= n <= LADDER_BUDGET."""
     mu = as_rational(mu)
     if not Fraction(1, 2) < mu < 1:
         raise OutOfRange(f"ladder needs 1/2 < mu < 1, got {mu}")
     if n < 3:
         raise OutOfRange("classification needs n >= 3")
+    if n > LADDER_BUDGET:
+        raise OutOfRange(f"n must be <= {LADDER_BUDGET}, the ladder budget, got {n}")
     lo = max(2, _min_ladder_m(mu, n))
     return [(m, nu_ladder(m, mu), a_prime_ladder(m, mu)) for m in range(n - 1, lo - 1, -1)]
 
@@ -133,11 +142,11 @@ def is_globally_reversible(lam) -> bool:
     truncation's walk is read off the one P as a slice, and only the
     verdict of its detailed-balance potentials is read.
     """
-    w = lambda_walk(lam)
-    if not _zero_reachable(w):
+    p = lambda_walk(lam)
+    if not _zero_reachable(p):
         raise ZeroNotAccessible("state 0 unreachable; the walk never mixes")
-    for m in range(2, w.n + 1):
-        if _potentials(_top_right_submatrix(w.P, m)) is None:
+    for m in range(2, len(p) + 1):
+        if _potentials(_top_right_submatrix(p, m)) is None:
             return False
     return True
 

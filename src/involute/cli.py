@@ -71,8 +71,9 @@ def _source_from_args(args) -> tuple:
     return spec, spec.n if args.n is None else args.n
 
 
-def _walk(source, n) -> walk.WalkMatrix:
-    """The walk of a resolved source: the lambda walk of a list, else the weight's."""
+def _walk(source, n) -> list:
+    """The rows of P for a resolved source: the lambda walk of a list, else
+    the weight's."""
     if isinstance(source, list):
         return transform.lambda_walk(source)
     return walk.transition_matrix(source, n)
@@ -124,14 +125,19 @@ def _emit_vector(v, fmt: str, name: str):
         print("  ".join(format_vector(v)))
 
 
+def _down_step(p: list) -> list:
+    """H for the rows of P: each row reversed, since P = H J."""
+    return [row[::-1] for row in p]
+
+
 def cmd_matrix(args):
-    w = _walk(*_source_from_args(args))
-    _emit_matrix(w.H if args.down_step else w.P, args.format)
+    p = _walk(*_source_from_args(args))
+    _emit_matrix(_down_step(p) if args.down_step else p, args.format)
 
 
 def cmd_stationary(args):
     pi = walk.stationary(_walk(*_source_from_args(args)))
-    _emit_vector(pi.weights, args.format, "pi")
+    _emit_vector(pi, args.format, "pi")
 
 
 def cmd_spectrum(args):
@@ -161,7 +167,7 @@ _TRIANGULAR_PROPERTIES = {
 
 def _check_source(args):
     """The input resolved for the property's group: the eigenvalue list for
-    the lambda properties, a WalkMatrix for the walk properties, and the
+    the lambda properties, the rows of P for the walk properties, and the
     lower-triangular matrix (H, or the --matrix rows) for the rest."""
     prop = args.property
     source, n = _source_from_args(args)
@@ -171,11 +177,11 @@ def _check_source(args):
         return source
     if args.matrix is not None:
         # a walk is square, stochastic and anti-triangular
-        return walk.WalkMatrix.from_p(source) if prop in _WALK_PROPERTIES else source
+        return walk.checked_walk(source) if prop in _WALK_PROPERTIES else source
     if args.lam is not None and prop not in _WALK_PROPERTIES:
         return transform.binomial_transform(source)
-    w = _walk(source, n)
-    return w if prop in _WALK_PROPERTIES else w.H
+    p = _walk(source, n)
+    return p if prop in _WALK_PROPERTIES else _down_step(p)
 
 
 def cmd_check(args):
@@ -254,8 +260,8 @@ def cmd_ladder(args):
 
 
 def cmd_simulate(args):
-    w = _walk(*_source_from_args(args))
-    result = walk.simulate(w, args.start, args.steps, args.seed)
+    p = _walk(*_source_from_args(args))
+    result = walk.simulate(p, args.start, args.steps, args.seed)
     if args.empirical:
         print(",".join(f"{f:.6f}" for f in result.empirical))
         return
@@ -267,9 +273,9 @@ def cmd_simulate(args):
 def cmd_subsets(args):
     sub = walk.subset_walk(args.m, parse_rational(args.p))
     if args.matrix:
-        _emit_matrix(sub.walk.P, args.format)
+        _emit_matrix(sub.walk, args.format)
         return
-    print("pi=" + ",".join(format_vector(sub.pi.weights)))
+    print("pi=" + ",".join(format_vector(sub.pi)))
     print("eigenvalues=" + ",".join(format_vector(sub.eigenvalues)))
 
 
@@ -349,7 +355,7 @@ def cmd_repro(args):
             DeltaAB(4, 2),
         ):
             print(f"P for {spec_label(spec)}, n=4:")
-            print(matrix_to_pretty(walk.transition_matrix(spec, 4).P))
+            print(matrix_to_pretty(walk.transition_matrix(spec, 4)))
             print()
     elif target == "section7-hl":
         lam = [Fraction(1), Fraction(2, 3), Fraction(1, 3)]
@@ -428,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ladder", help="exceptional nu_m(mu) ladder")
     p.add_argument("--mu", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help=f"number of states (at most {cls.LADDER_BUDGET})")
     p.set_defaults(func=cmd_ladder)
 
     p = sub.add_parser("simulate", help="seeded trajectory CSV")

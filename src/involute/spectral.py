@@ -19,7 +19,8 @@ eigenvalues are distinct, back-substitution on the integer-scaled T
   (`right_eigenvectors`);
 - left vector d is w B^-1, w the eigenvector of T^T, found by the same
   back-substitution on T^T read in reversed index order (`eigensystem`);
-- pi is the left vector for mu_0 = 1, normalized to sum 1.
+- pi is the left vector for mu_0 = 1, normalized to sum 1: a list of
+  Fractions, the same kind of law `walk.stationary` returns.
 
 Each vector is scaled to coprime integers with first nonzero entry > 0.  For
 a reversible walk the right vectors are pi-orthogonal and u_x = pi_x v_x up
@@ -28,6 +29,12 @@ refused with RepeatedEigenvalue before any solve: back-substitution would
 divide by zero.  The final left eigenvector of every walk is the
 alternating Pascal row (-1)^x binom(n-1, x), up to sign the last row of
 B^-1, for the last eigenvalue.
+
+`mixing_report` steps one row of P^t of a named family walk, held as its
+list of rows, and fits the decay rate that the second eigenvalue predicts.
+n < 2, t_max < 3 and x0 outside 0..n-1 are refused with OutOfRange before
+any step; a walk whose norms in the window all underflow to 0.0 leaves
+fewer than two points to fit and is refused with OutOfRange after stepping.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from . import _linalg as la
 from ._record import Record
 from .errors import IndexOutOfDomain, OutOfRange, RepeatedEigenvalue, UnsupportedFamily
 from .exactnum import binom
-from .walk import Distribution, invariant_closed_form, transition_matrix
+from .walk import invariant_closed_form, transition_matrix
 from .weights import Custom, WeightSpec, _check_n, down_step_diagonal
 
 
@@ -49,12 +56,12 @@ class EigenSystem(Record):
     __slots__ = _fields = ("n", "eigenvalues", "right_vectors", "left_vectors", "pi")
 
     def __init__(self, n: int, eigenvalues: list, right_vectors: list, left_vectors: list,
-                 pi: Distribution):
+                 pi: list):
         self.n = n
         self.eigenvalues = eigenvalues  # signed, index d
         self.right_vectors = right_vectors  # integer-cleared, pi-orthogonal if reversible
         self.left_vectors = left_vectors  # integer-cleared rationals, u P = eigenvalue * u
-        self.pi = pi
+        self.pi = pi  # the stationary law, Fractions summing to 1
 
     def to_dict(self) -> dict:
         from .serialize import format_rational, format_vector
@@ -64,7 +71,7 @@ class EigenSystem(Record):
             "eigenvalues": [format_rational(v) for v in self.eigenvalues],
             "right_vectors": [format_vector(v) for v in self.right_vectors],
             "left_vectors": [format_vector(v) for v in self.left_vectors],
-            "pi": format_vector(self.pi.weights),
+            "pi": format_vector(self.pi),
         }
 
 
@@ -164,7 +171,7 @@ def eigensystem(lam, dmax: int | None = None) -> EigenSystem:
             r[:m] = accumulate(r[:m])
         lefts.append(_oriented(list(map(mul, sign, r))[::-1]))
     total = sum(x.numerator for x in lefts[0])
-    pi = Distribution._built([Fraction(x.numerator, total) for x in lefts[0]])
+    pi = [Fraction(x.numerator, total) for x in lefts[0]]
     rights = _right_vectors(la.top_left(t, top), n)
     return EigenSystem(n, signed_eigenvalues(lam[:top]), rights, lefts, pi)
 
@@ -190,16 +197,28 @@ def mixing_report(spec: WeightSpec, n: int, t_max: int = 40, x0: int = 0) -> Mix
     Row x0 of P^t is stepped by vecmat and stays rational; floats only enter at the norm.
     The fitted rate is the least-squares slope of log-norm against t over
     the second half of the window, where the second eigenvalue dominates.
+    The fit needs n >= 2 (a one-state walk is mixed at once), t_max >= 3
+    (two points in the window) and a start state 0 <= x0 < n, and at least
+    two norms in the window that are nonzero as floats.
     """
-    walk = transition_matrix(spec, n)
+    if n < 2:
+        raise OutOfRange(f"mixing needs n >= 2, got {n}")
+    if t_max < 3:
+        raise OutOfRange(f"mixing needs t_max >= 3, got {t_max}")
+    if not 0 <= x0 < n:
+        raise OutOfRange(f"start state {x0} outside 0..{n - 1}")
+    p = transition_matrix(spec, n)
     pi = invariant_closed_form(spec, n)
-    row = walk.P[x0]
+    row = p[x0]
     norms = []
     for _ in range(t_max):
         norms.append(float(max(abs(row[z] / pi[z] - 1) for z in range(n))))
-        row = la.vecmat(row, walk.P)
+        row = la.vecmat(row, p)
     lo = t_max // 2
     pts = [(t + 1, math.log(v)) for t, v in enumerate(norms) if v > 0 and t + 1 > lo]
+    if len(pts) < 2:
+        raise OutOfRange(f"mixing fit needs two nonzero norms in steps {lo + 1}..{t_max}, "
+                         f"got {len(pts)}")
     tbar = sum(t for t, _ in pts) / len(pts)
     ybar = sum(y for _, y in pts) / len(pts)
     slope = sum((t - tbar) * (y - ybar) for t, y in pts) / sum((t - tbar) ** 2 for t, _ in pts)

@@ -35,7 +35,6 @@ from . import _linalg as la
 from ._record import FrozenRecord, Record
 from .errors import NotStochastic, OutOfRange
 from .exactnum import as_rational
-from .walk import WalkMatrix
 
 
 def _coerce_lambda(lam) -> list:
@@ -199,21 +198,21 @@ def check_conjugator(q, global_check: bool = False) -> bool:
 
 
 class PropertyReport(Record):
-    __slots__ = _fields = ("adep", "gadep", "eigenbasis_action", "is_binomial_transform",
-                           "witness")
+    __slots__ = _fields = ("adep", "gadep", "is_binomial_transform", "witness")
 
-    def __init__(self, adep: bool, gadep: bool, eigenbasis_action: bool,
-                 is_binomial_transform: bool, witness: object = None):
+    def __init__(self, adep: bool, gadep: bool, is_binomial_transform: bool,
+                 witness: object = None):
         self.adep, self.gadep = adep, gadep
-        self.eigenbasis_action = eigenbasis_action
         self.is_binomial_transform = is_binomial_transform
         self.witness = witness  # failing submatrix size or (row, col) pair
 
     def to_dict(self) -> dict:
+        # a full eigenbasis of Pascal columns is exactly global eigenbasis
+        # action, so the JSON key eigenbasis_action repeats is_binomial_transform
         return {
             "adep": self.adep,
             "gadep": self.gadep,
-            "eigenbasis_action": self.eigenbasis_action,
+            "eigenbasis_action": self.is_binomial_transform,
             "is_binomial_transform": self.is_binomial_transform,
             "witness": self.witness,
         }
@@ -233,8 +232,7 @@ def property_report(m) -> PropertyReport:
         witness = next(
             (x, y) for x in range(n) for y in range(x + 1) if rows[x][y] != expected[x][y]
         )
-    # a full eigenbasis of Pascal columns is exactly global eigenbasis action
-    return PropertyReport(adep, gadep, ibt, ibt, witness)
+    return PropertyReport(adep, gadep, ibt, witness)
 
 
 def gadep_counterexample(which: str, tau) -> list:
@@ -274,14 +272,13 @@ def stochastic_sequence(lam) -> list:
     return lam
 
 
-def lambda_walk(lam) -> WalkMatrix:
-    """P^lambda wrapped as a WalkMatrix; raises NotStochastic when invalid.
+def lambda_walk(lam) -> list:
+    """The rows of P^lambda; raises NotStochastic when invalid.
 
     The checked sequence makes P stochastic, and P = H J with H lower
-    triangular is anti-triangular, so the matrix is not validated again.
+    triangular is anti-triangular, so the rows are not validated again.
     """
-    h = _binomial_rows(stochastic_sequence(lam))
-    return WalkMatrix(len(h), [row[::-1] for row in h], h)
+    return _pl_rows(stochastic_sequence(lam))
 
 
 # suffixes stochastic_lattice may visit: n = 5 at den 16 visits 273,416 and

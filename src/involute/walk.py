@@ -7,6 +7,12 @@ P[x][z] = 0 whenever x + z < n - 1.  Writing H for the lower-triangular
 down-step matrix H[x][y] = w[y, x] / N_x and J for the anti-diagonal
 permutation, P = H J.
 
+A walk is the list of rows of P, and a probability law the list of its
+Fractions.  H is P with each row reversed, so it is formed only where it is
+printed or tested.  A matrix read from outside the program becomes a walk
+through `checked_walk`; every walk built here is stochastic and
+anti-triangular by construction and is not validated again.
+
 This module provides exact construction, stationary distributions (closed
 forms, detailed-balance potentials, and exact elimination for walks that are
 not reversible), ergodicity reports, the reversibility verdict and the
@@ -47,54 +53,20 @@ from .weights import (Custom, GammaC, WeightSpec, atomic_part, down_step_diagona
                       down_step_table, norm_table)
 
 
-class WalkMatrix(Record):
-    """Transition matrix P and down-step matrix H of an involutive walk."""
-
-    __slots__ = _fields = ("n", "P", "H")
-
-    def __init__(self, n: int, P: list, H: list):
-        self.n, self.P, self.H = n, P, H
-
-    @classmethod
-    def from_p(cls, p_rows) -> "WalkMatrix":
-        n = len(p_rows)
-        rows = [[as_rational(v) for v in row] for row in p_rows]
-        for x, row in enumerate(rows):
-            if len(row) != n:
-                raise OutOfRange("transition matrix must be square")
-            nonzero = [v for v in row if v]
-            if sum(nonzero) != 1 or any(v < 0 for v in nonzero):
-                raise OutOfRange(f"row {x} is not a probability distribution")
-            if any(row[: n - 1 - x]):
-                raise OutOfRange(f"row {x} breaks the anti-triangular support")
-        return cls(n, rows, [row[::-1] for row in rows])  # H = P J
-
-
-class Distribution(Record):
-    """An exact probability law; a public Distribution(...) is validated."""
-
-    __slots__ = _fields = ("n", "weights")
-
-    def __init__(self, n: int, weights: list):
-        weights = [as_rational(w) for w in weights]
-        if any(w < 0 for w in weights):
-            raise OutOfRange("distribution entries must be non-negative")
-        if sum(weights) != 1:
-            raise OutOfRange("distribution entries must sum to 1")
-        self.n, self.weights = n, weights
-
-    @classmethod
-    def _built(cls, weights: list) -> "Distribution":
-        """A law of non-negative Fractions built here to sum to 1, unchecked."""
-        law = object.__new__(cls)
-        law.n, law.weights = len(weights), weights
-        return law
-
-    def __getitem__(self, i):
-        return self.weights[i]
-
-    def __iter__(self):
-        return iter(self.weights)
+def checked_walk(p_rows) -> list:
+    """The rows of a transition matrix read from outside the program, as
+    Fractions, once they are square, stochastic and anti-triangular."""
+    n = len(p_rows)
+    rows = [[as_rational(v) for v in row] for row in p_rows]
+    for x, row in enumerate(rows):
+        if len(row) != n:
+            raise OutOfRange("transition matrix must be square")
+        nonzero = [v for v in row if v]
+        if sum(nonzero) != 1 or any(v < 0 for v in nonzero):
+            raise OutOfRange(f"row {x} is not a probability distribution")
+        if any(row[: n - 1 - x]):
+            raise OutOfRange(f"row {x} breaks the anti-triangular support")
+    return rows
 
 
 class ErgodicityReport(Record):
@@ -120,13 +92,13 @@ class SubsetWalk(Record):
     _fields = ("m", "p", "pi", "eigenvalues")
     __slots__ = _fields + ("__dict__",)  # the dict holds the cached walk
 
-    def __init__(self, m: int, p: Fraction, pi: Distribution, eigenvalues: list):
+    def __init__(self, m: int, p: Fraction, pi: list, eigenvalues: list):
         self.m, self.p, self.pi = m, p, pi
         self.eigenvalues = eigenvalues  # expanded multiset, (-p)^e repeated binom(m, e) times
 
     @cached_property
-    def walk(self) -> WalkMatrix:
-        """The dense 2^m x 2^m transition matrix, built on first access.
+    def walk(self) -> list:
+        """The rows of the dense 2^m x 2^m transition matrix, built on first access.
 
         It is the Kronecker power of the 2-state walk [[0,1],[p,1-p]]; the
         factors are ordered so that factor i acts on bit i.  The power is
@@ -138,24 +110,17 @@ class SubsetWalk(Record):
         mat = q
         for _ in range(self.m - 1):
             mat = la.kron(q, mat)
-        return WalkMatrix(len(mat), mat, [row[::-1] for row in mat])
+        return mat
 
 
-def _rows(w) -> list:
-    return w.P if isinstance(w, WalkMatrix) else w
-
-
-def transition_matrix(spec: WeightSpec, n: int) -> WalkMatrix:
-    """Exact P and H for the weight on {0, ..., n-1}."""
-    h = down_step_table(spec, n)
+def transition_matrix(spec: WeightSpec, n: int) -> list:
+    """The exact rows of P for the weight on {0, ..., n-1}: P = H J."""
     zero = Fraction(0)
-    for x, row in enumerate(h):
-        row += [zero] * (n - 1 - x)
-    return WalkMatrix(n, [row[::-1] for row in h], h)  # P = H J
+    return [[zero] * (n - 1 - x) + row[::-1] for x, row in enumerate(down_step_table(spec, n))]
 
 
-def support(w) -> list:
-    return [[z for z, v in enumerate(row) if v] for row in _rows(w)]
+def support(p) -> list:
+    return [[z for z, v in enumerate(row) if v] for row in p]
 
 
 def _sccs(adj: list) -> list:
@@ -223,10 +188,10 @@ def _class_period(adj: list, comp: list) -> int:
     return abs(g)
 
 
-def ergodicity(w) -> ErgodicityReport:
+def ergodicity(p) -> ErgodicityReport:
     """Irreducibility by strongly connected components, aperiodicity by
     the gcd of cycle lengths within each class."""
-    adj = support(w)
+    adj = support(p)
     comps = _sccs(adj)
     irreducible = len(comps) == 1
     aperiodic = True
@@ -237,9 +202,9 @@ def ergodicity(w) -> ErgodicityReport:
     return ErgodicityReport(irreducible, aperiodic, irreducible and aperiodic, comps)
 
 
-def _closed_classes(w) -> list:
+def _closed_classes(p) -> list:
     """The communicating classes that no step leaves, in `_sccs` order."""
-    adj = support(w)
+    adj = support(p)
     closed = []
     for comp in _sccs(adj):
         comp_set = set(comp)
@@ -248,17 +213,17 @@ def _closed_classes(w) -> list:
     return closed
 
 
-def _zero_reachable(w) -> bool:
+def _zero_reachable(p) -> bool:
     """State 0 is reached from every state.
 
     Every state reaches some closed class and no step leaves one, so 0 is
     reached from everywhere exactly when one class is closed and holds 0.
     """
-    closed = _closed_classes(w)
+    closed = _closed_classes(p)
     return len(closed) == 1 and 0 in closed[0]
 
 
-def _potentials(w):
+def _potentials(rows):
     """Detailed-balance potentials of a walk, from one spanning forest.
 
     Detailed balance pi_x P[x][z] = pi_z P[z][x] needs a symmetric support
@@ -278,7 +243,6 @@ def _potentials(w):
     denominator, which ints have too: the integer L * P of a lattice walk
     takes the same path as a Fraction P, without forming P.
     """
-    rows = _rows(w)
     n = len(rows)
     nbrs = [[z for z in range(n) if row[z] and z != x] for x, row in enumerate(rows)]
     if not all(rows[z][x] for x in range(n) for z in nbrs[x]):
@@ -312,13 +276,13 @@ def _potentials(w):
     return [Fraction(a, b) for a, b in zip(num, den)], trees
 
 
-def _normalized(weights) -> Distribution:
+def _normalized(weights) -> list:
     """Non-negative Fraction weights scaled to sum to 1."""
     total = sum(weights)
-    return Distribution._built([v / total for v in weights])
+    return [v / total for v in weights]
 
 
-def stationary(w) -> Distribution:
+def stationary(p) -> list:
     """The unique pi with pi P = pi, for a walk whose rows sum to 1.
 
     When the potentials exist and span one tree, they are pi.  The support
@@ -328,13 +292,13 @@ def stationary(w) -> Distribution:
     reversible (most --lambda and --custom walks) or are reducible fall back
     to exact elimination on (P - I)^T.
     """
-    found = _potentials(w)
+    found = _potentials(p)
     if found is not None and found[1] == 1:
         return _normalized(found[0])
-    return _stationary_by_elimination(_rows(w))
+    return _stationary_by_elimination(p)
 
 
-def _stationary_by_elimination(rows) -> Distribution:
+def _stationary_by_elimination(rows) -> list:
     n = len(rows)
     m = [[rows[i][j] - (1 if i == j else 0) for i in range(n)] for j in range(n)]
     kernel = la.kernel_basis(m)
@@ -346,7 +310,7 @@ def _stationary_by_elimination(rows) -> Distribution:
     return _normalized(v)
 
 
-def invariant_closed_form(spec: WeightSpec, n: int) -> Distribution:
+def invariant_closed_form(spec: WeightSpec, n: int) -> list:
     """Stationary law of a named family: pi_x ∝ alpha_{x*} N_x, alpha the atomic
     part of w = alpha * beta (`weights.atomic_part`), since pi_x P[x][z] is then
     alpha_{x*} alpha_{z*} beta[z*, x], symmetric as beta is star-symmetric."""
@@ -357,7 +321,7 @@ def invariant_closed_form(spec: WeightSpec, n: int) -> Distribution:
     return _normalized([alpha[n - 1 - x] * nx for x, nx in enumerate(norms)])
 
 
-def kolmogorov(w) -> bool:
+def kolmogorov(p) -> bool:
     """Cycle criterion: reversible iff every cycle product is direction-free.
 
     The criterion needs a strictly positive stationary distribution, that
@@ -369,11 +333,11 @@ def kolmogorov(w) -> bool:
     spanning-tree potentials satisfy every detailed-balance equation.  No
     cycle is enumerated, and n is not capped.
     """
-    if sum(len(comp) for comp in _closed_classes(w)) != len(_rows(w)):
+    if sum(len(comp) for comp in _closed_classes(p)) != len(p):
         raise NoPositiveStationary(
             "cycle criterion needs a strictly positive stationary distribution"
         )
-    return _potentials(w) is not None
+    return _potentials(p) is not None
 
 
 # steps simulate may take: the trajectory holds steps + 1 states (8 MB of
@@ -381,10 +345,9 @@ def kolmogorov(w) -> bool:
 SIMULATION_BUDGET = 1_000_000
 
 
-def simulate(w, x0: int, steps: int, seed: int) -> SimulationResult:
+def simulate(rows, x0: int, steps: int, seed: int) -> SimulationResult:
     """Seeded trajectory by inverse-CDF sampling on float row copies;
     0 <= steps <= SIMULATION_BUDGET."""
-    rows = _rows(w)
     n = len(rows)
     if not 0 <= x0 < n:
         raise OutOfRange(f"start state {x0} outside 0..{n - 1}")
@@ -439,4 +402,4 @@ def subset_walk(m: int, p) -> SubsetWalk:
     eigenvalues = []
     for e, lam in enumerate(down_step_diagonal(spec, m + 1)):
         eigenvalues.extend([(-1) ** e * lam] * math.comb(m, e))
-    return SubsetWalk(m, p, Distribution._built(pi), eigenvalues)
+    return SubsetWalk(m, p, pi, eigenvalues)

@@ -14,7 +14,7 @@ from involute.errors import IndexOutOfDomain, MalformedWeight, OutOfRange
 from involute.exactnum import as_rational, binom
 from involute.spectral import _oriented
 from involute.transform import stochastic_lattice
-from involute.walk import WalkMatrix, _normalized, _potentials
+from involute.walk import _normalized, _potentials
 from involute.weights import (Custom, DeltaAB, GammaAB, GammaC, domain_limit, norm_table,
                               weight_table)
 
@@ -133,16 +133,14 @@ def matvec(a, v) -> list:
     return [sum(map(mul, row, v)) for row in a]
 
 
-def two_step(w) -> list:
+def two_step(p) -> list:
     """P squared: the down-up walk taking two involutive steps at a time."""
-    rows = w.P if isinstance(w, WalkMatrix) else w
-    return la.matmul(rows, rows)
+    return la.matmul(p, p)
 
 
-def simulate_stepwise(w, x0: int, steps: int, seed: int) -> tuple:
+def simulate_stepwise(rows, x0: int, steps: int, seed: int) -> tuple:
     """(trajectory, empirical) by inverse-CDF sampling one step at a time:
     each state is clamped to n - 1 and counted as it is drawn."""
-    rows = w.P if isinstance(w, WalkMatrix) else w
     n = len(rows)
     cum = []
     for row in rows:
@@ -173,19 +171,17 @@ def pi_inner(pi, v, w) -> Fraction:
     return sum(p * a * b for p, a, b in zip(pi, v, w))
 
 
-def detailed_balance(w, pi) -> bool:
+def detailed_balance(rows, pi) -> bool:
     """Exact check of pi_x P[x][z] == pi_z P[z][x] for all pairs."""
-    rows = w.P if isinstance(w, WalkMatrix) else w
     n = len(rows)
-    pv = list(pi)
-    return all(pv[x] * rows[x][z] == pv[z] * rows[z][x] for x in range(n) for z in range(x, n))
+    return all(pi[x] * rows[x][z] == pi[z] * rows[z][x] for x in range(n) for z in range(x, n))
 
 
-def reversible_with_some_distribution(w):
+def reversible_with_some_distribution(p):
     """(True, pi) when detailed balance holds against a strictly positive
     law, pi the normalized potentials, else (False, None).  For reducible
     chains the split of mass between components is arbitrary."""
-    found = _potentials(w)
+    found = _potentials(p)
     if found is None:
         return False, None
     return True, _normalized(found[0])

@@ -48,7 +48,7 @@ from involute.weights import UNBOUNDED, DeltaAB, GammaAB, GammaC, domain_limit
 
 from oracles import (detailed_balance, matvec, pascal_inverse, pascal_matrix, pi_inner,
                      two_step)
-from test_transform import random_stochastic_lambda
+from test_transform import down_step, random_stochastic_lambda
 
 GRID_AB = [F(-1, 2), F(0), F(1, 2), F(1), F(2)]
 GRID_C = [F(1, 2), F(1), F(2)]
@@ -111,7 +111,7 @@ def test_criterion_01_reference_matrices():
         start = time.time()
         for _, (spec, rows) in expected.items():
             target = [[F(v) for v in row] for row in rows]
-            assert transition_matrix(spec, 4).P == target
+            assert transition_matrix(spec, 4) == target
         assert time.time() - start < 1.0
 
 
@@ -122,7 +122,7 @@ def test_criterion_02_spectrum_exactness():
         start = time.time()
         for spec in standard_specs():
             for n in sizes_for(spec, 2, 10):
-                p = transition_matrix(spec, n).P
+                p = transition_matrix(spec, n)
                 roots = signed_eigenvalues(family_sequence(spec, n))
                 assert la.charpoly(p) == la.poly_from_roots(roots)
         assert time.time() - start < 30.0
@@ -134,7 +134,7 @@ def test_criterion_03_invariant_exactness():
             for n in sizes_for(spec, 2, 10):
                 w = transition_matrix(spec, n)
                 pi = stationary(w)
-                assert pi.weights == invariant_closed_form(spec, n).weights
+                assert pi == invariant_closed_form(spec, n)
                 assert detailed_balance(w, pi)
 
 
@@ -235,7 +235,7 @@ def test_criterion_07_adep_gadep_conjugator():
     with report(7, "GADEP for family H, counterexample matrices, Pascal conjugator"):
         for spec in standard_specs():
             n = max(sizes_for(spec, 2, 8))  # gadep at the top size covers all m <= n
-            h = transition_matrix(spec, n).H
+            h = down_step(spec, n)
             assert check_gadep(h)
             assert is_binomial_transform(h)
         for which in ("L4", "H5"):
@@ -263,7 +263,7 @@ def test_criterion_08_eigenvector_structure():
                 spec = GammaAB(a, b)
                 for n in range(2, 11):
                     u = final_left_eigenvector(n)
-                    p = transition_matrix(spec, n).P
+                    p = transition_matrix(spec, n)
                     lam = signed_eigenvalues(family_sequence(spec, n))[-1]
                     assert la.vecmat(u, p) == [lam * x for x in u]
         binv_cache = {}
@@ -291,15 +291,15 @@ def test_criterion_09_subset_walk():
                 size = 2**m
                 # invariant law p^(m-|X|) / (1+p)^m, stationarity exact
                 for s in range(size):
-                    assert sub.pi.weights[s] == p ** (m - bin(s).count("1")) / (1 + p) ** m
-                assert la.vecmat(sub.pi.weights, sub.walk.P) == sub.pi.weights
+                    assert sub.pi[s] == p ** (m - bin(s).count("1")) / (1 + p) ** m
+                assert la.vecmat(sub.pi, sub.walk) == sub.pi
                 multiset = sorted(sub.eigenvalues)
                 expected = sorted(
                     [(-p) ** e for e in range(m + 1) for _ in range(math.comb(m, e))]
                 )
                 assert multiset == expected
                 if m <= 4:
-                    assert la.charpoly(sub.walk.P) == la.poly_from_roots(sub.eigenvalues)
+                    assert la.charpoly(sub.walk) == la.poly_from_roots(sub.eigenvalues)
                     assert la.charpoly(two_step(sub.walk)) == la.poly_from_roots(
                         [v * v for v in sub.eigenvalues]
                     )
@@ -315,15 +315,15 @@ def test_criterion_09_subset_walk():
                             vec = [fj * vi for fj in factor for vi in vec]
                             if (mask >> bit) & 1:
                                 lam *= -p
-                        assert matvec(sub.walk.P, vec) == [lam * v for v in vec]
+                        assert matvec(sub.walk, vec) == [lam * v for v in vec]
                         assert matvec(p2, vec) == [lam * lam * v for v in vec]
         # lumped by |X| from every start X, the subset walk is the gamma(c)
         # walk on {0..m} with c = 1/p - 1
         for m in (3, 5):
             for p in (F(1, 3), F(1, 2), F(2, 3)):
                 sub = subset_walk(m, p)
-                lumped = transition_matrix(GammaC(1 / p - 1), m + 1).P
-                for s, row in enumerate(sub.walk.P):
+                lumped = transition_matrix(GammaC(1 / p - 1), m + 1)
+                for s, row in enumerate(sub.walk):
                     by_size = [F(0)] * (m + 1)
                     for t, v in enumerate(row):
                         by_size[bin(t).count("1")] += v

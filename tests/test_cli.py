@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import involute
-from involute import _linalg, walk
+from involute import _linalg, classify, walk
 from involute.cli import main
 from involute.transform import lambda_walk
 from involute.walk import transition_matrix
@@ -268,6 +268,19 @@ def test_simulate_refuses_steps_past_the_budget(capsys, monkeypatch):
     assert f"steps must be <= {budget}" in err
 
 
+def test_ladder_refuses_n_past_the_budget(capsys, monkeypatch):
+    budget = classify.LADDER_BUDGET
+    code, out, _ = run(capsys, "--format", "json", "ladder", "--mu", "99/100", "--n", str(budget))
+    assert code == 0 and json.loads(out)[0]["m"] == budget - 1
+    monkeypatch.setattr(classify, "nu_ladder", None)  # building a row would fail with exit 1
+    code, out, err = run(capsys, "ladder", "--mu", "2/3", "--n", str(budget + 1))
+    assert (code, out) == (2, "")
+    assert f"n must be <= {budget}, the ladder budget, got {budget + 1}" in err
+    with pytest.raises(SystemExit):
+        main(["ladder", "--help"])
+    assert f"at most {budget}" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("n", ["2", "-5"])
 def test_ladder_needs_three_states(capsys, n):
     code, out, err = run(capsys, "ladder", "--mu", "2/3", "--n", n)
@@ -414,7 +427,7 @@ def test_simulate_output_matches_stepwise_loop(capsys):
                (("--delta", "4", "2", "--n", "4"), transition_matrix(DeltaAB(4, 2), 4)),
                (("--lambda", "1,2/3,1/3,0"), lambda_walk([F(1), F(2, 3), F(1, 3), F(0)]))]
     for flags, w in sources:
-        for start, steps, seed in ((0, 0, 0), (0, 300, 5), (w.n - 1, 2000, 31)):
+        for start, steps, seed in ((0, 0, 0), (0, 300, 5), (len(w) - 1, 2000, 31)):
             traj, empirical = simulate_stepwise(w, start, steps, seed)
             argv = ("simulate", *flags, "--start", str(start), "--steps", str(steps),
                     "--seed", str(seed))

@@ -93,7 +93,7 @@ def test_zero_length_sequences_are_empty():
 def test_invariant_matches_binomial_formula():
     for spec in SPECS:
         for n in sizes(spec):
-            assert invariant_closed_form(spec, n).weights == pi_by_binom(spec, n)
+            assert invariant_closed_form(spec, n) == pi_by_binom(spec, n)
 
 
 def test_final_left_eigenvalue_matches_binomial_formula():
@@ -124,7 +124,7 @@ def test_subset_walk_matches_p_formulas():
         for m in range(1, 11):
             sub = subset_walk(m, p)
             by_size = [p ** (m - k) / (1 + p) ** m for k in range(m + 1)]
-            assert sub.pi.weights == [by_size[bin(s).count("1")] for s in range(2**m)]
+            assert sub.pi == [by_size[bin(s).count("1")] for s in range(2**m)]
             expected = []
             for e in range(m + 1):
                 expected.extend([(-p) ** e] * math.comb(m, e))
@@ -144,11 +144,11 @@ def _as_fraction(v):
 def test_sympy_eigenvalues_and_left_null_vector():
     for spec in SPECS:
         for n in range(1, min(SYMPY_N_MAX, domain_limit(spec)) + 1):
-            p = _sympy_matrix(transition_matrix(spec, n).P)
+            p = _sympy_matrix(transition_matrix(spec, n))
             found = Counter({_as_fraction(v): k for v, k in p.eigenvals().items()})
             assert found == Counter(signed_eigenvalues(family_sequence(spec, n)))
             (null,) = (p.T - sympy.eye(n)).nullspace()
             total = sum(null)
             assert [_as_fraction(v / total) for v in null] == (
-                invariant_closed_form(spec, n).weights
+                invariant_closed_form(spec, n)
             )

@@ -161,10 +161,7 @@ def test_trig_eigenfunction_orthonormality():
 def test_self_adjointness():
     rng = random.Random(3)
     for walk in (kappa_walk(1, 1), trig_walk()):
-        if walk.kind == "kappa":
-            density = lambda x: cts_invariant(walk, x)
-        else:
-            density = lambda x: cts_invariant(walk, x)
+        density = lambda x: cts_invariant(walk, x)
         for _ in range(3):
             fc = [rng.uniform(-1, 1) for _ in range(3)]
             gc = [rng.uniform(-1, 1) for _ in range(3)]

@@ -9,8 +9,7 @@ from involute.classify import IdentityWalk, NotClassified, SearchRecord, SearchS
 from involute.continuum import ContinuousWalk, PolyFunction
 from involute.spectral import EigenSystem, MixingReport
 from involute.transform import PropertyReport, StochasticCheck
-from involute.walk import (Distribution, ErgodicityReport, SimulationResult, SubsetWalk,
-                           WalkMatrix, subset_walk)
+from involute.walk import ErgodicityReport, SimulationResult, SubsetWalk, subset_walk
 from involute.weights import Custom, DeltaAB, GammaAB, GammaC
 
 # (construction, the repr the dataclass gave it, frozen)
@@ -21,22 +20,17 @@ CASES = [
     (lambda: Custom(2, {(0, 0): 1, (0, 1): F(1, 2), (1, 1): 3}),
      "Custom(n=2, table={(0, 0): Fraction(1, 1), (0, 1): Fraction(1, 2), "
      "(1, 1): Fraction(3, 1)})", True),
-    (lambda: WalkMatrix(1, [[F(1)]], [[F(1)]]),
-     "WalkMatrix(n=1, P=[[Fraction(1, 1)]], H=[[Fraction(1, 1)]])", False),
-    (lambda: Distribution(2, [F(1, 2), F(1, 2)]),
-     "Distribution(n=2, weights=[Fraction(1, 2), Fraction(1, 2)])", False),
     (lambda: ErgodicityReport(True, True, True, [[0, 1]]),
      "ErgodicityReport(irreducible=True, aperiodic=True, ergodic=True, "
      "communicating_classes=[[0, 1]])", False),
     (lambda: SimulationResult([0, 1], [0.5, 0.5]),
      "SimulationResult(trajectory=[0, 1], empirical=[0.5, 0.5])", False),
-    (lambda: SubsetWalk(1, F(1, 3), Distribution(2, [F(1, 4), F(3, 4)]), [1, F(-1, 3)]),
-     "SubsetWalk(m=1, p=Fraction(1, 3), pi=Distribution(n=2, weights=[Fraction(1, 4), "
-     "Fraction(3, 4)]), eigenvalues=[1, Fraction(-1, 3)])", False),
+    (lambda: SubsetWalk(1, F(1, 3), [F(1, 4), F(3, 4)], [1, F(-1, 3)]),
+     "SubsetWalk(m=1, p=Fraction(1, 3), pi=[Fraction(1, 4), Fraction(3, 4)], "
+     "eigenvalues=[1, Fraction(-1, 3)])", False),
     (lambda: StochasticCheck(True), "StochasticCheck(ok=True, witness=None, reason='')", True),
-    (lambda: PropertyReport(True, False, True, False),
-     "PropertyReport(adep=True, gadep=False, eigenbasis_action=True, "
-     "is_binomial_transform=False, witness=None)", False),
+    (lambda: PropertyReport(True, False, False),
+     "PropertyReport(adep=True, gadep=False, is_binomial_transform=False, witness=None)", False),
     (lambda: IdentityWalk(), "IdentityWalk()", True),
     (lambda: NotClassified("r"), "NotClassified(reason='r')", True),
     (lambda: SearchRecord([F(1)], True, False, None),
@@ -44,9 +38,9 @@ CASES = [
      "classification=None)", False),
     (lambda: SearchSummary(3, 0, 0), "SearchSummary(n=3, stochastic=0, reversible=0, records=[])",
      False),
-    (lambda: EigenSystem(1, [1], [[1]], [[1]], Distribution(1, [1])),
+    (lambda: EigenSystem(1, [1], [[1]], [[1]], [F(1)]),
      "EigenSystem(n=1, eigenvalues=[1], right_vectors=[[1]], left_vectors=[[1]], "
-     "pi=Distribution(n=1, weights=[Fraction(1, 1)]))", False),
+     "pi=[Fraction(1, 1)])", False),
     (lambda: MixingReport(F(1, 2), 0.5),
      "MixingReport(second_abs_eigenvalue=Fraction(1, 2), empirical_rate=0.5)", False),
     (lambda: ContinuousWalk("kappa"), "ContinuousWalk(kind='kappa', a=0, b=0)", True),
@@ -113,10 +107,9 @@ def test_keyword_construction_and_defaults():
     assert StochasticCheck(ok=True) == StochasticCheck(True, None, "")
     check = StochasticCheck(ok=False, witness=2, reason="x")
     assert (check.ok, check.witness, check.reason, bool(check)) == (False, 2, "x", False)
-    report = PropertyReport(adep=True, gadep=False, eigenbasis_action=True,
-                            is_binomial_transform=False)
+    report = PropertyReport(adep=True, gadep=False, is_binomial_transform=False)
     assert report.witness is None
-    assert report == PropertyReport(True, False, True, False, None)
+    assert report == PropertyReport(True, False, False, None)
     assert ContinuousWalk(kind="trig") == ContinuousWalk("trig", 0, 0)
     assert ContinuousWalk("kappa", b=2) == ContinuousWalk("kappa", 0, 2)
     first = SearchSummary(n=3, stochastic=0, reversible=0)
@@ -127,13 +120,12 @@ def test_keyword_construction_and_defaults():
 
 
 def test_mutable_records_take_assignment():
-    law = Distribution(2, [F(1, 2), F(1, 2)])
-    law.weights = [F(1), F(0)]
-    assert list(law) == [F(1), F(0)] and law[0] == 1
-    assert Distribution._built([F(1, 4), F(3, 4)]) == Distribution(2, [F(1, 4), F(3, 4)])
+    result = SimulationResult([0], [1.0])
+    result.trajectory = [0, 1]
+    assert result == SimulationResult([0, 1], [1.0]) != SimulationResult([0], [1.0])
 
 
 def test_subset_walk_caches_its_matrix():
     walk = subset_walk(2, F(1, 3))
     assert walk.walk is walk.walk
-    assert walk.walk.n == 4
+    assert len(walk.walk) == 4

@@ -37,15 +37,15 @@ def test_eigenvalue_examples():
 
 def test_eigenvalues_match_anti_diagonal():
     for spec in (GammaAB(1, 0), GammaC(2), DeltaAB(5, 3)):
-        w = transition_matrix(spec, 4)
+        p = transition_matrix(spec, 4)
         values = signed_eigenvalues(family_sequence(spec, 4))
-        assert [abs(values[d]) for d in range(4)] == [w.P[d][3 - d] for d in range(4)]
+        assert [abs(values[d]) for d in range(4)] == [p[d][3 - d] for d in range(4)]
 
 
 def test_charpoly_matches_closed_form_spot():
     for spec, n in ((GammaAB(F(1, 2), F(-1, 2)), 6), (GammaC(3), 5), (DeltaAB(5, 3), 5)):
-        w = transition_matrix(spec, n)
-        assert la.charpoly(w.P) == la.poly_from_roots(signed_eigenvalues(family_sequence(spec, n)))
+        p = transition_matrix(spec, n)
+        assert la.charpoly(p) == la.poly_from_roots(signed_eigenvalues(family_sequence(spec, n)))
 
 
 def test_eigenvalues_decreasing_in_abs():
@@ -135,7 +135,7 @@ def _integer_gram_schmidt(spec, n, top):
     With pi scaled to integers, v <- <w,w> v - <v,w> w followed by removing
     the content is a positive multiple of the rational step.
     """
-    pi_int = la.integer_row(invariant_closed_form(spec, n).weights)[0]
+    pi_int = la.integer_row(invariant_closed_form(spec, n))[0]
     rights, cache = [], []
     for d in range(top):
         v = [math.comb(x, d) for x in range(n)]
@@ -176,10 +176,10 @@ def test_right_eigenvectors_are_exact_eigenvectors(spec):
         assert len(system.right_vectors) == len(system.eigenvalues) == top
         assert system.right_vectors == _integer_gram_schmidt(spec, n, top)
         walk = transition_matrix(spec, n)
-        p = [la.integer_row(row) for row in walk.P]
+        p = [la.integer_row(row) for row in walk]
         for value, v, u in zip(system.eigenvalues, system.right_vectors, system.left_vectors):
             assert any(v) and _exact_eigenvector(p, value, v)
-            assert la.vecmat(u, walk.P) == [value * x for x in u]
+            assert la.vecmat(u, walk) == [value * x for x in u]
         assert not _exact_eigenvector(p, system.eigenvalues[1], system.right_vectors[0])
 
 
@@ -192,7 +192,7 @@ def test_family_left_vectors_are_pi_times_right():
         for n in range(1, min(12, domain_limit(spec)) + 1):
             system = _family_system(spec, n)
             pi = invariant_closed_form(spec, n)
-            assert system.pi.weights == pi.weights
+            assert system.pi == pi
             assert system.left_vectors == [
                 clear_denominators([p * x for p, x in zip(pi, v)])
                 for v in system.right_vectors
@@ -202,7 +202,7 @@ def test_family_left_vectors_are_pi_times_right():
 def test_final_left_eigenvector_examples():
     assert final_left_eigenvector(3) == [F(1), F(-2), F(1)]
     assert final_left_eigenvector(4) == [F(1), F(-3), F(3), F(-1)]
-    p = transition_matrix(GammaAB(0, 0), 3).P
+    p = transition_matrix(GammaAB(0, 0), 3)
     u = final_left_eigenvector(3)
     assert la.vecmat(u, p) == [F(1, 3) * x for x in u]
     assert signed_eigenvalues(family_sequence(GammaAB(1, 0), 4))[-1] == F(-2, 5)
@@ -215,7 +215,7 @@ def test_final_left_eigenvector_over_grid():
     for spec in specs:
         for n in range(2, min(10, domain_limit(spec)) + 1):
             u = final_left_eigenvector(n)
-            p = transition_matrix(spec, n).P
+            p = transition_matrix(spec, n)
             lam = signed_eigenvalues(family_sequence(spec, n))[-1]
             assert la.vecmat(u, p) == [lam * x for x in u]
 
@@ -224,7 +224,7 @@ def test_left_vectors_are_left_eigenvectors():
     spec = GammaAB(F(1, 2), F(1))
     n = 5
     system = _family_system(spec, n)
-    p = transition_matrix(spec, n).P
+    p = transition_matrix(spec, n)
     for value, u in zip(system.eigenvalues, system.left_vectors):
         assert la.vecmat(u, p) == [value * x for x in u]
     # the last left vector is the alternating Pascal row up to scale
@@ -246,7 +246,7 @@ def test_mixing_report_gamma00():
 
 def _mixing_by_powers(spec, n, t_max, x0):
     """Oracle: mixing_report from whole matrix powers P^t."""
-    p = transition_matrix(spec, n).P
+    p = transition_matrix(spec, n)
     pi = invariant_closed_form(spec, n)
     power, norms = p, []
     for _ in range(t_max):
@@ -266,6 +266,31 @@ def test_mixing_report_matches_matrix_powers():
         assert mixing_report(spec, n, t_max, x0) == _mixing_by_powers(spec, n, t_max, x0)
 
 
+@pytest.mark.parametrize("n, t_max, x0, message", [
+    (1, 40, 0, "n >= 2, got 1"),
+    (0, 40, 0, "n >= 2, got 0"),
+    (5, 2, 0, "t_max >= 3, got 2"),
+    (5, 0, 0, "t_max >= 3, got 0"),
+    (5, 40, 7, "start state 7 outside 0..4"),
+    (5, 40, -1, "start state -1 outside 0..4"),
+])
+def test_mixing_report_refuses_input_it_cannot_fit(monkeypatch, n, t_max, x0, message):
+    monkeypatch.setattr("involute.spectral.transition_matrix", None)  # refused before stepping
+    with pytest.raises(OutOfRange, match=message):
+        mixing_report(GammaAB(0, 0), n, t_max, x0)
+
+
+def test_mixing_report_refuses_a_window_that_underflows():
+    # lambda_1 = 1/(1 + c) = 1e-20: every norm past step 16 is 0.0 as a float
+    with pytest.raises(OutOfRange, match="two nonzero norms in steps 21..40, got 0"):
+        mixing_report(GammaC(10**20), 4)
+
+
+def test_mixing_report_fits_the_smallest_window():
+    # n = 2, t_max = 3 and x0 = n - 1 are the edges that still fit
+    assert mixing_report(GammaAB(0, 0), 2, 3, 1) == _mixing_by_powers(GammaAB(0, 0), 2, 3, 1)
+
+
 def test_unsupported_family():
     custom = Custom(2, {(0, 0): F(1), (0, 1): F(1), (1, 1): F(1)})
     with pytest.raises(UnsupportedFamily):
@@ -278,7 +303,7 @@ def test_eigensystem_rejects_negative_dmax():
         eigensystem(lam, dmax=-1)
     system = eigensystem(lam, dmax=0)
     assert len(system.right_vectors) == len(system.left_vectors) == 1
-    assert system.pi.weights == invariant_closed_form(GammaAB(1, 1), 4).weights
+    assert system.pi == invariant_closed_form(GammaAB(1, 1), 4)
     for lam, n in (([], 4), (lam, 3)):
         with pytest.raises(IndexOutOfDomain, match="len\\(lam\\) <= n"):
             right_eigenvectors(lam, n)
@@ -307,7 +332,7 @@ def test_eigensystem_of_every_grid_walk():
                 assert matvec(p, v) == [value * x for x in v] and any(v)
                 assert _exact_left(p, value, u) and any(u)
                 vectors += 1
-            assert system.pi.weights == _stationary_by_elimination(p).weights
+            assert system.pi == _stationary_by_elimination(p)
             assert system.left_vectors[-1] == clear_denominators(final_left_eigenvector(n))
             solved += 1
     assert (solved, refused, vectors) == (146, 109, 539)

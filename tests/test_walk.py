@@ -11,9 +11,9 @@ from involute import _linalg as la
 from involute import walk
 from involute.errors import NoPositiveStationary, NotIrreducible, OutOfRange
 from involute.transform import _pl_rows, lambda_walk, pl_matrix, stochastic_lattice
+from involute.spectral import eigensystem, family_sequence
 from involute.walk import (
-    Distribution,
-    WalkMatrix,
+    checked_walk,
     ergodicity,
     invariant_closed_form,
     kolmogorov,
@@ -86,14 +86,10 @@ INTRO = {
 
 def test_reference_matrices():
     for spec, expected in INTRO.items():
-        walk = transition_matrix(spec, 4)
-        assert walk.P == expected
-        # P = H J and the anti-triangular support
-        assert all(
-            walk.P[x][z] == walk.H[x][3 - z] for x in range(4) for z in range(4)
-        )
-        assert all(walk.P[x][z] == 0 for x in range(4) for z in range(3 - x))
-        assert all(sum(row) == 1 for row in walk.P)
+        p = transition_matrix(spec, 4)
+        assert p == expected
+        assert all(p[x][z] == 0 for x in range(4) for z in range(3 - x))
+        assert all(sum(row) == 1 for row in p)
 
 
 def test_row_stochastic_and_anti_triangular_across_specs():
@@ -102,21 +98,21 @@ def test_row_stochastic_and_anti_triangular_across_specs():
         for n in (2, 3, 5):
             if isinstance(spec, DeltaAB) and n > 5:
                 continue
-            w = transition_matrix(spec, n)
-            assert all(sum(row) == 1 for row in w.P)
-            assert all(w.P[x][z] == 0 for x in range(n) for z in range(n - 1 - x))
+            p = transition_matrix(spec, n)
+            assert all(sum(row) == 1 for row in p)
+            assert all(p[x][z] == 0 for x in range(n) for z in range(n - 1 - x))
 
 
 def test_stationary_examples():
-    assert stationary(transition_matrix(GammaAB(0, 0), 4)).weights == [
+    assert stationary(transition_matrix(GammaAB(0, 0), 4)) == [
         F(1, 10),
         F(2, 10),
         F(3, 10),
         F(4, 10),
     ]
-    assert stationary(transition_matrix(GammaC(1), 3)).weights == [F(1, 9), F(4, 9), F(4, 9)]
-    flip = WalkMatrix.from_p([[0, 1], [1, 0]])
-    assert stationary(flip).weights == [F(1, 2), F(1, 2)]
+    assert stationary(transition_matrix(GammaC(1), 3)) == [F(1, 9), F(4, 9), F(4, 9)]
+    flip = checked_walk([[0, 1], [1, 0]])
+    assert stationary(flip) == [F(1, 2), F(1, 2)]
 
 
 def test_stationary_not_irreducible():
@@ -125,14 +121,14 @@ def test_stationary_not_irreducible():
 
 
 def test_invariant_closed_form_examples():
-    assert invariant_closed_form(GammaAB(0, 0), 4).weights == [
+    assert invariant_closed_form(GammaAB(0, 0), 4) == [
         F(1, 10),
         F(2, 10),
         F(3, 10),
         F(4, 10),
     ]
-    assert invariant_closed_form(GammaC(1), 3).weights == [F(1, 9), F(4, 9), F(4, 9)]
-    assert invariant_closed_form(DeltaAB(4, 2), 4).weights == [
+    assert invariant_closed_form(GammaC(1), 3) == [F(1, 9), F(4, 9), F(4, 9)]
+    assert invariant_closed_form(DeltaAB(4, 2), 4) == [
         F(1, 35),
         F(12, 35),
         F(18, 35),
@@ -152,13 +148,12 @@ def test_closed_form_matches_solve_on_grid():
         for n in range(2, 7):
             if limit != UNBOUNDED and n > limit:
                 continue
-            w = transition_matrix(spec, n)
-            assert stationary(w).weights == invariant_closed_form(spec, n).weights
+            assert stationary(transition_matrix(spec, n)) == invariant_closed_form(spec, n)
 
 
 def test_ergodicity_examples():
     assert ergodicity(transition_matrix(GammaAB(0, 0), 4)).ergodic
-    flip = WalkMatrix.from_p([[0, 1], [1, 0]])
+    flip = checked_walk([[0, 1], [1, 0]])
     report = ergodicity(flip)
     assert report.irreducible and not report.aperiodic and not report.ergodic
 
@@ -352,31 +347,31 @@ def test_stationary_tree_path_matches_elimination(eliminations):
         for n in (2, 7, 11, 40):
             if isinstance(spec, DeltaAB) and n > domain_limit(spec):
                 continue
-            w = transition_matrix(spec, n)
-            pi = stationary(w)
+            p = transition_matrix(spec, n)
+            pi = stationary(p)
             assert eliminations == []
-            assert pi.weights == walk._stationary_by_elimination(w.P).weights
-            assert pi.weights == invariant_closed_form(spec, n).weights
-            assert la.vecmat(pi.weights, w.P) == pi.weights
+            assert pi == walk._stationary_by_elimination(p)
+            assert pi == invariant_closed_form(spec, n)
+            assert la.vecmat(pi, p) == pi
             eliminations.clear()
 
 
 def test_stationary_falls_back_to_elimination(eliminations):
-    w = lambda_walk([F(1), F(3, 5), F(3, 10), F(1, 20)])
-    assert not reversible_with_some_distribution(w)[0]
-    pi = stationary(w)
+    p = lambda_walk([F(1), F(3, 5), F(3, 10), F(1, 20)])
+    assert not reversible_with_some_distribution(p)[0]
+    pi = stationary(p)
     assert eliminations == [4]
-    assert la.vecmat(pi.weights, w.P) == pi.weights
+    assert la.vecmat(pi, p) == pi
     # reversible but reducible: the potentials span two trees
     with pytest.raises(NotIrreducible, match="dimension 2"):
-        stationary(WalkMatrix.from_p([[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
+        stationary(checked_walk([[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
     assert eliminations == [4, 3]
 
 
 def test_kolmogorov_iff_detailed_balance():
     rng = random.Random(414)
-    cases = [transition_matrix(GammaAB(0, 0), n).P for n in (3, 4, 5, 6)]
-    cases += [transition_matrix(DeltaAB(4, 2), 4).P]
+    cases = [transition_matrix(GammaAB(0, 0), n) for n in (3, 4, 5, 6)]
+    cases += [transition_matrix(DeltaAB(4, 2), 4)]
     for n in (3, 4, 5, 6):
         for _ in range(12):
             cases.append(pl_matrix(random_stochastic_lambda(n, rng)))
@@ -390,7 +385,7 @@ def test_kolmogorov_iff_detailed_balance():
 
 
 def test_simulate_deterministic_flip():
-    flip = WalkMatrix.from_p([[0, 1], [1, 0]])
+    flip = checked_walk([[0, 1], [1, 0]])
     result = simulate(flip, 0, 5, seed=99)
     assert result.trajectory == [0, 1, 0, 1, 0, 1]
 
@@ -410,9 +405,9 @@ def test_simulate_matches_stepwise_loop():
     walks = [transition_matrix(GammaAB(1, F(1, 3)), n) for n in (1, 2, 5, 20)]
     walks += [transition_matrix(GammaC(F(3, 2)), 7), transition_matrix(DeltaAB(4, 2), 4),
               lambda_walk(ZERO_ENTRY_LAMBDA)]
-    assert walks[-1].P[3] == [0, 1, 0, 0]
+    assert walks[-1][3] == [0, 1, 0, 0]
     for w in walks:
-        for x0 in {0, w.n - 1}:
+        for x0 in {0, len(w) - 1}:
             for seed in (0, 1, 7, 20260):
                 for steps in (0, 1, 500):
                     result = simulate(w, x0, steps, seed)
@@ -438,12 +433,12 @@ def test_simulate_seed_independence_of_long_run():
 def test_two_step_examples():
     w = transition_matrix(GammaAB(0, 0), 2)
     assert two_step(w) == rows([["1/2", "1/2"], ["1/4", "3/4"]])
-    flip = WalkMatrix.from_p([[0, 1], [1, 0]])
+    flip = checked_walk([[0, 1], [1, 0]])
     assert two_step(flip) == la.identity(2)
 
 
 def test_two_step_eigenvalues_are_squares():
-    from involute.spectral import family_sequence, signed_eigenvalues
+    from involute.spectral import signed_eigenvalues
 
     for spec in (GammaAB(0, 0), GammaAB(1, 0), GammaC(F(1, 2)), DeltaAB(5, 3)):
         for n in (3, 4, 5):
@@ -454,36 +449,41 @@ def test_two_step_eigenvalues_are_squares():
 
 def test_subset_walk_m1():
     sub = subset_walk(1, F(1, 2))
-    assert sub.walk.P == rows([[0, 1], ["1/2", "1/2"]])
-    assert sub.pi.weights == [F(1, 3), F(2, 3)]
+    assert sub.walk == rows([[0, 1], ["1/2", "1/2"]])
+    assert sub.pi == [F(1, 3), F(2, 3)]
     assert sub.eigenvalues == [F(1), F(-1, 2)]
 
 
 def test_subset_walk_m2():
     sub = subset_walk(2, F(1, 2))
-    assert sub.pi.weights == [F(1, 9), F(2, 9), F(2, 9), F(4, 9)]
+    assert sub.pi == [F(1, 9), F(2, 9), F(2, 9), F(4, 9)]
     assert sorted(sub.eigenvalues) == sorted([F(1), F(-1, 2), F(-1, 2), F(1, 4)])
     # charpoly agrees with the closed-form multiset
-    assert la.charpoly(sub.walk.P) == la.poly_from_roots(sub.eigenvalues)
+    assert la.charpoly(sub.walk) == la.poly_from_roots(sub.eigenvalues)
 
 
-def test_distribution_validates_public_laws():
-    assert Distribution(2, ["1/3", F(2, 3)]).weights == [F(1, 3), F(2, 3)]
-    with pytest.raises(OutOfRange, match="non-negative"):
-        Distribution(3, [F(1, 2), F(-1, 2), F(1)])
-    with pytest.raises(OutOfRange, match="sum to 1"):
-        Distribution(2, [F(1, 2), F(1, 3)])
-    # laws built inside the package skip the checks but would pass them
-    built = [subset_walk(4, F(2, 3)).pi, stationary(transition_matrix(GammaAB(1, 2), 6)),
-             stationary(lambda_walk([F(1), F(3, 5), F(3, 10), F(1, 20)]))]
-    for law in built:
-        assert Distribution(law.n, law.weights) == law
+def test_built_laws_are_probability_laws():
+    # every law the package builds is a list of non-negative Fractions summing to 1
+    reversible = transition_matrix(GammaAB(1, 2), 6)
+    not_reversible = lambda_walk([F(1), F(3, 5), F(3, 10), F(1, 20)])
+    built = [
+        (16, subset_walk(4, F(2, 3)).pi),
+        (6, stationary(reversible)),
+        (4, stationary(not_reversible)),
+        (6, invariant_closed_form(DeltaAB(F(13, 2), 3), 6)),
+        (6, eigensystem(family_sequence(GammaAB(1, 2), 6)).pi),
+        (4, eigensystem([F(1), F(3, 5), F(3, 10), F(1, 20)], dmax=0).pi),
+    ]
+    for n, law in built:
+        assert type(law) is list and len(law) == n
+        assert all(type(v) is F and v >= 0 for v in law)
+        assert sum(law) == 1
 
 
 def test_subset_walk_multiplicity():
     sub = subset_walk(3, F(1, 3))
     assert sub.eigenvalues.count(F(-1, 3)) == 3
-    assert stationary(sub.walk).weights == sub.pi.weights
+    assert stationary(sub.walk) == sub.pi
     assert detailed_balance(sub.walk, sub.pi)
 
 
@@ -498,39 +498,36 @@ def test_subset_walk_multiplicity():
         ([[0, 1], [F(1, 2), F(1, 2)], [0, 1]], "must be square"),
     ],
 )
-def test_from_p_rejects_non_walks(p_rows, message):
+def test_checked_walk_rejects_non_walks(p_rows, message):
     with pytest.raises(OutOfRange, match=message):
-        WalkMatrix.from_p(p_rows)
+        checked_walk(p_rows)
 
 
-def test_from_p_round_trips_subset_walks():
+def test_checked_walk_round_trips_subset_walks():
     for m in range(1, 6):
         for p in (F(1, 3), F(3, 4)):
             sub = subset_walk(m, p)
-            assert WalkMatrix.from_p(sub.walk.P) == sub.walk
-            size = 2**m
-            assert sub.walk.H == [[sub.walk.P[x][size - 1 - y] for y in range(size)]
-                                  for x in range(size)]
+            assert checked_walk(sub.walk) == sub.walk
 
 
-def _is_walk(w) -> bool:
-    """P square, stochastic and anti-triangular, with H = P J."""
-    n = w.n
-    return len(w.P) == n and w.H == [row[::-1] for row in w.P] and all(
+def _is_walk(p) -> bool:
+    """P square, stochastic and anti-triangular."""
+    n = len(p)
+    return all(
         len(row) == n and sum(row) == 1 and min(row) >= 0 and not any(row[:n - 1 - x])
-        for x, row in enumerate(w.P)
+        for x, row in enumerate(p)
     )
 
 
 def test_built_walks_are_stochastic_and_anti_triangular():
-    # lambda_walk and the subset walk skip from_p's checks: their construction is the proof
+    # lambda_walk and the subset walk skip checked_walk: their construction is the proof
     for n in range(1, 7):
         for lam in stochastic_grid(n, 4):
             assert _is_walk(lambda_walk(lam))
     for m in range(1, 7):
         for p in (F(1, 3), F(3, 4)):
             assert _is_walk(subset_walk(m, p).walk)
-    assert not _is_walk(WalkMatrix(2, [[F(1, 2), F(1, 2)], [0, 1]], [[F(1, 2), F(1, 2)], [1, 0]]))
+    assert not _is_walk([[F(1, 2), F(1, 2)], [0, 1]])
 
 
 DIVISION_SPECS = [
@@ -550,8 +547,7 @@ def test_construction_matches_division_route():
         for n in range(1, top + 1):
             w, h = division_route(spec, n)
             assert weight_table(spec, n) == w
-            walk = transition_matrix(spec, n)
-            assert (walk.H, walk.P) == (h, [row[::-1] for row in h])
+            assert transition_matrix(spec, n) == [row[::-1] for row in h]
             assert norm_table(spec, n) == [sum(row) for row in w]
             if not isinstance(spec, Custom):
                 assert down_step_diagonal(spec, n) == [h[d][d] for d in range(n)]
@@ -561,8 +557,7 @@ def test_construction_matches_division_route():
 
 def test_custom_weight_walk_roundtrip():
     table = {(0, 0): F(2), (0, 1): F(1), (1, 1): F(3)}
-    w = transition_matrix(Custom(2, table), 2)
-    assert w.P == rows([[0, 1], ["3/4", "1/4"]])
+    assert transition_matrix(Custom(2, table), 2) == rows([[0, 1], ["3/4", "1/4"]])
 
 
 @given(
@@ -586,13 +581,13 @@ def test_every_weight_gives_anti_triangular_stochastic_walk(case):
         spec = Custom(n, table)
     except Exception:
         assume(False)
-    w = transition_matrix(spec, n)
-    assert all(sum(row) == 1 for row in w.P)
-    assert all(v >= 0 for row in w.P for v in row)
-    assert all(w.P[x][z] == 0 for x in range(n) for z in range(n - 1 - x))
-    report = ergodicity(w)
+    p = transition_matrix(spec, n)
+    assert all(sum(row) == 1 for row in p)
+    assert all(v >= 0 for row in p for v in row)
+    assert all(p[x][z] == 0 for x in range(n) for z in range(n - 1 - x))
+    report = ergodicity(p)
     if report.irreducible:
-        pi = stationary(w)
-        assert la.vecmat(pi.weights, w.P) == pi.weights
+        pi = stationary(p)
+        assert la.vecmat(pi, p) == pi
         if report.ergodic:
-            assert detailed_balance(w, pi) == kolmogorov(w)
+            assert detailed_balance(p, pi) == kolmogorov(p)

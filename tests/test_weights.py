@@ -211,7 +211,7 @@ def test_classify_weight_gamma_grid():
 def test_factorize_constant_weight():
     spec = GammaAB(0, 0)
     pi = stationary(transition_matrix(spec, 4))
-    alpha, beta, valid = factorize(spec, 4, pi.weights)
+    alpha, beta, valid = factorize(spec, 4, pi)
     assert valid
     assert alpha == atomic_part(spec, 4)
     assert alpha[0] == weight_value(spec, 0, 0)
@@ -224,8 +224,8 @@ def test_factorize_gamma_c_beta_shape():
     spec = GammaC(1)
     n = 3
     pi = stationary(transition_matrix(spec, n))
-    assert pi.weights == [F(1, 9), F(4, 9), F(4, 9)]
-    alpha, beta, valid = factorize(spec, n, pi.weights)
+    assert pi == [F(1, 9), F(4, 9), F(4, 9)]
+    alpha, beta, valid = factorize(spec, n, pi)
     assert valid
     assert alpha == atomic_part(spec, n)
     # beta[y,x] proportional to x! (n-1-y)! / (x-y)! * c^(x-y)
@@ -245,7 +245,7 @@ def test_factorize_delta_family():
 
     spec = DeltaAB(4, 2)
     pi = invariant_closed_form(spec, 4)
-    alpha, _, valid = factorize(spec, 4, pi.weights)
+    alpha, _, valid = factorize(spec, 4, pi)
     assert valid
     assert alpha == atomic_part(spec, 4)
     assert alpha[0] == weight_value(spec, 0, 0)
@@ -255,7 +255,7 @@ def test_factorize_detects_non_reversible_weight():
     lam = [F(1), F(3, 5), F(3, 10), F(1, 20)]
     spec = custom_from_down_step(binomial_transform(lam))
     pi = stationary(transition_matrix(spec, 4))
-    assert not factorize(spec, 4, pi.weights)[2]
+    assert not factorize(spec, 4, pi)[2]
 
 
 def test_factorize_requires_positive_pi():
