@@ -496,6 +496,11 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# the ValueError Python raises when an int has more decimal digits than its
+# limit (sys.set_int_max_str_digits): a result too large to print, so exit 2
+_DIGIT_LIMIT = re.compile(r"Exceeds the limit \((\d+) digits\) for integer string conversion")
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -506,6 +511,11 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         return 0
     except Exception as exc:  # pragma: no cover - internal errors
+        limit = _DIGIT_LIMIT.match(str(exc)) if isinstance(exc, ValueError) else None
+        if limit:
+            print(f"error: a number in the result has more than {limit[1]} digits, "
+                  "the limit of Python's integer string conversion", file=sys.stderr)
+            return 2
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
     return 0

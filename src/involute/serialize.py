@@ -25,9 +25,19 @@ def format_rational(q: int | Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+# the largest |e| accepted in a decimal exponent such as "1e-e": Fraction
+# builds 10**|e|, which takes seconds from |e| = 10**6 on, and Python refuses
+# int literals of more than this many digits
+MAX_DECIMAL_EXPONENT = 4300
+
+
 def parse_rational(text: str) -> Fraction:
     text = text.strip()
+    _, has_exponent, exponent = text.lower().partition("e")
     try:
+        if has_exponent and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
+            raise OutOfRange(f"decimal exponent in {text!r} is above the limit of "
+                             f"{MAX_DECIMAL_EXPONENT} in magnitude")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise OutOfRange(f"cannot parse rational from {text!r}") from exc

@@ -27,10 +27,12 @@ is, when detailed balance holds against a strictly positive law; a walk with
 transient states is not.  The stationary law of a reversible walk and the
 Kolmogorov criterion are read from that one check.
 
-One engine decides reachability: the strongly connected components of the
-support graph (_sccs).  Ergodicity reads them, and the closed classes, those
-that no step leaves (_closed_classes), decide whether every state is
-recurrent and whether state 0 is reached from every state.  For a walk
+One engine decides reachability: the set of states each state reaches, a
+bitmask closed by Warshall's algorithm (_classes).  States that reach the
+same set form a communicating class, which ergodicity reads.  A class that
+reaches only itself is closed, no step leaves it (_closed_classes), and the
+closed classes decide whether every state is recurrent.  State 0 is reached
+from every state when every reach set holds it (_zero_reachable).  For a walk
 whose potentials exist their tree count already answers the last question:
 each tree spans a connected piece of a symmetric support, a class that no
 step leaves, so 0 is reached from every state exactly when there is one.
@@ -123,53 +125,29 @@ def support(p) -> list:
     return [[z for z, v in enumerate(row) if v] for row in p]
 
 
-def _sccs(adj: list) -> list:
-    """Strongly connected components, Tarjan's algorithm, iterative."""
-    n = len(adj)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, iter(adj[root]))]
-        while work:
-            v, edges = work[-1]
-            for u in edges:
-                if index[u] < 0:
-                    index[u] = low[u] = counter
-                    counter += 1
-                    stack.append(u)
-                    on_stack[u] = True
-                    work.append((u, iter(adj[u])))
-                    break
-                if on_stack[u] and index[u] < low[v]:
-                    low[v] = index[u]
-            else:
-                work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        u = stack.pop()
-                        on_stack[u] = False
-                        comp.append(u)
-                        if u == v:
-                            break
-                    comps.append(sorted(comp))
-    return sorted(comps)
+def _classes(p) -> dict:
+    """The communicating classes, keyed by the set of states they reach.
+
+    Each state's reach set is a bitmask, bit z set when z is reached in zero
+    or more steps.  It starts as the state and its row's support, read as a
+    binary numeral with state 0 the lowest bit, and is closed by Warshall's
+    algorithm.  Two states communicate exactly when their reach sets are
+    equal, so grouping by mask gives the classes, each a sorted list, in
+    order of least state.
+    """
+    reach = [int("".join(["1" if v else "0" for v in reversed(row)]), 2) | 1 << x
+             for x, row in enumerate(p)]
+    for k in range(len(reach)):
+        bit, via = 1 << k, reach[k]
+        reach = [r | via if r & bit else r for r in reach]
+    classes: dict = {}
+    for x, mask in enumerate(reach):
+        classes.setdefault(mask, []).append(x)
+    return classes
 
 
 def _class_period(adj: list, comp: list) -> int:
-    """gcd of cycle lengths inside one strongly connected component."""
+    """gcd of cycle lengths inside one communicating class."""
     comp_set = set(comp)
     root = comp[0]
     level = {root: 0}
@@ -189,10 +167,10 @@ def _class_period(adj: list, comp: list) -> int:
 
 
 def ergodicity(p) -> ErgodicityReport:
-    """Irreducibility by strongly connected components, aperiodicity by
-    the gcd of cycle lengths within each class."""
+    """Irreducibility by the communicating classes, aperiodicity by the gcd
+    of cycle lengths within each class."""
     adj = support(p)
-    comps = _sccs(adj)
+    comps = list(_classes(p).values())
     irreducible = len(comps) == 1
     aperiodic = True
     for comp in comps:
@@ -203,24 +181,14 @@ def ergodicity(p) -> ErgodicityReport:
 
 
 def _closed_classes(p) -> list:
-    """The communicating classes that no step leaves, in `_sccs` order."""
-    adj = support(p)
-    closed = []
-    for comp in _sccs(adj):
-        comp_set = set(comp)
-        if all(z in comp_set for x in comp for z in adj[x]):
-            closed.append(comp)
-    return closed
+    """The communicating classes that no step leaves: those that reach only
+    themselves."""
+    return [comp for mask, comp in _classes(p).items() if mask.bit_count() == len(comp)]
 
 
 def _zero_reachable(p) -> bool:
-    """State 0 is reached from every state.
-
-    Every state reaches some closed class and no step leaves one, so 0 is
-    reached from everywhere exactly when one class is closed and holds 0.
-    """
-    closed = _closed_classes(p)
-    return len(closed) == 1 and 0 in closed[0]
+    """State 0 is reached from every state, so from every class."""
+    return all(mask & 1 for mask in _classes(p))
 
 
 def _potentials(rows):

@@ -257,8 +257,8 @@ def test_conjecture_search_matches_fraction_oracle():
 
 def test_conjecture_search_never_searches_reachability(monkeypatch):
     # the potentials' tree count decides reachability in the sweep, so the
-    # strongly-connected-components pass never runs; classify_walk still
-    # runs it, which shows the spy is live
+    # reach-set closure never runs; classify_walk still runs it, which shows
+    # the spy is live
     from involute import classify, walk
 
     seen = []

@@ -9,13 +9,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import involute
-from involute import _linalg, classify, walk
+from involute import _linalg, classify, spectral, walk
 from involute.cli import main
 from involute.transform import lambda_walk
 from involute.walk import transition_matrix
@@ -336,6 +337,38 @@ def test_lambda_commands_share_the_stochastic_check(capsys, command):
 def test_family_weight_needs_n(capsys, command):
     assert run(capsys, command, "--gamma", "1", "1") == (
         2, "", "error: --n is required for family weights\n")
+
+
+def test_huge_decimal_exponent_exits_at_once(capsys):
+    # at 1e-10000000 Fraction alone spends seconds building 10**10000000
+    start = time.perf_counter()
+    code, out, err = run(capsys, "spectrum", "--lambda", "1,1e-10000000")
+    assert (code, out) == (2, "") and "above the limit of 4300" in err
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--gammac", "1", "--n", "14300"],  # 2^14299 has 4,305 digits
+    ["spectrum", "--lambda", "1,1e-5000"],  # refused as it is parsed
+    ["classify", "--lambda", "1,1/2,1e-5000"],
+    ["spectrum", "--lambda", "1,1e-4300"],  # 10^4300 has 4,301 digits
+    ["classify", "--lambda", "1,1/3,1e-4300"],  # in the printed label
+    ["classify", "--lambda", "1,1e-4300,1/2"],  # in the failed stochastic check's message
+])
+def test_result_past_the_digit_limit_exits_2(capsys, argv):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error: ") and "4300" in err
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_other_value_errors_stay_internal(monkeypatch, capsys):
+    def fail(seq):
+        raise ValueError("math domain error")
+
+    monkeypatch.setattr(spectral, "signed_eigenvalues", fail)
+    assert run(capsys, "spectrum", "--lambda", "1,1/2") == (
+        1, "", "internal error: math domain error\n")
 
 
 def test_eigvec_rejects_negative_d(capsys):
@@ -661,6 +694,8 @@ def test_bench_function_metrics_name_public_functions():
         ["check", "--gamma", "2", "4/3", "--n", "12", "adep"],
         ["--format", "json", "check", "--gamma", "1", "1/3", "--n", "8", "gadep"],
         ["check", "--matrix", str(DATA_DIR / "l4.csv"), "binomial-transform"],
+        ["check", "--lambda", "1,1/2,1/2,1/2", "ergodic"],
+        ["check", "--lambda", "1,1", "ergodic"],
     ],
 )
 def test_cli_same_under_optimize(argv):

@@ -10,6 +10,7 @@ from involute.serialize import (
     matrix_from_csv,
     matrix_to_csv,
     matrix_to_pretty,
+    MAX_DECIMAL_EXPONENT,
     parse_rational,
     parse_rational_list,
 )
@@ -41,6 +42,18 @@ def test_parse_errors():
         parse_rational("1/0")
     with pytest.raises(OutOfRange):
         parse_rational_list(" , ,")
+
+
+def test_decimal_exponent_is_bounded():
+    # Fraction builds 10**|e| for an exponent e, seconds from |e| = 10**6 on
+    assert parse_rational("1e400") == 10**400
+    assert parse_rational("0.25") == F(1, 4)
+    assert parse_rational(f"-1E+{MAX_DECIMAL_EXPONENT}") == -(10**MAX_DECIMAL_EXPONENT)
+    assert parse_rational(f"1e-{MAX_DECIMAL_EXPONENT}") == F(1, 10**MAX_DECIMAL_EXPONENT)
+    for text in (f"1e-{MAX_DECIMAL_EXPONENT + 1}", f"1E{MAX_DECIMAL_EXPONENT + 1}",
+                 "1e-1000000", "1e-10000000"):
+        with pytest.raises(OutOfRange, match=f"above the limit of {MAX_DECIMAL_EXPONENT}"):
+            parse_rational(text)
 
 
 def test_parse_rational_list():

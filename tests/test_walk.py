@@ -193,11 +193,12 @@ def test_zero_reachable_matches_fixed_point_oracle():
     assert 0 < sum(verdicts) < len(cases)
 
 
-def test_sccs_are_mutual_reachability_classes():
+def test_classes_are_mutual_reachability_classes():
     rng = random.Random(1729)
     for _ in range(500):
         n = rng.randint(1, 9)
-        adj = walk.support([[int(rng.random() < 0.3) for _ in range(n)] for _ in range(n)])
+        p = [[int(rng.random() < 0.3) for _ in range(n)] for _ in range(n)]
+        adj = walk.support(p)
         reach = []
         for x in range(n):
             seen, todo = {x}, [x]
@@ -207,8 +208,13 @@ def test_sccs_are_mutual_reachability_classes():
                         seen.add(z)
                         todo.append(z)
             reach.append(seen)
-        classes = {tuple(z for z in sorted(reach[x]) if x in reach[z]) for x in range(n)}
-        assert walk._sccs(adj) == sorted(list(c) for c in classes)
+        classes = sorted(list(c) for c in
+                         {tuple(z for z in sorted(reach[x]) if x in reach[z]) for x in range(n)})
+        found = walk._classes(p)
+        assert list(found.values()) == classes
+        assert list(found) == [sum(1 << z for z in reach[c[0]]) for c in classes]
+        assert walk._closed_classes(p) == [c for c in classes if reach[c[0]] == set(c)]
+        assert walk._zero_reachable(p) == all(0 in r for r in reach)
 
 
 def test_detailed_balance_examples():
