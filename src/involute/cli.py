@@ -150,9 +150,11 @@ def cmd_eigvec(args):
     if args.format == "json":
         print(json.dumps(system.to_dict()))
         return
-    for d, (value, vec) in enumerate(zip(system.eigenvalues, system.right_vectors)):
-        print(f"d={d}  eigenvalue={format_rational(value)}  right=" + ",".join(format_vector(vec)))
-    print("final-left=" + ",".join(format_vector(spectral.final_left_eigenvector(system.n))))
+    # formatted whole before any of it is written, so a failure leaves stdout empty
+    lines = [f"d={d}  eigenvalue={format_rational(value)}  right=" + ",".join(format_vector(vec))
+             for d, (value, vec) in enumerate(zip(system.eigenvalues, system.right_vectors))]
+    lines.append("final-left=" + ",".join(format_vector(spectral.final_left_eigenvector(system.n))))
+    print("\n".join(lines))
 
 
 _LAMBDA_PROPERTIES = ("stochastic", "globally-reversible")
@@ -259,15 +261,28 @@ def cmd_ladder(args):
         print(f"{m},{format_rational(nu)},{format_rational(ap)}")
 
 
+# trajectory lines formatted per write: a chunk's strings take under 100 kB,
+# so peak memory does not grow past that of writing line by line
+_SIMULATE_CHUNK = 1024
+
+
 def cmd_simulate(args):
     p = _walk(*_source_from_args(args))
     result = walk.simulate(p, args.start, args.steps, args.seed)
     if args.empirical:
         print(",".join(f"{f:.6f}" for f in result.empirical))
         return
+    traj = result.trajectory
+    suffix = [f",{x}\n" for x in range(len(p))]
     out = sys.stdout
     out.write("step,state\n")
-    out.writelines(f"{t},{x}\n" for t, x in enumerate(result.trajectory))
+    for start in range(0, len(traj), _SIMULATE_CHUNK):
+        chunk = traj[start:start + _SIMULATE_CHUNK]
+        # "t" and ",x\n" interleaved: the steps by str, the states by lookup
+        parts = [""] * (2 * len(chunk))
+        parts[::2] = map(str, range(start, start + len(chunk)))
+        parts[1::2] = map(suffix.__getitem__, chunk)
+        out.write("".join(parts))
 
 
 def cmd_subsets(args):

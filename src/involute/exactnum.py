@@ -12,14 +12,20 @@ import math
 from fractions import Fraction
 
 from .errors import OutOfRange
+from .serialize import parse_rational
 
 Rational = Fraction
 
 
 def as_rational(value) -> Fraction:
-    """Coerce ints, strings like '3/4' or '0.25', and Fractions exactly."""
+    """Coerce ints, strings like '3/4' or '0.25', and Fractions exactly.
+
+    Strings are read by `serialize.parse_rational`, which bounds a decimal
+    exponent before Fraction builds its power of ten."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str):
+        return parse_rational(value)
     if isinstance(value, float):
         # floats are rejected: 0.1 is not 1/10 and silent conversion would
         # poison exact-equality tests downstream

@@ -8,7 +8,6 @@ x + z < n - 1, where the defining interval is empty) with a middle dot.
 
 from __future__ import annotations
 
-import io
 import json
 from fractions import Fraction
 
@@ -19,10 +18,8 @@ DOT = "·"
 
 def format_rational(q: int | Fraction) -> str:
     """"p/q", or "p" when the denominator is 1, for an int or a Fraction:
-    both carry .numerator and .denominator, so nothing is converted."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    exactly what `str` prints for both, so every writer below maps `str`."""
+    return str(q)
 
 
 # the largest |e| accepted in a decimal exponent such as "1e-e": Fraction
@@ -52,16 +49,14 @@ def parse_rational_list(text: str) -> list[Fraction]:
 
 
 def format_vector(v) -> list[str]:
-    return [format_rational(x) for x in v]
+    return list(map(str, v))
 
 
 def matrix_to_csv(rows) -> str:
-    out = io.StringIO()
     n_cols = len(rows[0]) if rows else 0
-    out.write(",".join(f"c{j}" for j in range(n_cols)) + "\n")
-    for row in rows:
-        out.write(",".join(format_rational(x) for x in row) + "\n")
-    return out.getvalue()
+    lines = [",".join(f"c{j}" for j in range(n_cols))]
+    lines += [",".join(map(str, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def matrix_from_csv(text: str):
@@ -87,7 +82,7 @@ def matrix_from_csv(text: str):
 
 
 def matrix_to_json(rows) -> str:
-    entries = [[format_rational(x) for x in row] for row in rows]
+    entries = [list(map(str, row)) for row in rows]
     return json.dumps({"n": len(rows), "entries": entries})
 
 
@@ -101,7 +96,7 @@ def matrix_to_pretty(rows, structural_dots: bool = True) -> str:
             if structural_dots and value == 0 and x + z < n - 1 and len(row) == n:
                 line.append(DOT)
             else:
-                line.append(format_rational(value))
+                line.append(str(value))
         cells.append(line)
     widths = [max(len(cells[i][j]) for i in range(len(cells))) for j in range(len(cells[0]))]
     lines = []

@@ -18,9 +18,12 @@ eigenvalues are distinct, back-substitution on the integer-scaled T
 - right vector d is B c, c the eigenvector of T for T[d][d]
   (`right_eigenvectors`);
 - left vector d is w B^-1, w the eigenvector of T^T, found by the same
-  back-substitution on T^T read in reversed index order (`eigensystem`);
+  back-substitution on T^T read in reversed index order (`_left_side`);
 - pi is the left vector for mu_0 = 1, normalized to sum 1: a list of
   Fractions, the same kind of law `walk.stationary` returns.
+
+`eigensystem` solves the right vectors at once and the left side, the
+second solve, only when its `left_vectors` or `pi` is first read.
 
 Each vector is scaled to coprime integers with first nonzero entry > 0.  For
 a reversible walk the right vectors are pi-orthogonal and u_x = pi_x v_x up
@@ -53,22 +56,46 @@ from .weights import Custom, WeightSpec, _check_n, down_step_diagonal
 
 
 class EigenSystem(Record):
-    __slots__ = _fields = ("n", "eigenvalues", "right_vectors", "left_vectors", "pi")
+    """Signed eigenvalues, right and left eigenvectors for d <= dmax, and pi.
 
-    def __init__(self, n: int, eigenvalues: list, right_vectors: list, left_vectors: list,
-                 pi: list):
+    `eigensystem` passes T instead of the left side, which is then solved
+    on the first read of `left_vectors` or `pi`: of the `eigvec` formats
+    only JSON prints it.
+    """
+
+    _fields = ("n", "eigenvalues", "right_vectors", "left_vectors", "pi")
+    __slots__ = ("n", "eigenvalues", "right_vectors", "_left", "_t")
+
+    def __init__(self, n: int, eigenvalues: list, right_vectors: list,
+                 left_vectors: list | None = None, pi: list | None = None,
+                 t: list | None = None):
         self.n = n
         self.eigenvalues = eigenvalues  # signed, index d
         self.right_vectors = right_vectors  # integer-cleared, pi-orthogonal if reversible
-        self.left_vectors = left_vectors  # integer-cleared rationals, u P = eigenvalue * u
-        self.pi = pi  # the stationary law, Fractions summing to 1
+        # the left vectors, integer-cleared rationals with u P = eigenvalue * u, and pi,
+        # the stationary law as Fractions summing to 1; None until solved from t
+        self._left = None if t is not None else (left_vectors, pi)
+        self._t = t
+
+    def _solved_left(self) -> tuple:
+        if self._left is None:
+            self._left = _left_side(self._t, len(self.right_vectors))
+        return self._left
+
+    @property
+    def left_vectors(self) -> list:
+        return self._solved_left()[0]
+
+    @property
+    def pi(self) -> list:
+        return self._solved_left()[1]
 
     def to_dict(self) -> dict:
-        from .serialize import format_rational, format_vector
+        from .serialize import format_vector
 
         return {
             "n": self.n,
-            "eigenvalues": [format_rational(v) for v in self.eigenvalues],
+            "eigenvalues": format_vector(self.eigenvalues),
             "right_vectors": [format_vector(v) for v in self.right_vectors],
             "left_vectors": [format_vector(v) for v in self.left_vectors],
             "pi": format_vector(self.pi),
@@ -142,13 +169,10 @@ def eigensystem(lam, dmax: int | None = None) -> EigenSystem:
     of the walk of lam.
 
     lam must be stochastic (`transform.stochastic_sequence`), as a named
-    family's sequence is within its domain.  With S[i][k] = T[n-1-k][n-1-i],
-    T^T in reversed index order, S is upper triangular, and its eigenvector
-    for S[j][j] = T[d][d], j = n-1-d, read backwards is the w with
-    w T = T[d][d] w, zero below index d.  The left vector u = w B^-1 is
-    primitive because B^-1 is unimodular.  With distinct signed eigenvalues
-    1 is a simple eigenvalue, so pi, u_0 over its sum, is the one
-    stationary law.
+    family's sequence is within its domain.  Every signed eigenvalue, not
+    only those up to dmax, must be distinct.  The right vectors are solved
+    here; the left side is solved from T when it is first read
+    (`_left_side`).
     """
     n = len(lam)
     if n < 1:
@@ -157,6 +181,21 @@ def eigensystem(lam, dmax: int | None = None) -> EigenSystem:
         raise OutOfRange(f"eigenvectors need dmax >= 0, got {dmax}")
     top = n if dmax is None else min(dmax + 1, n)
     t = _pascal_triangular(lam, n)
+    rights = _right_vectors(la.top_left(t, top), n)
+    return EigenSystem(n, signed_eigenvalues(lam[:top]), rights, t=t)
+
+
+def _left_side(t: list, top: int) -> tuple:
+    """(left vectors d < top, pi) of the walk whose T is t.
+
+    With S[i][k] = T[n-1-k][n-1-i], T^T in reversed index order, S is upper
+    triangular, and its eigenvector for S[j][j] = T[d][d], j = n-1-d, read
+    backwards is the w with w T = T[d][d] w, zero below index d.  The left
+    vector u = w B^-1 is primitive because B^-1 is unimodular.  With
+    distinct signed eigenvalues 1 is a simple eigenvalue, so pi, u_0 over
+    its sum, is the one stationary law.
+    """
+    n = len(t)
     backwards = la.triangular_eigenvectors(
         [[t[n - 1 - k][n - 1 - i] for k in range(n)] for i in range(n)], n - top)
     # u = w B^-1 means sum_y u_y t^y = W(t - 1), W(t) = sum_x w_x t^x, so
@@ -171,9 +210,7 @@ def eigensystem(lam, dmax: int | None = None) -> EigenSystem:
             r[:m] = accumulate(r[:m])
         lefts.append(_oriented(list(map(mul, sign, r))[::-1]))
     total = sum(x.numerator for x in lefts[0])
-    pi = [Fraction(x.numerator, total) for x in lefts[0]]
-    rights = _right_vectors(la.top_left(t, top), n)
-    return EigenSystem(n, signed_eigenvalues(lam[:top]), rights, lefts, pi)
+    return lefts, [Fraction(x.numerator, total) for x in lefts[0]]
 
 
 def final_left_eigenvector(n: int) -> list:

@@ -46,6 +46,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, islice
 
 from . import _linalg as la
 from ._record import Record
@@ -81,11 +82,27 @@ class ErgodicityReport(Record):
 
 
 class SimulationResult(Record):
-    __slots__ = _fields = ("trajectory", "empirical")
+    """A seeded trajectory and its visit frequencies as floats.
 
-    def __init__(self, trajectory: list, empirical: list):
+    `simulate` gives the number of states instead of the frequencies, which
+    are then counted from the trajectory each time `empirical` is read.
+    """
+
+    _fields = ("trajectory", "empirical")
+    __slots__ = ("trajectory", "_empirical", "_n")
+
+    def __init__(self, trajectory: list, empirical: list | None = None, n: int | None = None):
         self.trajectory = trajectory
-        self.empirical = empirical  # visit frequencies as floats
+        self._empirical = empirical
+        self._n = n
+
+    @property
+    def empirical(self) -> list:
+        if self._empirical is not None:
+            return self._empirical
+        counts = Counter(self.trajectory)
+        total = len(self.trajectory)
+        return [counts[x] / total for x in range(self._n)]
 
 
 class SubsetWalk(Record):
@@ -122,21 +139,21 @@ def transition_matrix(spec: WeightSpec, n: int) -> list:
 
 
 def support(p) -> list:
-    return [[z for z, v in enumerate(row) if v] for row in p]
+    """Each row's nonzero columns, in order."""
+    return [list(compress(range(len(row)), row)) for row in p]
 
 
-def _classes(p) -> dict:
-    """The communicating classes, keyed by the set of states they reach.
+def _classes(adj: list) -> dict:
+    """The communicating classes of a walk with support lists adj, keyed by
+    the set of states they reach.
 
     Each state's reach set is a bitmask, bit z set when z is reached in zero
-    or more steps.  It starts as the state and its row's support, read as a
-    binary numeral with state 0 the lowest bit, and is closed by Warshall's
-    algorithm.  Two states communicate exactly when their reach sets are
-    equal, so grouping by mask gives the classes, each a sorted list, in
-    order of least state.
+    or more steps.  It starts as the state and its row's support, the sum of
+    their powers of two, and is closed by Warshall's algorithm.  Two states
+    communicate exactly when their reach sets are equal, so grouping by mask
+    gives the classes, each a sorted list, in order of least state.
     """
-    reach = [int("".join(["1" if v else "0" for v in reversed(row)]), 2) | 1 << x
-             for x, row in enumerate(p)]
+    reach = [sum(map((1).__lshift__, row)) | 1 << x for x, row in enumerate(adj)]
     for k in range(len(reach)):
         bit, via = 1 << k, reach[k]
         reach = [r | via if r & bit else r for r in reach]
@@ -170,7 +187,7 @@ def ergodicity(p) -> ErgodicityReport:
     """Irreducibility by the communicating classes, aperiodicity by the gcd
     of cycle lengths within each class."""
     adj = support(p)
-    comps = list(_classes(p).values())
+    comps = list(_classes(adj).values())
     irreducible = len(comps) == 1
     aperiodic = True
     for comp in comps:
@@ -183,12 +200,12 @@ def ergodicity(p) -> ErgodicityReport:
 def _closed_classes(p) -> list:
     """The communicating classes that no step leaves: those that reach only
     themselves."""
-    return [comp for mask, comp in _classes(p).items() if mask.bit_count() == len(comp)]
+    return [comp for mask, comp in _classes(support(p)).items() if mask.bit_count() == len(comp)]
 
 
 def _zero_reachable(p) -> bool:
     """State 0 is reached from every state, so from every class."""
-    return all(mask & 1 for mask in _classes(p))
+    return all(mask & 1 for mask in _classes(support(p)))
 
 
 def _potentials(rows):
@@ -309,13 +326,16 @@ def kolmogorov(p) -> bool:
 
 
 # steps simulate may take: the trajectory holds steps + 1 states (8 MB of
-# list at the budget), so a huge count is refused instead of exhausting memory
+# list at the budget, and no other copy: `cli` formats its CSV about a
+# thousand lines at a time), so a huge count is refused instead of exhausting
+# memory
 SIMULATION_BUDGET = 1_000_000
 
 
 def simulate(rows, x0: int, steps: int, seed: int) -> SimulationResult:
     """Seeded trajectory by inverse-CDF sampling on float row copies;
-    0 <= steps <= SIMULATION_BUDGET."""
+    0 <= steps <= SIMULATION_BUDGET.  Visits are counted only when the
+    result's `empirical` is read."""
     n = len(rows)
     if not 0 <= x0 < n:
         raise OutOfRange(f"start state {x0} outside 0..{n - 1}")
@@ -333,17 +353,15 @@ def simulate(rows, x0: int, steps: int, seed: int) -> SimulationResult:
             c.append(acc)
         c[-1] = 1.0
         cum.append(c)
-    draw = random.Random(seed).random
     traj = [x0]
     append = traj.append
     x = x0
-    for _ in range(steps):
-        # draw() < 1.0 = c[-1], so the index is at most n - 1
-        x = bisect_right(cum[x], draw())
+    # random() < 1.0 never meets the sentinel 2.0, and is < c[-1], so the
+    # index is at most n - 1
+    for u in islice(iter(random.Random(seed).random, 2.0), steps):
+        x = bisect_right(cum[x], u)
         append(x)
-    counts = Counter(traj)
-    total = steps + 1
-    return SimulationResult(traj, [counts[x] / total for x in range(n)])
+    return SimulationResult(traj, n=n)
 
 
 def total_variation(p, q) -> float:

@@ -17,12 +17,14 @@ import pytest
 
 import involute
 from involute import _linalg, classify, spectral, walk
+from involute.cli import _SIMULATE_CHUNK as CHUNK
 from involute.cli import main
+from involute.spectral import family_sequence
 from involute.transform import lambda_walk
 from involute.walk import transition_matrix
-from involute.weights import DeltaAB, GammaAB
+from involute.weights import DeltaAB, GammaAB, GammaC
 
-from oracles import simulate_stepwise
+from oracles import matvec, simulate_stepwise
 
 PACKAGE_DIR = Path(involute.__file__).parent
 
@@ -322,9 +324,61 @@ def test_eigvec_lambda(capsys):
     payload = json.loads(out)
     assert payload["left_vectors"][0] == ["1", "3", "5", "5"]
     assert payload["pi"] == ["1/14", "3/14", "5/14", "5/14"]
-    assert run(capsys, "eigvec", "--lambda", "1,0,0") == (
-        2, "", "error: signed eigenvalue 0 repeats at d=1 and d'=2; "
-               "eigenvectors need distinct signed eigenvalues\n")
+    repeated = (2, "", "error: signed eigenvalue 0 repeats at d=1 and d'=2; "
+                       "eigenvectors need distinct signed eigenvalues\n")
+    assert run(capsys, "eigvec", "--lambda", "1,0,0") == repeated
+    # the whole sequence is checked, not only the printed prefix
+    assert run(capsys, "eigvec", "--lambda", "1,0,0", "--d", "0") == repeated
+
+
+EIGVEC_SOURCES = [
+    (("--gamma", "1", "1/3", "--n", "9"), family_sequence(GammaAB(1, F(1, 3)), 9),
+     transition_matrix(GammaAB(1, F(1, 3)), 9)),
+    (("--gammac", "1/2", "--n", "7"), family_sequence(GammaC(F(1, 2)), 7),
+     transition_matrix(GammaC(F(1, 2)), 7)),
+    (("--delta", "21/2", "43/4", "--n", "8"), family_sequence(DeltaAB(F(21, 2), F(43, 4)), 8),
+     transition_matrix(DeltaAB(F(21, 2), F(43, 4)), 8)),
+    (("--lambda", "1,1/2,3/10,1/5"), [F(1), F(1, 2), F(3, 10), F(1, 5)],
+     lambda_walk([F(1), F(1, 2), F(3, 10), F(1, 5)])),
+]
+
+
+@pytest.mark.parametrize("flags, lam, p", EIGVEC_SOURCES,
+                         ids=["gamma", "gammac", "delta", "lambda"])
+@pytest.mark.parametrize("dmax", [None, 0, 2])
+def test_eigvec_prints_the_engine_right_vectors_without_the_left_side(monkeypatch, capsys,
+                                                                      flags, lam, p, dmax):
+    system = spectral.eigensystem(lam, dmax)
+    expected = list(zip(system.eigenvalues, system.right_vectors))
+    assert all(matvec(p, vec) == [value * x for x in vec] for value, vec in expected)
+    d_flag = () if dmax is None else ("--d", str(dmax))
+
+    def solve_left(t, top):
+        raise AssertionError("the left side was solved")
+
+    monkeypatch.setattr(spectral, "_left_side", solve_left)
+    for fmt in ("pretty", "csv"):
+        code, out, _ = run(capsys, "--format", fmt, "eigvec", *flags, *d_flag)
+        *lines, final = out.splitlines()
+        printed = []
+        for d, line in enumerate(lines):
+            head, value, right = line.split("  ")
+            assert head == f"d={d}"
+            printed.append((F(value.removeprefix("eigenvalue=")),
+                            [F(x) for x in right.removeprefix("right=").split(",")]))
+        assert (code, printed) == (0, expected)
+        assert final == "final-left=" + ",".join(
+            str(x) for x in spectral.final_left_eigenvector(len(lam)))
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "--format", "json", "eigvec", *flags, *d_flag)
+    assert (code, json.loads(out)) == (0, system.to_dict())
+
+
+def test_eigvec_writes_nothing_on_failure(capsys):
+    # d=0 and d=1 format, then 10^4300 passes the digit limit: no line is written
+    assert run(capsys, "eigvec", "--lambda", "1,1/2,1e-4300") == (
+        2, "", "error: a number in the result has more than 4300 digits, the limit of "
+               "Python's integer string conversion\n")
 
 
 @pytest.mark.parametrize("command", ["matrix", "spectrum", "eigvec"])
@@ -469,6 +523,15 @@ def test_simulate_output_matches_stepwise_loop(capsys):
                                                                 for t, x in enumerate(traj)))
             code, out, _ = run(capsys, *argv, "--empirical")
             assert (code, out) == (0, ",".join(f"{f:.6f}" for f in empirical) + "\n")
+
+
+@pytest.mark.parametrize("steps", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_simulate_csv_across_chunk_edges(capsys, steps):
+    w = transition_matrix(GammaAB(1, F(1, 3)), 12)
+    traj, _ = simulate_stepwise(w, 11, steps, 4)
+    code, out, _ = run(capsys, "simulate", "--gamma", "1", "1/3", "--n", "12", "--start", "11",
+                       "--steps", str(steps), "--seed", "4")
+    assert (code, out) == (0, "step,state\n" + "".join(f"{t},{x}\n" for t, x in enumerate(traj)))
 
 
 def test_simulate_empirical(capsys):
@@ -696,6 +759,8 @@ def test_bench_function_metrics_name_public_functions():
         ["check", "--matrix", str(DATA_DIR / "l4.csv"), "binomial-transform"],
         ["check", "--lambda", "1,1/2,1/2,1/2", "ergodic"],
         ["check", "--lambda", "1,1", "ergodic"],
+        ["simulate", "--gamma", "1", "1", "--n", "4", "--steps", "20000"],
+        ["eigvec", "--lambda", "1,0,0", "--d", "0"],
     ],
 )
 def test_cli_same_under_optimize(argv):

@@ -1,5 +1,6 @@
-"""Binomial identities, checked exactly."""
+"""Binomial identities, checked exactly, and exact coercion."""
 
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from involute.errors import OutOfRange
-from involute.exactnum import binom
+from involute.exactnum import as_rational, binom
 
 rationals = st.fractions(
     min_value=-8, max_value=8, max_denominator=12
@@ -76,3 +77,16 @@ def test_multiset_sum_identities():
 def test_float_inputs_are_rejected():
     with pytest.raises(OutOfRange):
         binom(0.5, 2)
+
+
+def test_as_rational_bounds_string_exponents():
+    # strings are read by serialize.parse_rational: "1e-1000000" is refused
+    # before Fraction builds 10**1000000, which takes a third of a second
+    start = time.perf_counter()
+    with pytest.raises(OutOfRange, match="above the limit of 4300"):
+        as_rational("1e-1000000")
+    assert time.perf_counter() - start < 0.05
+    for value, expected in (("3/4", F(3, 4)), ("0.25", F(1, 4)), (5, F(5)), (-2, F(-2)),
+                            ("1e-4300", F(1, 10**4300)), (F(2, 3), F(2, 3))):
+        result = as_rational(value)
+        assert (type(result), result) == (F, expected)

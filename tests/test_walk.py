@@ -13,6 +13,7 @@ from involute.errors import NoPositiveStationary, NotIrreducible, OutOfRange
 from involute.transform import _pl_rows, lambda_walk, pl_matrix, stochastic_lattice
 from involute.spectral import eigensystem, family_sequence
 from involute.walk import (
+    SimulationResult,
     checked_walk,
     ergodicity,
     invariant_closed_form,
@@ -158,6 +159,19 @@ def test_ergodicity_examples():
     assert report.irreducible and not report.aperiodic and not report.ergodic
 
 
+def test_ergodicity_reads_each_entry_once():
+    reads = []
+
+    class Entry(F):
+        def __bool__(self):
+            reads.append(self)
+            return super().__bool__()
+
+    p = [[Entry(v) for v in row] for row in transition_matrix(GammaAB(1, F(1, 3)), 12)]
+    assert ergodicity(p) == ergodicity(transition_matrix(GammaAB(1, F(1, 3)), 12))
+    assert len(reads) == 12 * 12
+
+
 def test_constant_tail_walk_is_reducible_despite_zero_access():
     # lambda = (1, 1/2, 1/2, 1/2): 0 is reachable from every state, yet the
     # support splits into the classes {0, 3} and {1, 2}
@@ -210,7 +224,7 @@ def test_classes_are_mutual_reachability_classes():
             reach.append(seen)
         classes = sorted(list(c) for c in
                          {tuple(z for z in sorted(reach[x]) if x in reach[z]) for x in range(n)})
-        found = walk._classes(p)
+        found = walk._classes(adj)
         assert list(found.values()) == classes
         assert list(found) == [sum(1 << z for z in reach[c[0]]) for c in classes]
         assert walk._closed_classes(p) == [c for c in classes if reach[c[0]] == set(c)]
@@ -419,6 +433,19 @@ def test_simulate_matches_stepwise_loop():
                     result = simulate(w, x0, steps, seed)
                     assert (result.trajectory, result.empirical) == simulate_stepwise(
                         w, x0, steps, seed)
+
+
+def test_simulate_counts_visits_only_when_empirical_is_read(monkeypatch):
+    w = transition_matrix(GammaAB(1, F(1, 3)), 20)
+    for x0, steps, seed in ((19, 0, 0), (0, 1, 3), (19, 2500, 11)):
+        monkeypatch.setattr(walk, "Counter", None)  # counting here would fail
+        result = simulate(w, x0, steps, seed)
+        monkeypatch.undo()
+        traj, empirical = simulate_stepwise(w, x0, steps, seed)
+        assert result.trajectory == traj
+        assert result.empirical == empirical and len(empirical) == 20
+    # frequencies given to the record are kept as they are
+    assert SimulationResult([0, 1], [0.25, 0.75]).empirical == [0.25, 0.75]
 
 
 def test_simulate_reaches_stationary():
