@@ -8,7 +8,7 @@ itself carries the absolute values of the eigenvalues.
 
 from fractions import Fraction as F
 
-from involute.serialize import format_vector, matrix_to_pretty
+from involute.serialize import matrix_to_pretty
 from involute.spectral import family_sequence, signed_eigenvalues
 from involute.walk import stationary, transition_matrix
 from involute.weights import DeltaAB, GammaAB, GammaC, spec_label
@@ -26,9 +26,9 @@ for spec in SPECS:
     p = transition_matrix(spec, 4)
     print(f"P for {spec_label(spec)}:")
     print(matrix_to_pretty(p))
-    print("stationary:", ", ".join(format_vector(stationary(p))))
+    print("stationary:", ", ".join(map(str, stationary(p))))
     signed = signed_eigenvalues(family_sequence(spec, 4))
-    print("eigenvalues:", ", ".join(format_vector(signed)))
+    print("eigenvalues:", ", ".join(map(str, signed)))
     anti = [p[d][3 - d] for d in range(4)]
-    print("anti-diagonal:", ", ".join(format_vector(anti)))
+    print("anti-diagonal:", ", ".join(map(str, anti)))
     print()

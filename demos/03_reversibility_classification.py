@@ -15,11 +15,10 @@ from involute.classify import (
     conjecture_search,
     exceptional_ladder,
 )
-from involute.serialize import format_rational
 
 print("mu = 2/3, n = 10 exceptional ladder (m, nu_m, a'_m):")
 for m, nu, ap in exceptional_ladder(F(2, 3), 10):
-    print(f"  m={m}  nu={format_rational(nu)}  a'={format_rational(ap)}")
+    print(f"  m={m}  nu={nu}  a'={ap}")
 print()
 
 EXAMPLES = [
@@ -29,7 +28,7 @@ EXAMPLES = [
     [F(1), F(2, 3), F(10, 23)],
 ]
 for lam in EXAMPLES:
-    shown = ",".join(format_rational(v) for v in lam)
+    shown = ",".join(map(str, lam))
     print(f"lambda = ({shown}) -> {classification_label(classify_walk(lam))}")
 print()
 
@@ -43,6 +42,6 @@ for n in (3, 4):
     shown = 0
     for record in summary.records:
         if record.reversible and shown < 5:
-            lam = ",".join(format_rational(v) for v in record.lam)
+            lam = ",".join(map(str, record.lam))
             print(f"  ({lam}) -> {classification_label(record.classification)}")
             shown += 1

@@ -9,19 +9,18 @@ the empirical visit frequencies settling on the invariant law.
 
 from fractions import Fraction as F
 
-from involute.serialize import format_rational, format_vector
 from involute.walk import simulate, subset_walk, total_variation
 
 m, p = 3, F(1, 3)
 sub = subset_walk(m, p)
 print(f"m={m}, p={p}: states are bitmasks, bit i <-> element i+1")
-print("pi           =", ", ".join(format_vector(sub.pi)))
-print("eigenvalues  =", ", ".join(format_vector(sub.eigenvalues)))
+print("pi           =", ", ".join(map(str, sub.pi)))
+print("eigenvalues  =", ", ".join(map(str, sub.eigenvalues)))
 
 counts = {}
 for value in sub.eigenvalues:
     counts[value] = counts.get(value, 0) + 1
-print("multiplicities:", {format_rational(k): v for k, v in counts.items()})
+print("multiplicities:", {str(k): v for k, v in counts.items()})
 
 run = simulate(sub.walk, x0=0, steps=200_000, seed=424242)
 tv = total_variation(run.empirical, [float(w) for w in sub.pi])

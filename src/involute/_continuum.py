@@ -20,7 +20,7 @@ import math
 
 from .errors import QuadratureNonConvergence
 
-CONVERGENCE_MAX_N = 400  # input budget; the eigensystem costs ~2x per doubling of n
+CONVERGENCE_MAX_N = 400  # the tested range, not a cost limit: d + 1 <= 6 vectors cost O(n)
 CONVERGENCE_MAX_SIZES = 8
 
 QUAD_NODE_BUDGET = 2**15  # integrand evaluations before QuadratureNonConvergence

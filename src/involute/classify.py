@@ -202,35 +202,19 @@ def classification_label(c: Classification) -> str:
 
 
 class SearchRecord(Record):
-    __slots__ = _fields = ("lam", "stochastic", "reversible", "classification")
+    """A stochastic grid sequence, its reversibility and, if reversible, its family."""
 
-    def __init__(self, lam: list, stochastic: bool, reversible: bool,
-                 classification: Classification | None):
-        self.lam, self.stochastic, self.reversible = lam, stochastic, reversible
-        self.classification = classification
+    __slots__ = _fields = ("lam", "reversible", "classification")
 
-    def to_dict(self, text: dict | None = None) -> dict:
-        """The record as JSON-ready values.
+    def __init__(self, lam: list, reversible: bool, classification: Classification | None):
+        self.lam, self.reversible, self.classification = lam, reversible, classification
 
-        A caller that converts every record of one sweep passes one `text`
-        dict, id(value) -> its format_rational string, so each grid value,
-        which the records share, is formatted once.  It is keyed by id
-        because a Fraction hash costs about as much as the formatting, so
-        the dict must not outlive the records whose values it holds.
-        """
-        from .serialize import format_rational
-
-        if text is None:
-            text = {}
-        lam = []
-        for v in self.lam:
-            s = text.get(id(v))
-            if s is None:
-                s = text[id(v)] = format_rational(v)
-            lam.append(s)
+    def to_dict(self) -> dict:
+        """The record as JSON-ready values, each rational as its `str`."""
         return {
-            "lambda": lam,
-            "stochastic": self.stochastic,
+            "lambda": list(map(str, self.lam)),
+            # every record is a point of the stochastic lattice
+            "stochastic": True,
             "reversible": self.reversible,
             "classification": None
             if self.classification is None
@@ -277,7 +261,7 @@ def conjecture_search(n: int, *, max_denominator: int = 8) -> SearchSummary:
         found = _potentials(_pl_rows(scaled))
         lam = [value[v] for v in scaled]
         classification = None if found is None else _classify(lam, found[1] == 1)
-        records.append(SearchRecord(lam, True, found is not None, classification))
+        records.append(SearchRecord(lam, found is not None, classification))
     return SearchSummary(
         n=n,
         stochastic=len(records),

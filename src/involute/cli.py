@@ -22,8 +22,6 @@ from . import spectral, transform, walk
 from ._continuum import CONVERGENCE_MAX_N, CONVERGENCE_MAX_SIZES
 from .errors import InvoluteError
 from .serialize import (
-    format_rational,
-    format_vector,
     matrix_from_csv,
     matrix_to_csv,
     matrix_to_json,
@@ -118,11 +116,11 @@ def _emit_matrix(rows, fmt: str):
 
 def _emit_vector(v, fmt: str, name: str):
     if fmt == "csv":
-        print(",".join(format_vector(v)))
+        print(",".join(map(str, v)))
     elif fmt == "json":
-        print(json.dumps({name: format_vector(v)}))
+        print(json.dumps({name: list(map(str, v))}))
     else:
-        print("  ".join(format_vector(v)))
+        print("  ".join(map(str, v)))
 
 
 def _down_step(p: list) -> list:
@@ -151,9 +149,9 @@ def cmd_eigvec(args):
         print(json.dumps(system.to_dict()))
         return
     # formatted whole before any of it is written, so a failure leaves stdout empty
-    lines = [f"d={d}  eigenvalue={format_rational(value)}  right=" + ",".join(format_vector(vec))
+    lines = [f"d={d}  eigenvalue={value}  right=" + ",".join(map(str, vec))
              for d, (value, vec) in enumerate(zip(system.eigenvalues, system.right_vectors))]
-    lines.append("final-left=" + ",".join(format_vector(spectral.final_left_eigenvector(system.n))))
+    lines.append("final-left=" + ",".join(map(str, spectral.final_left_eigenvector(system.n))))
     print("\n".join(lines))
 
 
@@ -247,18 +245,11 @@ def cmd_ladder(args):
     mu = parse_rational(args.mu)
     rows = cls.exceptional_ladder(mu, args.n)
     if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {"m": m, "nu": format_rational(nu), "a_prime": format_rational(ap)}
-                    for m, nu, ap in rows
-                ]
-            )
-        )
+        print(json.dumps([{"m": m, "nu": str(nu), "a_prime": str(ap)} for m, nu, ap in rows]))
         return
     print("m,nu,a_prime")
     for m, nu, ap in rows:
-        print(f"{m},{format_rational(nu)},{format_rational(ap)}")
+        print(f"{m},{nu},{ap}")
 
 
 # trajectory lines formatted per write: a chunk's strings take under 100 kB,
@@ -290,8 +281,8 @@ def cmd_subsets(args):
     if args.matrix:
         _emit_matrix(sub.walk, args.format)
         return
-    print("pi=" + ",".join(format_vector(sub.pi)))
-    print("eigenvalues=" + ",".join(format_vector(sub.eigenvalues)))
+    print("pi=" + ",".join(map(str, sub.pi)))
+    print("eigenvalues=" + ",".join(map(str, sub.eigenvalues)))
 
 
 def _parse_sizes(text: str) -> list:
@@ -338,8 +329,7 @@ def cmd_continuum(args):
 
 def cmd_conjecture(args):
     summary = cls.conjecture_search(args.n, max_denominator=args.max_denominator)
-    text = {}  # one string per grid value, shared by the records
-    sys.stdout.write("".join(json.dumps(record.to_dict(text)) + "\n"
+    sys.stdout.write("".join(json.dumps(record.to_dict()) + "\n"
                              for record in summary.records))
     bad = summary.unclassified_reversible
     print(
@@ -381,18 +371,18 @@ def cmd_repro(args):
             for tau in (Fraction(1, 4), Fraction(1)):
                 mat = transform.gadep_counterexample(which, tau)
                 rep = transform.property_report(mat)
-                print(f"{which} at tau={format_rational(tau)}: "
+                print(f"{which} at tau={tau}: "
                       f"gadep={rep.gadep} binomial_transform={rep.is_binomial_transform}")
                 print(matrix_to_pretty(mat, structural_dots=False))
                 print()
     elif target == "example7-table":
         print("nu,a_prime,m")
         for m, nu, ap in cls.exceptional_ladder(Fraction(2, 3), 10):
-            print(f"{format_rational(nu)},{format_rational(ap)},{m}")
+            print(f"{nu},{ap},{m}")
     elif target == "fig1-ladder":
         print("m,nu_m(2/3)")
         for m in range(2, 7):
-            print(f"{m},{format_rational(cls.nu_ladder(m, Fraction(2, 3)))}")
+            print(f"{m},{cls.nu_ladder(m, Fraction(2, 3))}")
     else:  # fig2-convergence; argparse's choices admit no other target
         from . import continuum as cont
 

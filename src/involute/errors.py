@@ -13,10 +13,6 @@ class IndexOutOfDomain(InvoluteError):
     """An interval index lies outside the weight's domain."""
 
 
-class ZeroNorm(InvoluteError):
-    """A weight column sum N(gamma)_x vanished, so no step distribution exists."""
-
-
 class MalformedWeight(InvoluteError):
     """A weight table breaks the definition (negative value, zero column sum)."""
 

@@ -1,9 +1,11 @@
 """Parsing and formatting of rationals, matrices and vectors.
 
-Rationals serialize as "p/q", or just "p" when the denominator is 1.  The
-parser additionally accepts terminating decimals ("0.25"), which convert
-exactly.  Pretty matrix output marks structural zeros (entries with
-x + z < n - 1, where the defining interval is empty) with a middle dot.
+A rational prints as `str` prints it: "p/q", or just "p" when the
+denominator is 1, for a Fraction and an int alike, so every writer maps
+`str` over its entries.  The parser additionally accepts terminating
+decimals ("0.25"), which convert exactly.  Pretty matrix output marks
+structural zeros (entries with x + z < n - 1, where the defining interval
+is empty) with a middle dot.
 """
 
 from __future__ import annotations
@@ -14,12 +16,6 @@ from fractions import Fraction
 from .errors import OutOfRange
 
 DOT = "·"
-
-
-def format_rational(q: int | Fraction) -> str:
-    """"p/q", or "p" when the denominator is 1, for an int or a Fraction:
-    exactly what `str` prints for both, so every writer below maps `str`."""
-    return str(q)
 
 
 # the largest |e| accepted in a decimal exponent such as "1e-e": Fraction
@@ -46,10 +42,6 @@ def parse_rational_list(text: str) -> list[Fraction]:
     if not items:
         raise OutOfRange("empty rational list")
     return [parse_rational(t) for t in items]
-
-
-def format_vector(v) -> list[str]:
-    return list(map(str, v))
 
 
 def matrix_to_csv(rows) -> str:

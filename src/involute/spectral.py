@@ -58,23 +58,21 @@ from .weights import Custom, WeightSpec, _check_n, down_step_diagonal
 class EigenSystem(Record):
     """Signed eigenvalues, right and left eigenvectors for d <= dmax, and pi.
 
-    `eigensystem` passes T instead of the left side, which is then solved
-    on the first read of `left_vectors` or `pi`: of the `eigvec` formats
-    only JSON prints it.
+    It is built from the right side and T, and the left side is solved from
+    T on the first read of `left_vectors` or `pi`, then kept: of the
+    `eigvec` formats only JSON prints it.
     """
 
     _fields = ("n", "eigenvalues", "right_vectors", "left_vectors", "pi")
     __slots__ = ("n", "eigenvalues", "right_vectors", "_left", "_t")
 
-    def __init__(self, n: int, eigenvalues: list, right_vectors: list,
-                 left_vectors: list | None = None, pi: list | None = None,
-                 t: list | None = None):
+    def __init__(self, n: int, eigenvalues: list, right_vectors: list, t: list):
         self.n = n
         self.eigenvalues = eigenvalues  # signed, index d
         self.right_vectors = right_vectors  # integer-cleared, pi-orthogonal if reversible
         # the left vectors, integer-cleared rationals with u P = eigenvalue * u, and pi,
         # the stationary law as Fractions summing to 1; None until solved from t
-        self._left = None if t is not None else (left_vectors, pi)
+        self._left = None
         self._t = t
 
     def _solved_left(self) -> tuple:
@@ -91,14 +89,12 @@ class EigenSystem(Record):
         return self._solved_left()[1]
 
     def to_dict(self) -> dict:
-        from .serialize import format_vector
-
         return {
             "n": self.n,
-            "eigenvalues": format_vector(self.eigenvalues),
-            "right_vectors": [format_vector(v) for v in self.right_vectors],
-            "left_vectors": [format_vector(v) for v in self.left_vectors],
-            "pi": format_vector(self.pi),
+            "eigenvalues": list(map(str, self.eigenvalues)),
+            "right_vectors": [list(map(str, v)) for v in self.right_vectors],
+            "left_vectors": [list(map(str, v)) for v in self.left_vectors],
+            "pi": list(map(str, self.pi)),
         }
 
 
@@ -182,7 +178,7 @@ def eigensystem(lam, dmax: int | None = None) -> EigenSystem:
     top = n if dmax is None else min(dmax + 1, n)
     t = _pascal_triangular(lam, n)
     rights = _right_vectors(la.top_left(t, top), n)
-    return EigenSystem(n, signed_eigenvalues(lam[:top]), rights, t=t)
+    return EigenSystem(n, signed_eigenvalues(lam[:top]), rights, t)
 
 
 def _left_side(t: list, top: int) -> tuple:

@@ -82,24 +82,18 @@ class ErgodicityReport(Record):
 
 
 class SimulationResult(Record):
-    """A seeded trajectory and its visit frequencies as floats.
-
-    `simulate` gives the number of states instead of the frequencies, which
-    are then counted from the trajectory each time `empirical` is read.
-    """
+    """A seeded trajectory on n states and its visit frequencies as floats,
+    counted from the trajectory each time `empirical` is read."""
 
     _fields = ("trajectory", "empirical")
-    __slots__ = ("trajectory", "_empirical", "_n")
+    __slots__ = ("trajectory", "_n")
 
-    def __init__(self, trajectory: list, empirical: list | None = None, n: int | None = None):
+    def __init__(self, trajectory: list, n: int):
         self.trajectory = trajectory
-        self._empirical = empirical
         self._n = n
 
     @property
     def empirical(self) -> list:
-        if self._empirical is not None:
-            return self._empirical
         counts = Counter(self.trajectory)
         total = len(self.trajectory)
         return [counts[x] / total for x in range(self._n)]
@@ -317,12 +311,16 @@ def kolmogorov(p) -> bool:
     exactly when the fundamental cycles do, which is exactly when the
     spanning-tree potentials satisfy every detailed-balance equation.  No
     cycle is enumerated, and n is not capped.
+
+    Potentials need a symmetric support, in which every class is closed, so
+    the closed classes are scanned only when the potentials fail.
     """
+    if _potentials(p) is not None:
+        return True
     if sum(len(comp) for comp in _closed_classes(p)) != len(p):
-        raise NoPositiveStationary(
-            "cycle criterion needs a strictly positive stationary distribution"
-        )
-    return _potentials(p) is not None
+        raise NoPositiveStationary("cycle criterion needs a strictly positive "
+                                   "stationary distribution")
+    return False
 
 
 # steps simulate may take: the trajectory holds steps + 1 states (8 MB of
@@ -361,7 +359,7 @@ def simulate(rows, x0: int, steps: int, seed: int) -> SimulationResult:
     for u in islice(iter(random.Random(seed).random, 2.0), steps):
         x = bisect_right(cum[x], u)
         append(x)
-    return SimulationResult(traj, n=n)
+    return SimulationResult(traj, n)
 
 
 def total_variation(p, q) -> float:

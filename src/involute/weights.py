@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from ._record import FrozenRecord
-from .errors import IndexOutOfDomain, MalformedWeight, OutOfRange, ZeroNorm
+from .errors import IndexOutOfDomain, MalformedWeight, OutOfRange
 from .exactnum import as_rational
 from .serialize import parse_rational
 
@@ -227,14 +227,16 @@ def weight_table(spec: WeightSpec, n: int) -> list:
 def down_step_table(spec: WeightSpec, n: int) -> list:
     """Rows [w[0, x] / N_x, ..., w[x, x] / N_x] for x < n: the lower
     triangle of the down-step matrix H, from the same integer terms as
-    weight_table, so each entry is reduced once.  Raises ZeroNorm when a
-    column sum vanishes."""
+    weight_table, so each entry is reduced once.
+
+    No norm N_x vanishes on a valid input, so none is tested: gamma(a, b)
+    has N_x = C(a+b+1+x, x) with a + b + 1 > -1, gamma(c) has
+    N_x = (1+c)^x with c > 0, and delta(a', b') has N_x = C(a'+b'-2, x),
+    whose factors a'+b'-2-k, k < x, exceed a'-n+1 > 0 inside the domain
+    (n <= ceil(a'), b' > 1).  `Custom` rejects a column sum that is not
+    positive."""
     _check_n(spec, n)
-    norms = _norm_pairs(spec, n)
-    bad = next((x for x, (e, _) in enumerate(norms) if not e), None)
-    if bad is not None:
-        raise ZeroNorm(f"N_{bad} = 0, no step distribution at state {bad}")
-    return _scaled_rows(spec, norms)
+    return _scaled_rows(spec, _norm_pairs(spec, n))
 
 
 def norm_table(spec: WeightSpec, n: int) -> list:

@@ -238,7 +238,7 @@ def _fraction_sweep(n, max_denominator):
         p = pl_matrix(lam)
         reversible, _ = reversible_with_some_distribution(p)
         classification = _classify(lam, zero_accessible(p)) if reversible else None
-        records.append(SearchRecord(lam, True, reversible, classification))
+        records.append(SearchRecord(lam, reversible, classification))
     records.sort(key=lambda r: r.lam)
     return records
 
@@ -248,8 +248,7 @@ def test_conjecture_search_matches_fraction_oracle():
     for n in range(3, 6):
         for den in range(1, 9):
             expected = [r.to_dict() for r in _fraction_sweep(n, den)]
-            text = {}  # shared as cmd_conjecture shares it: the same dicts as unshared
-            got = [r.to_dict(text) for r in conjecture_search(n, max_denominator=den).records]
+            got = [r.to_dict() for r in conjecture_search(n, max_denominator=den).records]
             assert got == expected, (n, den)
             reversible += sum(r["reversible"] for r in got)
     assert reversible > 0
@@ -338,13 +337,12 @@ def test_grid_reversibility_agrees_with_detailed_balance(capsys):
     # against the stationary law agrees on every irreducible walk
     from involute.cli import main
     from involute.errors import NoPositiveStationary
-    from involute.serialize import format_rational
     from involute.walk import ergodicity, kolmogorov, stationary
 
     compared = transient = reversible = 0
     for n in range(3, 7):
         for record in conjecture_search(n, max_denominator=6).records:
-            text = ",".join(format_rational(v) for v in record.lam)
+            text = ",".join(map(str, record.lam))
             code = main(["check", "--lambda", text, "reversible"])
             capsys.readouterr()
             assert (code == 0) == record.reversible, text

@@ -696,13 +696,18 @@ def test_usage_errors(capsys):
 
 
 def test_package_has_no_assert_statements():
-    # invariants are tests or explicit raises, so python -O cannot change them
+    # invariants are tests or explicit raises, and no code reads __debug__, so
+    # python -O, which only drops asserts and sets __debug__ false, cannot
+    # change the package's behaviour
     paths = sorted(PACKAGE_DIR.rglob("*.py"))
     assert len(paths) > 10
     for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert lines == [], f"{path.name}: assert at lines {lines}"
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and node.id == "__debug__"]
+        assert lines == [], f"{path.name}: __debug__ read at lines {lines}"
 
 
 def _bench_function_metrics() -> tuple:

@@ -23,7 +23,7 @@ CASES = [
     (lambda: ErgodicityReport(True, True, True, [[0, 1]]),
      "ErgodicityReport(irreducible=True, aperiodic=True, ergodic=True, "
      "communicating_classes=[[0, 1]])", False),
-    (lambda: SimulationResult([0, 1], [0.5, 0.5]),
+    (lambda: SimulationResult([0, 1], 2),
      "SimulationResult(trajectory=[0, 1], empirical=[0.5, 0.5])", False),
     (lambda: SubsetWalk(1, F(1, 3), [F(1, 4), F(3, 4)], [1, F(-1, 3)]),
      "SubsetWalk(m=1, p=Fraction(1, 3), pi=[Fraction(1, 4), Fraction(3, 4)], "
@@ -33,14 +33,13 @@ CASES = [
      "PropertyReport(adep=True, gadep=False, is_binomial_transform=False, witness=None)", False),
     (lambda: IdentityWalk(), "IdentityWalk()", True),
     (lambda: NotClassified("r"), "NotClassified(reason='r')", True),
-    (lambda: SearchRecord([F(1)], True, False, None),
-     "SearchRecord(lam=[Fraction(1, 1)], stochastic=True, reversible=False, "
-     "classification=None)", False),
+    (lambda: SearchRecord([F(1)], False, None),
+     "SearchRecord(lam=[Fraction(1, 1)], reversible=False, classification=None)", False),
     (lambda: SearchSummary(3, 0, 0), "SearchSummary(n=3, stochastic=0, reversible=0, records=[])",
      False),
-    (lambda: EigenSystem(1, [1], [[1]], [[1]], [F(1)]),
-     "EigenSystem(n=1, eigenvalues=[1], right_vectors=[[1]], left_vectors=[[1]], "
-     "pi=[Fraction(1, 1)])", False),
+    (lambda: EigenSystem(1, [1], [[1]], [[1]]),
+     "EigenSystem(n=1, eigenvalues=[1], right_vectors=[[1]], "
+     "left_vectors=[[Fraction(1, 1)]], pi=[Fraction(1, 1)])", False),
     (lambda: MixingReport(F(1, 2), 0.5),
      "MixingReport(second_abs_eigenvalue=Fraction(1, 2), empirical_rate=0.5)", False),
     (lambda: ContinuousWalk("kappa"), "ContinuousWalk(kind='kappa', a=0, b=0)", True),
@@ -114,15 +113,16 @@ def test_keyword_construction_and_defaults():
     assert ContinuousWalk("kappa", b=2) == ContinuousWalk("kappa", 0, 2)
     first = SearchSummary(n=3, stochastic=0, reversible=0)
     second = SearchSummary(3, 0, 0)
-    first.records.append(SearchRecord([F(1)], True, False, None))
+    first.records.append(SearchRecord([F(1)], False, None))
     assert second.records == [] and first.records is not second.records
     assert first != second
 
 
 def test_mutable_records_take_assignment():
-    result = SimulationResult([0], [1.0])
+    result = SimulationResult([0], 2)
     result.trajectory = [0, 1]
-    assert result == SimulationResult([0, 1], [1.0]) != SimulationResult([0], [1.0])
+    assert result.empirical == [0.5, 0.5]
+    assert result == SimulationResult([0, 1], 2) != SimulationResult([0], 2)
 
 
 def test_subset_walk_caches_its_matrix():

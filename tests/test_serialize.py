@@ -1,4 +1,4 @@
-"""Rational parsing/formatting and matrix round trips."""
+"""Rational parsing, their `str` text, and matrix round trips."""
 
 from fractions import Fraction as F
 
@@ -6,7 +6,6 @@ import pytest
 
 from involute.errors import OutOfRange
 from involute.serialize import (
-    format_rational,
     matrix_from_csv,
     matrix_to_csv,
     matrix_to_pretty,
@@ -19,19 +18,20 @@ from involute.serialize import (
 def test_rational_round_trip():
     for text, value in (("3/4", F(3, 4)), ("-7", F(-7)), ("0.25", F(1, 4)), ("2", F(2))):
         assert parse_rational(text) == value
-        assert parse_rational(format_rational(value)) == value
-    assert format_rational(F(6, 3)) == "2"
-    assert format_rational(F(-1, 2)) == "-1/2"
+        assert parse_rational(str(value)) == value
+    assert str(F(6, 3)) == "2"
+    assert str(F(-1, 2)) == "-1/2"
 
 
-def test_format_rational_of_ints_and_fractions():
-    # an int and a Fraction of the same value print alike
+def test_str_of_ints_and_fractions():
+    # every writer prints a rational by str: an int and a Fraction of the same
+    # value print alike, and the text parses back to the value
     big = 3**200
     cases = [(0, "0"), (F(0), "0"), (7, "7"), (F(7), "7"), (-12, "-12"), (F(-12, 1), "-12"),
              (F(-1, 2), "-1/2"), (F(6, -4), "-3/2"), (big, str(big)), (-big, f"-{big}"),
              (F(big, 2**64), f"{big}/{2**64}"), (F(-big, 5**90), f"-{big}/{5**90}")]
     for value, text in cases:
-        assert format_rational(value) == text
+        assert str(value) == text
         assert parse_rational(text) == value
 
 

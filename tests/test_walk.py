@@ -253,6 +253,28 @@ def test_kolmogorov_needs_positive_stationary():
         kolmogorov([[F(1), F(0)], [F(1, 2), F(1, 2)]])
 
 
+def test_kolmogorov_scans_closed_classes_only_when_potentials_fail(monkeypatch):
+    # potentials need a symmetric support, so every class is closed: a
+    # reversible walk is decided without the closed-class scan
+    scans = []
+    closed_classes = walk._closed_classes
+
+    def spy(p):
+        scans.append(len(p))
+        return closed_classes(p)
+
+    monkeypatch.setattr(walk, "_closed_classes", spy)
+    for spec in (GammaAB(1, F(1, 3)), GammaC(F(1, 2)), DeltaAB(9, 3)):
+        assert kolmogorov(transition_matrix(spec, 9))
+    assert scans == []
+    assert not kolmogorov(lambda_walk([F(1), F(3, 5), F(3, 10), F(1, 20)]))
+    assert scans == [4]
+    # states 1 and 2 leave for the closed class {0, 3} and never come back
+    with pytest.raises(NoPositiveStationary):
+        kolmogorov(lambda_walk([F(1), F(1, 2), F(1, 2), F(1, 2)]))
+    assert scans == [4, 4]
+
+
 def test_kolmogorov_n14_matches_detailed_balance():
     # the criterion enumerates no cycles, so n is not capped
     lam = [F(1)] + [F(1, k) for k in range(2, 15)]
@@ -444,8 +466,8 @@ def test_simulate_counts_visits_only_when_empirical_is_read(monkeypatch):
         traj, empirical = simulate_stepwise(w, x0, steps, seed)
         assert result.trajectory == traj
         assert result.empirical == empirical and len(empirical) == 20
-    # frequencies given to the record are kept as they are
-    assert SimulationResult([0, 1], [0.25, 0.75]).empirical == [0.25, 0.75]
+    # the record counts every state of its n, visited or not
+    assert SimulationResult([0, 1, 1, 3], 5).empirical == [0.25, 0.5, 0.0, 0.25, 0.0]
 
 
 def test_simulate_reaches_stationary():

@@ -12,6 +12,7 @@ from involute.transform import binomial_transform
 from involute.walk import stationary, transition_matrix
 from involute.weights import (
     UNBOUNDED,
+    _norm_pairs,
     Custom,
     DeltaAB,
     GammaAB,
@@ -168,6 +169,25 @@ def test_domain_limit_matches_ceiling_formula():
         for bp in b_primes:
             spec = DeltaAB(ap, bp)
             assert domain_limit(spec) == _scanned_delta_domain(spec)
+
+
+def test_norms_are_positive_on_every_domain():
+    # down_step_table divides by N_x without testing it: every named family
+    # keeps N_x > 0 on its domain, down to a, b, c near their bounds and a'
+    # just above n - 1; a family that breaks this fails here
+    values = [F(-99, 100), F(-1, 2), F(-1, 3), F(0), F(1, 7), F(1), F(5, 2), F(9)]
+    specs = [GammaAB(a, b) for a in values for b in values]
+    specs += [GammaC(c) for c in values if c > 0] + [GammaC(F(1, 100))]
+    limits = [40] * len(specs)
+    primes = [F(101, 100), F(8, 7), F(3, 2), F(2), F(7, 3), F(3), F(9), F(25, 2), F(39, 2)]
+    for ap in primes:
+        for bp in primes:
+            specs.append(DeltaAB(ap, bp))
+            limits.append(domain_limit(specs[-1]))
+    for spec, n in zip(specs, limits):
+        pairs = _norm_pairs(spec, n)
+        assert len(pairs) == n
+        assert all(e * f > 0 for e, f in pairs), spec
 
 
 def test_weight_value_outside_domain():
