@@ -9,7 +9,7 @@ the empirical visit frequencies settling on the invariant law.
 
 from fractions import Fraction as F
 
-from involute.walk import simulate, subset_walk, total_variation
+from involute.walk import simulate, subset_matrix, subset_walk, total_variation, visit_frequencies
 
 m, p = 3, F(1, 3)
 sub = subset_walk(m, p)
@@ -22,6 +22,6 @@ for value in sub.eigenvalues:
     counts[value] = counts.get(value, 0) + 1
 print("multiplicities:", {str(k): v for k, v in counts.items()})
 
-run = simulate(sub.walk, x0=0, steps=200_000, seed=424242)
-tv = total_variation(run.empirical, [float(w) for w in sub.pi])
+run = simulate(subset_matrix(sub), x0=0, steps=200_000, seed=424242)
+tv = total_variation(visit_frequencies(run, 2**m), [float(w) for w in sub.pi])
 print(f"TV(empirical after 2e5 steps, pi) = {tv:.4f}")

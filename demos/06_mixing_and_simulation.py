@@ -9,7 +9,8 @@ with the invariant law in total variation.
 from fractions import Fraction as F
 
 from involute.spectral import mixing_report
-from involute.walk import invariant_closed_form, simulate, total_variation, transition_matrix
+from involute.walk import (invariant_closed_form, simulate, total_variation, transition_matrix,
+                           visit_frequencies)
 from involute.weights import DeltaAB, GammaAB, GammaC, spec_label
 
 for spec in (GammaAB(0, 0), GammaAB(2, 0), GammaC(1), DeltaAB(4, 2)):
@@ -26,4 +27,5 @@ p = transition_matrix(spec, 6)
 pi = [float(w) for w in invariant_closed_form(spec, 6)]
 for steps in (1_000, 10_000, 100_000):
     run = simulate(p, x0=0, steps=steps, seed=7)
-    print(f"steps={steps:>6}: TV to pi = {total_variation(run.empirical, pi):.4f}")
+    tv = total_variation(visit_frequencies(run, 6), pi)
+    print(f"steps={steps:>6}: TV to pi = {tv:.4f}")

@@ -9,11 +9,10 @@ eigenvalue property, classifies the globally reversible walks, and checks
 the continuous analogue on [0, 1] numerically.
 """
 
-from .exactnum import Rational, binom
+from .exactnum import binom
 from .weights import Custom, DeltaAB, GammaAB, GammaC, UNBOUNDED
 
 __all__ = [
-    "Rational",
     "binom",
     "GammaAB",
     "GammaC",

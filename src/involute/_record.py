@@ -1,7 +1,10 @@
 """Value-class bases for the package's small records.
 
 A record names its fields in the class tuple `_fields`, in constructor
-order, and declares `__slots__` and an explicit `__init__`.  Equality holds
+order, and declares `__slots__` and an explicit `__init__`.  Its fields are
+values, set by the constructor: reading one, comparing or printing a record
+computes nothing, and work a caller may not need is a function of the record
+that the caller calls.  Equality holds
 between records of exactly the same class whose fields compare equal, and
 any other operand gets NotImplemented, so GammaAB(1, 2) != DeltaAB(1, 2).
 The repr is `Name(field=value, ...)`.  A `Record` is mutable and

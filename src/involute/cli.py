@@ -50,6 +50,9 @@ def _source_from_args(args) -> tuple:
         if hasattr(args, "matrix"):
             names += "/--matrix"
         raise InvoluteError(f"exactly one of {names} is required")
+    if args.n is not None and (args.lam is not None or matrix is not None):
+        raise InvoluteError("--n applies only to a weight: a --lambda or --matrix walk "
+                            "has one state per entry or row")
     if matrix is not None:
         rows = matrix_from_csv(_read_file(matrix))
         return rows, len(rows)
@@ -144,9 +147,14 @@ def cmd_spectrum(args):
 
 
 def cmd_eigvec(args):
-    system = spectral.eigensystem(_sequence_from_args(args), dmax=args.d)
+    lam = _sequence_from_args(args)
+    system = spectral.eigensystem(lam, dmax=args.d)
     if args.format == "json":
-        print(json.dumps(system.to_dict()))
+        lefts, pi = spectral.left_side(lam, dmax=args.d)
+        print(json.dumps({"n": system.n, "eigenvalues": list(map(str, system.eigenvalues)),
+                          "right_vectors": [list(map(str, v)) for v in system.right_vectors],
+                          "left_vectors": [list(map(str, u)) for u in lefts],
+                          "pi": list(map(str, pi))}))
         return
     # formatted whole before any of it is written, so a failure leaves stdout empty
     lines = [f"d={d}  eigenvalue={value}  right=" + ",".join(map(str, vec))
@@ -186,6 +194,8 @@ def _check_source(args):
 
 def cmd_check(args):
     prop = args.property
+    if args.global_check and prop != "conjugator":
+        raise InvoluteError(f"--global applies only to check conjugator, not {prop}")
     source = _check_source(args)
     if prop == "stochastic":
         res = transform.is_stochastic(source)
@@ -259,11 +269,10 @@ _SIMULATE_CHUNK = 1024
 
 def cmd_simulate(args):
     p = _walk(*_source_from_args(args))
-    result = walk.simulate(p, args.start, args.steps, args.seed)
+    traj = walk.simulate(p, args.start, args.steps, args.seed)
     if args.empirical:
-        print(",".join(f"{f:.6f}" for f in result.empirical))
+        print(",".join(f"{f:.6f}" for f in walk.visit_frequencies(traj, len(p))))
         return
-    traj = result.trajectory
     suffix = [f",{x}\n" for x in range(len(p))]
     out = sys.stdout
     out.write("step,state\n")
@@ -279,7 +288,7 @@ def cmd_simulate(args):
 def cmd_subsets(args):
     sub = walk.subset_walk(args.m, parse_rational(args.p))
     if args.matrix:
-        _emit_matrix(sub.walk, args.format)
+        _emit_matrix(walk.subset_matrix(sub), args.format)
         return
     print("pi=" + ",".join(map(str, sub.pi)))
     print("eigenvalues=" + ",".join(map(str, sub.eigenvalues)))

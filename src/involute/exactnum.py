@@ -14,8 +14,6 @@ from fractions import Fraction
 from .errors import OutOfRange
 from .serialize import parse_rational
 
-Rational = Fraction
-
 
 def as_rational(value) -> Fraction:
     """Coerce ints, strings like '3/4' or '0.25', and Fractions exactly.

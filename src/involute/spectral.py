@@ -18,12 +18,13 @@ eigenvalues are distinct, back-substitution on the integer-scaled T
 - right vector d is B c, c the eigenvector of T for T[d][d]
   (`right_eigenvectors`);
 - left vector d is w B^-1, w the eigenvector of T^T, found by the same
-  back-substitution on T^T read in reversed index order (`_left_side`);
+  back-substitution on T^T read in reversed index order (`left_side`);
 - pi is the left vector for mu_0 = 1, normalized to sum 1: a list of
   Fractions, the same kind of law `walk.stationary` returns.
 
-`eigensystem` solves the right vectors at once and the left side, the
-second solve, only when its `left_vectors` or `pi` is first read.
+`eigensystem` returns the eigenvalues and right vectors, and `left_side`,
+the second solve, the left vectors and pi; a caller asks for the side it
+prints.
 
 Each vector is scaled to coprime integers with first nonzero entry > 0.  For
 a reversible walk the right vectors are pi-orthogonal and u_x = pi_x v_x up
@@ -56,46 +57,15 @@ from .weights import Custom, WeightSpec, _check_n, down_step_diagonal
 
 
 class EigenSystem(Record):
-    """Signed eigenvalues, right and left eigenvectors for d <= dmax, and pi.
+    """Signed eigenvalues and right eigenvectors for d <= dmax; `left_side`
+    gives the left vectors and pi."""
 
-    It is built from the right side and T, and the left side is solved from
-    T on the first read of `left_vectors` or `pi`, then kept: of the
-    `eigvec` formats only JSON prints it.
-    """
+    __slots__ = _fields = ("n", "eigenvalues", "right_vectors")
 
-    _fields = ("n", "eigenvalues", "right_vectors", "left_vectors", "pi")
-    __slots__ = ("n", "eigenvalues", "right_vectors", "_left", "_t")
-
-    def __init__(self, n: int, eigenvalues: list, right_vectors: list, t: list):
+    def __init__(self, n: int, eigenvalues: list, right_vectors: list):
         self.n = n
         self.eigenvalues = eigenvalues  # signed, index d
         self.right_vectors = right_vectors  # integer-cleared, pi-orthogonal if reversible
-        # the left vectors, integer-cleared rationals with u P = eigenvalue * u, and pi,
-        # the stationary law as Fractions summing to 1; None until solved from t
-        self._left = None
-        self._t = t
-
-    def _solved_left(self) -> tuple:
-        if self._left is None:
-            self._left = _left_side(self._t, len(self.right_vectors))
-        return self._left
-
-    @property
-    def left_vectors(self) -> list:
-        return self._solved_left()[0]
-
-    @property
-    def pi(self) -> list:
-        return self._solved_left()[1]
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "eigenvalues": list(map(str, self.eigenvalues)),
-            "right_vectors": [list(map(str, v)) for v in self.right_vectors],
-            "left_vectors": [list(map(str, v)) for v in self.left_vectors],
-            "pi": list(map(str, self.pi)),
-        }
 
 
 def family_sequence(spec: WeightSpec, n: int) -> list:
@@ -114,6 +84,7 @@ def signed_eigenvalues(lam) -> list:
 def _pascal_triangular(lam, n: int) -> list:
     """The positive integer multiple of the top k x k block of T = B^-1 P B,
     k = len(lam), for the n-state walk; raises RepeatedEigenvalue."""
+    la.check_table(len(lam))
     signed = signed_eigenvalues(lam)
     first: dict = {}
     for d, value in enumerate(signed):
@@ -160,29 +131,33 @@ def _right_vectors(t: list, n: int) -> list:
     return rights
 
 
-def eigensystem(lam, dmax: int | None = None) -> EigenSystem:
-    """Signed eigenvalues, right and left eigenvectors for d <= dmax, and pi,
-    of the walk of lam.
-
-    lam must be stochastic (`transform.stochastic_sequence`), as a named
-    family's sequence is within its domain.  Every signed eigenvalue, not
-    only those up to dmax, must be distinct.  The right vectors are solved
-    here; the left side is solved from T when it is first read
-    (`_left_side`).
-    """
+def _top(lam, dmax: int | None) -> int:
+    """The number of eigenvectors d <= dmax of the walk of lam."""
     n = len(lam)
     if n < 1:
         raise IndexOutOfDomain("need at least one eigenvalue")
     if dmax is not None and dmax < 0:
         raise OutOfRange(f"eigenvectors need dmax >= 0, got {dmax}")
-    top = n if dmax is None else min(dmax + 1, n)
-    t = _pascal_triangular(lam, n)
-    rights = _right_vectors(la.top_left(t, top), n)
-    return EigenSystem(n, signed_eigenvalues(lam[:top]), rights, t)
+    return n if dmax is None else min(dmax + 1, n)
 
 
-def _left_side(t: list, top: int) -> tuple:
-    """(left vectors d < top, pi) of the walk whose T is t.
+def eigensystem(lam, dmax: int | None = None) -> EigenSystem:
+    """Signed eigenvalues and right eigenvectors for d <= dmax of the walk of lam.
+
+    lam must be stochastic (`transform.stochastic_sequence`), as a named
+    family's sequence is within its domain.  Every signed eigenvalue, not
+    only those up to dmax, must be distinct.
+    """
+    top = _top(lam, dmax)
+    n = len(lam)
+    rights = _right_vectors(la.top_left(_pascal_triangular(lam, n), top), n)
+    return EigenSystem(n, signed_eigenvalues(lam[:top]), rights)
+
+
+def left_side(lam, dmax: int | None = None) -> tuple:
+    """(left vectors for d <= dmax, pi) of the walk of lam, on the terms of
+    `eigensystem`: each u is integer-cleared with u P = (-1)^d lambda_d u,
+    and pi is the stationary law as Fractions summing to 1.
 
     With S[i][k] = T[n-1-k][n-1-i], T^T in reversed index order, S is upper
     triangular, and its eigenvector for S[j][j] = T[d][d], j = n-1-d, read
@@ -191,7 +166,9 @@ def _left_side(t: list, top: int) -> tuple:
     distinct signed eigenvalues 1 is a simple eigenvalue, so pi, u_0 over
     its sum, is the one stationary law.
     """
-    n = len(t)
+    top = _top(lam, dmax)
+    n = len(lam)
+    t = _pascal_triangular(lam, n)
     backwards = la.triangular_eigenvectors(
         [[t[n - 1 - k][n - 1 - i] for k in range(n)] for i in range(n)], n - top)
     # u = w B^-1 means sum_y u_y t^y = W(t - 1), W(t) = sum_x w_x t^x, so

@@ -78,6 +78,7 @@ def _binomial_rows(lam: list) -> list:
     above the diagonal take lam's type too, so L * H holds only ints.
     """
     n = len(lam)
+    la.check_table(n)
     zero = lam[0] * 0 if lam else 0
     h = [[zero] * n for _ in range(n)]
     for y, row in zip(range(n - 1, -1, -1), _difference_rows(lam)):

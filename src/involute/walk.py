@@ -17,7 +17,9 @@ This module provides exact construction, stationary distributions (closed
 forms, detailed-balance potentials, and exact elimination for walks that are
 not reversible), ergodicity reports, the reversibility verdict and the
 cycle-product criterion, seeded simulation, and the Kronecker-power walk on
-subsets.
+subsets.  Each result is a value: `simulate` returns the trajectory, whose
+visits `visit_frequencies` counts, and a `SubsetWalk` holds the closed
+forms, from which `subset_matrix` builds the dense walk.
 
 One engine decides reversibility.  Detailed balance pi_x P[x][z] = pi_z P[z][x]
 fixes the ratio pi_z / pi_x along every edge of the support graph, so the
@@ -45,7 +47,6 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
 from itertools import compress, islice
 
 from . import _linalg as la
@@ -81,49 +82,14 @@ class ErgodicityReport(Record):
         self.communicating_classes = communicating_classes
 
 
-class SimulationResult(Record):
-    """A seeded trajectory on n states and its visit frequencies as floats,
-    counted from the trajectory each time `empirical` is read."""
-
-    _fields = ("trajectory", "empirical")
-    __slots__ = ("trajectory", "_n")
-
-    def __init__(self, trajectory: list, n: int):
-        self.trajectory = trajectory
-        self._n = n
-
-    @property
-    def empirical(self) -> list:
-        counts = Counter(self.trajectory)
-        total = len(self.trajectory)
-        return [counts[x] / total for x in range(self._n)]
-
-
 class SubsetWalk(Record):
     """Down-up walk on subsets of {1..m}; state bitmask bit i = element i+1."""
 
-    _fields = ("m", "p", "pi", "eigenvalues")
-    __slots__ = _fields + ("__dict__",)  # the dict holds the cached walk
+    __slots__ = _fields = ("m", "p", "pi", "eigenvalues")
 
     def __init__(self, m: int, p: Fraction, pi: list, eigenvalues: list):
         self.m, self.p, self.pi = m, p, pi
         self.eigenvalues = eigenvalues  # expanded multiset, (-p)^e repeated binom(m, e) times
-
-    @cached_property
-    def walk(self) -> list:
-        """The rows of the dense 2^m x 2^m transition matrix, built on first access.
-
-        It is the Kronecker power of the 2-state walk [[0,1],[p,1-p]]; the
-        factors are ordered so that factor i acts on bit i.  The power is
-        stochastic, and an entry [x][z] is nonzero only where every bit has
-        x_i + z_i >= 1, so x + z >= 2^m - 1: it is anti-triangular, and it
-        is not validated again.
-        """
-        q = [[Fraction(0), Fraction(1)], [self.p, 1 - self.p]]
-        mat = q
-        for _ in range(self.m - 1):
-            mat = la.kron(q, mat)
-        return mat
 
 
 def transition_matrix(spec: WeightSpec, n: int) -> list:
@@ -330,10 +296,9 @@ def kolmogorov(p) -> bool:
 SIMULATION_BUDGET = 1_000_000
 
 
-def simulate(rows, x0: int, steps: int, seed: int) -> SimulationResult:
-    """Seeded trajectory by inverse-CDF sampling on float row copies;
-    0 <= steps <= SIMULATION_BUDGET.  Visits are counted only when the
-    result's `empirical` is read."""
+def simulate(rows, x0: int, steps: int, seed: int) -> list:
+    """The seeded trajectory, steps + 1 states from x0, by inverse-CDF
+    sampling on float row copies; 0 <= steps <= SIMULATION_BUDGET."""
     n = len(rows)
     if not 0 <= x0 < n:
         raise OutOfRange(f"start state {x0} outside 0..{n - 1}")
@@ -359,7 +324,13 @@ def simulate(rows, x0: int, steps: int, seed: int) -> SimulationResult:
     for u in islice(iter(random.Random(seed).random, 2.0), steps):
         x = bisect_right(cum[x], u)
         append(x)
-    return SimulationResult(traj, n)
+    return traj
+
+
+def visit_frequencies(trajectory: list, n: int) -> list:
+    """The share of the trajectory's states at each of 0..n-1, as floats."""
+    counts = Counter(trajectory)
+    return [counts[x] / len(trajectory) for x in range(n)]
 
 
 def total_variation(p, q) -> float:
@@ -373,7 +344,7 @@ def subset_walk(m: int, p) -> SubsetWalk:
     The subset size performs the gamma(c) walk on m+1 states, c = 1/p - 1,
     so pi_X = pi^gamma(c)_|X| / C(m, |X|) = p^(m-|X|) / (1+p)^m and each
     signed eigenvalue (-p)^e of gamma(c) repeats C(m, e) times.  The dense
-    matrix is built only when `walk` is read.
+    matrix is `subset_matrix`.
     """
     p = as_rational(p)
     if not 0 < p < 1:
@@ -387,3 +358,19 @@ def subset_walk(m: int, p) -> SubsetWalk:
     for e, lam in enumerate(down_step_diagonal(spec, m + 1)):
         eigenvalues.extend([(-1) ** e * lam] * math.comb(m, e))
     return SubsetWalk(m, p, pi, eigenvalues)
+
+
+def subset_matrix(sub: SubsetWalk) -> list:
+    """The rows of the dense 2^m x 2^m transition matrix of a subset walk.
+
+    It is the Kronecker power of the 2-state walk [[0,1],[p,1-p]]; the
+    factors are ordered so that factor i acts on bit i.  The power is
+    stochastic, and an entry [x][z] is nonzero only where every bit has
+    x_i + z_i >= 1, so x + z >= 2^m - 1: it is anti-triangular, and it is
+    not validated again.
+    """
+    q = [[Fraction(0), Fraction(1)], [sub.p, 1 - sub.p]]
+    mat = q
+    for _ in range(sub.m - 1):
+        mat = la.kron(q, mat)
+    return mat

@@ -20,6 +20,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Union
 
+from ._linalg import check_table
 from ._record import FrozenRecord
 from .errors import IndexOutOfDomain, MalformedWeight, OutOfRange
 from .exactnum import as_rational
@@ -185,6 +186,7 @@ def _scaled_rows(spec: WeightSpec, scale: list) -> list:
     with u_y = a_y / b_y and v_k = c_k / d_k the reduced term pairs; a
     custom entry p / q gives p f_x / (q e_x).
     """
+    check_table(len(scale))
     if isinstance(spec, Custom):
         zero = Fraction(0)
         return [[Fraction(w.numerator * f, w.denominator * e)

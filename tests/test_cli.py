@@ -284,6 +284,72 @@ def test_ladder_refuses_n_past_the_budget(capsys, monkeypatch):
     assert f"at most {budget}" in capsys.readouterr().out
 
 
+def test_tables_past_the_budget_exit_2(capsys, monkeypatch):
+    budget = _linalg.TABLE_BUDGET
+    assert budget >= 500  # the largest n any test or bench job passes
+    refusal = (2, "", f"error: an n x n table needs n <= {budget}, the table budget, "
+                      f"got n={budget + 1}\n")
+    for argv in (["matrix", "--gamma", "1", "1"], ["stationary", "--gammac", "1"],
+                 ["eigvec", "--delta", str(budget + 2), "3"],
+                 ["check", "--gamma", "1", "1", "adep"]):
+        assert run(capsys, *argv, "--n", str(budget + 1)) == refusal
+    # spectrum builds no table
+    code, out, _ = run(capsys, "spectrum", "--gamma", "1", "1", "--n", str(budget + 1))
+    assert code == 0 and len(out.split()) == budget + 1
+
+
+def test_n_with_a_lambda_or_matrix_source_exits_2(capsys):
+    message = ("error: --n applies only to a weight: a --lambda or --matrix walk has one "
+               "state per entry or row\n")
+    target = Path(__file__).parent / "data" / "walk3.csv"
+    for argv in (["matrix", "--lambda", "1,1/2", "--n", "7"],
+                 ["spectrum", "--lambda", "1,1/2", "--n", "2"],
+                 ["check", "--matrix", str(target), "--n", "3", "ergodic"]):
+        assert run(capsys, *argv) == (2, "", message)
+    assert run(capsys, "matrix", "--lambda", "1,1/2")[0] == 0
+
+
+def test_custom_weight_keeps_its_n_cut(tmp_path, capsys):
+    target = tmp_path / "weight.csv"
+    target.write_text("0,0,2\n0,1,1\n1,1,3\n0,2,1\n1,2,1\n2,2,1\n")
+    assert run(capsys, "--format", "csv", "matrix", "--custom", str(target), "--n", "2") == (
+        0, "c0,c1\n0,1\n3/4,1/4\n", "")
+
+
+def test_global_applies_only_to_conjugator(tmp_path, capsys):
+    for prop in ("kolmogorov", "adep", "gadep"):
+        assert run(capsys, "check", "--gamma", "1", "1", "--n", "4", "--global", prop) == (
+            2, "", f"error: --global applies only to check conjugator, not {prop}\n")
+    # the Pascal matrix B conjugates J to an upper-triangular matrix at every size
+    target = tmp_path / "pascal.csv"
+    target.write_text("1,0,0\n1,1,0\n1,2,1\n")
+    assert run(capsys, "check", "--matrix", str(target), "--global", "conjugator") == (
+        0, "anti-diagonal conjugator (global)\n", "")
+
+
+def _readme_commands() -> list:
+    """(argv, expected exit code) of each `involute` line in the README's
+    "Command line" block; a line whose comment says `exit 2` expects 2."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        if command.startswith("involute "):
+            commands.append((command.split()[1:], 2 if "exit 2" in comment else 0))
+    return commands
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    commands = _readme_commands()
+    assert len(commands) == 17 and [code for _, code in commands].count(2) == 1
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "H.csv").write_text("1,0,0\n1/2,1/2,0\n1/4,1/2,1/4\n")
+    for argv, expected in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == expected, (argv, err)
+
+
 @pytest.mark.parametrize("n", ["2", "-5"])
 def test_ladder_needs_three_states(capsys, n):
     code, out, err = run(capsys, "ladder", "--mu", "2/3", "--n", n)
@@ -353,10 +419,10 @@ def test_eigvec_prints_the_engine_right_vectors_without_the_left_side(monkeypatc
     assert all(matvec(p, vec) == [value * x for x in vec] for value, vec in expected)
     d_flag = () if dmax is None else ("--d", str(dmax))
 
-    def solve_left(t, top):
+    def solve_left(lam, dmax=None):
         raise AssertionError("the left side was solved")
 
-    monkeypatch.setattr(spectral, "_left_side", solve_left)
+    monkeypatch.setattr(spectral, "left_side", solve_left)
     for fmt in ("pretty", "csv"):
         code, out, _ = run(capsys, "--format", fmt, "eigvec", *flags, *d_flag)
         *lines, final = out.splitlines()
@@ -371,7 +437,13 @@ def test_eigvec_prints_the_engine_right_vectors_without_the_left_side(monkeypatc
             str(x) for x in spectral.final_left_eigenvector(len(lam)))
     monkeypatch.undo()
     code, out, _ = run(capsys, "--format", "json", "eigvec", *flags, *d_flag)
-    assert (code, json.loads(out)) == (0, system.to_dict())
+    lefts, pi = spectral.left_side(lam, dmax)
+    assert all(_linalg.vecmat(u, p) == [value * x for x in u]
+               for value, u in zip(system.eigenvalues, lefts))
+    assert (code, json.loads(out)) == (0, {
+        "n": len(lam), "eigenvalues": list(map(str, system.eigenvalues)),
+        "right_vectors": [list(map(str, v)) for v in system.right_vectors],
+        "left_vectors": [list(map(str, u)) for u in lefts], "pi": list(map(str, pi))})
 
 
 def test_eigvec_writes_nothing_on_failure(capsys):

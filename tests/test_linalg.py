@@ -7,10 +7,11 @@ import pytest
 import sympy
 
 from involute import _linalg as la
-from involute.errors import SingularMatrix
-from involute.transform import gadep_counterexample
+from involute.errors import OutOfRange, SingularMatrix
+from involute.spectral import eigensystem, left_side, right_eigenvectors
+from involute.transform import _binomial_rows, binomial_transform, gadep_counterexample
 from involute.walk import transition_matrix
-from involute.weights import DeltaAB, GammaAB, GammaC, domain_limit
+from involute.weights import DeltaAB, GammaAB, GammaC, domain_limit, weight_table
 
 from oracles import charpoly_faddeev_leverrier, clear_denominators, matvec
 
@@ -137,3 +138,26 @@ def test_clear_denominators_examples():
     assert clear_denominators([F(0), F(6), F(-4)]) == [F(0), F(3), F(-2)]
     assert clear_denominators([F(0), F(0)]) == [F(0), F(0)]
     assert clear_denominators([]) == []
+
+
+def test_table_budget_bounds_every_dense_table():
+    budget, over = la.TABLE_BUDGET, la.TABLE_BUDGET + 1
+    # at the budget the tables are built
+    assert len(transition_matrix(GammaAB(1, 1), budget)) == budget
+    assert len(_binomial_rows([1] + [0] * (budget - 1))) == budget
+    la.check_table(budget)
+    # one past it every site refuses before it allocates
+    builds = [
+        lambda: transition_matrix(GammaAB(1, 1), over),
+        lambda: weight_table(GammaC(1), over),
+        lambda: binomial_transform([1] + [0] * budget),
+        lambda: right_eigenvectors(list(range(1, over + 1))),
+        lambda: eigensystem(list(range(1, over + 1)), dmax=0),
+        lambda: left_side(list(range(1, over + 1)), dmax=0),
+    ]
+    for build in builds:
+        with pytest.raises(OutOfRange, match=f"n <= {budget}, the table budget, got n={over}"):
+            build()
+    # a few eigenvectors of a large walk need only a few rows of T
+    rights = right_eigenvectors([F(1), F(1, 2)], 14_300)
+    assert len(rights) == 2 and len(rights[1]) == 14_300

@@ -1,15 +1,22 @@
 """Value semantics of the package's records: the repr, equality and hash
-each record class had as a dataclass, and its construction rules."""
+each record class had as a dataclass, and its construction rules; and that
+a record's fields are values, which reading computes nothing."""
 
+import ast
+import functools
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import involute
+from involute import spectral
+from involute._record import Record
 from involute.classify import IdentityWalk, NotClassified, SearchRecord, SearchSummary
 from involute.continuum import ContinuousWalk, PolyFunction
 from involute.spectral import EigenSystem, MixingReport
 from involute.transform import PropertyReport, StochasticCheck
-from involute.walk import ErgodicityReport, SimulationResult, SubsetWalk, subset_walk
+from involute.walk import ErgodicityReport, SubsetWalk
 from involute.weights import Custom, DeltaAB, GammaAB, GammaC
 
 # (construction, the repr the dataclass gave it, frozen)
@@ -23,8 +30,6 @@ CASES = [
     (lambda: ErgodicityReport(True, True, True, [[0, 1]]),
      "ErgodicityReport(irreducible=True, aperiodic=True, ergodic=True, "
      "communicating_classes=[[0, 1]])", False),
-    (lambda: SimulationResult([0, 1], 2),
-     "SimulationResult(trajectory=[0, 1], empirical=[0.5, 0.5])", False),
     (lambda: SubsetWalk(1, F(1, 3), [F(1, 4), F(3, 4)], [1, F(-1, 3)]),
      "SubsetWalk(m=1, p=Fraction(1, 3), pi=[Fraction(1, 4), Fraction(3, 4)], "
      "eigenvalues=[1, Fraction(-1, 3)])", False),
@@ -37,9 +42,8 @@ CASES = [
      "SearchRecord(lam=[Fraction(1, 1)], reversible=False, classification=None)", False),
     (lambda: SearchSummary(3, 0, 0), "SearchSummary(n=3, stochastic=0, reversible=0, records=[])",
      False),
-    (lambda: EigenSystem(1, [1], [[1]], [[1]]),
-     "EigenSystem(n=1, eigenvalues=[1], right_vectors=[[1]], "
-     "left_vectors=[[Fraction(1, 1)]], pi=[Fraction(1, 1)])", False),
+    (lambda: EigenSystem(1, [1], [[1]]),
+     "EigenSystem(n=1, eigenvalues=[1], right_vectors=[[1]])", False),
     (lambda: MixingReport(F(1, 2), 0.5),
      "MixingReport(second_abs_eigenvalue=Fraction(1, 2), empirical_rate=0.5)", False),
     (lambda: ContinuousWalk("kappa"), "ContinuousWalk(kind='kappa', a=0, b=0)", True),
@@ -119,13 +123,46 @@ def test_keyword_construction_and_defaults():
 
 
 def test_mutable_records_take_assignment():
-    result = SimulationResult([0], 2)
-    result.trajectory = [0, 1]
-    assert result.empirical == [0.5, 0.5]
-    assert result == SimulationResult([0, 1], 2) != SimulationResult([0], 2)
+    system = EigenSystem(1, [1], [[0]])
+    system.right_vectors = [[1]]
+    assert system == EigenSystem(1, [1], [[1]]) != EigenSystem(1, [1], [[0]])
 
 
-def test_subset_walk_caches_its_matrix():
-    walk = subset_walk(2, F(1, 3))
-    assert walk.walk is walk.walk
-    assert len(walk.walk) == 4
+def _record_classes():
+    found, todo = [], [Record]
+    while todo:
+        cls = todo.pop()
+        found.append(cls)
+        todo.extend(cls.__subclasses__())
+    return [cls for cls in found if cls.__module__.startswith("involute.")]
+
+
+def test_record_fields_are_values_not_properties():
+    classes = _record_classes()
+    assert {EigenSystem, SubsetWalk, ErgodicityReport, GammaAB}.issubset(classes)
+    for cls in classes:
+        for name in cls._fields:
+            for klass in cls.__mro__:
+                assert not isinstance(klass.__dict__.get(name),
+                                      (property, functools.cached_property)), (cls, name)
+
+
+def test_no_module_imports_cached_property():
+    for path in Path(involute.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                assert "cached_property" not in [a.name for a in node.names], path.name
+            assert not (isinstance(node, ast.Attribute) and node.attr == "cached_property"), \
+                path.name
+
+
+def test_comparing_or_printing_an_eigensystem_solves_no_left_side(monkeypatch):
+    lam = spectral.family_sequence(GammaAB(1, 1), 5)
+    first, second = spectral.eigensystem(lam), spectral.eigensystem(lam)
+
+    def solve_left(lam, dmax=None):
+        raise AssertionError("the left side was solved")
+
+    monkeypatch.setattr(spectral, "left_side", solve_left)
+    assert first == second and not first != second
+    assert repr(first) == repr(second) and repr(first).startswith("EigenSystem(n=5, ")

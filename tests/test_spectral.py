@@ -1,11 +1,13 @@
 """Closed-form spectra, the eigen-engine on eigenvalue sequences, mixing rates."""
 
+import json
 import math
 from fractions import Fraction as F
 
 import pytest
 
 from involute import _linalg as la
+from involute.cli import main
 from involute.errors import IndexOutOfDomain, OutOfRange, RepeatedEigenvalue, UnsupportedFamily
 from involute.spectral import (
     EigenSystem,
@@ -13,6 +15,7 @@ from involute.spectral import (
     eigensystem,
     family_sequence,
     final_left_eigenvector,
+    left_side,
     mixing_report,
     right_eigenvectors,
     signed_eigenvalues,
@@ -61,6 +64,10 @@ def _family_system(spec, n, dmax=None):
     return eigensystem(family_sequence(spec, n), dmax=dmax)
 
 
+def _family_left(spec, n, dmax=None):
+    return left_side(family_sequence(spec, n), dmax=dmax)
+
+
 def test_right_eigenvector_example():
     system = _family_system(GammaAB(0, 0), 4)
     assert system.right_vectors[0] == [F(1)] * 4
@@ -74,13 +81,11 @@ def test_right_eigenvectors_structure():
             spec = GammaAB(a, b)
             for n in (3, 5, 6):
                 system = _family_system(spec, n)
+                pi = _family_left(spec, n)[1]
                 # pairwise pi-orthogonality, exact
                 for d in range(n):
                     for e in range(d + 1, n):
-                        assert (
-                            pi_inner(system.pi, system.right_vectors[d], system.right_vectors[e])
-                            == 0
-                        )
+                        assert pi_inner(pi, system.right_vectors[d], system.right_vectors[e]) == 0
                 # degree-d property: coordinates in the Pascal basis stop at d
                 binv = pascal_inverse(n)
                 for d, vec in enumerate(system.right_vectors):
@@ -177,7 +182,9 @@ def test_right_eigenvectors_are_exact_eigenvectors(spec):
         assert system.right_vectors == _integer_gram_schmidt(spec, n, top)
         walk = transition_matrix(spec, n)
         p = [la.integer_row(row) for row in walk]
-        for value, v, u in zip(system.eigenvalues, system.right_vectors, system.left_vectors):
+        lefts = _family_left(spec, n, dmax=dmax)[0]
+        assert len(lefts) == top
+        for value, v, u in zip(system.eigenvalues, system.right_vectors, lefts):
             assert any(v) and _exact_eigenvector(p, value, v)
             assert la.vecmat(u, walk) == [value * x for x in u]
         assert not _exact_eigenvector(p, system.eigenvalues[1], system.right_vectors[0])
@@ -186,14 +193,15 @@ def test_right_eigenvectors_are_exact_eigenvectors(spec):
 def test_family_left_vectors_are_pi_times_right():
     # a reversible walk has u_x = pi_x v_x up to scale: the transposed solve
     # must agree with the closed-form invariant law
-    system = _family_system(GammaAB(0, 0), 4)
-    assert system.left_vectors[:2] == [[F(1), F(2), F(3), F(4)], [F(1), F(1), F(0), F(-2)]]
+    lefts = _family_left(GammaAB(0, 0), 4)[0]
+    assert lefts[:2] == [[F(1), F(2), F(3), F(4)], [F(1), F(1), F(0), F(-2)]]
     for spec in (GammaAB(F(1, 2), F(-1, 3)), GammaC(F(5, 2)), DeltaAB(F(21, 2), F(43, 4))):
         for n in range(1, min(12, domain_limit(spec)) + 1):
             system = _family_system(spec, n)
+            lefts, engine_pi = _family_left(spec, n)
             pi = invariant_closed_form(spec, n)
-            assert system.pi == pi
-            assert system.left_vectors == [
+            assert engine_pi == pi
+            assert lefts == [
                 clear_denominators([p * x for p, x in zip(pi, v)])
                 for v in system.right_vectors
             ]
@@ -224,11 +232,12 @@ def test_left_vectors_are_left_eigenvectors():
     spec = GammaAB(F(1, 2), F(1))
     n = 5
     system = _family_system(spec, n)
+    lefts = _family_left(spec, n)[0]
     p = transition_matrix(spec, n)
-    for value, u in zip(system.eigenvalues, system.left_vectors):
+    for value, u in zip(system.eigenvalues, lefts):
         assert la.vecmat(u, p) == [value * x for x in u]
     # the last left vector is the alternating Pascal row up to scale
-    assert system.left_vectors[n - 1] == clear_denominators(final_left_eigenvector(n))
+    assert lefts[n - 1] == clear_denominators(final_left_eigenvector(n))
 
 
 def test_second_abs_eigenvalue():
@@ -299,11 +308,12 @@ def test_unsupported_family():
 
 def test_eigensystem_rejects_negative_dmax():
     lam = family_sequence(GammaAB(1, 1), 4)
-    with pytest.raises(OutOfRange, match="dmax >= 0, got -1"):
-        eigensystem(lam, dmax=-1)
-    system = eigensystem(lam, dmax=0)
-    assert len(system.right_vectors) == len(system.left_vectors) == 1
-    assert system.pi == invariant_closed_form(GammaAB(1, 1), 4)
+    for solve in (eigensystem, left_side):
+        with pytest.raises(OutOfRange, match="dmax >= 0, got -1"):
+            solve(lam, dmax=-1)
+    lefts, pi = left_side(lam, dmax=0)
+    assert len(eigensystem(lam, dmax=0).right_vectors) == len(lefts) == 1
+    assert pi == invariant_closed_form(GammaAB(1, 1), 4)
     for lam, n in (([], 4), (lam, 3)):
         with pytest.raises(IndexOutOfDomain, match="len\\(lam\\) <= n"):
             right_eigenvectors(lam, n)
@@ -322,18 +332,21 @@ def test_eigensystem_of_every_grid_walk():
             p = pl_matrix(lam)
             signed = [(-1) ** d * v for d, v in enumerate(lam)]
             if len(set(signed)) < n:
-                with pytest.raises(RepeatedEigenvalue, match="repeats at d=\\d+ and d'=\\d+"):
-                    eigensystem(lam)
+                for solve in (eigensystem, left_side):
+                    with pytest.raises(RepeatedEigenvalue,
+                                       match="repeats at d=\\d+ and d'=\\d+"):
+                        solve(lam)
                 refused += 1
                 continue
             system = eigensystem(lam)
+            lefts, pi = left_side(lam)
             assert system.eigenvalues == signed
-            for value, v, u in zip(signed, system.right_vectors, system.left_vectors):
+            for value, v, u in zip(signed, system.right_vectors, lefts):
                 assert matvec(p, v) == [value * x for x in v] and any(v)
                 assert _exact_left(p, value, u) and any(u)
                 vectors += 1
-            assert system.pi == _stationary_by_elimination(p)
-            assert system.left_vectors[-1] == clear_denominators(final_left_eigenvector(n))
+            assert pi == _stationary_by_elimination(p)
+            assert lefts[-1] == clear_denominators(final_left_eigenvector(n))
             solved += 1
     assert (solved, refused, vectors) == (146, 109, 539)
 
@@ -350,9 +363,10 @@ def test_repeated_eigenvalue_is_refused_before_solving():
     assert [matvec(p, v) for v in rights] == [[F(1)] * 3, [F(0)] * 3]
 
 
-def test_eigensystem_serialization():
-    system = _family_system(GammaAB(0, 0), 3)
-    payload = system.to_dict()
+def test_eigensystem_serialization(capsys):
+    assert isinstance(_family_system(GammaAB(0, 0), 3), EigenSystem)
+    assert main(["--format", "json", "eigvec", "--gamma", "0", "0", "--n", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["n", "eigenvalues", "right_vectors", "left_vectors", "pi"]
     assert payload["eigenvalues"] == ["1", "-1/2", "1/3"]
     assert payload["pi"] == ["1/6", "1/3", "1/2"]
-    assert isinstance(system, EigenSystem)

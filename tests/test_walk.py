@@ -11,18 +11,19 @@ from involute import _linalg as la
 from involute import walk
 from involute.errors import NoPositiveStationary, NotIrreducible, OutOfRange
 from involute.transform import _pl_rows, lambda_walk, pl_matrix, stochastic_lattice
-from involute.spectral import eigensystem, family_sequence
+from involute.spectral import family_sequence, left_side
 from involute.walk import (
-    SimulationResult,
     checked_walk,
     ergodicity,
     invariant_closed_form,
     kolmogorov,
     simulate,
     stationary,
+    subset_matrix,
     subset_walk,
     total_variation,
     transition_matrix,
+    visit_frequencies,
 )
 from involute.weights import (Custom, DeltaAB, GammaAB, GammaC, domain_limit, down_step_diagonal,
                               norm_table, weight_table)
@@ -428,13 +429,12 @@ def test_kolmogorov_iff_detailed_balance():
 
 def test_simulate_deterministic_flip():
     flip = checked_walk([[0, 1], [1, 0]])
-    result = simulate(flip, 0, 5, seed=99)
-    assert result.trajectory == [0, 1, 0, 1, 0, 1]
+    assert simulate(flip, 0, 5, seed=99) == [0, 1, 0, 1, 0, 1]
 
 
 def test_simulate_rejects_negative_steps():
     w = transition_matrix(GammaAB(1, 1), 4)
-    assert simulate(w, 0, 0, seed=0).trajectory == [0]
+    assert simulate(w, 0, 0, seed=0) == [0]
     with pytest.raises(OutOfRange):
         simulate(w, 0, -5, seed=0)
 
@@ -452,37 +452,37 @@ def test_simulate_matches_stepwise_loop():
         for x0 in {0, len(w) - 1}:
             for seed in (0, 1, 7, 20260):
                 for steps in (0, 1, 500):
-                    result = simulate(w, x0, steps, seed)
-                    assert (result.trajectory, result.empirical) == simulate_stepwise(
+                    traj = simulate(w, x0, steps, seed)
+                    assert (traj, visit_frequencies(traj, len(w))) == simulate_stepwise(
                         w, x0, steps, seed)
 
 
-def test_simulate_counts_visits_only_when_empirical_is_read(monkeypatch):
+def test_simulate_counts_visits_only_in_visit_frequencies(monkeypatch):
     w = transition_matrix(GammaAB(1, F(1, 3)), 20)
     for x0, steps, seed in ((19, 0, 0), (0, 1, 3), (19, 2500, 11)):
         monkeypatch.setattr(walk, "Counter", None)  # counting here would fail
         result = simulate(w, x0, steps, seed)
         monkeypatch.undo()
         traj, empirical = simulate_stepwise(w, x0, steps, seed)
-        assert result.trajectory == traj
-        assert result.empirical == empirical and len(empirical) == 20
-    # the record counts every state of its n, visited or not
-    assert SimulationResult([0, 1, 1, 3], 5).empirical == [0.25, 0.5, 0.0, 0.25, 0.0]
+        assert result == traj
+        assert visit_frequencies(result, 20) == empirical and len(empirical) == 20
+    # every state of 0..n-1 is counted, visited or not
+    assert visit_frequencies([0, 1, 1, 3], 5) == [0.25, 0.5, 0.0, 0.25, 0.0]
 
 
 def test_simulate_reaches_stationary():
     w = transition_matrix(GammaAB(0, 0), 4)
     result = simulate(w, 0, 10**6, seed=12345)
     pi = [0.1, 0.2, 0.3, 0.4]
-    assert total_variation(result.empirical, pi) < 0.01
+    assert total_variation(visit_frequencies(result, 4), pi) < 0.01
 
 
 def test_simulate_seed_independence_of_long_run():
     w = transition_matrix(GammaC(2), 4)
     r1 = simulate(w, 3, 200_000, seed=1)
     r2 = simulate(w, 3, 200_000, seed=2)
-    assert r1.trajectory[:2000] != r2.trajectory[:2000]
-    assert total_variation(r1.empirical, r2.empirical) < 0.02
+    assert r1[:2000] != r2[:2000]
+    assert total_variation(visit_frequencies(r1, 4), visit_frequencies(r2, 4)) < 0.02
 
 
 def test_two_step_examples():
@@ -504,7 +504,7 @@ def test_two_step_eigenvalues_are_squares():
 
 def test_subset_walk_m1():
     sub = subset_walk(1, F(1, 2))
-    assert sub.walk == rows([[0, 1], ["1/2", "1/2"]])
+    assert subset_matrix(sub) == rows([[0, 1], ["1/2", "1/2"]])
     assert sub.pi == [F(1, 3), F(2, 3)]
     assert sub.eigenvalues == [F(1), F(-1, 2)]
 
@@ -514,7 +514,7 @@ def test_subset_walk_m2():
     assert sub.pi == [F(1, 9), F(2, 9), F(2, 9), F(4, 9)]
     assert sorted(sub.eigenvalues) == sorted([F(1), F(-1, 2), F(-1, 2), F(1, 4)])
     # charpoly agrees with the closed-form multiset
-    assert la.charpoly(sub.walk) == la.poly_from_roots(sub.eigenvalues)
+    assert la.charpoly(subset_matrix(sub)) == la.poly_from_roots(sub.eigenvalues)
 
 
 def test_built_laws_are_probability_laws():
@@ -526,8 +526,8 @@ def test_built_laws_are_probability_laws():
         (6, stationary(reversible)),
         (4, stationary(not_reversible)),
         (6, invariant_closed_form(DeltaAB(F(13, 2), 3), 6)),
-        (6, eigensystem(family_sequence(GammaAB(1, 2), 6)).pi),
-        (4, eigensystem([F(1), F(3, 5), F(3, 10), F(1, 20)], dmax=0).pi),
+        (6, left_side(family_sequence(GammaAB(1, 2), 6))[1]),
+        (4, left_side([F(1), F(3, 5), F(3, 10), F(1, 20)], dmax=0)[1]),
     ]
     for n, law in built:
         assert type(law) is list and len(law) == n
@@ -538,8 +538,8 @@ def test_built_laws_are_probability_laws():
 def test_subset_walk_multiplicity():
     sub = subset_walk(3, F(1, 3))
     assert sub.eigenvalues.count(F(-1, 3)) == 3
-    assert stationary(sub.walk) == sub.pi
-    assert detailed_balance(sub.walk, sub.pi)
+    assert stationary(subset_matrix(sub)) == sub.pi
+    assert detailed_balance(subset_matrix(sub), sub.pi)
 
 
 @pytest.mark.parametrize(
@@ -562,7 +562,7 @@ def test_checked_walk_round_trips_subset_walks():
     for m in range(1, 6):
         for p in (F(1, 3), F(3, 4)):
             sub = subset_walk(m, p)
-            assert checked_walk(sub.walk) == sub.walk
+            assert checked_walk(subset_matrix(sub)) == subset_matrix(sub)
 
 
 def _is_walk(p) -> bool:
@@ -581,7 +581,7 @@ def test_built_walks_are_stochastic_and_anti_triangular():
             assert _is_walk(lambda_walk(lam))
     for m in range(1, 7):
         for p in (F(1, 3), F(3, 4)):
-            assert _is_walk(subset_walk(m, p).walk)
+            assert _is_walk(subset_matrix(subset_walk(m, p)))
     assert not _is_walk([[F(1, 2), F(1, 2)], [0, 1]])
 
 
