@@ -148,18 +148,19 @@ def cmd_spectrum(args):
 
 def cmd_eigvec(args):
     lam = _sequence_from_args(args)
-    system = spectral.eigensystem(lam, dmax=args.d)
+    rights = spectral.right_eigenvectors(lam, args.d)
+    eigenvalues = spectral.signed_eigenvalues(lam[:len(rights)])
     if args.format == "json":
-        lefts, pi = spectral.left_side(lam, dmax=args.d)
-        print(json.dumps({"n": system.n, "eigenvalues": list(map(str, system.eigenvalues)),
-                          "right_vectors": [list(map(str, v)) for v in system.right_vectors],
+        lefts, pi = spectral.left_side(lam, args.d)
+        print(json.dumps({"n": len(lam), "eigenvalues": list(map(str, eigenvalues)),
+                          "right_vectors": [list(map(str, v)) for v in rights],
                           "left_vectors": [list(map(str, u)) for u in lefts],
                           "pi": list(map(str, pi))}))
         return
     # formatted whole before any of it is written, so a failure leaves stdout empty
     lines = [f"d={d}  eigenvalue={value}  right=" + ",".join(map(str, vec))
-             for d, (value, vec) in enumerate(zip(system.eigenvalues, system.right_vectors))]
-    lines.append("final-left=" + ",".join(map(str, spectral.final_left_eigenvector(system.n))))
+             for d, (value, vec) in enumerate(zip(eigenvalues, rights))]
+    lines.append("final-left=" + ",".join(map(str, spectral.final_left_eigenvector(len(lam)))))
     print("\n".join(lines))
 
 

@@ -355,11 +355,11 @@ def convergence_table(a: int, b: int, degrees, n_list) -> list:
         if n > CONVERGENCE_MAX_N:
             raise OutOfRange(f"discrete comparison supported for n <= {CONVERGENCE_MAX_N}, got n={n}")
     gs = jacobi_eigenfunctions(a, b, top)
-    # right vector d depends on lambda_0..lambda_d and n only
-    lam = family_sequence(GammaAB(Fraction(a), Fraction(b)), top + 1)
+    # lambda_d does not depend on n: each walk's sequence is a prefix of the longest
+    lam = family_sequence(GammaAB(Fraction(a), Fraction(b)), max(n_list, default=1))
     table = [[] for _ in degrees]
     for n in n_list:
-        rights = right_eigenvectors(lam, n)
+        rights = right_eigenvectors(lam[:n], top)
         for d, row in zip(degrees, table):
             w = [float(v) for v in rights[d]]
             gvals = [gs[d](i / n) for i in range(n)]

@@ -12,19 +12,21 @@ w[d, d] / N_d (`weights.down_step_diagonal`):
 
 For every sequence, reversible walk or not, T = B^-1 P B is upper
 triangular with T[i][k] = (-1)^i lambda_i C(n-1-i, k-i).  When the signed
-eigenvalues are distinct, back-substitution on the integer-scaled T
-(`_linalg.triangular_eigenvectors`) gives every eigenvector:
+eigenvalues are distinct, back-substitution on an integer-scaled triangle
+(`_linalg.triangular_eigenvectors`) gives every eigenvector, and each of
+the two calls takes the whole sequence and dmax and builds only the
+triangle it solves:
 
 - right vector d is B c, c the eigenvector of T for T[d][d]
-  (`right_eigenvectors`);
+  (`right_eigenvectors`, on the top dmax + 1 rows of T);
 - left vector d is w B^-1, w the eigenvector of T^T, found by the same
-  back-substitution on T^T read in reversed index order (`left_side`);
+  back-substitution on S, T^T read in reversed index order (`left_side`,
+  on the whole of S);
 - pi is the left vector for mu_0 = 1, normalized to sum 1: a list of
   Fractions, the same kind of law `walk.stationary` returns.
 
-`eigensystem` returns the eigenvalues and right vectors, and `left_side`,
-the second solve, the left vectors and pi; a caller asks for the side it
-prints.
+A caller asks for the side it prints, and the eigenvalues of the vectors
+are `signed_eigenvalues` of the same prefix of lam.
 
 Each vector is scaled to coprime integers with first nonzero entry > 0.  For
 a reversible walk the right vectors are pi-orthogonal and u_x = pi_x v_x up
@@ -56,18 +58,6 @@ from .walk import invariant_closed_form, transition_matrix
 from .weights import Custom, WeightSpec, _check_n, down_step_diagonal
 
 
-class EigenSystem(Record):
-    """Signed eigenvalues and right eigenvectors for d <= dmax; `left_side`
-    gives the left vectors and pi."""
-
-    __slots__ = _fields = ("n", "eigenvalues", "right_vectors")
-
-    def __init__(self, n: int, eigenvalues: list, right_vectors: list):
-        self.n = n
-        self.eigenvalues = eigenvalues  # signed, index d
-        self.right_vectors = right_vectors  # integer-cleared, pi-orthogonal if reversible
-
-
 def family_sequence(spec: WeightSpec, n: int) -> list:
     """The eigenvalue sequence lambda_0, ..., lambda_{n-1} of a named family walk."""
     if isinstance(spec, Custom):
@@ -81,54 +71,26 @@ def signed_eigenvalues(lam) -> list:
     return [(-1) ** d * v for d, v in enumerate(lam)]
 
 
-def _pascal_triangular(lam, n: int) -> list:
-    """The positive integer multiple of the top k x k block of T = B^-1 P B,
-    k = len(lam), for the n-state walk; raises RepeatedEigenvalue."""
-    la.check_table(len(lam))
-    signed = signed_eigenvalues(lam)
+def _signed_row(lam, size: int) -> list:
+    """The positive integer multiple of the signed eigenvalues (-1)^d lambda_d,
+    d < size, for the rows of a size x size triangle; raises OutOfRange past
+    the table budget and RepeatedEigenvalue if any signed value of lam repeats."""
+    la.check_table(size)
     first: dict = {}
-    for d, value in enumerate(signed):
-        if first.setdefault(value, d) != d:
+    for d, v in enumerate(lam):
+        key = (-v.numerator if d % 2 else v.numerator, v.denominator)  # the reduced signed value
+        if first.setdefault(key, d) != d:
             raise RepeatedEigenvalue(
-                f"signed eigenvalue {value} repeats at d={first[value]} and d'={d}; "
+                f"signed eigenvalue {(-1) ** d * v} repeats at d={first[key]} and d'={d}; "
                 "eigenvectors need distinct signed eigenvalues"
             )
-    scaled = la.integer_row(signed)[0]
-    k = len(lam)
-    return [[scaled[i] * math.comb(n - 1 - i, j - i) if j >= i else 0 for j in range(k)]
-            for i in range(k)]
+    return la.integer_row(signed_eigenvalues(lam[:size]))[0]
 
 
 def _oriented(v: list) -> list:
     """A primitive integer vector as Fractions, first nonzero entry > 0."""
     sign = -1 if next((x for x in v if x), 0) < 0 else 1
     return [Fraction(sign * x) for x in v]
-
-
-def right_eigenvectors(lam, n: int | None = None) -> list:
-    """Right eigenvectors v_0, ..., v_{k-1} of the n-state walk whose
-    eigenvalue sequence begins with lam, k = len(lam) <= n; n defaults to k.
-
-    T is upper triangular, so eigenvector d of T lives on its top
-    (d+1) x (d+1) block: v_d depends only on lambda_0..lambda_d and n, and a
-    prefix of the sequence gives the first vectors of the whole walk.
-    """
-    n = len(lam) if n is None else n
-    if not 1 <= len(lam) <= n:
-        raise IndexOutOfDomain(f"need 1 <= len(lam) <= n, got {len(lam)} values for n={n}")
-    return _right_vectors(_pascal_triangular(lam, n), n)
-
-
-def _right_vectors(t: list, n: int) -> list:
-    rights = []
-    for c in la.triangular_eigenvectors(t):
-        # v = B c by prefix sums, f_k(x) = c_k + sum_{y<x} f_(k+1)(y) for k = d..0;
-        # B is unimodular, so v is primitive because c is.
-        v = [c[-1]] * n
-        for ck in reversed(c[:-1]):
-            v = [ck + s for s in accumulate(v[:-1], initial=0)]
-        rights.append(_oriented(v))
-    return rights
 
 
 def _top(lam, dmax: int | None) -> int:
@@ -141,36 +103,53 @@ def _top(lam, dmax: int | None) -> int:
     return n if dmax is None else min(dmax + 1, n)
 
 
-def eigensystem(lam, dmax: int | None = None) -> EigenSystem:
-    """Signed eigenvalues and right eigenvectors for d <= dmax of the walk of lam.
+def right_eigenvectors(lam, dmax: int | None = None) -> list:
+    """Right eigenvectors v_d, d <= dmax, of the n-state walk of lam,
+    n = len(lam): P v_d = (-1)^d lambda_d v_d.
 
-    lam must be stochastic (`transform.stochastic_sequence`), as a named
-    family's sequence is within its domain.  Every signed eigenvalue, not
-    only those up to dmax, must be distinct.
+    T is upper triangular, so eigenvector d of T lives on its top
+    (d+1) x (d+1) block; only the top k x k block, k = min(dmax + 1, n),
+    is built, and the table budget bounds k, not n.  lam needs distinct
+    signed values, every one of them checked, not a stochastic sequence:
+    integer sequences are solved too.
     """
     top = _top(lam, dmax)
     n = len(lam)
-    rights = _right_vectors(la.top_left(_pascal_triangular(lam, n), top), n)
-    return EigenSystem(n, signed_eigenvalues(lam[:top]), rights)
+    scaled = _signed_row(lam, top)
+    t = [[0] * i + [scaled[i] * math.comb(n - 1 - i, j) for j in range(top - i)]
+         for i in range(top)]
+    rights = []
+    for c in la.triangular_eigenvectors(t):
+        # v = B c by prefix sums, f_k(x) = c_k + sum_{y<x} f_(k+1)(y) for k = d..0;
+        # B is unimodular, so v is primitive because c is.
+        v = [c[-1]] * n
+        for ck in reversed(c[:-1]):
+            v = [ck + s for s in accumulate(v[:-1], initial=0)]
+        rights.append(_oriented(v))
+    return rights
 
 
 def left_side(lam, dmax: int | None = None) -> tuple:
     """(left vectors for d <= dmax, pi) of the walk of lam, on the terms of
-    `eigensystem`: each u is integer-cleared with u P = (-1)^d lambda_d u,
-    and pi is the stationary law as Fractions summing to 1.
+    `right_eigenvectors`: each u is integer-cleared with
+    u P = (-1)^d lambda_d u, and pi is the stationary law as Fractions
+    summing to 1.
 
-    With S[i][k] = T[n-1-k][n-1-i], T^T in reversed index order, S is upper
-    triangular, and its eigenvector for S[j][j] = T[d][d], j = n-1-d, read
-    backwards is the w with w T = T[d][d] w, zero below index d.  The left
-    vector u = w B^-1 is primitive because B^-1 is unimodular.  With
-    distinct signed eigenvalues 1 is a simple eigenvalue, so pi, u_0 over
-    its sum, is the one stationary law.
+    S[i][k] = T[n-1-k][n-1-i] = sigma_(n-1-k) C(k, i) for k >= i, sigma the
+    scaled signed eigenvalues, is T^T in reversed index order and upper
+    triangular.  Its eigenvector for S[j][j] = T[d][d], j = n-1-d, read
+    backwards is the w with w T = T[d][d] w, zero below index d.  Vector j
+    reads rows 0..j of S, so the whole n x n triangle is built for any dmax.
+    The left vector u = w B^-1 is primitive because B^-1 is unimodular.
+    With distinct signed eigenvalues 1 is a simple eigenvalue, so pi, u_0
+    over its sum, is the one stationary law.
     """
     top = _top(lam, dmax)
     n = len(lam)
-    t = _pascal_triangular(lam, n)
-    backwards = la.triangular_eigenvectors(
-        [[t[n - 1 - k][n - 1 - i] for k in range(n)] for i in range(n)], n - top)
+    scaled = _signed_row(lam, n)
+    s = [[0] * i + [scaled[n - 1 - k] * math.comb(k, i) for k in range(i, n)]
+         for i in range(n)]
+    backwards = la.triangular_eigenvectors(s, n - top)
     # u = w B^-1 means sum_y u_y t^y = W(t - 1), W(t) = sum_x w_x t^x, so
     # U(-t) is W(-t) shifted by +1: on coefficients listed from the top, that
     # shift is prefix sums of the first m for m = n, ..., 2.  c lists w from

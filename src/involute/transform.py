@@ -16,7 +16,9 @@ the same of every top-left submatrix.  Binomial transforms always have
 GADEP; the parametrized counterexample matrices show the converse fails.
 `check_adep` tests size n alone, with one characteristic polynomial, and
 `check_gadep` the sizes 1..n up to the first failure; `is_binomial_transform`
-needs none.  `property_report` decides all three and names a witness.
+needs none.  `property_report` decides all three and names a witness.  The
+three that compute a characteristic polynomial refuse n > CHARPOLY_BUDGET
+with OutOfRange before the first one.
 
 The grid of stochastic sequences whose entries have denominator at most
 den is enumerated on an integer lattice (`stochastic_lattice`): scaled by
@@ -139,6 +141,23 @@ def _require_lower_triangular(m) -> list:
     return rows
 
 
+# the largest n of a check that computes characteristic polynomials (adep,
+# gadep, the json report); their time grows about as n^5: at the budget, on
+# the slowest bench family gamma(2, 2/3), `check adep` takes 0.07 s and
+# `gadep` and `--format json check` 0.4 s (2-vCPU Xeon VM, Python 3.11.7),
+# and n = 100 takes 14 s for `adep` alone
+CHARPOLY_BUDGET = 32
+
+
+def _charpoly_rows(m) -> list:
+    """The rows of a lower-triangular m, once n is within CHARPOLY_BUDGET."""
+    rows = _require_lower_triangular(m)
+    if len(rows) > CHARPOLY_BUDGET:
+        raise OutOfRange(f"a characteristic-polynomial check needs n <= {CHARPOLY_BUDGET}, "
+                         f"the charpoly budget, got n={len(rows)}")
+    return rows
+
+
 def _adep(rows) -> bool:
     """ADEP of already coerced lower-triangular rows: one charpoly, of L J."""
     target = la.poly_from_roots([(-1) ** d * row[d] for d, row in enumerate(rows)])
@@ -152,7 +171,7 @@ def check_adep(m) -> bool:
     prod_d (X - (-1)^d L[d][d]).  This does not verify diagonalizability
     of L J, so repeated eigenvalues are accepted on multiset evidence alone.
     """
-    return _adep(_require_lower_triangular(m))
+    return _adep(_charpoly_rows(m))
 
 
 def _first_non_adep_size(rows) -> int | None:
@@ -163,7 +182,7 @@ def _first_non_adep_size(rows) -> int | None:
 
 
 def check_gadep(m) -> bool:
-    return _first_non_adep_size(_require_lower_triangular(m)) is None
+    return _first_non_adep_size(_charpoly_rows(m)) is None
 
 
 def _transform_of_diagonal(rows: list) -> list:
@@ -220,7 +239,7 @@ class PropertyReport(Record):
 
 
 def property_report(m) -> PropertyReport:
-    rows = _require_lower_triangular(m)
+    rows = _charpoly_rows(m)
     n = len(rows)
     witness = _first_non_adep_size(rows)
     gadep = witness is None

@@ -2,7 +2,6 @@
 
 import ast
 import importlib
-import importlib.util
 import inspect
 import json
 import math
@@ -16,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import involute
-from involute import _linalg, classify, spectral, walk
+from involute import _linalg, classify, spectral, transform, walk
 from involute.cli import _SIMULATE_CHUNK as CHUNK
 from involute.cli import main
 from involute.spectral import family_sequence
@@ -178,6 +177,31 @@ def test_check_decides_only_the_printed_property(monkeypatch, capsys, prop, call
     assert seen == [12] * calls
 
 
+def test_charpoly_checks_past_the_budget_exit_2(monkeypatch, tmp_path, capsys):
+    budget = transform.CHARPOLY_BUDGET
+    assert budget >= 12  # the largest n any test or bench job checks
+    # at the budget the slowest bench family is checked
+    assert run(capsys, "check", "--gamma", "2", "2/3", "--n", str(budget), "adep") == (
+        0, "adep holds\n", "")
+    seen = []
+    monkeypatch.setattr(_linalg, "charpoly", lambda a: seen.append(len(a)))
+    refusal = (2, "", f"error: a characteristic-polynomial check needs n <= {budget}, "
+                      f"the charpoly budget, got n={budget + 1}\n")
+    over = ("--gamma", "2", "2/3", "--n", str(budget + 1))
+    for prop in ("adep", "gadep", "binomial-transform"):
+        assert run(capsys, "--format", "json", "check", *over, prop) == refusal
+    for prop in ("adep", "gadep"):
+        assert run(capsys, "check", *over, prop) == refusal
+    # binomial-transform needs no charpoly; only its witness of a failure does
+    assert run(capsys, "check", *over, "binomial-transform") == (
+        0, "binomial-transform holds\n", "")
+    rows = [["1" if y in (x, x - 1) else "0" for y in range(budget + 1)] for x in range(budget + 1)]
+    target = tmp_path / "shifted.csv"
+    target.write_text("".join(",".join(row) + "\n" for row in rows))
+    assert run(capsys, "check", "--matrix", str(target), "binomial-transform") == refusal
+    assert seen == []
+
+
 @pytest.mark.parametrize("text", ["1,0,0\n1,1,0\n", "1,0\n1,1\n1,1\n"])
 def test_check_triangular_needs_a_square_matrix(tmp_path, capsys, text):
     target = tmp_path / "mat.csv"
@@ -296,6 +320,14 @@ def test_tables_past_the_budget_exit_2(capsys, monkeypatch):
     # spectrum builds no table
     code, out, _ = run(capsys, "spectrum", "--gamma", "1", "1", "--n", str(budget + 1))
     assert code == 0 and len(out.split()) == budget + 1
+    # eigvec --d builds d + 1 rows of the right triangle; json also solves the
+    # left side, whose triangle is n x n
+    argv = ("eigvec", "--gamma", "1", "1", "--n", str(budget + 1), "--d", "2")
+    code, out, _ = run(capsys, *argv)
+    *lines, final = out.splitlines()
+    assert code == 0 and len(lines) == 3 and final.startswith("final-left=1,")
+    assert [len(line.split("right=")[1].split(",")) for line in lines] == [budget + 1] * 3
+    assert run(capsys, "--format", "json", *argv) == refusal
 
 
 def test_n_with_a_lambda_or_matrix_source_exits_2(capsys):
@@ -342,7 +374,7 @@ def _readme_commands() -> list:
 
 def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
     commands = _readme_commands()
-    assert len(commands) == 17 and [code for _, code in commands].count(2) == 1
+    assert len(commands) == 18 and [code for _, code in commands].count(2) == 1
     monkeypatch.chdir(tmp_path)
     (tmp_path / "H.csv").write_text("1,0,0\n1/2,1/2,0\n1/4,1/2,1/4\n")
     for argv, expected in commands:
@@ -414,8 +446,9 @@ EIGVEC_SOURCES = [
 @pytest.mark.parametrize("dmax", [None, 0, 2])
 def test_eigvec_prints_the_engine_right_vectors_without_the_left_side(monkeypatch, capsys,
                                                                       flags, lam, p, dmax):
-    system = spectral.eigensystem(lam, dmax)
-    expected = list(zip(system.eigenvalues, system.right_vectors))
+    rights = spectral.right_eigenvectors(lam, dmax)
+    eigenvalues = spectral.signed_eigenvalues(lam)[:len(rights)]
+    expected = list(zip(eigenvalues, rights))
     assert all(matvec(p, vec) == [value * x for x in vec] for value, vec in expected)
     d_flag = () if dmax is None else ("--d", str(dmax))
 
@@ -439,10 +472,10 @@ def test_eigvec_prints_the_engine_right_vectors_without_the_left_side(monkeypatc
     code, out, _ = run(capsys, "--format", "json", "eigvec", *flags, *d_flag)
     lefts, pi = spectral.left_side(lam, dmax)
     assert all(_linalg.vecmat(u, p) == [value * x for x in u]
-               for value, u in zip(system.eigenvalues, lefts))
+               for value, u in zip(eigenvalues, lefts))
     assert (code, json.loads(out)) == (0, {
-        "n": len(lam), "eigenvalues": list(map(str, system.eigenvalues)),
-        "right_vectors": [list(map(str, v)) for v in system.right_vectors],
+        "n": len(lam), "eigenvalues": list(map(str, eigenvalues)),
+        "right_vectors": [list(map(str, v)) for v in rights],
         "left_vectors": [list(map(str, u)) for u in lefts], "pi": list(map(str, pi))})
 
 
@@ -791,20 +824,28 @@ def _bench_function_metrics() -> tuple:
 
 
 def test_bench_function_metrics_name_public_functions():
-    # the traced bench reads each of these spans by name, so a rename must fail here;
-    # bench/spans.py names a layer after a module's last name part, leading "_" dropped
+    # the traced bench reads each of these spans by name, so a rename must fail
+    # here; bench/spans.py names a layer after a module's last name part,
+    # leading "_" dropped, and wraps only modules loaded when a job starts,
+    # so the owner must be loaded by importing the CLI
     metrics = _bench_function_metrics()
     assert metrics
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    code = "import json, sys, involute.cli; print(json.dumps(list(sys.modules)))"
+    loaded = json.loads(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                       text=True, env=env, check=True, timeout=60).stdout)
+    modules = [f"involute.{path.stem}" for path in PACKAGE_DIR.glob("*.py")]
     for name, _ in metrics:
         layer, function = name.split(".")
         owners = []
-        for module_name in (f"involute.{layer}", f"involute._{layer}"):
-            if importlib.util.find_spec(module_name) is None:
+        for module_name in modules:
+            if module_name.rsplit(".", 1)[-1].lstrip("_") != layer:
                 continue
             obj = getattr(importlib.import_module(module_name), function, None)
             if inspect.isfunction(obj) and obj.__module__ == module_name:
                 owners.append(module_name)
         assert not function.startswith("_") and len(owners) == 1, name
+        assert owners[0] in loaded, name
 
 
 @pytest.mark.parametrize(
@@ -838,6 +879,7 @@ def test_bench_function_metrics_name_public_functions():
         ["check", "--lambda", "1,1", "ergodic"],
         ["simulate", "--gamma", "1", "1", "--n", "4", "--steps", "20000"],
         ["eigvec", "--lambda", "1,0,0", "--d", "0"],
+        ["eigvec", "--gamma", "1", "1", "--n", "1001", "--d", "2"],
     ],
 )
 def test_cli_same_under_optimize(argv):

@@ -8,7 +8,7 @@ import sympy
 
 from involute import _linalg as la
 from involute.errors import OutOfRange, SingularMatrix
-from involute.spectral import eigensystem, left_side, right_eigenvectors
+from involute.spectral import family_sequence, left_side, right_eigenvectors
 from involute.transform import _binomial_rows, binomial_transform, gadep_counterexample
 from involute.walk import transition_matrix
 from involute.weights import DeltaAB, GammaAB, GammaC, domain_limit, weight_table
@@ -152,12 +152,15 @@ def test_table_budget_bounds_every_dense_table():
         lambda: weight_table(GammaC(1), over),
         lambda: binomial_transform([1] + [0] * budget),
         lambda: right_eigenvectors(list(range(1, over + 1))),
-        lambda: eigensystem(list(range(1, over + 1)), dmax=0),
         lambda: left_side(list(range(1, over + 1)), dmax=0),
     ]
     for build in builds:
         with pytest.raises(OutOfRange, match=f"n <= {budget}, the table budget, got n={over}"):
             build()
-    # a few eigenvectors of a large walk need only a few rows of T
-    rights = right_eigenvectors([F(1), F(1, 2)], 14_300)
+    # a few right eigenvectors of a large walk need only a few rows of T
+    rights = right_eigenvectors(list(range(1, over + 1)), dmax=0)
+    assert rights == [[F(1)] * over]
+    rights = right_eigenvectors([F(1, d + 1) for d in range(14_300)], dmax=1)
     assert len(rights) == 2 and len(rights[1]) == 14_300
+    rights = right_eigenvectors(family_sequence(GammaAB(1, 1), over), dmax=2)
+    assert [len(v) for v in rights] == [over] * 3

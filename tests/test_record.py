@@ -10,11 +10,10 @@ from pathlib import Path
 import pytest
 
 import involute
-from involute import spectral
 from involute._record import Record
 from involute.classify import IdentityWalk, NotClassified, SearchRecord, SearchSummary
 from involute.continuum import ContinuousWalk, PolyFunction
-from involute.spectral import EigenSystem, MixingReport
+from involute.spectral import MixingReport
 from involute.transform import PropertyReport, StochasticCheck
 from involute.walk import ErgodicityReport, SubsetWalk
 from involute.weights import Custom, DeltaAB, GammaAB, GammaC
@@ -42,8 +41,6 @@ CASES = [
      "SearchRecord(lam=[Fraction(1, 1)], reversible=False, classification=None)", False),
     (lambda: SearchSummary(3, 0, 0), "SearchSummary(n=3, stochastic=0, reversible=0, records=[])",
      False),
-    (lambda: EigenSystem(1, [1], [[1]]),
-     "EigenSystem(n=1, eigenvalues=[1], right_vectors=[[1]])", False),
     (lambda: MixingReport(F(1, 2), 0.5),
      "MixingReport(second_abs_eigenvalue=Fraction(1, 2), empirical_rate=0.5)", False),
     (lambda: ContinuousWalk("kappa"), "ContinuousWalk(kind='kappa', a=0, b=0)", True),
@@ -123,9 +120,9 @@ def test_keyword_construction_and_defaults():
 
 
 def test_mutable_records_take_assignment():
-    system = EigenSystem(1, [1], [[0]])
-    system.right_vectors = [[1]]
-    assert system == EigenSystem(1, [1], [[1]]) != EigenSystem(1, [1], [[0]])
+    report = MixingReport(F(1, 2), 0.0)
+    report.empirical_rate = 0.5
+    assert report == MixingReport(F(1, 2), 0.5) != MixingReport(F(1, 2), 0.0)
 
 
 def _record_classes():
@@ -139,7 +136,7 @@ def _record_classes():
 
 def test_record_fields_are_values_not_properties():
     classes = _record_classes()
-    assert {EigenSystem, SubsetWalk, ErgodicityReport, GammaAB}.issubset(classes)
+    assert {MixingReport, SubsetWalk, ErgodicityReport, GammaAB}.issubset(classes)
     for cls in classes:
         for name in cls._fields:
             for klass in cls.__mro__:
@@ -154,15 +151,3 @@ def test_no_module_imports_cached_property():
                 assert "cached_property" not in [a.name for a in node.names], path.name
             assert not (isinstance(node, ast.Attribute) and node.attr == "cached_property"), \
                 path.name
-
-
-def test_comparing_or_printing_an_eigensystem_solves_no_left_side(monkeypatch):
-    lam = spectral.family_sequence(GammaAB(1, 1), 5)
-    first, second = spectral.eigensystem(lam), spectral.eigensystem(lam)
-
-    def solve_left(lam, dmax=None):
-        raise AssertionError("the left side was solved")
-
-    monkeypatch.setattr(spectral, "left_side", solve_left)
-    assert first == second and not first != second
-    assert repr(first) == repr(second) and repr(first).startswith("EigenSystem(n=5, ")

@@ -10,9 +10,7 @@ from involute import _linalg as la
 from involute.cli import main
 from involute.errors import IndexOutOfDomain, OutOfRange, RepeatedEigenvalue, UnsupportedFamily
 from involute.spectral import (
-    EigenSystem,
     MixingReport,
-    eigensystem,
     family_sequence,
     final_left_eigenvector,
     left_side,
@@ -60,8 +58,8 @@ def test_eigenvalues_decreasing_in_abs():
         assert all(mags[d] > mags[d + 1] for d in range(n - 1))
 
 
-def _family_system(spec, n, dmax=None):
-    return eigensystem(family_sequence(spec, n), dmax=dmax)
+def _family_rights(spec, n, dmax=None):
+    return right_eigenvectors(family_sequence(spec, n), dmax=dmax)
 
 
 def _family_left(spec, n, dmax=None):
@@ -69,10 +67,11 @@ def _family_left(spec, n, dmax=None):
 
 
 def test_right_eigenvector_example():
-    system = _family_system(GammaAB(0, 0), 4)
-    assert system.right_vectors[0] == [F(1)] * 4
-    assert system.right_vectors[1] == [F(2), F(1), F(0), F(-1)]
-    assert system.eigenvalues == [F(1), F(-1, 2), F(1, 3), F(-1, 4)]
+    rights = _family_rights(GammaAB(0, 0), 4)
+    assert rights[0] == [F(1)] * 4
+    assert rights[1] == [F(2), F(1), F(0), F(-1)]
+    assert signed_eigenvalues(family_sequence(GammaAB(0, 0), 4)[:len(rights)]) == [
+        F(1), F(-1, 2), F(1, 3), F(-1, 4)]
 
 
 def test_right_eigenvectors_structure():
@@ -80,20 +79,20 @@ def test_right_eigenvectors_structure():
         for b in (F(0), F(1)):
             spec = GammaAB(a, b)
             for n in (3, 5, 6):
-                system = _family_system(spec, n)
+                rights = _family_rights(spec, n)
                 pi = _family_left(spec, n)[1]
                 # pairwise pi-orthogonality, exact
                 for d in range(n):
                     for e in range(d + 1, n):
-                        assert pi_inner(pi, system.right_vectors[d], system.right_vectors[e]) == 0
+                        assert pi_inner(pi, rights[d], rights[e]) == 0
                 # degree-d property: coordinates in the Pascal basis stop at d
                 binv = pascal_inverse(n)
-                for d, vec in enumerate(system.right_vectors):
+                for d, vec in enumerate(rights):
                     coords = matvec(binv, vec)
                     assert all(coords[k] == 0 for k in range(d + 1, n))
                     assert coords[d] != 0
                 # second eigenvector is affine with the documented slope
-                w1 = system.right_vectors[1]
+                w1 = rights[1]
                 ref = [(a + b + 2) * (n - 1) - (2 * a + b + 3) * x for x in range(n)]
                 assert clear_denominators(ref) == w1
 
@@ -119,8 +118,8 @@ def test_right_eigenvectors_match_rational_gram_schmidt():
                 spec = GammaAB(a, b)
                 rights = right_eigenvectors(family_sequence(spec, n))
                 assert rights == _rational_gram_schmidt(spec, n)
-                # vector d needs only lambda_0..lambda_d and n
-                assert right_eigenvectors(family_sequence(spec, min(n, 3)), n) == rights[:3]
+                # vector d needs only the top d + 1 rows of T
+                assert right_eigenvectors(family_sequence(spec, n), dmax=2) == rights[:3]
                 cases += 1
     assert cases == 120
 
@@ -176,18 +175,19 @@ def test_right_eigenvectors_are_exact_eigenvectors(spec):
     # signed lambda, which every named family has within its domain
     sizes = [(n, None) for n in (*range(2, 13), 24, 40)] + [(80, 2)]
     for n, dmax in [(n, dmax) for n, dmax in sizes if n <= domain_limit(spec)]:
-        system = _family_system(spec, n, dmax=dmax)
+        rights = _family_rights(spec, n, dmax=dmax)
         top = n if dmax is None else dmax + 1
-        assert len(system.right_vectors) == len(system.eigenvalues) == top
-        assert system.right_vectors == _integer_gram_schmidt(spec, n, top)
+        eigenvalues = signed_eigenvalues(family_sequence(spec, n))[:top]
+        assert len(rights) == top
+        assert rights == _integer_gram_schmidt(spec, n, top)
         walk = transition_matrix(spec, n)
         p = [la.integer_row(row) for row in walk]
         lefts = _family_left(spec, n, dmax=dmax)[0]
         assert len(lefts) == top
-        for value, v, u in zip(system.eigenvalues, system.right_vectors, lefts):
+        for value, v, u in zip(eigenvalues, rights, lefts):
             assert any(v) and _exact_eigenvector(p, value, v)
             assert la.vecmat(u, walk) == [value * x for x in u]
-        assert not _exact_eigenvector(p, system.eigenvalues[1], system.right_vectors[0])
+        assert not _exact_eigenvector(p, eigenvalues[1], rights[0])
 
 
 def test_family_left_vectors_are_pi_times_right():
@@ -197,13 +197,13 @@ def test_family_left_vectors_are_pi_times_right():
     assert lefts[:2] == [[F(1), F(2), F(3), F(4)], [F(1), F(1), F(0), F(-2)]]
     for spec in (GammaAB(F(1, 2), F(-1, 3)), GammaC(F(5, 2)), DeltaAB(F(21, 2), F(43, 4))):
         for n in range(1, min(12, domain_limit(spec)) + 1):
-            system = _family_system(spec, n)
+            rights = _family_rights(spec, n)
             lefts, engine_pi = _family_left(spec, n)
             pi = invariant_closed_form(spec, n)
             assert engine_pi == pi
             assert lefts == [
                 clear_denominators([p * x for p, x in zip(pi, v)])
-                for v in system.right_vectors
+                for v in rights
             ]
 
 
@@ -231,10 +231,9 @@ def test_final_left_eigenvector_over_grid():
 def test_left_vectors_are_left_eigenvectors():
     spec = GammaAB(F(1, 2), F(1))
     n = 5
-    system = _family_system(spec, n)
     lefts = _family_left(spec, n)[0]
     p = transition_matrix(spec, n)
-    for value, u in zip(system.eigenvalues, lefts):
+    for value, u in zip(signed_eigenvalues(family_sequence(spec, n)), lefts):
         assert la.vecmat(u, p) == [value * x for x in u]
     # the last left vector is the alternating Pascal row up to scale
     assert lefts[n - 1] == clear_denominators(final_left_eigenvector(n))
@@ -308,15 +307,14 @@ def test_unsupported_family():
 
 def test_eigensystem_rejects_negative_dmax():
     lam = family_sequence(GammaAB(1, 1), 4)
-    for solve in (eigensystem, left_side):
+    for solve in (right_eigenvectors, left_side):
         with pytest.raises(OutOfRange, match="dmax >= 0, got -1"):
             solve(lam, dmax=-1)
+        with pytest.raises(IndexOutOfDomain, match="at least one eigenvalue"):
+            solve([])
     lefts, pi = left_side(lam, dmax=0)
-    assert len(eigensystem(lam, dmax=0).right_vectors) == len(lefts) == 1
+    assert len(right_eigenvectors(lam, dmax=0)) == len(lefts) == 1
     assert pi == invariant_closed_form(GammaAB(1, 1), 4)
-    for lam, n in (([], 4), (lam, 3)):
-        with pytest.raises(IndexOutOfDomain, match="len\\(lam\\) <= n"):
-            right_eigenvectors(lam, n)
 
 
 def _exact_left(p, value, u):
@@ -332,16 +330,16 @@ def test_eigensystem_of_every_grid_walk():
             p = pl_matrix(lam)
             signed = [(-1) ** d * v for d, v in enumerate(lam)]
             if len(set(signed)) < n:
-                for solve in (eigensystem, left_side):
+                for solve in (right_eigenvectors, left_side):
                     with pytest.raises(RepeatedEigenvalue,
                                        match="repeats at d=\\d+ and d'=\\d+"):
                         solve(lam)
                 refused += 1
                 continue
-            system = eigensystem(lam)
+            rights = right_eigenvectors(lam)
             lefts, pi = left_side(lam)
-            assert system.eigenvalues == signed
-            for value, v, u in zip(signed, system.right_vectors, lefts):
+            assert signed_eigenvalues(lam) == signed
+            for value, v, u in zip(signed, rights, lefts):
                 assert matvec(p, v) == [value * x for x in v] and any(v)
                 assert _exact_left(p, value, u) and any(u)
                 vectors += 1
@@ -351,20 +349,33 @@ def test_eigensystem_of_every_grid_walk():
     assert (solved, refused, vectors) == (146, 109, 539)
 
 
+def test_dmax_solves_are_prefixes_of_the_whole_solve():
+    # the top (dmax + 1)-row block of T and the truncated solve of S give the
+    # same first vectors as the whole solve; dmax >= n asks for all of them
+    seqs = [lam for n in range(1, 6) for lam in stochastic_grid(n, 4)
+            if len(set(signed_eigenvalues(lam))) == n]
+    seqs += [list(range(1, 7)), family_sequence(DeltaAB(5, 3), 5)]
+    for lam in seqs:
+        n = len(lam)
+        rights = right_eigenvectors(lam)
+        lefts, pi = left_side(lam)
+        assert len(rights) == len(lefts) == n
+        for dmax in range(n + 2):
+            top = min(dmax + 1, n)
+            assert right_eigenvectors(lam, dmax) == rights[:top]
+            assert left_side(lam, dmax) == (lefts[:top], pi)
+
+
 def test_repeated_eigenvalue_is_refused_before_solving():
-    with pytest.raises(RepeatedEigenvalue, match="eigenvalue 0 repeats at d=1 and d'=2"):
-        eigensystem([F(1), F(0), F(0)])
-    with pytest.raises(RepeatedEigenvalue, match="eigenvalue 0 repeats at d=1 and d'=2"):
-        right_eigenvectors([F(1), F(0), F(0)])
-    # the first vectors need only their own prefix to be distinct
-    rights = right_eigenvectors([F(1), F(0)], 3)
-    assert rights == [[F(1)] * 3, [F(2), F(1), F(0)]]
-    p = pl_matrix([F(1), F(0), F(0)])
-    assert [matvec(p, v) for v in rights] == [[F(1)] * 3, [F(0)] * 3]
+    # the whole sequence is checked, also when dmax asks for vectors before the repeat
+    for solve in (right_eigenvectors, left_side):
+        for dmax in (None, 0):
+            with pytest.raises(RepeatedEigenvalue,
+                               match="eigenvalue 0 repeats at d=1 and d'=2"):
+                solve([F(1), F(0), F(0)], dmax)
 
 
 def test_eigensystem_serialization(capsys):
-    assert isinstance(_family_system(GammaAB(0, 0), 3), EigenSystem)
     assert main(["--format", "json", "eigvec", "--gamma", "0", "0", "--n", "3"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert list(payload) == ["n", "eigenvalues", "right_vectors", "left_vectors", "pi"]
