@@ -14,9 +14,11 @@ the two eigenvalues mu = lambda_1 and nu = lambda_2:
 
 The ladder values nu_m(mu) increase with m and converge to mu^2.  A
 classified walk comes back as its weight spec, GammaAB, GammaC or DeltaAB
-(the ladder is the DeltaAB with integer b' = m).  The classifier always
-re-verifies the whole eigenvalue sequence against the candidate family, so
-a match is exact, never inferred from (mu, nu) alone.
+(the ladder is the DeltaAB with integer b' = m).  The classifier verifies
+lambda_3, lambda_4, ... against the candidate family, so a match is exact,
+never inferred from (mu, nu) alone; lambda_0..lambda_2 are 1, mu and nu by
+the construction of the candidate, which
+`test_candidate_diagonal_starts_with_one_mu_nu` checks on the den <= 12 grid.
 
 The conjecture sweep runs on the integer lattice of `stochastic_lattice`:
 each sequence is a tuple of integers lambda_y * L, L = lcm(1..den), its
@@ -36,7 +38,7 @@ from typing import Union
 from ._record import FrozenRecord, Record
 from .errors import OutOfRange, ZeroNotAccessible
 from .exactnum import as_rational
-from .transform import _pl_rows, lambda_walk, stochastic_lattice, stochastic_sequence
+from .transform import _pl_rows, _scaled_walk, stochastic_lattice
 from .walk import _potentials, _zero_reachable
 from .weights import DeltaAB, GammaAB, GammaC, domain_limit, down_step_diagonal
 
@@ -140,9 +142,10 @@ def is_globally_reversible(lam) -> bool:
     The m x m top-right submatrix equals P of the truncated sequence
     lambda_0..lambda_{m-1}, and truncation preserves stochasticity, so each
     truncation's walk is read off the one P as a slice, and only the
-    verdict of its detailed-balance potentials is read.
+    verdict of its detailed-balance potentials is read.  Both verdicts read
+    P through ratios of its entries, so they run on the integer L * P.
     """
-    p = lambda_walk(lam)
+    p = _scaled_walk(lam)
     if not _zero_reachable(p):
         raise ZeroNotAccessible("state 0 unreachable; the walk never mixes")
     for m in range(2, len(p) + 1):
@@ -154,13 +157,14 @@ def is_globally_reversible(lam) -> bool:
 def classify_walk(lam) -> Classification:
     """Identify the family walk with this eigenvalue sequence, if any.
 
-    After the (mu, nu) case split the full sequence is verified against the
-    family's closed form; any mismatch gives NotClassified.
+    After the (mu, nu) case split the rest of the sequence is verified
+    against the family's closed form; any mismatch gives NotClassified.
+    Reachability is read from the integer L * P.
     """
     if len(lam) < 3:
         raise OutOfRange("classification needs n >= 3")
-    lam = stochastic_sequence(lam)
-    return _classify(lam, _zero_reachable(_pl_rows(lam)))
+    lam = [as_rational(v) for v in lam]
+    return _classify(lam, _zero_reachable(_scaled_walk(lam)))
 
 
 def _classify(lam: list, reaches_zero: bool) -> Classification:
@@ -180,9 +184,10 @@ def _classify(lam: list, reaches_zero: bool) -> Classification:
         candidate = params_from_mu_nu(mu, nu, n)
     except OutOfRange as exc:
         return NotClassified(str(exc))
-    if isinstance(candidate, NotClassified):
+    if isinstance(candidate, NotClassified) or n == 3:
         return candidate
-    for d, expected in enumerate(down_step_diagonal(candidate, n)):
+    # lambda_0..lambda_2 are 1, mu and nu by the construction of the candidate
+    for d, expected in enumerate(down_step_diagonal(candidate, n)[3:], 3):
         if lam[d] != expected:
             return NotClassified(f"lambda_{d} mismatches the candidate family")
     return candidate

@@ -485,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-denominator", type=int, default=8, metavar="D",
                    help=f"grid denominators up to D (default 8); the lattice may visit at "
-                        f"most {transform.LATTICE_BUDGET} suffixes, enough for n=5 at D=16")
+                        f"most {transform.LATTICE_BUDGET} suffixes, enough for n=4 at D=20 "
+                        f"and n=6 at D=16")
     p.set_defaults(func=cmd_conjecture)
 
     p = sub.add_parser("repro", help="reproduce the reference displays and tables")

@@ -3,7 +3,7 @@ time: the tests use them as oracles for the closed forms and fast paths."""
 
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -221,6 +221,32 @@ def stochastic_grid(n: int, max_denominator: int) -> list:
     """The stochastic lattice as sorted lists of Fractions lambda_y = v / L."""
     scale, lattice = stochastic_lattice(n, max_denominator)
     return [[Fraction(v, scale) for v in scaled] for scaled in lattice]
+
+
+def uncut_lattice(n: int, max_denominator: int) -> list:
+    """`stochastic_lattice`'s records, enumerated with the floor alone: every
+    suffix whose alternating sums are non-negative is extended, and
+    lambda_0 = L is tested only once the suffix is whole."""
+    scale = math.lcm(*range(1, max_denominator + 1))
+    values = sorted(
+        {p * (scale // q) for q in range(1, max_denominator + 1) for p in range(q + 1)}
+    )
+    records = []
+
+    def extend(suffix: tuple, row: list):
+        floor = sum(row)
+        if len(suffix) == n - 1:
+            if floor <= scale:
+                records.append((scale, *suffix))
+            return
+        for v in values[bisect_left(values, floor):]:
+            below = [v]
+            for x in row:
+                below.append(below[-1] - x)
+            extend((v, *suffix), below)
+
+    extend((), [])
+    return sorted(records)
 
 
 def clear_denominators(v) -> list:

@@ -20,8 +20,9 @@ from involute.classify import (
 )
 from involute.errors import NotStochastic, OutOfRange, ZeroNotAccessible
 from involute.spectral import family_sequence
-from involute.transform import pl_matrix
-from involute.weights import DeltaAB, GammaAB, GammaC
+from involute.transform import lambda_walk, pl_matrix
+from involute.walk import _potentials
+from involute.weights import DeltaAB, GammaAB, GammaC, down_step_diagonal
 
 from oracles import (
     a_from_mu_nu,
@@ -359,3 +360,65 @@ def test_grid_reversibility_agrees_with_detailed_balance(capsys):
             reversible += record.reversible
     assert compared + transient == 217
     assert transient > 60 and reversible > 20
+
+
+def test_candidate_diagonal_starts_with_one_mu_nu():
+    # _classify compares only lambda_3.. with the candidate: lambda_0..lambda_2
+    # are 1, mu and nu by construction, for every admitted (mu, nu) of the
+    # den <= 12 grid, each case of the split included
+    grid = sorted({F(p, q) for q in range(1, 13) for p in range(q + 1)})
+    kinds = set()
+    for mu in grid:
+        for nu in grid:
+            if not 1 > mu > nu >= 0:
+                continue
+            spec = params_from_mu_nu(mu, nu, 3)
+            if isinstance(spec, NotClassified):
+                continue
+            assert down_step_diagonal(spec, 3) == [1, mu, nu], (mu, nu)
+            kinds.add((type(spec), isinstance(spec, DeltaAB) and spec.b_prime.denominator == 1))
+    assert kinds == {(GammaAB, False), (GammaC, False), (DeltaAB, False), (DeltaAB, True)}
+
+
+def _full_diagonal_classification(lam):
+    """The classification of a stochastic lam whose walk reaches 0, with the
+    candidate's whole diagonal compared, lambda_0..lambda_2 included."""
+    if all(v == 1 for v in lam):
+        return IdentityWalk()
+    try:
+        spec = params_from_mu_nu(lam[1], lam[2], len(lam))
+    except OutOfRange as exc:
+        return NotClassified(str(exc))
+    if isinstance(spec, NotClassified):
+        return spec
+    diagonal = down_step_diagonal(spec, len(lam))
+    d = next((d for d, (a, b) in enumerate(zip(lam, diagonal)) if a != b), None)
+    return spec if d is None else NotClassified(f"lambda_{d} mismatches the candidate family")
+
+
+def test_lambda_verdicts_match_fraction_walks():
+    # classify_walk and is_globally_reversible read the integer L * P; on the
+    # n <= 7, den <= 6 grid they agree with the Fraction walk: reachability by
+    # fixed point on lambda_walk, and each truncation's own P for the
+    # top-right submatrices
+    counts = {"unreachable": 0, "reversible": 0, "not reversible": 0, "classified": 0}
+    for n in range(3, 8):
+        for den in range(1, 7):
+            for lam in stochastic_grid(n, den):
+                if not zero_accessible(lambda_walk(lam)):
+                    counts["unreachable"] += 1
+                    with pytest.raises(ZeroNotAccessible):
+                        is_globally_reversible(lam)
+                    if any(v != 1 for v in lam):
+                        with pytest.raises(ZeroNotAccessible):
+                            classify_walk(lam)
+                        continue
+                else:
+                    expected = all(_potentials(pl_matrix(lam[:m])) is not None
+                                   for m in range(2, n + 1))
+                    assert is_globally_reversible(lam) == expected, lam
+                    counts["reversible" if expected else "not reversible"] += 1
+                got = classify_walk(lam)
+                assert got == _full_diagonal_classification(lam), lam
+                counts["classified"] += not isinstance(got, NotClassified)
+    assert min(counts.values()) > 20, counts

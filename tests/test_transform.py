@@ -29,7 +29,7 @@ from involute.transform import (
 from involute.walk import ergodicity, transition_matrix
 from involute.weights import DeltaAB, GammaAB, GammaC
 
-from oracles import pascal_column, pascal_inverse, pascal_matrix, stochastic_grid
+from oracles import pascal_column, pascal_inverse, pascal_matrix, stochastic_grid, uncut_lattice
 
 lambda_lists = st.lists(
     st.fractions(min_value=-2, max_value=2, max_denominator=8), min_size=1, max_size=8
@@ -59,6 +59,25 @@ def random_stochastic_lambda(n: int, rng, max_weight: int = 60) -> list:
             row.append(row[-1] + p)
         lam[y] = row[-1]
     return lam
+
+
+def alternating_sums(lam) -> list:
+    """sum_e (-1)^e binom(z, e) lambda_{n-1-z+e} for z = 0..n-1, on Fractions."""
+    n = len(lam)
+    return [
+        sum((-1) ** e * binom(z, e) * lam[n - 1 - z + e] for e in range(z + 1))
+        for z in range(n)
+    ]
+
+
+def fraction_stochastic_check(lam) -> tuple:
+    """(ok, witness, reason) of `is_stochastic`, decided on Fractions."""
+    if lam[0] != 1:
+        return False, None, f"lambda_0 = {lam[0]} != 1"
+    for z, total in enumerate(alternating_sums(lam)):
+        if total < 0:
+            return False, z, f"alternating sum at z={z} is {total} < 0"
+    return True, None, ""
 
 
 def down_step(spec, n: int) -> list:
@@ -106,15 +125,48 @@ def test_is_stochastic_examples():
 
 
 def test_alternating_sums_frozen():
-    def sums(lam):
-        n = len(lam)
-        return [
-            sum((-1) ** e * binom(z, e) * lam[n - 1 - z + e] for e in range(z + 1))
-            for z in range(n)
-        ]
+    assert alternating_sums([F(1), F(1, 2), F(1, 3), F(1, 4)]) == [
+        F(1, 4), F(1, 12), F(1, 12), F(1, 4)]
+    assert alternating_sums([F(1), F(3, 5), F(3, 10), F(1, 20)]) == [
+        F(1, 20), F(1, 4), F(1, 20), F(1, 20)]
 
-    assert sums([F(1), F(1, 2), F(1, 3), F(1, 4)]) == [F(1, 4), F(1, 12), F(1, 12), F(1, 4)]
-    assert sums([F(1), F(3, 5), F(3, 10), F(1, 20)]) == [F(1, 20), F(1, 4), F(1, 20), F(1, 20)]
+
+def test_is_stochastic_matches_fraction_reference():
+    # is_stochastic decides on lambda scaled by the lcm of its denominators;
+    # verdict, witness and reason must be those of the Fraction sums
+    cases = []
+    # the bench's family sequences, each less 2^-40 at index 3 or 5, and the
+    # same perturbation made large enough to break an alternating sum
+    specs = [GammaAB(F(a), F(b)) for a in ("0", "1/2", "2") for b in ("0", "1/3", "3/2")]
+    specs += [GammaC(F(c)) for c in ("1/3", "2")]
+    for spec in specs:
+        for n in (6, 9, 12):
+            lam = family_sequence(spec, n)
+            for d in (3, 5):
+                for eps in (F(1, 2**40), F(1, 7), F(-1, 7)):
+                    cases.append([*lam[:d], lam[d] - eps, *lam[d + 1:]])
+    for n in (8, 11):
+        for p, q in ((F(1, 2), F(2, 3)), (F(1, 3), F(3, 2))):
+            lam = family_sequence(DeltaAB(n - 1 + p, n - 1 + q), n)
+            cases += [[*lam[:d], lam[d] - F(1, 2**40), *lam[d + 1:]] for d in (3, 5)]
+    # several large coprime denominators in one sequence, around stochastic ones
+    rng = random.Random(29)
+    primes = (1_000_003, 998_244_353, 2**61 - 1, 2**31 - 1)
+    for n in (3, 5, 8, 12):
+        for _ in range(20):
+            lam = random_stochastic_lambda(n, rng)
+            for d in range(1, n):
+                lam[d] += F(rng.choice((-1, 1)), rng.choice(primes))
+            cases.append(lam)
+    cases += [[F(2), F(1)], [F(1, 3), F(1, 5)], [F(1), F(1, 2), F(0), F(0)], [F(1)]]
+    verdicts = set()
+    for lam in cases:
+        res = is_stochastic(lam)
+        expected = fraction_stochastic_check(lam)
+        assert (res.ok, res.witness, res.reason) == expected, lam
+        verdicts.add((expected[0], expected[1] is None))
+    # passing sequences, failing alternating sums and a failing lambda_0 all occur
+    assert verdicts == {(True, True), (False, False), (False, True)}
 
 
 @given(lambda_lists)
@@ -322,19 +374,22 @@ def test_random_stochastic_lambda_inverts_the_bottom_row():
 
 
 def test_stochastic_grid_matches_filtered_grid():
-    # oracle: every non-increasing tuple over the Farey fractions, filtered
-    for den in range(1, 7):
+    # oracle: every non-increasing tuple over the Farey fractions, kept when
+    # its binomial alternating sums, on Fractions, are all non-negative;
+    # with n = 6 and 7 the lattice cuts by its ceiling at j up to 4 and 5
+    sizes = [(den, n) for den in range(1, 7) for n in range(1, 6)]
+    sizes += [(den, n) for den in range(1, 5) for n in (6, 7)]
+    for den, n in sizes:
         farey = {F(p, q) for q in range(1, den + 1) for p in range(q + 1)}
         values = sorted(farey, reverse=True)
-        for n in range(1, 6):
-            oracle = [
-                [F(1), *combo]
-                for combo in itertools.combinations_with_replacement(values, n - 1)
-                if is_stochastic([F(1), *combo])
-            ]
-            grid = list(stochastic_grid(n, den))
-            assert sorted(grid) == sorted(oracle)
-            assert len({tuple(lam) for lam in grid}) == len(grid)
+        oracle = [
+            [F(1), *combo]
+            for combo in itertools.combinations_with_replacement(values, n - 1)
+            if min(alternating_sums([F(1), *combo])) >= 0
+        ]
+        grid = list(stochastic_grid(n, den))
+        assert sorted(grid) == sorted(oracle)
+        assert len({tuple(lam) for lam in grid}) == len(grid)
     assert [F(1), F(1), F(1)] in list(stochastic_grid(3, 1))
 
 
@@ -347,12 +402,18 @@ def test_stochastic_lattice_is_sorted_integer_grid():
 
 
 def test_stochastic_lattice_budget():
-    # n = 5 at den 16 fits the budget; n = 6 at den 16 visits 670,527
-    # suffixes and is refused before the enumeration ends
+    # n = 5 at den 16 (28,350 visited suffixes), n = 4 at den 20 (45,945) and
+    # n = 6 at den 16 (26,743) fit the budget; n = 6 at den 16 equals the
+    # enumeration without the ceiling, which visits 670,527 suffixes
     scale, lattice = stochastic_lattice(5, 16)
     assert len(lattice) == 23089
     assert len(stochastic_lattice(4, 20)[1]) == 42879
-    for n, den in ((6, 16), (4, 40), (3, 60)):
+    scale, lattice = stochastic_lattice(6, 16)
+    assert len(lattice) == 18719
+    assert lattice == uncut_lattice(6, 16)
+    # n = 6 at den 30 visits 7,032,701 suffixes, n = 4 at den 40 2,264,857
+    # and n = 3 at den 60 306,701: each is refused before the enumeration ends
+    for n, den in ((6, 30), (4, 40), (3, 60)):
         with pytest.raises(OutOfRange, match=f"more than {LATTICE_BUDGET} lattice suffixes"):
             stochastic_lattice(n, den)
 
