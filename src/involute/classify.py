@@ -20,14 +20,21 @@ never inferred from (mu, nu) alone; lambda_0..lambda_2 are 1, mu and nu by
 the construction of the candidate, which
 `test_candidate_diagonal_starts_with_one_mu_nu` checks on the den <= 12 grid.
 
-The conjecture sweep runs on the integer lattice of `stochastic_lattice`:
-each sequence is a tuple of integers lambda_y * L, L = lcm(1..den), its
-walk is the integer matrix L * P and detailed balance is decided on that
-matrix, whose scale does not change the verdict, by potentials kept as
-integer pairs.  The potentials also decide reachability, so no record runs
-a search for it.  A sweep forms one Fraction v / L per distinct grid value,
-shared by every record that holds it, and the (mu, nu) case split of a
-reversible record forms one Fraction per family parameter.
+The conjecture sweep runs on the integer lattice of
+`transform._lattice_records`: each sequence is a tuple of integers
+lambda_y * L, L = lcm(1..den), handed over with its difference table.
+Detailed balance is decided on the integer L * M read off that table, M
+being P without its binomial factors: with y = n-1-z and
+k = x + z - (n-1), P[x][z] = binom(x, y) D_k(y) = x! M[x][z] / (y! k!),
+so P[x][z] / P[z][x] = (g_x / g_z) M[x][z] / M[z][x] with
+g_x = x! (n-1-x)!, and M has P's support, P's verdict and P's forest of
+potentials (the `transform` docstring).  The potentials are integer
+pairs, and the verdict is taken as the lattice meets each record, so no
+record forms P, a Fraction potential or a table it keeps.  The
+potentials also decide reachability, so no record runs a search for it.
+A sweep forms one Fraction v / L per distinct grid value, shared by every
+record that holds it, and the (mu, nu) case split of a reversible record
+forms one Fraction per family parameter.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from typing import Union
 from ._record import FrozenRecord, Record
 from .errors import OutOfRange, ZeroNotAccessible
 from .exactnum import as_rational
-from .transform import _pl_rows, _scaled_walk, stochastic_lattice
+from .transform import _dj_rows, _lattice_records, _scaled_walk
 from .walk import _potentials, _zero_reachable
 from .weights import DeltaAB, GammaAB, GammaC, domain_limit, down_step_diagonal
 
@@ -141,9 +148,11 @@ def is_globally_reversible(lam) -> bool:
 
     The m x m top-right submatrix equals P of the truncated sequence
     lambda_0..lambda_{m-1}, and truncation preserves stochasticity, so each
-    truncation's walk is read off the one P as a slice, and only the
+    truncation's walk is read off the one matrix as a slice, and only the
     verdict of its detailed-balance potentials is read.  Both verdicts read
-    P through ratios of its entries, so they run on the integer L * P.
+    the integer L * M of `transform._scaled_walk`, P without its binomial
+    factors: it has P's support and P's detailed-balance verdict, and its
+    m x m top-right block is the M of the truncation, as P's is its P.
     """
     p = _scaled_walk(lam)
     if not _zero_reachable(p):
@@ -159,7 +168,8 @@ def classify_walk(lam) -> Classification:
 
     After the (mu, nu) case split the rest of the sequence is verified
     against the family's closed form; any mismatch gives NotClassified.
-    Reachability is read from the integer L * P.
+    Reachability is read from the support of the integer L * M, which is
+    P's (`transform._scaled_walk`).
     """
     if len(lam) < 3:
         raise OutOfRange("classification needs n >= 3")
@@ -248,9 +258,11 @@ def conjecture_search(n: int, *, max_denominator: int = 8) -> SearchSummary:
 
     The sweep is the exact grid of stochastic sequences whose entries have
     denominator at most max_denominator; records cover every one of them, in
-    the sorted order of the sequences.  It walks the integer lattice, so the
-    walk L * P and its detailed-balance verdict stay on integers, and each
-    distinct grid value becomes one Fraction v / L, shared by the records.
+    the sorted order of the sequences.  It walks the integer lattice, and
+    decides each walk's detailed balance as the lattice meets it, on the
+    integer L * M of its difference table; only the tuple, and the tree
+    count of a reversible one, are kept until the sort, and each distinct
+    grid value becomes one Fraction v / L, shared by the records.
 
     Reachability needs no search of its own: potentials that span one tree
     mean a symmetric, connected support, so the walk is irreducible and 0
@@ -259,14 +271,18 @@ def conjecture_search(n: int, *, max_denominator: int = 8) -> SearchSummary:
     """
     if n < 3 or n > 8:
         raise OutOfRange("the desk-scale sweep covers 3 <= n <= 8")
-    scale, lattice = stochastic_lattice(n, max_denominator)
-    value = {v: Fraction(v, scale) for v in set().union(*lattice)}
+    scale, stream = _lattice_records(n, max_denominator)
+    decided = []  # (scaled, the tree count of its potentials, None if irreversible)
+    for scaled, table in stream:
+        found = _potentials(_dj_rows(table))
+        decided.append((scaled, None if found is None else found[1]))
+    decided.sort()  # the tuples are distinct, so no count is compared
+    value = {v: Fraction(v, scale) for v in set().union(*(scaled for scaled, _ in decided))}
     records = []
-    for scaled in lattice:
-        found = _potentials(_pl_rows(scaled))
+    for scaled, count in decided:
         lam = [value[v] for v in scaled]
-        classification = None if found is None else _classify(lam, found[1] == 1)
-        records.append(SearchRecord(lam, found is not None, classification))
+        classification = None if count is None else _classify(lam, count == 1)
+        records.append(SearchRecord(lam, count is not None, classification))
     return SearchSummary(
         n=n,
         stochastic=len(records),

@@ -21,13 +21,28 @@ three that compute a characteristic polynomial refuse n > CHARPOLY_BUDGET
 with OutOfRange before the first one.
 
 The grid of stochastic sequences whose entries have denominator at most
-den is enumerated on an integer lattice (`stochastic_lattice`): scaled by
-L = lcm(1..den), the grid values, the difference rows, the floors and
-ceilings that cut the enumeration and L * P are all integers, and the
-transform core takes them as they are.  A single sequence is scaled the
-same way, by the lcm of its own denominators: `is_stochastic` decides the
-alternating sums on those integers, and a verdict that reads P only
-through ratios of its entries reads the integer L * P (`_scaled_walk`).
+den is enumerated on an integer lattice (`_lattice_records`): scaled by
+L = lcm(1..den), the grid values, the difference rows and the floors and
+ceilings that cut the enumeration are all integers, and the transform core
+takes them as they are.  A single sequence is scaled the same way, by the
+lcm of its own denominators: `is_stochastic` decides the alternating sums
+on those integers.
+
+Reversibility needs no P at all.  With y = n-1-z and k = x + z - (n-1),
+P[x][z] = binom(x, y) D_k(y), the difference table times a binomial, and
+binom(x, y) = x! / (y! k!), where k is the same for P[z][x].  So
+
+    P[x][z] / P[z][x] = (g_x / g_z) M[x][z] / M[z][x],  g_x = x! (n-1-x)!,
+
+for M = D J, M[x][z] = D_k(n-1-z) when x + z >= n-1 and 0 otherwise: P
+without its binomial factor.  P and M have the same support, the same
+detailed-balance verdict and the same forest of potentials; pi_x is
+proportional to binom(n-1, x) rho_x, rho the potentials of M; and the
+top-right k x k block of M is the M of lambda_0..lambda_{k-1}.  So the
+lattice hands each record its difference table, from which the integer
+L * M is read (`_dj_rows`), and a checked sequence's verdicts read its
+integer L * M (`_scaled_walk`).  `_pl_rows` forms P where it is printed
+or tested.
 """
 
 from __future__ import annotations
@@ -95,7 +110,9 @@ def _binomial_rows(lam: list) -> list:
 
 
 def _pl_rows(lam: list) -> list:
-    """P = H J for an uncoerced lam: L * P on the integer lattice."""
+    """P = H J for an uncoerced lam, in lam's own arithmetic: integers
+    L * lambda give L * P.  Only where P is printed or tested; verdicts
+    read L * M (`_scaled_walk`)."""
     return [row[::-1] for row in _binomial_rows(lam)]
 
 
@@ -315,33 +332,56 @@ def lambda_walk(lam) -> list:
     return _pl_rows(stochastic_sequence(lam))
 
 
+def _dj_rows(table: list) -> list:
+    """M = D J, as row tuples, from the difference table of a sequence.
+
+    table[z] is the difference row for y = n-1-z, as `_difference_rows`
+    yields it, and M[x][z] = D_k(y) with k = x + z - (n-1), zero when k < 0:
+    the entries of P = H J without their binomial factor binom(x, y).  So
+    column z of M is table[z] below n-1-z zeros.
+    """
+    n = len(table)
+    return list(zip(*[[0] * (n - 1 - z) + row for z, row in enumerate(table)]))
+
+
 def _scaled_walk(lam) -> list:
-    """L * P^lambda on integers, L the lcm of lambda's denominators; raises
-    NotStochastic when invalid.  A verdict that reads P only through ratios
-    of its entries, as reachability and detailed balance do, reads it here
-    without forming a Fraction."""
+    """L * M^lambda on integers (`_dj_rows`), L the lcm of lambda's
+    denominators; raises NotStochastic when invalid.
+
+    M is P without its binomial factors, and P[x][z] / P[z][x] =
+    (g_x / g_z) M[x][z] / M[z][x] with g_x = x! (n-1-x)! (the module
+    docstring).  So a verdict that reads P through its support or the
+    ratios of its entries, as reachability and detailed balance do, reads
+    it here without forming P or a Fraction, and the top-right k x k block
+    of M is the M of lambda_0..lambda_{k-1}, as that of P is its P.  An
+    n past TABLE_BUDGET is refused before the table is built, as for P.
+    """
     scaled, check = _scaled_check(lam)
     if not check:
         raise NotStochastic(check.reason)
-    return _pl_rows(scaled)
+    la.check_table(len(scaled))
+    return _dj_rows(list(_difference_rows(scaled)))
 
 
-# suffixes stochastic_lattice may visit, counted as the cut admits them: n = 4
+# suffixes _lattice_records may visit, counted as the cut admits them: n = 4
 # at den 20 visits 45,945 (42,879 records) and n = 6 at den 16 26,743
 # (18,719 records), while n = 3 at den 60 needs 306,701; a refusal comes
-# after 0.3-0.5 s (2-vCPU Xeon VM, Python 3.11.7)
+# before any record is built, after at most 0.6 s (n = 6 at den 30; n = 4 at
+# den 40 takes 0.2 s; 2-vCPU Xeon VM, Python 3.11.7)
 LATTICE_BUDGET = 300_000
 
 
-def stochastic_lattice(n: int, max_denominator: int) -> tuple:
-    """Every stochastic lambda of length n with entries p/q, q <= max_denominator,
-    on integers: (L, [(L, lambda_1 L, ..., lambda_{n-1} L), ...]).
+def _lattice_records(n: int, max_denominator: int) -> tuple:
+    """The stochastic lambda of length n with entries p/q, q <= max_denominator,
+    on integers: (L, an iterator of (scaled, table) pairs), in the order the
+    enumeration meets them.
 
     L = lcm(1..max_denominator) scales every grid value to an integer, and
-    with it the difference rows and the bounds below.  The sequence is
-    built from the tail with the difference table; lambda_0 is 1, that is
-    L.  The tuples come sorted, which is the order of the sequences
-    themselves, as all share the one scale.
+    with it the difference rows and the bounds below.  scaled is the tuple
+    (L, lambda_1 L, ..., lambda_{n-1} L) and table its difference rows,
+    list(_difference_rows(scaled)): the sequence is built from the tail,
+    one row per value, so the rows of a suffix are shared by every record
+    that ends in it, and the row of lambda_0 = L is added last.
 
     Each value is cut from both sides by one bisect.  Let the suffix
     lambda_{j+1}..lambda_{n-1} be fixed, j >= 1, with difference row `row`
@@ -368,12 +408,17 @@ def stochastic_lattice(n: int, max_denominator: int) -> tuple:
     no grid value lies between a later floor and ceiling, which at n = 5
     and den 16 holds for 382 of the 28,350 visited suffixes.
 
-    The suffixes visited below the root are counted as each bisect admits
-    them, and past LATTICE_BUDGET the walk stops with OutOfRange, so an
-    oversized grid is refused in a fraction of a second instead of running
-    for minutes.  The grid holds about 3 D^2 / pi^2 values for D =
-    max_denominator, and the count grows about 15-fold per doubling of D at
-    n = 3, 50-fold at n = 4 and faster at larger n.
+    The suffixes are built one level at a time, lambda_{n-1} first.  The
+    suffixes of a level are counted from the bisects of the level above
+    before any of them is built, and once the count below the root passes
+    LATTICE_BUDGET the call raises OutOfRange.  So every level is counted
+    before the call returns, an oversized grid is refused in a fraction of
+    a second, before any record is built, and a caller that decides each
+    record as it comes spends nothing on a grid it cannot finish.  The last
+    level, the full suffixes, is not held: the records come from the
+    iterator one at a time.  The grid holds about 3 D^2 / pi^2 values for
+    D = max_denominator, and the count grows about 15-fold per doubling of
+    D at n = 3, 50-fold at n = 4 and faster at larger n.
     """
     if n < 1:
         raise OutOfRange("need at least one eigenvalue")
@@ -383,34 +428,34 @@ def stochastic_lattice(n: int, max_denominator: int) -> tuple:
     values = sorted(
         {p * (scale // q) for q in range(1, max_denominator + 1) for p in range(q + 1)}
     )
-    lattice: list = []
-    visited = 0
 
-    def extend(suffix: tuple, row: list):
-        nonlocal visited
-        if len(suffix) == n - 1:
-            lattice.append((scale, *suffix))
-            return
-        j = n - 1 - len(suffix)  # the index of the value chosen here
+    def grow(table: list, v: int) -> list:
+        """The table of a suffix extended on the left by the value v."""
+        return [*table, _difference_row(table[-1] if table else [], v)]
+
+    def cut(table: list, j: int) -> tuple:
+        """The indices (start, stop) of the values that lambda_j may take
+        after the suffix with this table: from the floor to the ceiling."""
         floor = weighted = 0  # pre_k, and sum_k binom(k + j - 1, j - 1) pre_k
         c = 1
-        for k, x in enumerate(row, 1):
+        for k, x in enumerate(table[-1] if table else (), 1):
             floor += x
             c = c * (k + j - 1) // k  # binom(k + j - 1, j - 1)
             weighted += c * floor
         ceiling = (scale + weighted) // math.comb(n - 1, j)  # m + j = n - 1
-        start = bisect.bisect_left(values, floor)
-        stop = bisect.bisect_right(values, ceiling)
-        visited += stop - start
+        return bisect.bisect_left(values, floor), bisect.bisect_right(values, ceiling)
+
+    visited = 0
+    level = [((), [])]  # the suffixes lambda_{j+1}..lambda_{n-1}, with their tables
+    for j in range(n - 1, 0, -1):  # the index of the values chosen at this level
+        level = [(node, cut(node[1], j)) for node in level]
+        visited += sum(stop - start for _, (start, stop) in level)
         if visited > LATTICE_BUDGET:
             raise OutOfRange(
                 f"n={n} at max_denominator={max_denominator} visits more than "
                 f"{LATTICE_BUDGET} lattice suffixes, the sweep's budget"
             )
-        for v in values[start:stop]:
-            extend((v, *suffix), _difference_row(row, v))
-
-    extend((), [])
-    lattice.sort()
-    return scale, lattice
+        level = (((v, *suffix), grow(table, v))
+                 for (suffix, table), (start, stop) in level for v in values[start:stop])
+    return scale, (((scale, *suffix), grow(table, scale)) for suffix, table in level)
 

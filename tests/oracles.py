@@ -13,7 +13,7 @@ from involute.classify import NotClassified
 from involute.errors import IndexOutOfDomain, MalformedWeight, OutOfRange
 from involute.exactnum import as_rational, binom
 from involute.spectral import _oriented
-from involute.transform import stochastic_lattice
+from involute.transform import _lattice_records
 from involute.walk import _normalized, _potentials
 from involute.weights import (Custom, DeltaAB, GammaAB, GammaC, domain_limit, norm_table,
                               weight_table)
@@ -184,7 +184,7 @@ def reversible_with_some_distribution(p):
     found = _potentials(p)
     if found is None:
         return False, None
-    return True, _normalized(found[0])
+    return True, _normalized([Fraction(a, b) for a, b in found[0]])
 
 
 def zero_accessible(p_rows) -> bool:
@@ -202,6 +202,40 @@ def zero_accessible(p_rows) -> bool:
     return len(reach_0) == n
 
 
+def support_patterns(n: int):
+    """Every support pattern of a weight on {0..n-1}: the sets of intervals
+    (y, x), y <= x, with a positive weight, each column x holding at least
+    one, enumerated as bitmasks over the intervals."""
+    cells = [(y, x) for x in range(n) for y in range(x + 1)]
+    for mask in range(1 << len(cells)):
+        pattern = {cell for i, cell in enumerate(cells) if mask >> i & 1}
+        if all(any((y, x) in pattern for y in range(x + 1)) for x in range(n)):
+            yield pattern
+
+
+def pattern_is_ergodic(n: int, pattern) -> bool:
+    """Irreducible and aperiodic, decided as primitivity: the walk with this
+    support steps from x to n-1-y for each (y, x) in it, and a finite walk is
+    irreducible and aperiodic exactly when, for some t, t steps lead from
+    every state to every state.  By Wielandt's bound t = (n-1)^2 + 1 serves
+    whenever any t does, so the bitmasks of the states reached in exactly
+    that many steps decide it."""
+    step = [0] * n
+    for y, x in pattern:
+        step[x] |= 1 << (n - 1 - y)
+    reached = [1 << x for x in range(n)]
+    for _ in range((n - 1) ** 2 + 1):
+        next_reached = []
+        for mask in reached:
+            union = 0
+            for z in range(n):
+                if mask >> z & 1:
+                    union |= step[z]
+            next_reached.append(union)
+        reached = next_reached
+    return all(mask == (1 << n) - 1 for mask in reached)
+
+
 def pascal_column(n: int, d: int) -> list:
     """v(d): the column vector (binom(0,d), ..., binom(n-1,d))."""
     return [binom(x, d) for x in range(n)]
@@ -215,6 +249,15 @@ def pascal_matrix(n: int) -> list:
 def pascal_inverse(n: int) -> list:
     """B^-1[x][y] = (-1)^(x+y) binom(x, y)."""
     return [[(-1) ** (x + y) * binom(x, y) for y in range(n)] for x in range(n)]
+
+
+def stochastic_lattice(n: int, max_denominator: int) -> tuple:
+    """Every stochastic lambda of length n with entries p/q, q <= max_denominator,
+    on integers: (L, [(L, lambda_1 L, ..., lambda_{n-1} L), ...]), the
+    sequences of `transform._lattice_records` sorted.  The order is that of
+    the sequences themselves, as all share the one scale L."""
+    scale, records = _lattice_records(n, max_denominator)
+    return scale, sorted(scaled for scaled, _ in records)
 
 
 def stochastic_grid(n: int, max_denominator: int) -> list:

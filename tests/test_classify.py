@@ -397,7 +397,7 @@ def _full_diagonal_classification(lam):
 
 
 def test_lambda_verdicts_match_fraction_walks():
-    # classify_walk and is_globally_reversible read the integer L * P; on the
+    # classify_walk and is_globally_reversible read the integer L * M; on the
     # n <= 7, den <= 6 grid they agree with the Fraction walk: reachability by
     # fixed point on lambda_walk, and each truncation's own P for the
     # top-right submatrices

@@ -317,6 +317,11 @@ def test_tables_past_the_budget_exit_2(capsys, monkeypatch):
                  ["eigvec", "--delta", str(budget + 2), "3"],
                  ["check", "--gamma", "1", "1", "adep"]):
         assert run(capsys, *argv, "--n", str(budget + 1)) == refusal
+    # the verdicts of a --lambda walk read its integer L * M, an n x n table too
+    ones = ",".join(["1"] * (budget + 1))
+    for argv in (["classify", "--lambda", ones],
+                 ["check", "--lambda", ones, "globally-reversible"]):
+        assert run(capsys, *argv) == refusal
     # spectrum builds no table
     code, out, _ = run(capsys, "spectrum", "--gamma", "1", "1", "--n", str(budget + 1))
     assert code == 0 and len(out.split()) == budget + 1

@@ -9,7 +9,8 @@ import sympy
 from involute import _linalg as la
 from involute.errors import OutOfRange, SingularMatrix
 from involute.spectral import family_sequence, left_side, right_eigenvectors
-from involute.transform import _binomial_rows, binomial_transform, gadep_counterexample
+from involute.transform import (_binomial_rows, _scaled_walk, binomial_transform,
+                                gadep_counterexample)
 from involute.walk import transition_matrix
 from involute.weights import DeltaAB, GammaAB, GammaC, domain_limit, weight_table
 
@@ -153,6 +154,7 @@ def test_table_budget_bounds_every_dense_table():
         lambda: binomial_transform([1] + [0] * budget),
         lambda: right_eigenvectors(list(range(1, over + 1))),
         lambda: left_side(list(range(1, over + 1)), dmax=0),
+        lambda: _scaled_walk([1] * over),
     ]
     for build in builds:
         with pytest.raises(OutOfRange, match=f"n <= {budget}, the table budget, got n={over}"):

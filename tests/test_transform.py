@@ -9,11 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from involute import _linalg as la
+from involute import transform, walk
 from involute.errors import NotStochastic, OutOfRange, SingularMatrix
 from involute.exactnum import binom
 from involute.spectral import family_sequence, signed_eigenvalues
 from involute.transform import (
     LATTICE_BUDGET,
+    _difference_rows,
+    _dj_rows,
+    _lattice_records,
+    _scaled_walk,
     binomial_transform,
     check_adep,
     check_conjugator,
@@ -24,12 +29,12 @@ from involute.transform import (
     lambda_walk,
     pl_matrix,
     property_report,
-    stochastic_lattice,
 )
-from involute.walk import ergodicity, transition_matrix
+from involute.walk import _normalized, ergodicity, stationary, transition_matrix
 from involute.weights import DeltaAB, GammaAB, GammaC
 
-from oracles import pascal_column, pascal_inverse, pascal_matrix, stochastic_grid, uncut_lattice
+from oracles import (pascal_column, pascal_inverse, pascal_matrix, stochastic_grid,
+                     stochastic_lattice, uncut_lattice)
 
 lambda_lists = st.lists(
     st.fractions(min_value=-2, max_value=2, max_denominator=8), min_size=1, max_size=8
@@ -416,6 +421,72 @@ def test_stochastic_lattice_budget():
     for n, den in ((6, 30), (4, 40), (3, 60)):
         with pytest.raises(OutOfRange, match=f"more than {LATTICE_BUDGET} lattice suffixes"):
             stochastic_lattice(n, den)
+
+
+def test_lattice_records_hand_each_record_its_difference_table():
+    # the tables the enumeration shares along each path are the records' own
+    # difference tables, row for lambda_0 = L included
+    sizes = [(n, den) for n in range(1, 7) for den in range(1, 7)] + [(5, 16)]
+    for n, den in sizes:
+        scale, records = _lattice_records(n, den)
+        records = list(records)
+        assert all(table == list(_difference_rows(scaled)) for scaled, table in records)
+        if (n, den) != (5, 16):  # the uncut enumeration visits 273,416 suffixes there
+            assert sorted(scaled for scaled, _ in records) == uncut_lattice(n, den)
+
+
+def test_lattice_visit_counts(monkeypatch):
+    # each grid is admitted at exactly its count of visited suffixes and
+    # refused one below it, before any record is built
+    for n, den, visits in ((5, 16, 28_350), (6, 16, 26_743), (4, 20, 45_945)):
+        monkeypatch.setattr(transform, "LATTICE_BUDGET", visits)
+        _lattice_records(n, den)
+        monkeypatch.setattr(transform, "LATTICE_BUDGET", visits - 1)
+        with pytest.raises(OutOfRange, match=f"more than {visits - 1} lattice suffixes"):
+            _lattice_records(n, den)
+
+
+def test_difference_table_gives_the_walks_verdict():
+    # P[x][z] = binom(x, y) M[x][z] with y = n-1-z, and binom(x, y) =
+    # x! / (y! k!) with k = x + z - (n-1) shared by P[z][x]: so L * M has P's
+    # verdict, tree count and reachability, pi_x is proportional to
+    # binom(n-1, x) rho_x, and the top-right k-block of M is M of lambda[:k]
+    lams = [lam for n in range(1, 8) for lam in stochastic_grid(n, 6)]
+    specs = (GammaAB(1, F(1, 3)), GammaAB(0, 0), GammaC(F(1, 2)), DeltaAB(F(21, 2), F(43, 4)))
+    lams += [family_sequence(spec, n) for spec in specs for n in (3, 6, 10)]
+    counts = {"reversible": 0, "one tree": 0, "not reversible": 0, "rho alone is pi": 0}
+    for lam in lams:
+        n = len(lam)
+        p = lambda_walk(lam)
+        exact = _dj_rows(list(_difference_rows(lam)))
+        scaled = _scaled_walk(lam)
+        assert all(type(v) is int for row in scaled for v in row)
+        scale = la.integer_row(lam)[1]
+        assert scaled == [tuple(v * scale for v in row) for row in exact]
+        for x in range(n):
+            for z in range(n):
+                y, k = n - 1 - z, x + z - (n - 1)
+                assert p[x][z] == (binom(x, y) * exact[x][z] if k >= 0 else 0), (lam, x, z)
+        for k in range(1, n + 1):
+            block = [row[n - k:] for row in exact[:k]]
+            assert block == _dj_rows(list(_difference_rows(lam[:k]))), (lam, k)
+        assert walk._zero_reachable(scaled) == walk._zero_reachable(p), lam
+        found, by_table = walk._potentials(p), walk._potentials(scaled)
+        assert (found is None) == (by_table is None), lam
+        if found is None:
+            counts["not reversible"] += 1
+            continue
+        counts["reversible"] += 1
+        assert by_table[1] == found[1], lam
+        if found[1] == 1:
+            counts["one tree"] += 1
+            rho = [F(a, b) for a, b in by_table[0]]
+            pi = stationary(p)
+            assert _normalized([binom(n - 1, x) * r for x, r in enumerate(rho)]) == pi, lam
+            counts["rho alone is pi"] += _normalized(rho) == pi
+    # 268 sequences; the binomial factor changes pi in 59 of the 72 one-tree walks
+    assert counts == {"reversible": 77, "one tree": 72, "not reversible": 191,
+                      "rho alone is pi": 13}
 
 
 def test_stochastic_grid_rejects_empty_grids():

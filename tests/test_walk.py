@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from involute import _linalg as la
 from involute import walk
 from involute.errors import NoPositiveStationary, NotIrreducible, OutOfRange
-from involute.transform import _pl_rows, lambda_walk, pl_matrix, stochastic_lattice
+from involute.transform import _pl_rows, _scaled_walk, lambda_walk, pl_matrix
 from involute.spectral import family_sequence, left_side
 from involute.walk import (
     checked_walk,
@@ -31,9 +31,12 @@ from involute.weights import (Custom, DeltaAB, GammaAB, GammaC, domain_limit, do
 from oracles import (
     detailed_balance,
     division_route,
+    pattern_is_ergodic,
     reversible_with_some_distribution,
     simulate_stepwise,
     stochastic_grid,
+    stochastic_lattice,
+    support_patterns,
     two_step,
     zero_accessible,
 )
@@ -158,6 +161,57 @@ def test_ergodicity_examples():
     flip = checked_walk([[0, 1], [1, 0]])
     report = ergodicity(flip)
     assert report.irreducible and not report.aperiodic and not report.ergodic
+
+
+def _condition_d_patterns(n: int):
+    """The support patterns with w[x, x] > 0 for every x and w[x-1, x] > 0
+    for every x >= 1, the other intervals free."""
+    forced = {(x, x) for x in range(n)} | {(x - 1, x) for x in range(1, n)}
+    free = [(y, x) for x in range(n) for y in range(x - 1)]
+    for mask in range(1 << len(free)):
+        yield forced | {cell for i, cell in enumerate(free) if mask >> i & 1}
+
+
+def _pattern_walk(n: int, pattern) -> list:
+    return transition_matrix(Custom(n, dict.fromkeys(pattern, 1)), n)
+
+
+def test_condition_d_makes_every_walk_ergodic():
+    # the sufficient condition of the `ergodicity` docstring, on every
+    # pattern that meets it for n = 2..6, as unit-weight custom tables
+    counts = []
+    for n in range(2, 7):
+        patterns = list(_condition_d_patterns(n))
+        for pattern in patterns:
+            assert ergodicity(_pattern_walk(n, pattern)).ergodic, (n, sorted(pattern))
+            assert pattern_is_ergodic(n, pattern)
+        counts.append(len(patterns))
+    assert counts == [1, 2, 8, 64, 1024]
+
+
+def test_ergodicity_matches_pattern_oracle_and_condition_d_is_not_necessary():
+    # every support pattern at n <= 4: the report agrees with the bitmask
+    # oracle, and some ergodic walks break condition D
+    ergodic, meets_d = [], []
+    for n in range(1, 5):
+        d_patterns = [frozenset(p) for p in _condition_d_patterns(n)]
+        patterns = list(support_patterns(n))
+        verdicts = [ergodicity(_pattern_walk(n, p)).ergodic for p in patterns]
+        assert verdicts == [pattern_is_ergodic(n, p) for p in patterns]
+        ergodic.append(sum(verdicts))
+        meets_d.append(sum(frozenset(p) in d_patterns for p in patterns))
+    assert [len(list(support_patterns(n))) for n in range(1, 5)] == [1, 3, 21, 315]
+    assert ergodic == [1, 1, 3, 69] and meets_d == [1, 1, 2, 8]
+
+
+def test_named_families_meet_condition_d():
+    specs = [GammaAB(0, 0), GammaAB(1, F(1, 3)), GammaAB(2, F(2, 3)), GammaAB(F(-1, 2), F(1, 3)),
+             GammaC(F(1, 2)), GammaC(3), DeltaAB(9, 3), DeltaAB(5, 2), DeltaAB(F(21, 2), F(43, 4))]
+    for spec in specs:
+        for n in range(2, min(12, domain_limit(spec)) + 1):
+            w = weight_table(spec, n)
+            assert all(w[x][x] > 0 for x in range(n)), (spec, n)
+            assert all(w[x][x - 1] > 0 for x in range(1, n)), (spec, n)
 
 
 def test_ergodicity_reads_each_entry_once():
@@ -341,11 +395,66 @@ def test_kolmogorov_matches_exhaustive_cycle_oracle():
     assert 0 < reversible < compared
 
 
+def _balanced_table(n: int) -> list:
+    """A full-support matrix in detailed balance with pi = (1, ..., n):
+    A[x][z] = S[x][z] pi_z for a symmetric S."""
+    return [[F(1 + x + z + x * z, 7) * (z + 1) for z in range(n)] for x in range(n)]
+
+
+def _numerator_reads(rows) -> tuple:
+    """(_potentials(rows), how many numerators it read): two for each
+    equation it spreads or checks."""
+    reads = []
+
+    class Entry(F):
+        @property
+        def numerator(self):
+            reads.append(self)
+            return super().numerator
+
+    return walk._potentials([[Entry(v) for v in row] for row in rows]), len(reads)
+
+
+def test_potentials_check_each_equation_once_and_stop_at_the_first_failure():
+    # full support on 4 states: the tree from 0 spreads over (0, 1), (0, 2)
+    # and (0, 3), and the other three equations are checked as their second
+    # state comes off the stack: (2, 3) first, then (1, 2), and (1, 3) last
+    base = _balanced_table(4)
+    found, reads = _numerator_reads(base)
+    assert found == ([(1, 1), (2, 1), (3, 1), (4, 1)], 1)
+    assert reads == 2 * 6  # each of the 6 equations once
+    first, last = [row[:] for row in base], [row[:] for row in base]
+    first[2][3] *= 2  # breaks (2, 3) alone
+    last[1][3] *= 2  # breaks (1, 3) alone
+    assert not detailed_balance(first, [1, 2, 3, 4]) and not detailed_balance(last, [1, 2, 3, 4])
+    assert _numerator_reads(first) == (None, 2 * 4)  # three spreads and one check
+    assert _numerator_reads(last) == (None, 2 * 6)
+    assert kolmogorov(base) and not kolmogorov(first) and not kolmogorov(last)
+
+
+def test_potentials_refuse_an_asymmetric_support():
+    # a zero mirror entry ends the search, wherever the DFS meets the edge
+    base = _balanced_table(5)
+    assert walk._potentials(base) is not None
+    for x in range(5):
+        for z in range(5):
+            if x != z:
+                rows = [row[:] for row in base]
+                rows[z][x] = F(0)
+                assert walk._potentials(rows) is None, (x, z)
+    # states 1 and 2 of this lambda walk step to the closed class {0, 3} and
+    # are never stepped to from it; its integer L * M has the same support
+    lam = [F(1), F(1, 2), F(1, 2), F(1, 2)]
+    for p in (lambda_walk(lam), _scaled_walk(lam)):
+        assert p[1][3] and not p[3][1]
+        assert walk._potentials(p) is None
+
+
 def test_potentials_verdict_is_scale_free():
-    # the sweep decides detailed balance on the integer L * P of each walk:
     # integer pairs spread from L * P and from the Fraction P give the same
     # potentials and tree count, positive and balancing P, and one tree
     # exactly when 0 is reached from every state, which the sweep relies on
+    # (its L * M is checked against P in test_transform)
     compared = one_tree = several = 0
     for n in range(1, 8):
         scale, lattice = stochastic_lattice(n, 6)
@@ -359,9 +468,9 @@ def test_potentials_verdict_is_scale_free():
             compared += 1
             if found is None:
                 continue
-            pi, trees = found
-            assert all(type(v) is F and v > 0 for v in pi)
-            assert detailed_balance(p, pi)
+            pairs, trees = found
+            assert all(type(a) is type(b) is int and a > 0 and b > 0 for a, b in pairs)
+            assert detailed_balance(p, [F(a, b) for a, b in pairs])
             assert walk._zero_reachable(p) == (trees == 1), scaled
             one_tree += trees == 1
             several += trees > 1
