@@ -137,7 +137,11 @@ def cmd_matrix(args):
 
 
 def cmd_stationary(args):
-    pi = walk.stationary(_walk(*_source_from_args(args)))
+    source, n = _source_from_args(args)
+    if isinstance(source, (GammaAB, GammaC, DeltaAB)):
+        pi = walk.invariant_closed_form(source, n)
+    else:
+        pi = walk.stationary(_walk(source, n))
     _emit_vector(pi, args.format, "pi")
 
 

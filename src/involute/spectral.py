@@ -28,7 +28,7 @@ triangle it solves:
 A caller asks for the side it prints, and the eigenvalues of the vectors
 are `signed_eigenvalues` of the same prefix of lam.
 
-Each vector is scaled to coprime integers with first nonzero entry > 0.  For
+Each vector is a list of coprime ints with first nonzero entry > 0.  For
 a reversible walk the right vectors are pi-orthogonal and u_x = pi_x v_x up
 to scale.  A repeated signed eigenvalue, as in lambda = (1, 0, 0), is
 refused with RepeatedEigenvalue before any solve: back-substitution would
@@ -88,9 +88,11 @@ def _signed_row(lam, size: int) -> list:
 
 
 def _oriented(v: list) -> list:
-    """A primitive integer vector as Fractions, first nonzero entry > 0."""
-    sign = -1 if next((x for x in v if x), 0) < 0 else 1
-    return [Fraction(sign * x) for x in v]
+    """A primitive integer vector, negated if need be so that its first
+    nonzero entry is > 0."""
+    if next((x for x in v if x), 0) < 0:
+        return [-x for x in v]
+    return v
 
 
 def _top(lam, dmax: int | None) -> int:
@@ -105,7 +107,7 @@ def _top(lam, dmax: int | None) -> int:
 
 def right_eigenvectors(lam, dmax: int | None = None) -> list:
     """Right eigenvectors v_d, d <= dmax, of the n-state walk of lam,
-    n = len(lam): P v_d = (-1)^d lambda_d v_d.
+    n = len(lam), each a primitive list of ints: P v_d = (-1)^d lambda_d v_d.
 
     T is upper triangular, so eigenvector d of T lives on its top
     (d+1) x (d+1) block; only the top k x k block, k = min(dmax + 1, n),
@@ -124,14 +126,14 @@ def right_eigenvectors(lam, dmax: int | None = None) -> list:
         # B is unimodular, so v is primitive because c is.
         v = [c[-1]] * n
         for ck in reversed(c[:-1]):
-            v = [ck + s for s in accumulate(v[:-1], initial=0)]
+            v = list(accumulate(v[:-1], initial=ck))
         rights.append(_oriented(v))
     return rights
 
 
 def left_side(lam, dmax: int | None = None) -> tuple:
     """(left vectors for d <= dmax, pi) of the walk of lam, on the terms of
-    `right_eigenvectors`: each u is integer-cleared with
+    `right_eigenvectors`: each u is a primitive list of ints with
     u P = (-1)^d lambda_d u, and pi is the stationary law as Fractions
     summing to 1.
 
@@ -161,8 +163,8 @@ def left_side(lam, dmax: int | None = None) -> tuple:
         for m in range(n, 1, -1):
             r[:m] = accumulate(r[:m])
         lefts.append(_oriented(list(map(mul, sign, r))[::-1]))
-    total = sum(x.numerator for x in lefts[0])
-    return lefts, [Fraction(x.numerator, total) for x in lefts[0]]
+    total = sum(lefts[0])
+    return lefts, [Fraction(x, total) for x in lefts[0]]
 
 
 def final_left_eigenvector(n: int) -> list:

@@ -53,8 +53,8 @@ from . import _linalg as la
 from ._record import Record
 from .errors import NoPositiveStationary, NotIrreducible, OutOfRange, UnsupportedFamily
 from .exactnum import as_rational
-from .weights import (Custom, GammaC, WeightSpec, atomic_part, down_step_diagonal,
-                      down_step_table, norm_table)
+from .weights import (Custom, GammaC, WeightSpec, _check_n, _norm_pairs, _ratios, _terms,
+                      down_step_diagonal, down_step_table)
 
 
 def checked_walk(p_rows) -> list:
@@ -285,13 +285,30 @@ def _stationary_by_elimination(rows) -> list:
 
 def invariant_closed_form(spec: WeightSpec, n: int) -> list:
     """Stationary law of a named family: pi_x ∝ alpha_{x*} N_x, alpha the atomic
-    part of w = alpha * beta (`weights.atomic_part`), since pi_x P[x][z] is then
-    alpha_{x*} alpha_{z*} beta[z*, x], symmetric as beta is star-symmetric."""
+    part of w = alpha * beta, since pi_x P[x][z] is then
+    alpha_{x*} alpha_{z*} beta[z*, x], symmetric as beta is star-symmetric.
+
+    alpha_y is the term u_y of the weight's lower-end factor (`weights._ratios`),
+    times C(n-1, y) for the Pascal-type gamma(c), as C(x, y) C(n-1, x) =
+    C(n-1, y) C(n-1-y, x-y).  Each alpha_{x*} N_x is a product of the reduced
+    integer term pairs of u and N; the products are put over the lcm of their
+    denominators and summed as integers, so one Fraction is formed per state.
+    The n numerators have Theta(n) bits, so the law, like a table, needs
+    n <= TABLE_BUDGET; the domain is checked first, as `down_step_table` does.
+    """
     if isinstance(spec, Custom):
         raise UnsupportedFamily("closed-form invariant only for named families")
-    norms = norm_table(spec, n)  # checks n before atomic_part runs
-    alpha = atomic_part(spec, n)
-    return _normalized([alpha[n - 1 - x] * nx for x, nx in enumerate(norms)])
+    _check_n(spec, n)
+    la.check_table(n)
+    ratio, _, pascal, _ = _ratios(spec)
+    terms = [(a * e, b * f)
+             for (a, b), (e, f) in zip(reversed(_terms(ratio, n)), _norm_pairs(spec, n))]
+    if pascal:
+        terms = [(a * math.comb(n - 1, x), b) for x, (a, b) in enumerate(terms)]
+    common = math.lcm(*(b for _, b in terms))
+    scaled = [a * (common // b) for a, b in terms]
+    total = sum(scaled)
+    return [Fraction(k, total) for k in scaled]
 
 
 def kolmogorov(p) -> bool:

@@ -165,17 +165,6 @@ def down_step_diagonal(spec: WeightSpec, n: int) -> list:
     return [Fraction(p, q) for p, q in _terms(ratio, n)]
 
 
-def atomic_part(spec: WeightSpec, n: int) -> list:
-    """alpha_y for y < n, with w[y, x] = alpha_y * beta[y, x] and beta
-    star-symmetric on n states: u[y] of `_ratios`, times C(n-1, y) for the
-    Pascal-type gamma(c), as C(x, y) C(n-1, x) = C(n-1, y) C(n-1-y, x-y)."""
-    ratio, _, pascal, _ = _ratios(spec)
-    u = _terms(ratio, n)
-    if pascal:
-        return [Fraction(p * math.comb(n - 1, y), q) for y, (p, q) in enumerate(u)]
-    return [Fraction(p, q) for p, q in u]
-
-
 def _scaled_rows(spec: WeightSpec, scale: list) -> list:
     """Rows [w[0, x] f_x / e_x, ..., w[x, x] f_x / e_x] for x < len(scale),
     scale[x] = (e_x, f_x) a pair of integers: the norm pair N_x = e_x / f_x
@@ -239,12 +228,6 @@ def down_step_table(spec: WeightSpec, n: int) -> list:
     positive."""
     _check_n(spec, n)
     return _scaled_rows(spec, _norm_pairs(spec, n))
-
-
-def norm_table(spec: WeightSpec, n: int) -> list:
-    """[N_0, ..., N_{n-1}], by the closed forms' term ratios when named."""
-    _check_n(spec, n)
-    return [Fraction(e, f) for e, f in _norm_pairs(spec, n)]
 
 
 def custom_from_csv(text: str) -> Custom:

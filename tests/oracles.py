@@ -15,8 +15,8 @@ from involute.exactnum import as_rational, binom
 from involute.spectral import _oriented
 from involute.transform import _lattice_records
 from involute.walk import _normalized, _potentials
-from involute.weights import (Custom, DeltaAB, GammaAB, GammaC, domain_limit, norm_table,
-                              weight_table)
+from involute.weights import (Custom, DeltaAB, GammaAB, GammaC, _check_n, _norm_pairs, _ratios,
+                              _terms, domain_limit, weight_table)
 
 
 def weight_value(spec, y: int, x: int) -> Fraction:
@@ -38,6 +38,32 @@ def closed_form_weight(spec, y: int, x: int) -> Fraction:
     if isinstance(spec, DeltaAB):
         return binom(spec.a_prime - 1, y) * binom(spec.b_prime - 1, x - y)
     return spec.table.get((y, x), Fraction(0))
+
+
+def atomic_part(spec, n: int) -> list:
+    """alpha_y for y < n, with w[y, x] = alpha_y * beta[y, x] and beta
+    star-symmetric on n states: u[y] of `weights._ratios`, times C(n-1, y) for
+    the Pascal-type gamma(c), as C(x, y) C(n-1, x) = C(n-1, y) C(n-1-y, x-y)."""
+    ratio, _, pascal, _ = _ratios(spec)
+    u = _terms(ratio, n)
+    if pascal:
+        return [Fraction(p * math.comb(n - 1, y), q) for y, (p, q) in enumerate(u)]
+    return [Fraction(p, q) for p, q in u]
+
+
+def norm_table(spec, n: int) -> list:
+    """[N_0, ..., N_{n-1}], by the closed forms' term ratios when named."""
+    _check_n(spec, n)
+    return [Fraction(e, f) for e, f in _norm_pairs(spec, n)]
+
+
+def invariant_by_atomic_part(spec, n: int) -> list:
+    """pi_x = alpha_{x*} N_x normalised, one Fraction product and division per
+    state: the stationary law of a named family as `walk.invariant_closed_form`
+    states it, before the sum is taken on integers."""
+    norms = norm_table(spec, n)  # checks n before atomic_part runs
+    alpha = atomic_part(spec, n)
+    return _normalized([alpha[n - 1 - x] * nx for x, nx in enumerate(norms)])
 
 
 def division_route(spec, n: int) -> tuple:

@@ -335,6 +335,19 @@ def test_tables_past_the_budget_exit_2(capsys, monkeypatch):
     assert run(capsys, "--format", "json", *argv) == refusal
 
 
+def test_stationary_of_a_named_family_builds_no_walk(capsys, monkeypatch):
+    # the law comes from the closed form, so neither P nor its potentials are needed
+    monkeypatch.setattr(walk, "transition_matrix", None)
+    monkeypatch.setattr(walk, "stationary", None)  # calling either would exit 1
+    argv = ("--format", "csv", "stationary")
+    assert run(capsys, *argv, "--gamma", "0", "0", "--n", "4") == (0, "1/10,1/5,3/10,2/5\n", "")
+    assert run(capsys, *argv, "--gammac", "1", "--n", "3") == (0, "1/9,4/9,4/9\n", "")
+    assert run(capsys, *argv, "--delta", "4", "2", "--n", "4") == (0, "1/35,12/35,18/35,4/35\n", "")
+    # the domain is checked before the table budget, as for the weight's tables
+    assert run(capsys, "stationary", "--delta", "5/2", "7/2", "--n", "1001") == (
+        2, "", "error: n=1001 is outside the weight's domain\n")
+
+
 def test_n_with_a_lambda_or_matrix_source_exits_2(capsys):
     message = ("error: --n applies only to a weight: a --lambda or --matrix walk has one "
                "state per entry or row\n")

@@ -7,6 +7,7 @@ per factor, and, for small n, with sympy's eigenvalues and left null
 vector of the exact transition matrix.
 """
 
+import json
 import math
 from collections import Counter
 from fractions import Fraction as F
@@ -14,13 +15,15 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
+from involute.cli import main
 from involute.continuum import lp_triangular
 from involute.errors import IndexOutOfDomain
 from involute.exactnum import binom
 from involute.spectral import family_sequence, signed_eigenvalues
-from involute.walk import invariant_closed_form, subset_walk, transition_matrix
-from involute.weights import (DeltaAB, GammaAB, GammaC, atomic_part, domain_limit,
-                              down_step_diagonal, norm_table)
+from involute.walk import invariant_closed_form, stationary, subset_walk, transition_matrix
+from involute.weights import DeltaAB, GammaAB, GammaC, domain_limit, down_step_diagonal
+
+from oracles import atomic_part, invariant_by_atomic_part, norm_table
 
 N_MAX = 12
 SYMPY_N_MAX = 5
@@ -30,6 +33,28 @@ GAMMA_C = [GammaC(F(1, 3)), GammaC(1), GammaC(F(5, 2))]
 DELTA = [DeltaAB(ap, bp) for ap in (F(3, 2), F(2), F(7, 2), F(5))
          for bp in (F(5, 4), F(2), F(7, 3), F(4))]
 SPECS = GAMMA_AB + GAMMA_C + DELTA
+# the named specs and grids the other test modules use, SPECS aside
+OTHER_SPECS = (
+    [GammaAB(a, b) for a in (F(-1, 2), F(0), F(1, 2), F(1), F(2))
+     for b in (F(-1, 2), F(0), F(1, 2), F(1), F(2))]
+    + [GammaAB(a, b) for a in (F(-2, 3), F(0), F(1, 3), F(1), F(5, 2))
+       for b in (F(-1, 2), F(0), F(2, 3), F(3))]
+    + [GammaAB(a, b) for a in (F(0), F(1, 2), F(2)) for b in (F(0), F(1, 3), F(3, 2))]
+    + [GammaAB(*ab) for ab in ((F(-1, 3), F(1, 2)), (F(-1, 3), 2), (1, F(-1, 2)),
+                               (F(-1, 2), F(-1, 3)), (F(-1, 2), F(5, 2)), (F(1, 2), F(-1, 3)),
+                               (F(1, 2), F(2, 3)), (1, F(2, 3)), (2, F(2, 3)), (2, 1))]
+    + [GammaC(c) for c in (F(1, 2), 2, 3, F(3, 2), 10**20)]
+    + [DeltaAB(*ab) for ab in ((4, 2), (5, 3), (F(7, 2), F(5, 2)), (13, 7), (F(25, 2), F(11, 2)),
+                               (F(21, 2), F(43, 4)), (F(17, 2), 3), (F(7, 3), 5), (F(81, 2), 3),
+                               (9, 4), (17, 9), (F(9, 2), F(7, 2)))])
+# every delta(a', b') with half-integer a', b' in 3/2..6
+HALF_DELTA = [DeltaAB(F(p, 2), F(q, 2)) for p in range(3, 13) for q in range(3, 13)]
+# the family specs of the bench's stationary jobs, at the sizes those jobs run
+BENCH_STATIONARY = (
+    [(GammaAB(a, b), 30) for a in (1, 2) for b in (F(1, 3), F(2, 3), F(4, 3))]
+    + [(GammaC(c), 40) for c in (F(1, 3), F(1, 2), F(3, 2), 2)]
+    + [(DeltaAB(a, b), 10) for a in (F(21, 2), F(31, 3), F(32, 3))
+       for b in (F(21, 2), F(41, 4), F(43, 4))])
 
 
 def lambda_by_binom(spec, d):
@@ -94,6 +119,40 @@ def test_invariant_matches_binomial_formula():
     for spec in SPECS:
         for n in sizes(spec):
             assert invariant_closed_form(spec, n) == pi_by_binom(spec, n)
+
+
+def named_cases() -> list:
+    """(spec, n) for every named spec the tests use, and every delta of
+    HALF_DELTA, at each n <= N_MAX in its domain; then the bench's specs at
+    the sizes of its stationary jobs."""
+    named = dict.fromkeys(SPECS + OTHER_SPECS + HALF_DELTA)
+    return [(spec, n) for spec in named for n in sizes(spec)] + BENCH_STATIONARY
+
+
+def test_invariant_is_the_atomic_part_times_the_norms():
+    # the integer sum over one lcm against alpha_{x*} N_x in Fractions
+    for spec, n in named_cases():
+        assert invariant_closed_form(spec, n) == invariant_by_atomic_part(spec, n)
+
+
+def _source(spec) -> tuple:
+    """The CLI flags that name a named spec."""
+    if isinstance(spec, GammaAB):
+        return ("--gamma", str(spec.a), str(spec.b))
+    if isinstance(spec, GammaC):
+        return ("--gammac", str(spec.c))
+    return ("--delta", str(spec.a_prime), str(spec.b_prime))
+
+
+def test_stationary_prints_the_law_solved_on_the_walk(capsys):
+    # the command prints the closed form; the oracle solves P's potentials
+    for spec, n in named_cases():
+        pi = [str(v) for v in stationary(transition_matrix(spec, n))]
+        argv = ["stationary", *_source(spec), "--n", str(n)]
+        for fmt, text in (("pretty", "  ".join(pi)), ("csv", ",".join(pi)),
+                          ("json", json.dumps({"pi": pi}))):
+            assert main(["--format", fmt, *argv]) == 0
+            assert capsys.readouterr() == (text + "\n", "")
 
 
 def test_final_left_eigenvalue_matches_binomial_formula():

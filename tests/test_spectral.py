@@ -25,6 +25,7 @@ from involute.weights import Custom, DeltaAB, GammaAB, GammaC, domain_limit
 
 from oracles import (clear_denominators, matvec, pascal_column, pascal_inverse, pi_inner,
                      stochastic_grid)
+from test_closed_forms import N_MAX, named_cases
 
 GRID_AB = [F(-1, 2), F(0), F(1, 2), F(1), F(2)]
 
@@ -66,10 +67,16 @@ def _family_left(spec, n, dmax=None):
     return left_side(family_sequence(spec, n), dmax=dmax)
 
 
+def _primitive_ints(v) -> bool:
+    """v is a list of ints without a common factor, first nonzero entry > 0."""
+    return (all(type(x) is int for x in v) and math.gcd(*v) == 1
+            and next(x for x in v if x) > 0)
+
+
 def test_right_eigenvector_example():
     rights = _family_rights(GammaAB(0, 0), 4)
-    assert rights[0] == [F(1)] * 4
-    assert rights[1] == [F(2), F(1), F(0), F(-1)]
+    assert rights[0] == [1] * 4
+    assert rights[1] == [2, 1, 0, -1]
     assert signed_eigenvalues(family_sequence(GammaAB(0, 0), 4)[:len(rights)]) == [
         F(1), F(-1, 2), F(1, 3), F(-1, 4)]
 
@@ -150,7 +157,7 @@ def _integer_gram_schmidt(spec, n, top):
             v = [-x for x in v]
         pw = [p * x for p, x in zip(pi_int, v)]
         cache.append((v, pw, sum(a * b for a, b in zip(pw, v))))
-        rights.append([F(x) for x in v])
+        rights.append(v)
     return rights
 
 
@@ -185,16 +192,32 @@ def test_right_eigenvectors_are_exact_eigenvectors(spec):
         lefts = _family_left(spec, n, dmax=dmax)[0]
         assert len(lefts) == top
         for value, v, u in zip(eigenvalues, rights, lefts):
-            assert any(v) and _exact_eigenvector(p, value, v)
-            assert la.vecmat(u, walk) == [value * x for x in u]
+            assert _primitive_ints(v) and _exact_eigenvector(p, value, v)
+            assert _primitive_ints(u) and la.vecmat(u, walk) == [value * x for x in u]
         assert not _exact_eigenvector(p, eigenvalues[1], rights[0])
+
+
+def test_every_named_walk_has_primitive_int_eigenvectors():
+    # both sides, for every named spec the tests use at n <= N_MAX, checked
+    # exactly against P: P v = sigma v and u P = sigma u
+    for spec, n in named_cases():
+        if n > N_MAX:
+            continue
+        lam = family_sequence(spec, n)
+        walk = transition_matrix(spec, n)
+        p = [la.integer_row(row) for row in walk]
+        lefts, pi = left_side(lam)
+        assert pi == invariant_closed_form(spec, n)
+        for value, v, u in zip(signed_eigenvalues(lam), right_eigenvectors(lam), lefts):
+            assert _primitive_ints(v) and _exact_eigenvector(p, value, v)
+            assert _primitive_ints(u) and _exact_left(walk, value, u)
 
 
 def test_family_left_vectors_are_pi_times_right():
     # a reversible walk has u_x = pi_x v_x up to scale: the transposed solve
     # must agree with the closed-form invariant law
     lefts = _family_left(GammaAB(0, 0), 4)[0]
-    assert lefts[:2] == [[F(1), F(2), F(3), F(4)], [F(1), F(1), F(0), F(-2)]]
+    assert lefts[:2] == [[1, 2, 3, 4], [1, 1, 0, -2]]
     for spec in (GammaAB(F(1, 2), F(-1, 3)), GammaC(F(5, 2)), DeltaAB(F(21, 2), F(43, 4))):
         for n in range(1, min(12, domain_limit(spec)) + 1):
             rights = _family_rights(spec, n)
@@ -340,8 +363,8 @@ def test_eigensystem_of_every_grid_walk():
             lefts, pi = left_side(lam)
             assert signed_eigenvalues(lam) == signed
             for value, v, u in zip(signed, rights, lefts):
-                assert matvec(p, v) == [value * x for x in v] and any(v)
-                assert _exact_left(p, value, u) and any(u)
+                assert matvec(p, v) == [value * x for x in v] and _primitive_ints(v)
+                assert _exact_left(p, value, u) and _primitive_ints(u)
                 vectors += 1
             assert pi == _stationary_by_elimination(p)
             assert lefts[-1] == clear_denominators(final_left_eigenvector(n))

@@ -26,11 +26,12 @@ from involute.walk import (
     visit_frequencies,
 )
 from involute.weights import (Custom, DeltaAB, GammaAB, GammaC, domain_limit, down_step_diagonal,
-                              norm_table, weight_table)
+                              weight_table)
 
 from oracles import (
     detailed_balance,
     division_route,
+    norm_table,
     pattern_is_ergodic,
     reversible_with_some_distribution,
     simulate_stepwise,

@@ -17,16 +17,14 @@ from involute.weights import (
     DeltaAB,
     GammaAB,
     GammaC,
-    atomic_part,
     custom_from_csv,
     domain_limit,
     down_step_table,
-    norm_table,
     weight_table,
 )
 
-from oracles import (classify_weight, closed_form_weight, custom_from_down_step, factorize,
-                     weight_value)
+from oracles import (atomic_part, classify_weight, closed_form_weight, custom_from_down_step,
+                     factorize, norm_table, weight_value)
 
 
 def test_weight_value_examples():
