@@ -33,13 +33,15 @@ evaluate kappa's operators at phi(grid); the one-step density R_P pi and
 the invariant density pick up the factor phi'.
 
 The step operator of kappa(a, b) maps polynomials of degree <= D to
-themselves.  On monomials it is an upper-triangular matrix over Q
-(`lp_triangular`) whose diagonal holds the eigenvalues, so the
-eigenfunctions are its exact eigenvectors, found by the integer
-back-substitution that also gives the discrete eigenvectors
-(`_linalg.triangular_eigenvectors`).  The construction is exact and only
-the final normalization is a float, which keeps orthogonality stable up to
-degree ~12.
+themselves, and its eigenvalues are distinct, so being self-adjoint its
+eigenfunctions are the orthogonal polynomials of the invariant density,
+shifted Jacobi polynomials.  Their monic three-term
+recurrence is a closed form (Koekoek, Lesky and Swarttouw 2010, section
+9.8; `_jacobi_recurrence`), exact over Q, and only the final normalization
+is a float, which keeps orthogonality stable up to degree ~12.  The exact
+eigenvectors of L_P on monomials, by integer back-substitution, and the
+Gram-Schmidt route are test oracles (tests/oracles.py) that the closed
+form is checked against.
 
 The eigen residuals and the fixed-point check integrate polynomials in the
 variable u of `lp_apply`, so one Gauss-Legendre panel of order
@@ -56,10 +58,11 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
-from . import _linalg as la
 from ._continuum import CONVERGENCE_MAX_N, CONVERGENCE_MAX_SIZES, _gauss_legendre, adaptive_quad
 from ._record import FrozenRecord
 from .errors import OutOfRange
@@ -174,66 +177,49 @@ def lh_apply(walk: ContinuousWalk, f, x: float) -> float:
     return lp_apply(walk, lambda z: f(1 - z), x)
 
 
-def _beta_moment(a: int, b: int, k: int) -> Fraction:
-    """Exact integral of (1-x)^a x^(a+b+1+k) over [0, 1]."""
-    p = a + b + k + 1
-    return Fraction(math.factorial(p) * math.factorial(a), math.factorial(p + a + 1))
+def _jacobi_recurrence(a: int, b: int, dmax: int) -> tuple:
+    """(alphas, betas), exact: the monic three-term recurrence
+    x g_k = g_{k+1} + alpha_k g_k + beta_k g_{k-1} of the orthogonal
+    polynomials of (1-x)^A x^B on [0, 1], A = a and B = a+b+1.
 
+    With s = A + B these are the Jacobi (A, B) coefficients of Koekoek,
+    Lesky and Swarttouw (2010), section 9.8, carried from [-1, 1] to [0, 1]
+    by x = (1+t)/2, which halves alpha about 1/2 and quarters beta:
 
-def lp_triangular(a: int, b: int, dmax: int) -> list:
-    """L_P of kappa(a, b) on polynomials of degree <= dmax, exact over Q.
+        alpha_k = 1/2 + (B^2 - A^2) / (2 (2k+s) (2k+s+2)),   k < dmax,
+        beta_k  = k (k+A) (k+B) (k+s) / ((2k+s)^2 (2k+s+1) (2k+s-1)),
 
-    Entry [i][k] is the coefficient of x^i in L_P x^k.  Substituting
-    z = 1 - x + x u and integrating u^j against the Beta(a+1, b+1) weight,
-
-        L_P x^k = sum_j C(k,j) r_j (1-x)^(k-j) x^j,   r_j = (b+1)_j / (a+b+2)_j.
-
-    Expanding (1-x)^(k-j) and using C(k,j) C(k-j,i-j) = C(k,i) C(i,j), the
-    entry is C(k,i) s_i with s_i = sum_j (-1)^(i-j) C(i,j) r_j, which is
-    (-1)^i (a+1)_i / (a+b+2)_i by Chu-Vandermonde: the signed eigenvalue
-    sigma_i of the discrete gamma(a, b) walk.  So the matrix is Diag(sigma)
-    times the transposed Pascal matrix, with the eigenvalues on its diagonal.
+    for 1 <= k <= dmax; betas[0] is 0, the coefficient of the absent
+    g_{-1}.  s = 2a+b+1 >= 1, so no denominator vanishes.
     """
-    sigma = signed_eigenvalues(family_sequence(GammaAB(a, b), dmax + 1))
-    return [[math.comb(k, i) * s for k in range(dmax + 1)] for i, s in enumerate(sigma)]
-
-
-def jacobi_monic(a: int, b: int, dmax: int) -> list:
-    """Monic eigenfunctions g_0, ..., g_dmax of kappa(a, b), exact over Q.
-
-    g_d is the monomial coefficient list of the eigenvector of
-    `lp_triangular` for its diagonal entry d, scaled to leading coefficient
-    1.  The diagonal entries are distinct (their absolute values fall by the
-    factor (a+d+1)/(a+b+d+2) < 1 at each step), so back-substitution
-    determines it.  For the self-adjoint L_P these are the monic orthogonal
-    polynomials of the invariant density.
-    """
-    t = la.integer_matrix(lp_triangular(a, b, dmax))[0]
-    return [[Fraction(x, v[-1]) for x in v] for v in la.triangular_eigenvectors(t)]
+    big_a, big_b = a, a + b + 1
+    s = big_a + big_b
+    alphas = [Fraction(1, 2) + Fraction(big_b**2 - big_a**2, 2 * (2 * k + s) * (2 * k + s + 2))
+              for k in range(dmax)]
+    betas = [Fraction(0)] + [
+        Fraction(k * (k + big_a) * (k + big_b) * (k + s),
+                 (2 * k + s) ** 2 * (2 * k + s + 1) * (2 * k + s - 1))
+        for k in range(1, dmax + 1)]
+    return alphas, betas
 
 
 def jacobi_eigenfunctions(a: int, b: int, dmax: int) -> list:
     """Eigenfunctions of kappa(a, b), orthonormal in L^2(pi).
 
     pi is proportional to (1-x)^a x^(a+b+1) on [0, 1], so these are shifted
-    Jacobi polynomials with parameters (a, a+b+1), the normalized
-    `jacobi_monic`.  For a = b = 0 they are also the trigonometric walk's
-    eigenfunctions in its coordinate phi (see the module docstring).  Each
-    output carries its exact three-term recurrence
-    x g_k = g_{k+1} + alpha_k g_k + beta_k g_{k-1} for stable evaluation:
-    alpha_k = [x^(k-1)] g_k - [x^k] g_{k+1} by comparing coefficients, and
-    beta_k = h_k / h_{k-1}, where the squared norm h_k = <g_k, x^k> is a
-    sum of exact rational Beta moments.
+    Jacobi polynomials with parameters (a, a+b+1).  For a = b = 0 they are
+    also the trigonometric walk's eigenfunctions in its coordinate phi (see
+    the module docstring).  Each output carries the three-term recurrence of
+    `_jacobi_recurrence`, exact until the last float conversion, for stable
+    evaluation.  The squared norm of the monic g_d in the probability law pi
+    is h_d = beta_1 ... beta_d (h_0 = 1), so g_d is scaled by 1/sqrt(h_d).
     """
     if not 0 <= dmax <= 12:
         raise OutOfRange(f"eigenfunction construction supported for 0 <= dmax <= 12, got {dmax}")
-    monic = jacobi_monic(a, b, dmax)
-    moments = [_beta_moment(a, b, k) for k in range(2 * dmax + 1)]
-    norms = [sum(c * moments[j + d] for j, c in enumerate(g)) / moments[0]
-             for d, g in enumerate(monic)]
-    alphas = [float((g[-2] if d else 0) - nxt[-2])
-              for d, (g, nxt) in enumerate(zip(monic, monic[1:]))]
-    betas = [0.0] + [float(norms[k] / norms[k - 1]) for k in range(1, dmax + 1)]
+    alphas, betas = _jacobi_recurrence(a, b, dmax)
+    norms = list(accumulate(betas[1:], mul, initial=Fraction(1)))
+    alphas = [float(v) for v in alphas]
+    betas = [float(v) for v in betas]
     return [PolyFunction((tuple(alphas[:d]), tuple(betas[:d]), 1.0 / math.sqrt(float(h))))
             for d, h in enumerate(norms)]
 

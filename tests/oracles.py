@@ -5,6 +5,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from fractions import Fraction
 from operator import mul
 
@@ -12,7 +13,7 @@ from involute import _linalg as la
 from involute.classify import NotClassified
 from involute.errors import IndexOutOfDomain, MalformedWeight, OutOfRange
 from involute.exactnum import as_rational, binom
-from involute.spectral import _oriented
+from involute.spectral import _oriented, family_sequence, signed_eigenvalues
 from involute.transform import _lattice_records
 from involute.walk import _normalized, _potentials
 from involute.weights import (Custom, DeltaAB, GammaAB, GammaC, _check_n, _norm_pairs, _ratios,
@@ -357,3 +358,133 @@ def kappa_norm(a: int, b: int, x: float) -> float:
     """N(kappa)_x = x^(a+b+1) / ((a+b+1) binom(a+b, b)), the integral of
     y^a (x-y)^b over [0, x]; the library only uses it cancelled."""
     return x ** (a + b + 1) / ((a + b + 1) * math.comb(a + b, b))
+
+
+def beta_moment(a: int, b: int, k: int) -> Fraction:
+    """Exact integral of (1-x)^a x^(a+b+1+k) over [0, 1]."""
+    p = a + b + k + 1
+    return Fraction(math.factorial(p) * math.factorial(a), math.factorial(p + a + 1))
+
+
+def lp_triangular(a: int, b: int, dmax: int) -> list:
+    """L_P of kappa(a, b) on polynomials of degree <= dmax, exact over Q.
+
+    Entry [i][k] is the coefficient of x^i in L_P x^k.  Substituting
+    z = 1 - x + x u and integrating u^j against the Beta(a+1, b+1) weight,
+
+        L_P x^k = sum_j C(k,j) r_j (1-x)^(k-j) x^j,   r_j = (b+1)_j / (a+b+2)_j.
+
+    Expanding (1-x)^(k-j) and using C(k,j) C(k-j,i-j) = C(k,i) C(i,j), the
+    entry is C(k,i) s_i with s_i = sum_j (-1)^(i-j) C(i,j) r_j, which is
+    (-1)^i (a+1)_i / (a+b+2)_i by Chu-Vandermonde: the signed eigenvalue
+    sigma_i of the discrete gamma(a, b) walk.  So the matrix is Diag(sigma)
+    times the transposed Pascal matrix, with the eigenvalues on its diagonal.
+    """
+    sigma = signed_eigenvalues(family_sequence(GammaAB(a, b), dmax + 1))
+    return [[math.comb(k, i) * s for k in range(dmax + 1)] for i, s in enumerate(sigma)]
+
+
+def jacobi_monic(a: int, b: int, dmax: int) -> list:
+    """Monic eigenfunctions g_0, ..., g_dmax of kappa(a, b), exact over Q.
+
+    g_d is the monomial coefficient list of the eigenvector of
+    `lp_triangular` for its diagonal entry d, scaled to leading coefficient
+    1.  The diagonal entries are distinct (their absolute values fall by the
+    factor (a+d+1)/(a+b+d+2) < 1 at each step), so the integer
+    back-substitution of `_linalg.triangular_eigenvectors` determines it.
+    For the self-adjoint L_P these are the monic orthogonal polynomials of
+    the invariant density.
+    """
+    t = la.integer_matrix(lp_triangular(a, b, dmax))[0]
+    return [[Fraction(x, v[-1]) for x in v] for v in la.triangular_eigenvectors(t)]
+
+
+def jacobi_recurrence_by_back_substitution(a: int, b: int, dmax: int) -> tuple:
+    """(alphas, betas, norms) of the monic g_d of `jacobi_monic`, read off
+    their coefficients: x g_k = g_{k+1} + alpha_k g_k + beta_k g_{k-1} gives
+    alpha_k = [x^(k-1)] g_k - [x^k] g_{k+1}; the squared norm in the
+    probability law pi is h_k = <g_k, x^k> over the Beta moments, divided by
+    the total mass, and beta_k = h_k / h_{k-1} (betas[0] = 0)."""
+    monic = jacobi_monic(a, b, dmax)
+    moments = [beta_moment(a, b, k) for k in range(2 * dmax + 1)]
+    norms = [sum(c * moments[j + d] for j, c in enumerate(g)) / moments[0]
+             for d, g in enumerate(monic)]
+    alphas = [(g[-2] if d else 0) - nxt[-2] for d, (g, nxt) in enumerate(zip(monic, monic[1:]))]
+    betas = [Fraction(0)] + [norms[k] / norms[k - 1] for k in range(1, dmax + 1)]
+    return alphas, betas, norms
+
+
+def _hahn_parameters(spec) -> tuple:
+    """(alpha, beta) of the Hahn polynomials of a gamma(a, b) or delta(a', b')
+    walk: alpha = a+b+1 and beta = a, with a = -a' and b = -b' for delta."""
+    if isinstance(spec, GammaAB):
+        a, b = Fraction(spec.a), Fraction(spec.b)
+    else:
+        a, b = -Fraction(spec.a_prime), -Fraction(spec.b_prime)
+    return a + b + 1, a
+
+
+def _rising(r, k: int):
+    """The Pochhammer symbol (r)_k = r (r+1) ... (r+k-1)."""
+    return math.prod((r + j for j in range(k)), start=Fraction(1))
+
+
+def closed_form_right_eigenvectors(spec, n: int) -> list:
+    """Right eigenvectors v_0, ..., v_(n-1) of a named family walk, each
+    scaled to v_d(0) = 1, by the hypergeometric closed forms (N = n-1):
+
+        gamma(a, b), delta(a', b'):  v_d(x) = 3F2(-d, d+2a+b+2, -x; a+b+2, -N; 1),
+        gamma(c):                    v_d(x) = 2F1(-d, -x; -N; 1+q),  q = 1/(c+1).
+
+    These are the Hahn polynomials Q_d(x; a+b+1, a, N), with a = -a' and
+    b = -b' for delta, and the Krawtchouk polynomials K_d(x; p, N) with
+    1/p = 1+q (Koekoek, Lesky and Swarttouw 2010, sections 9.5 and 9.11).
+    Each is a terminating sum over k <= min(d, x) of c_(d,k) (-x)_k."""
+    big_n = n - 1
+    if isinstance(spec, GammaC):
+        z = 1 + 1 / (Fraction(spec.c) + 1)
+    else:
+        alpha, beta = _hahn_parameters(spec)
+        z = Fraction(1)
+    # (-x)_k, k <= x, as integers
+    falling = [list(accumulate(range(-x, 0), mul, initial=1)) for x in range(n)]
+    vectors = []
+    for d in range(n):
+        # the parameters besides -d, -x and -N: none for the 2F1
+        upper, lower = ([], []) if isinstance(spec, GammaC) else ([d + alpha + beta + 1], [alpha + 1])
+        # c_(d,k+1) / c_(d,k) = (k-d) prod(u+k) z / ((k-N) prod(w+k) (k+1))
+        coeffs = [Fraction(1)]
+        for k in range(d):
+            ratio = (k - d) * z * math.prod(u + k for u in upper)
+            coeffs.append(coeffs[-1] * ratio / ((k - big_n) * math.prod(w + k for w in lower) * (k + 1)))
+        den = math.lcm(*(c.denominator for c in coeffs))
+        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        # zip stops at k = min(d, x)
+        vectors.append([Fraction(sum(map(mul, nums, row)), den) for row in falling])
+    return vectors
+
+
+def closed_form_pi_norms(spec, n: int) -> list:
+    """h_d = sum_x pi_x v_d(x)^2 for the vectors of
+    `closed_form_right_eigenvectors`, pi the stationary law (N = n-1).
+
+    Krawtchouk: h_d = q^d / C(N, d), the norm ((1-p)/p)^d / C(N, d) of the
+    binomial law.  Hahn, with the weight C(alpha+x, x) C(beta+N-x, N-x) of
+    pi: the norm (-1)^d (d+alpha+beta+1)_(N+1) (beta+1)_d d! /
+    ((2d+alpha+beta+1) (alpha+1)_d (-N)_d N!) over its value at d = 0.
+    The factor (d+alpha+beta+1+d) of the rising product cancels the
+    denominator 2d+alpha+beta+1, which may vanish for delta, so it is left out."""
+    big_n = n - 1
+    if isinstance(spec, GammaC):
+        q = 1 / (Fraction(spec.c) + 1)
+        return [q**d / math.comb(big_n, d) for d in range(n)]
+    alpha, beta = _hahn_parameters(spec)
+
+    def norm(d: int) -> Fraction:
+        rising = math.prod((d + alpha + beta + 1 + j for j in range(big_n + 1) if j != d),
+                           start=Fraction(1))
+        return ((-1) ** d * rising * _rising(beta + 1, d) * math.factorial(d)
+                / (_rising(alpha + 1, d) * _rising(-big_n, d)))
+
+    h0 = norm(0)
+    return [norm(d) / h0 for d in range(n)]

@@ -16,14 +16,14 @@ import pytest
 import sympy
 
 from involute.cli import main
-from involute.continuum import lp_triangular
 from involute.errors import IndexOutOfDomain
 from involute.exactnum import binom
-from involute.spectral import family_sequence, signed_eigenvalues
+from involute.spectral import family_sequence, right_eigenvectors, signed_eigenvalues
 from involute.walk import invariant_closed_form, stationary, subset_walk, transition_matrix
 from involute.weights import DeltaAB, GammaAB, GammaC, domain_limit, down_step_diagonal
 
-from oracles import atomic_part, invariant_by_atomic_part, norm_table
+from oracles import (atomic_part, closed_form_pi_norms, closed_form_right_eigenvectors,
+                     invariant_by_atomic_part, lp_triangular, norm_table)
 
 N_MAX = 12
 SYMPY_N_MAX = 5
@@ -176,6 +176,26 @@ def test_lp_triangular_matches_alternating_sums():
             assert lp_triangular(a, b, dmax) == [
                 [math.comb(k, i) * s[i] for k in range(dmax + 1)] for i in range(dmax + 1)
             ]
+
+
+def test_right_eigenvectors_are_hahn_and_krawtchouk():
+    # v_d scaled to v_d(0) = 1 is the 3F2 (gamma(a, b), delta) or the 2F1
+    # (gamma(c)) of the oracle, for every d, and its pi-norm is the
+    # closed-form Hahn or Krawtchouk norm
+    named = dict.fromkeys(SPECS + OTHER_SPECS + HALF_DELTA + [s for s, _ in BENCH_STATIONARY])
+    cases = Counter()
+    for spec in named:
+        for n in (3, 6, 11, 20):
+            if n > domain_limit(spec):
+                continue
+            closed = closed_form_right_eigenvectors(spec, n)
+            rights = right_eigenvectors(family_sequence(spec, n))
+            assert [[F(x, v[0]) for x in v] for v in rights] == closed
+            pi = invariant_closed_form(spec, n)
+            norms = [sum(p * x * x for p, x in zip(pi, v)) for v in closed]
+            assert norms == closed_form_pi_norms(spec, n)
+            cases[type(spec)] += 1
+    assert cases == {GammaAB: 264, GammaC: 32, DeltaAB: 130}
 
 
 def test_subset_walk_matches_p_formulas():

@@ -3,6 +3,8 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import accumulate
+from operator import mul
 
 import mpmath
 import numpy as np
@@ -23,13 +25,11 @@ from involute.continuum import (
     fixed_point_residual,
     grid,
     jacobi_eigenfunctions,
-    jacobi_monic,
     kappa_walk,
     lh_apply,
     lp_apply,
-    lp_triangular,
     trig_walk,
-    _beta_moment,
+    _jacobi_recurrence,
     _kappa_lp_panel,
     _rp_invariant,
 )
@@ -37,7 +37,8 @@ from involute.errors import OutOfRange, QuadratureNonConvergence
 from involute.spectral import family_sequence, signed_eigenvalues
 from involute.weights import GammaAB
 
-from oracles import kappa_norm
+from oracles import (beta_moment, jacobi_monic, jacobi_recurrence_by_back_substitution, kappa_norm,
+                     lp_triangular)
 
 
 def quad(f, lo, hi, tol=1e-12):
@@ -67,7 +68,7 @@ def test_beta_moments():
         for b in range(4):
             for k in range(9):
                 closed = F(1, (a + b + k + 2) * math.comb(2 * a + b + k + 2, a))
-                assert _beta_moment(a, b, k) == closed
+                assert beta_moment(a, b, k) == closed
                 direct = quad(lambda x: (1 - x) ** a * x ** (a + b + 1 + k), 0.0, 1.0)
                 assert abs(direct - float(closed)) < 1e-12
 
@@ -358,7 +359,7 @@ def test_monic_eigenfunctions_are_exact_eigenvectors():
 
 def test_monic_eigenfunctions_match_gram_schmidt():
     for a, b in ((0, 0), (1, 2), (2, 2), (2, 0), (3, 1)):
-        moments = [_beta_moment(a, b, k) for k in range(26)]
+        moments = [beta_moment(a, b, k) for k in range(26)]
 
         def inner(p, q):
             return sum(pj * qk * moments[j + k] for j, pj in enumerate(p) for k, qk in enumerate(q))
@@ -375,6 +376,29 @@ def test_monic_eigenfunctions_match_gram_schmidt():
             assert betas == tuple(expected_betas[:d])
             # orthonormal in L^2(pi): the weight is divided by its total mass
             assert scale == 1.0 / math.sqrt(float(norms[d] / moments[0]))
+
+
+# every (a, b) with a, b <= 11, and corners of the a + b <= 90 domain
+RECURRENCE_AB = [(a, b) for a in range(12) for b in range(12)] + [
+    (90, 0), (0, 90), (45, 45), (3, 87)]
+
+
+def test_closed_form_recurrence_matches_back_substitution():
+    # the closed-form Jacobi recurrence against the one read off the exact
+    # eigenvectors of lp_triangular and the Beta moments, for every dmax
+    for a, b in RECURRENCE_AB:
+        alphas, betas, norms = jacobi_recurrence_by_back_substitution(a, b, 12)
+        for dmax in range(13):
+            closed_alphas, closed_betas = _jacobi_recurrence(a, b, dmax)
+            assert closed_alphas == alphas[:dmax]
+            assert closed_betas == betas[:dmax + 1]
+            assert all(type(v) is F for v in closed_alphas + closed_betas)
+            # h_k = h_(k-1) beta_k from h_0 = 1
+            assert list(accumulate(closed_betas[1:], mul, initial=F(1))) == norms[:dmax + 1]
+            gs = jacobi_eigenfunctions(a, b, dmax)
+            assert [g.recurrence for g in gs] == [
+                (tuple(map(float, alphas[:d])), tuple(map(float, betas[:d])),
+                 1.0 / math.sqrt(float(norms[d]))) for d in range(dmax + 1)]
 
 
 def test_monic_eigenfunctions_match_sympy_jacobi():
