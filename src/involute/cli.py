@@ -327,9 +327,10 @@ def cmd_continuum(args):
     elif args.fixed_point:
         print(f"fixed_point_residual,{cont.fixed_point_residual(w):.3e}")
     elif args.invariant:
+        xs = cont.grid()
         print("x,pi")
-        for x in cont.grid():
-            print(f"{x:.6f},{cont.cts_invariant(w, x):.12f}")
+        for x, density in zip(xs, cont.cts_invariant(w, xs)):
+            print(f"{x:.6f},{density:.12f}")
     else:
         if args.trig:
             raise InvoluteError("--convergence compares with the discrete gamma(a,b) walk; "

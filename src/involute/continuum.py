@@ -45,12 +45,20 @@ form is checked against.
 
 The eigen residuals and the fixed-point check integrate polynomials in the
 variable u of `lp_apply`, so one Gauss-Legendre panel of order
-floor(degree/2)+1 is exact for each; that panel runs over the whole
-evaluation grid at once with numpy.  `lp_apply` and `lh_apply` take
-arbitrary observables and integrate the definition of each walk directly,
-by adaptive Gauss-Legendre quadrature with interval bisection
-(`_continuum.adaptive_quad`, which needs no numpy): they are the reference
-that the exact path is tested against.
+floor(degree/2)+1 is exact for each, and it runs over the whole evaluation
+grid at once with numpy.  `eigen_residuals` evaluates every g_d in one
+sweep of the recurrence: the mapped grid and the points 1 - x + x u of each
+panel it needs sit side by side in one array, every step of the recurrence
+runs once over that array, and degree d reads L_P g_d from its panel's
+columns and g_d(x) from the grid column.  Each degree keeps its own panel,
+of order (a+b+d)//2 + 1, not the largest one the sweep builds: a panel of
+higher order is exact as well but rounds differently, so sharing it would
+make the residual of g_d depend on dmax.  The invariant density is one
+numpy expression over the grid.  `lp_apply` and `lh_apply` take arbitrary
+observables and integrate the definition of each walk directly, by adaptive
+Gauss-Legendre quadrature with interval bisection (`_continuum.adaptive_quad`,
+which needs no numpy): they are the reference that the exact path is tested
+against.
 """
 
 from __future__ import annotations
@@ -59,7 +67,6 @@ import functools
 import math
 from fractions import Fraction
 from itertools import accumulate
-from operator import mul
 
 import numpy as np
 
@@ -137,16 +144,26 @@ class PolyFunction(FrozenRecord):
         # recurrence: (alphas, betas, scale) for the monic polynomial
         self._freeze(recurrence)
 
-    @property
-    def degree(self) -> int:
-        return len(self.recurrence[0])
-
-    def __call__(self, x: float) -> float:
+    def __call__(self, x):
         alphas, betas, scale = self.recurrence
-        prev, cur = 0.0, 1.0
-        for k in range(self.degree):
-            prev, cur = cur, (x - alphas[k]) * cur - (betas[k] * prev if k else 0.0)
+        *_, cur = _monic_values(alphas, betas, x)
         return scale * cur
+
+
+def _monic_values(alphas, betas, x):
+    """Yield the monic g_0(x), g_1(x), ..., g_len(alphas)(x) of the
+    three-term recurrence in turn; x is a float or an array, and every value
+    has its shape, g_0 = 1 too."""
+    prev, cur = 0.0, np.ones_like(x)
+    yield cur
+    for k, alpha in enumerate(alphas):
+        # (x - alpha) cur - beta prev, built in place: one array fewer alive
+        nxt = x - alpha
+        nxt *= cur
+        if k:
+            nxt -= betas[k] * prev
+        prev, cur = cur, nxt
+        yield cur
 
 
 def lp_apply(walk: ContinuousWalk, f, x: float) -> float:
@@ -178,9 +195,10 @@ def lh_apply(walk: ContinuousWalk, f, x: float) -> float:
 
 
 def _jacobi_recurrence(a: int, b: int, dmax: int) -> tuple:
-    """(alphas, betas), exact: the monic three-term recurrence
-    x g_k = g_{k+1} + alpha_k g_k + beta_k g_{k-1} of the orthogonal
-    polynomials of (1-x)^A x^B on [0, 1], A = a and B = a+b+1.
+    """(alphas, betas), exact, each value a reduced integer pair (num, den):
+    the monic three-term recurrence x g_k = g_{k+1} + alpha_k g_k +
+    beta_k g_{k-1} of the orthogonal polynomials of (1-x)^A x^B on [0, 1],
+    A = a and B = a+b+1.
 
     With s = A + B these are the Jacobi (A, B) coefficients of Koekoek,
     Lesky and Swarttouw (2010), section 9.8, carried from [-1, 1] to [0, 1]
@@ -194,13 +212,20 @@ def _jacobi_recurrence(a: int, b: int, dmax: int) -> tuple:
     """
     big_a, big_b = a, a + b + 1
     s = big_a + big_b
-    alphas = [Fraction(1, 2) + Fraction(big_b**2 - big_a**2, 2 * (2 * k + s) * (2 * k + s + 2))
-              for k in range(dmax)]
-    betas = [Fraction(0)] + [
-        Fraction(k * (k + big_a) * (k + big_b) * (k + s),
+    alphas = []
+    for k in range(dmax):
+        m = (2 * k + s) * (2 * k + s + 2)
+        alphas.append(_reduced(m + big_b**2 - big_a**2, 2 * m))
+    betas = [(0, 1)] + [
+        _reduced(k * (k + big_a) * (k + big_b) * (k + s),
                  (2 * k + s) ** 2 * (2 * k + s + 1) * (2 * k + s - 1))
         for k in range(1, dmax + 1)]
     return alphas, betas
+
+
+def _reduced(num: int, den: int) -> tuple:
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def jacobi_eigenfunctions(a: int, b: int, dmax: int) -> list:
@@ -213,15 +238,18 @@ def jacobi_eigenfunctions(a: int, b: int, dmax: int) -> list:
     `_jacobi_recurrence`, exact until the last float conversion, for stable
     evaluation.  The squared norm of the monic g_d in the probability law pi
     is h_d = beta_1 ... beta_d (h_0 = 1), so g_d is scaled by 1/sqrt(h_d).
+    Every float is one int / int division, which rounds the exact quotient
+    correctly, as `float` of the `Fraction` would.
     """
     if not 0 <= dmax <= 12:
         raise OutOfRange(f"eigenfunction construction supported for 0 <= dmax <= 12, got {dmax}")
     alphas, betas = _jacobi_recurrence(a, b, dmax)
-    norms = list(accumulate(betas[1:], mul, initial=Fraction(1)))
-    alphas = [float(v) for v in alphas]
-    betas = [float(v) for v in betas]
-    return [PolyFunction((tuple(alphas[:d]), tuple(betas[:d]), 1.0 / math.sqrt(float(h))))
-            for d, h in enumerate(norms)]
+    norms = accumulate(betas[1:], lambda h, beta: (h[0] * beta[0], h[1] * beta[1]),
+                       initial=(1, 1))
+    alphas = [num / den for num, den in alphas]
+    betas = [num / den for num, den in betas]
+    return [PolyFunction((tuple(alphas[:d]), tuple(betas[:d]), 1.0 / math.sqrt(num / den)))
+            for d, (num, den) in enumerate(norms)]
 
 
 def grid() -> list:
@@ -237,38 +265,57 @@ def _unit_panel(degree: int):
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
-def _kappa_lp_panel(a: int, b: int, g, degree: int, xs) -> np.ndarray:
-    """(L_P g)(x) for kappa(a, b) at every x of the array xs.
+def _lp_sweep(a: int, b: int, gs: list, u: np.ndarray):
+    """Yield (L_P g_d, g_d) for kappa(a, b) at every point of the array u,
+    for the eigenfunctions g_d of gs in turn.
 
-    g is a polynomial of the given degree that evaluates on numpy arrays.
-    After z = 1 - x + x u the integrand (1-u)^a u^b g(z) is a polynomial of
-    degree a+b+degree in u, so one Gauss-Legendre panel on [0, 1]
-    integrates it exactly up to rounding.
+    After z = 1 - x + x t the integrand (1-t)^a t^b g_d(z) of `lp_apply` is
+    a polynomial of degree a+b+d in t, so the Gauss-Legendre panel of
+    `_unit_panel(a + b + d)` integrates it exactly up to rounding.  The grid
+    column u and the points z of every distinct panel form one array, and
+    the recurrence runs over it once; degree d takes its panel's columns,
+    copied contiguous so that the product with that panel's kernel
+    w (1-t)^a t^b rounds as it would for the panel alone.
     """
-    u, w = _unit_panel(a + b + degree)
-    kernel = w * (1 - u) ** a * u**b
-    x = np.asarray(xs, dtype=float)[:, None]
-    values = np.broadcast_to(g(1 - x + x * u), (x.shape[0], u.size))
-    return (a + b + 1) * math.comb(a + b, a) * (values @ kernel)
+    x = u[:, None]
+    panels = {}  # panel order -> (its columns, its kernel)
+    columns = [x]
+    width = 1
+    for d in range(len(gs)):
+        t, w = _unit_panel(a + b + d)
+        if t.size not in panels:
+            panels[t.size] = (slice(width, width + t.size), w * (1 - t) ** a * t**b)
+            columns.append(1 - x + x * t)
+            width += t.size
+    const = (a + b + 1) * math.comb(a + b, a)
+    alphas, betas, _ = gs[-1].recurrence
+    z = np.hstack(columns)
+    del columns  # the sweep keeps only z, prev and cur alive
+    for d, (g, monic) in enumerate(zip(gs, _monic_values(alphas, betas, z))):
+        scale = g.recurrence[2]
+        cols, kernel = panels[(a + b + d) // 2 + 1]
+        yield const * (np.ascontiguousarray(scale * monic[:, cols]) @ kernel), scale * monic[:, 0]
 
 
 def eigen_residuals(walk: ContinuousWalk, dmax: int) -> list:
     """max over the grid of |L_P g_d(x) - eigenvalue * g_d(x)|, for d = 0..dmax.
 
     g_d is `jacobi_eigenfunctions(a, b, dmax)[d]` read in the walk's
-    coordinate, so the grid is mapped by phi once and L_P g_d comes from one
-    exact Gauss-Legendre panel in the variable u of `lp_apply`, evaluated
-    over the whole mapped grid at once.  It is an independent check of the
-    eigenfunction against the integral definition of kappa's L_P; for the
-    trigonometric walk it rests on the identity of the module docstring,
-    which the tests check against `lp_apply`.
+    coordinate, so the grid is mapped by phi once, and one sweep of the
+    recurrence over the mapped grid and every panel's points gives each
+    L_P g_d from an exact Gauss-Legendre panel in the variable u of
+    `lp_apply`, and g_d itself (see `_lp_sweep`).  Degree d keeps its own
+    panel order, so its residual does not depend on dmax.  It is an
+    independent check of the eigenfunction against the integral definition
+    of kappa's L_P; for the trigonometric walk it rests on the identity of
+    the module docstring, which the tests check against `lp_apply`.
     """
     a, b = walk.a, walk.b
     gs = jacobi_eigenfunctions(a, b, dmax)
     sigma = signed_eigenvalues(family_sequence(GammaAB(a, b), dmax + 1))
     u, _ = _coordinate(walk, np.array(grid()))
-    return [float(np.max(np.abs(_kappa_lp_panel(a, b, g, d, u) - float(sigma[d]) * g(u))))
-            for d, g in enumerate(gs)]
+    return [float(np.max(np.abs(lp - float(s) * g)))
+            for (lp, g), s in zip(_lp_sweep(a, b, gs, u), sigma)]
 
 
 def _kappa_density(a: int, b: int, x):
@@ -277,12 +324,15 @@ def _kappa_density(a: int, b: int, x):
     return c * (1 - x) ** a * x ** (a + b + 1)
 
 
-def cts_invariant(walk: ContinuousWalk, x: float) -> float:
-    """Normalized invariant density at x: kappa's at phi(x), times phi'(x)."""
-    if not 0 <= x <= 1:
-        raise OutOfRange(f"x={x} outside [0, 1]")
+def cts_invariant(walk: ContinuousWalk, x):
+    """Normalized invariant density at x, a float or an array of them:
+    kappa's at phi(x), times phi'(x)."""
+    x = np.asarray(x, dtype=float)
+    for extreme in (x.min(initial=0.0), x.max(initial=1.0)):  # nan if x holds one
+        if not 0 <= extreme <= 1:
+            raise OutOfRange(f"x={extreme} outside [0, 1]")
     u, du = _coordinate(walk, x)
-    return float(_kappa_density(walk.a, walk.b, u) * du)
+    return _kappa_density(walk.a, walk.b, u) * du
 
 
 def _rp_invariant(walk: ContinuousWalk, z):
@@ -309,9 +359,8 @@ def _rp_invariant(walk: ContinuousWalk, z):
 
 def fixed_point_residual(walk: ContinuousWalk) -> float:
     """max-grid residual of the stationarity equation (R_P pi)(z) = pi(z)."""
-    zs = grid()
-    pi = np.array([cts_invariant(walk, z) for z in zs])
-    return float(np.max(np.abs(_rp_invariant(walk, zs) - pi)))
+    zs = np.array(grid())
+    return float(np.max(np.abs(_rp_invariant(walk, zs) - cts_invariant(walk, zs))))
 
 
 def convergence_table(a: int, b: int, degrees, n_list) -> list:
@@ -324,7 +373,9 @@ def convergence_table(a: int, b: int, degrees, n_list) -> list:
     to exactly zero because both sides are affine with the same root).
     Both vectors are scaled to sup-norm 1 over the grid with matching sign
     at the left endpoint, and the sup-distance over the n points returns.
-    Each n's exact right eigenvectors are built once, up to max(degrees).
+    Each n's exact right eigenvectors are built once, up to max(degrees),
+    and the points of all sizes sit side by side in one array, so each g_d
+    is evaluated in one call and each reduction runs once over all sizes.
     Supported: 0 <= d <= 5, d < n <= CONVERGENCE_MAX_N, and at most
     CONVERGENCE_MAX_SIZES sizes.
     """
@@ -343,27 +394,27 @@ def convergence_table(a: int, b: int, degrees, n_list) -> list:
     gs = jacobi_eigenfunctions(a, b, top)
     # lambda_d does not depend on n: each walk's sequence is a prefix of the longest
     lam = family_sequence(GammaAB(Fraction(a), Fraction(b)), max(n_list, default=1))
-    table = [[] for _ in degrees]
-    for n in n_list:
-        rights = right_eigenvectors(lam[:n], top)
-        for d, row in zip(degrees, table):
-            w = [float(v) for v in rights[d]]
-            gvals = [gs[d](i / n) for i in range(n)]
-            w_hat = _sup_normalize(w)
-            g_hat = _sup_normalize(gvals)
-            if _leading_sign(w_hat) != _leading_sign(g_hat):
-                w_hat = [-v for v in w_hat]
-            row.append(max(abs(p - q) for p, q in zip(w_hat, g_hat)))
-    return table
+    # every size's points i/n side by side, one row per degree
+    starts = list(accumulate(n_list, initial=0))[:-1]
+    xs = np.array([i / n for n in n_list for i in range(n)])
+    rights = [right_eigenvectors(lam[:n], top) for n in n_list]
+    w_hat = _sup_normalize(np.array([[v for r in rights for v in r[d]] for d in degrees],
+                                    dtype=float), starts, n_list)
+    g_hat = _sup_normalize(np.array([gs[d](xs) for d in degrees]), starts, n_list)
+    flips = [[1.0 if p == q else -1.0 for p, q in zip(row_w, row_g)]
+             for row_w, row_g in zip(_leading_signs(w_hat, starts), _leading_signs(g_hat, starts))]
+    w_hat *= np.repeat(flips, n_list, axis=1)
+    return np.maximum.reduceat(np.abs(w_hat - g_hat), starts, axis=1).tolist()
 
 
-def _sup_normalize(values: list) -> list:
-    peak = max(abs(v) for v in values)
-    return [v / peak for v in values]
+def _sup_normalize(values: np.ndarray, starts: list, sizes) -> np.ndarray:
+    """Each row's segments of the given sizes, from starts, scaled to sup-norm 1."""
+    peaks = np.maximum.reduceat(np.abs(values), starts, axis=1)
+    return values / np.repeat(peaks, sizes, axis=1)
 
 
-def _leading_sign(values: list) -> int:
-    for v in values:
-        if abs(v) > 1e-9:
-            return 1 if v > 0 else -1
-    return 0
+def _leading_signs(values: np.ndarray, starts: list) -> list:
+    """Per row and segment, whether the first entry above 1e-9 in size is
+    positive; a segment scaled to sup-norm 1 always has one."""
+    return [[next(v for v in row[start:] if abs(v) > 1e-9) > 0 for start in starts]
+            for row in values.tolist()]

@@ -9,11 +9,14 @@ from itertools import accumulate
 from fractions import Fraction
 from operator import mul
 
+import numpy as np
+
 from involute import _linalg as la
 from involute.classify import NotClassified
+from involute.continuum import _unit_panel, jacobi_eigenfunctions
 from involute.errors import IndexOutOfDomain, MalformedWeight, OutOfRange
 from involute.exactnum import as_rational, binom
-from involute.spectral import _oriented, family_sequence, signed_eigenvalues
+from involute.spectral import _oriented, family_sequence, right_eigenvectors, signed_eigenvalues
 from involute.transform import _lattice_records
 from involute.walk import _normalized, _potentials
 from involute.weights import (Custom, DeltaAB, GammaAB, GammaC, _check_n, _norm_pairs, _ratios,
@@ -364,6 +367,49 @@ def beta_moment(a: int, b: int, k: int) -> Fraction:
     """Exact integral of (1-x)^a x^(a+b+1+k) over [0, 1]."""
     p = a + b + k + 1
     return Fraction(math.factorial(p) * math.factorial(a), math.factorial(p + a + 1))
+
+
+def kappa_lp_panel(a: int, b: int, g, degree: int, xs) -> np.ndarray:
+    """(L_P g)(x) for kappa(a, b) at every x of the array xs, one degree at
+    a time: the per-degree reference for the one sweep of
+    `continuum._lp_sweep`.
+
+    g is a polynomial of the given degree that evaluates on numpy arrays.
+    After z = 1 - x + x u the integrand (1-u)^a u^b g(z) is a polynomial of
+    degree a+b+degree in u, so one Gauss-Legendre panel on [0, 1]
+    integrates it exactly up to rounding.
+    """
+    u, w = _unit_panel(a + b + degree)
+    kernel = w * (1 - u) ** a * u**b
+    x = np.asarray(xs, dtype=float)[:, None]
+    values = np.broadcast_to(g(1 - x + x * u), (x.shape[0], u.size))
+    return (a + b + 1) * math.comb(a + b, a) * (values @ kernel)
+
+
+def convergence_by_points(a: int, b: int, degrees, n_list) -> list:
+    """`continuum.convergence_table` one size, degree and point at a time in
+    plain floats: g_d at each x = i/n, sup-normalization, the sign of the
+    first entry above 1e-9 and the sup-distance, all by Python loops."""
+    gs = jacobi_eigenfunctions(a, b, max(degrees))
+    lam = family_sequence(GammaAB(Fraction(a), Fraction(b)), max(n_list, default=1))
+
+    def normalized(values):
+        peak = max(abs(v) for v in values)
+        return [v / peak for v in values]
+
+    def leading_sign(values):
+        return next((1 if v > 0 else -1 for v in values if abs(v) > 1e-9), 0)
+
+    table = [[] for _ in degrees]
+    for n in n_list:
+        rights = right_eigenvectors(lam[:n], max(degrees))
+        for d, row in zip(degrees, table):
+            w_hat = normalized([float(v) for v in rights[d]])
+            g_hat = normalized([float(gs[d](i / n)) for i in range(n)])
+            if leading_sign(w_hat) != leading_sign(g_hat):
+                w_hat = [-v for v in w_hat]
+            row.append(max(abs(p - q) for p, q in zip(w_hat, g_hat)))
+    return table
 
 
 def lp_triangular(a: int, b: int, dmax: int) -> list:

@@ -12,7 +12,7 @@ import pytest
 import sympy
 from scipy import integrate as scipy_integrate
 
-from involute import _continuum
+from involute import _continuum, cli
 from involute.continuum import (
     CONVERGENCE_MAX_N,
     CONVERGENCE_MAX_SIZES,
@@ -30,14 +30,15 @@ from involute.continuum import (
     lp_apply,
     trig_walk,
     _jacobi_recurrence,
-    _kappa_lp_panel,
+    _lp_sweep,
     _rp_invariant,
 )
 from involute.errors import OutOfRange, QuadratureNonConvergence
 from involute.spectral import family_sequence, signed_eigenvalues
 from involute.weights import GammaAB
 
-from oracles import (beta_moment, jacobi_monic, jacobi_recurrence_by_back_substitution, kappa_norm,
+from oracles import (beta_moment, convergence_by_points, jacobi_monic,
+                     jacobi_recurrence_by_back_substitution, kappa_lp_panel, kappa_norm,
                      lp_triangular)
 
 
@@ -189,6 +190,43 @@ def test_cts_invariant():
         assert abs(mass - 1) < 1e-10
 
 
+def _density_per_point(walk, x):
+    """The invariant density at one float x in scalar floats, numpy only for
+    phi and phi' of the trigonometric walk: the per-point reference for the
+    grid density and for the text of `continuum --invariant`."""
+    a, b = walk.a, walk.b
+    u, du = (x, 1.0) if walk.kind == "kappa" else (
+        (1 - np.cos(np.pi * x)) / 2, (np.pi / 2) * np.sin(np.pi * x))
+    c = (2 * a + b + 2) * math.comb(2 * a + b + 1, a)
+    return float(c * (1 - u) ** a * u ** (a + b + 1) * du)
+
+
+DENSITY_WALKS = [kappa_walk(a, b) for a in range(3) for b in range(3)] + [
+    kappa_walk(45, 45), trig_walk()]
+
+
+def test_grid_density_matches_per_point():
+    zs = grid()
+    for walk in DENSITY_WALKS:
+        whole = cts_invariant(walk, zs)
+        assert whole.shape == (GRID_POINTS,)
+        for z, value in zip(zs, whole):
+            for ref in (cts_invariant(walk, z), _density_per_point(walk, z)):
+                assert abs(value - ref) <= 1e-15 * abs(ref)
+    for x in (-0.1, 1.5, [0.5, 1.5], [math.nan]):
+        with pytest.raises(OutOfRange):
+            cts_invariant(kappa_walk(0, 0), x)
+
+
+def test_cli_invariant_prints_per_point_text(capsys):
+    for walk in DENSITY_WALKS:
+        argv = ["--trig"] if walk.kind == "trig" else ["--kappa", str(walk.a), str(walk.b)]
+        assert cli.main(["continuum", *argv, "--invariant"]) == 0
+        expected = "x,pi\n" + "".join(f"{x:.6f},{_density_per_point(walk, x):.12f}\n"
+                                      for x in grid())
+        assert capsys.readouterr().out == expected
+
+
 def test_fixed_point_residuals():
     assert fixed_point_residual(kappa_walk(0, 0)) < 1e-7
     assert fixed_point_residual(kappa_walk(2, 1)) < 1e-7
@@ -201,6 +239,14 @@ def test_discrete_convergence():
     assert d1[1] < d1[0]
     (d2,) = convergence_table(0, 0, (2,), [10, 20, 40, 80])
     assert all(d2[i + 1] < d2[i] for i in range(3))
+
+
+def test_convergence_table_matches_pointwise_loops():
+    # the array form rounds exactly as the per-point loops do
+    for a, b in [(a, b) for a in range(3) for b in range(3)] + [(11, 7), (45, 45)]:
+        for degrees, sizes in (((0, 1, 2, 3, 4, 5), [6, 10, 17, 40]), ((2, 1), [80, 400, 9])):
+            assert convergence_table(a, b, degrees, sizes) == convergence_by_points(
+                a, b, degrees, sizes)
 
 
 def test_kappa_walk_needs_integer_parameters():
@@ -243,9 +289,13 @@ def test_quadrature_budget(monkeypatch):
 
 
 def test_eigen_residuals_match_single_index():
-    # g_d does not depend on dmax, so neither does its residual
-    for walk in (kappa_walk(1, 2), trig_walk()):
-        assert eigen_residuals(walk, 4) == [eigen_residuals(walk, d)[d] for d in range(5)]
+    # g_d does not depend on dmax, and each degree keeps its own panel, so
+    # neither does its residual
+    walks = [kappa_walk(a, b) for a in range(3) for b in range(3)]
+    for walk in walks + [kappa_walk(45, 45), trig_walk()]:
+        single = [eigen_residuals(walk, d)[d] for d in range(13)]
+        for dmax in range(13):
+            assert eigen_residuals(walk, dmax) == single[:dmax + 1]
     for dmax in (-1, 13):
         with pytest.raises(OutOfRange):
             eigen_residuals(kappa_walk(0, 0), dmax)
@@ -390,11 +440,14 @@ def test_closed_form_recurrence_matches_back_substitution():
         alphas, betas, norms = jacobi_recurrence_by_back_substitution(a, b, 12)
         for dmax in range(13):
             closed_alphas, closed_betas = _jacobi_recurrence(a, b, dmax)
-            assert closed_alphas == alphas[:dmax]
-            assert closed_betas == betas[:dmax + 1]
-            assert all(type(v) is F for v in closed_alphas + closed_betas)
+            pairs = closed_alphas + closed_betas
+            assert all(type(n) is int and type(d) is int and d > 0 and math.gcd(n, d) == 1
+                       for n, d in pairs)
+            assert [F(*v) for v in closed_alphas] == alphas[:dmax]
+            assert [F(*v) for v in closed_betas] == betas[:dmax + 1]
             # h_k = h_(k-1) beta_k from h_0 = 1
-            assert list(accumulate(closed_betas[1:], mul, initial=F(1))) == norms[:dmax + 1]
+            closed_norms = accumulate((F(*v) for v in closed_betas[1:]), mul, initial=F(1))
+            assert list(closed_norms) == norms[:dmax + 1]
             gs = jacobi_eigenfunctions(a, b, dmax)
             assert [g.recurrence for g in gs] == [
                 (tuple(map(float, alphas[:d])), tuple(map(float, betas[:d])),
@@ -426,7 +479,7 @@ def test_trig_lp_apply_near_zero():
     for x in (1e-9, 1e-7, 1e-5):
         assert abs(lp_apply(t, lambda z: 1.0, x) - 1.0) < 1e-10
         adaptive = lp_apply(t, lambda z: math.cos(7 * math.pi * z), x)
-        panel = _kappa_lp_panel(0, 0, lambda u: t7(1 - 2 * u), 7, [_phi(x)])[0]
+        panel = kappa_lp_panel(0, 0, lambda u: t7(1 - 2 * u), 7, [_phi(x)])[0]
         assert abs(panel - adaptive) <= 1e-12 * max(1.0, abs(adaptive))
 
 
@@ -462,10 +515,31 @@ def test_panel_matches_adaptive_lp_apply():
         walk = kappa_walk(a, b)
         gs = jacobi_eigenfunctions(a, b, 12)
         for d in (0, 1, 5, 8, 12):
-            panel = _kappa_lp_panel(a, b, gs[d], d, xs)
+            panel = kappa_lp_panel(a, b, gs[d], d, xs)
             for x, value in zip(xs, panel):
                 adaptive = lp_apply(walk, gs[d], x)
                 assert abs(value - adaptive) <= 1e-12 * max(1.0, abs(adaptive))
+
+
+def test_one_sweep_matches_per_degree_panels():
+    # one recurrence sweep over the grid and every panel's points gives, for
+    # d >= 1, the per-degree panel and the eigenfunction's own values bit for
+    # bit; the sweep's g_0 is an array of ones where the panel broadcasts a
+    # scalar, so L_P g_0 = 1 is checked to rounding
+    walks = [kappa_walk(a, b) for a, b in RECURRENCE_AB] + [trig_walk()]
+    for walk in walks:
+        a, b = walk.a, walk.b
+        u = np.array(grid()) if walk.kind == "kappa" else np.array([_phi(x) for x in grid()])
+        for dmax in range(13):
+            gs = jacobi_eigenfunctions(a, b, dmax)
+            swept = list(_lp_sweep(a, b, gs, u))
+            assert len(swept) == dmax + 1
+            lp, g = swept[0]
+            assert np.array_equal(g, np.ones_like(u))
+            assert np.max(np.abs(lp - 1)) < 1e-13
+            for d, (lp, g) in enumerate(swept[1:], start=1):
+                assert np.array_equal(lp, kappa_lp_panel(a, b, gs[d], d, u))
+                assert np.array_equal(g, gs[d](u))
 
 
 # --- the trigonometric walk: kappa(0, 0) in phi(x) = (1 - cos(pi x))/2 -------
@@ -550,7 +624,7 @@ def test_trig_panel_matches_adaptive_lp_apply():
     walk = trig_walk()
     gs = jacobi_eigenfunctions(0, 0, 12)
     for d in (0, 1, 5, 8, 12):
-        panel = _kappa_lp_panel(0, 0, gs[d], d, [_phi(x) for x in xs])
+        panel = kappa_lp_panel(0, 0, gs[d], d, [_phi(x) for x in xs])
         for x, value in zip(xs, panel):
             adaptive = lp_apply(walk, lambda z: gs[d](_phi(z)), x)
             assert abs(value - adaptive) <= 1e-12 * max(1.0, abs(adaptive))
@@ -570,7 +644,7 @@ def test_trig_lp_matches_mpmath():
                         for k, c in enumerate(monic))
             return g.recurrence[2] * exact
 
-        for x, value in zip(xs, _kappa_lp_panel(0, 0, g, 8, [_phi(x) for x in xs])):
+        for x, value in zip(xs, kappa_lp_panel(0, 0, g, 8, [_phi(x) for x in xs])):
             x = mpmath.mpf(x)
             integral = mpmath.quad(lambda z: mpmath.sin(pi * z) * g_mp(z), [1 - x, 1])
             expected = float(pi * integral / (1 - mpmath.cos(pi * x)))
