@@ -4,15 +4,23 @@ Every subcommand prints deterministically for a fixed argv and seed.
 Exit codes: 0 success, 2 precondition or validation failure (with a
 diagnostic naming the violated condition), 1 internal error.
 
-`continuum` is imported inside the two handlers that use it, because it
-loads numpy and every other command is exact.
+A call pays at start-up only for what its command uses:
+- `continuum` is imported inside the two handlers that use it, because it
+  loads numpy and every other command is exact;
+- no module the CLI loads imports `dataclasses` (see `_record`);
+- `json` is imported by the functions that print JSON, and by no other;
+- `build_parser` registers every subcommand with its help line alone, and
+  a subcommand's arguments are defined when it is parsed (`_Subcommand`).
+The `involute.*` imports stay at module level: they are the exact core
+that every command but `continuum` runs, so deferring them would only move
+their cost into the first call, and the traced benchmark wraps only the
+modules loaded before its jobs start.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 from fractions import Fraction
@@ -121,6 +129,8 @@ def _emit_vector(v, fmt: str, name: str):
     if fmt == "csv":
         print(",".join(map(str, v)))
     elif fmt == "json":
+        import json
+
         print(json.dumps({name: list(map(str, v))}))
     else:
         print("  ".join(map(str, v)))
@@ -155,6 +165,8 @@ def cmd_eigvec(args):
     rights = spectral.right_eigenvectors(lam, args.d)
     eigenvalues = spectral.signed_eigenvalues(lam[:len(rights)])
     if args.format == "json":
+        import json
+
         lefts, pi = spectral.left_side(lam, args.d)
         print(json.dumps({"n": len(lam), "eigenvalues": list(map(str, eigenvalues)),
                           "right_vectors": [list(map(str, v)) for v in rights],
@@ -235,6 +247,8 @@ def cmd_check(args):
         # the whole report is built only to print it or to name a witness
         report = transform.property_report(source) if args.format == "json" else None
         if report is not None:
+            import json
+
             print(json.dumps(report.to_dict()))
         if not (getattr(report, field) if report else decide(source)):
             report = report or transform.property_report(source)
@@ -251,6 +265,8 @@ def cmd_classify(args):
     lam = parse_rational_list(args.lam)
     result = cls.classify_walk(lam)
     if args.format == "json":
+        import json
+
         print(json.dumps({"classification": cls.classification_label(result)}))
     else:
         print(cls.classification_label(result))
@@ -260,6 +276,8 @@ def cmd_ladder(args):
     mu = parse_rational(args.mu)
     rows = cls.exceptional_ladder(mu, args.n)
     if args.format == "json":
+        import json
+
         print(json.dumps([{"m": m, "nu": str(nu), "a_prime": str(ap)} for m, nu, ap in rows]))
         return
     print("m,nu,a_prime")
@@ -343,6 +361,8 @@ def cmd_continuum(args):
 
 
 def cmd_conjecture(args):
+    import json
+
     summary = cls.conjecture_search(args.n, max_denominator=args.max_denominator)
     sys.stdout.write("".join(json.dumps(record.to_dict()) + "\n"
                              for record in summary.records))
@@ -408,33 +428,29 @@ def cmd_repro(args):
                 print(f"{d},{n},{dist:.8f}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="involute",
-        description="Exact analysis of involutive random walks on total orders",
-    )
-    parser.add_argument("--format", choices=("csv", "json", "pretty"), default="pretty")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("matrix", help="print the transition matrix")
+def _define_matrix(p: argparse.ArgumentParser):
     _add_family_flags(p)
     p.add_argument("--down-step", action="store_true", help="print H instead of P")
     p.set_defaults(func=cmd_matrix)
 
-    p = sub.add_parser("stationary", help="exact stationary distribution")
+
+def _define_stationary(p: argparse.ArgumentParser):
     _add_family_flags(p)
     p.set_defaults(func=cmd_stationary)
 
-    p = sub.add_parser("spectrum", help="closed-form signed eigenvalues")
+
+def _define_spectrum(p: argparse.ArgumentParser):
     _add_family_flags(p)
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("eigvec", help="right and left eigenvectors and the stationary law")
+
+def _define_eigvec(p: argparse.ArgumentParser):
     _add_family_flags(p)
     p.add_argument("--d", type=int, default=None, help="largest eigenvector index")
     p.set_defaults(func=cmd_eigvec)
 
-    p = sub.add_parser("check", help="property checks; exit 2 with a witness on failure")
+
+def _define_check(p: argparse.ArgumentParser):
     _add_family_flags(p)
     p.add_argument("--matrix", metavar="FILE", help="CSV matrix of p/q entries")
     p.add_argument("--global", dest="global_check", action="store_true",
@@ -448,17 +464,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("classify", help="identify the family from an eigenvalue sequence")
+
+def _define_classify(p: argparse.ArgumentParser):
     p.add_argument("--lambda", dest="lam", required=True)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("ladder", help="exceptional nu_m(mu) ladder")
+
+def _define_ladder(p: argparse.ArgumentParser):
     p.add_argument("--mu", required=True)
     p.add_argument("--n", type=int, required=True,
                    help=f"number of states (at most {cls.LADDER_BUDGET})")
     p.set_defaults(func=cmd_ladder)
 
-    p = sub.add_parser("simulate", help="seeded trajectory CSV")
+
+def _define_simulate(p: argparse.ArgumentParser):
     _add_family_flags(p)
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--steps", type=int, default=1000,
@@ -467,13 +486,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--empirical", action="store_true", help="print visit frequencies instead")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("subsets", help="Kronecker subset walk")
+
+def _define_subsets(p: argparse.ArgumentParser):
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--p", required=True)
     p.add_argument("--matrix", action="store_true", help="print the 2^m transition matrix")
     p.set_defaults(func=cmd_subsets)
 
-    p = sub.add_parser("continuum", help="interval walk residuals and invariants")
+
+def _define_continuum(p: argparse.ArgumentParser):
     p.add_argument("--kappa", nargs=2, type=int, metavar=("A", "B"),
                    help="kappa(a,b) weight (default 0 0)")
     p.add_argument("--trig", action="store_true")
@@ -486,7 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{CONVERGENCE_MAX_SIZES} sizes, each n <= {CONVERGENCE_MAX_N}")
     p.set_defaults(func=cmd_continuum)
 
-    p = sub.add_parser("conjecture", help="desk-scale reversibility sweep (JSON lines)")
+
+def _define_conjecture(p: argparse.ArgumentParser):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-denominator", type=int, default=8, metavar="D",
                    help=f"grid denominators up to D (default 8); the lattice may visit at "
@@ -494,7 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
                         f"and n=6 at D=16")
     p.set_defaults(func=cmd_conjecture)
 
-    p = sub.add_parser("repro", help="reproduce the reference displays and tables")
+
+def _define_repro(p: argparse.ArgumentParser):
     p.add_argument(
         "target",
         choices=(
@@ -503,11 +526,57 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.set_defaults(func=cmd_repro)
-    # argparse takes only integers and decimals for negative numbers, so "-1/3"
-    # would read as a flag; every negative rational is a value here
-    negative = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
-    for p in sub.choices.values():
-        p._negative_number_matcher = negative
+
+
+# each subcommand's name, its line in `involute --help`, and its definer
+_SUBCOMMANDS = (
+    ("matrix", "print the transition matrix", _define_matrix),
+    ("stationary", "exact stationary distribution", _define_stationary),
+    ("spectrum", "closed-form signed eigenvalues", _define_spectrum),
+    ("eigvec", "right and left eigenvectors and the stationary law", _define_eigvec),
+    ("check", "property checks; exit 2 with a witness on failure", _define_check),
+    ("classify", "identify the family from an eigenvalue sequence", _define_classify),
+    ("ladder", "exceptional nu_m(mu) ladder", _define_ladder),
+    ("simulate", "seeded trajectory CSV", _define_simulate),
+    ("subsets", "Kronecker subset walk", _define_subsets),
+    ("continuum", "interval walk residuals and invariants", _define_continuum),
+    ("conjecture", "desk-scale reversibility sweep (JSON lines)", _define_conjecture),
+    ("repro", "reproduce the reference displays and tables", _define_repro),
+)
+
+# argparse takes only integers and decimals for negative numbers, so "-1/3"
+# would read as a flag; every negative rational is a value here
+_NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser, whose definer adds its arguments on its first parse.
+
+    A call parses one subcommand, so it defines the arguments of that one
+    only; `involute --help` and the command list need just the help lines.
+    """
+
+    def __init__(self, *, define, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+        self._define = define
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._define is not None:
+            self._define(self)
+            self._define = None
+        return super().parse_known_args(args, namespace)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="involute",
+        description="Exact analysis of involutive random walks on total orders",
+    )
+    parser.add_argument("--format", choices=("csv", "json", "pretty"), default="pretty")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    for name, help_line, define in _SUBCOMMANDS:
+        sub.add_parser(name, help=help_line, define=define)
     return parser
 
 

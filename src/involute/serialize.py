@@ -10,7 +10,6 @@ is empty) with a middle dot.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from .errors import OutOfRange
@@ -74,6 +73,8 @@ def matrix_from_csv(text: str):
 
 
 def matrix_to_json(rows) -> str:
+    import json
+
     entries = [list(map(str, row)) for row in rows]
     return json.dumps({"n": len(rows), "entries": entries})
 

@@ -470,7 +470,7 @@ def _hahn_parameters(spec) -> tuple:
     return a + b + 1, a
 
 
-def _rising(r, k: int):
+def rising(r, k: int):
     """The Pochhammer symbol (r)_k = r (r+1) ... (r+k-1)."""
     return math.prod((r + j for j in range(k)), start=Fraction(1))
 
@@ -527,10 +527,10 @@ def closed_form_pi_norms(spec, n: int) -> list:
     alpha, beta = _hahn_parameters(spec)
 
     def norm(d: int) -> Fraction:
-        rising = math.prod((d + alpha + beta + 1 + j for j in range(big_n + 1) if j != d),
-                           start=Fraction(1))
-        return ((-1) ** d * rising * _rising(beta + 1, d) * math.factorial(d)
-                / (_rising(alpha + 1, d) * _rising(-big_n, d)))
+        product = math.prod((d + alpha + beta + 1 + j for j in range(big_n + 1) if j != d),
+                            start=Fraction(1))
+        return ((-1) ** d * product * rising(beta + 1, d) * math.factorial(d)
+                / (rising(alpha + 1, d) * rising(-big_n, d)))
 
     h0 = norm(0)
     return [norm(d) / h0 for d in range(n)]

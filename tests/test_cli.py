@@ -1,5 +1,6 @@
 """Command-line behavior: output shapes, exit codes, determinism."""
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -17,7 +18,7 @@ import pytest
 import involute
 from involute import _linalg, classify, spectral, transform, walk
 from involute.cli import _SIMULATE_CHUNK as CHUNK
-from involute.cli import main
+from involute.cli import build_parser, main
 from involute.spectral import family_sequence
 from involute.transform import lambda_walk
 from involute.walk import transition_matrix
@@ -572,6 +573,16 @@ def test_negative_rational_arguments(capsys):
     assert code == 0 and out.splitlines()[3] == "1/5,4/15,8/15"
     code, out, err = run(capsys, "matrix", "--gamma", "-1", "0", "--n", "3")
     assert (code, out) == (2, "") and "a, b > -1" in err
+    # every subcommand that takes --gamma reads its negative values, whether
+    # a fresh parser defines its arguments or the reused one already has
+    from involute import cli
+
+    for argv in (["stationary"], ["spectrum"], ["eigvec"], ["check", "kolmogorov"],
+                 ["simulate"]):
+        argv = [*argv, "--gamma", "-1/3", "-2/3", "--n", "4"]
+        assert cli.build_parser().parse_args(argv).gamma == ["-1/3", "-2/3"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out and "expected 2 arguments" not in err, argv
 
 
 def test_conjecture_command(capsys):
@@ -797,6 +808,46 @@ def test_exact_commands_leave_numpy_unloaded():
     assert loaded is False
     assert started == [] and ran == []
     assert floats == [0] * len(FLOAT_ARGVS)
+
+
+def test_start_up_loads_json_only_to_print_json():
+    # json is loaded by the commands that print JSON (--format json, and the
+    # JSON lines of conjecture) and by no other; the argv lists reach the
+    # probe as literals, since reading them with json would load it
+    json_argv = ["--format", "json", "matrix", "--gamma", "2", "2/3", "--n", "12"]
+    other = [argv for argv in EXACT_ARGVS if "json" not in argv and argv[0] != "conjecture"]
+    assert json_argv in EXACT_ARGVS and len(other) == len(EXACT_ARGVS) - 2
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    probe = (
+        "import contextlib, io, sys\n"
+        "import involute.cli as c\n"
+        "c.build_parser()\n"
+        "loaded = ['json' in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    codes = [c.main(argv) for argv in {other!r}]\n"
+        "    loaded.append('json' in sys.modules)\n"
+        f"    codes.append(c.main({json_argv!r}))\n"
+        "    loaded.append('json' in sys.modules)\n"
+        "print(repr((codes, loaded)))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert ast.literal_eval(done.stdout) == ([0] * (len(other) + 1), [False, False, True])
+
+
+def test_parsing_defines_only_its_own_subcommand():
+    # build_parser registers every subcommand with its help line alone; a
+    # parse defines the arguments of the subcommand it reaches, once
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert [a.dest for p in sub.choices.values() for a in p._actions] == ["help"] * 12
+    argv = ["matrix", "--gamma", "1", "1", "--n", "4"]
+    assert parser.parse_args(argv) == parser.parse_args(argv)
+    dests = {name: [a.dest for a in p._actions] for name, p in sub.choices.items()}
+    assert dests.pop("matrix") == ["help", "gamma", "gammac", "delta", "lam", "custom", "n",
+                                   "down_step"]
+    assert list(dests.values()) == [["help"]] * 11
 
 
 def test_repro_fig2(capsys):

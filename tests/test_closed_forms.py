@@ -15,15 +15,17 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
+from involute._linalg import integer_row
 from involute.cli import main
 from involute.errors import IndexOutOfDomain
 from involute.exactnum import binom
 from involute.spectral import family_sequence, right_eigenvectors, signed_eigenvalues
+from involute.transform import _difference_rows, lambda_walk
 from involute.walk import invariant_closed_form, stationary, subset_walk, transition_matrix
 from involute.weights import DeltaAB, GammaAB, GammaC, domain_limit, down_step_diagonal
 
 from oracles import (atomic_part, closed_form_pi_norms, closed_form_right_eigenvectors,
-                     invariant_by_atomic_part, lp_triangular, norm_table)
+                     invariant_by_atomic_part, lp_triangular, matvec, norm_table, rising)
 
 N_MAX = 12
 SYMPY_N_MAX = 5
@@ -196,6 +198,75 @@ def test_right_eigenvectors_are_hahn_and_krawtchouk():
             assert norms == closed_form_pi_norms(spec, n)
             cases[type(spec)] += 1
     assert cases == {GammaAB: 264, GammaC: 32, DeltaAB: 130}
+
+
+def forward_closed_forms(spec, n: int) -> tuple:
+    """(D, P, pi) of a named family walk by its product formulas: D[y][k] =
+    D_k(y), the rows of P, and pi up to a factor.
+
+    gamma(a, b) and delta(a', b') have lambda_d = (A)_d/(C)_d, with A = a+1
+    and C = a+b+2, or A = 1-a' and C = 2-a'-b'.  Then
+    D_k(y) = (A)_y (C-A)_k/(C)_{y+k} and pi_x ∝ C(n-1, x) (A)_{n-1-x} (C)_x.
+    With y = n-1-z and k = x+z-(n-1) = x-y, P[x][z] = C(x, y) D_k(y) =
+    C(x, y) (A)_y (C-A)_k/(C)_x.  gamma(c) is the limit C -> oo with
+    A/C = mu = 1/(c+1): D_k(y) = mu^y (1-mu)^k and pi_x ∝ C(n-1, x) (c+1)^x.
+    """
+    if isinstance(spec, GammaC):
+        mu = 1 / (spec.c + 1)
+
+        def difference(y, k):
+            return mu**y * (1 - mu) ** k
+
+        pi = [math.comb(n - 1, x) * (spec.c + 1) ** x for x in range(n)]
+    else:
+        if isinstance(spec, GammaAB):
+            a, c = spec.a + 1, spec.a + spec.b + 2
+        else:
+            a, c = 1 - spec.a_prime, 2 - spec.a_prime - spec.b_prime
+
+        def difference(y, k):
+            return rising(a, y) * rising(c - a, k) / rising(c, y + k)
+
+        pi = [math.comb(n - 1, x) * rising(a, n - 1 - x) * rising(c, x) for x in range(n)]
+    table = [[difference(y, k) for k in range(n - y)] for y in range(n)]
+    rows = [[math.comb(x, n - 1 - z) * difference(n - 1 - z, x + z - (n - 1))
+             if x + z >= n - 1 else 0 for z in range(n)] for x in range(n)]
+    return table, rows, pi
+
+
+def test_family_walks_from_a_and_c():
+    # the forward theorem for every n: with M[x][z] = P[x][z]/C(x, y), the
+    # ratio M[x][z]/M[z][x] = phi(z)/phi(x), phi(u) = (A)_{n-1-u} (C)_u, is a
+    # gradient, so detailed balance holds wherever the entries are nonzero;
+    # here the three product formulas meet the library's table, P and pi
+    named = dict.fromkeys(SPECS + OTHER_SPECS + HALF_DELTA + [s for s, _ in BENCH_STATIONARY])
+    cases = Counter()
+    for spec in named:
+        for n in (3, 6, 10):
+            if n > domain_limit(spec):
+                continue
+            table, rows, pi = forward_closed_forms(spec, n)
+            scaled, scale = integer_row(family_sequence(spec, n))
+            assert list(_difference_rows(scaled)) == [
+                [scale * v for v in table[y]] for y in reversed(range(n))]
+            assert transition_matrix(spec, n) == rows
+            assert stationary(rows) == [v / sum(pi) for v in pi]
+            cases[type(spec)] += 1
+    assert cases == {GammaAB: 198, GammaC: 24, DeltaAB: 129}
+
+
+def test_flip_walk_from_a_equal_to_c():
+    # J(n), lambda = (1, ..., 1), is A = C: C-A = 0 leaves D_k(y) = [k = 0], P
+    # is the anti-identity and the walk is reducible, so every pi_x ∝
+    # C(n-1, x) (A)_{n-1-x} (A)_x is an invariant law, but not the only one
+    for n in (3, 6, 10):
+        assert list(_difference_rows([1] * n)) == [[1] + [0] * (n - 1 - y)
+                                                  for y in reversed(range(n))]
+        assert lambda_walk([F(1)] * n) == [[int(x + z == n - 1) for z in range(n)]
+                                           for x in range(n)]
+        for a in (F(1), F(1, 3), F(5, 2)):
+            pi = [math.comb(n - 1, x) * rising(a, n - 1 - x) * rising(a, x) for x in range(n)]
+            assert pi == pi[::-1] and matvec(lambda_walk([F(1)] * n), pi) == pi
 
 
 def test_subset_walk_matches_p_formulas():
