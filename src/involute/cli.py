@@ -30,6 +30,7 @@ from . import spectral, transform, walk
 from ._continuum import CONVERGENCE_MAX_N, CONVERGENCE_MAX_SIZES
 from .errors import InvoluteError
 from .serialize import (
+    _rational_text,
     matrix_from_csv,
     matrix_to_csv,
     matrix_to_json,
@@ -80,12 +81,12 @@ def _source_from_args(args) -> tuple:
     return spec, spec.n if args.n is None else args.n
 
 
-def _walk(source, n) -> list:
+def _walk(source, n, entry=Fraction) -> list:
     """The rows of P for a resolved source: the lambda walk of a list, else
-    the weight's."""
+    the weight's, each entry made by entry (`walk.transition_matrix`)."""
     if isinstance(source, list):
         return transform.lambda_walk(source)
-    return walk.transition_matrix(source, n)
+    return walk.transition_matrix(source, n, entry)
 
 
 def _sequence_from_args(args) -> list:
@@ -116,13 +117,13 @@ def _add_family_flags(p: argparse.ArgumentParser):
     p.add_argument("--n", type=int, help="number of states")
 
 
-def _emit_matrix(rows, fmt: str):
+def _emit_matrix(rows, fmt: str, lower: bool = False):
     if fmt == "csv":
         sys.stdout.write(matrix_to_csv(rows))
     elif fmt == "json":
         print(matrix_to_json(rows))
     else:
-        print(matrix_to_pretty(rows))
+        print(matrix_to_pretty(rows, lower=lower))
 
 
 def _emit_vector(v, fmt: str, name: str):
@@ -142,8 +143,9 @@ def _down_step(p: list) -> list:
 
 
 def cmd_matrix(args):
-    p = _walk(*_source_from_args(args))
-    _emit_matrix(_down_step(p) if args.down_step else p, args.format)
+    # a weight's entries are only printed, so they are built as text
+    p = _walk(*_source_from_args(args), _rational_text)
+    _emit_matrix(_down_step(p) if args.down_step else p, args.format, args.down_step)
 
 
 def cmd_stationary(args):
@@ -285,9 +287,10 @@ def cmd_ladder(args):
         print(f"{m},{nu},{ap}")
 
 
-# trajectory lines formatted per write: a chunk's strings take under 100 kB,
-# so peak memory does not grow past that of writing line by line
-_SIMULATE_CHUNK = 1024
+# trajectory lines formatted per write: a block's strings take under 100 kB,
+# so peak memory does not grow past that of writing line by line; step
+# 1000 b + r of block b >= 1 prints as str(b) and r on 3 digits
+_SIMULATE_CHUNK = 1000
 
 
 def cmd_simulate(args):
@@ -297,13 +300,20 @@ def cmd_simulate(args):
         print(",".join(f"{f:.6f}" for f in walk.visit_frequencies(traj, len(p))))
         return
     suffix = [f",{x}\n" for x in range(len(p))]
+    # the 3-digit suffixes, built per call: a table at import would slow
+    # every command's start-up
+    digits = "0123456789"
+    low = [a + b + c for a in digits for b in digits for c in digits]
     out = sys.stdout
     out.write("step,state\n")
-    for start in range(0, len(traj), _SIMULATE_CHUNK):
+    for block, start in enumerate(range(0, len(traj), _SIMULATE_CHUNK)):
         chunk = traj[start:start + _SIMULATE_CHUNK]
-        # "t" and ",x\n" interleaved: the steps by str, the states by lookup
+        # "t" and ",x\n" interleaved: the states by lookup
         parts = [""] * (2 * len(chunk))
-        parts[::2] = map(str, range(start, start + len(chunk)))
+        if block:
+            parts[::2] = map(str(block).__add__, low[:len(chunk)])
+        else:
+            parts[::2] = map(str, range(len(chunk)))
         parts[1::2] = map(suffix.__getitem__, chunk)
         out.write("".join(parts))
 

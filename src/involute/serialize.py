@@ -1,15 +1,18 @@
 """Parsing and formatting of rationals, matrices and vectors.
 
 A rational prints as `str` prints it: "p/q", or just "p" when the
-denominator is 1, for a Fraction and an int alike, so every writer maps
-`str` over its entries.  The parser additionally accepts terminating
-decimals ("0.25"), which convert exactly.  Pretty matrix output marks
-structural zeros (entries with x + z < n - 1, where the defining interval
-is empty) with a middle dot.
+denominator is 1, for a Fraction and an int alike.  A matrix that is only
+printed may hold that text already (`_rational_text`), so every writer
+maps `str` over its entries, which leaves text as it is.  The parser
+additionally accepts terminating decimals ("0.25"), which convert exactly.
+Pretty matrix output marks structural zeros, the entries whose defining
+interval is empty, with a middle dot: x + z < n - 1 in P, z > x in the
+down-step matrix H.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import OutOfRange
@@ -21,6 +24,18 @@ DOT = "·"
 # builds 10**|e|, which takes seconds from |e| = 10**6 on, and Python refuses
 # int literals of more than this many digits
 MAX_DECIMAL_EXPONENT = 4300
+
+
+def _rational_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for integers num and den != 0, without the
+    Fraction: one gcd, with the sign put on the numerator.  It is private so
+    that a traced run records no span per entry."""
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    if den == g:
+        return str(num // g)
+    return f"{num // g}/{den // g}"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -79,17 +94,20 @@ def matrix_to_json(rows) -> str:
     return json.dumps({"n": len(rows), "entries": entries})
 
 
-def matrix_to_pretty(rows, structural_dots: bool = True) -> str:
-    """Align columns; structural zeros print as a dot, true zeros as 0."""
+def matrix_to_pretty(rows, structural_dots: bool = True, lower: bool = False) -> str:
+    """Align columns; structural zeros print as a dot, true zeros as 0.
+
+    A zero is structural at x + z < n - 1 in a square anti-triangular matrix
+    such as P, and at z > x in a lower-triangular one such as H (lower)."""
     n = len(rows)
     cells = []
     for x, row in enumerate(rows):
-        line = []
-        for z, value in enumerate(row):
-            if structural_dots and value == 0 and x + z < n - 1 and len(row) == n:
-                line.append(DOT)
-            else:
-                line.append(str(value))
+        line = list(map(str, row))
+        if structural_dots and len(row) == n:
+            empty = range(x + 1, n) if lower else range(n - 1 - x)
+            for z in empty:
+                if line[z] == "0":
+                    line[z] = DOT
         cells.append(line)
     widths = [max(len(cells[i][j]) for i in range(len(cells))) for j in range(len(cells[0]))]
     lines = []

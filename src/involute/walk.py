@@ -92,10 +92,13 @@ class SubsetWalk(Record):
         self.eigenvalues = eigenvalues  # expanded multiset, (-p)^e repeated binom(m, e) times
 
 
-def transition_matrix(spec: WeightSpec, n: int) -> list:
-    """The exact rows of P for the weight on {0, ..., n-1}: P = H J."""
-    zero = Fraction(0)
-    return [[zero] * (n - 1 - x) + row[::-1] for x, row in enumerate(down_step_table(spec, n))]
+def transition_matrix(spec: WeightSpec, n: int, entry=Fraction) -> list:
+    """The exact rows of P for the weight on {0, ..., n-1}: P = H J, each
+    entry made by entry(num, den) as in `down_step_table` and padded with
+    entry(0, 1)."""
+    zero = entry(0, 1)
+    return [[zero] * (n - 1 - x) + row[::-1]
+            for x, row in enumerate(down_step_table(spec, n, entry))]
 
 
 def support(p) -> list:

@@ -165,11 +165,13 @@ def down_step_diagonal(spec: WeightSpec, n: int) -> list:
     return [Fraction(p, q) for p, q in _terms(ratio, n)]
 
 
-def _scaled_rows(spec: WeightSpec, scale: list) -> list:
+def _scaled_rows(spec: WeightSpec, scale: list, entry) -> list:
     """Rows [w[0, x] f_x / e_x, ..., w[x, x] f_x / e_x] for x < len(scale),
     scale[x] = (e_x, f_x) a pair of integers: the norm pair N_x = e_x / f_x
-    for the rows of H, (1, 1) for the weights.  Each entry is one
-    Fraction(num, den) of integer products.
+    for the rows of H, (1, 1) for the weights.  Each entry is
+    entry(num, den) of its unreduced integer products, den != 0: `Fraction`
+    where the entries are computed with, and `serialize._rational_text`,
+    which reduces the pair straight to its text, where they are printed.
 
     A named family's entry is a_y c_{x-y} f_x [C(x, y)] / (b_y d_{x-y} e_x),
     with u_y = a_y / b_y and v_k = c_k / d_k the reduced term pairs; a
@@ -178,7 +180,7 @@ def _scaled_rows(spec: WeightSpec, scale: list) -> list:
     check_table(len(scale))
     if isinstance(spec, Custom):
         zero = Fraction(0)
-        return [[Fraction(w.numerator * f, w.denominator * e)
+        return [[entry(w.numerator * f, w.denominator * e)
                  for w in (spec.table.get((y, x), zero) for y in range(x + 1))]
                 for x, (e, f) in enumerate(scale)]
     ru, rv, pascal, _ = _ratios(spec)
@@ -187,10 +189,10 @@ def _scaled_rows(spec: WeightSpec, scale: list) -> list:
     for x, (e, f) in enumerate(scale):
         pairs = zip(u, v[x::-1])  # (u_y, v_{x-y}) for y = 0..x
         if pascal:
-            rows.append([Fraction(a * c * f * math.comb(x, y), b * d * e)
+            rows.append([entry(a * c * f * math.comb(x, y), b * d * e)
                          for y, ((a, b), (c, d)) in enumerate(pairs)])
         else:
-            rows.append([Fraction(a * c * f, b * d * e) for (a, b), (c, d) in pairs])
+            rows.append([entry(a * c * f, b * d * e) for (a, b), (c, d) in pairs])
     return rows
 
 
@@ -212,13 +214,13 @@ def _check_n(spec: WeightSpec, n: int):
 def weight_table(spec: WeightSpec, n: int) -> list:
     """Rows [w[0, x], ..., w[x, x]] for x < n, in O(n^2) integer products."""
     _check_n(spec, n)
-    return _scaled_rows(spec, [(1, 1)] * n)
+    return _scaled_rows(spec, [(1, 1)] * n, Fraction)
 
 
-def down_step_table(spec: WeightSpec, n: int) -> list:
+def down_step_table(spec: WeightSpec, n: int, entry=Fraction) -> list:
     """Rows [w[0, x] / N_x, ..., w[x, x] / N_x] for x < n: the lower
     triangle of the down-step matrix H, from the same integer terms as
-    weight_table, so each entry is reduced once.
+    weight_table, so each entry is reduced once, by entry (`_scaled_rows`).
 
     No norm N_x vanishes on a valid input, so none is tested: gamma(a, b)
     has N_x = C(a+b+1+x, x) with a + b + 1 > -1, gamma(c) has
@@ -227,7 +229,7 @@ def down_step_table(spec: WeightSpec, n: int) -> list:
     (n <= ceil(a'), b' > 1).  `Custom` rejects a column sum that is not
     positive."""
     _check_n(spec, n)
-    return _scaled_rows(spec, _norm_pairs(spec, n))
+    return _scaled_rows(spec, _norm_pairs(spec, n), entry)
 
 
 def custom_from_csv(text: str) -> Custom:

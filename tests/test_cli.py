@@ -16,9 +16,10 @@ from pathlib import Path
 import pytest
 
 import involute
-from involute import _linalg, classify, spectral, transform, walk
+from involute import _linalg, classify, spectral, transform, walk, weights
 from involute.cli import _SIMULATE_CHUNK as CHUNK
 from involute.cli import build_parser, main
+from involute.serialize import matrix_to_csv, matrix_to_json, matrix_to_pretty
 from involute.spectral import family_sequence
 from involute.transform import lambda_walk
 from involute.walk import transition_matrix
@@ -318,6 +319,15 @@ def test_tables_past_the_budget_exit_2(capsys, monkeypatch):
                  ["eigvec", "--delta", str(budget + 2), "3"],
                  ["check", "--gamma", "1", "1", "adep"]):
         assert run(capsys, *argv, "--n", str(budget + 1)) == refusal
+    # matrix in every format and for H too: the domain is checked before the budget
+    for fmt in ("pretty", "csv", "json"):
+        for down_step in ((), ("--down-step",)):
+            matrix = ("--format", fmt, "matrix", *down_step)
+            assert run(capsys, *matrix, "--gamma", "1", "1", "--n", str(budget + 1)) == refusal
+            assert run(capsys, *matrix, "--delta", "21/2", "43/4", "--n", "12") == (
+                2, "", "error: n=12 is outside the weight's domain\n")
+            assert run(capsys, *matrix, "--delta", "21/2", "43/4", "--n", str(budget + 1)) == (
+                2, "", f"error: n={budget + 1} is outside the weight's domain\n")
     # the verdicts of a --lambda walk read its integer L * M, an n x n table too
     ones = ",".join(["1"] * (budget + 1))
     for argv in (["classify", "--lambda", ones],
@@ -643,12 +653,111 @@ def test_down_step_and_lambda_spectrum(capsys):
     assert out.strip() == "1,-1/2,1/3"
 
 
+def test_pretty_down_step_dots_the_empty_intervals_of_h(capsys):
+    # H[x][y] is structural for y > x, P[x][z] for x + z < n - 1
+    code, out, _ = run(capsys, "matrix", "--gamma", "1", "1", "--n", "4", "--down-step")
+    assert (code, out) == (0, "   1     ·     ·    ·\n"
+                              " 1/2   1/2     ·    ·\n"
+                              "3/10   2/5  3/10    ·\n"
+                              " 1/5  3/10  3/10  1/5\n")
+    # delta(4, 2) has true zeros, below the diagonal of H and inside P's support
+    code, out, _ = run(capsys, "matrix", "--delta", "4", "2", "--n", "4", "--down-step")
+    assert (code, out) == (0, "  1    ·    ·    ·\n"
+                              "1/4  3/4    ·    ·\n"
+                              "  0  1/2  1/2    ·\n"
+                              "  0    0  3/4  1/4\n")
+    code, out, _ = run(capsys, "matrix", "--delta", "4", "2", "--n", "4")
+    assert (code, out) == (0, "  ·    ·    ·    1\n"
+                              "  ·    ·  3/4  1/4\n"
+                              "  ·  1/2  1/2    0\n"
+                              "1/4  3/4    0    0\n")
+
+
+# the valid named specs the tests use, and the bench's gamma(a, b) at n = 40, 60
+NAMED_SPECS = [
+    ("--gamma", "0", "0"), ("--gamma", "1", "1"), ("--gamma", "1", "1/3"), ("--gamma", "2", "2/3"),
+    ("--gamma", "2", "4/3"), ("--gamma", "1", "0"), ("--gamma", "-1/3", "-2/3"),
+    ("--gamma", "-0.5", "0"), ("--gammac", "1/3"), ("--gammac", "1"), ("--gammac", "1/2"),
+    ("--delta", "4", "2"), ("--delta", "21/2", "43/4"), ("--delta", "5/2", "7/2"),
+]
+BENCH_GAMMA = [(a, b) for a in ("1", "2") for b in ("1/3", "2/3", "4/3")]
+
+
+def _fraction_route(rows, down_step: bool) -> dict:
+    """What matrix prints in each format for the Fraction rows of P."""
+    if down_step:
+        rows = [row[::-1] for row in rows]
+    return {"csv": matrix_to_csv(rows), "json": matrix_to_json(rows) + "\n",
+            "pretty": matrix_to_pretty(rows, lower=down_step) + "\n"}
+
+
+def _assert_text_route(capsys, source_flags, rows):
+    assert all(type(v) is F for row in rows for v in row)
+    for down_step in (False, True):
+        expected = _fraction_route(rows, down_step)
+        for fmt in ("pretty", "csv", "json"):
+            argv = ("--format", fmt, "matrix", *source_flags) + ("--down-step",) * down_step
+            assert run(capsys, *argv) == (0, expected[fmt], ""), argv
+
+
+def test_matrix_text_route_matches_the_fraction_route(tmp_path, capsys):
+    for flags in NAMED_SPECS:
+        spec = {"--gamma": GammaAB, "--gammac": GammaC, "--delta": DeltaAB}[flags[0]](
+            *map(F, flags[1:]))
+        for n in (1, 2, 3, 6, 10, 13):
+            if n <= weights.domain_limit(spec):
+                _assert_text_route(capsys, (*flags, "--n", str(n)), transition_matrix(spec, n))
+    for a, b in BENCH_GAMMA:
+        for n in (40, 60):
+            _assert_text_route(capsys, ("--gamma", a, b, "--n", str(n)),
+                               transition_matrix(GammaAB(F(a), F(b)), n))
+    target = tmp_path / "w.csv"
+    target.write_text("y,x,w\n0,0,1\n0,1,1/3\n1,1,2/3\n0,2,1/2\n2,2,1/4\n1,3,2\n3,3,1\n"
+                      "0,4,-0\n2,4,0.125\n4,4,7/3\n")
+    _assert_text_route(capsys, ("--custom", str(target)),
+                       transition_matrix(weights.custom_from_csv(target.read_text()), 5))
+
+
+def test_named_family_matrix_builds_no_fraction_per_entry(capsys, monkeypatch):
+    made = []
+    new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting_new)
+    for flags in (("--gamma", "1", "4/3"), ("--gammac", "1/3"), ("--delta", "21/2", "43/4")):
+        for down_step in ((), ("--down-step",)):
+            made.clear()
+            code, out, _ = run(capsys, "--format", "json", "matrix", *flags, "--n", "10",
+                               *down_step)
+            # the arguments and the family's term ratios, not the 55 entries of H
+            assert code == 0 and len(json.loads(out)["entries"]) == 10
+            assert len(made) < 10, made
+
+
+def test_custom_matrix_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # N_1 = 10^4300 + 10^-4300, so the entries of row 1 have over 8,600 digits
+    target = tmp_path / "w.csv"
+    target.write_text("0,0,1\n0,1,1e-4300\n1,1,1e4300\n")
+    for fmt in ("pretty", "csv", "json"):
+        for down_step in ((), ("--down-step",)):
+            assert run(capsys, "--format", fmt, "matrix", "--custom", str(target),
+                       *down_step) == (
+                2, "", "error: a number in the result has more than 4300 digits, the limit "
+                       "of Python's integer string conversion\n")
+
+
 def test_simulate_output_matches_stepwise_loop(capsys):
     sources = [(("--gamma", "1", "1/3", "--n", "20"), transition_matrix(GammaAB(1, F(1, 3)), 20)),
                (("--delta", "4", "2", "--n", "4"), transition_matrix(DeltaAB(4, 2), 4)),
                (("--lambda", "1,2/3,1/3,0"), lambda_walk([F(1), F(2, 3), F(1, 3), F(0)]))]
+    # across the thousand-line blocks, up to the budget, whose step numbers have 7 digits
+    step_counts = (0, 1, 300, 999, 1000, 1001, 1999, 2000, 20000, walk.SIMULATION_BUDGET)
     for flags, w in sources:
-        for start, steps, seed in ((0, 0, 0), (0, 300, 5), (len(w) - 1, 2000, 31)):
+        for i, steps in enumerate(step_counts):
+            start, seed = i % len(w), 3 * i
             traj, empirical = simulate_stepwise(w, start, steps, seed)
             argv = ("simulate", *flags, "--start", str(start), "--steps", str(steps),
                     "--seed", str(seed))

@@ -3,9 +3,12 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from involute.errors import OutOfRange
 from involute.serialize import (
+    _rational_text,
     matrix_from_csv,
     matrix_to_csv,
     matrix_to_pretty,
@@ -78,3 +81,21 @@ def test_pretty_structural_dots():
     rows = [[F(0), F(0), F(1)], [F(0), F(1), F(0)], [F(1), F(0), F(0)]]
     lines = matrix_to_pretty(rows).splitlines()
     assert lines[1].split() == ["·", "1", "0"]
+    # a matrix that is not anti-triangular keeps its entries there
+    assert matrix_to_pretty([[F(1, 2), F(1, 2)], [F(1), F(0)]]).splitlines() == [
+        "1/2  1/2", "  1    0"]
+    # H is lower triangular: its structural zeros are those above the diagonal
+    rows = [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(1, 2), F(1, 2)]]
+    assert matrix_to_pretty(rows, lower=True).splitlines() == [
+        "1    ·    ·", "0    1    ·", "0  1/2  1/2"]
+    # text entries, as a printed-only matrix holds them, read the same
+    text = [list(map(str, row)) for row in rows]
+    assert matrix_to_pretty(text, lower=True) == matrix_to_pretty(rows, lower=True)
+    assert matrix_to_pretty(text) == matrix_to_pretty(rows)
+
+
+@given(st.integers(), st.integers().filter(bool))
+def test_rational_text_is_the_text_of_the_fraction(num, den):
+    assert _rational_text(num, den) == str(F(num, den))
+    big = 10**40 + 7
+    assert _rational_text(num * big, den * big) == str(F(num, den))
