@@ -28,13 +28,17 @@ being P without its binomial factors: with y = n-1-z and
 k = x + z - (n-1), P[x][z] = binom(x, y) D_k(y) = x! M[x][z] / (y! k!),
 so P[x][z] / P[z][x] = (g_x / g_z) M[x][z] / M[z][x] with
 g_x = x! (n-1-x)!, and M has P's support, P's verdict and P's forest of
-potentials (the `transform` docstring).  The potentials are integer
-pairs, and the verdict is taken as the lattice meets each record, so no
-record forms P, a Fraction potential or a table it keeps.  The
-potentials also decide reachability, so no record runs a search for it.
-A sweep forms one Fraction v / L per distinct grid value, shared by every
-record that holds it, and the (mu, nu) case split of a reversible record
-forms one Fraction per family parameter.
+potentials (the `transform` docstring).  The sweep reads M's columns,
+each table row below its zeros, as rows: that is M^T, so no record
+transposes its table.  M^T has M's support, so its support is symmetric
+and connected exactly when M's is, with the same trees, and phi balances
+M exactly when 1/phi balances M^T: the verdict and the tree count are
+M's.  The potentials are integer pairs, and the verdict is taken as the
+lattice meets each record, so no record forms P, a Fraction potential or
+a table it keeps.  The potentials also decide reachability, so no record
+runs a search for it.  A sweep forms one Fraction v / L per distinct
+grid value, shared by every record that holds it, and the (mu, nu) case
+split of a reversible record forms one Fraction per family parameter.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from typing import Union
 from ._record import FrozenRecord, Record
 from .errors import OutOfRange, ZeroNotAccessible
 from .exactnum import as_rational
-from .transform import _dj_rows, _lattice_records, _scaled_walk
+from .transform import _lattice_records, _scaled_walk
 from .walk import _potentials, _zero_reachable
 from .weights import DeltaAB, GammaAB, GammaC, domain_limit, down_step_diagonal
 
@@ -140,7 +144,7 @@ def exceptional_ladder(mu, n: int) -> list:
 
 def _top_right_submatrix(p_rows, m: int) -> list:
     n = len(p_rows)
-    return [[p_rows[x][z + n - m] for z in range(m)] for x in range(m)]
+    return [row[n - m:] for row in p_rows[:m]]
 
 
 def is_globally_reversible(lam) -> bool:
@@ -182,9 +186,14 @@ def _classify(lam: list, reaches_zero: bool) -> Classification:
     whether state 0 is reached from every state of the walk.
 
     The all-ones sequence is decided before reachability: its walk J has
-    no single closed class, yet it is the identity walk, not an error.
+    no single closed class, yet it is the identity walk, not an error.  It
+    is the one stochastic lam that ends in 1: a stochastic lam does not
+    increase, as D_1(y) = lambda_y - lambda_{y+1} >= 0, and it starts at
+    lambda_0 = 1.  Both callers hand over a stochastic lam:
+    `_scaled_walk` raises NotStochastic for classify_walk, and the
+    lattice yields only stochastic records.
     """
-    if all(v == 1 for v in lam):
+    if lam[-1] == 1:
         return IdentityWalk()
     if not reaches_zero:
         raise ZeroNotAccessible("state 0 unreachable; the walk never mixes")
@@ -224,18 +233,6 @@ class SearchRecord(Record):
     def __init__(self, lam: list, reversible: bool, classification: Classification | None):
         self.lam, self.reversible, self.classification = lam, reversible, classification
 
-    def to_dict(self) -> dict:
-        """The record as JSON-ready values, each rational as its `str`."""
-        return {
-            "lambda": list(map(str, self.lam)),
-            # every record is a point of the stochastic lattice
-            "stochastic": True,
-            "reversible": self.reversible,
-            "classification": None
-            if self.classification is None
-            else classification_label(self.classification),
-        }
-
 
 class SearchSummary(Record):
     __slots__ = _fields = ("n", "stochastic", "reversible", "records")
@@ -264,6 +261,13 @@ def conjecture_search(n: int, *, max_denominator: int = 8) -> SearchSummary:
     count of a reversible one, are kept until the sort, and each distinct
     grid value becomes one Fraction v / L, shared by the records.
 
+    The potentials run on the table rows padded to length n,
+    [0] * (n-1-z) + table[z]: they are the columns of M, so the rows read
+    are M^T, and no record transposes its table (`transform._dj_rows`).
+    M^T has M's support, hence a symmetric support and the same connected
+    components exactly when M does, and phi balances M exactly when 1/phi
+    balances M^T; so the verdict and the tree count are M's, and P's.
+
     Reachability needs no search of its own: potentials that span one tree
     mean a symmetric, connected support, so the walk is irreducible and 0
     is reached from every state, while with more trees each tree is a class
@@ -272,9 +276,10 @@ def conjecture_search(n: int, *, max_denominator: int = 8) -> SearchSummary:
     if n < 3 or n > 8:
         raise OutOfRange("the desk-scale sweep covers 3 <= n <= 8")
     scale, stream = _lattice_records(n, max_denominator)
+    pads = [[0] * (n - 1 - z) for z in range(n)]
     decided = []  # (scaled, the tree count of its potentials, None if irreversible)
     for scaled, table in stream:
-        found = _potentials(_dj_rows(table))
+        found = _potentials([pad + row for pad, row in zip(pads, table)])
         decided.append((scaled, None if found is None else found[1]))
     decided.sort()  # the tuples are distinct, so no count is compared
     value = {v: Fraction(v, scale) for v in set().union(*(scaled for scaled, _ in decided))}

@@ -374,8 +374,18 @@ def cmd_conjecture(args):
     import json
 
     summary = cls.conjecture_search(args.n, max_denominator=args.max_denominator)
-    sys.stdout.write("".join(json.dumps(record.to_dict()) + "\n"
-                             for record in summary.records))
+    # every record is a point of the stochastic lattice; a rational's text
+    # needs no JSON escape, a classification label (quotes, reasons) does
+    line = '{"lambda": ["%s"], "stochastic": true, "reversible": %s, "classification": %s}\n'
+    lines = []
+    for r in summary.records:
+        lam = '", "'.join(map(str, r.lam))
+        if r.reversible:
+            label = json.dumps(cls.classification_label(r.classification))
+            lines.append(line % (lam, "true", label))
+        else:
+            lines.append(line % (lam, "false", "null"))
+    sys.stdout.write("".join(lines))
     bad = summary.unclassified_reversible
     print(
         json.dumps(

@@ -12,7 +12,7 @@ from operator import mul
 import numpy as np
 
 from involute import _linalg as la
-from involute.classify import NotClassified
+from involute.classify import NotClassified, classification_label
 from involute.continuum import _unit_panel, jacobi_eigenfunctions
 from involute.errors import IndexOutOfDomain, MalformedWeight, OutOfRange
 from involute.exactnum import as_rational, binom
@@ -294,6 +294,20 @@ def stochastic_grid(n: int, max_denominator: int) -> list:
     """The stochastic lattice as sorted lists of Fractions lambda_y = v / L."""
     scale, lattice = stochastic_lattice(n, max_denominator)
     return [[Fraction(v, scale) for v in scaled] for scaled in lattice]
+
+
+def oracle_dict(record) -> dict:
+    """A conjecture record as JSON-ready values, each rational as its `str`:
+    `json.dumps` of it is the line `cli.cmd_conjecture` prints for the record."""
+    return {
+        "lambda": list(map(str, record.lam)),
+        # every record is a point of the stochastic lattice
+        "stochastic": True,
+        "reversible": record.reversible,
+        "classification": None
+        if record.classification is None
+        else classification_label(record.classification),
+    }
 
 
 def uncut_lattice(n: int, max_denominator: int) -> list:

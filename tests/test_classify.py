@@ -9,6 +9,7 @@ from involute.classify import (
     NotClassified,
     SearchRecord,
     _classify,
+    _top_right_submatrix,
     a_prime_ladder,
     classification_label,
     classify_walk,
@@ -20,7 +21,7 @@ from involute.classify import (
 )
 from involute.errors import NotStochastic, OutOfRange, ZeroNotAccessible
 from involute.spectral import family_sequence
-from involute.transform import lambda_walk, pl_matrix
+from involute.transform import _dj_rows, _lattice_records, _scaled_walk, lambda_walk, pl_matrix
 from involute.walk import _potentials
 from involute.weights import DeltaAB, GammaAB, GammaC, down_step_diagonal
 
@@ -28,6 +29,7 @@ from oracles import (
     a_from_mu_nu,
     b_from_mu_nu,
     detailed_balance,
+    oracle_dict,
     params_by_fractions,
     reversible_with_some_distribution,
     stochastic_grid,
@@ -195,6 +197,20 @@ def test_is_globally_reversible_examples():
     assert is_globally_reversible([F(1), F(2, 3), F(1, 3)])
 
 
+def test_top_right_submatrix_is_the_truncation_walk():
+    # the m x m top-right block of the integer L * M is the L_m * M of
+    # lambda_0..lambda_{m-1}, times L / L_m, L_m the truncation's own lcm
+    import math
+
+    for lam in (family_sequence(GammaAB(1, F(1, 3)), 7), [F(1), F(3, 5), F(3, 10), F(1, 20)]):
+        p = _scaled_walk(lam)
+        scale = math.lcm(*(v.denominator for v in lam))
+        for m in range(2, len(lam) + 1):
+            factor = scale // math.lcm(*(v.denominator for v in lam[:m]))
+            expected = [tuple(v * factor for v in row) for row in _scaled_walk(lam[:m])]
+            assert _top_right_submatrix(p, m) == expected, (lam, m)
+
+
 def test_ladder_point_walk_is_globally_reversible():
     # the mu = 2/3 ladder entry with 9 bands at n = 10
     spec = DeltaAB(17, 9)
@@ -248,11 +264,41 @@ def test_conjecture_search_matches_fraction_oracle():
     reversible = 0
     for n in range(3, 6):
         for den in range(1, 9):
-            expected = [r.to_dict() for r in _fraction_sweep(n, den)]
-            got = [r.to_dict() for r in conjecture_search(n, max_denominator=den).records]
+            expected = [oracle_dict(r) for r in _fraction_sweep(n, den)]
+            got = [oracle_dict(r) for r in conjecture_search(n, max_denominator=den).records]
             assert got == expected, (n, den)
             reversible += sum(r["reversible"] for r in got)
     assert reversible > 0
+
+
+def test_sweep_verdict_on_m_columns_is_that_of_m():
+    # conjecture_search runs the potentials on the table rows padded to
+    # length n, the columns of M: M^T has M's support and is balanced by
+    # 1/phi, so on every lattice record at n <= 8 and den <= 8 the verdict
+    # and the tree count are those of M's rows (`_dj_rows`), and the
+    # potentials are their reciprocals; the sweep's records carry that verdict
+    records, trees = 0, set()
+    for n in range(3, 9):
+        for den in range(1, 9):
+            _, stream = _lattice_records(n, den)
+            verdicts = []
+            for scaled, table in stream:
+                m_rows = _dj_rows(table)
+                columns = [[0] * (n - 1 - z) + row for z, row in enumerate(table)]
+                assert columns == [list(col) for col in zip(*m_rows)], scaled
+                by_rows, by_columns = _potentials(m_rows), _potentials(columns)
+                if by_rows is None:
+                    assert by_columns is None, scaled
+                else:
+                    assert by_columns[1] == by_rows[1], scaled
+                    assert by_columns[0] == [(b, a) for a, b in by_rows[0]], scaled
+                    trees.add(by_rows[1])
+                verdicts.append((scaled, by_rows is not None))
+            verdicts.sort()
+            found = conjecture_search(n, max_denominator=den).records
+            assert [r.reversible for r in found] == [v for _, v in verdicts], (n, den)
+            records += len(found)
+    assert records == 2320 and trees == {1, 2, 3, 4}
 
 
 def test_conjecture_search_never_searches_reachability(monkeypatch):

@@ -25,7 +25,7 @@ from involute.transform import lambda_walk
 from involute.walk import transition_matrix
 from involute.weights import DeltaAB, GammaAB, GammaC
 
-from oracles import matvec, simulate_stepwise
+from oracles import matvec, oracle_dict, simulate_stepwise
 
 PACKAGE_DIR = Path(involute.__file__).parent
 
@@ -603,6 +603,31 @@ def test_conjecture_command(capsys):
     assert all(r["stochastic"] for r in records)
     summary = json.loads(err.strip().splitlines()[-1])
     assert summary["unclassified_reversible"] == 0
+
+
+def test_conjecture_lines_are_json_of_each_record(capsys):
+    # cmd_conjecture writes each record from a string template; for n = 3..8
+    # at every den <= 8, which the budget admits, stdout is json.dumps of
+    # each record's dict form byte for byte, and stderr the sweep's summary
+    labels = set()
+    for n in range(3, 9):
+        for den in range(1, 9):
+            summary = classify.conjecture_search(n, max_denominator=den)
+            code, out, err = run(capsys, "conjecture", "--n", str(n),
+                                 "--max-denominator", str(den))
+            assert code == 0, (n, den)
+            dicts = [oracle_dict(r) for r in summary.records]
+            assert out == "".join(json.dumps(d) + "\n" for d in dicts), (n, den)
+            assert err == json.dumps({
+                "n": n,
+                "evaluated": summary.stochastic,
+                "stochastic": summary.stochastic,
+                "reversible": summary.reversible,
+                "unclassified_reversible": 0,
+            }) + "\n", (n, den)
+            labels.update(d["classification"].split("(")[0] for d in dicts
+                          if d["classification"])
+    assert labels == {"gamma", "delta", "J"}
 
 
 def test_conjecture_rejects_empty_grid(capsys):
