@@ -4,8 +4,9 @@ Matrices are plain lists of lists of Fractions, and every result is exact.
 The kernels that dominate run on integers instead: a row is scaled by the
 lcm of its denominators (integer_row), elimination keeps rows primitive,
 and the characteristic polynomial runs division-free on the integer matrix
-D*A.  Every division in them is exact, so no gcd is paid per operation and
-Fractions are only formed once, for the result.
+D*A (`berkowitz`), which a caller that only compares polynomials takes as
+it is.  Every division in them is exact, so no gcd is paid per operation
+and Fractions are only formed once, for the result.
 """
 
 from __future__ import annotations
@@ -83,17 +84,15 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def charpoly(a: Matrix) -> list[Fraction]:
-    """Coefficients [1, c1, ..., cn] of det(X I - A), by Berkowitz.
+def berkowitz(b: list) -> list[int]:
+    """Coefficients [1, c1, ..., cn] of det(X I - B) of an integer matrix.
 
-    It runs on the integer matrix B = D A, D the lcm of all denominators,
-    and coefficient k of A is c_k(B) / D^k.  Berkowitz needs no division:
-    the polynomial of the block B_(r+1) is the lower-triangular Toeplitz
-    matrix with first column [1, -B[r][r], -S R, -S B_r R, ...,
-    -S B_r^(r-1) R] times that of B_r, R the column above B[r][r] and S
-    the row to its left, so it only adds and multiplies integers.
+    Berkowitz needs no division: the polynomial of the block B_(r+1) is
+    the lower-triangular Toeplitz matrix with first column [1, -B[r][r],
+    -S R, -S B_r R, ..., -S B_r^(r-1) R] times that of B_r, R the column
+    above B[r][r] and S the row to its left, so it only adds and
+    multiplies integers.
     """
-    b, d = integer_matrix(a)
     coeffs = [1]
     for r, row in enumerate(b):
         above = b[:r]  # map stops at len(v) = r, so these rows act as B_r
@@ -104,14 +103,23 @@ def charpoly(a: Matrix) -> list[Fraction]:
                 v = [sum(map(mul, brow, v)) for brow in above]
             col.append(-sum(map(mul, row, v)))
         coeffs = [sum(map(mul, col[i::-1], coeffs)) for i in range(r + 2)]
-    return [Fraction(c, d**k) for k, c in enumerate(coeffs)]
+    return coeffs
 
 
-def poly_from_roots(roots: Vector) -> list[Fraction]:
-    """Monic coefficients [1, c1, ..., cn] of prod (X - r)."""
-    coeffs = [_ONE]
+def charpoly(a: Matrix) -> list[Fraction]:
+    """Coefficients [1, c1, ..., cn] of det(X I - A): `berkowitz` of the
+    integer matrix B = D A, D the lcm of all denominators, and coefficient
+    k of A is c_k(B) / D^k."""
+    b, d = integer_matrix(a)
+    return [Fraction(c, d**k) for k, c in enumerate(berkowitz(b))]
+
+
+def poly_from_roots(roots: Vector) -> list:
+    """Monic coefficients [1, c1, ..., cn] of prod (X - r), in the roots'
+    own arithmetic: Fractions for Fraction roots, ints for int roots."""
+    coeffs = [1]
     for r in roots:
-        coeffs.append(_ZERO)
+        coeffs.append(0)
         for i in range(len(coeffs) - 1, 0, -1):
             coeffs[i] -= r * coeffs[i - 1]
     return coeffs

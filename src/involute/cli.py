@@ -8,7 +8,10 @@ A call pays at start-up only for what its command uses:
 - `continuum` is imported inside the two handlers that use it, because it
   loads numpy and every other command is exact;
 - no module the CLI loads imports `dataclasses` (see `_record`);
-- `json` is imported by the functions that print JSON, and by no other;
+- `json` is imported by the functions that print JSON through `json.dumps`,
+  and by no other: a matrix's JSON is one template filled with the text
+  of its entries (`serialize.matrix_to_json`), so `--format json matrix`
+  loads no `json`;
 - `build_parser` registers every subcommand with its help line alone, and
   a subcommand's arguments are defined when it is parsed (`_Subcommand`).
 The `involute.*` imports stay at module level: they are the exact core
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -294,13 +298,15 @@ _SIMULATE_CHUNK = 1000
 
 
 def cmd_simulate(args):
-    p = _walk(*_source_from_args(args))
+    # a weight's rows as floats from its integer pairs, bit for bit the floats
+    # of the exact rows (`walk.transition_matrix`), so the trajectory is theirs
+    p = _walk(*_source_from_args(args), operator.truediv)
     traj = walk.simulate(p, args.start, args.steps, args.seed)
     if args.empirical:
         print(",".join(f"{f:.6f}" for f in walk.visit_frequencies(traj, len(p))))
         return
     suffix = [f",{x}\n" for x in range(len(p))]
-    # the 3-digit suffixes, built per call: a table at import would slow
+    # the 3-digit step numbers, built per call: a table at import would slow
     # every command's start-up
     digits = "0123456789"
     low = [a + b + c for a in digits for b in digits for c in digits]
@@ -308,13 +314,16 @@ def cmd_simulate(args):
     out.write("step,state\n")
     for block, start in enumerate(range(0, len(traj), _SIMULATE_CHUNK)):
         chunk = traj[start:start + _SIMULATE_CHUNK]
-        # "t" and ",x\n" interleaved: the states by lookup
-        parts = [""] * (2 * len(chunk))
+        m = len(chunk)
+        # three parts a line, "b", "rrr" and ",x\n", so no line is concatenated;
+        # block 0 has no prefix and prints r as it is
+        parts = [""] * (3 * m)
         if block:
-            parts[::2] = map(str(block).__add__, low[:len(chunk)])
+            parts[::3] = [str(block)] * m
+            parts[1::3] = low[:m]
         else:
-            parts[::2] = map(str, range(len(chunk)))
-        parts[1::2] = map(suffix.__getitem__, chunk)
+            parts[1::3] = map(str, range(m))
+        parts[2::3] = map(suffix.__getitem__, chunk)
         out.write("".join(parts))
 
 

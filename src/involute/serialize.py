@@ -59,10 +59,13 @@ def parse_rational_list(text: str) -> list[Fraction]:
 
 
 def matrix_to_csv(rows) -> str:
+    """A header c0,...,c(m-1) and one line per row, each ended by a newline:
+    the trailing empty line puts the last newline in the one join."""
     n_cols = len(rows[0]) if rows else 0
     lines = [",".join(f"c{j}" for j in range(n_cols))]
     lines += [",".join(map(str, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def matrix_from_csv(text: str):
@@ -88,10 +91,12 @@ def matrix_from_csv(text: str):
 
 
 def matrix_to_json(rows) -> str:
-    import json
-
-    entries = [list(map(str, row)) for row in rows]
-    return json.dumps({"n": len(rows), "entries": entries})
+    """json.dumps({"n": len(rows), "entries": rows as lists of text}), filled
+    into one template: the text of a rational is digits, "-" and "/", none
+    of which JSON escapes.  No rows give "entries": [], and an empty row []."""
+    entries = ", ".join(['["%s"]' % '", "'.join(map(str, row)) if row else "[]"
+                         for row in rows])
+    return '{"n": %d, "entries": [%s]}' % (len(rows), entries)
 
 
 def matrix_to_pretty(rows, structural_dots: bool = True, lower: bool = False) -> str:

@@ -190,17 +190,28 @@ def _charpoly_rows(m) -> list:
 
 
 def _adep(rows) -> bool:
-    """ADEP of already coerced lower-triangular rows: one charpoly, of L J."""
-    target = la.poly_from_roots([(-1) ** d * row[d] for d, row in enumerate(rows)])
-    return la.charpoly([row[::-1] for row in rows]) == target  # J reverses columns
+    """ADEP of already coerced lower-triangular rows, on integers.
+
+    B = D L J (J reverses columns) is the integer matrix of L J, D the lcm
+    of its denominators, and B[d][n-1-d] = D L[d][d].  The eigenvalues of B
+    are D times those of L J, so coefficient k of either polynomial below
+    is D^k times that of charpoly(L J) or of prod_d (X - (-1)^d L[d][d]):
+    `berkowitz(B)` equals prod_d (X - (-1)^d B[d][n-1-d]) exactly when
+    those two are equal.  No Fraction is formed.
+    """
+    b, _ = la.integer_matrix([row[::-1] for row in rows])
+    last = len(b) - 1
+    target = la.poly_from_roots([(-1) ** d * row[last - d] for d, row in enumerate(b)])
+    return la.berkowitz(b) == target
 
 
 def check_adep(m) -> bool:
     """Anti-diagonal eigenvalue property, as an exact char-poly multiset test.
 
     It tests size n only: charpoly(L J) is compared with
-    prod_d (X - (-1)^d L[d][d]).  This does not verify diagonalizability
-    of L J, so repeated eigenvalues are accepted on multiset evidence alone.
+    prod_d (X - (-1)^d L[d][d]), both scaled to integer polynomials
+    (`_adep`).  This does not verify diagonalizability of L J, so repeated
+    eigenvalues are accepted on multiset evidence alone.
     """
     return _adep(_charpoly_rows(m))
 

@@ -95,7 +95,15 @@ class SubsetWalk(Record):
 def transition_matrix(spec: WeightSpec, n: int, entry=Fraction) -> list:
     """The exact rows of P for the weight on {0, ..., n-1}: P = H J, each
     entry made by entry(num, den) as in `down_step_table` and padded with
-    entry(0, 1)."""
+    entry(0, 1).
+
+    With entry = operator.truediv the rows hold the floats that float() of
+    the Fraction rows gives, bit for bit, which is all `simulate` reads:
+    int / int is correctly rounded in CPython, and float() of a Fraction
+    divides its reduced pair, the same rational, so both round it to the
+    same double; the pads are 0 / 1 = 0.0.  No denominator is negative
+    (`weights._terms`), so no entry is -0.0.
+    """
     zero = entry(0, 1)
     return [[zero] * (n - 1 - x) + row[::-1]
             for x, row in enumerate(down_step_table(spec, n, entry))]
@@ -346,7 +354,12 @@ SIMULATION_BUDGET = 1_000_000
 
 def simulate(rows, x0: int, steps: int, seed: int) -> list:
     """The seeded trajectory, steps + 1 states from x0, by inverse-CDF
-    sampling on float row copies; 0 <= steps <= SIMULATION_BUDGET."""
+    sampling on float row copies; 0 <= steps <= SIMULATION_BUDGET.
+
+    The rows may hold Fractions or floats already: rows of
+    `transition_matrix(spec, n, operator.truediv)` are float() of the exact
+    rows, so they give the same cumulative sums and the same trajectory.
+    """
     n = len(rows)
     if not 0 <= x0 < n:
         raise OutOfRange(f"start state {x0} outside 0..{n - 1}")

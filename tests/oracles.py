@@ -23,6 +23,22 @@ from involute.weights import (Custom, DeltaAB, GammaAB, GammaC, _check_n, _norm_
                               _terms, domain_limit, weight_table)
 
 
+# named family specs as their CLI flags, and the gamma(a, b) of the bench
+NAMED_SPECS = [
+    ("--gamma", "0", "0"), ("--gamma", "1", "1"), ("--gamma", "1", "1/3"), ("--gamma", "2", "2/3"),
+    ("--gamma", "2", "4/3"), ("--gamma", "1", "0"), ("--gamma", "-1/3", "-2/3"),
+    ("--gamma", "-0.5", "0"), ("--gammac", "1/3"), ("--gammac", "1"), ("--gammac", "1/2"),
+    ("--delta", "4", "2"), ("--delta", "21/2", "43/4"), ("--delta", "5/2", "7/2"),
+]
+BENCH_GAMMA = [(a, b) for a in ("1", "2") for b in ("1/3", "2/3", "4/3")]
+
+
+def spec_from_flags(flags):
+    """The weight spec that the flags of NAMED_SPECS name."""
+    kind = {"--gamma": GammaAB, "--gammac": GammaC, "--delta": DeltaAB}[flags[0]]
+    return kind(*map(Fraction, flags[1:]))
+
+
 def weight_value(spec, y: int, x: int) -> Fraction:
     """Exact value of the weight on the interval [y, x]."""
     if y < 0 or y > x:

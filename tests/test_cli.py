@@ -25,7 +25,8 @@ from involute.transform import lambda_walk
 from involute.walk import transition_matrix
 from involute.weights import DeltaAB, GammaAB, GammaC
 
-from oracles import matvec, oracle_dict, simulate_stepwise
+from oracles import (BENCH_GAMMA, NAMED_SPECS, matvec, oracle_dict, simulate_stepwise,
+                     spec_from_flags)
 
 PACKAGE_DIR = Path(involute.__file__).parent
 
@@ -166,14 +167,15 @@ def test_check_triangular_properties_as_recorded(capsys, case):
 
 @pytest.mark.parametrize("prop, calls", [("adep", 1), ("binomial-transform", 0)])
 def test_check_decides_only_the_printed_property(monkeypatch, capsys, prop, calls):
+    # berkowitz is the one kernel under both charpoly and the integer ADEP
     seen = []
-    charpoly = _linalg.charpoly
+    berkowitz = _linalg.berkowitz
 
-    def counting(a):
-        seen.append(len(a))
-        return charpoly(a)
+    def counting(b):
+        seen.append(len(b))
+        return berkowitz(b)
 
-    monkeypatch.setattr(_linalg, "charpoly", counting)
+    monkeypatch.setattr(_linalg, "berkowitz", counting)
     code, out, _ = run(capsys, "check", "--gamma", "2", "4/3", "--n", "12", prop)
     assert (code, out) == (0, f"{prop} holds\n")
     assert seen == [12] * calls
@@ -186,7 +188,7 @@ def test_charpoly_checks_past_the_budget_exit_2(monkeypatch, tmp_path, capsys):
     assert run(capsys, "check", "--gamma", "2", "2/3", "--n", str(budget), "adep") == (
         0, "adep holds\n", "")
     seen = []
-    monkeypatch.setattr(_linalg, "charpoly", lambda a: seen.append(len(a)))
+    monkeypatch.setattr(_linalg, "berkowitz", lambda b: seen.append(len(b)))
     refusal = (2, "", f"error: a characteristic-polynomial check needs n <= {budget}, "
                       f"the charpoly budget, got n={budget + 1}\n")
     over = ("--gamma", "2", "2/3", "--n", str(budget + 1))
@@ -698,16 +700,6 @@ def test_pretty_down_step_dots_the_empty_intervals_of_h(capsys):
                               "1/4  3/4    0    0\n")
 
 
-# the valid named specs the tests use, and the bench's gamma(a, b) at n = 40, 60
-NAMED_SPECS = [
-    ("--gamma", "0", "0"), ("--gamma", "1", "1"), ("--gamma", "1", "1/3"), ("--gamma", "2", "2/3"),
-    ("--gamma", "2", "4/3"), ("--gamma", "1", "0"), ("--gamma", "-1/3", "-2/3"),
-    ("--gamma", "-0.5", "0"), ("--gammac", "1/3"), ("--gammac", "1"), ("--gammac", "1/2"),
-    ("--delta", "4", "2"), ("--delta", "21/2", "43/4"), ("--delta", "5/2", "7/2"),
-]
-BENCH_GAMMA = [(a, b) for a in ("1", "2") for b in ("1/3", "2/3", "4/3")]
-
-
 def _fraction_route(rows, down_step: bool) -> dict:
     """What matrix prints in each format for the Fraction rows of P."""
     if down_step:
@@ -727,8 +719,7 @@ def _assert_text_route(capsys, source_flags, rows):
 
 def test_matrix_text_route_matches_the_fraction_route(tmp_path, capsys):
     for flags in NAMED_SPECS:
-        spec = {"--gamma": GammaAB, "--gammac": GammaC, "--delta": DeltaAB}[flags[0]](
-            *map(F, flags[1:]))
+        spec = spec_from_flags(flags)
         for n in (1, 2, 3, 6, 10, 13):
             if n <= weights.domain_limit(spec):
                 _assert_text_route(capsys, (*flags, "--n", str(n)), transition_matrix(spec, n))
@@ -774,9 +765,18 @@ def test_custom_matrix_past_the_digit_limit_exits_2(tmp_path, capsys):
                        "of Python's integer string conversion\n")
 
 
-def test_simulate_output_matches_stepwise_loop(capsys):
+def test_simulate_output_matches_stepwise_loop(tmp_path, capsys):
+    # the oracle samples the Fraction rows; the CLI builds float rows from the
+    # integer pairs of a weight (the Pascal gamma(c) and a custom table among
+    # them) and keeps the Fractions of a lambda walk
+    target = tmp_path / "w.csv"
+    target.write_text("y,x,w\n0,0,1\n0,1,1/3\n1,1,2/3\n0,2,1/2\n2,2,1/4\n1,3,2\n3,3,1\n"
+                      "0,4,-0\n2,4,0.125\n4,4,7/3\n")
     sources = [(("--gamma", "1", "1/3", "--n", "20"), transition_matrix(GammaAB(1, F(1, 3)), 20)),
+               (("--gammac", "3/7", "--n", "9"), transition_matrix(GammaC(F(3, 7)), 9)),
                (("--delta", "4", "2", "--n", "4"), transition_matrix(DeltaAB(4, 2), 4)),
+               (("--custom", str(target)),
+                transition_matrix(weights.custom_from_csv(target.read_text()), 5)),
                (("--lambda", "1,2/3,1/3,0"), lambda_walk([F(1), F(2, 3), F(1, 3), F(0)]))]
     # across the thousand-line blocks, up to the budget, whose step numbers have 7 digits
     step_counts = (0, 1, 300, 999, 1000, 1001, 1999, 2000, 20000, walk.SIMULATION_BUDGET)
@@ -908,6 +908,7 @@ EXACT_ARGVS = [
     ["simulate", "--gamma", "1", "1", "--n", "4", "--steps", "10"],
     ["repro", "example7-table"],
     ["--format", "json", "matrix", "--gamma", "2", "2/3", "--n", "12"],
+    ["--format", "json", "stationary", "--gamma", "1", "1", "--n", "4"],
     ["matrix", "--gammac", "1/3", "--n", "8"],
     ["simulate", "--gamma", "1", "1", "--n", "4", "--steps", "10", "--empirical"],
 ]
@@ -945,12 +946,15 @@ def test_exact_commands_leave_numpy_unloaded():
 
 
 def test_start_up_loads_json_only_to_print_json():
-    # json is loaded by the commands that print JSON (--format json, and the
-    # JSON lines of conjecture) and by no other; the argv lists reach the
-    # probe as literals, since reading them with json would load it
-    json_argv = ["--format", "json", "matrix", "--gamma", "2", "2/3", "--n", "12"]
-    other = [argv for argv in EXACT_ARGVS if "json" not in argv and argv[0] != "conjecture"]
+    # json is loaded by the commands that print JSON through json.dumps
+    # (--format json, and the JSON lines of conjecture) and by no other; a
+    # matrix's JSON is a filled template, so --format json matrix loads none.
+    # The argv lists reach the probe as literals, since reading them with
+    # json would load it
+    json_argv = ["--format", "json", "stationary", "--gamma", "1", "1", "--n", "4"]
+    other = [argv for argv in EXACT_ARGVS if argv != json_argv and argv[0] != "conjecture"]
     assert json_argv in EXACT_ARGVS and len(other) == len(EXACT_ARGVS) - 2
+    assert ["--format", "json", "matrix", "--gamma", "2", "2/3", "--n", "12"] in other
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
     probe = (
         "import contextlib, io, sys\n"

@@ -1,5 +1,6 @@
 """Rational parsing, their `str` text, and matrix round trips."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from involute.serialize import (
     _rational_text,
     matrix_from_csv,
     matrix_to_csv,
+    matrix_to_json,
     matrix_to_pretty,
     MAX_DECIMAL_EXPONENT,
     parse_rational,
@@ -99,3 +101,31 @@ def test_rational_text_is_the_text_of_the_fraction(num, den):
     assert _rational_text(num, den) == str(F(num, den))
     big = 10**40 + 7
     assert _rational_text(num * big, den * big) == str(F(num, den))
+
+
+# one matrix entry as a Fraction, an int, or the text of a reduced pair
+entries = st.one_of(
+    st.fractions(),
+    st.integers(),
+    st.builds(_rational_text, st.integers(), st.integers().filter(bool)),
+)
+
+
+@given(st.lists(st.lists(entries, max_size=5), max_size=5))
+def test_json_template_is_json_dumps(rows):
+    # 0 rows, 1 x 1 and empty rows included
+    assert matrix_to_json(rows) == json.dumps(
+        {"n": len(rows), "entries": [list(map(str, r)) for r in rows]})
+
+
+def test_json_template_edge_cases():
+    assert matrix_to_json([]) == '{"n": 0, "entries": []}'
+    assert matrix_to_json([[F(-1, 3)]]) == '{"n": 1, "entries": [["-1/3"]]}'
+    assert matrix_to_json([[], ["7"]]) == '{"n": 2, "entries": [[], ["7"]]}'
+
+
+@given(st.lists(st.lists(entries, min_size=1, max_size=5), max_size=5))
+def test_csv_is_its_lines_each_ended_by_a_newline(rows):
+    n_cols = len(rows[0]) if rows else 0
+    lines = [",".join(f"c{j}" for j in range(n_cols))] + [",".join(map(str, r)) for r in rows]
+    assert matrix_to_csv(rows) == "".join(line + "\n" for line in lines)

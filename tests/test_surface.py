@@ -26,6 +26,8 @@ EXEMPT = {
     ("weights", "weight_table"): "the weights w[y, x] themselves, the module's own concept, "
                                  "which the oracles read",
     ("__init__", "__version__"): "package metadata",
+    ("_linalg", "charpoly"): "det(X I - A) as Fractions over the integer berkowitz, the tests' "
+                             "reference polynomial; the traced benchmark reads its span by name",
 }
 
 

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,11 +32,13 @@ from involute.transform import (
     property_report,
 )
 from involute.walk import _normalized, ergodicity, stationary, transition_matrix
-from involute.weights import DeltaAB, GammaAB, GammaC
+from involute.serialize import matrix_from_csv
+from involute.weights import DeltaAB, GammaAB, GammaC, domain_limit
 
-from oracles import (pascal_column, pascal_inverse, pascal_matrix, stochastic_grid,
-                     stochastic_lattice, uncut_lattice)
+from oracles import (NAMED_SPECS, pascal_column, pascal_inverse, pascal_matrix, spec_from_flags,
+                     stochastic_grid, stochastic_lattice, uncut_lattice)
 
+DATA_DIR = Path(__file__).parent / "data"
 lambda_lists = st.lists(
     st.fractions(min_value=-2, max_value=2, max_denominator=8), min_size=1, max_size=8
 )
@@ -291,6 +294,48 @@ def test_check_adep_examples():
     assert check_adep(gadep_counterexample("L4", F(1)))
     # 2x2 hand oracle: [[1,0],[1,-1]] J has char poly X^2 - X + 1
     assert not check_adep([[F(1), F(0)], [F(1), F(-1)]])
+
+
+def _fraction_adep(rows) -> bool:
+    """ADEP as the Fraction polynomials read it: charpoly(L J) against
+    prod_d (X - (-1)^d L[d][d])."""
+    target = la.poly_from_roots([(-1) ** d * row[d] for d, row in enumerate(rows)])
+    return la.charpoly([row[::-1] for row in rows]) == target
+
+
+def test_integer_adep_gives_the_fraction_verdict():
+    verdicts = []
+    for flags in NAMED_SPECS:
+        spec = spec_from_flags(flags)
+        for n in range(1, 13):
+            if n <= domain_limit(spec):
+                h = down_step(spec, n)
+                assert check_adep(h) is _fraction_adep(h) is True, (flags, n)
+    # every principal block of the counterexamples: the top-left ones keep
+    # ADEP (they have GADEP), trailing ones from size 2 or 3 lose it
+    for which in ("L4", "H5"):
+        for tau in (F(0), F(1, 4), F(1), F(-1, 3), F(3, 7)):
+            m = gadep_counterexample(which, tau)
+            for lo in range(len(m)):
+                for hi in range(lo + 1, len(m) + 1):
+                    block = [row[lo:hi] for row in m[lo:hi]]
+                    verdicts.append(check_adep(block))
+                    assert verdicts[-1] == _fraction_adep(block), (which, tau, lo, hi)
+    assert True in verdicts and False in verdicts
+    for name in ("block2_fails.csv", "fails_at_n.csv"):
+        m = matrix_from_csv((DATA_DIR / name).read_text())
+        for k in range(1, len(m) + 1):
+            block = la.top_left(m, k)
+            assert check_adep(block) == _fraction_adep(block), (name, k)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_integer_adep_on_random_lower_triangular(data):
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    rows = [[data.draw(entry) if y <= x else F(0) for y in range(n)] for x in range(n)]
+    assert check_adep(rows) == _fraction_adep(rows)
 
 
 def test_gadep_counterexamples():

@@ -1,6 +1,8 @@
 """Transition matrices, stationary distributions, reversibility, simulation."""
 
+import operator
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -25,16 +27,19 @@ from involute.walk import (
     transition_matrix,
     visit_frequencies,
 )
-from involute.weights import (Custom, DeltaAB, GammaAB, GammaC, domain_limit, down_step_diagonal,
-                              weight_table)
+from involute.weights import (Custom, DeltaAB, GammaAB, GammaC, custom_from_csv, domain_limit,
+                              down_step_diagonal, weight_table)
 
 from oracles import (
+    BENCH_GAMMA,
+    NAMED_SPECS,
     detailed_balance,
     division_route,
     norm_table,
     pattern_is_ergodic,
     reversible_with_some_distribution,
     simulate_stepwise,
+    spec_from_flags,
     stochastic_grid,
     stochastic_lattice,
     support_patterns,
@@ -565,6 +570,37 @@ def test_simulate_matches_stepwise_loop():
                     traj = simulate(w, x0, steps, seed)
                     assert (traj, visit_frequencies(traj, len(w))) == simulate_stepwise(
                         w, x0, steps, seed)
+
+
+def _float_route_matches(spec, n):
+    floats = transition_matrix(spec, n, operator.truediv)
+    exact = transition_matrix(spec, n)
+    # float.hex tells every bit apart, -0.0 from 0.0 included
+    assert [[v.hex() for v in row] for row in floats] == [
+        [float(v).hex() for v in row] for row in exact], (spec, n)
+    assert all(type(v) is float for row in floats for v in row)
+    return floats
+
+
+def test_float_rows_from_integer_pairs_are_the_floats_of_the_fractions():
+    # int / int and float() of the reduced Fraction round the same rational,
+    # so simulate samples the same rows on either route
+    for flags in NAMED_SPECS:
+        spec = spec_from_flags(flags)
+        for n in range(1, 14):
+            if n <= domain_limit(spec):
+                _float_route_matches(spec, n)
+    for a, b in BENCH_GAMMA:
+        _float_route_matches(GammaAB(F(a), F(b)), 20)
+    custom = custom_from_csv("y,x,w\n0,0,1\n0,1,1/3\n1,1,2/3\n0,2,1/2\n2,2,1/4\n1,3,2\n"
+                             "3,3,1\n0,4,-0\n2,4,0.125\n4,4,7/3\n1,5,1e-320\n5,5,1\n")
+    floats = _float_route_matches(custom, 6)
+    assert 0 < floats[5][-2] < sys.float_info.min  # subnormal
+    # H[2][0] = c^2 / (1 + c)^2 is subnormal for c = 10^-160, and entries
+    # further down underflow to 0.0 from integers of up to 2,000 digits
+    for n in (3, 4, 13):
+        floats = _float_route_matches(GammaC(F(1, 10**160)), n)
+        assert 0 < floats[2][-1] < sys.float_info.min
 
 
 def test_simulate_counts_visits_only_in_visit_frequencies(monkeypatch):
