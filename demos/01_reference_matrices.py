@@ -9,9 +9,9 @@ itself carries the absolute values of the eigenvalues.
 from fractions import Fraction as F
 
 from involute.serialize import matrix_to_pretty
-from involute.spectral import family_sequence, signed_eigenvalues
+from involute.spectral import signed_eigenvalues
 from involute.walk import stationary, transition_matrix
-from involute.weights import DeltaAB, GammaAB, GammaC, spec_label
+from involute.weights import DeltaAB, GammaAB, GammaC, family_sequence, spec_label
 
 SPECS = [
     GammaAB(0, 0),   # uniform down-step

@@ -18,8 +18,8 @@ from involute.continuum import (
     kappa_walk,
     trig_walk,
 )
-from involute.spectral import family_sequence, signed_eigenvalues
-from involute.weights import GammaAB
+from involute.spectral import signed_eigenvalues
+from involute.weights import GammaAB, family_sequence
 
 for walk, name in ((kappa_walk(0, 0), "kappa(0,0)"),
                    (kappa_walk(1, 2), "kappa(1,2)"),

@@ -8,10 +8,9 @@ with the invariant law in total variation.
 
 from fractions import Fraction as F
 
-from involute.spectral import mixing_report
-from involute.walk import (invariant_closed_form, simulate, total_variation, transition_matrix,
+from involute.walk import (mixing_report, simulate, total_variation, transition_matrix,
                            visit_frequencies)
-from involute.weights import DeltaAB, GammaAB, GammaC, spec_label
+from involute.weights import DeltaAB, GammaAB, GammaC, invariant_closed_form, spec_label
 
 for spec in (GammaAB(0, 0), GammaAB(2, 0), GammaC(1), DeltaAB(4, 2)):
     n = 8 if not isinstance(spec, DeltaAB) else 4

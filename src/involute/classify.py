@@ -1,8 +1,11 @@
 """Classification of globally reversible binomial-transform walks.
 
 A stochastic P^lambda with 0 accessible and n >= 3 is globally reversible
-exactly when it is a named family walk, and the family is pinned down by
-the two eigenvalues mu = lambda_1 and nu = lambda_2:
+exactly when it is a named family walk.  The forward direction is proved for
+every n in the `weights` docstring (`test_family_walks_from_a_and_c` checks
+it exactly); the converse is only checked, by the sweep on the grid of
+denominators at most 8 for n <= 8.  The family is pinned down by the two
+eigenvalues mu = lambda_1 and nu = lambda_2:
 
     nu > mu^2            gamma(a, b) with  a = mu(mu-nu)/(nu-mu^2) - 1,
                                            b = (1-mu)(mu-nu)/(nu-mu^2) - 1
@@ -24,11 +27,8 @@ The conjecture sweep runs on the integer lattice of
 `transform._lattice_records`: each sequence is a tuple of integers
 lambda_y * L, L = lcm(1..den), handed over with its difference table.
 Detailed balance is decided on the integer L * M read off that table, M
-being P without its binomial factors: with y = n-1-z and
-k = x + z - (n-1), P[x][z] = binom(x, y) D_k(y) = x! M[x][z] / (y! k!),
-so P[x][z] / P[z][x] = (g_x / g_z) M[x][z] / M[z][x] with
-g_x = x! (n-1-x)!, and M has P's support, P's verdict and P's forest of
-potentials (the `transform` docstring).  The sweep reads M's columns,
+being P without its binomial factors, with P's support, verdict and forest
+of potentials (the `transform` docstring).  The sweep reads M's columns,
 each table row below its zeros, as rows: that is M^T, so no record
 transposes its table.  M^T has M's support, so its support is symmetric
 and connected exactly when M's is, with the same trees, and phi balances
@@ -51,7 +51,7 @@ from .errors import OutOfRange, ZeroNotAccessible
 from .exactnum import as_rational
 from .transform import _lattice_records, _scaled_walk
 from .walk import _potentials, _zero_reachable
-from .weights import DeltaAB, GammaAB, GammaC, domain_limit, down_step_diagonal
+from .weights import DeltaAB, GammaAB, GammaC, domain_limit, family_sequence
 
 
 class IdentityWalk(FrozenRecord):
@@ -206,7 +206,7 @@ def _classify(lam: list, reaches_zero: bool) -> Classification:
     if isinstance(candidate, NotClassified) or n == 3:
         return candidate
     # lambda_0..lambda_2 are 1, mu and nu by the construction of the candidate
-    for d, expected in enumerate(down_step_diagonal(candidate, n)[3:], 3):
+    for d, expected in enumerate(family_sequence(candidate, n)[3:], 3):
         if lam[d] != expected:
             return NotClassified(f"lambda_{d} mismatches the candidate family")
     return candidate

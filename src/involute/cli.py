@@ -30,7 +30,7 @@ import sys
 from fractions import Fraction
 
 from . import classify as cls
-from . import spectral, transform, walk
+from . import spectral, transform, walk, weights
 from ._continuum import CONVERGENCE_MAX_N, CONVERGENCE_MAX_SIZES
 from .errors import InvoluteError
 from .serialize import (
@@ -100,7 +100,7 @@ def _sequence_from_args(args) -> list:
     source, n = _source_from_args(args)
     if isinstance(source, list):
         return transform.stochastic_sequence(source)
-    return spectral.family_sequence(source, n)
+    return weights.family_sequence(source, n)
 
 
 def _read_file(path: str) -> str:
@@ -121,7 +121,7 @@ def _add_family_flags(p: argparse.ArgumentParser):
     p.add_argument("--n", type=int, help="number of states")
 
 
-def _emit_matrix(rows, fmt: str, lower: bool = False):
+def _emit_matrix(rows, fmt: str | None, lower: bool = False):
     if fmt == "csv":
         sys.stdout.write(matrix_to_csv(rows))
     elif fmt == "json":
@@ -130,7 +130,7 @@ def _emit_matrix(rows, fmt: str, lower: bool = False):
         print(matrix_to_pretty(rows, lower=lower))
 
 
-def _emit_vector(v, fmt: str, name: str):
+def _emit_vector(v, fmt: str | None, name: str):
     if fmt == "csv":
         print(",".join(map(str, v)))
     elif fmt == "json":
@@ -155,7 +155,7 @@ def cmd_matrix(args):
 def cmd_stationary(args):
     source, n = _source_from_args(args)
     if isinstance(source, (GammaAB, GammaC, DeltaAB)):
-        pi = walk.invariant_closed_form(source, n)
+        pi = weights.invariant_closed_form(source, n)
     else:
         pi = walk.stationary(_walk(source, n))
     _emit_vector(pi, args.format, "pi")
@@ -602,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="involute",
         description="Exact analysis of involutive random walks on total orders",
     )
-    parser.add_argument("--format", choices=("csv", "json", "pretty"), default="pretty")
+    parser.add_argument("--format", choices=("csv", "json", "pretty"), default=None)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
     for name, help_line, define in _SUBCOMMANDS:
         sub.add_parser(name, help=help_line, define=define)
@@ -615,6 +615,9 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# commands with one output form: an explicit --format is refused, not ignored
+_FIXED_FORM = ("simulate", "continuum", "conjecture", "repro")
+
 # the ValueError Python raises when an int has more decimal digits than its
 # limit (sys.set_int_max_str_digits): a result too large to print, so exit 2
 _DIGIT_LIMIT = re.compile(r"Exceeds the limit \((\d+) digits\) for integer string conversion")
@@ -623,6 +626,8 @@ _DIGIT_LIMIT = re.compile(r"Exceeds the limit \((\d+) digits\) for integer strin
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.format is not None and args.command in _FIXED_FORM:
+            raise InvoluteError(f"--format does not apply to {args.command}: it has one form")
         args.func(args)
     except (InvoluteError, CheckFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,7 @@ part.  The step operator acting on observables is
 
 a compact self-adjoint operator on L^2(pi), the Hilbert space weighted by
 the invariant density pi.  For kappa its eigenfunctions are shifted-Jacobi
-polynomials with eigenvalues (-1)^d binom(a+d,d)/binom(a+b+d+1,d).  Every
+polynomials with the signed eigenvalues of gamma(a,b) (`weights`).  Every
 eigenfunction here is normalized in L^2(pi), which is a probability law,
 so g_0 = 1.
 
@@ -73,8 +73,8 @@ import numpy as np
 from ._continuum import CONVERGENCE_MAX_N, CONVERGENCE_MAX_SIZES, _gauss_legendre, adaptive_quad
 from ._record import FrozenRecord
 from .errors import OutOfRange
-from .spectral import family_sequence, right_eigenvectors, signed_eigenvalues
-from .weights import GammaAB
+from .spectral import right_eigenvectors, signed_eigenvalues
+from .weights import GammaAB, family_sequence
 
 GRID_POINTS = 101  # evaluation grid k/101, k = 1..101; x = 0 stays excluded
 

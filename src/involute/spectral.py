@@ -3,12 +3,9 @@
 A sequence lambda_0 = 1, lambda_1, ..., lambda_{n-1} gives the down-step
 matrix H = B Diag(lambda) B^-1, B the Pascal matrix, and the walk P = H J.
 The signed eigenvalues of P are (-1)^d lambda_d, the anti-diagonal
-eigenvalue property.  A named family's sequence is the diagonal of its H,
-w[d, d] / N_d (`weights.down_step_diagonal`):
-
-    gamma(a, b):   lambda_d = binom(a+d, d) / binom(a+b+d+1, d)
-    gamma(c):      lambda_d = 1 / (c+1)^d
-    delta(a', b'): lambda_d = binom(a'-1, d) / binom(a'+b'-2, d)
+eigenvalue property.  This module works on the sequence alone: a named
+family's sequence and closed forms live in `weights` (`family_sequence`),
+and the code that steps P, `mixing_report` among it, in `walk`.
 
 For every sequence, reversible walk or not, T = B^-1 P B is upper
 triangular with T[i][k] = (-1)^i lambda_i C(n-1-i, k-i).  When the signed
@@ -35,12 +32,6 @@ refused with RepeatedEigenvalue before any solve: back-substitution would
 divide by zero.  The final left eigenvector of every walk is the
 alternating Pascal row (-1)^x binom(n-1, x), up to sign the last row of
 B^-1, for the last eigenvalue.
-
-`mixing_report` steps one row of P^t of a named family walk, held as its
-list of rows, and fits the decay rate that the second eigenvalue predicts.
-n < 2, t_max < 3 and x0 outside 0..n-1 are refused with OutOfRange before
-any step; a walk whose norms in the window all underflow to 0.0 leaves
-fewer than two points to fit and is refused with OutOfRange after stepping.
 """
 
 from __future__ import annotations
@@ -51,19 +42,8 @@ from itertools import accumulate
 from operator import mul
 
 from . import _linalg as la
-from ._record import Record
-from .errors import IndexOutOfDomain, OutOfRange, RepeatedEigenvalue, UnsupportedFamily
+from .errors import IndexOutOfDomain, OutOfRange, RepeatedEigenvalue
 from .exactnum import binom
-from .walk import invariant_closed_form, transition_matrix
-from .weights import Custom, WeightSpec, _check_n, down_step_diagonal
-
-
-def family_sequence(spec: WeightSpec, n: int) -> list:
-    """The eigenvalue sequence lambda_0, ..., lambda_{n-1} of a named family walk."""
-    if isinstance(spec, Custom):
-        raise UnsupportedFamily("no closed-form eigenvalues for custom weights")
-    _check_n(spec, n)
-    return down_step_diagonal(spec, n)
 
 
 def signed_eigenvalues(lam) -> list:
@@ -172,45 +152,3 @@ def final_left_eigenvector(n: int) -> list:
     if n < 1:
         raise IndexOutOfDomain("n must be >= 1")
     return [(-1) ** x * binom(n - 1, x) for x in range(n)]
-
-
-class MixingReport(Record):
-    __slots__ = _fields = ("second_abs_eigenvalue", "empirical_rate")
-
-    def __init__(self, second_abs_eigenvalue: Fraction, empirical_rate: float):
-        self.second_abs_eigenvalue = second_abs_eigenvalue
-        self.empirical_rate = empirical_rate
-
-
-def mixing_report(spec: WeightSpec, n: int, t_max: int = 40, x0: int = 0) -> MixingReport:
-    """Fit the geometric decay of ||P^t[x0]/pi - 1||_inf from exact rows.
-
-    Row x0 of P^t is stepped by vecmat and stays rational; floats only enter at the norm.
-    The fitted rate is the least-squares slope of log-norm against t over
-    the second half of the window, where the second eigenvalue dominates.
-    The fit needs n >= 2 (a one-state walk is mixed at once), t_max >= 3
-    (two points in the window) and a start state 0 <= x0 < n, and at least
-    two norms in the window that are nonzero as floats.
-    """
-    if n < 2:
-        raise OutOfRange(f"mixing needs n >= 2, got {n}")
-    if t_max < 3:
-        raise OutOfRange(f"mixing needs t_max >= 3, got {t_max}")
-    if not 0 <= x0 < n:
-        raise OutOfRange(f"start state {x0} outside 0..{n - 1}")
-    p = transition_matrix(spec, n)
-    pi = invariant_closed_form(spec, n)
-    row = p[x0]
-    norms = []
-    for _ in range(t_max):
-        norms.append(float(max(abs(row[z] / pi[z] - 1) for z in range(n))))
-        row = la.vecmat(row, p)
-    lo = t_max // 2
-    pts = [(t + 1, math.log(v)) for t, v in enumerate(norms) if v > 0 and t + 1 > lo]
-    if len(pts) < 2:
-        raise OutOfRange(f"mixing fit needs two nonzero norms in steps {lo + 1}..{t_max}, "
-                         f"got {len(pts)}")
-    tbar = sum(t for t, _ in pts) / len(pts)
-    ybar = sum(y for _, y in pts) / len(pts)
-    slope = sum((t - tbar) * (y - ybar) for t, y in pts) / sum((t - tbar) ** 2 for t, _ in pts)
-    return MixingReport(family_sequence(spec, n)[1], math.exp(slope))

@@ -13,13 +13,14 @@ printed or tested.  A matrix read from outside the program becomes a walk
 through `checked_walk`; every walk built here is stochastic and
 anti-triangular by construction and is not validated again.
 
-This module provides exact construction, stationary distributions (closed
-forms, detailed-balance potentials, and exact elimination for walks that are
-not reversible), ergodicity reports, the reversibility verdict and the
-cycle-product criterion, seeded simulation, and the Kronecker-power walk on
-subsets.  Each result is a value: `simulate` returns the trajectory, whose
-visits `visit_frequencies` counts, and a `SubsetWalk` holds the closed
-forms, from which `subset_matrix` builds the dense walk.
+This module provides exact construction, stationary distributions
+(potentials, and exact elimination for walks that are not reversible; a
+family's closed form is in `weights`), ergodicity reports, the reversibility
+verdict and the cycle-product criterion, the code that steps P (seeded
+simulation and the mixing fit), and the Kronecker-power walk on subsets.
+Each result is a value: `simulate` returns the trajectory, whose visits
+`visit_frequencies` counts, and a `SubsetWalk` holds the closed forms, from
+which `subset_matrix` builds the dense walk.
 
 One engine decides reversibility.  Detailed balance pi_x P[x][z] = pi_z P[z][x]
 fixes the ratio pi_z / pi_x along every edge of the support graph, so the
@@ -51,10 +52,9 @@ from itertools import compress, islice
 
 from . import _linalg as la
 from ._record import Record
-from .errors import NoPositiveStationary, NotIrreducible, OutOfRange, UnsupportedFamily
+from .errors import NoPositiveStationary, NotIrreducible, OutOfRange
 from .exactnum import as_rational
-from .weights import (Custom, GammaC, WeightSpec, _check_n, _norm_pairs, _ratios, _terms,
-                      down_step_diagonal, down_step_table)
+from .weights import GammaC, WeightSpec, down_step_table, family_sequence, invariant_closed_form
 
 
 def checked_walk(p_rows) -> list:
@@ -90,6 +90,13 @@ class SubsetWalk(Record):
     def __init__(self, m: int, p: Fraction, pi: list, eigenvalues: list):
         self.m, self.p, self.pi = m, p, pi
         self.eigenvalues = eigenvalues  # expanded multiset, (-p)^e repeated binom(m, e) times
+
+
+class MixingReport(Record):
+    __slots__ = _fields = ("second_abs_eigenvalue", "empirical_rate")
+
+    def __init__(self, second_abs_eigenvalue: Fraction, empirical_rate: float):
+        self.second_abs_eigenvalue, self.empirical_rate = second_abs_eigenvalue, empirical_rate
 
 
 def transition_matrix(spec: WeightSpec, n: int, entry=Fraction) -> list:
@@ -294,34 +301,6 @@ def _stationary_by_elimination(rows) -> list:
     return _normalized(v)
 
 
-def invariant_closed_form(spec: WeightSpec, n: int) -> list:
-    """Stationary law of a named family: pi_x ∝ alpha_{x*} N_x, alpha the atomic
-    part of w = alpha * beta, since pi_x P[x][z] is then
-    alpha_{x*} alpha_{z*} beta[z*, x], symmetric as beta is star-symmetric.
-
-    alpha_y is the term u_y of the weight's lower-end factor (`weights._ratios`),
-    times C(n-1, y) for the Pascal-type gamma(c), as C(x, y) C(n-1, x) =
-    C(n-1, y) C(n-1-y, x-y).  Each alpha_{x*} N_x is a product of the reduced
-    integer term pairs of u and N; the products are put over the lcm of their
-    denominators and summed as integers, so one Fraction is formed per state.
-    The n numerators have Theta(n) bits, so the law, like a table, needs
-    n <= TABLE_BUDGET; the domain is checked first, as `down_step_table` does.
-    """
-    if isinstance(spec, Custom):
-        raise UnsupportedFamily("closed-form invariant only for named families")
-    _check_n(spec, n)
-    la.check_table(n)
-    ratio, _, pascal, _ = _ratios(spec)
-    terms = [(a * e, b * f)
-             for (a, b), (e, f) in zip(reversed(_terms(ratio, n)), _norm_pairs(spec, n))]
-    if pascal:
-        terms = [(a * math.comb(n - 1, x), b) for x, (a, b) in enumerate(terms)]
-    common = math.lcm(*(b for _, b in terms))
-    scaled = [a * (common // b) for a, b in terms]
-    total = sum(scaled)
-    return [Fraction(k, total) for k in scaled]
-
-
 def kolmogorov(p) -> bool:
     """Cycle criterion: reversible iff every cycle product is direction-free.
 
@@ -398,6 +377,41 @@ def total_variation(p, q) -> float:
     return 0.5 * sum(abs(float(a) - float(b)) for a, b in zip(p, q))
 
 
+def mixing_report(spec: WeightSpec, n: int, t_max: int = 40, x0: int = 0) -> MixingReport:
+    """Fit the geometric decay of ||P^t[x0]/pi - 1||_inf from exact rows.
+
+    Row x0 of P^t is stepped by vecmat and stays rational; floats only enter at the norm.
+    The fitted rate is the least-squares slope of log-norm against t over
+    the second half of the window, where the second eigenvalue dominates.
+    The fit needs n >= 2 (a one-state walk is mixed at once), t_max >= 3
+    (two points in the window) and a start state 0 <= x0 < n, refused with
+    OutOfRange before any step, and at least two norms in the window that
+    are nonzero as floats, refused after stepping.
+    """
+    if n < 2:
+        raise OutOfRange(f"mixing needs n >= 2, got {n}")
+    if t_max < 3:
+        raise OutOfRange(f"mixing needs t_max >= 3, got {t_max}")
+    if not 0 <= x0 < n:
+        raise OutOfRange(f"start state {x0} outside 0..{n - 1}")
+    p = transition_matrix(spec, n)
+    pi = invariant_closed_form(spec, n)
+    row = p[x0]
+    norms = []
+    for _ in range(t_max):
+        norms.append(float(max(abs(row[z] / pi[z] - 1) for z in range(n))))
+        row = la.vecmat(row, p)
+    lo = t_max // 2
+    pts = [(t + 1, math.log(v)) for t, v in enumerate(norms) if v > 0 and t + 1 > lo]
+    if len(pts) < 2:
+        raise OutOfRange(f"mixing fit needs two nonzero norms in steps {lo + 1}..{t_max}, "
+                         f"got {len(pts)}")
+    tbar = sum(t for t, _ in pts) / len(pts)
+    ybar = sum(y for _, y in pts) / len(pts)
+    slope = sum((t - tbar) * (y - ybar) for t, y in pts) / sum((t - tbar) ** 2 for t, _ in pts)
+    return MixingReport(family_sequence(spec, n)[1], math.exp(slope))
+
+
 def subset_walk(m: int, p) -> SubsetWalk:
     """Kronecker power of the 2-state walk [[0,1],[p,1-p]] on subset bitmasks.
 
@@ -415,9 +429,8 @@ def subset_walk(m: int, p) -> SubsetWalk:
     spec = GammaC(1 / p - 1)
     by_size = [w / math.comb(m, k) for k, w in enumerate(invariant_closed_form(spec, m + 1))]
     pi = [by_size[bin(s).count("1")] for s in range(2**m)]
-    eigenvalues = []
-    for e, lam in enumerate(down_step_diagonal(spec, m + 1)):
-        eigenvalues.extend([(-1) ** e * lam] * math.comb(m, e))
+    eigenvalues = [(-1) ** e * lam for e, lam in enumerate(family_sequence(spec, m + 1))
+                   for _ in range(math.comb(m, e))]
     return SubsetWalk(m, p, pi, eigenvalues)
 
 

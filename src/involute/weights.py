@@ -12,6 +12,28 @@ gamma(a, b) and gamma(c) are strictly positive on every n; delta lives on a
 bounded domain, given in closed form by domain_limit.  A weight is atomic
 when it only depends on the lower endpoint and star-symmetric when it is
 invariant under the order anti-involution [y, x] -> [x*, y*], x* = n-1-x.
+
+The named families' closed forms live here, all read from the reduced
+integer term pairs of `_ratios`.  With (r)_d the rising factorial, a family
+is a pair (A, C): A = a+1, C = a+b+2 for gamma(a, b), and A = 1-a',
+C = 2-a'-b' for delta(a', b').  Its walk is P[x][z] = C(x, y) D_k(y), with
+y = z*, k = x+z-(n-1) and D the difference table of lambda:
+
+    lambda_d = (A)_d / (C)_d                (`family_sequence`),
+    D_k(y)   = (A)_y (C-A)_k / (C)_{y+k},
+    pi_x     ∝ C(n-1, x) (A)_{x*} (C)_x     (`invariant_closed_form`).
+
+gamma(c) is the limit C -> oo at A/C = mu = 1/(c+1): lambda_d = mu^d.
+J(n), lambda = (1, ..., 1), is A = C: D_k(y) = [k = 0] and P is the flip J.
+
+Every family walk is reversible, for every n.  As y + k = x, P without its
+binomial factor, M[x][z] = D_k(y), gives phi(x) M[x][z] = (A)_{x*} (A)_{z*}
+(C-A)_k with phi(u) = (A)_{u*} (C)_u, symmetric in x and z: M[x][z] /
+M[z][x] = phi(z) / phi(x) is a gradient.  So phi balances M, and pi_x ∝
+C(n-1, x) phi(x) balances P (the `transform` docstring); phi keeps one sign
+on the domain.  `test_family_walks_from_a_and_c` checks these formulas
+exactly; the converse, that each reversible P^lambda with 0 accessible is a
+family walk, is only checked on a grid (`classify`).
 """
 
 from __future__ import annotations
@@ -22,7 +44,7 @@ from typing import Mapping, Union
 
 from ._linalg import check_table
 from ._record import FrozenRecord
-from .errors import IndexOutOfDomain, MalformedWeight, OutOfRange
+from .errors import IndexOutOfDomain, MalformedWeight, OutOfRange, UnsupportedFamily
 from .exactnum import as_rational
 from .serialize import parse_rational
 
@@ -152,10 +174,12 @@ def _ratios(spec: WeightSpec):
     return _falling(ap), _falling(bp), False, _falling(ap + bp)
 
 
-def down_step_diagonal(spec: WeightSpec, n: int) -> list:
-    """lambda_d = H[d][d] = w[d, d] / N_d for d < n, for a named family: the
-    diagonal of the lower-triangular H = B Diag(lambda) B^-1.  It does not
-    depend on n and is defined past the domain while N_d != 0."""
+def family_sequence(spec: WeightSpec, n: int) -> list:
+    """lambda_0, ..., lambda_{n-1} of a named family walk: lambda_d = w[d, d] / N_d,
+    the diagonal of the lower-triangular H = B Diag(lambda) B^-1."""
+    if isinstance(spec, Custom):
+        raise UnsupportedFamily("no closed-form eigenvalues for custom weights")
+    _check_n(spec, n)
     u, _, _, norms = _ratios(spec)
 
     def ratio(k):  # of u_d / N_d, so each lambda_d is reduced once
@@ -222,14 +246,33 @@ def down_step_table(spec: WeightSpec, n: int, entry=Fraction) -> list:
     triangle of the down-step matrix H, from the same integer terms as
     weight_table, so each entry is reduced once, by entry (`_scaled_rows`).
 
-    No norm N_x vanishes on a valid input, so none is tested: gamma(a, b)
-    has N_x = C(a+b+1+x, x) with a + b + 1 > -1, gamma(c) has
-    N_x = (1+c)^x with c > 0, and delta(a', b') has N_x = C(a'+b'-2, x),
-    whose factors a'+b'-2-k, k < x, exceed a'-n+1 > 0 inside the domain
-    (n <= ceil(a'), b' > 1).  `Custom` rejects a column sum that is not
-    positive."""
+    No norm N_x vanishes on a valid input, so none is tested: N_x is
+    (1+c)^x for gamma(c) and +-(C)_x / x! for the others, with C > 0 for
+    gamma(a, b) and C + k < 0 for k < n-1 inside delta's domain, n <= ceil(a').
+    `Custom` rejects a column sum that is not positive."""
     _check_n(spec, n)
     return _scaled_rows(spec, _norm_pairs(spec, n), entry)
+
+
+def invariant_closed_form(spec: WeightSpec, n: int) -> list:
+    """Stationary law of a named family, as pi_x ∝ alpha_{x*} N_x: alpha_y is
+    the lower-end term u_y (`_ratios`), times C(n-1, y) for gamma(c).  The
+    products of reduced integer term pairs are summed as integers over one
+    lcm, one Fraction per state; their Theta(n)-bit numerators need
+    n <= TABLE_BUDGET, checked after the domain, as for a table."""
+    if isinstance(spec, Custom):
+        raise UnsupportedFamily("closed-form invariant only for named families")
+    _check_n(spec, n)
+    check_table(n)
+    ratio, _, pascal, _ = _ratios(spec)
+    terms = [(a * e, b * f)
+             for (a, b), (e, f) in zip(reversed(_terms(ratio, n)), _norm_pairs(spec, n))]
+    if pascal:
+        terms = [(a * math.comb(n - 1, x), b) for x, (a, b) in enumerate(terms)]
+    common = math.lcm(*(b for _, b in terms))
+    scaled = [a * (common // b) for a, b in terms]
+    total = sum(scaled)
+    return [Fraction(k, total) for k in scaled]
 
 
 def custom_from_csv(text: str) -> Custom:

@@ -16,11 +16,11 @@ from involute.classify import NotClassified, classification_label
 from involute.continuum import _unit_panel, jacobi_eigenfunctions
 from involute.errors import IndexOutOfDomain, MalformedWeight, OutOfRange
 from involute.exactnum import as_rational, binom
-from involute.spectral import _oriented, family_sequence, right_eigenvectors, signed_eigenvalues
+from involute.spectral import _oriented, right_eigenvectors, signed_eigenvalues
 from involute.transform import _lattice_records
 from involute.walk import _normalized, _potentials
 from involute.weights import (Custom, DeltaAB, GammaAB, GammaC, _check_n, _norm_pairs, _ratios,
-                              _terms, domain_limit, weight_table)
+                              _terms, domain_limit, family_sequence, weight_table)
 
 
 # named family specs as their CLI flags, and the gamma(a, b) of the bench
@@ -79,7 +79,7 @@ def norm_table(spec, n: int) -> list:
 
 def invariant_by_atomic_part(spec, n: int) -> list:
     """pi_x = alpha_{x*} N_x normalised, one Fraction product and division per
-    state: the stationary law of a named family as `walk.invariant_closed_form`
+    state: the stationary law of a named family as `weights.invariant_closed_form`
     states it, before the sum is taken on integers."""
     norms = norm_table(spec, n)  # checks n before atomic_part runs
     alpha = atomic_part(spec, n)

@@ -25,10 +25,8 @@ from involute.continuum import (
     trig_walk,
 )
 from involute.spectral import (
-    family_sequence,
     final_left_eigenvector,
     left_side,
-    mixing_report,
     right_eigenvectors,
     signed_eigenvalues,
 )
@@ -40,13 +38,14 @@ from involute.transform import (
     is_stochastic,
 )
 from involute.walk import (
-    invariant_closed_form,
+    mixing_report,
     stationary,
     subset_matrix,
     subset_walk,
     transition_matrix,
 )
-from involute.weights import UNBOUNDED, DeltaAB, GammaAB, GammaC, domain_limit
+from involute.weights import (UNBOUNDED, DeltaAB, GammaAB, GammaC, domain_limit, family_sequence,
+                              invariant_closed_form)
 
 from oracles import (detailed_balance, matvec, pascal_inverse, pascal_matrix, pi_inner,
                      two_step)

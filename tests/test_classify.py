@@ -20,10 +20,9 @@ from involute.classify import (
     params_from_mu_nu,
 )
 from involute.errors import NotStochastic, OutOfRange, ZeroNotAccessible
-from involute.spectral import family_sequence
 from involute.transform import _dj_rows, _lattice_records, _scaled_walk, lambda_walk, pl_matrix
 from involute.walk import _potentials
-from involute.weights import DeltaAB, GammaAB, GammaC, down_step_diagonal
+from involute.weights import DeltaAB, GammaAB, GammaC, family_sequence
 
 from oracles import (
     a_from_mu_nu,
@@ -421,7 +420,7 @@ def test_candidate_diagonal_starts_with_one_mu_nu():
             spec = params_from_mu_nu(mu, nu, 3)
             if isinstance(spec, NotClassified):
                 continue
-            assert down_step_diagonal(spec, 3) == [1, mu, nu], (mu, nu)
+            assert family_sequence(spec, 3) == [1, mu, nu], (mu, nu)
             kinds.add((type(spec), isinstance(spec, DeltaAB) and spec.b_prime.denominator == 1))
     assert kinds == {(GammaAB, False), (GammaC, False), (DeltaAB, False), (DeltaAB, True)}
 
@@ -437,7 +436,7 @@ def _full_diagonal_classification(lam):
         return NotClassified(str(exc))
     if isinstance(spec, NotClassified):
         return spec
-    diagonal = down_step_diagonal(spec, len(lam))
+    diagonal = family_sequence(spec, len(lam))
     d = next((d for d, (a, b) in enumerate(zip(lam, diagonal)) if a != b), None)
     return spec if d is None else NotClassified(f"lambda_{d} mismatches the candidate family")
 

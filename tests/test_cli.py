@@ -20,10 +20,9 @@ from involute import _linalg, classify, spectral, transform, walk, weights
 from involute.cli import _SIMULATE_CHUNK as CHUNK
 from involute.cli import build_parser, main
 from involute.serialize import matrix_to_csv, matrix_to_json, matrix_to_pretty
-from involute.spectral import family_sequence
 from involute.transform import lambda_walk
 from involute.walk import transition_matrix
-from involute.weights import DeltaAB, GammaAB, GammaC
+from involute.weights import DeltaAB, GammaAB, GammaC, family_sequence
 
 from oracles import (BENCH_GAMMA, NAMED_SPECS, matvec, oracle_dict, simulate_stepwise,
                      spec_from_flags)
@@ -388,6 +387,19 @@ def test_global_applies_only_to_conjugator(tmp_path, capsys):
     target.write_text("1,0,0\n1,1,0\n1,2,1\n")
     assert run(capsys, "check", "--matrix", str(target), "--global", "conjugator") == (
         0, "anti-diagonal conjugator (global)\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--gamma", "1", "1", "--n", "4", "--steps", "3"],
+    ["continuum", "--kappa", "0", "0", "--fixed-point"],
+    ["repro", "fig1-ladder"],
+    ["conjecture", "--n", "3", "--max-denominator", "2"],
+])
+def test_format_is_refused_where_it_is_not_read(capsys, argv):
+    for fmt in ("csv", "json", "pretty"):
+        assert run(capsys, "--format", fmt, *argv) == (
+            2, "", f"error: --format does not apply to {argv[0]}: it has one form\n")
+    assert run(capsys, *argv)[0] == 0
 
 
 def _readme_commands() -> list:

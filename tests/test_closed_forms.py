@@ -19,10 +19,11 @@ from involute._linalg import integer_row
 from involute.cli import main
 from involute.errors import IndexOutOfDomain
 from involute.exactnum import binom
-from involute.spectral import family_sequence, right_eigenvectors, signed_eigenvalues
+from involute.spectral import right_eigenvectors, signed_eigenvalues
 from involute.transform import _difference_rows, lambda_walk
-from involute.walk import invariant_closed_form, stationary, subset_walk, transition_matrix
-from involute.weights import DeltaAB, GammaAB, GammaC, domain_limit, down_step_diagonal
+from involute.walk import stationary, subset_walk, transition_matrix
+from involute.weights import (DeltaAB, GammaAB, GammaC, domain_limit, family_sequence,
+                              invariant_closed_form)
 
 from oracles import (atomic_part, closed_form_pi_norms, closed_form_right_eigenvectors,
                      invariant_by_atomic_part, lp_triangular, matvec, norm_table, rising)
@@ -95,26 +96,14 @@ def test_lambda_matches_binomial_formula():
             ]
 
 
-def test_lambda_past_the_delta_domain():
-    # down_step_diagonal reads H's diagonal wherever N_d != 0, inside the domain or not
-    checked = 0
-    for spec in DELTA:
-        for d in range(domain_limit(spec), N_MAX):
-            try:
-                expected = lambda_by_binom(spec, d)
-            except ZeroDivisionError:
-                continue
-            assert down_step_diagonal(spec, d + 1)[d] == expected
-            checked += 1
-    assert checked > 50
-
-
 def test_zero_length_sequences_are_empty():
-    # the norms are a weight table, so n = 0 is outside the weight's domain
+    # lambda and the norms are checked like a weight table, so n = 0 is
+    # outside the weight's domain
     for spec in (GAMMA_AB[0], GAMMA_C[0], DELTA[0]):
-        assert down_step_diagonal(spec, 0) == atomic_part(spec, 0) == []
-        with pytest.raises(IndexOutOfDomain, match="n=0 is outside the weight's domain"):
-            norm_table(spec, 0)
+        assert atomic_part(spec, 0) == []
+        for refused in (family_sequence, norm_table):
+            with pytest.raises(IndexOutOfDomain, match="n=0 is outside the weight's domain"):
+                refused(spec, 0)
 
 
 def test_invariant_matches_binomial_formula():

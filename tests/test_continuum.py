@@ -34,8 +34,8 @@ from involute.continuum import (
     _rp_invariant,
 )
 from involute.errors import OutOfRange, QuadratureNonConvergence
-from involute.spectral import family_sequence, signed_eigenvalues
-from involute.weights import GammaAB
+from involute.spectral import signed_eigenvalues
+from involute.weights import GammaAB, family_sequence
 
 from oracles import (beta_moment, convergence_by_points, jacobi_monic,
                      jacobi_recurrence_by_back_substitution, kappa_lp_panel, kappa_norm,

@@ -8,11 +8,11 @@ import sympy
 
 from involute import _linalg as la
 from involute.errors import OutOfRange, SingularMatrix
-from involute.spectral import family_sequence, left_side, right_eigenvectors
+from involute.spectral import left_side, right_eigenvectors
 from involute.transform import (_binomial_rows, _scaled_walk, binomial_transform,
                                 gadep_counterexample)
 from involute.walk import transition_matrix
-from involute.weights import DeltaAB, GammaAB, GammaC, domain_limit, weight_table
+from involute.weights import DeltaAB, GammaAB, GammaC, domain_limit, family_sequence, weight_table
 
 from oracles import charpoly_faddeev_leverrier, clear_denominators, matvec
 

@@ -13,9 +13,8 @@ import involute
 from involute._record import Record
 from involute.classify import IdentityWalk, NotClassified, SearchRecord, SearchSummary
 from involute.continuum import ContinuousWalk, PolyFunction
-from involute.spectral import MixingReport
 from involute.transform import PropertyReport, StochasticCheck
-from involute.walk import ErgodicityReport, SubsetWalk
+from involute.walk import ErgodicityReport, MixingReport, SubsetWalk
 from involute.weights import Custom, DeltaAB, GammaAB, GammaC
 
 # (construction, the repr the dataclass gave it, frozen)

@@ -9,19 +9,14 @@ import pytest
 from involute import _linalg as la
 from involute.cli import main
 from involute.errors import IndexOutOfDomain, OutOfRange, RepeatedEigenvalue, UnsupportedFamily
-from involute.spectral import (
-    MixingReport,
-    family_sequence,
-    final_left_eigenvector,
-    left_side,
-    mixing_report,
-    right_eigenvectors,
-    signed_eigenvalues,
-)
+from involute.spectral import (final_left_eigenvector, left_side, right_eigenvectors,
+                               signed_eigenvalues)
 from involute.exactnum import binom
 from involute.transform import pl_matrix
-from involute.walk import _stationary_by_elimination, invariant_closed_form, transition_matrix
-from involute.weights import Custom, DeltaAB, GammaAB, GammaC, domain_limit
+from involute.walk import (MixingReport, _stationary_by_elimination, mixing_report,
+                           transition_matrix)
+from involute.weights import (Custom, DeltaAB, GammaAB, GammaC, domain_limit, family_sequence,
+                              invariant_closed_form)
 
 from oracles import (clear_denominators, matvec, pascal_column, pascal_inverse, pi_inner,
                      stochastic_grid)
@@ -306,7 +301,7 @@ def test_mixing_report_matches_matrix_powers():
     (5, 40, -1, "start state -1 outside 0..4"),
 ])
 def test_mixing_report_refuses_input_it_cannot_fit(monkeypatch, n, t_max, x0, message):
-    monkeypatch.setattr("involute.spectral.transition_matrix", None)  # refused before stepping
+    monkeypatch.setattr("involute.walk.transition_matrix", None)  # refused before stepping
     with pytest.raises(OutOfRange, match=message):
         mixing_report(GammaAB(0, 0), n, t_max, x0)
 

@@ -1,4 +1,5 @@
-"""The package defines no public name that only the tests reach.
+"""The package defines no public name that only the tests reach, and its
+modules keep their layers.
 
 A public top-level name of a module in src/involute counts as reached when
 another module of the package, the CLI or a demo script imports it or reads
@@ -6,6 +7,10 @@ it as `module.name`, or when the definition of a reached name in its own
 module uses it.  Imports are resolved, so a local variable that shares a
 name with a function elsewhere reaches nothing.  A reference that only the
 tests need belongs in tests/oracles.py.
+
+The named families' closed forms live in `weights`, so no other module reads
+its private names, and `spectral` works on an eigenvalue sequence alone, so
+it reads nothing from `walk` or `weights`.
 """
 
 import ast
@@ -76,8 +81,27 @@ def _references(tree: ast.Module, modules: set) -> set:
     return refs
 
 
+def _package_trees() -> dict:
+    """Module name -> parsed source, for every module of src/involute."""
+    return {p.stem: ast.parse(p.read_text(), str(p)) for p in SRC.glob("*.py")}
+
+
+def test_spectral_reads_neither_walk_nor_weights():
+    trees = _package_trees()
+    sources = {source for source, _ in _references(trees["spectral"], set(trees))}
+    assert sources & {"walk", "weights"} == set()
+
+
+def test_only_weights_reads_its_private_names():
+    trees = _package_trees()
+    readers = sorted((m, name) for m, tree in trees.items() if m != "weights"
+                     for source, name in _references(tree, set(trees))
+                     if source == "weights" and name.startswith("_"))
+    assert readers == [], "the named families' term pairs stay inside weights"
+
+
 def test_every_public_name_is_reached_by_the_program():
-    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in SRC.glob("*.py")}
+    trees = _package_trees()
     defined = {m: _defined(tree) for m, tree in trees.items()}
     assert all(name in defined[m] for m, name in EXEMPT), "an exemption names nothing"
     users = list(trees.items())

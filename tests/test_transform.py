@@ -13,7 +13,7 @@ from involute import _linalg as la
 from involute import transform, walk
 from involute.errors import NotStochastic, OutOfRange, SingularMatrix
 from involute.exactnum import binom
-from involute.spectral import family_sequence, signed_eigenvalues
+from involute.spectral import signed_eigenvalues
 from involute.transform import (
     LATTICE_BUDGET,
     _difference_rows,
@@ -33,7 +33,7 @@ from involute.transform import (
 )
 from involute.walk import _normalized, ergodicity, stationary, transition_matrix
 from involute.serialize import matrix_from_csv
-from involute.weights import DeltaAB, GammaAB, GammaC, domain_limit
+from involute.weights import DeltaAB, GammaAB, GammaC, domain_limit, family_sequence
 
 from oracles import (NAMED_SPECS, pascal_column, pascal_inverse, pascal_matrix, spec_from_flags,
                      stochastic_grid, stochastic_lattice, uncut_lattice)

@@ -13,11 +13,10 @@ from involute import _linalg as la
 from involute import walk
 from involute.errors import NoPositiveStationary, NotIrreducible, OutOfRange
 from involute.transform import _pl_rows, _scaled_walk, lambda_walk, pl_matrix
-from involute.spectral import family_sequence, left_side
+from involute.spectral import left_side
 from involute.walk import (
     checked_walk,
     ergodicity,
-    invariant_closed_form,
     kolmogorov,
     simulate,
     stationary,
@@ -28,7 +27,7 @@ from involute.walk import (
     visit_frequencies,
 )
 from involute.weights import (Custom, DeltaAB, GammaAB, GammaC, custom_from_csv, domain_limit,
-                              down_step_diagonal, weight_table)
+                              family_sequence, invariant_closed_form, weight_table)
 
 from oracles import (
     BENCH_GAMMA,
@@ -751,7 +750,7 @@ def test_construction_matches_division_route():
             assert transition_matrix(spec, n) == [row[::-1] for row in h]
             assert norm_table(spec, n) == [sum(row) for row in w]
             if not isinstance(spec, Custom):
-                assert down_step_diagonal(spec, n) == [h[d][d] for d in range(n)]
+                assert family_sequence(spec, n) == [h[d][d] for d in range(n)]
         zeros += sum(v == 0 for row in w for v in row)
     assert zeros > 10
 

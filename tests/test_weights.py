@@ -20,6 +20,8 @@ from involute.weights import (
     custom_from_csv,
     domain_limit,
     down_step_table,
+    family_sequence,
+    invariant_closed_form,
     weight_table,
 )
 
@@ -119,9 +121,6 @@ def test_weight_table_custom_and_domain():
 
 
 def test_one_domain_check_for_every_caller():
-    from involute.spectral import family_sequence
-    from involute.walk import invariant_closed_form
-
     tables = (weight_table, down_step_table, norm_table, transition_matrix)
     named = tables + (invariant_closed_form, family_sequence)
     cases = [(DeltaAB(4, 2), (0, -1, 5), named), (GammaC(2), (0, -1), named),
@@ -259,8 +258,6 @@ def test_factorize_gamma_c_beta_shape():
 
 
 def test_factorize_delta_family():
-    from involute.walk import invariant_closed_form
-
     spec = DeltaAB(4, 2)
     pi = invariant_closed_form(spec, 4)
     alpha, _, valid = factorize(spec, 4, pi)
