@@ -14,7 +14,7 @@ from involute.transform import (
     binomial_transform,
     gadep_counterexample,
     is_stochastic,
-    pl_matrix,
+    lambda_walk,
     property_report,
 )
 
@@ -23,7 +23,7 @@ print("lambda =", lam)
 print("H^lambda:")
 print(matrix_to_pretty(binomial_transform(lam), structural_dots=False))
 print("P^lambda (this is the uniform-down-step walk):")
-print(matrix_to_pretty(pl_matrix(lam)))
+print(matrix_to_pretty(lambda_walk(lam)))
 print()
 
 for candidate in ([F(1), F(1, 2), F(1, 3), F(1, 4)],

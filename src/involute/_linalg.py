@@ -1,12 +1,13 @@
 """Dense exact-rational matrix helpers (desk scale, n <= ~100).
 
 Matrices are plain lists of lists of Fractions, and every result is exact.
-The kernels that dominate run on integers instead: a row is scaled by the
-lcm of its denominators (integer_row), elimination keeps rows primitive,
-and the characteristic polynomial runs division-free on the integer matrix
-D*A (`berkowitz`), which a caller that only compares polynomials takes as
-it is.  Every division in them is exact, so no gcd is paid per operation
-and Fractions are only formed once, for the result.
+Each concept has one kernel (one product, one elimination, one law), and
+those that dominate run on integers: a row is scaled by the lcm of its
+denominators (integer_row), elimination keeps rows primitive, a law is
+summed over one lcm, and the characteristic polynomial runs division-free
+on the integer matrix D*A (`berkowitz`), which a caller that only compares
+polynomials takes as it is.  Every division in them is exact, so no gcd is
+paid per operation and Fractions are only formed once, for the result.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .errors import OutOfRange, SingularMatrix
+from .errors import OutOfRange
 
 Matrix = list  # list[list[Fraction]]
 Vector = list  # list[Fraction]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # the largest n of an n x n table built from a weight or an eigenvalue
@@ -41,20 +41,9 @@ def zeros(n: int, m: int | None = None) -> Matrix:
     return [[_ZERO] * m for _ in range(n)]
 
 
-def identity(n: int) -> Matrix:
-    out = zeros(n)
-    for i in range(n):
-        out[i][i] = _ONE
-    return out
-
-
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     bt = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
-
-
-def vecmat(v: Vector, a: Matrix) -> Vector:
-    return [sum(map(mul, v, col)) for col in zip(*a)]
 
 
 def top_left(a: Matrix, m: int) -> Matrix:
@@ -125,15 +114,6 @@ def poly_from_roots(roots: Vector) -> list:
     return coeffs
 
 
-def inverse(a: Matrix) -> Matrix:
-    """Exact inverse as the right half of rref([A | I]); raises SingularMatrix."""
-    n = len(a)
-    r, pivots = rref([row + e for row, e in zip(a, identity(n))])
-    if pivots != list(range(n)):
-        raise SingularMatrix("matrix is singular")
-    return [row[n:] for row in r]
-
-
 def integer_row(row: Vector) -> tuple[list[int], int]:
     """(d * row, d) with d the lcm of the row's denominators."""
     d = math.lcm(*(x.denominator for x in row))
@@ -145,6 +125,14 @@ def integer_matrix(a: Matrix) -> tuple[list[list[int]], int]:
     cols = len(a[0]) if a else 0
     flat, d = integer_row([x for row in a for x in row])
     return [flat[i * cols:(i + 1) * cols] for i in range(len(a))], d
+
+
+def law(pairs) -> Vector:
+    """The law proportional to a / b over integer pairs (a, b), b > 0, summed over one lcm."""
+    common = math.lcm(*(b for _, b in pairs))
+    scaled = [a * (common // b) for a, b in pairs]
+    total = sum(scaled)
+    return [Fraction(k, total) for k in scaled]
 
 
 def primitive(row: list[int]) -> list[int]:
@@ -186,23 +174,6 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
             break
     out = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
     return out + [[_ZERO] * cols for _ in range(rows - r)], pivots
-
-
-def kernel_basis(a: Matrix) -> list[Vector]:
-    """Basis of the right kernel {v : A v = 0}."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    r, pivots = rref(a)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [_ZERO] * cols
-        v[f] = _ONE
-        for i, p in enumerate(pivots):
-            v[p] = -r[i][f]
-        basis.append(v)
-    return basis
 
 
 def triangular_eigenvectors(t: list, first: int = 0) -> list[list[int]]:

@@ -615,8 +615,27 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-# commands with one output form: an explicit --format is refused, not ignored
-_FIXED_FORM = ("simulate", "continuum", "conjecture", "repro")
+# the --format names of the forms of each command that prints more than one;
+# `check` prints two for a triangular property only, `subsets` three with --matrix
+_FORMS = dict.fromkeys(("matrix", "stationary", "spectrum", "subsets"), ("csv", "json", "pretty"))
+_FORMS.update(eigvec=("json", "pretty"), classify=("json", "pretty"), check=("json", "pretty"),
+              ladder=("csv", "json"))
+
+
+def _refuse_unread_format(args):
+    """An explicit --format that the command does not print is refused, not ignored."""
+    command, forms = args.command, _FORMS.get(args.command, ())
+    if command == "check":
+        command = f"check {args.property}"
+        forms = forms if args.property in _TRIANGULAR_PROPERTIES else ()
+    elif command == "subsets" and not args.matrix:
+        command, forms = "subsets without --matrix", ()
+    if not forms:
+        raise InvoluteError(f"--format does not apply to {command}: it has one form")
+    if args.format not in forms:
+        raise InvoluteError(f"--format {args.format} does not apply to {command}: "
+                            f"it prints {' or '.join(forms)}")
+
 
 # the ValueError Python raises when an int has more decimal digits than its
 # limit (sys.set_int_max_str_digits): a result too large to print, so exit 2
@@ -626,8 +645,8 @@ _DIGIT_LIMIT = re.compile(r"Exceeds the limit \((\d+) digits\) for integer strin
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.format is not None and args.command in _FIXED_FORM:
-            raise InvoluteError(f"--format does not apply to {args.command}: it has one form")
+        if args.format is not None:
+            _refuse_unread_format(args)
         args.func(args)
     except (InvoluteError, CheckFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,7 +38,7 @@ eigenfunctions are the orthogonal polynomials of the invariant density,
 shifted Jacobi polynomials.  Their monic three-term
 recurrence is a closed form (Koekoek, Lesky and Swarttouw 2010, section
 9.8; `_jacobi_recurrence`), exact over Q, and only the final normalization
-is a float, which keeps orthogonality stable up to degree ~12.  The exact
+is a float; dmax <= 12, the cap, is the range the tests cover.  The exact
 eigenvectors of L_P on monomials, by integer back-substitution, and the
 Gram-Schmidt route are test oracles (tests/oracles.py) that the closed
 form is checked against.

@@ -53,7 +53,7 @@ from fractions import Fraction
 
 from . import _linalg as la
 from ._record import FrozenRecord, Record
-from .errors import NotStochastic, OutOfRange
+from .errors import NotStochastic, OutOfRange, SingularMatrix
 from .exactnum import as_rational
 
 
@@ -119,11 +119,6 @@ def _pl_rows(lam: list) -> list:
 def binomial_transform(lam) -> list:
     """Lower-triangular H with diagonal lambda; exact rational entries."""
     return _binomial_rows(_coerce_lambda(lam))
-
-
-def pl_matrix(lam) -> list:
-    """P = H J: the binomial transform with its columns reversed."""
-    return _pl_rows(_coerce_lambda(lam))
 
 
 class StochasticCheck(FrozenRecord):
@@ -245,13 +240,17 @@ def is_binomial_transform(m) -> bool:
 
 def check_conjugator(q, global_check: bool = False) -> bool:
     """Anti-diagonal conjugator test: Q^{-1} J Q upper-triangular with
-    diagonal (-1)^x; the global variant checks every top-left submatrix."""
+    diagonal (-1)^x; the global variant checks every top-left submatrix.
+    Q X = J Q, J Q being Q with its rows reversed, is solved by one rref."""
     rows = _require_square(q)
     n = len(rows)
     sizes = range(1, n + 1) if global_check else [n]
     for k in sizes:
         sub = la.top_left(rows, k)
-        conj = la.matmul([row[::-1] for row in la.inverse(sub)], sub)
+        r, pivots = la.rref([row + jrow for row, jrow in zip(sub, sub[::-1])])
+        if pivots != list(range(k)):
+            raise SingularMatrix("matrix is singular")
+        conj = [row[k:] for row in r]
         if not la.is_upper_triangular(conj):
             return False
         if any(conj[x][x] != (-1) ** x for x in range(k)):

@@ -267,12 +267,6 @@ def _potentials(rows):
     return list(zip(num, den)), trees
 
 
-def _normalized(weights) -> list:
-    """Non-negative Fraction weights scaled to sum to 1."""
-    total = sum(weights)
-    return [v / total for v in weights]
-
-
 def stationary(p) -> list:
     """The unique pi with pi P = pi, for a walk whose rows sum to 1.
 
@@ -285,20 +279,23 @@ def stationary(p) -> list:
     """
     found = _potentials(p)
     if found is not None and found[1] == 1:
-        return _normalized([Fraction(a, b) for a, b in found[0]])
+        return la.law(found[0])
     return _stationary_by_elimination(p)
 
 
 def _stationary_by_elimination(rows) -> list:
+    """pi from one rref of (P - I)^T, read off the one column its sorted pivots skip."""
     n = len(rows)
     m = [[rows[i][j] - (1 if i == j else 0) for i in range(n)] for j in range(n)]
-    kernel = la.kernel_basis(m)
-    if len(kernel) != 1:
-        raise NotIrreducible(f"stationary space has dimension {len(kernel)}")
-    v = kernel[0]
+    r, pivots = la.rref(m)
+    if len(pivots) != n - 1:
+        raise NotIrreducible(f"stationary space has dimension {n - len(pivots)}")
+    free = next((c for c, pivot in enumerate(pivots) if c != pivot), n - 1)
+    v = [-row[free] for row in r[:n - 1]]
+    v.insert(free, 1)
     if sum(v) == 0:
         raise NotIrreducible("kernel vector has zero mass")
-    return _normalized(v)
+    return la.law([(x.numerator, x.denominator) for x in v])
 
 
 def kolmogorov(p) -> bool:
@@ -377,35 +374,27 @@ def total_variation(p, q) -> float:
     return 0.5 * sum(abs(float(a) - float(b)) for a, b in zip(p, q))
 
 
-def mixing_report(spec: WeightSpec, n: int, t_max: int = 40, x0: int = 0) -> MixingReport:
-    """Fit the geometric decay of ||P^t[x0]/pi - 1||_inf from exact rows.
+def mixing_report(spec: WeightSpec, n: int) -> MixingReport:
+    """Fit the geometric decay of ||P^t[0]/pi - 1||_inf from exact rows.
 
-    Row x0 of P^t is stepped by vecmat and stays rational; floats only enter at the norm.
-    The fitted rate is the least-squares slope of log-norm against t over
-    the second half of the window, where the second eigenvalue dominates.
-    The fit needs n >= 2 (a one-state walk is mixed at once), t_max >= 3
-    (two points in the window) and a start state 0 <= x0 < n, refused with
-    OutOfRange before any step, and at least two norms in the window that
-    are nonzero as floats, refused after stepping.
+    Row 0 of P^t, t = 1..40, is stepped by matmul and stays rational; floats
+    only enter at the norm.  The rate is the least-squares slope of log-norm
+    against t over steps 21..40, where the second eigenvalue dominates.  The
+    fit needs n >= 2 (one state is mixed at once), refused before any step,
+    and two norms in the window that are nonzero as floats, refused after.
     """
     if n < 2:
         raise OutOfRange(f"mixing needs n >= 2, got {n}")
-    if t_max < 3:
-        raise OutOfRange(f"mixing needs t_max >= 3, got {t_max}")
-    if not 0 <= x0 < n:
-        raise OutOfRange(f"start state {x0} outside 0..{n - 1}")
     p = transition_matrix(spec, n)
     pi = invariant_closed_form(spec, n)
-    row = p[x0]
+    row = p[0]
     norms = []
-    for _ in range(t_max):
+    for _ in range(40):
         norms.append(float(max(abs(row[z] / pi[z] - 1) for z in range(n))))
-        row = la.vecmat(row, p)
-    lo = t_max // 2
-    pts = [(t + 1, math.log(v)) for t, v in enumerate(norms) if v > 0 and t + 1 > lo]
+        row = la.matmul([row], p)[0]
+    pts = [(t + 1, math.log(v)) for t, v in enumerate(norms) if v > 0 and t + 1 > 20]
     if len(pts) < 2:
-        raise OutOfRange(f"mixing fit needs two nonzero norms in steps {lo + 1}..{t_max}, "
-                         f"got {len(pts)}")
+        raise OutOfRange(f"mixing fit needs two nonzero norms in steps 21..40, got {len(pts)}")
     tbar = sum(t for t, _ in pts) / len(pts)
     ybar = sum(y for _, y in pts) / len(pts)
     slope = sum((t - tbar) * (y - ybar) for t, y in pts) / sum((t - tbar) ** 2 for t, _ in pts)

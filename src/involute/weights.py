@@ -42,7 +42,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Union
 
-from ._linalg import check_table
+from ._linalg import check_table, law
 from ._record import FrozenRecord
 from .errors import IndexOutOfDomain, MalformedWeight, OutOfRange, UnsupportedFamily
 from .exactnum import as_rational
@@ -257,9 +257,9 @@ def down_step_table(spec: WeightSpec, n: int, entry=Fraction) -> list:
 def invariant_closed_form(spec: WeightSpec, n: int) -> list:
     """Stationary law of a named family, as pi_x ∝ alpha_{x*} N_x: alpha_y is
     the lower-end term u_y (`_ratios`), times C(n-1, y) for gamma(c).  The
-    products of reduced integer term pairs are summed as integers over one
-    lcm, one Fraction per state; their Theta(n)-bit numerators need
-    n <= TABLE_BUDGET, checked after the domain, as for a table."""
+    products of reduced integer term pairs are normalised by `_linalg.law`;
+    their Theta(n)-bit numerators need n <= TABLE_BUDGET, checked after the
+    domain, as for a table."""
     if isinstance(spec, Custom):
         raise UnsupportedFamily("closed-form invariant only for named families")
     _check_n(spec, n)
@@ -269,10 +269,7 @@ def invariant_closed_form(spec: WeightSpec, n: int) -> list:
              for (a, b), (e, f) in zip(reversed(_terms(ratio, n)), _norm_pairs(spec, n))]
     if pascal:
         terms = [(a * math.comb(n - 1, x), b) for x, (a, b) in enumerate(terms)]
-    common = math.lcm(*(b for _, b in terms))
-    scaled = [a * (common // b) for a, b in terms]
-    total = sum(scaled)
-    return [Fraction(k, total) for k in scaled]
+    return law(terms)
 
 
 def custom_from_csv(text: str) -> Custom:

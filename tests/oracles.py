@@ -18,7 +18,7 @@ from involute.errors import IndexOutOfDomain, MalformedWeight, OutOfRange
 from involute.exactnum import as_rational, binom
 from involute.spectral import _oriented, right_eigenvectors, signed_eigenvalues
 from involute.transform import _lattice_records
-from involute.walk import _normalized, _potentials
+from involute.walk import _potentials
 from involute.weights import (Custom, DeltaAB, GammaAB, GammaC, _check_n, _norm_pairs, _ratios,
                               _terms, domain_limit, family_sequence, weight_table)
 
@@ -83,7 +83,7 @@ def invariant_by_atomic_part(spec, n: int) -> list:
     states it, before the sum is taken on integers."""
     norms = norm_table(spec, n)  # checks n before atomic_part runs
     alpha = atomic_part(spec, n)
-    return _normalized([alpha[n - 1 - x] * nx for x, nx in enumerate(norms)])
+    return normalized([alpha[n - 1 - x] * nx for x, nx in enumerate(norms)])
 
 
 def division_route(spec, n: int) -> tuple:
@@ -174,9 +174,26 @@ def charpoly_faddeev_leverrier(a) -> list:
     return [Fraction(c, d**k) for k, c in enumerate(coeffs)]
 
 
+def identity(n: int) -> list:
+    """The n x n identity matrix of Fractions."""
+    return [[Fraction(int(x == z)) for z in range(n)] for x in range(n)]
+
+
 def matvec(a, v) -> list:
     """A v for a matrix of rows and a column vector."""
     return [sum(map(mul, row, v)) for row in a]
+
+
+def vecmat(v, a) -> list:
+    """v A for a row vector and a matrix of rows."""
+    return [sum(map(mul, v, col)) for col in zip(*a)]
+
+
+def normalized(weights) -> list:
+    """Rational weights divided by their sum, one Fraction sum and one
+    division per entry: the reference for `_linalg.law`."""
+    total = sum(weights)
+    return [v / total for v in weights]
 
 
 def two_step(p) -> list:
@@ -230,7 +247,7 @@ def reversible_with_some_distribution(p):
     found = _potentials(p)
     if found is None:
         return False, None
-    return True, _normalized([Fraction(a, b) for a, b in found[0]])
+    return True, normalized([Fraction(a, b) for a, b in found[0]])
 
 
 def zero_accessible(p_rows) -> bool:

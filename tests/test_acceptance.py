@@ -48,7 +48,7 @@ from involute.weights import (UNBOUNDED, DeltaAB, GammaAB, GammaC, domain_limit,
                               invariant_closed_form)
 
 from oracles import (detailed_balance, matvec, pascal_inverse, pascal_matrix, pi_inner,
-                     two_step)
+                     two_step, vecmat)
 from test_transform import down_step, random_stochastic_lambda
 
 GRID_AB = [F(-1, 2), F(0), F(1, 2), F(1), F(2)]
@@ -266,7 +266,7 @@ def test_criterion_08_eigenvector_structure():
                     u = final_left_eigenvector(n)
                     p = transition_matrix(spec, n)
                     lam = signed_eigenvalues(family_sequence(spec, n))[-1]
-                    assert la.vecmat(u, p) == [lam * x for x in u]
+                    assert vecmat(u, p) == [lam * x for x in u]
         binv_cache = {}
         for spec in (GammaAB(0, 0), GammaAB(F(1, 2), 2), GammaAB(1, 1)):
             for n in (4, 6, 8, 10):
@@ -293,7 +293,7 @@ def test_criterion_09_subset_walk():
                 # invariant law p^(m-|X|) / (1+p)^m, stationarity exact
                 for s in range(size):
                     assert sub.pi[s] == p ** (m - bin(s).count("1")) / (1 + p) ** m
-                assert la.vecmat(sub.pi, dense) == sub.pi
+                assert vecmat(sub.pi, dense) == sub.pi
                 multiset = sorted(sub.eigenvalues)
                 expected = sorted(
                     [(-p) ** e for e in range(m + 1) for _ in range(math.comb(m, e))]

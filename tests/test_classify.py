@@ -20,7 +20,7 @@ from involute.classify import (
     params_from_mu_nu,
 )
 from involute.errors import NotStochastic, OutOfRange, ZeroNotAccessible
-from involute.transform import _dj_rows, _lattice_records, _scaled_walk, lambda_walk, pl_matrix
+from involute.transform import _dj_rows, _lattice_records, _scaled_walk, lambda_walk
 from involute.walk import _potentials
 from involute.weights import DeltaAB, GammaAB, GammaC, family_sequence
 
@@ -251,7 +251,7 @@ def _fraction_sweep(n, max_denominator):
     eigenvalue lists."""
     records = []
     for lam in stochastic_grid(n, max_denominator):
-        p = pl_matrix(lam)
+        p = lambda_walk(lam)
         reversible, _ = reversible_with_some_distribution(p)
         classification = _classify(lam, zero_accessible(p)) if reversible else None
         records.append(SearchRecord(lam, reversible, classification))
@@ -392,7 +392,7 @@ def test_grid_reversibility_agrees_with_detailed_balance(capsys):
             code = main(["check", "--lambda", text, "reversible"])
             capsys.readouterr()
             assert (code == 0) == record.reversible, text
-            p = pl_matrix(record.lam)
+            p = lambda_walk(record.lam)
             try:
                 assert kolmogorov(p) == record.reversible, text
             except NoPositiveStationary:
@@ -459,7 +459,7 @@ def test_lambda_verdicts_match_fraction_walks():
                             classify_walk(lam)
                         continue
                 else:
-                    expected = all(_potentials(pl_matrix(lam[:m])) is not None
+                    expected = all(_potentials(lambda_walk(lam[:m])) is not None
                                    for m in range(2, n + 1))
                     assert is_globally_reversible(lam) == expected, lam
                     counts["reversible" if expected else "not reversible"] += 1

@@ -25,7 +25,7 @@ from involute.walk import transition_matrix
 from involute.weights import DeltaAB, GammaAB, GammaC, family_sequence
 
 from oracles import (BENCH_GAMMA, NAMED_SPECS, matvec, oracle_dict, simulate_stepwise,
-                     spec_from_flags)
+                     spec_from_flags, vecmat)
 
 PACKAGE_DIR = Path(involute.__file__).parent
 
@@ -161,7 +161,13 @@ TRIANGULAR_CASES = json.loads((DATA_DIR / "check_triangular.json").read_text())
 @pytest.mark.parametrize("case", TRIANGULAR_CASES, ids=lambda c: " ".join(c["argv"]))
 def test_check_triangular_properties_as_recorded(capsys, case):
     argv = [a.replace("DATA/", f"{DATA_DIR}/") for a in case["argv"]]
-    assert run(capsys, *argv) == (case["code"], case["out"], case["err"])
+    expected = (case["code"], case["out"], case["err"])
+    if argv[1] == "csv":
+        # recorded when a check ignored --format csv, which it now refuses;
+        # the same case under --format pretty keeps the recorded output
+        expected = (2, "", f"error: --format csv does not apply to check {argv[-1]}: "
+                           "it prints json or pretty\n")
+    assert run(capsys, *argv) == expected
 
 
 @pytest.mark.parametrize("prop, calls", [("adep", 1), ("binomial-transform", 0)])
@@ -389,17 +395,37 @@ def test_global_applies_only_to_conjugator(tmp_path, capsys):
         0, "anti-diagonal conjugator (global)\n", "")
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--gamma", "1", "1", "--n", "4", "--steps", "3"],
-    ["continuum", "--kappa", "0", "0", "--fixed-point"],
-    ["repro", "fig1-ladder"],
-    ["conjecture", "--n", "3", "--max-denominator", "2"],
+@pytest.mark.parametrize("argv, name, forms", [
+    (["simulate", "--gamma", "1", "1", "--n", "4", "--steps", "3"], "simulate", ()),
+    (["continuum", "--kappa", "0", "0", "--fixed-point"], "continuum", ()),
+    (["repro", "fig1-ladder"], "repro", ()),
+    (["conjecture", "--n", "3", "--max-denominator", "2"], "conjecture", ()),
+    (["subsets", "--m", "2", "--p", "1/2"], "subsets without --matrix", ()),
+    (["check", "--gamma", "1", "1", "--n", "4", "reversible"], "check reversible", ()),
+    (["check", "--lambda", "1,1/2", "stochastic"], "check stochastic", ()),
+    (["eigvec", "--gamma", "1", "1", "--n", "3"], "eigvec", ("json", "pretty")),
+    (["classify", "--lambda", "1,1/2,1/4"], "classify", ("json", "pretty")),
+    (["check", "--gamma", "1", "1", "--n", "4", "adep"], "check adep", ("json", "pretty")),
+    (["ladder", "--mu", "2/3", "--n", "4"], "ladder", ("csv", "json")),
+    (["subsets", "--m", "2", "--p", "1/2", "--matrix"], "subsets", ("csv", "json", "pretty")),
+    (["spectrum", "--gamma", "1", "1", "--n", "3"], "spectrum", ("csv", "json", "pretty")),
 ])
-def test_format_is_refused_where_it_is_not_read(capsys, argv):
+def test_format_is_refused_where_it_is_not_read(capsys, argv, name, forms):
     for fmt in ("csv", "json", "pretty"):
-        assert run(capsys, "--format", fmt, *argv) == (
-            2, "", f"error: --format does not apply to {argv[0]}: it has one form\n")
-    assert run(capsys, *argv)[0] == 0
+        code, out, err = run(capsys, "--format", fmt, *argv)
+        if fmt in forms:
+            assert (code, err) == (0, "") and out
+        elif forms:
+            assert (code, out, err) == (2, "", f"error: --format {fmt} does not apply to {name}: "
+                                               f"it prints {' or '.join(forms)}\n")
+        else:
+            assert (code, out, err) == (
+                2, "", f"error: --format does not apply to {name}: it has one form\n")
+    # the form printed without --format is one of those named
+    default = run(capsys, *argv)
+    assert default[0] == 0
+    if forms:
+        assert default in [run(capsys, "--format", fmt, *argv) for fmt in forms]
 
 
 def _readme_commands() -> list:
@@ -499,8 +525,8 @@ def test_eigvec_prints_the_engine_right_vectors_without_the_left_side(monkeypatc
         raise AssertionError("the left side was solved")
 
     monkeypatch.setattr(spectral, "left_side", solve_left)
-    for fmt in ("pretty", "csv"):
-        code, out, _ = run(capsys, "--format", fmt, "eigvec", *flags, *d_flag)
+    for fmt in ((), ("--format", "pretty")):
+        code, out, _ = run(capsys, *fmt, "eigvec", *flags, *d_flag)
         *lines, final = out.splitlines()
         printed = []
         for d, line in enumerate(lines):
@@ -514,7 +540,7 @@ def test_eigvec_prints_the_engine_right_vectors_without_the_left_side(monkeypatc
     monkeypatch.undo()
     code, out, _ = run(capsys, "--format", "json", "eigvec", *flags, *d_flag)
     lefts, pi = spectral.left_side(lam, dmax)
-    assert all(_linalg.vecmat(u, p) == [value * x for x in u]
+    assert all(vecmat(u, p) == [value * x for x in u]
                for value, u in zip(eigenvalues, lefts))
     assert (code, json.loads(out)) == (0, {
         "n": len(lam), "eigenvalues": list(map(str, eigenvalues)),

@@ -1,20 +1,24 @@
 """Exact linear algebra against sympy as an independent oracle."""
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 import sympy
 
 from involute import _linalg as la
-from involute.errors import OutOfRange, SingularMatrix
+from involute.errors import NotIrreducible, OutOfRange, SingularMatrix
 from involute.spectral import left_side, right_eigenvectors
 from involute.transform import (_binomial_rows, _scaled_walk, binomial_transform,
-                                gadep_counterexample)
-from involute.walk import transition_matrix
-from involute.weights import DeltaAB, GammaAB, GammaC, domain_limit, family_sequence, weight_table
+                                check_conjugator, gadep_counterexample, lambda_walk)
+from involute.walk import _potentials, _stationary_by_elimination, transition_matrix
+from involute.weights import (Custom, DeltaAB, GammaAB, GammaC, domain_limit, family_sequence,
+                              weight_table)
 
-from oracles import charpoly_faddeev_leverrier, clear_denominators, matvec
+from oracles import charpoly_faddeev_leverrier, clear_denominators, normalized
+from test_transform import random_stochastic_lambda
 
 
 def _random_matrix(rng, rows, cols):
@@ -61,28 +65,102 @@ def _rows(m):
     return [[_frac(v) for v in m.row(i)] for i in range(m.rows)]
 
 
-def test_rref_and_kernel_match_sympy():
+def test_rref_matches_sympy():
     for a in _cases(150):
         r, pivots = la.rref(a)
         ref, ref_pivots = _sym(a).rref()
         assert (r, pivots) == (_rows(ref), list(ref_pivots)), a
-        kernel = la.kernel_basis(a)
-        assert kernel == [[_frac(v) for v in vec] for vec in _sym(a).nullspace()], a
-        assert all(matvec(a, v) == [0] * len(a) for v in kernel)
 
 
-def test_charpoly_and_inverse_match_sympy():
+def test_charpoly_matches_sympy():
     x = sympy.Symbol("x")
-    singular = 0
     for a in _cases(150, square=True):
         assert la.charpoly(a) == [_frac(c) for c in _sym(a).charpoly(x).all_coeffs()], a
-        if _sym(a).det() == 0:
-            singular += 1
-            with pytest.raises(SingularMatrix):
-                la.inverse(a)
+
+
+def test_law_matches_fraction_sums():
+    rng = random.Random(20261019)
+    cases = [[(1, 1)], [(0, 3), (2, 5)], [(-1, 2), (-3, 4), (-5, 6)], [(-2, 3), (5, 7), (0, 1)]]
+    for _ in range(60):
+        size = rng.randint(1, 8)
+        sign = rng.choice((1, -1))
+        cases.append([(sign * rng.randint(1 if k == 0 else 0, 10**6), rng.randint(1, 10**4))
+                      for k in range(size)])
+    for pairs in cases:
+        found = la.law(pairs)
+        assert found == normalized([F(a, b) for a, b in pairs]), pairs
+        assert sum(found) == 1 and all(type(v) is F for v in found)
+    # an all-negative vector gives the same law as its negation
+    assert la.law([(-1, 2), (-3, 4), (-5, 6)]) == [F(6, 25), F(9, 25), F(10, 25)]
+
+
+def _stationary_space(p):
+    """The left kernel of P - I, by sympy."""
+    n = len(p)
+    return (_sym(p) - sympy.eye(n)).T.nullspace()
+
+
+def _custom_walk(rng, n):
+    """The walk of a random sparse custom weight, often reducible."""
+    table = {}
+    for x in range(n):
+        ys = [y for y in range(x + 1) if rng.random() < 0.4] or [rng.randrange(x + 1)]
+        table.update({(y, x): F(rng.randint(1, 9), rng.randint(1, 5)) for y in ys})
+    return transition_matrix(Custom(n, table), n)
+
+
+def test_stationary_by_elimination_matches_sympy():
+    rng = random.Random(20261020)
+    walks = [lambda_walk(random_stochastic_lambda(n, rng)) for n in range(2, 9) for _ in range(6)]
+    walks += [_custom_walk(rng, n) for n in range(1, 8) for _ in range(12)]
+    seen = {"not reversible": 0, "unique": 0, "reducible": 0}
+    for p in walks:
+        seen["not reversible"] += _potentials(p) is None
+        space = _stationary_space(p)
+        if len(space) == 1:
+            seen["unique"] += 1
+            assert _stationary_by_elimination(p) == normalized(
+                [_frac(v) for v in space[0]]), p
         else:
-            assert la.inverse(a) == _rows(_sym(a).inv()), a
-    assert 30 <= singular <= 120  # both branches are exercised
+            seen["reducible"] += 1
+            with pytest.raises(NotIrreducible, match=f"^stationary space has dimension "
+                                                     f"{len(space)}$"):
+                _stationary_by_elimination(p)
+    assert all(count >= 10 for count in seen.values()), seen
+    # rows that sum to 1 with a negative entry: the one kernel vector has zero mass
+    with pytest.raises(NotIrreducible, match="^kernel vector has zero mass$"):
+        _stationary_by_elimination([[F(2), F(-1)], [F(1), F(0)]])
+
+
+def test_check_conjugator_matches_sympy():
+    rng = random.Random(20261021)
+    cases = [[[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+             for n in range(1, 6) for _ in range(40)]
+    # the Pascal matrix conjugates J to an upper-triangular matrix at every size
+    cases += [[[F(math.comb(x, y)) for y in range(n)] for x in range(n)] for n in range(1, 6)]
+    verdicts = Counter()
+    for q in cases:
+        for global_check in (False, True):
+            sizes = range(1, len(q) + 1) if global_check else [len(q)]
+            expected = True
+            for k in sizes:
+                block = la.top_left(q, k)
+                if _sym(block).det() == 0:
+                    expected = None  # the check meets a singular block first
+                    break
+                conj = _rows(_sym(block).inv() * _sym(block[::-1]))  # Q^-1 J Q
+                if not (la.is_upper_triangular(conj)
+                        and all(conj[x][x] == (-1) ** x for x in range(k))):
+                    expected = False
+                    break
+            verdicts[global_check, expected] += 1
+            if expected is None:
+                with pytest.raises(SingularMatrix, match="^matrix is singular$"):
+                    check_conjugator(q, global_check=global_check)
+            else:
+                assert check_conjugator(q, global_check=global_check) == expected, q
+    # every verdict is reached, and a singular top-left block under --global
+    assert all(verdicts[g, e] for g in (False, True) for e in (True, False, None)), verdicts
 
 
 def _charpoly_cases():

@@ -12,14 +12,14 @@ from involute.errors import IndexOutOfDomain, OutOfRange, RepeatedEigenvalue, Un
 from involute.spectral import (final_left_eigenvector, left_side, right_eigenvectors,
                                signed_eigenvalues)
 from involute.exactnum import binom
-from involute.transform import pl_matrix
+from involute.transform import lambda_walk
 from involute.walk import (MixingReport, _stationary_by_elimination, mixing_report,
                            transition_matrix)
 from involute.weights import (Custom, DeltaAB, GammaAB, GammaC, domain_limit, family_sequence,
                               invariant_closed_form)
 
 from oracles import (clear_denominators, matvec, pascal_column, pascal_inverse, pi_inner,
-                     stochastic_grid)
+                     stochastic_grid, vecmat)
 from test_closed_forms import N_MAX, named_cases
 
 GRID_AB = [F(-1, 2), F(0), F(1, 2), F(1), F(2)]
@@ -188,7 +188,7 @@ def test_right_eigenvectors_are_exact_eigenvectors(spec):
         assert len(lefts) == top
         for value, v, u in zip(eigenvalues, rights, lefts):
             assert _primitive_ints(v) and _exact_eigenvector(p, value, v)
-            assert _primitive_ints(u) and la.vecmat(u, walk) == [value * x for x in u]
+            assert _primitive_ints(u) and vecmat(u, walk) == [value * x for x in u]
         assert not _exact_eigenvector(p, eigenvalues[1], rights[0])
 
 
@@ -230,7 +230,7 @@ def test_final_left_eigenvector_examples():
     assert final_left_eigenvector(4) == [F(1), F(-3), F(3), F(-1)]
     p = transition_matrix(GammaAB(0, 0), 3)
     u = final_left_eigenvector(3)
-    assert la.vecmat(u, p) == [F(1, 3) * x for x in u]
+    assert vecmat(u, p) == [F(1, 3) * x for x in u]
     assert signed_eigenvalues(family_sequence(GammaAB(1, 0), 4))[-1] == F(-2, 5)
 
 
@@ -243,7 +243,7 @@ def test_final_left_eigenvector_over_grid():
             u = final_left_eigenvector(n)
             p = transition_matrix(spec, n)
             lam = signed_eigenvalues(family_sequence(spec, n))[-1]
-            assert la.vecmat(u, p) == [lam * x for x in u]
+            assert vecmat(u, p) == [lam * x for x in u]
 
 
 def test_left_vectors_are_left_eigenvectors():
@@ -252,7 +252,7 @@ def test_left_vectors_are_left_eigenvectors():
     lefts = _family_left(spec, n)[0]
     p = transition_matrix(spec, n)
     for value, u in zip(signed_eigenvalues(family_sequence(spec, n)), lefts):
-        assert la.vecmat(u, p) == [value * x for x in u]
+        assert vecmat(u, p) == [value * x for x in u]
     # the last left vector is the alternating Pascal row up to scale
     assert lefts[n - 1] == clear_denominators(final_left_eigenvector(n))
 
@@ -270,16 +270,15 @@ def test_mixing_report_gamma00():
     assert abs(report.empirical_rate - 0.5) < 0.025
 
 
-def _mixing_by_powers(spec, n, t_max, x0):
-    """Oracle: mixing_report from whole matrix powers P^t."""
+def _mixing_by_powers(spec, n):
+    """Oracle: mixing_report from whole matrix powers P^t, t = 1..40."""
     p = transition_matrix(spec, n)
     pi = invariant_closed_form(spec, n)
     power, norms = p, []
-    for _ in range(t_max):
-        norms.append(float(max(abs(power[x0][z] / pi[z] - 1) for z in range(n))))
+    for _ in range(40):
+        norms.append(float(max(abs(power[0][z] / pi[z] - 1) for z in range(n))))
         power = la.matmul(power, p)
-    lo = t_max // 2
-    pts = [(t + 1, math.log(v)) for t, v in enumerate(norms) if v > 0 and t + 1 > lo]
+    pts = [(t + 1, math.log(v)) for t, v in enumerate(norms) if v > 0 and t + 1 > 20]
     tbar = sum(t for t, _ in pts) / len(pts)
     ybar = sum(y for _, y in pts) / len(pts)
     slope = sum((t - tbar) * (y - ybar) for t, y in pts) / sum((t - tbar) ** 2 for t, _ in pts)
@@ -287,34 +286,23 @@ def _mixing_by_powers(spec, n, t_max, x0):
 
 
 def test_mixing_report_matches_matrix_powers():
-    for spec, n, t_max, x0 in ((GammaAB(0, 0), 8, 40, 0), (GammaAB(F(1, 2), 1), 6, 12, 3),
-                               (GammaC(F(1, 3)), 7, 20, 6), (DeltaAB(5, 3), 5, 16, 1)):
-        assert mixing_report(spec, n, t_max, x0) == _mixing_by_powers(spec, n, t_max, x0)
+    # n = 2 is the smallest walk that mixes
+    for spec, n in ((GammaAB(0, 0), 8), (GammaAB(F(1, 2), 1), 6), (GammaC(F(1, 3)), 7),
+                    (DeltaAB(5, 3), 5), (GammaAB(0, 0), 2)):
+        assert mixing_report(spec, n) == _mixing_by_powers(spec, n)
 
 
-@pytest.mark.parametrize("n, t_max, x0, message", [
-    (1, 40, 0, "n >= 2, got 1"),
-    (0, 40, 0, "n >= 2, got 0"),
-    (5, 2, 0, "t_max >= 3, got 2"),
-    (5, 0, 0, "t_max >= 3, got 0"),
-    (5, 40, 7, "start state 7 outside 0..4"),
-    (5, 40, -1, "start state -1 outside 0..4"),
-])
-def test_mixing_report_refuses_input_it_cannot_fit(monkeypatch, n, t_max, x0, message):
+@pytest.mark.parametrize("n", [1, 0])
+def test_mixing_report_refuses_input_it_cannot_fit(monkeypatch, n):
     monkeypatch.setattr("involute.walk.transition_matrix", None)  # refused before stepping
-    with pytest.raises(OutOfRange, match=message):
-        mixing_report(GammaAB(0, 0), n, t_max, x0)
+    with pytest.raises(OutOfRange, match=f"n >= 2, got {n}"):
+        mixing_report(GammaAB(0, 0), n)
 
 
 def test_mixing_report_refuses_a_window_that_underflows():
     # lambda_1 = 1/(1 + c) = 1e-20: every norm past step 16 is 0.0 as a float
     with pytest.raises(OutOfRange, match="two nonzero norms in steps 21..40, got 0"):
         mixing_report(GammaC(10**20), 4)
-
-
-def test_mixing_report_fits_the_smallest_window():
-    # n = 2, t_max = 3 and x0 = n - 1 are the edges that still fit
-    assert mixing_report(GammaAB(0, 0), 2, 3, 1) == _mixing_by_powers(GammaAB(0, 0), 2, 3, 1)
 
 
 def test_unsupported_family():
@@ -336,7 +324,7 @@ def test_eigensystem_rejects_negative_dmax():
 
 
 def _exact_left(p, value, u):
-    return la.vecmat(u, p) == [value * x for x in u]
+    return vecmat(u, p) == [value * x for x in u]
 
 
 def test_eigensystem_of_every_grid_walk():
@@ -345,7 +333,7 @@ def test_eigensystem_of_every_grid_walk():
     solved = refused = vectors = 0
     for n in range(2, 8):
         for lam in stochastic_grid(n, 6):
-            p = pl_matrix(lam)
+            p = lambda_walk(lam)
             signed = [(-1) ** d * v for d, v in enumerate(lam)]
             if len(set(signed)) < n:
                 for solve in (right_eigenvectors, left_side):

@@ -19,6 +19,7 @@ from involute.transform import (
     _difference_rows,
     _dj_rows,
     _lattice_records,
+    _pl_rows,
     _scaled_walk,
     binomial_transform,
     check_adep,
@@ -28,15 +29,15 @@ from involute.transform import (
     is_binomial_transform,
     is_stochastic,
     lambda_walk,
-    pl_matrix,
     property_report,
 )
-from involute.walk import _normalized, ergodicity, stationary, transition_matrix
+from involute.walk import ergodicity, stationary, transition_matrix
 from involute.serialize import matrix_from_csv
 from involute.weights import DeltaAB, GammaAB, GammaC, domain_limit, family_sequence
 
-from oracles import (NAMED_SPECS, pascal_column, pascal_inverse, pascal_matrix, spec_from_flags,
-                     stochastic_grid, stochastic_lattice, uncut_lattice)
+from oracles import (NAMED_SPECS, identity, normalized, pascal_column, pascal_inverse,
+                     pascal_matrix, spec_from_flags, stochastic_grid, stochastic_lattice,
+                     uncut_lattice)
 
 DATA_DIR = Path(__file__).parent / "data"
 lambda_lists = st.lists(
@@ -96,7 +97,7 @@ def down_step(spec, n: int) -> list:
 def test_binomial_transform_examples():
     h = binomial_transform([F(1), F(1, 2), F(1, 3)])
     assert h == down_step(GammaAB(0, 0), 3)
-    assert binomial_transform([F(1)] * 4) == la.identity(4)
+    assert binomial_transform([F(1)] * 4) == identity(4)
     mu, nu = F(3, 5), F(1, 5)  # nu = 2 mu - 1
     h = binomial_transform([F(1), mu, nu])
     assert h == [
@@ -106,10 +107,10 @@ def test_binomial_transform_examples():
     ]
 
 
-def test_pl_matrix_examples():
-    assert pl_matrix([F(1), F(1, 2), F(1, 3), F(1, 4)]) == transition_matrix(GammaAB(0, 0), 4)
-    assert pl_matrix([F(1), F(2, 3), F(4, 9), F(8, 27)]) == transition_matrix(GammaC(F(1, 2)), 4)
-    assert pl_matrix([F(1)]) == [[F(1)]]
+def test_lambda_walk_examples():
+    assert lambda_walk([F(1), F(1, 2), F(1, 3), F(1, 4)]) == transition_matrix(GammaAB(0, 0), 4)
+    assert lambda_walk([F(1), F(2, 3), F(4, 9), F(8, 27)]) == transition_matrix(GammaC(F(1, 2)), 4)
+    assert lambda_walk([F(1)]) == [[F(1)]]
 
 
 def test_family_down_steps_are_binomial_transforms():
@@ -181,7 +182,7 @@ def test_is_stochastic_matches_fraction_reference():
 @settings(max_examples=60)
 def test_stochasticity_equivalence(lam):
     lam = [F(1)] + lam[1:]
-    p = pl_matrix(lam)
+    p = _pl_rows(lam)
     direct = all(v >= 0 for row in p for v in row) and all(sum(row) == 1 for row in p)
     assert bool(is_stochastic(lam)) == direct
 
@@ -213,10 +214,10 @@ def test_binomial_transform_is_pascal_conjugate(lam):
 @settings(max_examples=40, deadline=None)
 def test_truncations_are_top_right_blocks(n, seed):
     lam = random_stochastic_lambda(n, random.Random(seed))
-    p = pl_matrix(lam)
+    p = lambda_walk(lam)
     for m in range(1, n + 1):
         block = [row[n - m :] for row in p[:m]]
-        assert pl_matrix(lam[:m]) == block
+        assert lambda_walk(lam[:m]) == block
 
 
 def test_ergodic_lambda_structure():
@@ -259,7 +260,7 @@ def antidiag(n):
 
 def test_pascal_identities():
     for n in (1, 2, 5, 12, 32):
-        assert la.matmul(pascal_matrix(n), pascal_inverse(n)) == la.identity(n)
+        assert la.matmul(pascal_matrix(n), pascal_inverse(n)) == identity(n)
     for n in range(1, 13):
         conj = la.matmul(la.matmul(pascal_inverse(n), antidiag(n)), pascal_matrix(n))
         expected = [
@@ -278,7 +279,7 @@ def test_round_trip_binomial_transform(lam):
 def test_strictly_stochastic_support():
     lam = [F(1), F(1, 2), F(1, 3), F(1, 4), F(1, 5)]
     n = len(lam)
-    p = pl_matrix(lam)
+    p = lambda_walk(lam)
     assert all(lam[d] > lam[d + 1] for d in range(n - 1))
     for x in range(n):
         for z in range(n):
@@ -363,7 +364,7 @@ def test_gadep_family_matrices():
 def test_is_binomial_transform_examples():
     assert is_binomial_transform(down_step(GammaAB(1, 0), 4))
     assert not is_binomial_transform(gadep_counterexample("L4", 1))
-    assert is_binomial_transform(la.identity(4))
+    assert is_binomial_transform(identity(4))
 
 
 def test_property_report_implications():
@@ -394,7 +395,7 @@ def test_check_conjugator_examples():
     b5 = pascal_matrix(5)
     b5[4][2] = F(7)
     assert not check_conjugator(b5, global_check=True)
-    assert not check_conjugator(la.identity(2))
+    assert not check_conjugator(identity(2))
     with pytest.raises(SingularMatrix):
         check_conjugator([[F(0)]])
     for shape in ([[1, 0, 5], [1, 1, 0]], [[1, 0], [1, 1], [1, 1]]):
@@ -527,8 +528,8 @@ def test_difference_table_gives_the_walks_verdict():
             counts["one tree"] += 1
             rho = [F(a, b) for a, b in by_table[0]]
             pi = stationary(p)
-            assert _normalized([binom(n - 1, x) * r for x, r in enumerate(rho)]) == pi, lam
-            counts["rho alone is pi"] += _normalized(rho) == pi
+            assert normalized([binom(n - 1, x) * r for x, r in enumerate(rho)]) == pi, lam
+            counts["rho alone is pi"] += normalized(rho) == pi
     # 268 sequences; the binomial factor changes pi in 59 of the 72 one-tree walks
     assert counts == {"reversible": 77, "one tree": 72, "not reversible": 191,
                       "rho alone is pi": 13}

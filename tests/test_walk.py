@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from involute import _linalg as la
 from involute import walk
 from involute.errors import NoPositiveStationary, NotIrreducible, OutOfRange
-from involute.transform import _pl_rows, _scaled_walk, lambda_walk, pl_matrix
+from involute.transform import _pl_rows, _scaled_walk, lambda_walk
 from involute.spectral import left_side
 from involute.walk import (
     checked_walk,
@@ -34,6 +34,7 @@ from oracles import (
     NAMED_SPECS,
     detailed_balance,
     division_route,
+    identity,
     norm_table,
     pattern_is_ergodic,
     reversible_with_some_distribution,
@@ -43,6 +44,7 @@ from oracles import (
     stochastic_lattice,
     support_patterns,
     two_step,
+    vecmat,
     zero_accessible,
 )
 from test_transform import random_stochastic_lambda
@@ -235,7 +237,7 @@ def test_ergodicity_reads_each_entry_once():
 def test_constant_tail_walk_is_reducible_despite_zero_access():
     # lambda = (1, 1/2, 1/2, 1/2): 0 is reachable from every state, yet the
     # support splits into the classes {0, 3} and {1, 2}
-    p = pl_matrix([F(1), F(1, 2), F(1, 2), F(1, 2)])
+    p = lambda_walk([F(1), F(1, 2), F(1, 2), F(1, 2)])
     report = ergodicity(p)
     assert not report.irreducible
     assert report.communicating_classes == [[0, 3], [1, 2]]
@@ -388,7 +390,7 @@ def test_kolmogorov_matches_exhaustive_cycle_oracle():
     compared = reversible = 0
     for n in range(3, 8):
         for lam in stochastic_grid(n, 6):
-            p = pl_matrix(lam)
+            p = lambda_walk(lam)
             try:
                 verdict = kolmogorov(p)
             except NoPositiveStationary:
@@ -464,7 +466,7 @@ def test_potentials_verdict_is_scale_free():
     for n in range(1, 8):
         scale, lattice = stochastic_lattice(n, 6)
         for scaled in lattice:
-            p = pl_matrix([F(v, scale) for v in scaled])
+            p = lambda_walk([F(v, scale) for v in scaled])
             scaled_p = _pl_rows(list(scaled))
             assert all(type(v) is int for row in scaled_p for v in row)
             assert scaled_p == [[v * scale for v in row] for row in p]
@@ -509,7 +511,7 @@ def test_stationary_tree_path_matches_elimination(eliminations):
             assert eliminations == []
             assert pi == walk._stationary_by_elimination(p)
             assert pi == invariant_closed_form(spec, n)
-            assert la.vecmat(pi, p) == pi
+            assert vecmat(pi, p) == pi
             eliminations.clear()
 
 
@@ -518,7 +520,7 @@ def test_stationary_falls_back_to_elimination(eliminations):
     assert not reversible_with_some_distribution(p)[0]
     pi = stationary(p)
     assert eliminations == [4]
-    assert la.vecmat(pi, p) == pi
+    assert vecmat(pi, p) == pi
     # reversible but reducible: the potentials span two trees
     with pytest.raises(NotIrreducible, match="dimension 2"):
         stationary(checked_walk([[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
@@ -531,7 +533,7 @@ def test_kolmogorov_iff_detailed_balance():
     cases += [transition_matrix(DeltaAB(4, 2), 4)]
     for n in (3, 4, 5, 6):
         for _ in range(12):
-            cases.append(pl_matrix(random_stochastic_lambda(n, rng)))
+            cases.append(lambda_walk(random_stochastic_lambda(n, rng)))
     for p in cases:
         report = ergodicity(p)
         if not report.ergodic:
@@ -634,7 +636,7 @@ def test_two_step_examples():
     w = transition_matrix(GammaAB(0, 0), 2)
     assert two_step(w) == rows([["1/2", "1/2"], ["1/4", "3/4"]])
     flip = checked_walk([[0, 1], [1, 0]])
-    assert two_step(flip) == la.identity(2)
+    assert two_step(flip) == identity(2)
 
 
 def test_two_step_eigenvalues_are_squares():
@@ -788,6 +790,6 @@ def test_every_weight_gives_anti_triangular_stochastic_walk(case):
     report = ergodicity(p)
     if report.irreducible:
         pi = stationary(p)
-        assert la.vecmat(pi, p) == pi
+        assert vecmat(pi, p) == pi
         if report.ergodic:
             assert detailed_balance(p, pi) == kolmogorov(p)
