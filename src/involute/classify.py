@@ -44,7 +44,6 @@ split of a reversible record forms one Fraction per family parameter.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 from ._record import FrozenRecord, Record
 from .errors import OutOfRange, ZeroNotAccessible
@@ -67,7 +66,7 @@ class NotClassified(FrozenRecord):
         self._freeze(reason)
 
 
-Classification = Union[GammaAB, GammaC, DeltaAB, IdentityWalk, NotClassified]
+Classification = GammaAB | GammaC | DeltaAB | IdentityWalk | NotClassified
 
 
 def nu_ladder(m: int, mu: Fraction) -> Fraction:

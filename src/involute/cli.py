@@ -12,8 +12,11 @@ A call pays at start-up only for what its command uses:
   and by no other: a matrix's JSON is one template filled with the text
   of its entries (`serialize.matrix_to_json`), so `--format json matrix`
   loads no `json`;
-- `build_parser` registers every subcommand with its help line alone, and
-  a subcommand's arguments are defined when it is parsed (`_Subcommand`).
+- `build_parser` constructs one `ArgumentParser` and registers every
+  subcommand with its help line alone; a subcommand's parser is built and
+  its arguments defined when a call first parses it (`_Subcommand`);
+- no module of the package imports `typing`, and the error path compiles
+  no regex (`_DIGIT_LIMIT`).
 The `involute.*` imports stay at module level: they are the exact core
 that every command but `continuum` runs, so deferring them would only move
 their cost into the first call, and the traced benchmark wraps only the
@@ -579,18 +582,35 @@ _NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 
 class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser, whose definer adds its arguments on its first parse.
+    """A subcommand's parser, built at its first use and defined by its first parse.
 
-    A call parses one subcommand, so it defines the arguments of that one
-    only; `involute --help` and the command list need just the help lines.
+    argparse 3.10-3.13's `add_parser` only constructs and stores a subparser,
+    and a parse calls `parse_known_args` on the one subparser it reaches;
+    `involute --help` and the invalid-choice message read the names and help
+    lines alone.  So a call builds the parser of its own subcommand and no
+    other.  An argparse that reads a subparser before parsing it (3.14 checks
+    each help line as it adds one) finds it built by `__getattr__`.
     """
 
     def __init__(self, *, define, **kwargs):
-        super().__init__(**kwargs)
-        self._negative_number_matcher = _NEGATIVE_NUMBER
+        self._pending = kwargs
         self._define = define
 
+    def _build(self):
+        kwargs, self._pending = self._pending, None
+        super().__init__(**kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def __getattr__(self, name):
+        # reached only for an attribute that is not set
+        if self.__dict__.get("_pending") is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._build()
+        return getattr(self, name)
+
     def parse_known_args(self, args=None, namespace=None):
+        if self._pending is not None:
+            self._build()
         if self._define is not None:
             self._define(self)
             self._define = None
@@ -637,9 +657,11 @@ def _refuse_unread_format(args):
                             f"it prints {' or '.join(forms)}")
 
 
-# the ValueError Python raises when an int has more decimal digits than its
-# limit (sys.set_int_max_str_digits): a result too large to print, so exit 2
-_DIGIT_LIMIT = re.compile(r"Exceeds the limit \((\d+) digits\) for integer string conversion")
+# the start of the ValueError Python raises when an int has more decimal
+# digits than its limit (sys.set_int_max_str_digits), in 3.10's wording,
+# "Exceeds the limit (4300) for ...", and in 3.11's, "Exceeds the limit
+# (4300 digits) for ...": a result too large to print, so exit 2
+_DIGIT_LIMIT = "Exceeds the limit ("
 
 
 def main(argv=None) -> int:
@@ -654,9 +676,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         return 0
     except Exception as exc:  # pragma: no cover - internal errors
-        limit = _DIGIT_LIMIT.match(str(exc)) if isinstance(exc, ValueError) else None
-        if limit:
-            print(f"error: a number in the result has more than {limit[1]} digits, "
+        if isinstance(exc, ValueError) and str(exc).startswith(_DIGIT_LIMIT):
+            print("error: a number in the result has more than "
+                  f"{sys.get_int_max_str_digits()} digits, "
                   "the limit of Python's integer string conversion", file=sys.stderr)
             return 2
         print(f"internal error: {exc}", file=sys.stderr)

@@ -418,8 +418,8 @@ def subset_walk(m: int, p) -> SubsetWalk:
     spec = GammaC(1 / p - 1)
     by_size = [w / math.comb(m, k) for k, w in enumerate(invariant_closed_form(spec, m + 1))]
     pi = [by_size[bin(s).count("1")] for s in range(2**m)]
-    eigenvalues = [(-1) ** e * lam for e, lam in enumerate(family_sequence(spec, m + 1))
-                   for _ in range(math.comb(m, e))]
+    eigenvalues = [x for e, lam in enumerate(family_sequence(spec, m + 1))
+                   for x in [-lam if e % 2 else lam] * math.comb(m, e)]
     return SubsetWalk(m, p, pi, eigenvalues)
 
 

@@ -39,8 +39,8 @@ family walk, is only checked on a grid (`classify`).
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping, Union
 
 from ._linalg import check_table, law
 from ._record import FrozenRecord
@@ -108,7 +108,7 @@ class Custom(FrozenRecord):
         return hash((self.n,))
 
 
-WeightSpec = Union[GammaAB, GammaC, DeltaAB, Custom]
+WeightSpec = GammaAB | GammaC | DeltaAB | Custom
 
 
 def domain_limit(spec: WeightSpec):

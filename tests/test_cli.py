@@ -590,6 +590,26 @@ def test_result_past_the_digit_limit_exits_2(capsys, argv):
     assert sys.get_int_max_str_digits() == limit
 
 
+@pytest.mark.parametrize("message", [
+    # Python 3.10
+    "Exceeds the limit (4300) for integer string conversion; "
+    "use sys.set_int_max_str_digits() to increase the limit",
+    # Python 3.11 on, for int to str and for str to int
+    "Exceeds the limit (4300 digits) for integer string conversion; "
+    "use sys.set_int_max_str_digits() to increase the limit",
+    "Exceeds the limit (4300 digits) for integer string conversion: value has 4301 digits; "
+    "use sys.set_int_max_str_digits() to increase the limit",
+])
+def test_each_digit_limit_wording_exits_2(monkeypatch, capsys, message):
+    def fail(seq):
+        raise ValueError(message)
+
+    monkeypatch.setattr(spectral, "signed_eigenvalues", fail)
+    assert run(capsys, "spectrum", "--lambda", "1,1/2") == (
+        2, "", f"error: a number in the result has more than {sys.get_int_max_str_digits()} "
+               "digits, the limit of Python's integer string conversion\n")
+
+
 def test_other_value_errors_stay_internal(monkeypatch, capsys):
     def fail(seq):
         raise ValueError("math domain error")
@@ -1012,18 +1032,62 @@ def test_start_up_loads_json_only_to_print_json():
     assert ast.literal_eval(done.stdout) == ([0] * (len(other) + 1), [False, False, True])
 
 
-def test_parsing_defines_only_its_own_subcommand():
-    # build_parser registers every subcommand with its help line alone; a
-    # parse defines the arguments of the subcommand it reaches, once
+def test_parsing_defines_only_its_own_subcommand(monkeypatch):
+    # build_parser constructs the top-level parser alone; a parse builds and
+    # defines the parser of the subcommand it reaches, once, and no other
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     parser = build_parser()
+    assert built == ["involute"]
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert [a.dest for p in sub.choices.values() for a in p._actions] == ["help"] * 12
+    assert len(sub.choices) == 12
     argv = ["matrix", "--gamma", "1", "1", "--n", "4"]
     assert parser.parse_args(argv) == parser.parse_args(argv)
-    dests = {name: [a.dest for a in p._actions] for name, p in sub.choices.items()}
-    assert dests.pop("matrix") == ["help", "gamma", "gammac", "delta", "lam", "custom", "n",
-                                   "down_step"]
-    assert list(dests.values()) == [["help"]] * 11
+    assert built == ["involute", "involute matrix"]
+    assert [a.dest for a in sub.choices["matrix"]._actions] == [
+        "help", "gamma", "gammac", "delta", "lam", "custom", "n", "down_step"]
+    assert [name for name, p in sub.choices.items() if "_actions" in vars(p)] == ["matrix"]
+
+
+def test_a_subparser_read_before_its_parse_is_built_then(monkeypatch):
+    # an argparse that reads each subparser as it adds it (3.14 formats its
+    # help line) gets a built parser; a parse still defines only its own
+    argv = ["matrix", "--gamma", "-1/3", "-2/3", "--n", "3"]
+    expected = build_parser().parse_args(argv)
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def reading(self, name, **kwargs):
+        parser = add_parser(self, name, **kwargs)
+        parser._get_formatter()
+        return parser
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", reading)
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert [[a.dest for a in p._actions] for p in sub.choices.values()] == [["help"]] * 12
+    assert not hasattr(sub.choices["matrix"], "no_such_attribute")
+    assert parser.parse_args(argv) == expected
+    assert [name for name, p in sub.choices.items() if len(p._actions) > 1] == ["matrix"]
+
+
+def test_top_level_help_lists_every_subcommand(monkeypatch, capsys):
+    # the help lines come from the registry alone, in its order
+    from involute.cli import _SUBCOMMANDS
+
+    monkeypatch.setenv("COLUMNS", "100")
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    out = capsys.readouterr().out
+    listed = [line.split(None, 1) for line in out.splitlines()
+              if line.startswith("    ") and not line.startswith("     ")]
+    assert exit_.value.code == 0
+    assert listed == [[name, help_line] for name, help_line, _ in _SUBCOMMANDS]
 
 
 def test_repro_fig2(capsys):
@@ -1058,6 +1122,18 @@ def test_package_has_no_assert_statements():
         lines = [node.lineno for node in ast.walk(tree)
                  if isinstance(node, ast.Name) and node.id == "__debug__"]
         assert lines == [], f"{path.name}: __debug__ read at lines {lines}"
+
+
+def test_package_does_not_import_typing():
+    # annotations are strings and the aliases are `A | B` unions, so no
+    # command pays for loading typing at start-up
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(), filename=str(path))))
+        names = [(node.lineno, alias.name) for node in nodes if isinstance(node, ast.Import)
+                 for alias in node.names]
+        names += [(node.lineno, node.module) for node in nodes if isinstance(node, ast.ImportFrom)]
+        lines = [line for line, name in names if name and name.split(".")[0] == "typing"]
+        assert lines == [], f"{path.name}: typing imported at lines {lines}"
 
 
 def _bench_function_metrics() -> tuple:
