@@ -2,8 +2,9 @@
 adaptive quadrature under the integral-definition reference.
 
 `continuum` imports numpy at module level and re-exports what is here.  The
-CLI reads the budgets when it builds its parser, so taking them from this
-module keeps numpy out of every command that does not work on [0, 1].
+CLI reads the budgets when it defines the `continuum` parser, at its first
+parse, so importing them from this module keeps numpy out of every command
+that does not work on [0, 1].
 `adaptive_quad` runs on plain floats and finds its Gauss-Legendre nodes by
 Newton's method on the Legendre recurrence.  The numpy panels of `continuum`
 take their nodes from the same rule; the tests check the rule against

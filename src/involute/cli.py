@@ -8,10 +8,10 @@ A call pays at start-up only for what its command uses:
 - `continuum` is imported inside the two handlers that use it, because it
   loads numpy and every other command is exact;
 - no module the CLI loads imports `dataclasses` (see `_record`);
-- `json` is imported by the functions that print JSON through `json.dumps`,
-  and by no other: a matrix's JSON is one template filled with the text
-  of its entries (`serialize.matrix_to_json`), so `--format json matrix`
-  loads no `json`;
+- `json` is imported by the two functions that print JSON through
+  `json.dumps`, `_print_json` and `cmd_conjecture`: a matrix's JSON is one
+  template filled with the text of its entries (`serialize.matrix_to_json`),
+  so `--format json matrix` loads no `json`;
 - `build_parser` constructs one `ArgumentParser` and registers every
   subcommand with its help line alone; a subcommand's parser is built and
   its arguments defined when a call first parses it (`_Subcommand`);
@@ -133,13 +133,17 @@ def _emit_matrix(rows, fmt: str | None, lower: bool = False):
         print(matrix_to_pretty(rows, lower=lower))
 
 
+def _print_json(value):
+    import json
+
+    print(json.dumps(value))
+
+
 def _emit_vector(v, fmt: str | None, name: str):
     if fmt == "csv":
         print(",".join(map(str, v)))
     elif fmt == "json":
-        import json
-
-        print(json.dumps({name: list(map(str, v))}))
+        _print_json({name: list(map(str, v))})
     else:
         print("  ".join(map(str, v)))
 
@@ -174,13 +178,11 @@ def cmd_eigvec(args):
     rights = spectral.right_eigenvectors(lam, args.d)
     eigenvalues = spectral.signed_eigenvalues(lam[:len(rights)])
     if args.format == "json":
-        import json
-
         lefts, pi = spectral.left_side(lam, args.d)
-        print(json.dumps({"n": len(lam), "eigenvalues": list(map(str, eigenvalues)),
-                          "right_vectors": [list(map(str, v)) for v in rights],
-                          "left_vectors": [list(map(str, u)) for u in lefts],
-                          "pi": list(map(str, pi))}))
+        _print_json({"n": len(lam), "eigenvalues": list(map(str, eigenvalues)),
+                     "right_vectors": [list(map(str, v)) for v in rights],
+                     "left_vectors": [list(map(str, u)) for u in lefts],
+                     "pi": list(map(str, pi))})
         return
     # formatted whole before any of it is written, so a failure leaves stdout empty
     lines = [f"d={d}  eigenvalue={value}  right=" + ",".join(map(str, vec))
@@ -189,9 +191,14 @@ def cmd_eigvec(args):
     print("\n".join(lines))
 
 
-_LAMBDA_PROPERTIES = ("stochastic", "globally-reversible")
-_WALK_PROPERTIES = ("ergodic", "reversible", "kolmogorov")
-# each verdict's own test, and its field in the full PropertyReport
+# each property, in `check --help` order, and the input it reads: the
+# --lambda sequence, the walk's rows, or a lower-triangular or a square matrix
+_CHECKS = {
+    "stochastic": "lambda", "ergodic": "walk", "reversible": "walk",
+    "globally-reversible": "lambda", "kolmogorov": "walk", "adep": "triangular",
+    "gadep": "triangular", "binomial-transform": "triangular", "conjugator": "matrix",
+}
+# each triangular verdict's own test, and its field in the full PropertyReport
 _TRIANGULAR_PROPERTIES = {
     "adep": (transform.check_adep, "adep"),
     "gadep": (transform.check_gadep, "gadep"),
@@ -200,22 +207,23 @@ _TRIANGULAR_PROPERTIES = {
 
 
 def _check_source(args):
-    """The input resolved for the property's group: the eigenvalue list for
-    the lambda properties, the rows of P for the walk properties, and the
-    lower-triangular matrix (H, or the --matrix rows) for the rest."""
-    prop = args.property
+    """The input `_CHECKS` names for the property: the eigenvalue list, the
+    walk's rows or the matrix (H, or the --matrix rows).  A --lambda walk's
+    rows are the integer L * M of `transform._scaled_walk`, whose support,
+    classes, potentials' verdict and tree count, all a walk verdict reads, are P's."""
+    prop, kind = args.property, _CHECKS[args.property]
     source, n = _source_from_args(args)
-    if prop in _LAMBDA_PROPERTIES:
+    if kind == "lambda":
         if args.lam is None:
             raise InvoluteError(f"check {prop} needs --lambda")
         return source
     if args.matrix is not None:
         # a walk is square, stochastic and anti-triangular
-        return walk.checked_walk(source) if prop in _WALK_PROPERTIES else source
-    if args.lam is not None and prop not in _WALK_PROPERTIES:
-        return transform.binomial_transform(source)
+        return walk.checked_walk(source) if kind == "walk" else source
+    if args.lam is not None:
+        return (transform._scaled_walk if kind == "walk" else transform.binomial_transform)(source)
     p = _walk(source, n)
-    return p if prop in _WALK_PROPERTIES else _down_step(p)
+    return p if kind == "walk" else _down_step(p)
 
 
 def cmd_check(args):
@@ -256,9 +264,7 @@ def cmd_check(args):
         # the whole report is built only to print it or to name a witness
         report = transform.property_report(source) if args.format == "json" else None
         if report is not None:
-            import json
-
-            print(json.dumps(report.to_dict()))
+            _print_json(report.to_dict())
         if not (getattr(report, field) if report else decide(source)):
             report = report or transform.property_report(source)
             raise CheckFailed(f"{prop} fails (witness: {report.witness})")
@@ -271,23 +277,18 @@ def cmd_check(args):
 
 
 def cmd_classify(args):
-    lam = parse_rational_list(args.lam)
-    result = cls.classify_walk(lam)
+    label = cls.classification_label(cls.classify_walk(parse_rational_list(args.lam)))
     if args.format == "json":
-        import json
-
-        print(json.dumps({"classification": cls.classification_label(result)}))
+        _print_json({"classification": label})
     else:
-        print(cls.classification_label(result))
+        print(label)
 
 
 def cmd_ladder(args):
     mu = parse_rational(args.mu)
     rows = cls.exceptional_ladder(mu, args.n)
     if args.format == "json":
-        import json
-
-        print(json.dumps([{"m": m, "nu": str(nu), "a_prime": str(ap)} for m, nu, ap in rows]))
+        _print_json([{"m": m, "nu": str(nu), "a_prime": str(ap)} for m, nu, ap in rows])
         return
     print("m,nu,a_prime")
     for m, nu, ap in rows:
@@ -463,23 +464,11 @@ def cmd_repro(args):
 def _define_matrix(p: argparse.ArgumentParser):
     _add_family_flags(p)
     p.add_argument("--down-step", action="store_true", help="print H instead of P")
-    p.set_defaults(func=cmd_matrix)
-
-
-def _define_stationary(p: argparse.ArgumentParser):
-    _add_family_flags(p)
-    p.set_defaults(func=cmd_stationary)
-
-
-def _define_spectrum(p: argparse.ArgumentParser):
-    _add_family_flags(p)
-    p.set_defaults(func=cmd_spectrum)
 
 
 def _define_eigvec(p: argparse.ArgumentParser):
     _add_family_flags(p)
     p.add_argument("--d", type=int, default=None, help="largest eigenvector index")
-    p.set_defaults(func=cmd_eigvec)
 
 
 def _define_check(p: argparse.ArgumentParser):
@@ -487,26 +476,17 @@ def _define_check(p: argparse.ArgumentParser):
     p.add_argument("--matrix", metavar="FILE", help="CSV matrix of p/q entries")
     p.add_argument("--global", dest="global_check", action="store_true",
                    help="check the global (all top-left sizes) variant")
-    p.add_argument(
-        "property",
-        choices=(
-            "stochastic", "ergodic", "reversible", "globally-reversible", "kolmogorov",
-            "adep", "gadep", "binomial-transform", "conjugator",
-        ),
-    )
-    p.set_defaults(func=cmd_check)
+    p.add_argument("property", choices=tuple(_CHECKS))
 
 
 def _define_classify(p: argparse.ArgumentParser):
     p.add_argument("--lambda", dest="lam", required=True)
-    p.set_defaults(func=cmd_classify)
 
 
 def _define_ladder(p: argparse.ArgumentParser):
     p.add_argument("--mu", required=True)
     p.add_argument("--n", type=int, required=True,
                    help=f"number of states (at most {cls.LADDER_BUDGET})")
-    p.set_defaults(func=cmd_ladder)
 
 
 def _define_simulate(p: argparse.ArgumentParser):
@@ -516,14 +496,12 @@ def _define_simulate(p: argparse.ArgumentParser):
                    help=f"number of steps (default 1000, at most {walk.SIMULATION_BUDGET})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--empirical", action="store_true", help="print visit frequencies instead")
-    p.set_defaults(func=cmd_simulate)
 
 
 def _define_subsets(p: argparse.ArgumentParser):
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--p", required=True)
     p.add_argument("--matrix", action="store_true", help="print the 2^m transition matrix")
-    p.set_defaults(func=cmd_subsets)
 
 
 def _define_continuum(p: argparse.ArgumentParser):
@@ -537,7 +515,6 @@ def _define_continuum(p: argparse.ArgumentParser):
     p.add_argument("--sizes",
                    help=f"comma-separated n for --convergence (default 10,20,40,80): at most "
                         f"{CONVERGENCE_MAX_SIZES} sizes, each n <= {CONVERGENCE_MAX_N}")
-    p.set_defaults(func=cmd_continuum)
 
 
 def _define_conjecture(p: argparse.ArgumentParser):
@@ -546,7 +523,6 @@ def _define_conjecture(p: argparse.ArgumentParser):
                    help=f"grid denominators up to D (default 8); the lattice may visit at "
                         f"most {transform.LATTICE_BUDGET} suffixes, enough for n=4 at D=20 "
                         f"and n=6 at D=16")
-    p.set_defaults(func=cmd_conjecture)
 
 
 def _define_repro(p: argparse.ArgumentParser):
@@ -557,23 +533,23 @@ def _define_repro(p: argparse.ArgumentParser):
             "example7-table", "fig1-ladder", "fig2-convergence",
         ),
     )
-    p.set_defaults(func=cmd_repro)
 
 
-# each subcommand's name, its line in `involute --help`, and its definer
+# each subcommand's name, its line in `involute --help`, its handler and its definer
 _SUBCOMMANDS = (
-    ("matrix", "print the transition matrix", _define_matrix),
-    ("stationary", "exact stationary distribution", _define_stationary),
-    ("spectrum", "closed-form signed eigenvalues", _define_spectrum),
-    ("eigvec", "right and left eigenvectors and the stationary law", _define_eigvec),
-    ("check", "property checks; exit 2 with a witness on failure", _define_check),
-    ("classify", "identify the family from an eigenvalue sequence", _define_classify),
-    ("ladder", "exceptional nu_m(mu) ladder", _define_ladder),
-    ("simulate", "seeded trajectory CSV", _define_simulate),
-    ("subsets", "Kronecker subset walk", _define_subsets),
-    ("continuum", "interval walk residuals and invariants", _define_continuum),
-    ("conjecture", "desk-scale reversibility sweep (JSON lines)", _define_conjecture),
-    ("repro", "reproduce the reference displays and tables", _define_repro),
+    ("matrix", "print the transition matrix", cmd_matrix, _define_matrix),
+    ("stationary", "exact stationary distribution", cmd_stationary, _add_family_flags),
+    ("spectrum", "closed-form signed eigenvalues", cmd_spectrum, _add_family_flags),
+    ("eigvec", "right and left eigenvectors and the stationary law", cmd_eigvec, _define_eigvec),
+    ("check", "property checks; exit 2 with a witness on failure", cmd_check, _define_check),
+    ("classify", "identify the family from an eigenvalue sequence", cmd_classify, _define_classify),
+    ("ladder", "exceptional nu_m(mu) ladder", cmd_ladder, _define_ladder),
+    ("simulate", "seeded trajectory CSV", cmd_simulate, _define_simulate),
+    ("subsets", "Kronecker subset walk", cmd_subsets, _define_subsets),
+    ("continuum", "interval walk residuals and invariants", cmd_continuum, _define_continuum),
+    ("conjecture", "desk-scale reversibility sweep (JSON lines)", cmd_conjecture,
+     _define_conjecture),
+    ("repro", "reproduce the reference displays and tables", cmd_repro, _define_repro),
 )
 
 # argparse takes only integers and decimals for negative numbers, so "-1/3"
@@ -592,9 +568,9 @@ class _Subcommand(argparse.ArgumentParser):
     each help line as it adds one) finds it built by `__getattr__`.
     """
 
-    def __init__(self, *, define, **kwargs):
+    def __init__(self, *, handler, define, **kwargs):
         self._pending = kwargs
-        self._define = define
+        self._handler, self._define = handler, define
 
     def _build(self):
         kwargs, self._pending = self._pending, None
@@ -613,6 +589,7 @@ class _Subcommand(argparse.ArgumentParser):
             self._build()
         if self._define is not None:
             self._define(self)
+            self.set_defaults(func=self._handler)
             self._define = None
         return super().parse_known_args(args, namespace)
 
@@ -624,8 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("csv", "json", "pretty"), default=None)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
-    for name, help_line, define in _SUBCOMMANDS:
-        sub.add_parser(name, help=help_line, define=define)
+    for name, help_line, handler, define in _SUBCOMMANDS:
+        sub.add_parser(name, help=help_line, handler=handler, define=define)
     return parser
 
 

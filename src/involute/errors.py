@@ -38,7 +38,7 @@ class UnsupportedFamily(InvoluteError):
 
 
 class SingularMatrix(InvoluteError):
-    """Matrix inversion was requested for a singular matrix."""
+    """A conjugator test met a singular top-left block (`transform.check_conjugator`)."""
 
 
 class QuadratureNonConvergence(InvoluteError):

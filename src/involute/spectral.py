@@ -37,7 +37,6 @@ B^-1, for the last eigenvalue.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
@@ -143,8 +142,7 @@ def left_side(lam, dmax: int | None = None) -> tuple:
         for m in range(n, 1, -1):
             r[:m] = accumulate(r[:m])
         lefts.append(_oriented(list(map(mul, sign, r))[::-1]))
-    total = sum(lefts[0])
-    return lefts, [Fraction(x, total) for x in lefts[0]]
+    return lefts, la.law([(x, 1) for x in lefts[0]])
 
 
 def final_left_eigenvector(n: int) -> list:

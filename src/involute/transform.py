@@ -55,6 +55,7 @@ from . import _linalg as la
 from ._record import FrozenRecord, Record
 from .errors import NotStochastic, OutOfRange, SingularMatrix
 from .exactnum import as_rational
+from .spectral import signed_eigenvalues
 
 
 def _coerce_lambda(lam) -> list:
@@ -132,20 +133,26 @@ class StochasticCheck(FrozenRecord):
 
 
 def _scaled_check(lam) -> tuple:
-    """(L * lambda, its StochasticCheck), with L the lcm of the denominators.
+    """(lambda as Fractions, its StochasticCheck, the difference rows of
+    L * lambda walked, a failing one last), L the lcm of the denominators.
 
     The alternating sums are linear in lambda, so they are decided on the
     integers L * lambda, and a failing one is divided by L only to print it.
+    Past TABLE_BUDGET, where no table is built, no row is kept.
     """
     lam = _coerce_lambda(lam)
     scaled, scale = la.integer_row(lam)
+    table: list = []
     if lam[0] != 1:
-        return scaled, StochasticCheck(False, None, f"lambda_0 = {lam[0]} != 1")
+        return lam, StochasticCheck(False, None, f"lambda_0 = {lam[0]} != 1"), table
+    held = len(lam) <= la.TABLE_BUDGET
     for z, row in enumerate(_difference_rows(scaled)):
+        if held:
+            table.append(row)
         if row[-1] < 0:
-            return scaled, StochasticCheck(
-                False, z, f"alternating sum at z={z} is {Fraction(row[-1], scale)} < 0")
-    return scaled, StochasticCheck(True)
+            return lam, StochasticCheck(
+                False, z, f"alternating sum at z={z} is {Fraction(row[-1], scale)} < 0"), table
+    return lam, StochasticCheck(True), table
 
 
 def is_stochastic(lam) -> StochasticCheck:
@@ -196,7 +203,7 @@ def _adep(rows) -> bool:
     """
     b, _ = la.integer_matrix([row[::-1] for row in rows])
     last = len(b) - 1
-    target = la.poly_from_roots([(-1) ** d * row[last - d] for d, row in enumerate(b)])
+    target = la.poly_from_roots(signed_eigenvalues([row[last - d] for d, row in enumerate(b)]))
     return la.berkowitz(b) == target
 
 
@@ -326,8 +333,7 @@ def gadep_counterexample(which: str, tau) -> list:
 
 def stochastic_sequence(lam) -> list:
     """lam as Fractions, once P^lambda is stochastic; raises NotStochastic."""
-    lam = _coerce_lambda(lam)
-    check = is_stochastic(lam)
+    lam, check, _ = _scaled_check(lam)
     if not check:
         raise NotStochastic(check.reason)
     return lam
@@ -363,14 +369,15 @@ def _scaled_walk(lam) -> list:
     docstring).  So a verdict that reads P through its support or the
     ratios of its entries, as reachability and detailed balance do, reads
     it here without forming P or a Fraction, and the top-right k x k block
-    of M is the M of lambda_0..lambda_{k-1}, as that of P is its P.  An
-    n past TABLE_BUDGET is refused before the table is built, as for P.
+    of M is the M of lambda_0..lambda_{k-1}, as that of P is its P.  M is
+    read off the rows that decided stochasticity (`_scaled_check`), and an
+    n past TABLE_BUDGET is refused after that check, as for P.
     """
-    scaled, check = _scaled_check(lam)
+    lam, check, table = _scaled_check(lam)
     if not check:
         raise NotStochastic(check.reason)
-    la.check_table(len(scaled))
-    return _dj_rows(list(_difference_rows(scaled)))
+    la.check_table(len(lam))
+    return _dj_rows(table)
 
 
 # suffixes _lattice_records may visit, counted as the cut admits them: n = 4

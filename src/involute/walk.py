@@ -54,6 +54,7 @@ from . import _linalg as la
 from ._record import Record
 from .errors import NoPositiveStationary, NotIrreducible, OutOfRange
 from .exactnum import as_rational
+from .spectral import signed_eigenvalues
 from .weights import GammaC, WeightSpec, down_step_table, family_sequence, invariant_closed_form
 
 
@@ -418,8 +419,8 @@ def subset_walk(m: int, p) -> SubsetWalk:
     spec = GammaC(1 / p - 1)
     by_size = [w / math.comb(m, k) for k, w in enumerate(invariant_closed_form(spec, m + 1))]
     pi = [by_size[bin(s).count("1")] for s in range(2**m)]
-    eigenvalues = [x for e, lam in enumerate(family_sequence(spec, m + 1))
-                   for x in [-lam if e % 2 else lam] * math.comb(m, e)]
+    eigenvalues = [x for e, v in enumerate(signed_eigenvalues(family_sequence(spec, m + 1)))
+                   for x in [v] * math.comb(m, e)]
     return SubsetWalk(m, p, pi, eigenvalues)
 
 

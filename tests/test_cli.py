@@ -1087,7 +1087,68 @@ def test_top_level_help_lists_every_subcommand(monkeypatch, capsys):
     listed = [line.split(None, 1) for line in out.splitlines()
               if line.startswith("    ") and not line.startswith("     ")]
     assert exit_.value.code == 0
-    assert listed == [[name, help_line] for name, help_line, _ in _SUBCOMMANDS]
+    assert listed == [[name, help_line] for name, help_line, _, _ in _SUBCOMMANDS]
+
+
+# the fewest arguments each subcommand parses with
+MINIMAL_ARGS = {"check": ["stochastic"], "classify": ["--lambda", "1"],
+                "ladder": ["--mu", "1/2", "--n", "3"], "subsets": ["--m", "1", "--p", "1/2"],
+                "conjecture": ["--n", "3"], "repro": ["section7-hl"]}
+
+
+def test_each_registry_row_names_the_handler_its_subcommand_parses_to():
+    from involute.cli import _SUBCOMMANDS
+
+    assert set(MINIMAL_ARGS) < {name for name, *_ in _SUBCOMMANDS}
+    for name, _, handler, _ in _SUBCOMMANDS:
+        assert handler.__name__ == "cmd_" + name
+        assert build_parser().parse_args([name, *MINIMAL_ARGS.get(name, [])]).func is handler
+
+
+def test_check_help_lists_the_properties_in_checks_order(capsys):
+    from involute.cli import _CHECKS
+
+    with pytest.raises(SystemExit):
+        main(["check", "--help"])
+    assert "{" + ",".join(_CHECKS) + "}" in capsys.readouterr().out
+    assert set(_CHECKS.values()) == {"lambda", "walk", "triangular", "matrix"}
+
+
+def test_lambda_verdicts_form_no_p(monkeypatch, capsys):
+    # every verdict on a --lambda sequence reads the integer L * M
+    # (`transform._scaled_walk`), so none needs P^lambda or its rows
+    def refuse(*args):
+        raise AssertionError("P^lambda was built")
+
+    monkeypatch.setattr(transform, "lambda_walk", refuse)
+    monkeypatch.setattr(transform, "_pl_rows", refuse)
+    lam = ["--lambda", "1,1/2,1/4,1/8"]
+    assert [run(capsys, "check", *lam, prop) for prop in (
+        "ergodic", "reversible", "kolmogorov", "globally-reversible")] == [
+        (0, "ergodic\n", ""), (0, "reversible\n", ""), (0, "kolmogorov criterion holds\n", ""),
+        (0, "globally reversible\n", "")]
+    assert run(capsys, "classify", *lam) == (0, "gamma(c=1)\n", "")
+
+
+def test_lambda_walk_verdicts_read_as_those_of_p(monkeypatch, capsys):
+    # `check ergodic|reversible|kolmogorov --lambda` on L * M prints what the
+    # same verdicts print on the rows of P^lambda, exit code and stderr too,
+    # on every grid sequence of n <= 6 at den 6 and on edge inputs: a
+    # non-stochastic lambda, a zero entry, transient states, and n = 1,001
+    # past the table budget, stochastic or refused before the budget
+    sequences = [",".join(str(F(v, scale)) for v in scaled) for n in range(1, 7)
+                 for scale, records in [transform._lattice_records(n, 6)] for scaled, _ in records]
+    sequences += ["1,1/2,1/2,3/4", "1,2/3,1/3,0", "1,1/2,1/2,1/2", "1" + ",0" * 1000,
+                  "2" + ",0" * 1000]
+    codes = set()
+    for seq in sequences:
+        for prop in ("ergodic", "reversible", "kolmogorov"):
+            got = run(capsys, "check", "--lambda", seq, prop)
+            with monkeypatch.context() as patched:
+                patched.setattr(transform, "_scaled_walk", transform.lambda_walk)
+                assert run(capsys, "check", "--lambda", seq, prop) == got, (seq, prop)
+            codes.add(got[0])
+    assert len(sequences) == 231 + 5 and codes == {0, 2}
 
 
 def test_repro_fig2(capsys):
@@ -1122,6 +1183,22 @@ def test_package_has_no_assert_statements():
         lines = [node.lineno for node in ast.walk(tree)
                  if isinstance(node, ast.Name) and node.id == "__debug__"]
         assert lines == [], f"{path.name}: __debug__ read at lines {lines}"
+
+
+def test_package_imports_no_name_it_never_reads():
+    # a stale import misleads a reader about a module's dependencies; a name
+    # listed in __all__ counts as read, since the module exports it
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(), filename=str(path))))
+        bound = [(node.lineno, alias.asname or alias.name.partition(".")[0])
+                 for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__" for alias in node.names]
+        read = {node.id for node in nodes if isinstance(node, ast.Name)}
+        read |= {elt.value for node in nodes if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+                 for elt in node.value.elts}
+        unread = [(line, name) for line, name in bound if name not in read]
+        assert unread == [], f"{path.name}: imported and never read: {unread}"
 
 
 def test_package_does_not_import_typing():

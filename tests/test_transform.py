@@ -20,6 +20,7 @@ from involute.transform import (
     _dj_rows,
     _lattice_records,
     _pl_rows,
+    _scaled_check,
     _scaled_walk,
     binomial_transform,
     check_adep,
@@ -176,6 +177,31 @@ def test_is_stochastic_matches_fraction_reference():
         verdicts.add((expected[0], expected[1] is None))
     # passing sequences, failing alternating sums and a failing lambda_0 all occur
     assert verdicts == {(True, True), (False, False), (False, True)}
+
+
+def test_scaled_check_keeps_the_rows_it_walks():
+    # the difference rows of L * lambda up to and including the first failing
+    # one, which `_scaled_walk` reads M from; none when lambda_0 != 1 stops
+    # the check before a row, and none past the table budget
+    cases = [[F(v, scale) for v in scaled] for n in range(1, 7)
+             for scale, lattice in [stochastic_lattice(n, 6)] for scaled in lattice]
+    cases += [[*lam[:d], lam[d] + F(1, 7), *lam[d + 1:]]
+              for lam in cases if len(lam) > 2 for d in range(1, len(lam))]
+    cases += [[F(2), F(1)], [F(1), F(1, 2), F(1, 2), F(3, 4)], [F(1, 3), F(1, 5)]]
+    failing = set()
+    for lam in cases:
+        coerced, check, table = _scaled_check(lam)
+        assert coerced == lam, lam
+        rows = list(_difference_rows(la.integer_row(lam)[0]))
+        stop = len(rows) if check else 0 if check.witness is None else check.witness + 1
+        assert table == rows[:stop], lam
+        failing.add(None if check else check.witness is None)
+    assert failing == {None, True, False}
+    over = [F(1)] + [F(0)] * la.TABLE_BUDGET
+    check, table = _scaled_check(over)[1:]
+    assert check and table == []
+    with pytest.raises(OutOfRange, match="table budget"):
+        _scaled_walk(over)
 
 
 @given(lambda_lists)
