@@ -157,7 +157,7 @@ def is_globally_reversible(lam) -> bool:
     factors: it has P's support and P's detailed-balance verdict, and its
     m x m top-right block is the M of the truncation, as P's is its P.
     """
-    p = _scaled_walk(lam)
+    p = _scaled_walk(lam)[1]
     if not _zero_reachable(p):
         raise ZeroNotAccessible("state 0 unreachable; the walk never mixes")
     for m in range(2, len(p) + 1):
@@ -176,8 +176,8 @@ def classify_walk(lam) -> Classification:
     """
     if len(lam) < 3:
         raise OutOfRange("classification needs n >= 3")
-    lam = [as_rational(v) for v in lam]
-    return _classify(lam, _zero_reachable(_scaled_walk(lam)))
+    lam, m = _scaled_walk(lam)
+    return _classify(lam, _zero_reachable(m))
 
 
 def _classify(lam: list, reaches_zero: bool) -> Classification:

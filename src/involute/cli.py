@@ -89,10 +89,10 @@ def _source_from_args(args) -> tuple:
 
 
 def _walk(source, n, entry=Fraction) -> list:
-    """The rows of P for a resolved source: the lambda walk of a list, else
-    the weight's, each entry made by entry (`walk.transition_matrix`)."""
+    """The rows of P for a resolved source, the lambda walk of a list or the
+    weight's, each entry made by entry from an integer pair (`walk.transition_matrix`)."""
     if isinstance(source, list):
-        return transform.lambda_walk(source)
+        return transform._lambda_walk(source, entry)
     return walk.transition_matrix(source, n, entry)
 
 
@@ -107,12 +107,14 @@ def _sequence_from_args(args) -> list:
 
 
 def _read_file(path: str) -> str:
-    """Contents of a file named on the command line; unreadable is bad input."""
+    """Contents of a UTF-8 file named on the command line; unreadable is bad input."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise InvoluteError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InvoluteError(f"cannot read {path}: {exc}") from None
 
 
 def _add_family_flags(p: argparse.ArgumentParser):
@@ -154,7 +156,7 @@ def _down_step(p: list) -> list:
 
 
 def cmd_matrix(args):
-    # a weight's entries are only printed, so they are built as text
+    # the entries are only printed, so they are built as text from integer pairs
     p = _walk(*_source_from_args(args), _rational_text)
     _emit_matrix(_down_step(p) if args.down_step else p, args.format, args.down_step)
 
@@ -221,7 +223,8 @@ def _check_source(args):
         # a walk is square, stochastic and anti-triangular
         return walk.checked_walk(source) if kind == "walk" else source
     if args.lam is not None:
-        return (transform._scaled_walk if kind == "walk" else transform.binomial_transform)(source)
+        return (transform._scaled_walk(source)[1] if kind == "walk"
+                else transform.binomial_transform(source))
     p = _walk(source, n)
     return p if kind == "walk" else _down_step(p)
 
@@ -302,8 +305,8 @@ _SIMULATE_CHUNK = 1000
 
 
 def cmd_simulate(args):
-    # a weight's rows as floats from its integer pairs, bit for bit the floats
-    # of the exact rows (`walk.transition_matrix`), so the trajectory is theirs
+    # the rows as floats from their integer pairs, bit for bit the floats of
+    # the exact rows (`walk.transition_matrix`), so the trajectory is theirs
     p = _walk(*_source_from_args(args), operator.truediv)
     traj = walk.simulate(p, args.start, args.steps, args.seed)
     if args.empirical:

@@ -68,20 +68,26 @@ def matrix_to_csv(rows) -> str:
     return "\n".join(lines)
 
 
+def _csv_lines(text: str) -> list:
+    """(line, cells) of each non-empty line of a CSV text, stripped, less a
+    header: the first line, when none of its cells reads as a number (a digit
+    after any signs and points), as "c0,c1" and "y,x,p/q" do not, "1/0,1" does."""
+    lines = [line.strip() for line in text.splitlines()]
+    rows = [(line, [c.strip() for c in line.split(",")]) for line in lines if line]
+    if rows and not any(c.lstrip("+-.")[:1].isdigit() for c in rows[0][1]):
+        del rows[0]
+    return rows
+
+
 def matrix_from_csv(text: str):
-    """Read a matrix of 'p/q' entries; a non-numeric first row is a header."""
+    """Read a matrix of 'p/q' entries, less a header (`_csv_lines`); any
+    other line that does not parse is refused, naming it."""
     rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        cells = [c.strip() for c in line.split(",")]
+    for line, cells in _csv_lines(text):
         try:
             rows.append([parse_rational(c) for c in cells])
-        except OutOfRange:
-            if rows:
-                raise
-            # tolerate a single header line
+        except OutOfRange as exc:
+            raise OutOfRange(f"bad matrix row {line!r}: {exc}") from None
     if not rows:
         raise OutOfRange("no matrix rows found")
     width = len(rows[0])

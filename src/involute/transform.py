@@ -41,8 +41,8 @@ proportional to binom(n-1, x) rho_x, rho the potentials of M; and the
 top-right k x k block of M is the M of lambda_0..lambda_{k-1}.  So the
 lattice hands each record its difference table, from which the integer
 L * M is read (`_dj_rows`), and a checked sequence's verdicts read its
-integer L * M (`_scaled_walk`).  `_pl_rows` forms P where it is printed
-or tested.
+integer L * M (`_scaled_walk`).  H and P are read off the same integer
+rows, each entry made from its integer pair (`_binomial_rows`).
 """
 
 from __future__ import annotations
@@ -91,35 +91,27 @@ def _difference_row(prev: list, v) -> list:
     return row
 
 
-def _binomial_rows(lam: list) -> list:
-    """H from the difference table of lam, in lam's own arithmetic.
-
-    Nothing is coerced: Fractions give the exact H, and integers lambda * L
-    give the integer matrix L * H, since H is linear in lambda.  The zeros
-    above the diagonal take lam's type too, so L * H holds only ints.
-    """
-    n = len(lam)
-    la.check_table(n)
-    zero = lam[0] * 0 if lam else 0
+def _binomial_rows(table: list, scale: int, entry) -> list:
+    """H from the difference rows of the integers L * lambda, L = scale, in
+    `_difference_rows` order: H[x][y] = entry(binom(x, y) D_{x-y}(y), L) and
+    each zero entry(0, 1), entry making a value of an integer pair as for a
+    weight (`walk.transition_matrix`)."""
+    n = len(table)
+    zero = entry(0, 1)
     h = [[zero] * n for _ in range(n)]
-    for y, row in zip(range(n - 1, -1, -1), _difference_rows(lam)):
+    for y, row in zip(range(n - 1, -1, -1), table):
         c = 1  # binom(y + k, y), advanced down the column
         for k, v in enumerate(row):
-            h[y + k][y] = c * v
+            h[y + k][y] = entry(c * v, scale)
             c = c * (y + k + 1) // (k + 1)
     return h
 
 
-def _pl_rows(lam: list) -> list:
-    """P = H J for an uncoerced lam, in lam's own arithmetic: integers
-    L * lambda give L * P.  Only where P is printed or tested; verdicts
-    read L * M (`_scaled_walk`)."""
-    return [row[::-1] for row in _binomial_rows(lam)]
-
-
 def binomial_transform(lam) -> list:
     """Lower-triangular H with diagonal lambda; exact rational entries."""
-    return _binomial_rows(_coerce_lambda(lam))
+    scaled, scale = la.integer_row(_coerce_lambda(lam))
+    la.check_table(len(scaled))
+    return _binomial_rows(list(_difference_rows(scaled)), scale, Fraction)
 
 
 class StochasticCheck(FrozenRecord):
@@ -133,7 +125,7 @@ class StochasticCheck(FrozenRecord):
 
 
 def _scaled_check(lam) -> tuple:
-    """(lambda as Fractions, its StochasticCheck, the difference rows of
+    """(lambda as Fractions, L, its StochasticCheck, the difference rows of
     L * lambda walked, a failing one last), L the lcm of the denominators.
 
     The alternating sums are linear in lambda, so they are decided on the
@@ -144,20 +136,29 @@ def _scaled_check(lam) -> tuple:
     scaled, scale = la.integer_row(lam)
     table: list = []
     if lam[0] != 1:
-        return lam, StochasticCheck(False, None, f"lambda_0 = {lam[0]} != 1"), table
+        return lam, scale, StochasticCheck(False, None, f"lambda_0 = {lam[0]} != 1"), table
     held = len(lam) <= la.TABLE_BUDGET
     for z, row in enumerate(_difference_rows(scaled)):
         if held:
             table.append(row)
         if row[-1] < 0:
-            return lam, StochasticCheck(
+            return lam, scale, StochasticCheck(
                 False, z, f"alternating sum at z={z} is {Fraction(row[-1], scale)} < 0"), table
-    return lam, StochasticCheck(True), table
+    return lam, scale, StochasticCheck(True), table
 
 
 def is_stochastic(lam) -> StochasticCheck:
     """Stochasticity of P^lambda via the n alternating-sum inequalities."""
-    return _scaled_check(lam)[1]
+    return _scaled_check(lam)[2]
+
+
+def _stochastic_rows(lam) -> tuple:
+    """(lambda as Fractions, L, the difference rows of L * lambda that decided
+    it) once P^lambda is stochastic, none past TABLE_BUDGET; raises NotStochastic."""
+    lam, scale, check, table = _scaled_check(lam)
+    if not check:
+        raise NotStochastic(check.reason)
+    return lam, scale, table
 
 
 def _require_square(m) -> list:
@@ -229,11 +230,6 @@ def check_gadep(m) -> bool:
     return _first_non_adep_size(_charpoly_rows(m)) is None
 
 
-def _transform_of_diagonal(rows: list) -> list:
-    """B Diag(L[d][d]) B^{-1}: the binomial transform with L's diagonal."""
-    return _binomial_rows([row[d] for d, row in enumerate(rows)])
-
-
 def is_binomial_transform(m) -> bool:
     """True iff L is the binomial transform of its own diagonal.
 
@@ -242,7 +238,7 @@ def is_binomial_transform(m) -> bool:
     invertible.
     """
     rows = _require_lower_triangular(m)
-    return rows == _transform_of_diagonal(rows)
+    return rows == binomial_transform([row[d] for d, row in enumerate(rows)])
 
 
 def check_conjugator(q, global_check: bool = False) -> bool:
@@ -293,7 +289,7 @@ def property_report(m) -> PropertyReport:
     gadep = witness is None
     # the loop already decided size n unless it stopped below it
     adep = gadep or (witness < n and _adep(rows))
-    expected = _transform_of_diagonal(rows)
+    expected = binomial_transform([row[d] for d, row in enumerate(rows)])
     ibt = rows == expected
     if gadep and not ibt:
         # locate the first entry disagreeing with the transform of the diagonal
@@ -333,19 +329,23 @@ def gadep_counterexample(which: str, tau) -> list:
 
 def stochastic_sequence(lam) -> list:
     """lam as Fractions, once P^lambda is stochastic; raises NotStochastic."""
-    lam, check, _ = _scaled_check(lam)
-    if not check:
-        raise NotStochastic(check.reason)
-    return lam
+    return _stochastic_rows(lam)[0]
+
+
+def _lambda_walk(lam, entry) -> list:
+    """The rows of P^lambda = H J, each entry made by entry from its integer
+    pair as a weight's are (`walk.transition_matrix`), H read off the rows
+    that decided stochasticity; raises NotStochastic, and refuses an n past
+    TABLE_BUDGET after that.  P is stochastic and anti-triangular by
+    construction, so its rows are not validated again."""
+    lam, scale, table = _stochastic_rows(lam)
+    la.check_table(len(lam))
+    return [row[::-1] for row in _binomial_rows(table, scale, entry)]
 
 
 def lambda_walk(lam) -> list:
-    """The rows of P^lambda; raises NotStochastic when invalid.
-
-    The checked sequence makes P stochastic, and P = H J with H lower
-    triangular is anti-triangular, so the rows are not validated again.
-    """
-    return _pl_rows(stochastic_sequence(lam))
+    """The rows of P^lambda, as Fractions; raises NotStochastic when invalid."""
+    return _lambda_walk(lam, Fraction)
 
 
 def _dj_rows(table: list) -> list:
@@ -360,9 +360,9 @@ def _dj_rows(table: list) -> list:
     return list(zip(*[[0] * (n - 1 - z) + row for z, row in enumerate(table)]))
 
 
-def _scaled_walk(lam) -> list:
-    """L * M^lambda on integers (`_dj_rows`), L the lcm of lambda's
-    denominators; raises NotStochastic when invalid.
+def _scaled_walk(lam) -> tuple:
+    """(lambda as Fractions, L * M^lambda on integers (`_dj_rows`)), L the
+    lcm of lambda's denominators; raises NotStochastic when invalid.
 
     M is P without its binomial factors, and P[x][z] / P[z][x] =
     (g_x / g_z) M[x][z] / M[z][x] with g_x = x! (n-1-x)! (the module
@@ -370,14 +370,12 @@ def _scaled_walk(lam) -> list:
     ratios of its entries, as reachability and detailed balance do, reads
     it here without forming P or a Fraction, and the top-right k x k block
     of M is the M of lambda_0..lambda_{k-1}, as that of P is its P.  M is
-    read off the rows that decided stochasticity (`_scaled_check`), and an
-    n past TABLE_BUDGET is refused after that check, as for P.
+    read off the rows that decided stochasticity (`_stochastic_rows`), and
+    an n past TABLE_BUDGET is refused after that check, as for P.
     """
-    lam, check, table = _scaled_check(lam)
-    if not check:
-        raise NotStochastic(check.reason)
+    lam, _, table = _stochastic_rows(lam)
     la.check_table(len(lam))
-    return _dj_rows(table)
+    return lam, _dj_rows(table)
 
 
 # suffixes _lattice_records may visit, counted as the cut admits them: n = 4

@@ -110,7 +110,8 @@ def transition_matrix(spec: WeightSpec, n: int, entry=Fraction) -> list:
     int / int is correctly rounded in CPython, and float() of a Fraction
     divides its reduced pair, the same rational, so both round it to the
     same double; the pads are 0 / 1 = 0.0.  No denominator is negative
-    (`weights._terms`), so no entry is -0.0.
+    (`weights._terms`), so no entry is -0.0.  A lambda walk's rows are made
+    by entry the same way, over L > 0 (`transform._lambda_walk`).
     """
     zero = entry(0, 1)
     return [[zero] * (n - 1 - x) + row[::-1]
@@ -333,8 +334,8 @@ def simulate(rows, x0: int, steps: int, seed: int) -> list:
     """The seeded trajectory, steps + 1 states from x0, by inverse-CDF
     sampling on float row copies; 0 <= steps <= SIMULATION_BUDGET.
 
-    The rows may hold Fractions or floats already: rows of
-    `transition_matrix(spec, n, operator.truediv)` are float() of the exact
+    The rows may hold Fractions or floats: rows made by operator.truediv
+    (`transition_matrix`, and so for a lambda walk) are float() of the exact
     rows, so they give the same cumulative sums and the same trajectory.
     """
     n = len(rows)

@@ -46,7 +46,7 @@ from ._linalg import check_table, law
 from ._record import FrozenRecord
 from .errors import IndexOutOfDomain, MalformedWeight, OutOfRange, UnsupportedFamily
 from .exactnum import as_rational
-from .serialize import parse_rational
+from .serialize import _csv_lines, parse_rational
 
 UNBOUNDED = math.inf
 
@@ -99,8 +99,10 @@ class Custom(FrozenRecord):
             if v < 0:
                 raise MalformedWeight(f"negative weight {v} at interval ({y},{x})")
             clean[(y, x)] = v
+        # no entry is negative, so N_x > 0 exactly when some entry of column x is
+        positive = {x for (_, x), v in clean.items() if v}
         for x in range(n):
-            if sum(clean.get((y, x), Fraction(0)) for y in range(x + 1)) <= 0:
+            if x not in positive:
                 raise MalformedWeight(f"column sum N_{x} is not positive")
         self._freeze(n, clean)
 
@@ -201,7 +203,6 @@ def _scaled_rows(spec: WeightSpec, scale: list, entry) -> list:
     with u_y = a_y / b_y and v_k = c_k / d_k the reduced term pairs; a
     custom entry p / q gives p f_x / (q e_x).
     """
-    check_table(len(scale))
     if isinstance(spec, Custom):
         zero = Fraction(0)
         return [[entry(w.numerator * f, w.denominator * e)
@@ -238,6 +239,7 @@ def _check_n(spec: WeightSpec, n: int):
 def weight_table(spec: WeightSpec, n: int) -> list:
     """Rows [w[0, x], ..., w[x, x]] for x < n, in O(n^2) integer products."""
     _check_n(spec, n)
+    check_table(n)
     return _scaled_rows(spec, [(1, 1)] * n, Fraction)
 
 
@@ -249,8 +251,10 @@ def down_step_table(spec: WeightSpec, n: int, entry=Fraction) -> list:
     No norm N_x vanishes on a valid input, so none is tested: N_x is
     (1+c)^x for gamma(c) and +-(C)_x / x! for the others, with C > 0 for
     gamma(a, b) and C + k < 0 for k < n-1 inside delta's domain, n <= ceil(a').
-    `Custom` rejects a column sum that is not positive."""
+    `Custom` rejects a column sum that is not positive.  TABLE_BUDGET is
+    checked first, as a custom table's norms take O(n^2)."""
     _check_n(spec, n)
+    check_table(n)
     return _scaled_rows(spec, _norm_pairs(spec, n), entry)
 
 
@@ -273,22 +277,17 @@ def invariant_closed_form(spec: WeightSpec, n: int) -> list:
 
 
 def custom_from_csv(text: str) -> Custom:
-    """Load a custom weight from CSV rows 'y,x,p/q' (header line tolerated)."""
+    """Load a custom weight from CSV rows 'y,x,p/q', less a header
+    (`serialize._csv_lines`); any other line that does not parse is refused."""
     table: dict[tuple[int, int], Fraction] = {}
     max_x = -1
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split(",")]
+    for line, parts in _csv_lines(text):
         if len(parts) != 3:
             raise MalformedWeight(f"expected 'y,x,p/q', got {line!r}")
         try:
             y, x = int(parts[0]), int(parts[1])
         except ValueError:
-            if table:
-                raise MalformedWeight(f"bad row {line!r}")
-            continue  # header
+            raise MalformedWeight(f"bad row {line!r}") from None
         if (y, x) in table:
             raise MalformedWeight(f"duplicate row for (y, x) = ({y}, {x}): {line!r}")
         table[(y, x)] = parse_rational(parts[2])

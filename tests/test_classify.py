@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from involute import classify, transform
 from involute.classify import (
     IdentityWalk,
     NotClassified,
@@ -196,17 +197,28 @@ def test_is_globally_reversible_examples():
     assert is_globally_reversible([F(1), F(2, 3), F(1, 3)])
 
 
+def test_classify_walk_coerces_each_entry_once(monkeypatch):
+    # the stochastic check coerces the sequence, and classify_walk reads the
+    # Fractions it returns; params_from_mu_nu coerces mu and nu once more
+    calls = []
+    for module in (classify, transform):
+        monkeypatch.setattr(module, "as_rational",
+                            lambda v, coerce=module.as_rational: calls.append(v) or coerce(v))
+    assert classify_walk([F(1), F(1, 2), F(1, 4), F(1, 8)]) == GammaC(1)
+    assert len(calls) == 6
+
+
 def test_top_right_submatrix_is_the_truncation_walk():
     # the m x m top-right block of the integer L * M is the L_m * M of
     # lambda_0..lambda_{m-1}, times L / L_m, L_m the truncation's own lcm
     import math
 
     for lam in (family_sequence(GammaAB(1, F(1, 3)), 7), [F(1), F(3, 5), F(3, 10), F(1, 20)]):
-        p = _scaled_walk(lam)
+        p = _scaled_walk(lam)[1]
         scale = math.lcm(*(v.denominator for v in lam))
         for m in range(2, len(lam) + 1):
             factor = scale // math.lcm(*(v.denominator for v in lam[:m]))
-            expected = [tuple(v * factor for v in row) for row in _scaled_walk(lam[:m])]
+            expected = [tuple(v * factor for v in row) for row in _scaled_walk(lam[:m])[1]]
             assert _top_right_submatrix(p, m) == expected, (lam, m)
 
 

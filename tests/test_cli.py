@@ -7,6 +7,7 @@ import inspect
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -256,6 +257,66 @@ def test_missing_input_file_is_bad_input(tmp_path, capsys, argv):
     code, out, err = run(capsys, *[a.format(missing) for a in argv])
     assert (code, out) == (2, "")
     assert err == f"error: cannot read {missing}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["check", "--matrix", "{}", "ergodic"], "1/0,1\n0,1\n1/2,1/2\n"),
+    (["check", "--matrix", "{}", "ergodic"], "1/2,x\n0,1\n1/2,1/2\n"),
+    (["check", "--matrix", "{}", "ergodic"], "0.5e99999,1\n0,1\n1/2,1/2\n"),
+    (["matrix", "--custom", "{}"], "1.0,1,2\n0,0,1\n0,1,1\n"),
+])
+def test_a_malformed_first_line_is_no_header(tmp_path, capsys, argv, text):
+    # a first line is a header only when none of its cells reads as a number;
+    # any other line that does not parse is refused, and the diagnostic names it
+    target = tmp_path / "in.csv"
+    target.write_text(text)
+    code, out, err = run(capsys, *[a.format(target) for a in argv])
+    assert (code, out) == (2, "")
+    assert repr(text.splitlines()[0]) in err
+
+
+def test_a_numeric_first_line_is_data(tmp_path, capsys):
+    target = tmp_path / "weight.csv"
+    for header in ("", "y,x,p/q\n"):
+        target.write_text(header + "1,1,2\n0,0,1\n0,1,1\n")
+        assert run(capsys, "matrix", "--custom", str(target)) == (0, "  ·    1\n2/3  1/3\n", "")
+
+
+@pytest.mark.parametrize("argv", [["check", "--matrix", "{}", "ergodic"],
+                                  ["matrix", "--custom", "{}"]])
+@pytest.mark.parametrize("data", [bytes(range(256)), "0,0,1\n".encode("utf-16")],
+                         ids=["binary", "utf-16"])
+def test_an_input_file_that_is_not_utf8_is_bad_input(tmp_path, capsys, argv, data):
+    target = tmp_path / "in.csv"
+    target.write_bytes(data)
+    code, out, err = run(capsys, *[a.format(target) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {target}: 'utf-8' codec can't decode")
+
+
+class _Hung(BaseException):
+    """Raised by an alarm; `main` catches Exception only, so it escapes a call."""
+
+
+def test_an_oversized_custom_table_is_refused_before_quadratic_work(tmp_path, capsys):
+    # the column sums and the norms of a custom table cost O(n^2) at the
+    # parent; the budget is now checked before the norms, and the column
+    # sums are taken over the table's entries
+    def hang(signum, frame):
+        raise _Hung(f"no refusal within {seconds} s")
+
+    seconds = 20
+    target = tmp_path / "weight.csv"
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        for rows, command in ((4_000, "stationary"), (100_000, "matrix")):
+            target.write_text("".join(f"0,{x},1\n" for x in range(rows)))
+            code, out, err = run(capsys, command, "--custom", str(target))
+            assert (code, out) == (2, "") and "the table budget" in err, err
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_stationary_and_spectrum(capsys):
@@ -1121,13 +1182,29 @@ def test_lambda_verdicts_form_no_p(monkeypatch, capsys):
         raise AssertionError("P^lambda was built")
 
     monkeypatch.setattr(transform, "lambda_walk", refuse)
-    monkeypatch.setattr(transform, "_pl_rows", refuse)
+    monkeypatch.setattr(transform, "_lambda_walk", refuse)
     lam = ["--lambda", "1,1/2,1/4,1/8"]
     assert [run(capsys, "check", *lam, prop) for prop in (
         "ergodic", "reversible", "kolmogorov", "globally-reversible")] == [
         (0, "ergodic\n", ""), (0, "reversible\n", ""), (0, "kolmogorov criterion holds\n", ""),
         (0, "globally reversible\n", "")]
     assert run(capsys, "classify", *lam) == (0, "gamma(c=1)\n", "")
+
+
+def test_a_lambda_command_walks_one_difference_table(monkeypatch, capsys):
+    # H, P and M are read off the integer rows that decided stochasticity,
+    # so a sequence of n terms makes n difference rows, not 2n
+    made = []
+    row = transform._difference_row
+    monkeypatch.setattr(transform, "_difference_row",
+                        lambda prev, v: made.append(v) or row(prev, v))
+    lam = ("--lambda", "1,1/2,1/4,1/8")
+    for argv in (("matrix", *lam), ("--format", "json", "matrix", *lam), ("stationary", *lam),
+                 ("simulate", *lam, "--steps", "3"), ("check", *lam, "adep"),
+                 ("check", *lam, "globally-reversible"), ("classify", *lam)):
+        made.clear()
+        assert run(capsys, *argv)[0] == 0, argv
+        assert len(made) == 4, argv
 
 
 def test_lambda_walk_verdicts_read_as_those_of_p(monkeypatch, capsys):
@@ -1145,7 +1222,8 @@ def test_lambda_walk_verdicts_read_as_those_of_p(monkeypatch, capsys):
         for prop in ("ergodic", "reversible", "kolmogorov"):
             got = run(capsys, "check", "--lambda", seq, prop)
             with monkeypatch.context() as patched:
-                patched.setattr(transform, "_scaled_walk", transform.lambda_walk)
+                patched.setattr(transform, "_scaled_walk",
+                                lambda lam: (lam, transform.lambda_walk(lam)))
                 assert run(capsys, "check", "--lambda", seq, prop) == got, (seq, prop)
             codes.add(got[0])
     assert len(sequences) == 231 + 5 and codes == {0, 2}

@@ -1,6 +1,7 @@
 """Exact linear algebra against sympy as an independent oracle."""
 
 import math
+import operator
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -11,7 +12,7 @@ import sympy
 from involute import _linalg as la
 from involute.errors import NotIrreducible, OutOfRange, SingularMatrix
 from involute.spectral import left_side, right_eigenvectors
-from involute.transform import (_binomial_rows, _scaled_walk, binomial_transform,
+from involute.transform import (_lambda_walk, _scaled_walk, binomial_transform,
                                 check_conjugator, gadep_counterexample, lambda_walk)
 from involute.walk import _potentials, _stationary_by_elimination, transition_matrix
 from involute.weights import (Custom, DeltaAB, GammaAB, GammaC, domain_limit, family_sequence,
@@ -223,7 +224,7 @@ def test_table_budget_bounds_every_dense_table():
     budget, over = la.TABLE_BUDGET, la.TABLE_BUDGET + 1
     # at the budget the tables are built
     assert len(transition_matrix(GammaAB(1, 1), budget)) == budget
-    assert len(_binomial_rows([1] + [0] * (budget - 1))) == budget
+    assert len(_lambda_walk([1] + [0] * (budget - 1), operator.floordiv)) == budget
     la.check_table(budget)
     # one past it every site refuses before it allocates
     builds = [
@@ -233,6 +234,7 @@ def test_table_budget_bounds_every_dense_table():
         lambda: right_eigenvectors(list(range(1, over + 1))),
         lambda: left_side(list(range(1, over + 1)), dmax=0),
         lambda: _scaled_walk([1] * over),
+        lambda: lambda_walk([1] * over),
     ]
     for build in builds:
         with pytest.raises(OutOfRange, match=f"n <= {budget}, the table budget, got n={over}"):

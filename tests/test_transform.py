@@ -1,7 +1,9 @@
 """Binomial transforms, stochasticity, ADEP/GADEP, conjugators."""
 
 import itertools
+import operator
 import random
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -11,15 +13,15 @@ from hypothesis import strategies as st
 
 from involute import _linalg as la
 from involute import transform, walk
-from involute.errors import NotStochastic, OutOfRange, SingularMatrix
+from involute.errors import InvoluteError, NotStochastic, OutOfRange, SingularMatrix
 from involute.exactnum import binom
 from involute.spectral import signed_eigenvalues
 from involute.transform import (
     LATTICE_BUDGET,
     _difference_rows,
     _dj_rows,
+    _lambda_walk,
     _lattice_records,
-    _pl_rows,
     _scaled_check,
     _scaled_walk,
     binomial_transform,
@@ -33,7 +35,7 @@ from involute.transform import (
     property_report,
 )
 from involute.walk import ergodicity, stationary, transition_matrix
-from involute.serialize import matrix_from_csv
+from involute.serialize import _rational_text, matrix_from_csv
 from involute.weights import DeltaAB, GammaAB, GammaC, domain_limit, family_sequence
 
 from oracles import (NAMED_SPECS, identity, normalized, pascal_column, pascal_inverse,
@@ -190,25 +192,52 @@ def test_scaled_check_keeps_the_rows_it_walks():
     cases += [[F(2), F(1)], [F(1), F(1, 2), F(1, 2), F(3, 4)], [F(1, 3), F(1, 5)]]
     failing = set()
     for lam in cases:
-        coerced, check, table = _scaled_check(lam)
+        coerced, scale, check, table = _scaled_check(lam)
         assert coerced == lam, lam
+        assert scale == la.integer_row(lam)[1], lam
         rows = list(_difference_rows(la.integer_row(lam)[0]))
         stop = len(rows) if check else 0 if check.witness is None else check.witness + 1
         assert table == rows[:stop], lam
         failing.add(None if check else check.witness is None)
     assert failing == {None, True, False}
     over = [F(1)] + [F(0)] * la.TABLE_BUDGET
-    check, table = _scaled_check(over)[1:]
+    check, table = _scaled_check(over)[2:]
     assert check and table == []
     with pytest.raises(OutOfRange, match="table budget"):
         _scaled_walk(over)
+
+
+def test_lambda_walk_entry_routes_agree():
+    # the text and float rows of a lambda walk come from the integer pairs
+    # the Fraction rows come from: each text is str of its Fraction and each
+    # float float() of it, bit for bit, and a refused sequence is refused alike
+    lams = [[F(v, scale) for v in scaled] for n in range(1, 7)
+            for scale, lattice in [stochastic_lattice(n, 6)] for scaled in lattice]
+    lams += [[F(1), F(1, 2), F(1, 2), F(3, 4)], [F(2), F(1)], [F(1), F(1, 2), F(0), F(0)],
+             [F(1)] * 3, [F(1)], [F(1), F(-1, 2)], [F(1, 3) ** k for k in range(6)],
+             [F(1, 2) ** k for k in range(60)], [F(1)] + [F(0)] * 1000]
+    refused = 0
+    for lam in lams:
+        try:
+            exact = lambda_walk(lam)
+        except InvoluteError as exc:
+            for entry in (_rational_text, operator.truediv):
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    _lambda_walk(lam, entry)
+            refused += 1
+            continue
+        assert _lambda_walk(lam, _rational_text) == [list(map(str, row)) for row in exact], lam
+        floats = _lambda_walk(lam, operator.truediv)
+        assert [[v.hex() for v in row] for row in floats] == [
+            [float(v).hex() for v in row] for row in exact], lam
+    assert refused == 5
 
 
 @given(lambda_lists)
 @settings(max_examples=60)
 def test_stochasticity_equivalence(lam):
     lam = [F(1)] + lam[1:]
-    p = _pl_rows(lam)
+    p = [row[::-1] for row in binomial_transform(lam)]
     direct = all(v >= 0 for row in p for v in row) and all(sum(row) == 1 for row in p)
     assert bool(is_stochastic(lam)) == direct
 
@@ -531,7 +560,7 @@ def test_difference_table_gives_the_walks_verdict():
         n = len(lam)
         p = lambda_walk(lam)
         exact = _dj_rows(list(_difference_rows(lam)))
-        scaled = _scaled_walk(lam)
+        scaled = _scaled_walk(lam)[1]
         assert all(type(v) is int for row in scaled for v in row)
         scale = la.integer_row(lam)[1]
         assert scaled == [tuple(v * scale for v in row) for row in exact]

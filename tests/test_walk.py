@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from involute import _linalg as la
 from involute import walk
 from involute.errors import NoPositiveStationary, NotIrreducible, OutOfRange
-from involute.transform import _pl_rows, _scaled_walk, lambda_walk
+from involute.transform import _binomial_rows, _difference_rows, _scaled_walk, lambda_walk
 from involute.spectral import left_side
 from involute.walk import (
     checked_walk,
@@ -257,9 +257,16 @@ def test_closed_classes():
     assert not walk._zero_reachable([[0, 1], [0, 1]])
 
 
+def _scaled_p(scaled) -> list:
+    """L * P^lambda on integers, for scaled = L * lambda: each entry of H
+    read off the integer difference rows over 1."""
+    return [row[::-1] for row in
+            _binomial_rows(list(_difference_rows(scaled)), 1, operator.floordiv)]
+
+
 def test_zero_reachable_matches_fixed_point_oracle():
     # every stochastic grid walk for n <= 7, den <= 6, and random supports
-    cases = [_pl_rows(scaled) for n in range(1, 8) for scaled in stochastic_lattice(n, 6)[1]]
+    cases = [_scaled_p(scaled) for n in range(1, 8) for scaled in stochastic_lattice(n, 6)[1]]
     rng = random.Random(3256)
     for _ in range(1500):
         n = rng.randint(1, 7)
@@ -452,7 +459,7 @@ def test_potentials_refuse_an_asymmetric_support():
     # states 1 and 2 of this lambda walk step to the closed class {0, 3} and
     # are never stepped to from it; its integer L * M has the same support
     lam = [F(1), F(1, 2), F(1, 2), F(1, 2)]
-    for p in (lambda_walk(lam), _scaled_walk(lam)):
+    for p in (lambda_walk(lam), _scaled_walk(lam)[1]):
         assert p[1][3] and not p[3][1]
         assert walk._potentials(p) is None
 
@@ -467,7 +474,7 @@ def test_potentials_verdict_is_scale_free():
         scale, lattice = stochastic_lattice(n, 6)
         for scaled in lattice:
             p = lambda_walk([F(v, scale) for v in scaled])
-            scaled_p = _pl_rows(list(scaled))
+            scaled_p = _scaled_p(scaled)
             assert all(type(v) is int for row in scaled_p for v in row)
             assert scaled_p == [[v * scale for v in row] for row in p]
             found = walk._potentials(p)
