@@ -92,7 +92,7 @@ def _walk(source, n, entry=Fraction) -> list:
     """The rows of P for a resolved source, the lambda walk of a list or the
     weight's, each entry made by entry from an integer pair (`walk.transition_matrix`)."""
     if isinstance(source, list):
-        return transform._lambda_walk(source, entry)
+        return transform.lambda_walk(source, entry)
     return walk.transition_matrix(source, n, entry)
 
 

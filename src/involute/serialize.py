@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from ._linalg import check_table
 from .errors import OutOfRange
 
 DOT = "·"
@@ -81,9 +82,12 @@ def _csv_lines(text: str) -> list:
 
 def matrix_from_csv(text: str):
     """Read a matrix of 'p/q' entries, less a header (`_csv_lines`); any
-    other line that does not parse is refused, naming it."""
+    other line that does not parse is refused, naming it.  More rows than
+    TABLE_BUDGET are refused before any cell is parsed."""
+    lines = _csv_lines(text)
+    check_table(len(lines))
     rows = []
-    for line, cells in _csv_lines(text):
+    for line, cells in lines:
         try:
             rows.append([parse_rational(c) for c in cells])
         except OutOfRange as exc:

@@ -18,7 +18,8 @@ GADEP; the parametrized counterexample matrices show the converse fails.
 `check_gadep` the sizes 1..n up to the first failure; `is_binomial_transform`
 needs none.  `property_report` decides all three and names a witness.  The
 three that compute a characteristic polynomial refuse n > CHARPOLY_BUDGET
-with OutOfRange before the first one.
+with OutOfRange before the first one, and `check_conjugator` refuses
+n > CONJUGATOR_BUDGET before its first elimination.
 
 The grid of stochastic sequences whose entries have denominator at most
 den is enumerated on an integer lattice (`_lattice_records`): scaled by
@@ -241,12 +242,24 @@ def is_binomial_transform(m) -> bool:
     return rows == binomial_transform([row[d] for d, row in enumerate(rows)])
 
 
+# the largest n of `check conjugator`, one rref of an n x 2n matrix per size;
+# its time grows about as n^4.5 on dense entries: at the budget, random p/q
+# (|p|, q <= 9) take 0.86 s, `--global` on B Diag(d) 0.82 s and `check
+# --gamma 1 1/3 --n N conjugator` 0.09 s, while n = 120 takes 17 s on random
+# entries and N = 256 takes 11.6 s on H (2-vCPU Xeon VM, Python 3.11.7)
+CONJUGATOR_BUDGET = 64
+
+
 def check_conjugator(q, global_check: bool = False) -> bool:
     """Anti-diagonal conjugator test: Q^{-1} J Q upper-triangular with
     diagonal (-1)^x; the global variant checks every top-left submatrix.
-    Q X = J Q, J Q being Q with its rows reversed, is solved by one rref."""
+    Q X = J Q, J Q being Q with its rows reversed, is solved by one rref,
+    once n is within CONJUGATOR_BUDGET."""
     rows = _require_square(q)
     n = len(rows)
+    if n > CONJUGATOR_BUDGET:
+        raise OutOfRange(f"a conjugator check needs n <= {CONJUGATOR_BUDGET}, "
+                         f"the conjugator budget, got n={n}")
     sizes = range(1, n + 1) if global_check else [n]
     for k in sizes:
         sub = la.top_left(rows, k)
@@ -332,7 +345,7 @@ def stochastic_sequence(lam) -> list:
     return _stochastic_rows(lam)[0]
 
 
-def _lambda_walk(lam, entry) -> list:
+def lambda_walk(lam, entry=Fraction) -> list:
     """The rows of P^lambda = H J, each entry made by entry from its integer
     pair as a weight's are (`walk.transition_matrix`), H read off the rows
     that decided stochasticity; raises NotStochastic, and refuses an n past
@@ -341,11 +354,6 @@ def _lambda_walk(lam, entry) -> list:
     lam, scale, table = _stochastic_rows(lam)
     la.check_table(len(lam))
     return [row[::-1] for row in _binomial_rows(table, scale, entry)]
-
-
-def lambda_walk(lam) -> list:
-    """The rows of P^lambda, as Fractions; raises NotStochastic when invalid."""
-    return _lambda_walk(lam, Fraction)
 
 
 def _dj_rows(table: list) -> list:

@@ -110,8 +110,8 @@ def transition_matrix(spec: WeightSpec, n: int, entry=Fraction) -> list:
     int / int is correctly rounded in CPython, and float() of a Fraction
     divides its reduced pair, the same rational, so both round it to the
     same double; the pads are 0 / 1 = 0.0.  No denominator is negative
-    (`weights._terms`), so no entry is -0.0.  A lambda walk's rows are made
-    by entry the same way, over L > 0 (`transform._lambda_walk`).
+    (`weights.down_step_table`), so no entry is -0.0.  A lambda walk's rows
+    are made by entry the same way, over L > 0 (`transform.lambda_walk`).
     """
     zero = entry(0, 1)
     return [[zero] * (n - 1 - x) + row[::-1]

@@ -134,16 +134,19 @@ def domain_limit(spec: WeightSpec):
 def _terms(ratio, length: int) -> list:
     """[t_0, ..., t_{length-1}] as reduced integer pairs (num, den), den > 0,
     with t_0 = 1 and t_{k+1} = t_k * p / q, (p, q) = ratio(k): the running
-    product stays on integers and is reduced once per term."""
+    product stays on integers and is reduced once per term.
+
+    Every caller's q is positive for k < length - 1, so no sign is repaired
+    and no zero tested: `_rising` and `_falling` give (k+1) q_r, gamma(c)
+    gives q_c, and `family_sequence`'s u / N ratio gives q_u p_N, with
+    p_N > 0 on every n that `_check_n` admits: r+k+1 > 0 for gamma(a, b),
+    as r = a+b+1 > -1; p_c + q_c > 0 for gamma(c); and a'+b'-2-k > 0 for
+    delta, as k <= n-2 <= ceil(a')-2 < a'+b'-2."""
     num = den = 1
     out = [(1, 1)]
     for k in range(length - 1):
         p, q = ratio(k)
         num, den = num * p, den * q
-        if den < 0:
-            num, den = -num, -den
-        elif not den:
-            raise ZeroDivisionError(f"term {k + 1} has a zero denominator")
         g = math.gcd(num, den)
         num, den = num // g, den // g
         out.append((num, den))
@@ -191,36 +194,6 @@ def family_sequence(spec: WeightSpec, n: int) -> list:
     return [Fraction(p, q) for p, q in _terms(ratio, n)]
 
 
-def _scaled_rows(spec: WeightSpec, scale: list, entry) -> list:
-    """Rows [w[0, x] f_x / e_x, ..., w[x, x] f_x / e_x] for x < len(scale),
-    scale[x] = (e_x, f_x) a pair of integers: the norm pair N_x = e_x / f_x
-    for the rows of H, (1, 1) for the weights.  Each entry is
-    entry(num, den) of its unreduced integer products, den != 0: `Fraction`
-    where the entries are computed with, and `serialize._rational_text`,
-    which reduces the pair straight to its text, where they are printed.
-
-    A named family's entry is a_y c_{x-y} f_x [C(x, y)] / (b_y d_{x-y} e_x),
-    with u_y = a_y / b_y and v_k = c_k / d_k the reduced term pairs; a
-    custom entry p / q gives p f_x / (q e_x).
-    """
-    if isinstance(spec, Custom):
-        zero = Fraction(0)
-        return [[entry(w.numerator * f, w.denominator * e)
-                 for w in (spec.table.get((y, x), zero) for y in range(x + 1))]
-                for x, (e, f) in enumerate(scale)]
-    ru, rv, pascal, _ = _ratios(spec)
-    u, v = _terms(ru, len(scale)), _terms(rv, len(scale))
-    rows = []
-    for x, (e, f) in enumerate(scale):
-        pairs = zip(u, v[x::-1])  # (u_y, v_{x-y}) for y = 0..x
-        if pascal:
-            rows.append([entry(a * c * f * math.comb(x, y), b * d * e)
-                         for y, ((a, b), (c, d)) in enumerate(pairs)])
-        else:
-            rows.append([entry(a * c * f, b * d * e) for (a, b), (c, d) in pairs])
-    return rows
-
-
 def _norm_pairs(spec: WeightSpec, n: int) -> list:
     """[N_0, ..., N_{n-1}] as integer pairs (num, den)."""
     if isinstance(spec, Custom):
@@ -236,17 +209,17 @@ def _check_n(spec: WeightSpec, n: int):
         raise IndexOutOfDomain(f"n={n} is outside the weight's domain")
 
 
-def weight_table(spec: WeightSpec, n: int) -> list:
-    """Rows [w[0, x], ..., w[x, x]] for x < n, in O(n^2) integer products."""
-    _check_n(spec, n)
-    check_table(n)
-    return _scaled_rows(spec, [(1, 1)] * n, Fraction)
-
-
 def down_step_table(spec: WeightSpec, n: int, entry=Fraction) -> list:
     """Rows [w[0, x] / N_x, ..., w[x, x] / N_x] for x < n: the lower
-    triangle of the down-step matrix H, from the same integer terms as
-    weight_table, so each entry is reduced once, by entry (`_scaled_rows`).
+    triangle of the down-step matrix H.  Each entry is entry(num, den) of
+    its unreduced integer products, den > 0, so it is reduced once, by
+    entry: `Fraction` where the entries are computed with, and
+    `serialize._rational_text`, which reduces the pair straight to its
+    text, where they are printed.
+
+    A named family's entry is a_y c_{x-y} f_x [C(x, y)] / (b_y d_{x-y} e_x),
+    with u_y = a_y / b_y, v_k = c_k / d_k and N_x = e_x / f_x the reduced
+    term pairs (`_ratios`); a custom entry p / q gives p f_x / (q e_x).
 
     No norm N_x vanishes on a valid input, so none is tested: N_x is
     (1+c)^x for gamma(c) and +-(C)_x / x! for the others, with C > 0 for
@@ -255,7 +228,23 @@ def down_step_table(spec: WeightSpec, n: int, entry=Fraction) -> list:
     checked first, as a custom table's norms take O(n^2)."""
     _check_n(spec, n)
     check_table(n)
-    return _scaled_rows(spec, _norm_pairs(spec, n), entry)
+    norms = _norm_pairs(spec, n)
+    if isinstance(spec, Custom):
+        zero = Fraction(0)
+        return [[entry(w.numerator * f, w.denominator * e)
+                 for w in (spec.table.get((y, x), zero) for y in range(x + 1))]
+                for x, (e, f) in enumerate(norms)]
+    ru, rv, pascal, _ = _ratios(spec)
+    u, v = _terms(ru, n), _terms(rv, n)
+    rows = []
+    for x, (e, f) in enumerate(norms):
+        pairs = zip(u, v[x::-1])  # (u_y, v_{x-y}) for y = 0..x
+        if pascal:
+            rows.append([entry(a * c * f * math.comb(x, y), b * d * e)
+                         for y, ((a, b), (c, d)) in enumerate(pairs)])
+        else:
+            rows.append([entry(a * c * f, b * d * e) for (a, b), (c, d) in pairs])
+    return rows
 
 
 def invariant_closed_form(spec: WeightSpec, n: int) -> list:

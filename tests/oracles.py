@@ -20,7 +20,7 @@ from involute.spectral import _oriented, right_eigenvectors, signed_eigenvalues
 from involute.transform import _lattice_records
 from involute.walk import _potentials
 from involute.weights import (Custom, DeltaAB, GammaAB, GammaC, _check_n, _norm_pairs, _ratios,
-                              _terms, domain_limit, family_sequence, weight_table)
+                              _terms, domain_limit, family_sequence)
 
 
 # named family specs as their CLI flags, and the gamma(a, b) of the bench
@@ -40,12 +40,12 @@ def spec_from_flags(flags):
 
 
 def weight_value(spec, y: int, x: int) -> Fraction:
-    """Exact value of the weight on the interval [y, x]."""
+    """Exact value of the weight on the interval [y, x], inside its domain."""
     if y < 0 or y > x:
         raise IndexOutOfDomain(f"need 0 <= y <= x, got y={y}, x={x}")
     if x >= domain_limit(spec):
         raise IndexOutOfDomain(f"x={x} is outside the weight's domain")
-    return weight_table(spec, x + 1)[x][y]
+    return closed_form_weight(spec, y, x)
 
 
 def closed_form_weight(spec, y: int, x: int) -> Fraction:
@@ -58,6 +58,13 @@ def closed_form_weight(spec, y: int, x: int) -> Fraction:
     if isinstance(spec, DeltaAB):
         return binom(spec.a_prime - 1, y) * binom(spec.b_prime - 1, x - y)
     return spec.table.get((y, x), Fraction(0))
+
+
+def weight_rows(spec, n: int) -> list:
+    """The weight rows [w[0, x], ..., w[x, x]] for x < n, by `closed_form_weight`,
+    once n is inside the weight's domain."""
+    _check_n(spec, n)
+    return [[closed_form_weight(spec, y, x) for y in range(x + 1)] for x in range(n)]
 
 
 def atomic_part(spec, n: int) -> list:
@@ -87,11 +94,10 @@ def invariant_by_atomic_part(spec, n: int) -> list:
 
 
 def division_route(spec, n: int) -> tuple:
-    """(w, H) by the definitions: the weight rows [w[0, x], ..., w[x, x]]
-    from `closed_form_weight`, and H[x] = [w[0, x] / N_x, ..., w[x, x] / N_x]
-    padded with zeros to length n, one Fraction division per entry, N_x the
-    row's sum."""
-    w = [[closed_form_weight(spec, y, x) for y in range(x + 1)] for x in range(n)]
+    """(w, H) by the definitions: the weight rows `weight_rows`, and
+    H[x] = [w[0, x] / N_x, ..., w[x, x] / N_x] padded with zeros to length n,
+    one Fraction division per entry, N_x the row's sum."""
+    w = weight_rows(spec, n)
     h = [[v / sum(row) for v in row] + [Fraction(0)] * (n - 1 - x) for x, row in enumerate(w)]
     return w, h
 
@@ -105,7 +111,7 @@ class WeightFlags:
 
 def classify_weight(spec, n: int) -> WeightFlags:
     """Decide atomic / star-symmetric / strictly positive by exhaustive check."""
-    w = weight_table(spec, n)
+    w = weight_rows(spec, n)
     atomic = True
     star = True
     positive = True
@@ -131,7 +137,7 @@ def factorize(spec, n: int, pi) -> tuple:
     star-symmetric, which happens exactly when the walk is reversible with
     respect to pi.
     """
-    w = weight_table(spec, n)
+    w = weight_rows(spec, n)
     pi = [as_rational(p) for p in pi]
     if len(pi) != n or any(p <= 0 for p in pi):
         raise OutOfRange("pi must be a strictly positive vector of length n")

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import involute
-from involute import _linalg, classify, spectral, transform, walk, weights
+from involute import _linalg, classify, serialize, spectral, transform, walk, weights
 from involute.cli import _SIMULATE_CHUNK as CHUNK
 from involute.cli import build_parser, main
 from involute.serialize import matrix_to_csv, matrix_to_json, matrix_to_pretty
@@ -317,6 +317,75 @@ def test_an_oversized_custom_table_is_refused_before_quadratic_work(tmp_path, ca
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_an_oversized_matrix_file_is_refused_before_any_cell_is_parsed(
+        monkeypatch, tmp_path, capsys):
+    # a --matrix file is held to the table budget like every other source:
+    # its rows are counted, less a header, before a cell is parsed
+    def hang(signum, frame):
+        raise _Hung(f"no refusal within {seconds} s")
+
+    parsed = []
+    parse = serialize.parse_rational
+    monkeypatch.setattr(serialize, "parse_rational", lambda text: parsed.append(text) or parse(text))
+    seconds, over = 10, _linalg.TABLE_BUDGET + 1
+    target = tmp_path / "flip.csv"
+    target.write_text("".join(",".join("1" if x + z == over - 1 else "0" for z in range(over)) + "\n"
+                              for x in range(over)))
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        got = run(capsys, "check", "--matrix", str(target), "ergodic")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert got == (2, "", f"error: an n x n table needs n <= {over - 1}, the table budget, "
+                          f"got n={over}\n")
+    assert parsed == []
+    # a header is not a row: at a budget of 2, two rows under one are read
+    monkeypatch.setattr(_linalg, "TABLE_BUDGET", 2)
+    target.write_text("c0,c1\n0,1\n1,0\n")
+    assert run(capsys, "check", "--matrix", str(target), "reversible") == (0, "reversible\n", "")
+    target.write_text("c0,c1\n0,1\n1,0\n1,0\n")
+    assert run(capsys, "check", "--matrix", str(target), "reversible") == (
+        2, "", "error: an n x n table needs n <= 2, the table budget, got n=3\n")
+    assert len(parsed) == 4
+
+
+def test_conjugator_checks_past_the_budget_exit_2(capsys):
+    budget = transform.CONJUGATOR_BUDGET
+    h = ("check", "--gamma", "1", "1/3", "--n")
+    assert run(capsys, *h, str(budget), "conjugator") == (
+        2, "", "error: not an anti-diagonal conjugator\n")
+    for flags in ((), ("--global",)):
+        assert run(capsys, *h, str(budget + 1), "conjugator", *flags) == (
+            2, "", f"error: a conjugator check needs n <= {budget}, the conjugator budget, "
+                   f"got n={budget + 1}\n")
+
+
+# a refusal each, with its diagnostic; {file} is a file holding the text
+REFUSALS = [
+    (("simulate", "--gamma", "1", "1", "--n", "3", "--start", "5"), None,
+     "start state 5 outside 0..2"),
+    (("subsets", "--m", "2", "--p", "2"), None, "need 0 < p < 1, got 2"),
+    (("subsets", "--m", "11", "--p", "1/2"), None, "subset walk supported for 1 <= m <= 10"),
+    (("ladder", "--mu", "1/3", "--n", "5"), None, "ladder needs 1/2 < mu < 1, got 1/3"),
+    (("check", "--matrix", "{file}", "ergodic"), "c0,c1\n", "no matrix rows found"),
+    (("matrix", "--custom", "{file}"), "1,0\n", "expected 'y,x,p/q', got '1,0'"),
+    (("matrix", "--custom", "{file}"), "1,0,1\n", "interval (1,0) outside 0 <= y <= x < 1"),
+    (("check", "--lambda", "1,1/2,1/3,1/5", "globally-reversible"), None,
+     "not globally reversible: a top-right submatrix fails"),
+    (("check", "--matrix", "{file}", "conjugator"), "1,0\n0,1\n", "not an anti-diagonal conjugator"),
+]
+
+
+@pytest.mark.parametrize("argv, text, message", REFUSALS)
+def test_refusals_exit_2_with_their_diagnostic(tmp_path, capsys, argv, text, message):
+    target = tmp_path / "in.csv"
+    if text is not None:
+        target.write_text(text)
+    assert run(capsys, *[a.format(file=target) for a in argv]) == (2, "", f"error: {message}\n")
 
 
 def test_stationary_and_spectrum(capsys):
@@ -1182,7 +1251,6 @@ def test_lambda_verdicts_form_no_p(monkeypatch, capsys):
         raise AssertionError("P^lambda was built")
 
     monkeypatch.setattr(transform, "lambda_walk", refuse)
-    monkeypatch.setattr(transform, "_lambda_walk", refuse)
     lam = ["--lambda", "1,1/2,1/4,1/8"]
     assert [run(capsys, "check", *lam, prop) for prop in (
         "ergodic", "reversible", "kolmogorov", "globally-reversible")] == [

@@ -500,6 +500,21 @@ def test_lp_apply_matches_scipy():
                 assert abs(lp_apply(walk, f, x) - expected) < 1e-10
 
 
+def test_trig_lh_apply_matches_scipy():
+    # the down-step definition: (L_H f)(x) = int_0^x sin(pi y) f(y) dy / N_x,
+    # N_x = (1 - cos(pi x)) / pi; L_H is refused off 0 < x <= 1
+    t = trig_walk()
+    for f in (lambda y: 1.0, lambda y: y**3 - 0.4 * y, math.exp, math.cos):
+        for x in (0.05, 0.3, 0.77, 1.0):
+            integral = _scipy_quad(lambda y: math.sin(math.pi * y) * f(y), 0.0, x)
+            expected = integral * math.pi / (1 - math.cos(math.pi * x))
+            assert abs(lh_apply(t, f, x) - expected) < 1e-10
+    for walk in (t, kappa_walk(1, 2)):
+        for x in (0.0, -0.5, 1.5):
+            with pytest.raises(OutOfRange, match="L_H is defined for 0 < x <= 1"):
+                lh_apply(walk, math.exp, x)
+
+
 def test_fixed_point_integral_matches_scipy():
     for walk in (kappa_walk(0, 0), kappa_walk(2, 1), trig_walk()):
         for z in (0.1, 0.5, 0.9, 1.0):

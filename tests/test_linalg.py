@@ -12,11 +12,10 @@ import sympy
 from involute import _linalg as la
 from involute.errors import NotIrreducible, OutOfRange, SingularMatrix
 from involute.spectral import left_side, right_eigenvectors
-from involute.transform import (_lambda_walk, _scaled_walk, binomial_transform,
-                                check_conjugator, gadep_counterexample, lambda_walk)
+from involute.transform import (_scaled_walk, binomial_transform, check_conjugator,
+                                gadep_counterexample, lambda_walk)
 from involute.walk import _potentials, _stationary_by_elimination, transition_matrix
-from involute.weights import (Custom, DeltaAB, GammaAB, GammaC, domain_limit, family_sequence,
-                              weight_table)
+from involute.weights import Custom, DeltaAB, GammaAB, GammaC, domain_limit, family_sequence
 
 from oracles import charpoly_faddeev_leverrier, clear_denominators, normalized
 from test_transform import random_stochastic_lambda
@@ -224,12 +223,11 @@ def test_table_budget_bounds_every_dense_table():
     budget, over = la.TABLE_BUDGET, la.TABLE_BUDGET + 1
     # at the budget the tables are built
     assert len(transition_matrix(GammaAB(1, 1), budget)) == budget
-    assert len(_lambda_walk([1] + [0] * (budget - 1), operator.floordiv)) == budget
+    assert len(lambda_walk([1] + [0] * (budget - 1), operator.floordiv)) == budget
     la.check_table(budget)
     # one past it every site refuses before it allocates
     builds = [
         lambda: transition_matrix(GammaAB(1, 1), over),
-        lambda: weight_table(GammaC(1), over),
         lambda: binomial_transform([1] + [0] * budget),
         lambda: right_eigenvectors(list(range(1, over + 1))),
         lambda: left_side(list(range(1, over + 1)), dmax=0),

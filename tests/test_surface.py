@@ -22,14 +22,15 @@ SRC = Path(involute.__file__).resolve().parent
 DEMOS = SRC.parent.parent / "demos"
 DEFINITIONS = (ast.FunctionDef, ast.ClassDef, ast.Assign, ast.AnnAssign)
 
-# kept although nothing in the package, the CLI or the demos reaches them
+# kept although nothing in the package, the CLI or the demos reaches them:
+# the traced benchmark reads `linalg.charpoly` and `continuum.adaptive_quad`,
+# the quadrature behind lp_apply and lh_apply, by name, so these three go
+# with a change to the benchmark
 EXEMPT = {
     ("continuum", "lp_apply"): "quadrature of L_P's integral definition, the tests' reference "
                                "for the exact panels",
     ("continuum", "lh_apply"): "quadrature of L_H's integral definition, the tests' reference "
                                "for the down-step identity",
-    ("weights", "weight_table"): "the weights w[y, x] themselves, the module's own concept, "
-                                 "which the oracles read",
     ("__init__", "__version__"): "package metadata",
     ("_linalg", "charpoly"): "det(X I - A) as Fractions over the integer berkowitz, the tests' "
                              "reference polynomial; the traced benchmark reads its span by name",

@@ -20,7 +20,6 @@ from involute.transform import (
     LATTICE_BUDGET,
     _difference_rows,
     _dj_rows,
-    _lambda_walk,
     _lattice_records,
     _scaled_check,
     _scaled_walk,
@@ -223,11 +222,11 @@ def test_lambda_walk_entry_routes_agree():
         except InvoluteError as exc:
             for entry in (_rational_text, operator.truediv):
                 with pytest.raises(type(exc), match=re.escape(str(exc))):
-                    _lambda_walk(lam, entry)
+                    lambda_walk(lam, entry)
             refused += 1
             continue
-        assert _lambda_walk(lam, _rational_text) == [list(map(str, row)) for row in exact], lam
-        floats = _lambda_walk(lam, operator.truediv)
+        assert lambda_walk(lam, _rational_text) == [list(map(str, row)) for row in exact], lam
+        floats = lambda_walk(lam, operator.truediv)
         assert [[v.hex() for v in row] for row in floats] == [
             [float(v).hex() for v in row] for row in exact], lam
     assert refused == 5
@@ -457,6 +456,21 @@ def test_check_conjugator_examples():
         for global_check in (False, True):
             with pytest.raises(OutOfRange, match="matrix must be square"):
                 check_conjugator(shape, global_check=global_check)
+
+
+def test_check_conjugator_budget(monkeypatch):
+    budget = transform.CONJUGATOR_BUDGET
+    # at the budget the Pascal conjugator is checked, globally too
+    assert check_conjugator(pascal_matrix(budget))
+    assert check_conjugator(pascal_matrix(budget), global_check=True)
+    # one past it both variants refuse before their first elimination
+    eliminations = []
+    monkeypatch.setattr(la, "rref", lambda m: eliminations.append(m))
+    for global_check in (False, True):
+        with pytest.raises(OutOfRange, match=f"a conjugator check needs n <= {budget}, "
+                                             f"the conjugator budget, got n={budget + 1}"):
+            check_conjugator(pascal_matrix(budget + 1), global_check=global_check)
+    assert eliminations == []
 
 
 def test_pascal_column():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from involute import weights
 from involute.errors import IndexOutOfDomain, MalformedWeight, OutOfRange
 from involute.exactnum import binom
 from involute.transform import binomial_transform
@@ -22,11 +23,10 @@ from involute.weights import (
     down_step_table,
     family_sequence,
     invariant_closed_form,
-    weight_table,
 )
 
-from oracles import (atomic_part, classify_weight, closed_form_weight, custom_from_down_step,
-                     factorize, norm_table, weight_value)
+from oracles import (NAMED_SPECS, atomic_part, classify_weight, custom_from_down_step, factorize,
+                     norm_table, spec_from_flags, weight_value)
 
 
 def test_weight_value_examples():
@@ -97,31 +97,23 @@ named_specs = st.one_of(
 
 @given(named_specs, st.data())
 @settings(max_examples=120, deadline=None)
-def test_weight_table_matches_weight_value_and_closed_forms(spec, data):
+def test_norms_match_their_prefixes_and_closed_forms(spec, data):
     limit = domain_limit(spec)
     n = data.draw(st.integers(min_value=1, max_value=14 if limit == UNBOUNDED else limit))
-    table = weight_table(spec, n)
-    assert [len(row) for row in table] == list(range(1, n + 1))
-    for x in range(n):
-        for y in range(x + 1):
-            assert table[x][y] == weight_value(spec, y, x) == closed_form_weight(spec, y, x)
     norms = norm_table(spec, n)
     assert norms == [norm_table(spec, x + 1)[x] for x in range(n)]
     assert norms == [_closed_norm(spec, x) for x in range(n)]
 
 
-def test_weight_table_custom_and_domain():
+def test_custom_norms_and_domain():
     spec = Custom(3, {(0, 0): F(1), (0, 1): F(2), (1, 1): F(1, 2), (2, 2): F(3)})
-    assert weight_table(spec, 3) == [[1], [2, F(1, 2)], [0, 0, 3]]
     assert norm_table(spec, 3) == [1, F(5, 2), 3]
-    with pytest.raises(IndexOutOfDomain):
-        weight_table(DeltaAB(4, 2), 5)
     with pytest.raises(IndexOutOfDomain):
         norm_table(spec, 4)
 
 
 def test_one_domain_check_for_every_caller():
-    tables = (weight_table, down_step_table, norm_table, transition_matrix)
+    tables = (down_step_table, norm_table, transition_matrix)
     named = tables + (invariant_closed_form, family_sequence)
     cases = [(DeltaAB(4, 2), (0, -1, 5), named), (GammaC(2), (0, -1), named),
              (Custom(2, {(0, 0): F(1), (1, 1): F(1)}), (0, 3), tables)]
@@ -168,23 +160,45 @@ def test_domain_limit_matches_ceiling_formula():
             assert domain_limit(spec) == _scanned_delta_domain(spec)
 
 
-def test_norms_are_positive_on_every_domain():
-    # down_step_table divides by N_x without testing it: every named family
-    # keeps N_x > 0 on its domain, down to a, b, c near their bounds and a'
-    # just above n - 1; a family that breaks this fails here
+def _edge_specs() -> list:
+    """(spec, n) for named families down to a, b, c near their bounds and
+    a' just above n - 1, n the domain limit or 40."""
     values = [F(-99, 100), F(-1, 2), F(-1, 3), F(0), F(1, 7), F(1), F(5, 2), F(9)]
     specs = [GammaAB(a, b) for a in values for b in values]
     specs += [GammaC(c) for c in values if c > 0] + [GammaC(F(1, 100))]
-    limits = [40] * len(specs)
     primes = [F(101, 100), F(8, 7), F(3, 2), F(2), F(7, 3), F(3), F(9), F(25, 2), F(39, 2)]
-    for ap in primes:
-        for bp in primes:
-            specs.append(DeltaAB(ap, bp))
-            limits.append(domain_limit(specs[-1]))
-    for spec, n in zip(specs, limits):
+    specs += [DeltaAB(ap, bp) for ap in primes for bp in primes]
+    return [(spec, min(40, domain_limit(spec))) for spec in specs]
+
+
+def test_norms_are_positive_on_every_domain():
+    # down_step_table divides by N_x without testing it: every named family
+    # keeps N_x > 0 on its domain; a family that breaks this fails here
+    for spec, n in _edge_specs():
         pairs = _norm_pairs(spec, n)
         assert len(pairs) == n
         assert all(e * f > 0 for e, f in pairs), spec
+
+
+def test_every_term_ratio_has_a_positive_denominator(monkeypatch):
+    # `weights._terms` repairs no sign and tests no zero: every ratio its
+    # callers pass has q > 0 on each n the domain admits, over the named
+    # specs of the CLI tests and the edge grid above
+    denominators = []
+    terms = weights._terms
+
+    def recording(ratio, length):
+        denominators.extend(ratio(k)[1] for k in range(length - 1))
+        return terms(ratio, length)
+
+    monkeypatch.setattr(weights, "_terms", recording)
+    cases = [(spec, n) for spec in map(spec_from_flags, NAMED_SPECS)
+             for n in range(1, min(12, domain_limit(spec)) + 1)]
+    for spec, n in cases + _edge_specs():
+        family_sequence(spec, n)
+        down_step_table(spec, n)
+        invariant_closed_form(spec, n)
+    assert len(denominators) > 10_000 and min(denominators) > 0
 
 
 def test_weight_value_outside_domain():
