@@ -53,19 +53,13 @@ class CheckFailed(Exception):
 
 
 def _source_from_args(args) -> tuple:
-    """The one input the source flags name, as (source, n).
+    """The input of the one source flag argparse admits, as (source, n).
 
     An eigenvalue sequence comes back as its list with its length, and the
     rows of a `check --matrix` file with their number; a weight spec with
     --n, else the custom table's size.  No walk is built here.
     """
     matrix = getattr(args, "matrix", None)
-    sources = [args.gamma, args.gammac, args.delta, args.lam, args.custom, matrix]
-    if sum(s is not None for s in sources) != 1:
-        names = "--gamma/--gammac/--delta/--lambda/--custom"
-        if hasattr(args, "matrix"):
-            names += "/--matrix"
-        raise InvoluteError(f"exactly one of {names} is required")
     if args.n is not None and (args.lam is not None or matrix is not None):
         raise InvoluteError("--n applies only to a weight: a --lambda or --matrix walk "
                             "has one state per entry or row")
@@ -118,21 +112,24 @@ def _read_file(path: str) -> str:
 
 
 def _add_family_flags(p: argparse.ArgumentParser):
-    p.add_argument("--gamma", nargs=2, metavar=("A", "B"), help="gamma(a,b) weight")
-    p.add_argument("--gammac", metavar="C", help="gamma(c) weight")
-    p.add_argument("--delta", nargs=2, metavar=("AP", "BP"), help="delta(a',b') weight")
-    p.add_argument("--lambda", dest="lam", metavar="L0,L1,...", help="eigenvalue sequence")
-    p.add_argument("--custom", metavar="FILE", help="custom weight CSV (rows y,x,p/q)")
+    # --n first: a group shows in the usage line only when its flags are adjacent
     p.add_argument("--n", type=int, help="number of states")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--gamma", nargs=2, metavar=("A", "B"), help="gamma(a,b) weight")
+    source.add_argument("--gammac", metavar="C", help="gamma(c) weight")
+    source.add_argument("--delta", nargs=2, metavar=("AP", "BP"), help="delta(a',b') weight")
+    source.add_argument("--lambda", dest="lam", metavar="L0,L1,...", help="eigenvalue sequence")
+    source.add_argument("--custom", metavar="FILE", help="custom weight CSV (rows y,x,p/q)")
+    return source  # one of them is required; `check` adds --matrix
 
 
-def _emit_matrix(rows, fmt: str | None, lower: bool = False):
+def _emit_matrix(rows, fmt: str | None):
     if fmt == "csv":
         sys.stdout.write(matrix_to_csv(rows))
     elif fmt == "json":
         print(matrix_to_json(rows))
     else:
-        print(matrix_to_pretty(rows, lower=lower))
+        print(matrix_to_pretty(rows))
 
 
 def _print_json(value):
@@ -158,7 +155,7 @@ def _down_step(p: list) -> list:
 def cmd_matrix(args):
     # the entries are only printed, so they are built as text from integer pairs
     p = _walk(*_source_from_args(args), _rational_text)
-    _emit_matrix(_down_step(p) if args.down_step else p, args.format, args.down_step)
+    _emit_matrix(_down_step(p) if args.down_step else p, args.format)
 
 
 def cmd_stationary(args):
@@ -194,17 +191,19 @@ def cmd_eigvec(args):
 
 
 # each property, in `check --help` order, and the input it reads: the
-# --lambda sequence, the walk's rows, or a lower-triangular or a square matrix
+# --lambda sequence, the walk's rows, or the matrix (H, or the --matrix rows)
 _CHECKS = {
     "stochastic": "lambda", "ergodic": "walk", "reversible": "walk",
-    "globally-reversible": "lambda", "kolmogorov": "walk", "adep": "triangular",
-    "gadep": "triangular", "binomial-transform": "triangular", "conjugator": "matrix",
+    "globally-reversible": "lambda", "kolmogorov": "walk", "adep": "matrix",
+    "gadep": "matrix", "binomial-transform": "matrix", "conjugator": "matrix",
 }
-# each triangular verdict's own test, and its field in the full PropertyReport
+# each triangular verdict's own test, its field in the full PropertyReport,
+# and its failure's witness: the first block off ADEP, or entry off the transform
 _TRIANGULAR_PROPERTIES = {
-    "adep": (transform.check_adep, "adep"),
-    "gadep": (transform.check_gadep, "gadep"),
-    "binomial-transform": (transform.is_binomial_transform, "is_binomial_transform"),
+    "adep": (transform.check_adep, "adep", transform._first_non_adep_size),
+    "gadep": (transform.check_gadep, "gadep", transform._first_non_adep_size),
+    "binomial-transform": (transform.is_binomial_transform, "is_binomial_transform",
+                           transform._first_off_transform),
 }
 
 
@@ -263,14 +262,13 @@ def cmd_check(args):
         print("reversible" if found[1] == 1
               else "reversible (chain is reducible; distribution not unique)")
     elif prop in _TRIANGULAR_PROPERTIES:
-        decide, field = _TRIANGULAR_PROPERTIES[prop]
-        # the whole report is built only to print it or to name a witness
+        decide, field, witness = _TRIANGULAR_PROPERTIES[prop]
+        # the whole report is built only to print it
         report = transform.property_report(source) if args.format == "json" else None
         if report is not None:
             _print_json(report.to_dict())
         if not (getattr(report, field) if report else decide(source)):
-            report = report or transform.property_report(source)
-            raise CheckFailed(f"{prop} fails (witness: {report.witness})")
+            raise CheckFailed(f"{prop} fails (witness: {witness(source)})")
         if report is None:
             print(f"{prop} holds")
     else:  # conjugator; argparse's choices admit no other property
@@ -353,12 +351,6 @@ def _parse_sizes(text: str) -> list:
 def cmd_continuum(args):
     from . import continuum as cont
 
-    if args.trig and args.kappa is not None:
-        raise InvoluteError("choose one of --kappa/--trig")
-    modes = (args.residual is not None, args.fixed_point, args.invariant,
-             args.convergence is not None)
-    if sum(modes) != 1:
-        raise InvoluteError("choose one of --residual/--fixed-point/--invariant/--convergence")
     if args.sizes is not None and args.convergence is None:
         raise InvoluteError("--sizes applies only to --convergence")
     kappa = args.kappa or (0, 0)
@@ -475,8 +467,8 @@ def _define_eigvec(p: argparse.ArgumentParser):
 
 
 def _define_check(p: argparse.ArgumentParser):
-    _add_family_flags(p)
-    p.add_argument("--matrix", metavar="FILE", help="CSV matrix of p/q entries")
+    _add_family_flags(p).add_argument("--matrix", metavar="FILE",
+                                      help="CSV matrix of p/q entries")
     p.add_argument("--global", dest="global_check", action="store_true",
                    help="check the global (all top-left sizes) variant")
     p.add_argument("property", choices=tuple(_CHECKS))
@@ -508,13 +500,15 @@ def _define_subsets(p: argparse.ArgumentParser):
 
 
 def _define_continuum(p: argparse.ArgumentParser):
-    p.add_argument("--kappa", nargs=2, type=int, metavar=("A", "B"),
-                   help="kappa(a,b) weight (default 0 0)")
-    p.add_argument("--trig", action="store_true")
-    p.add_argument("--residual", type=int, metavar="DMAX")
-    p.add_argument("--fixed-point", action="store_true")
-    p.add_argument("--invariant", action="store_true")
-    p.add_argument("--convergence", type=int, metavar="D")
+    walk_flags = p.add_mutually_exclusive_group()
+    walk_flags.add_argument("--kappa", nargs=2, type=int, metavar=("A", "B"),
+                            help="kappa(a,b) weight (default 0 0)")
+    walk_flags.add_argument("--trig", action="store_true")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--residual", type=int, metavar="DMAX")
+    mode.add_argument("--fixed-point", action="store_true")
+    mode.add_argument("--invariant", action="store_true")
+    mode.add_argument("--convergence", type=int, metavar="D")
     p.add_argument("--sizes",
                    help=f"comma-separated n for --convergence (default 10,20,40,80): at most "
                         f"{CONVERGENCE_MAX_SIZES} sizes, each n <= {CONVERGENCE_MAX_N}")

@@ -7,7 +7,7 @@ maps `str` over its entries, which leaves text as it is.  The parser
 additionally accepts terminating decimals ("0.25"), which convert exactly.
 Pretty matrix output marks structural zeros, the entries whose defining
 interval is empty, with a middle dot: x + z < n - 1 in P, z > x in the
-down-step matrix H.
+down-step matrix H, told from P by its zeros above the diagonal.
 """
 
 from __future__ import annotations
@@ -109,23 +109,18 @@ def matrix_to_json(rows) -> str:
     return '{"n": %d, "entries": [%s]}' % (len(rows), entries)
 
 
-def matrix_to_pretty(rows, structural_dots: bool = True, lower: bool = False) -> str:
+def matrix_to_pretty(rows, structural_dots: bool = True) -> str:
     """Align columns; structural zeros print as a dot, true zeros as 0.
 
-    A zero is structural at x + z < n - 1 in a square anti-triangular matrix
-    such as P, and at z > x in a lower-triangular one such as H (lower)."""
+    A zero is structural at z > x when all entries there print as 0, as in H,
+    and else at x + z < n - 1, as in P, where P[0][n-1] = 1 for n >= 2."""
     n = len(rows)
-    cells = []
-    for x, row in enumerate(rows):
-        line = list(map(str, row))
-        if structural_dots and len(row) == n:
-            empty = range(x + 1, n) if lower else range(n - 1 - x)
-            for z in empty:
+    cells = [list(map(str, row)) for row in rows]
+    lower = structural_dots and all(c == "0" for x, line in enumerate(cells) for c in line[x + 1:])
+    for x, line in enumerate(cells):
+        if structural_dots and len(line) == n:
+            for z in range(x + 1, n) if lower else range(n - 1 - x):
                 if line[z] == "0":
                     line[z] = DOT
-        cells.append(line)
-    widths = [max(len(cells[i][j]) for i in range(len(cells))) for j in range(len(cells[0]))]
-    lines = []
-    for line in cells:
-        lines.append("  ".join(s.rjust(w) for s, w in zip(line, widths)))
-    return "\n".join(lines)
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return "\n".join("  ".join(s.rjust(w) for s, w in zip(line, widths)) for line in cells)

@@ -16,10 +16,10 @@ the same of every top-left submatrix.  Binomial transforms always have
 GADEP; the parametrized counterexample matrices show the converse fails.
 `check_adep` tests size n alone, with one characteristic polynomial, and
 `check_gadep` the sizes 1..n up to the first failure; `is_binomial_transform`
-needs none.  `property_report` decides all three and names a witness.  The
-three that compute a characteristic polynomial refuse n > CHARPOLY_BUDGET
-with OutOfRange before the first one, and `check_conjugator` refuses
-n > CONJUGATOR_BUDGET before its first elimination.
+needs none (`_first_off_transform`).  `property_report` decides all three and
+names a witness.  The three that compute a characteristic polynomial refuse
+n > CHARPOLY_BUDGET with OutOfRange before the first one, and
+`check_conjugator` refuses n > CONJUGATOR_BUDGET before its first elimination.
 
 The grid of stochastic sequences whose entries have denominator at most
 den is enumerated on an integer lattice (`_lattice_records`): scaled by
@@ -231,6 +231,14 @@ def check_gadep(m) -> bool:
     return _first_non_adep_size(_charpoly_rows(m)) is None
 
 
+def _first_off_transform(rows) -> tuple | None:
+    """The first entry (x, y), row by row, where coerced lower-triangular rows
+    differ from the binomial transform of their diagonal, or None."""
+    expected = binomial_transform([row[d] for d, row in enumerate(rows)])
+    return next(((x, y) for x, (row, want) in enumerate(zip(rows, expected))
+                 for y in range(x + 1) if row[y] != want[y]), None)
+
+
 def is_binomial_transform(m) -> bool:
     """True iff L is the binomial transform of its own diagonal.
 
@@ -238,8 +246,7 @@ def is_binomial_transform(m) -> bool:
     L v(d) = L[d][d] v(d): these n equations say L B = B Diag, and B is
     invertible.
     """
-    rows = _require_lower_triangular(m)
-    return rows == binomial_transform([row[d] for d, row in enumerate(rows)])
+    return _first_off_transform(_require_lower_triangular(m)) is None
 
 
 # the largest n of `check conjugator`, one rref of an n x 2n matrix per size;
@@ -296,20 +303,13 @@ class PropertyReport(Record):
 
 
 def property_report(m) -> PropertyReport:
+    """The three verdicts, and the first failing block, else entry off the transform."""
     rows = _charpoly_rows(m)
-    n = len(rows)
-    witness = _first_non_adep_size(rows)
-    gadep = witness is None
+    size = _first_non_adep_size(rows)
     # the loop already decided size n unless it stopped below it
-    adep = gadep or (witness < n and _adep(rows))
-    expected = binomial_transform([row[d] for d, row in enumerate(rows)])
-    ibt = rows == expected
-    if gadep and not ibt:
-        # locate the first entry disagreeing with the transform of the diagonal
-        witness = next(
-            (x, y) for x in range(n) for y in range(x + 1) if rows[x][y] != expected[x][y]
-        )
-    return PropertyReport(adep, gadep, ibt, witness)
+    adep = size is None or (size < len(rows) and _adep(rows))
+    entry = _first_off_transform(rows)
+    return PropertyReport(adep, size is None, entry is None, entry if size is None else size)
 
 
 def gadep_counterexample(which: str, tau) -> list:
@@ -348,11 +348,11 @@ def stochastic_sequence(lam) -> list:
 def lambda_walk(lam, entry=Fraction) -> list:
     """The rows of P^lambda = H J, each entry made by entry from its integer
     pair as a weight's are (`walk.transition_matrix`), H read off the rows
-    that decided stochasticity; raises NotStochastic, and refuses an n past
-    TABLE_BUDGET after that.  P is stochastic and anti-triangular by
-    construction, so its rows are not validated again."""
-    lam, scale, table = _stochastic_rows(lam)
+    that decided stochasticity; refuses an n past TABLE_BUDGET before any
+    row is walked, and raises NotStochastic.  P is stochastic and
+    anti-triangular by construction, so its rows are not validated again."""
     la.check_table(len(lam))
+    lam, scale, table = _stochastic_rows(lam)
     return [row[::-1] for row in _binomial_rows(table, scale, entry)]
 
 
@@ -379,10 +379,10 @@ def _scaled_walk(lam) -> tuple:
     it here without forming P or a Fraction, and the top-right k x k block
     of M is the M of lambda_0..lambda_{k-1}, as that of P is its P.  M is
     read off the rows that decided stochasticity (`_stochastic_rows`), and
-    an n past TABLE_BUDGET is refused after that check, as for P.
+    an n past TABLE_BUDGET is refused before that check, as for P.
     """
-    lam, _, table = _stochastic_rows(lam)
     la.check_table(len(lam))
+    lam, _, table = _stochastic_rows(lam)
     return lam, _dj_rows(table)
 
 

@@ -277,7 +277,7 @@ def stationary(p) -> list:
     stationary law unique; and summing pi_x P[x][z] = pi_z P[z][x] over x
     gives (pi P)_z = pi_z, because row z of P sums to 1.  Walks that are not
     reversible (most --lambda and --custom walks) or are reducible fall back
-    to exact elimination on (P - I)^T.
+    to exact elimination on (P - I)^T, within ELIMINATION_BUDGET.
     """
     found = _potentials(p)
     if found is not None and found[1] == 1:
@@ -285,9 +285,21 @@ def stationary(p) -> list:
     return _stationary_by_elimination(p)
 
 
+# the largest n of a stationary law by elimination, one rref of an n x n
+# matrix: the lambda of gamma(1, 1/3) with lambda_d times 1 - 1/(50+d) for
+# d >= 1, not reversible, takes 1.1 s at the budget and 3.2 s at n = 80, and
+# a dense custom table of p/q, 1 <= p, q <= 9, 0.18 and 0.30 s (2-vCPU Xeon
+# VM, Python 3.11.7)
+ELIMINATION_BUDGET = 64
+
+
 def _stationary_by_elimination(rows) -> list:
-    """pi from one rref of (P - I)^T, read off the one column its sorted pivots skip."""
+    """pi from one rref of (P - I)^T, read off the one column its sorted
+    pivots skip, once n is within ELIMINATION_BUDGET."""
     n = len(rows)
+    if n > ELIMINATION_BUDGET:
+        raise OutOfRange(f"a stationary law by elimination needs n <= {ELIMINATION_BUDGET}, "
+                         f"the elimination budget, got n={n}")
     m = [[rows[i][j] - (1 if i == j else 0) for i in range(n)] for j in range(n)]
     r, pivots = la.rref(m)
     if len(pivots) != n - 1:

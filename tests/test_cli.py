@@ -37,6 +37,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def refused_by_argparse(capsys, *argv) -> tuple:
+    """(exit code, stdout, stderr's last line) of an argv that the parser
+    refuses: argparse exits by SystemExit after its usage line."""
+    with pytest.raises(SystemExit) as exit_:
+        main(list(argv))
+    captured = capsys.readouterr()
+    usage, *_, last = captured.err.splitlines()
+    assert usage.startswith(f"usage: involute {argv[0]} ")
+    return exit_.value.code, captured.out, last
+
+
 def test_matrix_pretty(capsys):
     code, out, _ = run(capsys, "matrix", "--gamma", "0", "0", "--n", "4")
     assert code == 0
@@ -126,11 +137,10 @@ def test_check_matrix_walk_properties(tmp_path, capsys, prop, expected):
     [["--gamma", "1", "1", "--n", "3", "reversible"], ["--lambda", "1,1/2", "stochastic"]],
 )
 def test_check_matrix_is_one_source(capsys, extra):
-    # --matrix counts as a source like the family flags: no second one is ignored
+    # --matrix is one of the source flags' group: no second source is ignored
     target = Path(__file__).parent / "data" / "walk3.csv"
-    assert run(capsys, "check", "--matrix", str(target), *extra) == (
-        2, "", "error: exactly one of --gamma/--gammac/--delta/--lambda/--custom/--matrix "
-               "is required\n")
+    assert refused_by_argparse(capsys, "check", "--matrix", str(target), *extra) == (
+        2, "", f"involute check: error: argument {extra[0]}: not allowed with argument --matrix")
 
 
 @pytest.mark.parametrize(
@@ -156,6 +166,9 @@ DATA_DIR = Path(__file__).parent / "data"
 # tests/data.  The matrices: L4 and H5 at tau = 1/4 (GADEP holds, not a
 # binomial transform), block2_fails (ADEP at size 3, not at size 2) and
 # fails_at_n (ADEP holds below size 3 only), walk3 (not lower-triangular).
+# A failing binomial-transform names its first entry off the transform, so
+# its six lines for block2_fails and fails_at_n were recorded again when it
+# stopped naming GADEP's failing block.
 TRIANGULAR_CASES = json.loads((DATA_DIR / "check_triangular.json").read_text())
 
 
@@ -171,8 +184,16 @@ def test_check_triangular_properties_as_recorded(capsys, case):
     assert run(capsys, *argv) == expected
 
 
-@pytest.mark.parametrize("prop, calls", [("adep", 1), ("binomial-transform", 0)])
-def test_check_decides_only_the_printed_property(monkeypatch, capsys, prop, calls):
+@pytest.mark.parametrize("source, prop, expected, calls", [
+    (("--gamma", "2", "4/3", "--n", "12"), "adep", (0, "adep holds\n", ""), [12]),
+    (("--gamma", "2", "4/3", "--n", "12"), "binomial-transform",
+     (0, "binomial-transform holds\n", ""), []),
+    # a failure names the first entry off the transform, not GADEP's failing block
+    (("--matrix", "block2_fails.csv"), "binomial-transform",
+     (2, "", "error: binomial-transform fails (witness: (1, 0))\n"), []),
+])
+def test_check_decides_only_the_printed_property(monkeypatch, capsys, source, prop, expected,
+                                                 calls):
     # berkowitz is the one kernel under both charpoly and the integer ADEP
     seen = []
     berkowitz = _linalg.berkowitz
@@ -182,9 +203,9 @@ def test_check_decides_only_the_printed_property(monkeypatch, capsys, prop, call
         return berkowitz(b)
 
     monkeypatch.setattr(_linalg, "berkowitz", counting)
-    code, out, _ = run(capsys, "check", "--gamma", "2", "4/3", "--n", "12", prop)
-    assert (code, out) == (0, f"{prop} holds\n")
-    assert seen == [12] * calls
+    source = [str(DATA_DIR / a) if a.endswith(".csv") else a for a in source]
+    assert run(capsys, "check", *source, prop) == expected
+    assert seen == calls
 
 
 def test_charpoly_checks_past_the_budget_exit_2(monkeypatch, tmp_path, capsys):
@@ -202,13 +223,16 @@ def test_charpoly_checks_past_the_budget_exit_2(monkeypatch, tmp_path, capsys):
         assert run(capsys, "--format", "json", "check", *over, prop) == refusal
     for prop in ("adep", "gadep"):
         assert run(capsys, "check", *over, prop) == refusal
-    # binomial-transform needs no charpoly; only its witness of a failure does
+    # binomial-transform needs no charpoly, to hold or to name its witness
     assert run(capsys, "check", *over, "binomial-transform") == (
         0, "binomial-transform holds\n", "")
     rows = [["1" if y in (x, x - 1) else "0" for y in range(budget + 1)] for x in range(budget + 1)]
     target = tmp_path / "shifted.csv"
     target.write_text("".join(",".join(row) + "\n" for row in rows))
-    assert run(capsys, "check", "--matrix", str(target), "binomial-transform") == refusal
+    assert run(capsys, "check", "--matrix", str(target), "binomial-transform") == (
+        2, "", "error: binomial-transform fails (witness: (1, 0))\n")
+    assert run(capsys, "--format", "json", "check", "--matrix", str(target),
+               "binomial-transform") == refusal
     assert seen == []
 
 
@@ -317,6 +341,50 @@ def test_an_oversized_custom_table_is_refused_before_quadratic_work(tmp_path, ca
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_an_oversized_lambda_walk_is_refused_before_its_difference_table(capsys):
+    # 6,000 terms took 5.6 s to walk their difference table before the table
+    # budget refused them; the budget is now checked on the length first
+    def hang(signum, frame):
+        raise _Hung(f"no refusal within {seconds} s")
+
+    seconds, terms = 1, 6_000
+    lam = ",".join(f"1/{k}" for k in range(1, terms + 1))
+    refusal = (2, "", f"error: an n x n table needs n <= {_linalg.TABLE_BUDGET}, the table "
+                      f"budget, got n={terms}\n")
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        got = [run(capsys, *argv) for argv in (("classify", "--lambda", lam),
+                                               ("matrix", "--lambda", lam),
+                                               ("check", "--lambda", lam, "reversible"))]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert got == [refusal] * 3
+    # a sequence past the budget is still decided where no table is built
+    lam = ",".join(f"1/{k}" for k in range(1, _linalg.TABLE_BUDGET + 2))
+    assert run(capsys, "check", "--lambda", lam, "stochastic")[0] == 0
+    code, out, _ = run(capsys, "--format", "csv", "spectrum", "--lambda", lam)
+    assert code == 0 and out.count(",") == _linalg.TABLE_BUDGET
+
+
+@pytest.mark.parametrize("source", ["--custom", "--lambda"])
+def test_stationary_by_elimination_is_refused_past_its_budget(tmp_path, capsys, source):
+    # neither walk is reversible, so its law would come from one rref of
+    # (P - I)^T, which the elimination budget bounds
+    n = walk.ELIMINATION_BUDGET + 1
+    if source == "--custom":
+        value = tmp_path / "weight.csv"
+        value.write_text("".join(f"{y},{x},{1 + (x * y) % 9}/{1 + (x + 2 * y) % 7}\n"
+                                 for x in range(n) for y in range(x + 1)))
+    else:
+        lam = family_sequence(GammaAB(1, F(1, 3)), n)
+        value = ",".join(str(v * (1 - F(1, 50 + d)) if d else v) for d, v in enumerate(lam))
+    assert run(capsys, "stationary", source, str(value)) == (
+        2, "", f"error: a stationary law by elimination needs n <= {n - 1}, the elimination "
+               f"budget, got n={n}\n")
 
 
 def test_an_oversized_matrix_file_is_refused_before_any_cell_is_parsed(
@@ -893,7 +961,7 @@ def _fraction_route(rows, down_step: bool) -> dict:
     if down_step:
         rows = [row[::-1] for row in rows]
     return {"csv": matrix_to_csv(rows), "json": matrix_to_json(rows) + "\n",
-            "pretty": matrix_to_pretty(rows, lower=down_step) + "\n"}
+            "pretty": matrix_to_pretty(rows) + "\n"}
 
 
 def _assert_text_route(capsys, source_flags, rows):
@@ -1032,11 +1100,6 @@ def test_continuum_kappa_at_the_bound_is_finite(capsys, a, b):
         ["--convergence", "1", "--sizes", "1,2"],
         ["--convergence", "1", "--sizes", "10,x"],
         ["--trig", "--convergence", "1"],
-        ["--trig", "--kappa", "1", "1", "--residual", "1"],
-        [],
-        ["--residual", "1", "--fixed-point"],
-        ["--invariant", "--convergence", "1"],
-        ["--trig", "--fixed-point", "--invariant"],
         ["--convergence", "1", "--sizes", "10,401"],
         ["--convergence", "1", "--sizes", ",".join(["10"] * 9)],
         ["--residual", "1", "--sizes", "10,x"],
@@ -1181,7 +1244,7 @@ def test_parsing_defines_only_its_own_subcommand(monkeypatch):
     assert parser.parse_args(argv) == parser.parse_args(argv)
     assert built == ["involute", "involute matrix"]
     assert [a.dest for a in sub.choices["matrix"]._actions] == [
-        "help", "gamma", "gammac", "delta", "lam", "custom", "n", "down_step"]
+        "help", "n", "gamma", "gammac", "delta", "lam", "custom", "down_step"]
     assert [name for name, p in sub.choices.items() if "_actions" in vars(p)] == ["matrix"]
 
 
@@ -1220,19 +1283,71 @@ def test_top_level_help_lists_every_subcommand(monkeypatch, capsys):
     assert listed == [[name, help_line] for name, help_line, _, _ in _SUBCOMMANDS]
 
 
-# the fewest arguments each subcommand parses with
-MINIMAL_ARGS = {"check": ["stochastic"], "classify": ["--lambda", "1"],
-                "ladder": ["--mu", "1/2", "--n", "3"], "subsets": ["--m", "1", "--p", "1/2"],
+# the fewest arguments each subcommand parses with: a source for each
+# command of the family flags, a mode for continuum
+LAMBDA = ["--lambda", "1"]
+MINIMAL_ARGS = {"matrix": LAMBDA, "stationary": LAMBDA, "spectrum": LAMBDA, "eigvec": LAMBDA,
+                "check": [*LAMBDA, "stochastic"], "classify": LAMBDA,
+                "ladder": ["--mu", "1/2", "--n", "3"], "simulate": LAMBDA,
+                "subsets": ["--m", "1", "--p", "1/2"], "continuum": ["--fixed-point"],
                 "conjecture": ["--n", "3"], "repro": ["section7-hl"]}
 
 
 def test_each_registry_row_names_the_handler_its_subcommand_parses_to():
     from involute.cli import _SUBCOMMANDS
 
-    assert set(MINIMAL_ARGS) < {name for name, *_ in _SUBCOMMANDS}
+    assert list(MINIMAL_ARGS) == [name for name, *_ in _SUBCOMMANDS]
     for name, _, handler, _ in _SUBCOMMANDS:
         assert handler.__name__ == "cmd_" + name
-        assert build_parser().parse_args([name, *MINIMAL_ARGS.get(name, [])]).func is handler
+        assert build_parser().parse_args([name, *MINIMAL_ARGS[name]]).func is handler
+
+
+SOURCES = "--gamma --gammac --delta --lambda --custom"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # no source, and two, for each command of the family flags
+    *[([name, "--n", "4", *MINIMAL_ARGS[name][2:]],
+       f"one of the arguments {SOURCES}{' --matrix' * (name == 'check')} is required")
+      for name in ("matrix", "stationary", "spectrum", "eigvec", "check", "simulate")],
+    (["matrix", "--gammac", "1", "--lambda", "1"], "argument --lambda: not allowed with "
+                                                   "argument --gammac"),
+    (["eigvec", "--custom", "w.csv", "--delta", "1", "1"], "argument --delta: not allowed "
+                                                           "with argument --custom"),
+    (["check", "--lambda", "1", "--matrix", "m.csv", "ergodic"],
+     "argument --matrix: not allowed with argument --lambda"),
+    # one walk and one mode of continuum
+    (["continuum", "--trig", "--kappa", "1", "1", "--residual", "1"],
+     "argument --kappa: not allowed with argument --trig"),
+    (["continuum"], "one of the arguments --residual --fixed-point --invariant --convergence "
+                    "is required"),
+    (["continuum", "--kappa", "1", "1"], "one of the arguments --residual --fixed-point "
+                                         "--invariant --convergence is required"),
+    (["continuum", "--residual", "1", "--fixed-point"], "argument --fixed-point: not allowed "
+                                                        "with argument --residual"),
+    (["continuum", "--invariant", "--convergence", "1"], "argument --convergence: not allowed "
+                                                         "with argument --invariant"),
+    (["continuum", "--trig", "--fixed-point", "--invariant"],
+     "argument --invariant: not allowed with argument --fixed-point"),
+])
+def test_either_or_flags_are_refused_by_argparse(capsys, argv, message):
+    # exit 2 before any handler runs, the flags named by the parser
+    assert refused_by_argparse(capsys, *argv) == (2, "", f"involute {argv[0]}: error: {message}")
+
+
+def test_help_shows_the_either_or_groups(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")
+    sources = "(--gamma A B | --gammac C | --delta AP BP | --lambda L0,L1,... | --custom FILE"
+    for name in ("matrix", "stationary", "spectrum", "eigvec", "check", "simulate"):
+        with pytest.raises(SystemExit):
+            main([name, "--help"])
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert sources + (" | --matrix FILE)" if name == "check" else ")") in usage, usage
+    with pytest.raises(SystemExit):
+        main(["continuum", "--help"])
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert "[--kappa A B | --trig]" in usage
+    assert "(--residual DMAX | --fixed-point | --invariant | --convergence D)" in usage
 
 
 def test_check_help_lists_the_properties_in_checks_order(capsys):
@@ -1241,7 +1356,7 @@ def test_check_help_lists_the_properties_in_checks_order(capsys):
     with pytest.raises(SystemExit):
         main(["check", "--help"])
     assert "{" + ",".join(_CHECKS) + "}" in capsys.readouterr().out
-    assert set(_CHECKS.values()) == {"lambda", "walk", "triangular", "matrix"}
+    assert set(_CHECKS.values()) == {"lambda", "walk", "matrix"}
 
 
 def test_lambda_verdicts_form_no_p(monkeypatch, capsys):
@@ -1308,10 +1423,9 @@ def test_repro_fig2(capsys):
 
 
 def test_usage_errors(capsys):
-    code, _, err = run(capsys, "matrix", "--n", "4")
-    assert code == 2
+    assert refused_by_argparse(capsys, "matrix", "--n", "4")[0] == 2
     code, _, err = run(capsys, "matrix", "--gamma", "0", "0")
-    assert code == 2
+    assert (code, err) == (2, "error: --n is required for family weights\n")
     with pytest.raises(SystemExit):
         run(capsys, "nonsense")
 
@@ -1424,6 +1538,8 @@ def test_bench_function_metrics_name_public_functions():
         ["simulate", "--gamma", "1", "1", "--n", "4", "--steps", "20000"],
         ["eigvec", "--lambda", "1,0,0", "--d", "0"],
         ["eigvec", "--gamma", "1", "1", "--n", "1001", "--d", "2"],
+        ["matrix", "--n", "3"],
+        ["continuum", "--kappa", "1", "1", "--trig", "--residual", "1"],
     ],
 )
 def test_cli_same_under_optimize(argv):

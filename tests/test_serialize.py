@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from involute.errors import OutOfRange
 from involute.serialize import (
+    DOT,
     _rational_text,
     matrix_from_csv,
     matrix_to_csv,
@@ -88,12 +89,32 @@ def test_pretty_structural_dots():
         "1/2  1/2", "  1    0"]
     # H is lower triangular: its structural zeros are those above the diagonal
     rows = [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(1, 2), F(1, 2)]]
-    assert matrix_to_pretty(rows, lower=True).splitlines() == [
+    assert matrix_to_pretty(rows).splitlines() == [
         "1    ·    ·", "0    1    ·", "0  1/2  1/2"]
     # text entries, as a printed-only matrix holds them, read the same
     text = [list(map(str, row)) for row in rows]
-    assert matrix_to_pretty(text, lower=True) == matrix_to_pretty(rows, lower=True)
     assert matrix_to_pretty(text) == matrix_to_pretty(rows)
+
+
+@pytest.mark.parametrize("rows, dotted", [
+    # lower-triangular, as H: every entry above the diagonal is a structural zero
+    ([[1, 0, 0], [F(1, 2), F(1, 2), 0], [0, F(1, 2), F(1, 2)]],
+     ["  1    ·    ·", "1/2  1/2    ·", "  0  1/2  1/2"]),
+    # anti-triangular, as P: the zeros at x + z < n - 1, not the true zero at (2, 2)
+    ([[0, 0, 1], [0, F(1, 2), F(1, 2)], [1, 0, 0]],
+     ["·    ·    1", "·  1/2  1/2", "1    0    0"]),
+    # neither: read as P, its one zero before the anti-diagonal dotted and
+    # the zeros above the diagonal kept
+    ([[1, F(1, 2), 0], [0, 1, 0], [F(1, 2), 0, F(1, 2)]],
+     ["  1  1/2    0", "  ·    1    0", "1/2    0  1/2"]),
+    # 1 x 1: no entry lies above the diagonal or before the anti-diagonal
+    ([[0]], ["0"]),
+])
+def test_pretty_reads_the_shape_off_the_matrix(rows, dotted):
+    assert matrix_to_pretty(rows).splitlines() == dotted
+    text = [list(map(str, row)) for row in rows]
+    assert matrix_to_pretty(text) == matrix_to_pretty(rows)
+    assert DOT not in matrix_to_pretty(rows, structural_dots=False)
 
 
 @given(st.integers(), st.integers().filter(bool))

@@ -535,6 +535,32 @@ def test_stationary_falls_back_to_elimination(eliminations):
     assert eliminations == [4, 3]
 
 
+def test_elimination_is_refused_past_its_budget(monkeypatch, eliminations):
+    # stationary's fallback, one rref of (P - I)^T, took 3.2 s at n = 80 on a
+    # walk that is not reversible; past the budget the refusal comes first
+    class Solved(Exception):
+        pass
+
+    def rref(m):
+        solved.append(len(m))
+        raise Solved
+
+    solved = []
+    monkeypatch.setattr(la, "rref", rref)
+    budget = walk.ELIMINATION_BUDGET
+    for n in (budget, budget + 1):
+        rng = random.Random(n)
+        table = {(y, x): F(rng.randint(1, 9), rng.randint(1, 9))
+                 for x in range(n) for y in range(x + 1)}
+        p = transition_matrix(Custom(n, table), n)
+        assert walk._potentials(p) is None
+        with pytest.raises(Solved if n == budget else OutOfRange) as refused:
+            stationary(p)
+    assert str(refused.value) == (f"a stationary law by elimination needs n <= {budget}, "
+                                  f"the elimination budget, got n={budget + 1}")
+    assert eliminations == [budget, budget + 1] and solved == [budget]
+
+
 def test_kolmogorov_iff_detailed_balance():
     rng = random.Random(414)
     cases = [transition_matrix(GammaAB(0, 0), n) for n in (3, 4, 5, 6)]
