@@ -40,7 +40,7 @@ for which, tau in (("L4", F(1)), ("H5", F(1, 4))):
     print(f"{which} at tau = {tau}:")
     print(matrix_to_pretty(mat, structural_dots=False))
     print(
-        f"adep={rep.adep} gadep={rep.gadep} "
-        f"binomial_transform={rep.is_binomial_transform} witness={rep.witness}"
+        f"adep={rep['adep']} gadep={rep['gadep']} "
+        f"binomial_transform={rep['is_binomial_transform']} witness={rep['witness']}"
     )
     print()

@@ -32,8 +32,8 @@ import re
 import sys
 from fractions import Fraction
 
+from . import _linalg, spectral, transform, walk, weights
 from . import classify as cls
-from . import spectral, transform, walk, weights
 from ._continuum import CONVERGENCE_MAX_N, CONVERGENCE_MAX_SIZES
 from .errors import InvoluteError
 from .serialize import (
@@ -46,10 +46,6 @@ from .serialize import (
     parse_rational_list,
 )
 from .weights import Custom, DeltaAB, GammaAB, GammaC, custom_from_csv, spec_label
-
-
-class CheckFailed(Exception):
-    """A requested property check failed; carries the diagnostic."""
 
 
 def _source_from_args(args) -> tuple:
@@ -90,11 +86,10 @@ def _walk(source, n, entry=Fraction) -> list:
     return walk.transition_matrix(source, n, entry)
 
 
-def _sequence_from_args(args) -> list:
-    """The eigenvalue sequence of the walk the source flags name: a --lambda
+def _sequence(source, n) -> list:
+    """The eigenvalue sequence of the walk of a resolved source: a --lambda
     list once it passes the stochasticity check of `matrix --lambda`, else
     the named family's down-step diagonal."""
-    source, n = _source_from_args(args)
     if isinstance(source, list):
         return transform.stochastic_sequence(source)
     return weights.family_sequence(source, n)
@@ -168,12 +163,19 @@ def cmd_stationary(args):
 
 
 def cmd_spectrum(args):
-    signed = spectral.signed_eigenvalues(_sequence_from_args(args))
+    signed = spectral.signed_eigenvalues(_sequence(*_source_from_args(args)))
     _emit_vector(signed, args.format, "eigenvalues")
 
 
 def cmd_eigvec(args):
-    lam = _sequence_from_args(args)
+    source, n = _source_from_args(args)
+    if isinstance(source, list):
+        # the triangles' size is read off the length, so an oversized
+        # sequence is refused before its stochastic check walks it; json
+        # solves the left side too, on the whole n x n triangle
+        _linalg.check_table(n if args.d is None or args.format == "json"
+                            else min(args.d + 1, n))
+    lam = _sequence(source, n)
     rights = spectral.right_eigenvectors(lam, args.d)
     eigenvalues = spectral.signed_eigenvalues(lam[:len(rights)])
     if args.format == "json":
@@ -197,13 +199,12 @@ _CHECKS = {
     "globally-reversible": "lambda", "kolmogorov": "walk", "adep": "matrix",
     "gadep": "matrix", "binomial-transform": "matrix", "conjugator": "matrix",
 }
-# each triangular verdict's own test, its field in the full PropertyReport,
-# and its failure's witness: the first block off ADEP, or entry off the transform
+# each triangular property's witness function, None when it holds, and its
+# key in the JSON report (`transform.property_report`)
 _TRIANGULAR_PROPERTIES = {
-    "adep": (transform.check_adep, "adep", transform._first_non_adep_size),
-    "gadep": (transform.check_gadep, "gadep", transform._first_non_adep_size),
-    "binomial-transform": (transform.is_binomial_transform, "is_binomial_transform",
-                           transform._first_off_transform),
+    "adep": (transform.adep_witness, "adep"),
+    "gadep": (transform.gadep_witness, "gadep"),
+    "binomial-transform": (transform.binomial_transform_witness, "is_binomial_transform"),
 }
 
 
@@ -236,44 +237,47 @@ def cmd_check(args):
     if prop == "stochastic":
         res = transform.is_stochastic(source)
         if not res:
-            raise CheckFailed(f"not stochastic: {res.reason}"
-                              + (f" (witness z={res.witness})" if res.witness is not None else ""))
+            raise InvoluteError(f"not stochastic: {res.reason}"
+                                + (f" (witness z={res.witness})" if res.witness is not None else ""))
         print("stochastic: all alternating sums are non-negative")
     elif prop == "globally-reversible":
         if not cls.is_globally_reversible(source):
-            raise CheckFailed("not globally reversible: a top-right submatrix fails")
+            raise InvoluteError("not globally reversible: a top-right submatrix fails")
         print("globally reversible")
     elif prop == "ergodic":
         report = walk.ergodicity(source)
         if not report.ergodic:
-            raise CheckFailed(
+            raise InvoluteError(
                 f"not ergodic: irreducible={report.irreducible} aperiodic={report.aperiodic}"
             )
         print("ergodic")
     elif prop == "kolmogorov":
         if not walk.kolmogorov(source):
-            raise CheckFailed("kolmogorov: a cycle product depends on direction")
+            raise InvoluteError("kolmogorov: a cycle product depends on direction")
         print("kolmogorov criterion holds")
     elif prop == "reversible":
         # reversible against a strictly positive law, the sweep's verdict
         found = walk._potentials(source)
         if found is None:
-            raise CheckFailed("not reversible: detailed balance fails")
+            raise InvoluteError("not reversible: detailed balance fails")
         print("reversible" if found[1] == 1
               else "reversible (chain is reducible; distribution not unique)")
     elif prop in _TRIANGULAR_PROPERTIES:
-        decide, field, witness = _TRIANGULAR_PROPERTIES[prop]
-        # the whole report is built only to print it
-        report = transform.property_report(source) if args.format == "json" else None
-        if report is not None:
-            _print_json(report.to_dict())
-        if not (getattr(report, field) if report else decide(source)):
-            raise CheckFailed(f"{prop} fails (witness: {witness(source)})")
-        if report is None:
+        find, key = _TRIANGULAR_PROPERTIES[prop]
+        if args.format == "json":
+            report = transform.property_report(source)
+            _print_json(report)
+            # a failing ADEP fails GADEP too, whose first failing block the
+            # report names; an entry off the transform needs no polynomial
+            witness = (None if report[key] else find(source) if key == "is_binomial_transform"
+                       else report["witness"])
+        elif (witness := find(source)) is None:
             print(f"{prop} holds")
+        if witness is not None:
+            raise InvoluteError(f"{prop} fails (witness: {witness})")
     else:  # conjugator; argparse's choices admit no other property
         if not transform.check_conjugator(source, global_check=args.global_check):
-            raise CheckFailed("not an anti-diagonal conjugator")
+            raise InvoluteError("not an anti-diagonal conjugator")
         print("anti-diagonal conjugator" + (" (global)" if args.global_check else ""))
 
 
@@ -408,7 +412,7 @@ def cmd_conjecture(args):
         file=sys.stderr,
     )
     if bad:
-        raise CheckFailed(f"{len(bad)} reversible sequences escaped classification")
+        raise InvoluteError(f"{len(bad)} reversible sequences escaped classification")
 
 
 def cmd_repro(args):
@@ -435,7 +439,7 @@ def cmd_repro(args):
                 mat = transform.gadep_counterexample(which, tau)
                 rep = transform.property_report(mat)
                 print(f"{which} at tau={tau}: "
-                      f"gadep={rep.gadep} binomial_transform={rep.is_binomial_transform}")
+                      f"gadep={rep['gadep']} binomial_transform={rep['is_binomial_transform']}")
                 print(matrix_to_pretty(mat, structural_dots=False))
                 print()
     elif target == "example7-table":
@@ -644,7 +648,7 @@ def main(argv=None) -> int:
         if args.format is not None:
             _refuse_unread_format(args)
         args.func(args)
-    except (InvoluteError, CheckFailed) as exc:
+    except InvoluteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -14,12 +14,16 @@ A lower-triangular L has the anti-diagonal eigenvalue property (ADEP) when
 the eigenvalues of L J are (-1)^d L[d][d]; the global variant (GADEP) asks
 the same of every top-left submatrix.  Binomial transforms always have
 GADEP; the parametrized counterexample matrices show the converse fails.
-`check_adep` tests size n alone, with one characteristic polynomial, and
-`check_gadep` the sizes 1..n up to the first failure; `is_binomial_transform`
-needs none (`_first_off_transform`).  `property_report` decides all three and
-names a witness.  The three that compute a characteristic polynomial refuse
-n > CHARPOLY_BUDGET with OutOfRange before the first one, and
-`check_conjugator` refuses n > CONJUGATOR_BUDGET before its first elimination.
+Each of the three properties has one function, which returns None when it
+holds and its witness when it fails: `adep_witness` decides size n with one
+characteristic polynomial and searches the smaller blocks only on failure,
+`gadep_witness` the sizes 1..n up to the first failure, both naming the
+smallest failing top-left block, and `binomial_transform_witness` needs no
+polynomial to name the first entry off the transform.  `property_report`
+decides all three and names one witness.  The three that compute a
+characteristic polynomial refuse n > CHARPOLY_BUDGET with OutOfRange before
+the first one, and `check_conjugator` refuses n > CONJUGATOR_BUDGET before
+its first elimination.
 
 The grid of stochastic sequences whose entries have denominator at most
 den is enumerated on an integer lattice (`_lattice_records`): scaled by
@@ -53,7 +57,7 @@ import math
 from fractions import Fraction
 
 from . import _linalg as la
-from ._record import FrozenRecord, Record
+from ._record import FrozenRecord
 from .errors import NotStochastic, OutOfRange, SingularMatrix
 from .exactnum import as_rational
 from .spectral import signed_eigenvalues
@@ -209,17 +213,6 @@ def _adep(rows) -> bool:
     return la.berkowitz(b) == target
 
 
-def check_adep(m) -> bool:
-    """Anti-diagonal eigenvalue property, as an exact char-poly multiset test.
-
-    It tests size n only: charpoly(L J) is compared with
-    prod_d (X - (-1)^d L[d][d]), both scaled to integer polynomials
-    (`_adep`).  This does not verify diagonalizability of L J, so repeated
-    eigenvalues are accepted on multiset evidence alone.
-    """
-    return _adep(_charpoly_rows(m))
-
-
 def _first_non_adep_size(rows) -> int | None:
     """Smallest k whose top-left k x k block fails ADEP; None under GADEP."""
     return next(
@@ -227,26 +220,39 @@ def _first_non_adep_size(rows) -> int | None:
     )
 
 
-def check_gadep(m) -> bool:
-    return _first_non_adep_size(_charpoly_rows(m)) is None
+def adep_witness(m) -> int | None:
+    """Anti-diagonal eigenvalue property, as an exact char-poly multiset test:
+    None when it holds, else the smallest top-left block that fails it.
+
+    Size n is decided first, with one characteristic polynomial:
+    charpoly(L J) is compared with prod_d (X - (-1)^d L[d][d]), both scaled
+    to integer polynomials (`_adep`).  Only a failure searches the smaller
+    blocks.  This does not verify diagonalizability of L J, so repeated
+    eigenvalues are accepted on multiset evidence alone.
+    """
+    rows = _charpoly_rows(m)
+    if _adep(rows):
+        return None
+    return _first_non_adep_size(la.top_left(rows, len(rows) - 1)) or len(rows)
 
 
-def _first_off_transform(rows) -> tuple | None:
-    """The first entry (x, y), row by row, where coerced lower-triangular rows
-    differ from the binomial transform of their diagonal, or None."""
+def gadep_witness(m) -> int | None:
+    """GADEP: None when every top-left block has ADEP, else the smallest that fails."""
+    return _first_non_adep_size(_charpoly_rows(m))
+
+
+def binomial_transform_witness(m) -> tuple | None:
+    """None when L is the binomial transform of its own diagonal, else the
+    first entry (x, y), row by row, where it differs.
+
+    Being the transform is the same as every Pascal column v(d) being an
+    eigenvector, L v(d) = L[d][d] v(d): these n equations say L B = B Diag,
+    and B is invertible.
+    """
+    rows = _require_lower_triangular(m)
     expected = binomial_transform([row[d] for d, row in enumerate(rows)])
     return next(((x, y) for x, (row, want) in enumerate(zip(rows, expected))
                  for y in range(x + 1) if row[y] != want[y]), None)
-
-
-def is_binomial_transform(m) -> bool:
-    """True iff L is the binomial transform of its own diagonal.
-
-    That is the same as every Pascal column v(d) being an eigenvector,
-    L v(d) = L[d][d] v(d): these n equations say L B = B Diag, and B is
-    invertible.
-    """
-    return _first_off_transform(_require_lower_triangular(m)) is None
 
 
 # the largest n of `check conjugator`, one rref of an n x 2n matrix per size;
@@ -281,35 +287,18 @@ def check_conjugator(q, global_check: bool = False) -> bool:
     return True
 
 
-class PropertyReport(Record):
-    __slots__ = _fields = ("adep", "gadep", "is_binomial_transform", "witness")
-
-    def __init__(self, adep: bool, gadep: bool, is_binomial_transform: bool,
-                 witness: object = None):
-        self.adep, self.gadep = adep, gadep
-        self.is_binomial_transform = is_binomial_transform
-        self.witness = witness  # failing submatrix size or (row, col) pair
-
-    def to_dict(self) -> dict:
-        # a full eigenbasis of Pascal columns is exactly global eigenbasis
-        # action, so the JSON key eigenbasis_action repeats is_binomial_transform
-        return {
-            "adep": self.adep,
-            "gadep": self.gadep,
-            "eigenbasis_action": self.is_binomial_transform,
-            "is_binomial_transform": self.is_binomial_transform,
-            "witness": self.witness,
-        }
-
-
-def property_report(m) -> PropertyReport:
-    """The three verdicts, and the first failing block, else entry off the transform."""
+def property_report(m) -> dict:
+    """The JSON record of the three verdicts: the first failing block as the
+    witness, else the first entry off the transform."""
     rows = _charpoly_rows(m)
     size = _first_non_adep_size(rows)
     # the loop already decided size n unless it stopped below it
     adep = size is None or (size < len(rows) and _adep(rows))
-    entry = _first_off_transform(rows)
-    return PropertyReport(adep, size is None, entry is None, entry if size is None else size)
+    entry = binomial_transform_witness(rows)
+    # a full eigenbasis of Pascal columns is exactly global eigenbasis
+    # action, so the key eigenbasis_action repeats is_binomial_transform
+    return {"adep": adep, "gadep": size is None, "eigenbasis_action": entry is None,
+            "is_binomial_transform": entry is None, "witness": entry if size is None else size}
 
 
 def gadep_counterexample(which: str, tau) -> list:

@@ -9,7 +9,9 @@ from itertools import accumulate
 from fractions import Fraction
 from operator import mul
 
+import networkx as nx
 import numpy as np
+import sympy
 
 from involute import _linalg as la
 from involute.classify import NotClassified, classification_label
@@ -303,6 +305,39 @@ def pattern_is_ergodic(n: int, pattern) -> bool:
             next_reached.append(union)
         reached = next_reached
     return all(mask == (1 << n) - 1 for mask in reached)
+
+
+def markov_oracle(p) -> dict:
+    """The walk's verdicts as networkx and sympy read them, from the rows of
+    P alone: its strongly connected classes (sorted lists), each class's
+    aperiodicity (None for a single state without a loop, which has no
+    cycle), the attracting (closed) classes, whether state 0 is reached from
+    every state, pi, the law spanning the nullspace of (P - I)^T when that
+    is one-dimensional, and, for an irreducible walk, whether diag(pi) P is
+    symmetric (pi and reversible are None otherwise).  Not sympy's
+    DiscreteMarkovChain, whose communication_classes can run for minutes on
+    a 5-state walk."""
+    n = len(p)
+    g = nx.DiGraph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from((x, z) for x in range(n) for z in range(n) if p[x][z])
+    classes = sorted(sorted(c) for c in nx.strongly_connected_components(g))
+    aperiodic = [nx.is_aperiodic(g.subgraph(c)) if len(c) > 1 or g.has_edge(c[0], c[0])
+                 else None for c in classes]
+    closed = sorted(sorted(c) for c in nx.attracting_components(g))
+    out = {"classes": classes, "aperiodic": aperiodic, "closed": closed,
+           "zero_reachable": all(nx.has_path(g, x, 0) for x in range(n)),
+           "pi": None, "reversible": None}
+    a = sympy.Matrix([[sympy.Rational(p[z][x].numerator, p[z][x].denominator) - int(x == z)
+                       for z in range(n)] for x in range(n)])
+    kernel = a.nullspace()
+    if len(kernel) == 1:
+        pi = [Fraction(int(c.p), int(c.q)) for c in kernel[0] / sum(kernel[0])]
+        out["pi"] = pi
+        if len(classes) == 1:
+            out["reversible"] = all(pi[x] * p[x][z] == pi[z] * p[z][x]
+                                    for x in range(n) for z in range(n))
+    return out
 
 
 def pascal_column(n: int, d: int) -> list:

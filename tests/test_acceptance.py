@@ -31,10 +31,10 @@ from involute.spectral import (
     signed_eigenvalues,
 )
 from involute.transform import (
+    binomial_transform_witness,
     check_conjugator,
-    check_gadep,
     gadep_counterexample,
-    is_binomial_transform,
+    gadep_witness,
     is_stochastic,
 )
 from involute.walk import (
@@ -237,13 +237,13 @@ def test_criterion_07_adep_gadep_conjugator():
         for spec in standard_specs():
             n = max(sizes_for(spec, 2, 8))  # gadep at the top size covers all m <= n
             h = down_step(spec, n)
-            assert check_gadep(h)
-            assert is_binomial_transform(h)
+            assert gadep_witness(h) is None
+            assert binomial_transform_witness(h) is None
         for which in ("L4", "H5"):
             for tau in (F(1, 4), F(1)):
                 mat = gadep_counterexample(which, tau)
-                assert check_gadep(mat)
-                assert not is_binomial_transform(mat)
+                assert gadep_witness(mat) is None
+                assert binomial_transform_witness(mat) is not None
         for n in range(1, 11):
             assert check_conjugator(pascal_matrix(n), global_check=True)
         rng = random.Random(271828)

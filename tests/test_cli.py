@@ -161,39 +161,49 @@ def test_check_matrix_rejects_a_non_walk(tmp_path, capsys, text, message):
 
 DATA_DIR = Path(__file__).parent / "data"
 # Exit code, stdout and stderr of `check adep|gadep|binomial-transform` in
-# every format, recorded when the CLI built the full property report (and
-# Faddeev-LeVerrier characteristic polynomials) for every check; DATA/ names
-# tests/data.  The matrices: L4 and H5 at tau = 1/4 (GADEP holds, not a
-# binomial transform), block2_fails (ADEP at size 3, not at size 2) and
+# the pretty and json formats, recorded when the CLI built the full property
+# report (and Faddeev-LeVerrier characteristic polynomials) for every check;
+# DATA/ names tests/data.  The matrices: L4 and H5 at tau = 1/4 (GADEP holds,
+# not a binomial transform), block2_fails (ADEP at size 3, not at size 2) and
 # fails_at_n (ADEP holds below size 3 only), walk3 (not lower-triangular).
 # A failing binomial-transform names its first entry off the transform, so
-# its six lines for block2_fails and fails_at_n were recorded again when it
-# stopped naming GADEP's failing block.
+# its lines for block2_fails and fails_at_n were recorded again when it
+# stopped naming GADEP's failing block.  The csv format, which these checks
+# refuse before reading a source, is pinned by
+# test_format_is_refused_where_it_is_not_read.
 TRIANGULAR_CASES = json.loads((DATA_DIR / "check_triangular.json").read_text())
 
 
 @pytest.mark.parametrize("case", TRIANGULAR_CASES, ids=lambda c: " ".join(c["argv"]))
 def test_check_triangular_properties_as_recorded(capsys, case):
     argv = [a.replace("DATA/", f"{DATA_DIR}/") for a in case["argv"]]
-    expected = (case["code"], case["out"], case["err"])
-    if argv[1] == "csv":
-        # recorded when a check ignored --format csv, which it now refuses;
-        # the same case under --format pretty keeps the recorded output
-        expected = (2, "", f"error: --format csv does not apply to check {argv[-1]}: "
-                           "it prints json or pretty\n")
-    assert run(capsys, *argv) == expected
+    assert run(capsys, *argv) == (case["code"], case["out"], case["err"])
 
 
-@pytest.mark.parametrize("source, prop, expected, calls", [
-    (("--gamma", "2", "4/3", "--n", "12"), "adep", (0, "adep holds\n", ""), [12]),
-    (("--gamma", "2", "4/3", "--n", "12"), "binomial-transform",
+FAILS_AT_N = ('{"adep": false, "gadep": false, "eigenbasis_action": false, '
+              '"is_binomial_transform": false, "witness": 3}\n')
+
+
+@pytest.mark.parametrize("fmt, source, prop, expected, calls", [
+    ("pretty", ("--gamma", "2", "4/3", "--n", "12"), "adep", (0, "adep holds\n", ""), [12]),
+    ("pretty", ("--gamma", "2", "4/3", "--n", "12"), "binomial-transform",
      (0, "binomial-transform holds\n", ""), []),
     # a failure names the first entry off the transform, not GADEP's failing block
-    (("--matrix", "block2_fails.csv"), "binomial-transform",
+    ("pretty", ("--matrix", "block2_fails.csv"), "binomial-transform",
      (2, "", "error: binomial-transform fails (witness: (1, 0))\n"), []),
+    # each block is decided once: size n first for adep, whose failure
+    # searches the smaller blocks, and a failing json check reads the report
+    ("pretty", ("--matrix", "fails_at_n.csv"), "adep",
+     (2, "", "error: adep fails (witness: 3)\n"), [3, 1, 2]),
+    ("pretty", ("--matrix", "fails_at_n.csv"), "gadep",
+     (2, "", "error: gadep fails (witness: 3)\n"), [1, 2, 3]),
+    ("json", ("--matrix", "fails_at_n.csv"), "adep",
+     (2, FAILS_AT_N, "error: adep fails (witness: 3)\n"), [1, 2, 3]),
+    ("json", ("--matrix", "fails_at_n.csv"), "gadep",
+     (2, FAILS_AT_N, "error: gadep fails (witness: 3)\n"), [1, 2, 3]),
 ])
-def test_check_decides_only_the_printed_property(monkeypatch, capsys, source, prop, expected,
-                                                 calls):
+def test_check_decides_only_the_printed_property(monkeypatch, capsys, fmt, source, prop,
+                                                 expected, calls):
     # berkowitz is the one kernel under both charpoly and the integer ADEP
     seen = []
     berkowitz = _linalg.berkowitz
@@ -204,7 +214,7 @@ def test_check_decides_only_the_printed_property(monkeypatch, capsys, source, pr
 
     monkeypatch.setattr(_linalg, "berkowitz", counting)
     source = [str(DATA_DIR / a) if a.endswith(".csv") else a for a in source]
-    assert run(capsys, "check", *source, prop) == expected
+    assert run(capsys, "--format", fmt, "check", *source, prop) == expected
     assert seen == calls
 
 
@@ -345,7 +355,9 @@ def test_an_oversized_custom_table_is_refused_before_quadratic_work(tmp_path, ca
 
 def test_an_oversized_lambda_walk_is_refused_before_its_difference_table(capsys):
     # 6,000 terms took 5.6 s to walk their difference table before the table
-    # budget refused them; the budget is now checked on the length first
+    # budget refused them, and 6.8 s in eigvec, which sizes its triangles
+    # from the length, n without --d or in json; the budget is now checked
+    # on the length first
     def hang(signum, frame):
         raise _Hung(f"no refusal within {seconds} s")
 
@@ -358,16 +370,22 @@ def test_an_oversized_lambda_walk_is_refused_before_its_difference_table(capsys)
     try:
         got = [run(capsys, *argv) for argv in (("classify", "--lambda", lam),
                                                ("matrix", "--lambda", lam),
-                                               ("check", "--lambda", lam, "reversible"))]
+                                               ("check", "--lambda", lam, "reversible"),
+                                               ("eigvec", "--lambda", lam),
+                                               ("--format", "json", "eigvec", "--lambda", lam,
+                                                "--d", "0"))]
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert got == [refusal] * 3
+    assert got == [refusal] * 5
     # a sequence past the budget is still decided where no table is built
     lam = ",".join(f"1/{k}" for k in range(1, _linalg.TABLE_BUDGET + 2))
     assert run(capsys, "check", "--lambda", lam, "stochastic")[0] == 0
     code, out, _ = run(capsys, "--format", "csv", "spectrum", "--lambda", lam)
     assert code == 0 and out.count(",") == _linalg.TABLE_BUDGET
+    # pretty eigvec --d 0 builds a 1 x 1 right triangle
+    code, out, _ = run(capsys, "eigvec", "--lambda", lam, "--d", "0")
+    assert code == 0 and out.startswith("d=0  eigenvalue=1  right=1,")
 
 
 @pytest.mark.parametrize("source", ["--custom", "--lambda"])
@@ -604,6 +622,9 @@ def test_global_applies_only_to_conjugator(tmp_path, capsys):
     (["eigvec", "--gamma", "1", "1", "--n", "3"], "eigvec", ("json", "pretty")),
     (["classify", "--lambda", "1,1/2,1/4"], "classify", ("json", "pretty")),
     (["check", "--gamma", "1", "1", "--n", "4", "adep"], "check adep", ("json", "pretty")),
+    (["check", "--gamma", "1", "1", "--n", "4", "gadep"], "check gadep", ("json", "pretty")),
+    (["check", "--gamma", "1", "1", "--n", "4", "binomial-transform"], "check binomial-transform",
+     ("json", "pretty")),
     (["ladder", "--mu", "2/3", "--n", "4"], "ladder", ("csv", "json")),
     (["subsets", "--m", "2", "--p", "1/2", "--matrix"], "subsets", ("csv", "json", "pretty")),
     (["spectrum", "--gamma", "1", "1", "--n", "3"], "spectrum", ("csv", "json", "pretty")),

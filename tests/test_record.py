@@ -13,7 +13,7 @@ import involute
 from involute._record import Record
 from involute.classify import IdentityWalk, NotClassified, SearchRecord, SearchSummary
 from involute.continuum import ContinuousWalk, PolyFunction
-from involute.transform import PropertyReport, StochasticCheck
+from involute.transform import StochasticCheck
 from involute.walk import ErgodicityReport, MixingReport, SubsetWalk
 from involute.weights import Custom, DeltaAB, GammaAB, GammaC
 
@@ -32,8 +32,6 @@ CASES = [
      "SubsetWalk(m=1, p=Fraction(1, 3), pi=[Fraction(1, 4), Fraction(3, 4)], "
      "eigenvalues=[1, Fraction(-1, 3)])", False),
     (lambda: StochasticCheck(True), "StochasticCheck(ok=True, witness=None, reason='')", True),
-    (lambda: PropertyReport(True, False, False),
-     "PropertyReport(adep=True, gadep=False, is_binomial_transform=False, witness=None)", False),
     (lambda: IdentityWalk(), "IdentityWalk()", True),
     (lambda: NotClassified("r"), "NotClassified(reason='r')", True),
     (lambda: SearchRecord([F(1)], False, None),
@@ -106,9 +104,6 @@ def test_keyword_construction_and_defaults():
     assert StochasticCheck(ok=True) == StochasticCheck(True, None, "")
     check = StochasticCheck(ok=False, witness=2, reason="x")
     assert (check.ok, check.witness, check.reason, bool(check)) == (False, 2, "x", False)
-    report = PropertyReport(adep=True, gadep=False, is_binomial_transform=False)
-    assert report.witness is None
-    assert report == PropertyReport(True, False, False, None)
     assert ContinuousWalk(kind="trig") == ContinuousWalk("trig", 0, 0)
     assert ContinuousWalk("kappa", b=2) == ContinuousWalk("kappa", 0, 2)
     first = SearchSummary(n=3, stochastic=0, reversible=0)

@@ -23,12 +23,12 @@ from involute.transform import (
     _lattice_records,
     _scaled_check,
     _scaled_walk,
+    adep_witness,
     binomial_transform,
-    check_adep,
+    binomial_transform_witness,
     check_conjugator,
-    check_gadep,
     gadep_counterexample,
-    is_binomial_transform,
+    gadep_witness,
     is_stochastic,
     lambda_walk,
     property_report,
@@ -37,9 +37,9 @@ from involute.walk import ergodicity, stationary, transition_matrix
 from involute.serialize import _rational_text, matrix_from_csv
 from involute.weights import DeltaAB, GammaAB, GammaC, domain_limit, family_sequence
 
-from oracles import (NAMED_SPECS, identity, normalized, pascal_column, pascal_inverse,
-                     pascal_matrix, spec_from_flags, stochastic_grid, stochastic_lattice,
-                     uncut_lattice)
+from oracles import (NAMED_SPECS, charpoly_faddeev_leverrier, identity, normalized,
+                     pascal_column, pascal_inverse, pascal_matrix, spec_from_flags,
+                     stochastic_grid, stochastic_lattice, uncut_lattice)
 
 DATA_DIR = Path(__file__).parent / "data"
 lambda_lists = st.lists(
@@ -124,7 +124,7 @@ def test_family_down_steps_are_binomial_transforms():
             h = down_step(spec, n)
             lam = family_sequence(spec, n)
             assert h == binomial_transform(lam)
-            assert is_binomial_transform(h)
+            assert binomial_transform_witness(h) is None
 
 
 def test_is_stochastic_examples():
@@ -326,8 +326,8 @@ def test_pascal_identities():
 @given(lambda_lists)
 @settings(max_examples=40)
 def test_round_trip_binomial_transform(lam):
-    assert is_binomial_transform(binomial_transform(lam))
-    assert check_gadep(binomial_transform(lam))
+    assert binomial_transform_witness(binomial_transform(lam)) is None
+    assert gadep_witness(binomial_transform(lam)) is None
 
 
 def test_strictly_stochastic_support():
@@ -340,15 +340,15 @@ def test_strictly_stochastic_support():
             assert (p[x][z] > 0) == (x + z >= n - 1)
 
 
-def test_check_adep_examples():
+def test_adep_witness_examples():
     h = down_step(GammaAB(0, 0), 4)
-    assert check_adep(h)
+    assert adep_witness(h) is None
     lj = la.matmul(h, antidiag(4))
     signed = signed_eigenvalues(family_sequence(GammaAB(0, 0), 4))
     assert la.charpoly(lj) == la.poly_from_roots(signed)
-    assert check_adep(gadep_counterexample("L4", F(1)))
+    assert adep_witness(gadep_counterexample("L4", F(1))) is None
     # 2x2 hand oracle: [[1,0],[1,-1]] J has char poly X^2 - X + 1
-    assert not check_adep([[F(1), F(0)], [F(1), F(-1)]])
+    assert adep_witness([[F(1), F(0)], [F(1), F(-1)]]) is not None
 
 
 def _fraction_adep(rows) -> bool:
@@ -365,7 +365,7 @@ def test_integer_adep_gives_the_fraction_verdict():
         for n in range(1, 13):
             if n <= domain_limit(spec):
                 h = down_step(spec, n)
-                assert check_adep(h) is _fraction_adep(h) is True, (flags, n)
+                assert (adep_witness(h) is None) is _fraction_adep(h) is True, (flags, n)
     # every principal block of the counterexamples: the top-left ones keep
     # ADEP (they have GADEP), trailing ones from size 2 or 3 lose it
     for which in ("L4", "H5"):
@@ -374,14 +374,14 @@ def test_integer_adep_gives_the_fraction_verdict():
             for lo in range(len(m)):
                 for hi in range(lo + 1, len(m) + 1):
                     block = [row[lo:hi] for row in m[lo:hi]]
-                    verdicts.append(check_adep(block))
+                    verdicts.append(adep_witness(block) is None)
                     assert verdicts[-1] == _fraction_adep(block), (which, tau, lo, hi)
     assert True in verdicts and False in verdicts
     for name in ("block2_fails.csv", "fails_at_n.csv"):
         m = matrix_from_csv((DATA_DIR / name).read_text())
         for k in range(1, len(m) + 1):
             block = la.top_left(m, k)
-            assert check_adep(block) == _fraction_adep(block), (name, k)
+            assert (adep_witness(block) is None) == _fraction_adep(block), (name, k)
 
 
 @given(st.data())
@@ -390,7 +390,43 @@ def test_integer_adep_on_random_lower_triangular(data):
     n = data.draw(st.integers(min_value=1, max_value=5))
     entry = st.fractions(min_value=-3, max_value=3, max_denominator=6)
     rows = [[data.draw(entry) if y <= x else F(0) for y in range(n)] for x in range(n)]
-    assert check_adep(rows) == _fraction_adep(rows)
+    assert (adep_witness(rows) is None) == _fraction_adep(rows)
+    _assert_witnesses_match_the_oracles(rows)
+
+
+def _assert_witnesses_match_the_oracles(rows):
+    """The three witness functions against readings of the definitions: the
+    top-left blocks whose Faddeev-LeVerrier charpoly of L J is not
+    prod_d (X - (-1)^d L[d][d]), and B Diag(diagonal) B^-1 entry by entry."""
+    n = len(rows)
+    failing = [k for k in range(1, n + 1) if charpoly_faddeev_leverrier(
+        [row[::-1] for row in la.top_left(rows, k)]) != la.poly_from_roots(
+        [(-1) ** d * rows[d][d] for d in range(k)])]
+    first = failing[0] if failing else None
+    assert gadep_witness(rows) == first
+    assert adep_witness(rows) == (first if n in failing else None)
+    diag = [[rows[x][x] if x == y else F(0) for y in range(n)] for x in range(n)]
+    expected = la.matmul(la.matmul(pascal_matrix(n), diag), pascal_inverse(n))
+    off = [(x, y) for x in range(n) for y in range(x + 1) if rows[x][y] != expected[x][y]]
+    assert binomial_transform_witness(rows) == (off[0] if off else None)
+
+
+def test_witnesses_match_the_oracles():
+    for flags in NAMED_SPECS:
+        spec = spec_from_flags(flags)
+        for n in range(1, 13):
+            if n <= domain_limit(spec):
+                _assert_witnesses_match_the_oracles(down_step(spec, n))
+    for which in ("L4", "H5"):
+        for tau in (F(0), F(1, 4), F(1), F(-1, 3), F(3, 7)):
+            m = gadep_counterexample(which, tau)
+            for lo in range(len(m)):
+                for hi in range(lo + 1, len(m) + 1):
+                    _assert_witnesses_match_the_oracles([row[lo:hi] for row in m[lo:hi]])
+    for name, witness in (("block2_fails.csv", 2), ("fails_at_n.csv", 3)):
+        m = matrix_from_csv((DATA_DIR / name).read_text())
+        assert gadep_witness(m) == witness
+        _assert_witnesses_match_the_oracles(m)
 
 
 def test_gadep_counterexamples():
@@ -401,8 +437,8 @@ def test_gadep_counterexamples():
     for tau in (F(1, 4), F(1, 2), F(1)):
         for which in ("L4", "H5"):
             mat = gadep_counterexample(which, tau)
-            assert check_gadep(mat)
-            assert not is_binomial_transform(mat)
+            assert gadep_witness(mat) is None
+            assert binomial_transform_witness(mat) is not None
     # H5's top-left 4x4 is the transform of (1, 1/2, 1/2-tau, 1/2-tau)
     tau = F(1, 4)
     h5 = gadep_counterexample("H5", tau)
@@ -411,14 +447,14 @@ def test_gadep_counterexamples():
 
 
 def test_gadep_family_matrices():
-    assert check_gadep(down_step(DeltaAB(4, 2), 4))
-    assert check_gadep(down_step(GammaAB(F(1, 2), 2), 6))
+    assert gadep_witness(down_step(DeltaAB(4, 2), 4)) is None
+    assert gadep_witness(down_step(GammaAB(F(1, 2), 2), 6)) is None
 
 
-def test_is_binomial_transform_examples():
-    assert is_binomial_transform(down_step(GammaAB(1, 0), 4))
-    assert not is_binomial_transform(gadep_counterexample("L4", 1))
-    assert is_binomial_transform(identity(4))
+def test_binomial_transform_witness_examples():
+    assert binomial_transform_witness(down_step(GammaAB(1, 0), 4)) is None
+    assert binomial_transform_witness(gadep_counterexample("L4", 1)) is not None
+    assert binomial_transform_witness(identity(4)) is None
 
 
 def test_property_report_implications():
@@ -429,19 +465,18 @@ def test_property_report_implications():
         [[F(1), F(0)], [F(1), F(-1)]],
     ):
         report = property_report(mat)
-        if report.is_binomial_transform:
-            assert report.gadep
-        if report.gadep:
-            assert report.adep
+        if report["is_binomial_transform"]:
+            assert report["gadep"]
+        if report["gadep"]:
+            assert report["adep"]
         # the JSON keeps both names of the one property
-        record = report.to_dict()
-        assert list(record) == ["adep", "gadep", "eigenbasis_action", "is_binomial_transform",
+        assert list(report) == ["adep", "gadep", "eigenbasis_action", "is_binomial_transform",
                                 "witness"]
-        assert record["eigenbasis_action"] is record["is_binomial_transform"] is (
-            report.is_binomial_transform)
+        assert report["eigenbasis_action"] is report["is_binomial_transform"]
+        assert report["is_binomial_transform"] is (binomial_transform_witness(mat) is None)
     report = property_report(gadep_counterexample("L4", F(1)))
-    assert report.gadep and not report.is_binomial_transform
-    assert report.witness is not None
+    assert report["gadep"] and not report["is_binomial_transform"]
+    assert report["witness"] is not None
 
 
 def test_check_conjugator_examples():

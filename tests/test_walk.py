@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from involute import _linalg as la
 from involute import walk
 from involute.errors import NoPositiveStationary, NotIrreducible, OutOfRange
-from involute.transform import _binomial_rows, _difference_rows, _scaled_walk, lambda_walk
+from involute.transform import (_binomial_rows, _difference_rows, _lattice_records, _scaled_walk,
+                               lambda_walk)
 from involute.spectral import left_side
 from involute.walk import (
     checked_walk,
@@ -35,6 +36,7 @@ from oracles import (
     detailed_balance,
     division_route,
     identity,
+    markov_oracle,
     norm_table,
     pattern_is_ergodic,
     reversible_with_some_distribution,
@@ -210,6 +212,71 @@ def test_ergodicity_matches_pattern_oracle_and_condition_d_is_not_necessary():
         meets_d.append(sum(frozenset(p) in d_patterns for p in patterns))
     assert [len(list(support_patterns(n))) for n in range(1, 5)] == [1, 3, 21, 315]
     assert ergodic == [1, 1, 3, 69] and meets_d == [1, 1, 2, 8]
+
+
+def _assert_verdicts_match_the_markov_oracle(p):
+    """Every walk verdict against `oracles.markov_oracle`.  A walk is
+    reversible against a strictly positive law exactly when each of its
+    classes is closed and, as a walk of its own, irreducible and reversible,
+    so the oracle is asked once more for each class of a reducible walk."""
+    want = markov_oracle(p)
+    report = ergodicity(p)
+    assert sorted(map(sorted, report.communicating_classes)) == want["classes"]
+    assert report.irreducible is (len(want["classes"]) == 1)
+    assert report.aperiodic is (False not in want["aperiodic"])
+    assert sorted(map(sorted, walk._closed_classes(p))) == want["closed"]
+    assert walk._zero_reachable(p) is want["zero_reachable"]
+    if want["pi"] is None:
+        with pytest.raises(NotIrreducible):
+            stationary(p)
+    else:
+        assert stationary(p) == want["pi"]
+    if want["classes"] == want["closed"]:
+        reversible = all(markov_oracle([[p[x][z] for z in c] for x in c])["reversible"]
+                         for c in want["closed"])
+        assert kolmogorov(p) is reversible
+    else:
+        reversible = False
+        with pytest.raises(NoPositiveStationary):
+            kolmogorov(p)
+    assert (walk._potentials(p) is not None) is reversible
+    return want
+
+
+def test_walk_verdicts_match_the_markov_oracle():
+    # every support pattern at n <= 4 with weights uniform in 1..4, and every
+    # lattice record at n <= 6 with denominators up to 6, through lambda_walk
+    rng = random.Random(7)
+    patterns = [(n, pattern) for n in range(1, 5) for pattern in support_patterns(n)]
+    for n, pattern in patterns:
+        table = {cell: rng.randint(1, 4) for cell in sorted(pattern)}
+        _assert_verdicts_match_the_markov_oracle(transition_matrix(Custom(n, table), n))
+    records = 0
+    for n in range(1, 7):
+        scale, lattice = _lattice_records(n, 6)
+        for scaled, _ in lattice:
+            _assert_verdicts_match_the_markov_oracle(lambda_walk([F(v, scale) for v in scaled]))
+            records += 1
+    assert (len(patterns), records) == (340, 231)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_reversible_walks_match_the_markov_oracle(data):
+    # any symmetric f >= 0 supported on x + z >= n-1, no row of it zero,
+    # gives the reversible involutive walk P[x][z] = f(x, z) / pi_x,
+    # pi_x = sum_z f(x, z), and every reversible walk with pi > 0 is one
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    f = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for z in range(max(x, n - 1 - x), n):
+            f[x][z] = f[z][x] = data.draw(st.integers(min_value=0, max_value=4))
+    assume(all(any(row) for row in f))
+    p = [[F(v, sum(row)) for v in row] for row in f]
+    want = _assert_verdicts_match_the_markov_oracle(p)
+    assert walk._potentials(p) is not None
+    if want["pi"] is not None:
+        assert want["pi"] == [F(sum(row), sum(map(sum, f))) for row in f]
 
 
 def test_named_families_meet_condition_d():
