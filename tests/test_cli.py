@@ -161,23 +161,27 @@ def test_check_matrix_rejects_a_non_walk(tmp_path, capsys, text, message):
 
 DATA_DIR = Path(__file__).parent / "data"
 # Exit code, stdout and stderr of `check adep|gadep|binomial-transform` in
-# the pretty and json formats, recorded when the CLI built the full property
-# report (and Faddeev-LeVerrier characteristic polynomials) for every check;
-# DATA/ names tests/data.  The matrices: L4 and H5 at tau = 1/4 (GADEP holds,
-# not a binomial transform), block2_fails (ADEP at size 3, not at size 2) and
+# every format, recorded when the CLI built the full property report (and
+# Faddeev-LeVerrier characteristic polynomials) for every check; DATA/ names
+# tests/data.  The matrices: L4 and H5 at tau = 1/4 (GADEP holds, not a
+# binomial transform), block2_fails (ADEP at size 3, not at size 2) and
 # fails_at_n (ADEP holds below size 3 only), walk3 (not lower-triangular).
 # A failing binomial-transform names its first entry off the transform, so
-# its lines for block2_fails and fails_at_n were recorded again when it
-# stopped naming GADEP's failing block.  The csv format, which these checks
-# refuse before reading a source, is pinned by
-# test_format_is_refused_where_it_is_not_read.
+# its six lines for block2_fails and fails_at_n were recorded again when it
+# stopped naming GADEP's failing block.
 TRIANGULAR_CASES = json.loads((DATA_DIR / "check_triangular.json").read_text())
 
 
 @pytest.mark.parametrize("case", TRIANGULAR_CASES, ids=lambda c: " ".join(c["argv"]))
 def test_check_triangular_properties_as_recorded(capsys, case):
     argv = [a.replace("DATA/", f"{DATA_DIR}/") for a in case["argv"]]
-    assert run(capsys, *argv) == (case["code"], case["out"], case["err"])
+    expected = (case["code"], case["out"], case["err"])
+    if argv[1] == "csv":
+        # recorded when a check ignored --format csv, which it now refuses;
+        # the same case under --format pretty keeps the recorded output
+        expected = (2, "", f"error: --format csv does not apply to check {argv[-1]}: "
+                           "it prints json or pretty\n")
+    assert run(capsys, *argv) == expected
 
 
 FAILS_AT_N = ('{"adep": false, "gadep": false, "eigenbasis_action": false, '
@@ -622,12 +626,12 @@ def test_global_applies_only_to_conjugator(tmp_path, capsys):
     (["eigvec", "--gamma", "1", "1", "--n", "3"], "eigvec", ("json", "pretty")),
     (["classify", "--lambda", "1,1/2,1/4"], "classify", ("json", "pretty")),
     (["check", "--gamma", "1", "1", "--n", "4", "adep"], "check adep", ("json", "pretty")),
-    (["check", "--gamma", "1", "1", "--n", "4", "gadep"], "check gadep", ("json", "pretty")),
-    (["check", "--gamma", "1", "1", "--n", "4", "binomial-transform"], "check binomial-transform",
-     ("json", "pretty")),
     (["ladder", "--mu", "2/3", "--n", "4"], "ladder", ("csv", "json")),
     (["subsets", "--m", "2", "--p", "1/2", "--matrix"], "subsets", ("csv", "json", "pretty")),
     (["spectrum", "--gamma", "1", "1", "--n", "3"], "spectrum", ("csv", "json", "pretty")),
+    (["check", "--gamma", "1", "1", "--n", "4", "gadep"], "check gadep", ("json", "pretty")),
+    (["check", "--gamma", "1", "1", "--n", "4", "binomial-transform"], "check binomial-transform",
+     ("json", "pretty")),
 ])
 def test_format_is_refused_where_it_is_not_read(capsys, argv, name, forms):
     for fmt in ("csv", "json", "pretty"):
