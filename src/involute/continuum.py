@@ -38,7 +38,7 @@ eigenfunctions are the orthogonal polynomials of the invariant density,
 shifted Jacobi polynomials.  Their monic three-term
 recurrence is a closed form (Koekoek, Lesky and Swarttouw 2010, section
 9.8; `_jacobi_recurrence`), exact over Q, and only the final normalization
-is a float; dmax <= 12, the cap, is the range the tests cover.  The exact
+is a float; dmax <= DEGREE_CAP = 12 is the range the tests cover.  The exact
 eigenvectors of L_P on monomials, by integer back-substitution, and the
 Gram-Schmidt route are test oracles (tests/oracles.py) that the closed
 form is checked against.
@@ -46,19 +46,16 @@ form is checked against.
 The eigen residuals and the fixed-point check integrate polynomials in the
 variable u of `lp_apply`, so one Gauss-Legendre panel of order
 floor(degree/2)+1 is exact for each, and it runs over the whole evaluation
-grid at once with numpy.  `eigen_residuals` evaluates every g_d in one
-sweep of the recurrence: the mapped grid and the points 1 - x + x u of each
-panel it needs sit side by side in one array, every step of the recurrence
-runs once over that array, and degree d reads L_P g_d from its panel's
-columns and g_d(x) from the grid column.  Each degree keeps its own panel,
-of order (a+b+d)//2 + 1, not the largest one the sweep builds: a panel of
-higher order is exact as well but rounds differently, so sharing it would
-make the residual of g_d depend on dmax.  The invariant density is one
-numpy expression over the grid.  `lp_apply` and `lh_apply` take arbitrary
-observables and integrate the definition of each walk directly, by adaptive
-Gauss-Legendre quadrature with interval bisection (`_continuum.adaptive_quad`,
-which needs no numpy): they are the reference that the exact path is tested
-against.
+grid at once with numpy.  `eigen_residuals` takes every g_d from one pass of
+the recurrence over the mapped grid beside the points 1 - x + x u of one
+panel, the one of degree a+b+DEGREE_CAP, which is exact for every g_d and
+the same whatever dmax is, so the residual of g_d does not depend on dmax.
+One stacked product then gives every L_P g_d, and one reduction every
+residual.  The invariant density is one numpy expression over the grid.
+`lp_apply` and `lh_apply` take arbitrary observables and integrate the
+definition of each walk directly, by adaptive Gauss-Legendre quadrature
+with interval bisection (`_continuum.adaptive_quad`, which needs no numpy):
+they are the reference that the exact path is tested against.
 """
 
 from __future__ import annotations
@@ -73,10 +70,11 @@ import numpy as np
 from ._continuum import CONVERGENCE_MAX_N, CONVERGENCE_MAX_SIZES, _gauss_legendre, adaptive_quad
 from ._record import FrozenRecord
 from .errors import OutOfRange
-from .spectral import right_eigenvectors, signed_eigenvalues
-from .weights import GammaAB, family_sequence
+from .spectral import right_eigenvectors
+from .weights import GammaAB, ac_sequence, family_sequence
 
 GRID_POINTS = 101  # evaluation grid k/101, k = 1..101; x = 0 stays excluded
+DEGREE_CAP = 12  # eigenfunctions g_d for d <= DEGREE_CAP, the range the tests cover
 
 
 QUAD_TOLERANCE = 1e-10  # absolute tolerance of lp_apply and lh_apply
@@ -228,6 +226,23 @@ def _reduced(num: int, den: int) -> tuple:
     return num // g, den // g
 
 
+def _recurrence_floats(a: int, b: int, dmax: int) -> tuple:
+    """(alphas, betas, scales) of g_0, ..., g_dmax as float lists: the
+    recurrence of `_jacobi_recurrence` and each g_d's scale 1/sqrt(h_d).
+    The squared norm of the monic g_d in the probability law pi is
+    h_d = beta_1 ... beta_d (h_0 = 1).  Every float is one int / int
+    division, which rounds the exact quotient correctly, as `float` of the
+    `Fraction` would."""
+    if not 0 <= dmax <= DEGREE_CAP:
+        raise OutOfRange("eigenfunction construction supported for "
+                         f"0 <= dmax <= {DEGREE_CAP}, got {dmax}")
+    alphas, betas = _jacobi_recurrence(a, b, dmax)
+    norms = accumulate(betas[1:], lambda h, beta: (h[0] * beta[0], h[1] * beta[1]),
+                       initial=(1, 1))
+    return ([num / den for num, den in alphas], [num / den for num, den in betas],
+            [1.0 / math.sqrt(num / den) for num, den in norms])
+
+
 def jacobi_eigenfunctions(a: int, b: int, dmax: int) -> list:
     """Eigenfunctions of kappa(a, b), orthonormal in L^2(pi).
 
@@ -235,26 +250,18 @@ def jacobi_eigenfunctions(a: int, b: int, dmax: int) -> list:
     Jacobi polynomials with parameters (a, a+b+1).  For a = b = 0 they are
     also the trigonometric walk's eigenfunctions in its coordinate phi (see
     the module docstring).  Each output carries the three-term recurrence of
-    `_jacobi_recurrence`, exact until the last float conversion, for stable
-    evaluation.  The squared norm of the monic g_d in the probability law pi
-    is h_d = beta_1 ... beta_d (h_0 = 1), so g_d is scaled by 1/sqrt(h_d).
-    Every float is one int / int division, which rounds the exact quotient
-    correctly, as `float` of the `Fraction` would.
+    `_jacobi_recurrence`, exact until the last float conversion
+    (`_recurrence_floats`), for stable evaluation.
     """
-    if not 0 <= dmax <= 12:
-        raise OutOfRange(f"eigenfunction construction supported for 0 <= dmax <= 12, got {dmax}")
-    alphas, betas = _jacobi_recurrence(a, b, dmax)
-    norms = accumulate(betas[1:], lambda h, beta: (h[0] * beta[0], h[1] * beta[1]),
-                       initial=(1, 1))
-    alphas = [num / den for num, den in alphas]
-    betas = [num / den for num, den in betas]
-    return [PolyFunction((tuple(alphas[:d]), tuple(betas[:d]), 1.0 / math.sqrt(num / den)))
-            for d, (num, den) in enumerate(norms)]
+    alphas, betas, scales = _recurrence_floats(a, b, dmax)
+    return [PolyFunction((tuple(alphas[:d]), tuple(betas[:d]), scale))
+            for d, scale in enumerate(scales)]
 
 
-def grid() -> list:
-    """The evaluation grid k/GRID_POINTS, k = 1..GRID_POINTS."""
-    return [k / GRID_POINTS for k in range(1, GRID_POINTS + 1)]
+def grid() -> np.ndarray:
+    """The evaluation grid k/GRID_POINTS, k = 1..GRID_POINTS; numpy's
+    division rounds each point as the float k / GRID_POINTS does."""
+    return np.arange(1, GRID_POINTS + 1) / GRID_POINTS
 
 
 @functools.cache
@@ -265,57 +272,46 @@ def _unit_panel(degree: int):
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
-def _lp_sweep(a: int, b: int, gs: list, u: np.ndarray):
-    """Yield (L_P g_d, g_d) for kappa(a, b) at every point of the array u,
-    for the eigenfunctions g_d of gs in turn.
+def _lp_pass(a: int, b: int, dmax: int, u: np.ndarray) -> tuple:
+    """(L_P g_d, g_d) for kappa(a, b) at every point of the array u, for
+    d = 0..dmax: two arrays of shape (dmax+1, u.size).
 
     After z = 1 - x + x t the integrand (1-t)^a t^b g_d(z) of `lp_apply` is
-    a polynomial of degree a+b+d in t, so the Gauss-Legendre panel of
-    `_unit_panel(a + b + d)` integrates it exactly up to rounding.  The grid
-    column u and the points z of every distinct panel form one array, and
-    the recurrence runs over it once; degree d takes its panel's columns,
-    copied contiguous so that the product with that panel's kernel
-    w (1-t)^a t^b rounds as it would for the panel alone.
+    a polynomial of degree a+b+d <= a+b+DEGREE_CAP in t, so the one panel
+    `_unit_panel(a + b + DEGREE_CAP)` integrates every degree exactly up to
+    rounding, the same panel whatever dmax is.  The recurrence runs once
+    over the column u beside the panel's points z, and one product with
+    the panel's kernel w (1-t)^a t^b gives every L_P g_d.
     """
+    alphas, betas, scales = _recurrence_floats(a, b, dmax)
+    t, w = _unit_panel(a + b + DEGREE_CAP)
     x = u[:, None]
-    panels = {}  # panel order -> (its columns, its kernel)
-    columns = [x]
-    width = 1
-    for d in range(len(gs)):
-        t, w = _unit_panel(a + b + d)
-        if t.size not in panels:
-            panels[t.size] = (slice(width, width + t.size), w * (1 - t) ** a * t**b)
-            columns.append(1 - x + x * t)
-            width += t.size
+    values = np.stack(list(_monic_values(alphas, betas, np.hstack([x, 1 - x + x * t]))))
+    values *= np.array(scales)[:, None, None]
     const = (a + b + 1) * math.comb(a + b, a)
-    alphas, betas, _ = gs[-1].recurrence
-    z = np.hstack(columns)
-    del columns  # the sweep keeps only z, prev and cur alive
-    for d, (g, monic) in enumerate(zip(gs, _monic_values(alphas, betas, z))):
-        scale = g.recurrence[2]
-        cols, kernel = panels[(a + b + d) // 2 + 1]
-        yield const * (np.ascontiguousarray(scale * monic[:, cols]) @ kernel), scale * monic[:, 0]
+    return const * (values[:, :, 1:] @ (w * (1 - t) ** a * t**b)), values[:, :, 0]
 
 
 def eigen_residuals(walk: ContinuousWalk, dmax: int) -> list:
     """max over the grid of |L_P g_d(x) - eigenvalue * g_d(x)|, for d = 0..dmax.
 
     g_d is `jacobi_eigenfunctions(a, b, dmax)[d]` read in the walk's
-    coordinate, so the grid is mapped by phi once, and one sweep of the
-    recurrence over the mapped grid and every panel's points gives each
-    L_P g_d from an exact Gauss-Legendre panel in the variable u of
-    `lp_apply`, and g_d itself (see `_lp_sweep`).  Degree d keeps its own
-    panel order, so its residual does not depend on dmax.  It is an
-    independent check of the eigenfunction against the integral definition
-    of kappa's L_P; for the trigonometric walk it rests on the identity of
-    the module docstring, which the tests check against `lp_apply`.
+    coordinate, so the grid is mapped by phi once, and `_lp_pass` gives
+    every L_P g_d, from one exact Gauss-Legendre panel in the variable u of
+    `lp_apply`, and every g_d.  That panel does not depend on dmax, so
+    neither does the residual of g_d.  The eigenvalue (-1)^d lambda_d of
+    the discrete gamma(a, b) walk is one int / int division of its closed
+    form (`weights.ac_sequence`).  The residual is an independent check of
+    the eigenfunction against the integral definition of kappa's L_P; for
+    the trigonometric walk it rests on the identity of the module
+    docstring, which the tests check against `lp_apply`.
     """
     a, b = walk.a, walk.b
-    gs = jacobi_eigenfunctions(a, b, dmax)
-    sigma = signed_eigenvalues(family_sequence(GammaAB(a, b), dmax + 1))
-    u, _ = _coordinate(walk, np.array(grid()))
-    return [float(np.max(np.abs(lp - float(s) * g)))
-            for (lp, g), s in zip(_lp_sweep(a, b, gs, u), sigma)]
+    u, _ = _coordinate(walk, grid())
+    lp, g = _lp_pass(a, b, dmax, u)
+    sigma = [(-p if d % 2 else p) / q
+             for d, (p, q) in enumerate(ac_sequence(a + 1, a + b + 2, dmax + 1))]
+    return np.max(np.abs(lp - np.array(sigma)[:, None] * g), axis=1).tolist()
 
 
 def _kappa_density(a: int, b: int, x):
@@ -359,7 +355,7 @@ def _rp_invariant(walk: ContinuousWalk, z):
 
 def fixed_point_residual(walk: ContinuousWalk) -> float:
     """max-grid residual of the stationarity equation (R_P pi)(z) = pi(z)."""
-    zs = np.array(grid())
+    zs = grid()
     return float(np.max(np.abs(_rp_invariant(walk, zs) - cts_invariant(walk, zs))))
 
 

@@ -138,10 +138,10 @@ def _terms(ratio, length: int) -> list:
 
     Every caller's q is positive for k < length - 1, so no sign is repaired
     and no zero tested: `_rising` and `_falling` give (k+1) q_r, gamma(c)
-    gives q_c, and `family_sequence`'s u / N ratio gives q_u p_N, with
-    p_N > 0 on every n that `_check_n` admits: r+k+1 > 0 for gamma(a, b),
-    as r = a+b+1 > -1; p_c + q_c > 0 for gamma(c); and a'+b'-2-k > 0 for
-    delta, as k <= n-2 <= ceil(a')-2 < a'+b'-2."""
+    gives q_c, `ac_sequence` gives q_A (p_C + k q_C), with C > 0, and
+    `family_sequence`'s u / N ratio gives q_u p_N, with p_N > 0 on every n
+    that `_check_n` admits: p_c + q_c > 0 for gamma(c), and a'+b'-2-k > 0
+    for delta, as k <= n-2 <= ceil(a')-2 < a'+b'-2."""
     num = den = 1
     out = [(1, 1)]
     for k in range(length - 1):
@@ -179,12 +179,26 @@ def _ratios(spec: WeightSpec):
     return _falling(ap), _falling(bp), False, _falling(ap + bp)
 
 
+def ac_sequence(big_a, big_c, n: int) -> list:
+    """lambda_d = (A)_d / (C)_d for d < n, as reduced integer pairs
+    (num, den): the family (A, C) of the module docstring.  A and C are ints
+    or Fractions, read through their numerators and denominators, and C > 0
+    keeps every term ratio (A+k) / (C+k) on a positive denominator.  That
+    holds for gamma(a, b), A = a+1 and C = a+b+2, but not for delta, whose
+    C+k is negative."""
+    pa, qa, pc, qc = big_a.numerator, big_a.denominator, big_c.numerator, big_c.denominator
+    return _terms(lambda k: ((pa + k * qa) * qc, qa * (pc + k * qc)), n)
+
+
 def family_sequence(spec: WeightSpec, n: int) -> list:
     """lambda_0, ..., lambda_{n-1} of a named family walk: lambda_d = w[d, d] / N_d,
-    the diagonal of the lower-triangular H = B Diag(lambda) B^-1."""
+    the diagonal of the lower-triangular H = B Diag(lambda) B^-1, which is
+    `ac_sequence` for gamma(a, b)."""
     if isinstance(spec, Custom):
         raise UnsupportedFamily("no closed-form eigenvalues for custom weights")
     _check_n(spec, n)
+    if isinstance(spec, GammaAB):
+        return [Fraction(p, q) for p, q in ac_sequence(spec.a + 1, spec.a + spec.b + 2, n)]
     u, _, _, norms = _ratios(spec)
 
     def ratio(k):  # of u_d / N_d, so each lambda_d is reduced once

@@ -458,14 +458,15 @@ def beta_moment(a: int, b: int, k: int) -> Fraction:
 
 
 def kappa_lp_panel(a: int, b: int, g, degree: int, xs) -> np.ndarray:
-    """(L_P g)(x) for kappa(a, b) at every x of the array xs, one degree at
-    a time: the per-degree reference for the one sweep of
-    `continuum._lp_sweep`.
+    """(L_P g)(x) for kappa(a, b) at every x of the array xs, one
+    polynomial at a time: the reference for the stacked pass of
+    `continuum._lp_pass`, which integrates every g_d on the panel of
+    degree = DEGREE_CAP.
 
-    g is a polynomial of the given degree that evaluates on numpy arrays.
-    After z = 1 - x + x u the integrand (1-u)^a u^b g(z) is a polynomial of
-    degree a+b+degree in u, so one Gauss-Legendre panel on [0, 1]
-    integrates it exactly up to rounding.
+    g is a polynomial of degree at most `degree` that evaluates on numpy
+    arrays.  After z = 1 - x + x u the integrand (1-u)^a u^b g(z) is a
+    polynomial of degree at most a+b+degree in u, so one Gauss-Legendre
+    panel on [0, 1] integrates it exactly up to rounding.
     """
     u, w = _unit_panel(a + b + degree)
     kernel = w * (1 - u) ** a * u**b

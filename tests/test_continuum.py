@@ -12,10 +12,11 @@ import pytest
 import sympy
 from scipy import integrate as scipy_integrate
 
-from involute import _continuum, cli
+from involute import _continuum, cli, continuum
 from involute.continuum import (
     CONVERGENCE_MAX_N,
     CONVERGENCE_MAX_SIZES,
+    DEGREE_CAP,
     GRID_POINTS,
     ContinuousWalk,
     adaptive_quad,
@@ -30,7 +31,7 @@ from involute.continuum import (
     lp_apply,
     trig_walk,
     _jacobi_recurrence,
-    _lp_sweep,
+    _lp_pass,
     _rp_invariant,
 )
 from involute.errors import OutOfRange, QuadratureNonConvergence
@@ -205,6 +206,14 @@ DENSITY_WALKS = [kappa_walk(a, b) for a in range(3) for b in range(3)] + [
     kappa_walk(45, 45), trig_walk()]
 
 
+def test_grid_is_k_over_grid_points():
+    # numpy's division rounds each point as the float k / GRID_POINTS does,
+    # and prints the same text
+    points = [k / GRID_POINTS for k in range(1, GRID_POINTS + 1)]
+    assert grid().tolist() == points
+    assert [f"{x:.6f}" for x in grid()] == [f"{x:.6f}" for x in points]
+
+
 def test_grid_density_matches_per_point():
     zs = grid()
     for walk in DENSITY_WALKS:
@@ -289,10 +298,11 @@ def test_quadrature_budget(monkeypatch):
 
 
 def test_eigen_residuals_match_single_index():
-    # g_d does not depend on dmax, and each degree keeps its own panel, so
-    # neither does its residual
-    walks = [kappa_walk(a, b) for a in range(3) for b in range(3)]
-    for walk in walks + [kappa_walk(45, 45), trig_walk()]:
+    # g_d does not depend on dmax, and every dmax meets the one panel of the
+    # cap, so neither does its residual
+    walks = [kappa_walk(a, b) for a in range(3) for b in range(3)] + [
+        kappa_walk(a, b) for a, b in ((45, 45), (90, 0), (0, 90), (3, 87))]
+    for walk in walks + [trig_walk()]:
         single = [eigen_residuals(walk, d)[d] for d in range(13)]
         for dmax in range(13):
             assert eigen_residuals(walk, dmax) == single[:dmax + 1]
@@ -536,25 +546,36 @@ def test_panel_matches_adaptive_lp_apply():
                 assert abs(value - adaptive) <= 1e-12 * max(1.0, abs(adaptive))
 
 
-def test_one_sweep_matches_per_degree_panels():
-    # one recurrence sweep over the grid and every panel's points gives, for
-    # d >= 1, the per-degree panel and the eigenfunction's own values bit for
-    # bit; the sweep's g_0 is an array of ones where the panel broadcasts a
-    # scalar, so L_P g_0 = 1 is checked to rounding
+def test_one_pass_matches_the_panel_of_the_cap():
+    # one recurrence pass over the grid and the points of the cap's panel,
+    # and one stacked product, give every L_P g_d as the one-degree panel
+    # of the same order does and every g_d as the eigenfunction does, bit
+    # for bit
     walks = [kappa_walk(a, b) for a, b in RECURRENCE_AB] + [trig_walk()]
     for walk in walks:
         a, b = walk.a, walk.b
-        u = np.array(grid()) if walk.kind == "kappa" else np.array([_phi(x) for x in grid()])
-        for dmax in range(13):
+        u = grid() if walk.kind == "kappa" else np.array([_phi(x) for x in grid()])
+        for dmax in range(DEGREE_CAP + 1):
             gs = jacobi_eigenfunctions(a, b, dmax)
-            swept = list(_lp_sweep(a, b, gs, u))
-            assert len(swept) == dmax + 1
-            lp, g = swept[0]
-            assert np.array_equal(g, np.ones_like(u))
-            assert np.max(np.abs(lp - 1)) < 1e-13
-            for d, (lp, g) in enumerate(swept[1:], start=1):
-                assert np.array_equal(lp, kappa_lp_panel(a, b, gs[d], d, u))
-                assert np.array_equal(g, gs[d](u))
+            lp, g = _lp_pass(a, b, dmax, u)
+            assert lp.shape == g.shape == (dmax + 1, GRID_POINTS)
+            for d in range(dmax + 1):
+                assert np.array_equal(lp[d], kappa_lp_panel(a, b, gs[d], DEGREE_CAP, u))
+                assert np.array_equal(g[d], gs[d](u))
+
+
+def test_residual_forms_no_fraction_and_no_poly_function(monkeypatch, capsys):
+    # the recurrence and the eigenvalues are read as int / int divisions of
+    # their closed forms, so a --residual call builds no exact object and
+    # no per-degree eigenfunction
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction or a PolyFunction was formed")
+
+    monkeypatch.setattr(F, "__new__", refuse)
+    monkeypatch.setattr(continuum.PolyFunction, "__init__", refuse)
+    for argv in (["--kappa", "2", "1"], ["--kappa", "45", "45"], ["--trig"]):
+        assert cli.main(["continuum", *argv, "--residual", str(DEGREE_CAP)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == DEGREE_CAP + 2
 
 
 # --- the trigonometric walk: kappa(0, 0) in phi(x) = (1 - cos(pi x))/2 -------
@@ -668,7 +689,6 @@ def test_trig_lp_matches_mpmath():
 
 def test_fixed_point_panel_matches_scalar_and_scipy():
     zs = grid()
-    assert zs == [k / GRID_POINTS for k in range(1, GRID_POINTS + 1)]
     for walk in [kappa_walk(a, b) for a, b in EXACT_AB] + [trig_walk()]:
         whole = _rp_invariant(walk, zs)
         for z, value in zip(zs, whole):

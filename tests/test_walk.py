@@ -279,6 +279,20 @@ def test_reversible_walks_match_the_markov_oracle(data):
         assert want["pi"] == [F(sum(row), sum(map(sum, f))) for row in f]
 
 
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_random_walks_match_the_markov_oracle(data):
+    # support patterns at n <= 8, each column a non-empty set of lower
+    # endpoints y, with weights uniform in 1..4: walks that are mostly
+    # reducible, periodic or not reversible, unlike the reversible draws
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    table = {}
+    for x in range(n):
+        for y in sorted(data.draw(st.sets(st.integers(min_value=0, max_value=x), min_size=1))):
+            table[(y, x)] = data.draw(st.integers(min_value=1, max_value=4))
+    _assert_verdicts_match_the_markov_oracle(transition_matrix(Custom(n, table), n))
+
+
 def test_named_families_meet_condition_d():
     specs = [GammaAB(0, 0), GammaAB(1, F(1, 3)), GammaAB(2, F(2, 3)), GammaAB(F(-1, 2), F(1, 3)),
              GammaC(F(1, 2)), GammaC(3), DeltaAB(9, 3), DeltaAB(5, 2), DeltaAB(F(21, 2), F(43, 4))]
