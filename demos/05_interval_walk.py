@@ -33,9 +33,9 @@ for walk, name in ((kappa_walk(0, 0), "kappa(0,0)"),
     print(f"  invariant density at 1/2: {cts_invariant(walk, 0.5):.6f}")
 print()
 
-g = jacobi_eigenfunctions(0, 0, 2)
-# g_1 is proportional to x - alpha_0, the first recurrence coefficient
-print("kappa(0,0) eigenfunctions: g1 root at", g[1].recurrence[0][0])
+# g_1 is affine, so its values at 0 and 1 give its root
+at_0, at_1 = jacobi_eigenfunctions(0, 0, 1, [0.0, 1.0])[1]
+print("kappa(0,0) eigenfunctions: g1 root at", at_0 / (at_0 - at_1))
 print()
 
 print("discrete -> continuous sup-distances (a=b=0):")

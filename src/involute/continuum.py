@@ -41,7 +41,16 @@ recurrence is a closed form (Koekoek, Lesky and Swarttouw 2010, section
 is a float; dmax <= DEGREE_CAP = 12 is the range the tests cover.  The exact
 eigenvectors of L_P on monomials, by integer back-substitution, and the
 Gram-Schmidt route are test oracles (tests/oracles.py) that the closed
-form is checked against.
+form is checked against.  `jacobi_eigenfunctions` is the one evaluator:
+one run of the recurrence gives every g_d, d <= dmax, at a float or an
+array.  The monic g_d has its d zeros inside (0, 1), so g_d(0) has the sign
+(-1)^d, while the discrete right eigenvector has v_d(0) > 0.
+
+No eigenvalue is missing from {(-1)^d lambda_d}, for the (a, b) tested: the
+squared eigenvalues of a self-adjoint Hilbert-Schmidt operator sum to its
+squared Hilbert-Schmidt norm, a double integral that equals the 3F2 sum of
+the lambda_d^2.  The discrete sum lambda_d^2 = tr P^2 proves nothing, as it
+holds for every matrix.
 
 The eigen residuals and the fixed-point check integrate polynomials in the
 variable u of `lp_apply`, so one Gauss-Legendre panel of order
@@ -127,43 +136,6 @@ def _coordinate(walk: ContinuousWalk, x):
     return (1 - np.cos(np.pi * x)) / 2, (np.pi / 2) * np.sin(np.pi * x)
 
 
-class PolyFunction(FrozenRecord):
-    """Polynomial in its variable, x for kappa(a, b) and phi(x) for the
-    trigonometric walk, given by the three-term recurrence of
-    `jacobi_eigenfunctions`: beyond degree ~8 the monomial coefficients
-    grow so large that Horner evaluation would lose 1e-9 of accuracy to
-    cancellation, while the recurrence stays at machine precision and also
-    evaluates elementwise on numpy arrays.
-    """
-
-    __slots__ = _fields = ("recurrence",)
-
-    def __init__(self, recurrence: tuple):
-        # recurrence: (alphas, betas, scale) for the monic polynomial
-        self._freeze(recurrence)
-
-    def __call__(self, x):
-        alphas, betas, scale = self.recurrence
-        *_, cur = _monic_values(alphas, betas, x)
-        return scale * cur
-
-
-def _monic_values(alphas, betas, x):
-    """Yield the monic g_0(x), g_1(x), ..., g_len(alphas)(x) of the
-    three-term recurrence in turn; x is a float or an array, and every value
-    has its shape, g_0 = 1 too."""
-    prev, cur = 0.0, np.ones_like(x)
-    yield cur
-    for k, alpha in enumerate(alphas):
-        # (x - alpha) cur - beta prev, built in place: one array fewer alive
-        nxt = x - alpha
-        nxt *= cur
-        if k:
-            nxt -= betas[k] * prev
-        prev, cur = cur, nxt
-        yield cur
-
-
 def lp_apply(walk: ContinuousWalk, f, x: float) -> float:
     """Quadrature evaluation of (L_P f)(x); undefined at x = 0."""
     if not 0 < x <= 1:
@@ -243,19 +215,31 @@ def _recurrence_floats(a: int, b: int, dmax: int) -> tuple:
             [1.0 / math.sqrt(num / den) for num, den in norms])
 
 
-def jacobi_eigenfunctions(a: int, b: int, dmax: int) -> list:
-    """Eigenfunctions of kappa(a, b), orthonormal in L^2(pi).
+def jacobi_eigenfunctions(a: int, b: int, dmax: int, x) -> np.ndarray:
+    """g_0(x), ..., g_dmax(x), the eigenfunctions of kappa(a, b) orthonormal
+    in L^2(pi), as one array of shape (dmax+1, *x.shape); x is a float or
+    an array.
 
     pi is proportional to (1-x)^a x^(a+b+1) on [0, 1], so these are shifted
     Jacobi polynomials with parameters (a, a+b+1).  For a = b = 0 they are
     also the trigonometric walk's eigenfunctions in its coordinate phi (see
-    the module docstring).  Each output carries the three-term recurrence of
-    `_jacobi_recurrence`, exact until the last float conversion
-    (`_recurrence_floats`), for stable evaluation.
+    the module docstring).  One run of the monic three-term recurrence of
+    `_recurrence_floats` fills the rows, and one product scales them.
     """
     alphas, betas, scales = _recurrence_floats(a, b, dmax)
-    return [PolyFunction((tuple(alphas[:d]), tuple(betas[:d]), scale))
-            for d, scale in enumerate(scales)]
+    x = np.asarray(x, dtype=float)
+    values = np.empty((dmax + 1, *x.shape))
+    values[0] = 1.0
+    for k, alpha in enumerate(alphas):
+        # (x - alpha) g_k - beta_k g_(k-1), built in place in row k+1; the
+        # ellipsis keeps the row a view when x is a float
+        nxt = values[k + 1, ...]
+        np.subtract(x, alpha, out=nxt)
+        nxt *= values[k]
+        if k:
+            nxt -= betas[k] * values[k - 1]
+    values *= np.reshape(scales, (-1,) + (1,) * x.ndim)
+    return values
 
 
 def grid() -> np.ndarray:
@@ -279,15 +263,13 @@ def _lp_pass(a: int, b: int, dmax: int, u: np.ndarray) -> tuple:
     After z = 1 - x + x t the integrand (1-t)^a t^b g_d(z) of `lp_apply` is
     a polynomial of degree a+b+d <= a+b+DEGREE_CAP in t, so the one panel
     `_unit_panel(a + b + DEGREE_CAP)` integrates every degree exactly up to
-    rounding, the same panel whatever dmax is.  The recurrence runs once
-    over the column u beside the panel's points z, and one product with
-    the panel's kernel w (1-t)^a t^b gives every L_P g_d.
+    rounding, the same panel whatever dmax is.  The eigenfunctions are
+    evaluated once, over the column u beside the panel's points z, and one
+    product with the panel's kernel w (1-t)^a t^b gives every L_P g_d.
     """
-    alphas, betas, scales = _recurrence_floats(a, b, dmax)
     t, w = _unit_panel(a + b + DEGREE_CAP)
     x = u[:, None]
-    values = np.stack(list(_monic_values(alphas, betas, np.hstack([x, 1 - x + x * t]))))
-    values *= np.array(scales)[:, None, None]
+    values = jacobi_eigenfunctions(a, b, dmax, np.hstack([x, 1 - x + x * t]))
     const = (a + b + 1) * math.comb(a + b, a)
     return const * (values[:, :, 1:] @ (w * (1 - t) ** a * t**b)), values[:, :, 0]
 
@@ -295,7 +277,7 @@ def _lp_pass(a: int, b: int, dmax: int, u: np.ndarray) -> tuple:
 def eigen_residuals(walk: ContinuousWalk, dmax: int) -> list:
     """max over the grid of |L_P g_d(x) - eigenvalue * g_d(x)|, for d = 0..dmax.
 
-    g_d is `jacobi_eigenfunctions(a, b, dmax)[d]` read in the walk's
+    g_d is row d of `jacobi_eigenfunctions` read in the walk's
     coordinate, so the grid is mapped by phi once, and `_lp_pass` gives
     every L_P g_d, from one exact Gauss-Legendre panel in the variable u of
     `lp_apply`, and every g_d.  That panel does not depend on dmax, so
@@ -368,10 +350,20 @@ def convergence_table(a: int, b: int, degrees, n_list) -> list:
     limit statement; the x/(n-1) alternative collapses the d = 1 comparison
     to exactly zero because both sides are affine with the same root).
     Both vectors are scaled to sup-norm 1 over the grid with matching sign
-    at the left endpoint, and the sup-distance over the n points returns.
-    Each n's exact right eigenvectors are built once, up to max(degrees),
-    and the points of all sizes sit side by side in one array, so each g_d
-    is evaluated in one call and each reduction runs once over all sizes.
+    at the left endpoint x = 0, and the sup-distance over the n points
+    returns.  The signs there are fixed by the closed forms:
+
+      * v_d(0) > 0: `right_eigenvectors` makes the first nonzero entry of
+        each vector positive, and v_d(0) is the Hahn value Q_d(0) = 1 times
+        a positive scale, so it is that entry;
+      * g_d(0) has the sign (-1)^d: the monic g_d has its d zeros inside
+        (0, 1), as every orthogonal polynomial has inside the support of its
+        weight, and its scale is positive.
+
+    So g_d times (-1)^d is matched against v_d.  Each n's exact right
+    eigenvectors are built once, up to max(degrees), and the points of all
+    sizes sit side by side in one array, so the eigenfunctions are
+    evaluated in one call and each reduction runs once over all sizes.
     Supported: 0 <= d <= 5, d < n <= CONVERGENCE_MAX_N, and at most
     CONVERGENCE_MAX_SIZES sizes.
     """
@@ -387,7 +379,6 @@ def convergence_table(a: int, b: int, degrees, n_list) -> list:
             raise OutOfRange(f"the n-state walk has eigenvectors d < n; need n > {top}, got n={n}")
         if n > CONVERGENCE_MAX_N:
             raise OutOfRange(f"discrete comparison supported for n <= {CONVERGENCE_MAX_N}, got n={n}")
-    gs = jacobi_eigenfunctions(a, b, top)
     # lambda_d does not depend on n: each walk's sequence is a prefix of the longest
     lam = family_sequence(GammaAB(Fraction(a), Fraction(b)), max(n_list, default=1))
     # every size's points i/n side by side, one row per degree
@@ -396,10 +387,9 @@ def convergence_table(a: int, b: int, degrees, n_list) -> list:
     rights = [right_eigenvectors(lam[:n], top) for n in n_list]
     w_hat = _sup_normalize(np.array([[v for r in rights for v in r[d]] for d in degrees],
                                     dtype=float), starts, n_list)
-    g_hat = _sup_normalize(np.array([gs[d](xs) for d in degrees]), starts, n_list)
-    flips = [[1.0 if p == q else -1.0 for p, q in zip(row_w, row_g)]
-             for row_w, row_g in zip(_leading_signs(w_hat, starts), _leading_signs(g_hat, starts))]
-    w_hat *= np.repeat(flips, n_list, axis=1)
+    g = jacobi_eigenfunctions(a, b, top, xs)[list(degrees)]
+    g *= np.array([(-1.0) ** d for d in degrees])[:, None]
+    g_hat = _sup_normalize(g, starts, n_list)
     return np.maximum.reduceat(np.abs(w_hat - g_hat), starts, axis=1).tolist()
 
 
@@ -407,10 +397,3 @@ def _sup_normalize(values: np.ndarray, starts: list, sizes) -> np.ndarray:
     """Each row's segments of the given sizes, from starts, scaled to sup-norm 1."""
     peaks = np.maximum.reduceat(np.abs(values), starts, axis=1)
     return values / np.repeat(peaks, sizes, axis=1)
-
-
-def _leading_signs(values: np.ndarray, starts: list) -> list:
-    """Per row and segment, whether the first entry above 1e-9 in size is
-    positive; a segment scaled to sup-norm 1 always has one."""
-    return [[next(v for v in row[start:] if abs(v) > 1e-9) > 0 for start in starts]
-            for row in values.tolist()]

@@ -479,7 +479,6 @@ def convergence_by_points(a: int, b: int, degrees, n_list) -> list:
     """`continuum.convergence_table` one size, degree and point at a time in
     plain floats: g_d at each x = i/n, sup-normalization, the sign of the
     first entry above 1e-9 and the sup-distance, all by Python loops."""
-    gs = jacobi_eigenfunctions(a, b, max(degrees))
     lam = family_sequence(GammaAB(Fraction(a), Fraction(b)), max(n_list, default=1))
 
     def normalized(values):
@@ -492,9 +491,10 @@ def convergence_by_points(a: int, b: int, degrees, n_list) -> list:
     table = [[] for _ in degrees]
     for n in n_list:
         rights = right_eigenvectors(lam[:n], max(degrees))
+        gs = [jacobi_eigenfunctions(a, b, max(degrees), i / n) for i in range(n)]
         for d, row in zip(degrees, table):
             w_hat = normalized([float(v) for v in rights[d]])
-            g_hat = normalized([float(gs[d](i / n)) for i in range(n)])
+            g_hat = normalized([float(g[d]) for g in gs])
             if leading_sign(w_hat) != leading_sign(g_hat):
                 w_hat = [-v for v in w_hat]
             row.append(max(abs(p - q) for p, q in zip(w_hat, g_hat)))

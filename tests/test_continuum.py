@@ -12,7 +12,7 @@ import pytest
 import sympy
 from scipy import integrate as scipy_integrate
 
-from involute import _continuum, cli, continuum
+from involute import _continuum, cli
 from involute.continuum import (
     CONVERGENCE_MAX_N,
     CONVERGENCE_MAX_SIZES,
@@ -32,10 +32,11 @@ from involute.continuum import (
     trig_walk,
     _jacobi_recurrence,
     _lp_pass,
+    _recurrence_floats,
     _rp_invariant,
 )
 from involute.errors import OutOfRange, QuadratureNonConvergence
-from involute.spectral import signed_eigenvalues
+from involute.spectral import right_eigenvectors, signed_eigenvalues
 from involute.weights import GammaAB, family_sequence
 
 from oracles import (beta_moment, convergence_by_points, jacobi_monic,
@@ -86,16 +87,18 @@ def test_lp_apply_examples():
 
 
 def test_jacobi_eigenfunctions():
-    g = jacobi_eigenfunctions(0, 0, 2)
-    assert abs(g[0](0.5) - 1) < 1e-14
-    # g1 is proportional to x - 2/3
-    root = g[1].recurrence[0][0]
+    g = lambda x: jacobi_eigenfunctions(0, 0, 2, x)
+    assert g(0.5).shape == (3,) and g(np.zeros((4, 5))).shape == (3, 4, 5)
+    assert abs(g(0.5)[0] - 1) < 1e-14
+    # g1 is proportional to x - alpha_0 = x - 2/3
+    root = _recurrence_floats(0, 0, 2)[0][0]
     assert abs(root - 2 / 3) < 1e-14
+    assert abs(g(root)[1]) < 1e-15
     # orthonormality in L^2(pi), pi(x) = 2x (a = b = 0)
     for d, e in ((0, 1), (0, 2), (1, 2)):
-        inner = quad(lambda x: 2 * x * g[d](x) * g[e](x), 0.0, 1.0)
+        inner = quad(lambda x: 2 * x * g(x)[d] * g(x)[e], 0.0, 1.0)
         assert abs(inner) < 1e-12
-        norm = quad(lambda x: 2 * x * g[d](x) * g[d](x), 0.0, 1.0)
+        norm = quad(lambda x: 2 * x * g(x)[d] * g(x)[d], 0.0, 1.0)
         assert abs(norm - 1) < 1e-12
 
 
@@ -112,8 +115,8 @@ def test_eigen_residual_examples():
 
 
 def test_eigen_residual_high_degree():
-    # recurrence-based evaluation keeps the full dmax <= 12 range usable;
-    # naive Horner on the monomial coefficients would lose ~1e-9 here
+    # the three-term recurrence stays at machine precision up to the
+    # degree cap
     assert eigen_residuals(kappa_walk(0, 0), 12)[12] < 1e-10
     assert eigen_residuals(kappa_walk(2, 2), 12)[12] < 1e-10
     assert eigen_residuals(trig_walk(), 12)[12] < 1e-10
@@ -125,9 +128,9 @@ def test_eigen_residual_relative_to_the_eigenfunction():
     # to max(1, sup |g_d|) it stays at rounding level across a + b <= 90
     xs = np.array(grid())
     for a, b in ((30, 0), (87, 0), (90, 0), (0, 90), (45, 45)):
-        gs = jacobi_eigenfunctions(a, b, 12)
+        gs = jacobi_eigenfunctions(a, b, 12, xs)
         for r, g in zip(eigen_residuals(kappa_walk(a, b), 12), gs):
-            assert r / max(1.0, float(np.max(np.abs(g(xs))))) < 1e-13
+            assert r / max(1.0, float(np.max(np.abs(g)))) < 1e-13
 
 
 def test_lh_fixes_monomials():
@@ -150,14 +153,14 @@ def test_trig_cosine_power_identity():
 
 def test_trig_eigenfunction_orthonormality():
     # the trigonometric walk's eigenfunctions are g_d o phi, g_d those of kappa(0, 0)
-    g = [lambda x, gd=gd: gd(_phi(x)) for gd in jacobi_eigenfunctions(0, 0, 4)]
+    g = lambda x: jacobi_eigenfunctions(0, 0, 4, _phi(x))
 
     def density(x):
         return (math.pi / 2) * math.sin(math.pi * x) * (1 - math.cos(math.pi * x))
 
     for d in range(5):
         for e in range(d, 5):
-            inner = quad(lambda x: density(x) * g[d](x) * g[e](x), 0.0, 1.0)
+            inner = quad(lambda x: density(x) * g(x)[d] * g(x)[e], 0.0, 1.0)
             assert abs(inner - (1.0 if d == e else 0.0)) < 1e-11
 
 
@@ -251,8 +254,10 @@ def test_discrete_convergence():
 
 
 def test_convergence_table_matches_pointwise_loops():
-    # the array form rounds exactly as the per-point loops do
-    for a, b in [(a, b) for a in range(3) for b in range(3)] + [(11, 7), (45, 45)]:
+    # the array form rounds exactly as the per-point loops do, and its signs,
+    # read off the closed forms, agree with the oracle's search for them
+    for a, b in [(a, b) for a in range(3) for b in range(3)] + [
+            (11, 7), (45, 45), (90, 0), (0, 90), (3, 87)]:
         for degrees, sizes in (((0, 1, 2, 3, 4, 5), [6, 10, 17, 40]), ((2, 1), [80, 400, 9])):
             assert convergence_table(a, b, degrees, sizes) == convergence_by_points(
                 a, b, degrees, sizes)
@@ -427,15 +432,11 @@ def test_monic_eigenfunctions_match_gram_schmidt():
         monic, norms = _monic_gram_schmidt(inner, 13)
         assert jacobi_monic(a, b, 12) == monic
         # the recurrence read off the coefficients is Gram-Schmidt's
-        for d, g in enumerate(jacobi_eigenfunctions(a, b, 12)):
-            alphas, betas, scale = g.recurrence
-            assert alphas == tuple(
-                float(inner([F(0)] + p, p) / h) for p, h in zip(monic[:d], norms)
-            )
-            expected_betas = [0.0] + [float(norms[k] / norms[k - 1]) for k in range(1, d)]
-            assert betas == tuple(expected_betas[:d])
-            # orthonormal in L^2(pi): the weight is divided by its total mass
-            assert scale == 1.0 / math.sqrt(float(norms[d] / moments[0]))
+        alphas, betas, scales = _recurrence_floats(a, b, 12)
+        assert alphas == [float(inner([F(0)] + p, p) / h) for p, h in zip(monic[:12], norms)]
+        assert betas == [0.0] + [float(norms[k] / norms[k - 1]) for k in range(1, 13)]
+        # orthonormal in L^2(pi): the weight is divided by its total mass
+        assert scales == [1.0 / math.sqrt(float(h / moments[0])) for h in norms]
 
 
 # every (a, b) with a, b <= 11, and corners of the a + b <= 90 domain
@@ -458,10 +459,44 @@ def test_closed_form_recurrence_matches_back_substitution():
             # h_k = h_(k-1) beta_k from h_0 = 1
             closed_norms = accumulate((F(*v) for v in closed_betas[1:]), mul, initial=F(1))
             assert list(closed_norms) == norms[:dmax + 1]
-            gs = jacobi_eigenfunctions(a, b, dmax)
-            assert [g.recurrence for g in gs] == [
-                (tuple(map(float, alphas[:d])), tuple(map(float, betas[:d])),
-                 1.0 / math.sqrt(float(norms[d]))) for d in range(dmax + 1)]
+            assert _recurrence_floats(a, b, dmax) == (
+                [float(v) for v in alphas[:dmax]], [float(v) for v in betas[:dmax + 1]],
+                [1.0 / math.sqrt(float(h)) for h in norms[:dmax + 1]])
+
+
+def test_signs_at_zero_are_the_closed_forms():
+    # the two facts that fix convergence_table's signs at x = 0: the monic
+    # g_d has its d zeros inside (0, 1) and a positive scale, so g_d(0) has
+    # the sign (-1)^d; v_d(0) is the Hahn value 1 times a positive scale
+    for a, b in RECURRENCE_AB:
+        g = jacobi_eigenfunctions(a, b, 5, 0.0)
+        assert all((-1) ** d * g[d] > 0 for d in range(6))
+        lam = family_sequence(GammaAB(a, b), 400)
+        for n in (6, 7, 10, 400):
+            rights = right_eigenvectors(lam[:n], 5)
+            assert len(rights) == 6 and all(v[0] > 0 for v in rights)
+
+
+def test_interval_spectrum_is_complete():
+    # the squared eigenvalues of the self-adjoint Hilbert-Schmidt L_P, with
+    # multiplicity, sum to ||L_P||_HS^2, so if the listed (-1)^d lambda_d
+    # reach that norm no eigenvalue is missing.  Their squares are the terms
+    # of 3F2(a+1, a+1, 1; a+b+2, a+b+2; 1), and the norm is the integral of
+    # k(x, z)^2 pi(x)/pi(z), k(x, z) = w[1-z, x]/N_x; with y = 1 - z = x s:
+    #   B(a+1, b+1)^-2 int int s^a (1-s)^(2b) x^b (1-x)^a / (1-xs)^(a+b+1) ds dx.
+    # The discrete sum lambda_d^2 = tr P^2 holds for every matrix, so it
+    # shows nothing.
+    for a, b in ((0, 0), (1, 0), (1, 2), (3, 3)):
+        term = F(1)
+        for d, lam in enumerate(family_sequence(GammaAB(a, b), 40)):
+            assert lam**2 == term
+            term *= F(a + 1 + d, a + b + 2 + d) ** 2
+        with mpmath.workdps(20):
+            kernel = lambda s, x: (s**a * (1 - s) ** (2 * b) * x**b * (1 - x) ** a
+                                   / (1 - x * s) ** (a + b + 1))
+            norm = mpmath.quad(kernel, [0, 1], [0, 1]) / mpmath.beta(a + 1, b + 1) ** 2
+            total = mpmath.hyp3f2(a + 1, a + 1, 1, a + b + 2, a + b + 2, 1)
+            assert abs(norm / total - 1) < 1e-15
 
 
 def test_monic_eigenfunctions_match_sympy_jacobi():
@@ -538,41 +573,38 @@ def test_panel_matches_adaptive_lp_apply():
     xs = [k / GRID_POINTS for k in (1, 17, 50, 77, GRID_POINTS)]
     for a, b in EXACT_AB:
         walk = kappa_walk(a, b)
-        gs = jacobi_eigenfunctions(a, b, 12)
         for d in (0, 1, 5, 8, 12):
-            panel = kappa_lp_panel(a, b, gs[d], d, xs)
+            g = lambda z: jacobi_eigenfunctions(a, b, d, z)[d]
+            panel = kappa_lp_panel(a, b, g, d, xs)
             for x, value in zip(xs, panel):
-                adaptive = lp_apply(walk, gs[d], x)
+                adaptive = lp_apply(walk, g, x)
                 assert abs(value - adaptive) <= 1e-12 * max(1.0, abs(adaptive))
 
 
 def test_one_pass_matches_the_panel_of_the_cap():
-    # one recurrence pass over the grid and the points of the cap's panel,
-    # and one stacked product, give every L_P g_d as the one-degree panel
-    # of the same order does and every g_d as the eigenfunction does, bit
-    # for bit
+    # one evaluation over the grid and the points of the cap's panel, and
+    # one stacked product, give every L_P g_d as the one-degree panel of
+    # the same order does and every g_d as the grid alone does, bit for bit
     walks = [kappa_walk(a, b) for a, b in RECURRENCE_AB] + [trig_walk()]
     for walk in walks:
         a, b = walk.a, walk.b
         u = grid() if walk.kind == "kappa" else np.array([_phi(x) for x in grid()])
         for dmax in range(DEGREE_CAP + 1):
-            gs = jacobi_eigenfunctions(a, b, dmax)
             lp, g = _lp_pass(a, b, dmax, u)
             assert lp.shape == g.shape == (dmax + 1, GRID_POINTS)
+            assert np.array_equal(g, jacobi_eigenfunctions(a, b, dmax, u))
             for d in range(dmax + 1):
-                assert np.array_equal(lp[d], kappa_lp_panel(a, b, gs[d], DEGREE_CAP, u))
-                assert np.array_equal(g[d], gs[d](u))
+                g_d = lambda z: jacobi_eigenfunctions(a, b, d, z)[d]
+                assert np.array_equal(lp[d], kappa_lp_panel(a, b, g_d, DEGREE_CAP, u))
 
 
-def test_residual_forms_no_fraction_and_no_poly_function(monkeypatch, capsys):
+def test_residual_forms_no_fraction(monkeypatch, capsys):
     # the recurrence and the eigenvalues are read as int / int divisions of
-    # their closed forms, so a --residual call builds no exact object and
-    # no per-degree eigenfunction
+    # their closed forms, so a --residual call builds no exact object
     def refuse(*args, **kwargs):
-        raise AssertionError("a Fraction or a PolyFunction was formed")
+        raise AssertionError("a Fraction was formed")
 
     monkeypatch.setattr(F, "__new__", refuse)
-    monkeypatch.setattr(continuum.PolyFunction, "__init__", refuse)
     for argv in (["--kappa", "2", "1"], ["--kappa", "45", "45"], ["--trig"]):
         assert cli.main(["continuum", *argv, "--residual", str(DEGREE_CAP)]) == 0
         assert len(capsys.readouterr().out.splitlines()) == DEGREE_CAP + 2
@@ -639,36 +671,38 @@ def test_trig_eigenfunctions_are_kappa00_in_phi():
 
 def test_trig_eigenfunctions_match_gram_schmidt():
     monic, norms = _trig_gram_schmidt(13)
-    outs = jacobi_eigenfunctions(0, 0, 12)
-    for d, (g, vec, h, out) in enumerate(zip(jacobi_monic(0, 0, 12), monic, norms, outs)):
+    _, _, scales = _recurrence_floats(0, 0, 12)
+    for d, (g, vec, h, scale) in enumerate(zip(jacobi_monic(0, 0, 12), monic, norms, scales)):
         G = _compose_phi(g)
         power = _chebyshev_to_power(vec)
         lead = power[d] / G[d]  # the cosine expansion is lead * (g_d o phi)
         assert [lead * c for c in G] == power
         # composition with phi is an isometry, so the float scale is the
         # Gram-Schmidt one, bit for bit
-        assert out.recurrence[2] == 1.0 / math.sqrt(float(h / lead**2))
+        assert scale == 1.0 / math.sqrt(float(h / lead**2))
         sign = 1 if lead > 0 else -1
         for x in (0.05, 0.3, 0.5, 0.77, 1.0):
             cosine = sum(float(c) * math.cos(k * math.pi * x) for k, c in enumerate(vec))
             expected = cosine / math.sqrt(float(h))
-            assert abs(sign * out(_phi(x)) - expected) <= 1e-12 * max(1.0, abs(expected))
+            value = jacobi_eigenfunctions(0, 0, 12, _phi(x))[d]
+            assert abs(sign * value - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 def test_trig_panel_matches_adaptive_lp_apply():
     xs = [k / GRID_POINTS for k in (1, 17, 50, 77, GRID_POINTS)]
     walk = trig_walk()
-    gs = jacobi_eigenfunctions(0, 0, 12)
     for d in (0, 1, 5, 8, 12):
-        panel = kappa_lp_panel(0, 0, gs[d], d, [_phi(x) for x in xs])
+        g = lambda z: jacobi_eigenfunctions(0, 0, d, z)[d]
+        panel = kappa_lp_panel(0, 0, g, d, [_phi(x) for x in xs])
         for x, value in zip(xs, panel):
-            adaptive = lp_apply(walk, lambda z: gs[d](_phi(z)), x)
+            adaptive = lp_apply(walk, lambda z: g(_phi(z)), x)
             assert abs(value - adaptive) <= 1e-12 * max(1.0, abs(adaptive))
     assert max(eigen_residuals(walk, 12)) < 1e-10
 
 
 def test_trig_lp_matches_mpmath():
-    g = jacobi_eigenfunctions(0, 0, 8)[8]
+    g = lambda z: jacobi_eigenfunctions(0, 0, 8, z)[8]
+    scale = _recurrence_floats(0, 0, 8)[2][8]
     monic = jacobi_monic(0, 0, 8)[8]
     xs = [0.05, 0.3, 0.77, 1.0]
     with mpmath.workdps(30):
@@ -678,7 +712,7 @@ def test_trig_lp_matches_mpmath():
             u = (1 - mpmath.cos(pi * z)) / 2
             exact = sum(mpmath.mpf(c.numerator) / c.denominator * u**k
                         for k, c in enumerate(monic))
-            return g.recurrence[2] * exact
+            return scale * exact
 
         for x, value in zip(xs, kappa_lp_panel(0, 0, g, 8, [_phi(x) for x in xs])):
             x = mpmath.mpf(x)

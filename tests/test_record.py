@@ -12,7 +12,7 @@ import pytest
 import involute
 from involute._record import Record
 from involute.classify import IdentityWalk, NotClassified, SearchRecord, SearchSummary
-from involute.continuum import ContinuousWalk, PolyFunction
+from involute.continuum import ContinuousWalk
 from involute.transform import StochasticCheck
 from involute.walk import ErgodicityReport, MixingReport, SubsetWalk
 from involute.weights import Custom, DeltaAB, GammaAB, GammaC
@@ -41,8 +41,6 @@ CASES = [
     (lambda: MixingReport(F(1, 2), 0.5),
      "MixingReport(second_abs_eigenvalue=Fraction(1, 2), empirical_rate=0.5)", False),
     (lambda: ContinuousWalk("kappa"), "ContinuousWalk(kind='kappa', a=0, b=0)", True),
-    (lambda: PolyFunction(((0.5,), (0.0,), 2.0)),
-     "PolyFunction(recurrence=((0.5,), (0.0,), 2.0))", True),
 ]
 IDS = [text.split("(", 1)[0] for _, text, _ in CASES]
 
