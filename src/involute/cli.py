@@ -210,9 +210,12 @@ _TRIANGULAR_PROPERTIES = {
 
 def _check_source(args):
     """The input `_CHECKS` names for the property: the eigenvalue list, the
-    walk's rows or the matrix (H, or the --matrix rows).  A --lambda walk's
-    rows are the integer L * M of `transform._scaled_walk`, whose support,
-    classes, potentials' verdict and tree count, all a walk verdict reads, are P's."""
+    walk's rows or the matrix (H, or the --matrix rows).  A named family is
+    the walk of its eigenvalue sequence, so it takes the --lambda path,
+    once the domain and the table budget admit n (`walk._table_sequence`):
+    the walk's rows are the integer L * M of `transform._scaled_walk`, whose
+    support, classes, potentials' verdict and tree count, all a walk verdict
+    reads, are P's, and H is the binomial transform of the sequence."""
     prop, kind = args.property, _CHECKS[args.property]
     source, n = _source_from_args(args)
     if kind == "lambda":
@@ -222,11 +225,11 @@ def _check_source(args):
     if args.matrix is not None:
         # a walk is square, stochastic and anti-triangular
         return walk.checked_walk(source) if kind == "walk" else source
-    if args.lam is not None:
-        return (transform._scaled_walk(source)[1] if kind == "walk"
-                else transform.binomial_transform(source))
-    p = _walk(source, n)
-    return p if kind == "walk" else _down_step(p)
+    if isinstance(source, Custom):
+        p = _walk(source, n)
+        return p if kind == "walk" else _down_step(p)
+    lam = source if args.lam is not None else walk._table_sequence(source, n)
+    return transform._scaled_walk(lam)[1] if kind == "walk" else transform.binomial_transform(lam)
 
 
 def cmd_check(args):

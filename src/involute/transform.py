@@ -47,7 +47,10 @@ top-right k x k block of M is the M of lambda_0..lambda_{k-1}.  So the
 lattice hands each record its difference table, from which the integer
 L * M is read (`_dj_rows`), and a checked sequence's verdicts read its
 integer L * M (`_scaled_walk`).  H and P are read off the same integer
-rows, each entry made from its integer pair (`_binomial_rows`).
+rows, each entry made from its integer pair (`_binomial_rows`), and so is
+a named family's P, from the rows of its reduced integer pairs
+(`_pair_walk`): the family walk is the transform of its eigenvalue
+sequence (the `weights` docstring), stochastic by construction.
 """
 
 from __future__ import annotations
@@ -342,6 +345,16 @@ def lambda_walk(lam, entry=Fraction) -> list:
     anti-triangular by construction, so its rows are not validated again."""
     la.check_table(len(lam))
     lam, scale, table = _stochastic_rows(lam)
+    return [row[::-1] for row in _binomial_rows(table, scale, entry)]
+
+
+def _pair_walk(pairs: list, entry) -> list:
+    """The rows of P^lambda for a lambda known to be stochastic, given as
+    reduced integer pairs (num, den), den > 0: H is read off the difference
+    rows of L * lambda, L the lcm of the denominators, as in `lambda_walk`,
+    and no Fraction is formed."""
+    scale = math.lcm(*(q for _, q in pairs))
+    table = list(_difference_rows([p * (scale // q) for p, q in pairs]))
     return [row[::-1] for row in _binomial_rows(table, scale, entry)]
 
 

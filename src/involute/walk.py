@@ -51,11 +51,13 @@ from fractions import Fraction
 from itertools import compress, islice
 
 from . import _linalg as la
+from . import transform
 from ._record import Record
 from .errors import NoPositiveStationary, NotIrreducible, OutOfRange
 from .exactnum import as_rational
 from .spectral import signed_eigenvalues
-from .weights import GammaC, WeightSpec, down_step_table, family_sequence, invariant_closed_form
+from .weights import (Custom, GammaC, WeightSpec, domain_limit, down_step_table, family_sequence,
+                      invariant_closed_form)
 
 
 def checked_walk(p_rows) -> list:
@@ -101,21 +103,39 @@ class MixingReport(Record):
 
 
 def transition_matrix(spec: WeightSpec, n: int, entry=Fraction) -> list:
-    """The exact rows of P for the weight on {0, ..., n-1}: P = H J, each
-    entry made by entry(num, den) as in `down_step_table` and padded with
+    """The exact rows of P for the weight on {0, ..., n-1}, each entry made
+    by entry(num, den) from an integer pair, den > 0, and the zeros by
     entry(0, 1).
+
+    A named family's walk is the binomial transform of its eigenvalue
+    sequence (the `weights` docstring), so it is built as every lambda walk
+    is: from the integer difference rows of L * lambda, read off the
+    family's reduced integer pairs with no Fraction formed
+    (`transform._pair_walk`).  A custom weight's rows are P = H J of its
+    down-step table (`weights.down_step_table`).
 
     With entry = operator.truediv the rows hold the floats that float() of
     the Fraction rows gives, bit for bit, which is all `simulate` reads:
     int / int is correctly rounded in CPython, and float() of a Fraction
     divides its reduced pair, the same rational, so both round it to the
-    same double; the pads are 0 / 1 = 0.0.  No denominator is negative
-    (`weights.down_step_table`), so no entry is -0.0.  A lambda walk's rows
-    are made by entry the same way, over L > 0 (`transform.lambda_walk`).
+    same double; the zeros are 0 / 1 = 0.0, and no denominator is
+    negative, so no entry is -0.0.
     """
-    zero = entry(0, 1)
-    return [[zero] * (n - 1 - x) + row[::-1]
-            for x, row in enumerate(down_step_table(spec, n, entry))]
+    if isinstance(spec, Custom):
+        zero = entry(0, 1)
+        return [[zero] * (n - 1 - x) + row[::-1]
+                for x, row in enumerate(down_step_table(spec, n, entry))]
+    return transform._pair_walk(_table_sequence(spec, n, lambda p, q: (p, q)), entry)
+
+
+def _table_sequence(spec: WeightSpec, n: int, entry=Fraction) -> list:
+    """A named family's `family_sequence` for an n x n table: past
+    TABLE_BUDGET it is refused before any term is computed, but only once n
+    is inside the domain, so that the domain, which `family_sequence`
+    checks, is named first."""
+    if n <= domain_limit(spec):
+        la.check_table(n)
+    return family_sequence(spec, n, entry)
 
 
 def support(p) -> list:
@@ -179,6 +199,15 @@ def ergodicity(p) -> ErgodicityReport:
     named family specs of the tests meet it at every n <= 12 in their
     domains.  The source paper's own wording of its "very mild assumptions"
     is not in this repository.
+
+    A lambda walk's support depends only on the support S of its mixing law
+    p_j = C(N, j) D_{N-j}(j), N = n-1: row x holds z = N-y exactly for the
+    y in [max(0, x+j-N), min(x, j)] of some j in S.  Such a walk is ergodic
+    exactly when N is in S and S meets [N // 2, N-1].  This is checked on
+    every S for n <= 12, not proved (the test
+    `test_lambda_walk_ergodicity_from_the_support_of_its_mixing_law`), so
+    `check ergodic` still closes the support here.  For a lambda walk
+    condition D reads {N-1, N} ⊆ S.
     """
     adj = support(p)
     comps = list(_classes(adj).values())

@@ -13,18 +13,33 @@ bounded domain, given in closed form by domain_limit.  A weight is atomic
 when it only depends on the lower endpoint and star-symmetric when it is
 invariant under the order anti-involution [y, x] -> [x*, y*], x* = n-1-x.
 
-The named families' closed forms live here, all read from the reduced
-integer term pairs of `_ratios`.  With (r)_d the rising factorial, a family
-is a pair (A, C): A = a+1, C = a+b+2 for gamma(a, b), and A = 1-a',
-C = 2-a'-b' for delta(a', b').  Its walk is P[x][z] = C(x, y) D_k(y), with
-y = z*, k = x+z-(n-1) and D the difference table of lambda:
+Each named family is stated once, by the sequences of its closed forms.
+With (r)_d the rising factorial, gamma(a, b) and delta(a', b') are a pair
+(A, C): A = a+1, C = a+b+2 for gamma(a, b), and A = 1-a', C = 2-a'-b' for
+delta(a', b').  gamma(c) is mu = 1/(c+1), the limit C -> oo at A/C = mu.
+Their walk is P[x][z] = C(x, y) D_k(y), with y = z*, k = x+z-(n-1) and D
+the difference table of lambda:
 
-    lambda_d = (A)_d / (C)_d                (`family_sequence`),
+    lambda_d = (A)_d / (C)_d, or mu^d       (`family_sequence`),
     D_k(y)   = (A)_y (C-A)_k / (C)_{y+k},
-    pi_x     ∝ C(n-1, x) (A)_{x*} (C)_x     (`invariant_closed_form`).
+    pi_x     ∝ C(n-1, x) (A)_{x*} (C)_x,
+               or C(n-1, x) (1+c)^x         (`invariant_closed_form`),
 
-gamma(c) is the limit C -> oo at A/C = mu = 1/(c+1): lambda_d = mu^d.
-J(n), lambda = (1, ..., 1), is A = C: D_k(y) = [k = 0] and P is the flip J.
+each read from reduced integer term pairs (`_terms`).  J(n), lambda =
+(1, ..., 1), is A = C: D_k(y) = [k = 0] and P is the flip J.
+
+A family walk is the binomial transform of its diagonal lambda.  For
+gamma(a, b), w[y, x] = (A)_y (C-A)_k / (y! k!) with k = x-y, and N_x =
+(C)_x / x! by Vandermonde's sum; for delta every factor takes a sign,
+(-1)^y (-1)^k over (-1)^x, which cancel.  So H[x][y] = w[y, x] / N_x =
+C(x, y) (A)_y (C-A)_k / (C)_x = C(x, y) D_k(y), as D_0 = lambda and
+D_k(y) - D_k(y+1) = D_k(y) (1 - (A+y) / (C+y+k)) = D_{k+1}(y).  For
+gamma(c), H[x][y] = C(x, y) c^k / (1+c)^x = C(x, y) mu^y (1-mu)^k, the
+same with D_k(y) = mu^y (1-mu)^k.  So this module builds no named table:
+a family's walk is built from its eigenvalue sequence as every lambda walk
+is (`walk.transition_matrix`), and `down_step_table` builds custom tables
+alone.  `test_construction_matches_division_route` checks the transform
+against the weight definitions.
 
 Every family walk is reversible, for every n.  As y + k = x, P without its
 binomial factor, M[x][z] = D_k(y), gives phi(x) M[x][z] = (A)_{x*} (A)_{z*}
@@ -137,11 +152,9 @@ def _terms(ratio, length: int) -> list:
     product stays on integers and is reduced once per term.
 
     Every caller's q is positive for k < length - 1, so no sign is repaired
-    and no zero tested: `_rising` and `_falling` give (k+1) q_r, gamma(c)
-    gives q_c, `ac_sequence` gives q_A (p_C + k q_C), with C > 0, and
-    `family_sequence`'s u / N ratio gives q_u p_N, with p_N > 0 on every n
-    that `_check_n` admits: p_c + q_c > 0 for gamma(c), and a'+b'-2-k > 0
-    for delta, as k <= n-2 <= ceil(a')-2 < a'+b'-2."""
+    and no zero tested: `ac_sequence` gives s q_A (p_C + k q_C), s the sign
+    of C, the rising factorials of `invariant_closed_form` give q_A and q_C,
+    and gamma(c) gives p_c + q_c for mu and q_c for 1 + c."""
     num = den = 1
     out = [(1, 1)]
     for k in range(length - 1):
@@ -153,68 +166,41 @@ def _terms(ratio, length: int) -> list:
     return out[:length]
 
 
-def _rising(r):
-    """Term ratio (r+k+1)/(k+1) of binom(r+k, k)."""
-    p, q = r.numerator, r.denominator
-    return lambda k: (p + (k + 1) * q, (k + 1) * q)
-
-
-def _falling(r):
-    """Term ratio (r-k)/(k+1) of binom(r, k)."""
-    p, q = r.numerator, r.denominator
-    return lambda k: (p - k * q, (k + 1) * q)
-
-
-def _ratios(spec: WeightSpec):
-    """Term ratios of a named family's 1-D sequences (u, v, pascal, N), each
-    starting at 1: w[y, x] = u[y] * v[x-y], times comb(x, y) when pascal is
-    set, and N_x is the column sum."""
+def _ac(spec: WeightSpec) -> tuple:
+    """(A, C) of gamma(a, b) or delta(a', b'), the module docstring's pair."""
     if isinstance(spec, GammaAB):
-        a, b = spec.a, spec.b
-        return _rising(a), _rising(b), False, _rising(a + b + 1)
-    if isinstance(spec, GammaC):
-        p, q = spec.c.numerator, spec.c.denominator
-        return (lambda k: (1, 1)), (lambda k: (p, q)), True, (lambda k: (p + q, q))
-    ap, bp = spec.a_prime - 1, spec.b_prime - 1
-    return _falling(ap), _falling(bp), False, _falling(ap + bp)
+        return spec.a + 1, spec.a + spec.b + 2
+    return 1 - spec.a_prime, 2 - spec.a_prime - spec.b_prime
 
 
 def ac_sequence(big_a, big_c, n: int) -> list:
     """lambda_d = (A)_d / (C)_d for d < n, as reduced integer pairs
     (num, den): the family (A, C) of the module docstring.  A and C are ints
-    or Fractions, read through their numerators and denominators, and C > 0
-    keeps every term ratio (A+k) / (C+k) on a positive denominator.  That
-    holds for gamma(a, b), A = a+1 and C = a+b+2, but not for delta, whose
-    C+k is negative."""
+    or Fractions, read through their numerators and denominators.
+
+    Each term ratio (A+k) / (C+k), k <= n-2, gets a positive denominator by
+    one sign s of C for every k: C > 0 for gamma(a, b), while inside delta's
+    domain, n <= ceil(a'), both A+k = 1-a'+k < 0 and C+k < A+k are negative,
+    so s = -1 flips both."""
     pa, qa, pc, qc = big_a.numerator, big_a.denominator, big_c.numerator, big_c.denominator
-    return _terms(lambda k: ((pa + k * qa) * qc, qa * (pc + k * qc)), n)
+    s = 1 if big_c > 0 else -1
+    return _terms(lambda k: (s * (pa + k * qa) * qc, s * qa * (pc + k * qc)), n)
 
 
-def family_sequence(spec: WeightSpec, n: int) -> list:
-    """lambda_0, ..., lambda_{n-1} of a named family walk: lambda_d = w[d, d] / N_d,
-    the diagonal of the lower-triangular H = B Diag(lambda) B^-1, which is
-    `ac_sequence` for gamma(a, b)."""
+def family_sequence(spec: WeightSpec, n: int, entry=Fraction) -> list:
+    """lambda_0, ..., lambda_{n-1} of a named family walk, each made by
+    entry(num, den) of its reduced integer pair: `ac_sequence`, or mu^d with
+    mu = 1/(c+1) for gamma(c).  This is the diagonal w[d, d] / N_d of H,
+    and the walk is its binomial transform (the module docstring)."""
     if isinstance(spec, Custom):
         raise UnsupportedFamily("no closed-form eigenvalues for custom weights")
     _check_n(spec, n)
-    if isinstance(spec, GammaAB):
-        return [Fraction(p, q) for p, q in ac_sequence(spec.a + 1, spec.a + spec.b + 2, n)]
-    u, _, _, norms = _ratios(spec)
-
-    def ratio(k):  # of u_d / N_d, so each lambda_d is reduced once
-        (pu, qu), (pn, qn) = u(k), norms(k)
-        return pu * qn, qu * pn
-
-    return [Fraction(p, q) for p, q in _terms(ratio, n)]
-
-
-def _norm_pairs(spec: WeightSpec, n: int) -> list:
-    """[N_0, ..., N_{n-1}] as integer pairs (num, den)."""
-    if isinstance(spec, Custom):
-        zero = Fraction(0)
-        sums = (sum(spec.table.get((y, x), zero) for y in range(x + 1)) for x in range(n))
-        return [(s.numerator, s.denominator) for s in sums]
-    return _terms(_ratios(spec)[3], n)
+    if isinstance(spec, GammaC):
+        p, q = spec.c.numerator, spec.c.denominator
+        pairs = _terms(lambda k: (q, p + q), n)
+    else:
+        pairs = ac_sequence(*_ac(spec), n)
+    return [entry(p, q) for p, q in pairs]
 
 
 def _check_n(spec: WeightSpec, n: int):
@@ -223,60 +209,48 @@ def _check_n(spec: WeightSpec, n: int):
         raise IndexOutOfDomain(f"n={n} is outside the weight's domain")
 
 
-def down_step_table(spec: WeightSpec, n: int, entry=Fraction) -> list:
-    """Rows [w[0, x] / N_x, ..., w[x, x] / N_x] for x < n: the lower
-    triangle of the down-step matrix H.  Each entry is entry(num, den) of
-    its unreduced integer products, den > 0, so it is reduced once, by
+def down_step_table(spec: Custom, n: int, entry=Fraction) -> list:
+    """Rows [w[0, x] / N_x, ..., w[x, x] / N_x] for x < n of a custom
+    weight: the lower triangle of the down-step matrix H.  An entry p / q
+    is entry(p f_x, q e_x), N_x = e_x / f_x, so it is reduced once, by
     entry: `Fraction` where the entries are computed with, and
     `serialize._rational_text`, which reduces the pair straight to its
-    text, where they are printed.
-
-    A named family's entry is a_y c_{x-y} f_x [C(x, y)] / (b_y d_{x-y} e_x),
-    with u_y = a_y / b_y, v_k = c_k / d_k and N_x = e_x / f_x the reduced
-    term pairs (`_ratios`); a custom entry p / q gives p f_x / (q e_x).
-
-    No norm N_x vanishes on a valid input, so none is tested: N_x is
-    (1+c)^x for gamma(c) and +-(C)_x / x! for the others, with C > 0 for
-    gamma(a, b) and C + k < 0 for k < n-1 inside delta's domain, n <= ceil(a').
-    `Custom` rejects a column sum that is not positive.  TABLE_BUDGET is
-    checked first, as a custom table's norms take O(n^2)."""
+    text, where they are printed.  `Custom` rejects a column sum that is
+    not positive, so no N_x is tested.  TABLE_BUDGET is checked after the
+    domain and before the norms, which take O(n^2).  A named family's walk
+    is built from its eigenvalue sequence (`walk.transition_matrix`)."""
     _check_n(spec, n)
     check_table(n)
-    norms = _norm_pairs(spec, n)
-    if isinstance(spec, Custom):
-        zero = Fraction(0)
-        return [[entry(w.numerator * f, w.denominator * e)
-                 for w in (spec.table.get((y, x), zero) for y in range(x + 1))]
-                for x, (e, f) in enumerate(norms)]
-    ru, rv, pascal, _ = _ratios(spec)
-    u, v = _terms(ru, n), _terms(rv, n)
+    zero = Fraction(0)
     rows = []
-    for x, (e, f) in enumerate(norms):
-        pairs = zip(u, v[x::-1])  # (u_y, v_{x-y}) for y = 0..x
-        if pascal:
-            rows.append([entry(a * c * f * math.comb(x, y), b * d * e)
-                         for y, ((a, b), (c, d)) in enumerate(pairs)])
-        else:
-            rows.append([entry(a * c * f, b * d * e) for (a, b), (c, d) in pairs])
+    for x in range(n):
+        column = [spec.table.get((y, x), zero) for y in range(x + 1)]
+        norm = sum(column)
+        e, f = norm.numerator, norm.denominator
+        rows.append([entry(w.numerator * f, w.denominator * e) for w in column])
     return rows
 
 
 def invariant_closed_form(spec: WeightSpec, n: int) -> list:
-    """Stationary law of a named family, as pi_x ∝ alpha_{x*} N_x: alpha_y is
-    the lower-end term u_y (`_ratios`), times C(n-1, y) for gamma(c).  The
-    products of reduced integer term pairs are normalised by `_linalg.law`;
-    their Theta(n)-bit numerators need n <= TABLE_BUDGET, checked after the
-    domain, as for a table."""
+    """Stationary law of a named family: pi_x ∝ C(n-1, x) (A)_{x*} (C)_x,
+    or C(n-1, x) (1+c)^x for gamma(c), from reduced integer term pairs
+    normalised by `_linalg.law`.  On delta every factor A+k and C+k, k <=
+    n-2, is negative (`ac_sequence`), so each term has the one sign
+    (-1)^{n-1}, which the normalisation cancels.  Their Theta(n)-bit
+    numerators need n <= TABLE_BUDGET, checked after the domain, as for a
+    table."""
     if isinstance(spec, Custom):
         raise UnsupportedFamily("closed-form invariant only for named families")
     _check_n(spec, n)
     check_table(n)
-    ratio, _, pascal, _ = _ratios(spec)
-    terms = [(a * e, b * f)
-             for (a, b), (e, f) in zip(reversed(_terms(ratio, n)), _norm_pairs(spec, n))]
-    if pascal:
-        terms = [(a * math.comb(n - 1, x), b) for x, (a, b) in enumerate(terms)]
-    return law(terms)
+    if isinstance(spec, GammaC):
+        p, q = spec.c.numerator, spec.c.denominator
+        low, high = [(1, 1)] * n, _terms(lambda k: (p + q, q), n)
+    else:  # (A)_k and (C)_k, each ratio read while its r is bound
+        low, high = (_terms(lambda k: (r.numerator + k * r.denominator, r.denominator), n)
+                     for r in _ac(spec))
+    return law([(math.comb(n - 1, x) * a * e, b * f)
+                for x, ((a, b), (e, f)) in enumerate(zip(reversed(low), high))])
 
 
 def custom_from_csv(text: str) -> Custom:

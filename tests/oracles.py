@@ -21,8 +21,7 @@ from involute.exactnum import as_rational, binom
 from involute.spectral import _oriented, right_eigenvectors, signed_eigenvalues
 from involute.transform import _lattice_records
 from involute.walk import _potentials
-from involute.weights import (Custom, DeltaAB, GammaAB, GammaC, _check_n, _norm_pairs, _ratios,
-                              _terms, domain_limit, family_sequence)
+from involute.weights import Custom, DeltaAB, GammaAB, GammaC, domain_limit, family_sequence
 
 
 # named family specs as their CLI flags, and the gamma(a, b) of the bench
@@ -62,28 +61,32 @@ def closed_form_weight(spec, y: int, x: int) -> Fraction:
     return spec.table.get((y, x), Fraction(0))
 
 
+def _check_domain(spec, n: int):
+    """Refuse an n outside 1..domain_limit(spec), as the library does."""
+    if not 1 <= n <= domain_limit(spec):
+        raise IndexOutOfDomain(f"n={n} is outside the weight's domain")
+
+
 def weight_rows(spec, n: int) -> list:
     """The weight rows [w[0, x], ..., w[x, x]] for x < n, by `closed_form_weight`,
     once n is inside the weight's domain."""
-    _check_n(spec, n)
+    _check_domain(spec, n)
     return [[closed_form_weight(spec, y, x) for y in range(x + 1)] for x in range(n)]
 
 
 def atomic_part(spec, n: int) -> list:
     """alpha_y for y < n, with w[y, x] = alpha_y * beta[y, x] and beta
-    star-symmetric on n states: u[y] of `weights._ratios`, times C(n-1, y) for
-    the Pascal-type gamma(c), as C(x, y) C(n-1, x) = C(n-1, y) C(n-1-y, x-y)."""
-    ratio, _, pascal, _ = _ratios(spec)
-    u = _terms(ratio, n)
-    if pascal:
-        return [Fraction(p * math.comb(n - 1, y), q) for y, (p, q) in enumerate(u)]
-    return [Fraction(p, q) for p, q in u]
+    star-symmetric on n states: the diagonal weight w[y, y], the lower-end
+    factor of the weight (its other factor is 1 at x = y), times C(n-1, y)
+    for the Pascal-type gamma(c), as C(x, y) C(n-1, x) = C(n-1, y) C(n-1-y, x-y)."""
+    pascal = isinstance(spec, GammaC)
+    return [closed_form_weight(spec, y, y) * (math.comb(n - 1, y) if pascal else 1)
+            for y in range(n)]
 
 
 def norm_table(spec, n: int) -> list:
-    """[N_0, ..., N_{n-1}], by the closed forms' term ratios when named."""
-    _check_n(spec, n)
-    return [Fraction(e, f) for e, f in _norm_pairs(spec, n)]
+    """[N_0, ..., N_{n-1}], each the sum of its column of weights."""
+    return [sum(row) for row in weight_rows(spec, n)]
 
 
 def invariant_by_atomic_part(spec, n: int) -> list:

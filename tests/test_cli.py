@@ -23,7 +23,7 @@ from involute.cli import build_parser, main
 from involute.serialize import matrix_to_csv, matrix_to_json, matrix_to_pretty
 from involute.transform import lambda_walk
 from involute.walk import transition_matrix
-from involute.weights import DeltaAB, GammaAB, GammaC, family_sequence
+from involute.weights import DeltaAB, GammaAB, GammaC, domain_limit, family_sequence
 
 from oracles import (BENCH_GAMMA, NAMED_SPECS, matvec, oracle_dict, simulate_stepwise,
                      spec_from_flags, vecmat)
@@ -537,6 +537,51 @@ def test_ladder_refuses_n_past_the_budget(capsys, monkeypatch):
     assert f"at most {budget}" in capsys.readouterr().out
 
 
+def test_a_named_family_is_refused_before_its_sequence(capsys):
+    # the domain, then the table budget, are checked before a term of lambda
+    # is computed: the reduced pairs of gamma(1/3, 2/7) over 10^6 terms, or
+    # of gamma(1e-300)'s mu^d over 5,000, grow to millions of digits
+    def hang(signum, frame):
+        raise _Hung(f"no refusal within {seconds} s")
+
+    seconds = 1
+    commands = [("matrix",), ("simulate",), ("check", "kolmogorov"), ("check", "adep")]
+    sources = [("--gamma", "1/3", "2/7", "--n", "1000000"), ("--gammac", "1e-300", "--n", "5000")]
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        got = [run(capsys, command, *source, *rest)
+               for command, *rest in commands for source in sources]
+        delta = [run(capsys, command, "--delta", "4", "2", "--n", "2000", *rest)
+                 for command, *rest in commands]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    for code, out, err in got:
+        assert (code, out) == (2, "") and "the table budget" in err, err
+    assert delta == [(2, "", "error: n=2000 is outside the weight's domain\n")] * len(commands)
+
+
+@pytest.mark.parametrize("flags", NAMED_SPECS, ids=" ".join)
+def test_a_named_family_and_its_lambda_are_one_walk(capsys, flags):
+    # a family walk is the binomial transform of its eigenvalue sequence, so
+    # every command that builds it prints what --lambda of that sequence does
+    spec = spec_from_flags(flags)
+    checks = ("ergodic", "reversible", "kolmogorov", "adep", "gadep", "binomial-transform",
+              "conjugator")
+    commands = [(("--format", fmt, "matrix"), down) for fmt in ("csv", "json", "pretty")
+                for down in ((), ("--down-step",))]
+    commands += [(("simulate",), ("--steps", "200", "--seed", "3"))]
+    commands += [(("check",), (prop,)) for prop in checks]
+    for n in (1, 2, 5, 9):
+        if n > domain_limit(spec):
+            continue
+        lam = ",".join(map(str, family_sequence(spec, n)))
+        for head, tail in commands:
+            named = run(capsys, *head, *flags, "--n", str(n), *tail)
+            assert named == run(capsys, *head, "--lambda", lam, *tail), (head, n, tail)
+
+
 def test_tables_past_the_budget_exit_2(capsys, monkeypatch):
     budget = _linalg.TABLE_BUDGET
     assert budget >= 500  # the largest n any test or bench job passes
@@ -1029,7 +1074,7 @@ def test_named_family_matrix_builds_no_fraction_per_entry(capsys, monkeypatch):
             made.clear()
             code, out, _ = run(capsys, "--format", "json", "matrix", *flags, "--n", "10",
                                *down_step)
-            # the arguments and the family's term ratios, not the 55 entries of H
+            # the arguments and the family's (A, C), not its terms or the 55 entries of H
             assert code == 0 and len(json.loads(out)["entries"]) == 10
             assert len(made) < 10, made
 

@@ -8,9 +8,9 @@ module uses it.  Imports are resolved, so a local variable that shares a
 name with a function elsewhere reaches nothing.  A reference that only the
 tests need belongs in tests/oracles.py.
 
-The named families' closed forms live in `weights`, so no other module reads
-its private names, and `spectral` works on an eigenvalue sequence alone, so
-it reads nothing from `walk` or `weights`.
+The named families' closed forms live in `weights`, so no other module, and
+not the test oracles, reads its private names, and `spectral` works on an
+eigenvalue sequence alone, so it reads nothing from `walk` or `weights`.
 """
 
 import ast
@@ -20,6 +20,7 @@ import involute
 
 SRC = Path(involute.__file__).resolve().parent
 DEMOS = SRC.parent.parent / "demos"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 DEFINITIONS = (ast.FunctionDef, ast.ClassDef, ast.Assign, ast.AnnAssign)
 
 # kept although nothing in the package, the CLI or the demos reaches them:
@@ -94,8 +95,10 @@ def test_spectral_reads_neither_walk_nor_weights():
 
 
 def test_only_weights_reads_its_private_names():
+    # the test oracles too, which build from the weight definitions
     trees = _package_trees()
-    readers = sorted((m, name) for m, tree in trees.items() if m != "weights"
+    scanned = {**trees, "oracles": ast.parse(ORACLES.read_text(), str(ORACLES))}
+    readers = sorted((m, name) for m, tree in scanned.items() if m != "weights"
                      for source, name in _references(tree, set(trees))
                      if source == "weights" and name.startswith("_"))
     assert readers == [], "the named families' term pairs stay inside weights"

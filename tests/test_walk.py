@@ -214,6 +214,52 @@ def test_ergodicity_matches_pattern_oracle_and_condition_d_is_not_necessary():
     assert ergodic == [1, 1, 3, 69] and meets_d == [1, 1, 2, 8]
 
 
+def _support_walk(n: int, s: int) -> list:
+    """The 0/1 support of a lambda walk whose mixing law p has support S,
+    the bitmask s over j = 0..N, N = n-1: row x holds z = N-y for every
+    y in [max(0, x+j-N), min(x, j)] and j in S."""
+    big_n = n - 1
+    rows = []
+    for x in range(n):
+        mask = 0
+        for j in range(n):
+            if s >> j & 1:
+                low, high = max(0, x + j - big_n), min(x, j)
+                mask |= (1 << high + 1) - (1 << low)  # bits y = low..high
+        rows.append([mask >> (big_n - z) & 1 for z in range(n)])
+    return rows
+
+
+def test_lambda_walk_ergodicity_from_the_support_of_its_mixing_law():
+    # checked for n <= 12, not proved: a lambda walk is
+    # ergodic exactly when N is in S and S meets [N // 2, N - 1], S the
+    # support of p_j = C(N, j) D_{N-j}(j); every nonempty S, as bitmasks.
+    # Condition D, w[x, x] > 0 and w[x-1, x] > 0, reads {N-1, N} ⊆ S
+    supports = 0
+    for n in range(2, 13):
+        big_n = n - 1
+        middle = sum(1 << j for j in range(big_n // 2, big_n))
+        for s in range(1, 1 << n):
+            rows = _support_walk(n, s)
+            criterion = bool(s >> big_n & 1 and s & middle)
+            assert ergodicity(rows).ergodic is criterion, (n, bin(s))
+            meets_d = (all(rows[x][big_n - x] for x in range(n))
+                       and all(rows[x][n - x] for x in range(1, n)))
+            assert meets_d is (s >> (big_n - 1) & 3 == 3), (n, bin(s))
+            supports += 1
+    assert supports == 8_177
+    # and the support of a lambda walk is that pattern, on the lattice records
+    records = 0
+    for n in range(1, 7):
+        scale, lattice = _lattice_records(n, 6)
+        for scaled, table in lattice:
+            s = sum(1 << j for j in range(n) if table[n - 1 - j][-1])  # D_{N-j}(j)
+            p = lambda_walk([F(v, scale) for v in scaled])
+            assert [[int(v != 0) for v in row] for row in p] == _support_walk(n, s), scaled
+            records += 1
+    assert records == 231
+
+
 def _assert_verdicts_match_the_markov_oracle(p):
     """Every walk verdict against `oracles.markov_oracle`.  A walk is
     reversible against a strictly positive law exactly when each of its

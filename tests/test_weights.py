@@ -1,5 +1,6 @@
 """Weight families: values, norms, domains, classification, factorization."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +14,6 @@ from involute.transform import binomial_transform
 from involute.walk import stationary, transition_matrix
 from involute.weights import (
     UNBOUNDED,
-    _norm_pairs,
     Custom,
     DeltaAB,
     GammaAB,
@@ -113,10 +113,12 @@ def test_custom_norms_and_domain():
 
 
 def test_one_domain_check_for_every_caller():
-    tables = (down_step_table, norm_table, transition_matrix)
-    named = tables + (invariant_closed_form, family_sequence)
+    # down_step_table builds custom tables only; a named family's walk is
+    # built from its eigenvalue sequence
+    named = (transition_matrix, invariant_closed_form, family_sequence)
+    custom = (down_step_table, transition_matrix)
     cases = [(DeltaAB(4, 2), (0, -1, 5), named), (GammaC(2), (0, -1), named),
-             (Custom(2, {(0, 0): F(1), (1, 1): F(1)}), (0, 3), tables)]
+             (Custom(2, {(0, 0): F(1), (1, 1): F(1)}), (0, 3), custom)]
     for spec, sizes, builds in cases:
         for n in sizes:
             for build in builds:
@@ -172,12 +174,17 @@ def _edge_specs() -> list:
 
 
 def test_norms_are_positive_on_every_domain():
-    # down_step_table divides by N_x without testing it: every named family
-    # keeps N_x > 0 on its domain; a family that breaks this fails here
+    # a named family's walk divides each entry by L, the lcm of the
+    # denominators of its reduced lambda pairs, without testing it: every
+    # named family keeps those, and its lambda_d, positive on its domain, so
+    # L > 0 is the one divisor besides the 1 of the zeros; a family that
+    # breaks this fails here
     for spec, n in _edge_specs():
-        pairs = _norm_pairs(spec, n)
-        assert len(pairs) == n
-        assert all(e * f > 0 for e, f in pairs), spec
+        pairs = family_sequence(spec, n, lambda p, q: (p, q))
+        assert len(pairs) == n and all(p > 0 and q > 0 for p, q in pairs), spec
+        divisors = set()
+        transition_matrix(spec, n, lambda num, den: divisors.add(den))
+        assert divisors == {1, math.lcm(*(q for _, q in pairs))}, spec
 
 
 def test_every_term_ratio_has_a_positive_denominator(monkeypatch):
@@ -196,7 +203,7 @@ def test_every_term_ratio_has_a_positive_denominator(monkeypatch):
              for n in range(1, min(12, domain_limit(spec)) + 1)]
     for spec, n in cases + _edge_specs():
         family_sequence(spec, n)
-        down_step_table(spec, n)
+        transition_matrix(spec, n)
         invariant_closed_form(spec, n)
     assert len(denominators) > 10_000 and min(denominators) > 0
 
@@ -260,7 +267,6 @@ def test_factorize_gamma_c_beta_shape():
     assert valid
     assert alpha == atomic_part(spec, n)
     # beta[y,x] proportional to x! (n-1-y)! / (x-y)! * c^(x-y)
-    import math
 
     def reference(y, x):
         return F(math.factorial(x) * math.factorial(n - 1 - y), math.factorial(x - y))
