@@ -31,9 +31,14 @@ _ZERO = Fraction(0)
 TABLE_BUDGET = 1_000
 
 
+def check_budget(n: int, limit: int, what: str, name: str):
+    """The one refusal of an n past one of the package's n-budgets."""
+    if n > limit:
+        raise OutOfRange(f"{what} needs n <= {limit}, the {name} budget, got n={n}")
+
+
 def check_table(n: int):
-    if n > TABLE_BUDGET:
-        raise OutOfRange(f"an n x n table needs n <= {TABLE_BUDGET}, the table budget, got n={n}")
+    check_budget(n, TABLE_BUDGET, "an n x n table", "table")
 
 
 def zeros(n: int, m: int | None = None) -> Matrix:

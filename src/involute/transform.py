@@ -194,9 +194,7 @@ CHARPOLY_BUDGET = 32
 def _charpoly_rows(m) -> list:
     """The rows of a lower-triangular m, once n is within CHARPOLY_BUDGET."""
     rows = _require_lower_triangular(m)
-    if len(rows) > CHARPOLY_BUDGET:
-        raise OutOfRange(f"a characteristic-polynomial check needs n <= {CHARPOLY_BUDGET}, "
-                         f"the charpoly budget, got n={len(rows)}")
+    la.check_budget(len(rows), CHARPOLY_BUDGET, "a characteristic-polynomial check", "charpoly")
     return rows
 
 
@@ -273,9 +271,7 @@ def check_conjugator(q, global_check: bool = False) -> bool:
     once n is within CONJUGATOR_BUDGET."""
     rows = _require_square(q)
     n = len(rows)
-    if n > CONJUGATOR_BUDGET:
-        raise OutOfRange(f"a conjugator check needs n <= {CONJUGATOR_BUDGET}, "
-                         f"the conjugator budget, got n={n}")
+    la.check_budget(n, CONJUGATOR_BUDGET, "a conjugator check", "conjugator")
     sizes = range(1, n + 1) if global_check else [n]
     for k in sizes:
         sub = la.top_left(rows, k)

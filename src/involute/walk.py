@@ -326,9 +326,7 @@ def _stationary_by_elimination(rows) -> list:
     """pi from one rref of (P - I)^T, read off the one column its sorted
     pivots skip, once n is within ELIMINATION_BUDGET."""
     n = len(rows)
-    if n > ELIMINATION_BUDGET:
-        raise OutOfRange(f"a stationary law by elimination needs n <= {ELIMINATION_BUDGET}, "
-                         f"the elimination budget, got n={n}")
+    la.check_budget(n, ELIMINATION_BUDGET, "a stationary law by elimination", "elimination")
     m = [[rows[i][j] - (1 if i == j else 0) for i in range(n)] for j in range(n)]
     r, pivots = la.rref(m)
     if len(pivots) != n - 1:

@@ -25,8 +25,11 @@ the difference table of lambda:
     pi_x     ∝ C(n-1, x) (A)_{x*} (C)_x,
                or C(n-1, x) (1+c)^x         (`invariant_closed_form`),
 
-each read from reduced integer term pairs (`_terms`).  J(n), lambda =
-(1, ..., 1), is A = C: D_k(y) = [k = 0] and P is the flip J.
+each read as a reduced integer pair.  A rising factorial (r)_k and a power
+of mu are products of factors prime to their denominators (`_rising`,
+`_mu_powers`), so they pay no gcd; only lambda's quotient (A)_d / (C)_d is
+reduced, once per term (`ac_sequence`).  J(n), lambda = (1, ..., 1), is
+A = C: D_k(y) = [k = 0] and P is the flip J.
 
 A family walk is the binomial transform of its diagonal lambda.  For
 gamma(a, b), w[y, x] = (A)_y (C-A)_k / (y! k!) with k = x-y, and N_x =
@@ -56,6 +59,8 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 
 from ._linalg import check_table, law
 from ._record import FrozenRecord
@@ -146,24 +151,21 @@ def domain_limit(spec: WeightSpec):
     return min(math.ceil(spec.a_prime), math.ceil(spec.b_prime))
 
 
-def _terms(ratio, length: int) -> list:
-    """[t_0, ..., t_{length-1}] as reduced integer pairs (num, den), den > 0,
-    with t_0 = 1 and t_{k+1} = t_k * p / q, (p, q) = ratio(k): the running
-    product stays on integers and is reduced once per term.
+def _rising(r, n: int) -> list:
+    """(r)_k for k < n, n >= 1, as pairs (prod_{i<k} (p + i q), q^k), r =
+    p/q.  Each factor p + i q is p modulo q, so prime to q: every pair is
+    reduced, with den > 0, and no gcd is paid."""
+    p, q = r.numerator, r.denominator
+    return list(zip(accumulate(range(p, p + (n - 1) * q, q), mul, initial=1),
+                    accumulate(repeat(q, n - 1), mul, initial=1)))
 
-    Every caller's q is positive for k < length - 1, so no sign is repaired
-    and no zero tested: `ac_sequence` gives s q_A (p_C + k q_C), s the sign
-    of C, the rising factorials of `invariant_closed_form` give q_A and q_C,
-    and gamma(c) gives p_c + q_c for mu and q_c for 1 + c."""
-    num = den = 1
-    out = [(1, 1)]
-    for k in range(length - 1):
-        p, q = ratio(k)
-        num, den = num * p, den * q
-        g = math.gcd(num, den)
-        num, den = num // g, den // g
-        out.append((num, den))
-    return out[:length]
+
+def _mu_powers(c, n: int) -> list:
+    """([q^d], [(p+q)^d]) for d < n, n >= 1, c = p/q: the numerators and
+    denominators of mu^d, mu = q/(p+q), prime to each other as q and p+q
+    are, so no gcd is paid."""
+    p, q = c.numerator, c.denominator
+    return [list(accumulate(repeat(b, n - 1), mul, initial=1)) for b in (q, p + q)]
 
 
 def _ac(spec: WeightSpec) -> tuple:
@@ -175,29 +177,35 @@ def _ac(spec: WeightSpec) -> tuple:
 
 def ac_sequence(big_a, big_c, n: int) -> list:
     """lambda_d = (A)_d / (C)_d for d < n, as reduced integer pairs
-    (num, den): the family (A, C) of the module docstring.  A and C are ints
-    or Fractions, read through their numerators and denominators.
+    (num, den), den > 0: the family (A, C) of the module docstring.  A and
+    C are ints or Fractions, read through their numerators and denominators.
 
-    Each term ratio (A+k) / (C+k), k <= n-2, gets a positive denominator by
-    one sign s of C for every k: C > 0 for gamma(a, b), while inside delta's
-    domain, n <= ceil(a'), both A+k = 1-a'+k < 0 and C+k < A+k are negative,
-    so s = -1 flips both."""
+    The one running product of the module that needs a gcd: lambda_{k+1} =
+    lambda_k (A+k) / (C+k), reduced once per term.  Its denominators stay
+    positive by one sign s of C for every k <= n-2: C > 0 for gamma(a, b),
+    while inside delta's domain, n <= ceil(a'), both A+k = 1-a'+k < 0 and
+    C+k < A+k are negative, so s = -1 flips both."""
     pa, qa, pc, qc = big_a.numerator, big_a.denominator, big_c.numerator, big_c.denominator
     s = 1 if big_c > 0 else -1
-    return _terms(lambda k: (s * (pa + k * qa) * qc, s * qa * (pc + k * qc)), n)
+
+    def times(term, k):
+        num, den = term[0] * (s * (pa + k * qa) * qc), term[1] * (s * qa * (pc + k * qc))
+        g = math.gcd(num, den)
+        return num // g, den // g
+
+    return list(accumulate(range(n - 1), times, initial=(1, 1)))[:n]
 
 
 def family_sequence(spec: WeightSpec, n: int, entry=Fraction) -> list:
     """lambda_0, ..., lambda_{n-1} of a named family walk, each made by
-    entry(num, den) of its reduced integer pair: `ac_sequence`, or mu^d with
-    mu = 1/(c+1) for gamma(c).  This is the diagonal w[d, d] / N_d of H,
-    and the walk is its binomial transform (the module docstring)."""
+    entry(num, den) of its reduced integer pair: `ac_sequence`, or mu^d for
+    gamma(c) (`_mu_powers`).  This is the diagonal w[d, d] / N_d of H, and
+    the walk is its binomial transform (the module docstring)."""
     if isinstance(spec, Custom):
         raise UnsupportedFamily("no closed-form eigenvalues for custom weights")
     _check_n(spec, n)
     if isinstance(spec, GammaC):
-        p, q = spec.c.numerator, spec.c.denominator
-        pairs = _terms(lambda k: (q, p + q), n)
+        pairs = zip(*_mu_powers(spec.c, n))
     else:
         pairs = ac_sequence(*_ac(spec), n)
     return [entry(p, q) for p, q in pairs]
@@ -233,22 +241,21 @@ def down_step_table(spec: Custom, n: int, entry=Fraction) -> list:
 
 def invariant_closed_form(spec: WeightSpec, n: int) -> list:
     """Stationary law of a named family: pi_x ∝ C(n-1, x) (A)_{x*} (C)_x,
-    or C(n-1, x) (1+c)^x for gamma(c), from reduced integer term pairs
-    normalised by `_linalg.law`.  On delta every factor A+k and C+k, k <=
-    n-2, is negative (`ac_sequence`), so each term has the one sign
-    (-1)^{n-1}, which the normalisation cancels.  Their Theta(n)-bit
-    numerators need n <= TABLE_BUDGET, checked after the domain, as for a
-    table."""
+    from the reduced integer pairs of `_rising`, or C(n-1, x) (1+c)^x for
+    gamma(c), c = p/q, read as the integers C(n-1, x) q^{x*} (p+q)^x, its
+    multiple by q^{n-1} (`_mu_powers`), and normalised by `_linalg.law`.
+    On delta every factor A+k and C+k, k <= n-2, is negative (`ac_sequence`),
+    so each term has the one sign (-1)^{n-1}, which the normalisation
+    cancels.  Their Theta(n)-bit numerators need n <= TABLE_BUDGET, checked
+    after the domain, as for a table."""
     if isinstance(spec, Custom):
         raise UnsupportedFamily("closed-form invariant only for named families")
     _check_n(spec, n)
     check_table(n)
     if isinstance(spec, GammaC):
-        p, q = spec.c.numerator, spec.c.denominator
-        low, high = [(1, 1)] * n, _terms(lambda k: (p + q, q), n)
-    else:  # (A)_k and (C)_k, each ratio read while its r is bound
-        low, high = (_terms(lambda k: (r.numerator + k * r.denominator, r.denominator), n)
-                     for r in _ac(spec))
+        low, high = ([(w, 1) for w in powers] for powers in _mu_powers(spec.c, n))
+    else:
+        low, high = (_rising(r, n) for r in _ac(spec))
     return law([(math.comb(n - 1, x) * a * e, b * f)
                 for x, ((a, b), (e, f)) in enumerate(zip(reversed(low), high))])
 

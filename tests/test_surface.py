@@ -11,9 +11,13 @@ tests need belongs in tests/oracles.py.
 The named families' closed forms live in `weights`, so no other module, and
 not the test oracles, reads its private names, and `spectral` works on an
 eigenvalue sequence alone, so it reads nothing from `walk` or `weights`.
+
+The code lines that CI prints per module (`tools/code_lines.py`) count
+neither comments nor docstrings.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import involute
@@ -129,3 +133,32 @@ def test_every_public_name_is_reached_by_the_program():
     missing = sorted((m, name) for m, names in defined.items() for name in names
                      if _public(name) and (m, name) not in reached)
     assert missing == [], "only the tests reach these; move them to tests/oracles.py"
+
+
+def _code_lines_tool():
+    path = SRC.parent.parent / "tools" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_code_lines_count_neither_comments_nor_docstrings():
+    source = '''"""Module docstring,
+over two lines."""
+
+import math  # a trailing comment
+
+
+class Pair:
+    """Class docstring."""
+
+    # a comment line
+    def total(self):
+        """Function docstring."""
+        text = """a string that is
+        not a docstring"""
+        return math.pi, text
+'''
+    # import, class, def, the two lines of the string and the return
+    assert _code_lines_tool().code_lines(source) == 6

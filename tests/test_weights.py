@@ -18,6 +18,7 @@ from involute.weights import (
     DeltaAB,
     GammaAB,
     GammaC,
+    ac_sequence,
     custom_from_csv,
     domain_limit,
     down_step_table,
@@ -187,25 +188,78 @@ def test_norms_are_positive_on_every_domain():
         assert divisors == {1, math.lcm(*(q for _, q in pairs))}, spec
 
 
-def test_every_term_ratio_has_a_positive_denominator(monkeypatch):
-    # `weights._terms` repairs no sign and tests no zero: every ratio its
-    # callers pass has q > 0 on each n the domain admits, over the named
-    # specs of the CLI tests and the edge grid above
+def _sequence_cases() -> list:
+    """(spec, n) over the named specs of the CLI tests, n up to 12 inside
+    the domain, and the edge grid above."""
+    return [(spec, n) for spec in map(spec_from_flags, NAMED_SPECS)
+            for n in range(1, min(12, domain_limit(spec)) + 1)] + _edge_specs()
+
+
+def test_every_term_ratio_has_a_positive_denominator():
+    # every pair the sequences hand out has den > 0 on each n the domain
+    # admits: `ac_sequence` by its one sign of C, which delta's A+k < 0 and
+    # C+k < 0 need, and gamma(c)'s mu^d as a power of c+1 > 0
     denominators = []
-    terms = weights._terms
+    for spec, n in _sequence_cases():
+        pairs = family_sequence(spec, n, lambda p, q: (p, q))
+        if not isinstance(spec, GammaC):
+            pairs += ac_sequence(*weights._ac(spec), n)
+        denominators += [q for _, q in pairs]
+    assert len(denominators) > 4_000 and min(denominators) > 0
 
-    def recording(ratio, length):
-        denominators.extend(ratio(k)[1] for k in range(length - 1))
-        return terms(ratio, length)
 
-    monkeypatch.setattr(weights, "_terms", recording)
-    cases = [(spec, n) for spec in map(spec_from_flags, NAMED_SPECS)
-             for n in range(1, min(12, domain_limit(spec)) + 1)]
-    for spec, n in cases + _edge_specs():
+def test_rising_factorials_are_reduced_products():
+    # (r)_k = prod_{i<k} (p + i q) / q^k is in lowest terms: each factor is
+    # p modulo q; the grid has the negative r of delta's A = 1-a' and C =
+    # 2-a'-b', and the non-positive integers where a product reaches 0
+    grid = {F(p, q) for q in (1, 2, 3, 7, 10) for p in range(-25, 26)}
+    for r in grid:
+        pairs = weights._rising(r, 9)
+        products = [math.prod((r + i for i in range(k)), start=F(1)) for k in range(9)]
+        assert pairs == [f.as_integer_ratio() for f in products], r
+        assert all(q > 0 for _, q in pairs)
+    assert weights._rising(F(-7, 3), 1) == [(1, 1)]
+
+
+def test_gamma_c_powers_are_reduced():
+    # mu^d = q^d / (p+q)^d and (1+c)^x = (p+q)^x / q^x, c = p/q, in lowest
+    # terms as they stand, so no gcd reduces them
+    for c in (F(1, 100), F(1, 3), F(1, 2), F(1), F(3, 2), F(9), F(7, 11), F(1, 10**40)):
+        mu = 1 / (c + 1)
+        pairs = family_sequence(GammaC(c), 12, lambda p, q: (p, q))
+        assert pairs == [(mu**d).as_integer_ratio() for d in range(12)], c
+        assert [(e, d) for d, e in pairs] == [((1 + c) ** x).as_integer_ratio() for x in range(12)]
+
+
+class _CountingMath:
+    """`math` with its gcd calls counted."""
+
+    def __init__(self):
+        self.gcds = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def gcd(self, *args):
+        self.gcds += 1
+        return math.gcd(*args)
+
+
+def test_only_the_eigenvalue_quotient_pays_a_gcd(monkeypatch):
+    # the rising factorials and the powers of mu are reduced by
+    # construction, so gamma(c)'s sequence and every stationary law make no
+    # gcd call in weights, and an (A, C) sequence makes one per term past
+    # lambda_0; `fractions` keeps its own `math`, so a Fraction's gcd is not
+    # counted
+    counting = _CountingMath()
+    monkeypatch.setattr(weights, "math", counting)
+    for spec, n in _sequence_cases():
+        counting.gcds = 0
         family_sequence(spec, n)
-        transition_matrix(spec, n)
+        assert counting.gcds == (0 if isinstance(spec, GammaC) else n - 1), (spec, n)
+        counting.gcds = 0
         invariant_closed_form(spec, n)
-    assert len(denominators) > 10_000 and min(denominators) > 0
+        assert counting.gcds == 0, (spec, n)
 
 
 def test_weight_value_outside_domain():
