@@ -41,11 +41,6 @@ def check_table(n: int):
     check_budget(n, TABLE_BUDGET, "an n x n table", "table")
 
 
-def zeros(n: int, m: int | None = None) -> Matrix:
-    m = n if m is None else m
-    return [[_ZERO] * m for _ in range(n)]
-
-
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     bt = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
@@ -64,18 +59,7 @@ def is_upper_triangular(a: Matrix) -> bool:
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    nb, mb = len(b), len(b[0])
-    out = zeros(len(a) * nb, len(a[0]) * mb)
-    b_nonzero = [[(l, v) for l, v in enumerate(row) if v != 0] for row in b]
-    for i, arow in enumerate(a):
-        for j, aij in enumerate(arow):
-            if aij == 0:
-                continue
-            for k, entries in enumerate(b_nonzero):
-                out_row = out[i * nb + k]
-                for l, v in entries:
-                    out_row[j * mb + l] = aij * v
-    return out
+    return [[x * y if x and y else _ZERO for x in arow for y in brow] for arow in a for brow in b]
 
 
 def berkowitz(b: list) -> list[int]:

@@ -44,13 +44,15 @@ without its binomial factor.  P and M have the same support, the same
 detailed-balance verdict and the same forest of potentials; pi_x is
 proportional to binom(n-1, x) rho_x, rho the potentials of M; and the
 top-right k x k block of M is the M of lambda_0..lambda_{k-1}.  So the
-lattice hands each record its difference table, from which the integer
-L * M is read (`_dj_rows`), and a checked sequence's verdicts read its
-integer L * M (`_scaled_walk`).  H and P are read off the same integer
-rows, each entry made from its integer pair (`_binomial_rows`), and so is
-a named family's P, from the rows of its reduced integer pairs
-(`_pair_walk`): the family walk is the transform of its eigenvalue
-sequence (the `weights` docstring), stochastic by construction.
+lattice hands each record its difference table, whose padded rows are the
+columns of the integer L * M: the sweep reads them as the rows of M^T,
+which has M's verdicts (`classify.conjecture_search`), and a checked
+sequence's verdicts read its integer L * M (`_scaled_walk`, `_dj_rows`).
+H and P are read off the same integer rows, each entry made from its
+integer pair (`_binomial_rows`), and so is a named family's P, from the
+rows of its reduced integer pairs (`_pair_walk`): the family walk is the
+transform of its eigenvalue sequence (the `weights` docstring), stochastic
+by construction.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import accumulate, compress, islice
 
 from . import _linalg as la
 from . import transform
@@ -164,7 +164,11 @@ def _classes(adj: list) -> dict:
 
 
 def _class_period(adj: list, comp: list) -> int:
-    """gcd of cycle lengths inside one communicating class."""
+    """The gcd of the cycle lengths inside one communicating class, read
+    off the levels of a search tree as the gcd of level[v] + 1 - level[u]
+    over its edges v -> u.  A class with no cycle is one state without a
+    loop: no edge inside it is read, and its period is 0.  Every other
+    class has a cycle and a period of at least 1."""
     comp_set = set(comp)
     root = comp[0]
     level = {root: 0}
@@ -180,12 +184,13 @@ def _class_period(adj: list, comp: list) -> int:
             else:
                 level[u] = level[v] + 1
                 queue.append(u)
-    return abs(g)
+    return g
 
 
 def ergodicity(p) -> ErgodicityReport:
     """Irreducibility by the communicating classes, aperiodicity by the gcd
-    of cycle lengths within each class.
+    of cycle lengths within each class: the walk is aperiodic when every
+    class has period at most 1, the 0 of a class with no cycle included.
 
     Condition D is sufficient for an ergodic walk: w[x, x] > 0 for every x
     and w[x-1, x] > 0 for every x >= 1.  From x the walk then steps to
@@ -212,11 +217,7 @@ def ergodicity(p) -> ErgodicityReport:
     adj = support(p)
     comps = list(_classes(adj).values())
     irreducible = len(comps) == 1
-    aperiodic = True
-    for comp in comps:
-        has_cycle = len(comp) > 1 or comp[0] in adj[comp[0]]
-        if has_cycle and _class_period(adj, comp) != 1:
-            aperiodic = False
+    aperiodic = all(_class_period(adj, comp) <= 1 for comp in comps)
     return ErgodicityReport(irreducible, aperiodic, irreducible and aperiodic, comps)
 
 
@@ -385,20 +386,12 @@ def simulate(rows, x0: int, steps: int, seed: int) -> list:
     if steps > SIMULATION_BUDGET:
         raise OutOfRange(f"steps must be <= {SIMULATION_BUDGET}, the simulation budget, "
                          f"got {steps}")
-    cum = []
-    for row in rows:
-        acc = 0.0
-        c = []
-        for v in row:
-            acc += float(v)
-            c.append(acc)
-        c[-1] = 1.0
-        cum.append(c)
+    cum = [[*accumulate(map(float, row[:-1])), 1.0] for row in rows]
     traj = [x0]
     append = traj.append
     x = x0
-    # random() < 1.0 never meets the sentinel 2.0, and is < c[-1], so the
-    # index is at most n - 1
+    # random() < 1.0 never meets the sentinel 2.0, and is < the 1.0 that
+    # ends each row of cum, so the index is at most n - 1
     for u in islice(iter(random.Random(seed).random, 2.0), steps):
         x = bisect_right(cum[x], u)
         append(x)

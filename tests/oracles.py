@@ -11,16 +11,19 @@ from operator import mul
 
 import networkx as nx
 import numpy as np
+import pytest
 import sympy
 
 from involute import _linalg as la
+from involute import walk
 from involute.classify import NotClassified, classification_label
 from involute.continuum import _unit_panel, jacobi_eigenfunctions
-from involute.errors import IndexOutOfDomain, MalformedWeight, OutOfRange
+from involute.errors import (IndexOutOfDomain, MalformedWeight, NoPositiveStationary,
+                             NotIrreducible, OutOfRange)
 from involute.exactnum import as_rational, binom
 from involute.spectral import _oriented, right_eigenvectors, signed_eigenvalues
 from involute.transform import _lattice_records
-from involute.walk import _potentials
+from involute.walk import _potentials, ergodicity, kolmogorov, stationary
 from involute.weights import Custom, DeltaAB, GammaAB, GammaC, domain_limit, family_sequence
 
 
@@ -341,6 +344,45 @@ def markov_oracle(p) -> dict:
             out["reversible"] = all(pi[x] * p[x][z] == pi[z] * p[z][x]
                                     for x in range(n) for z in range(n))
     return out
+
+
+def cycle_gcd(p, comp) -> int:
+    """The gcd of the lengths of the simple cycles among the states comp of
+    the walk with rows p, loops included, as networkx lists them: 0 when
+    there is none."""
+    g = nx.DiGraph()
+    g.add_nodes_from(comp)
+    g.add_edges_from((x, z) for x in comp for z in comp if p[x][z])
+    return math.gcd(*map(len, nx.simple_cycles(g)))
+
+
+def _assert_verdicts_match_the_markov_oracle(p):
+    """Every walk verdict against `oracles.markov_oracle`.  A walk is
+    reversible against a strictly positive law exactly when each of its
+    classes is closed and, as a walk of its own, irreducible and reversible,
+    so the oracle is asked once more for each class of a reducible walk."""
+    want = markov_oracle(p)
+    report = ergodicity(p)
+    assert sorted(map(sorted, report.communicating_classes)) == want["classes"]
+    assert report.irreducible is (len(want["classes"]) == 1)
+    assert report.aperiodic is (False not in want["aperiodic"])
+    assert sorted(map(sorted, walk._closed_classes(p))) == want["closed"]
+    assert walk._zero_reachable(p) is want["zero_reachable"]
+    if want["pi"] is None:
+        with pytest.raises(NotIrreducible):
+            stationary(p)
+    else:
+        assert stationary(p) == want["pi"]
+    if want["classes"] == want["closed"]:
+        reversible = all(markov_oracle([[p[x][z] for z in c] for x in c])["reversible"]
+                         for c in want["closed"])
+        assert kolmogorov(p) is reversible
+    else:
+        reversible = False
+        with pytest.raises(NoPositiveStationary):
+            kolmogorov(p)
+    assert (walk._potentials(p) is not None) is reversible
+    return want
 
 
 def pascal_column(n: int, d: int) -> list:

@@ -147,9 +147,7 @@ def antidiag(n):
 def _pascal_sandwich(lam):
     # independent oracle for P^lambda: B Diag(lambda) B^{-1} J, all explicit
     n = len(lam)
-    diag = la.zeros(n)
-    for d in range(n):
-        diag[d][d] = lam[d]
+    diag = [[lam[d] if d == e else F(0) for e in range(n)] for d in range(n)]
     h = la.matmul(la.matmul(pascal_matrix(n), diag), pascal_inverse(n))
     return la.matmul(h, antidiag(n))
 

@@ -78,6 +78,23 @@ def test_charpoly_matches_sympy():
         assert la.charpoly(a) == [_frac(c) for c in _sym(a).charpoly(x).all_coeffs()], a
 
 
+def test_kron_entries_are_the_products_of_the_factors():
+    # block (i, j) of kron(a, b) is a[i][j] * b, and each zero is Fraction(0)
+    rng = random.Random(20261022)
+    for _ in range(300):
+        a = _random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3))
+        b = _random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3))
+        nb, mb = len(b), len(b[0])
+        out = la.kron(a, b)
+        assert len(out) == len(a) * nb and {len(row) for row in out} == {len(a[0]) * mb}
+        for i, arow in enumerate(a):
+            for j, x in enumerate(arow):
+                for k, brow in enumerate(b):
+                    for l, y in enumerate(brow):
+                        assert out[i * nb + k][j * mb + l] == x * y
+        assert all(type(v) is F for row in out for v in row)
+
+
 def test_law_matches_fraction_sums():
     rng = random.Random(20261019)
     cases = [[(1, 1)], [(0, 3), (2, 5)], [(-1, 2), (-3, 4), (-5, 6)], [(-2, 3), (5, 7), (0, 1)]]

@@ -257,9 +257,7 @@ def test_is_ergodic_lambda_examples():
 @settings(max_examples=30, deadline=None)
 def test_binomial_transform_is_pascal_conjugate(lam):
     n = len(lam)
-    diag = la.zeros(n)
-    for d in range(n):
-        diag[d][d] = lam[d]
+    diag = [[lam[d] if d == e else F(0) for e in range(n)] for d in range(n)]
     assert binomial_transform(lam) == la.matmul(la.matmul(pascal_matrix(n), diag),
                                                 pascal_inverse(n))
 

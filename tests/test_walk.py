@@ -33,10 +33,11 @@ from involute.weights import (Custom, DeltaAB, GammaAB, GammaC, custom_from_csv,
 from oracles import (
     BENCH_GAMMA,
     NAMED_SPECS,
+    _assert_verdicts_match_the_markov_oracle,
+    cycle_gcd,
     detailed_balance,
     division_route,
     identity,
-    markov_oracle,
     norm_table,
     pattern_is_ergodic,
     reversible_with_some_distribution,
@@ -260,33 +261,30 @@ def test_lambda_walk_ergodicity_from_the_support_of_its_mixing_law():
     assert records == 231
 
 
-def _assert_verdicts_match_the_markov_oracle(p):
-    """Every walk verdict against `oracles.markov_oracle`.  A walk is
-    reversible against a strictly positive law exactly when each of its
-    classes is closed and, as a walk of its own, irreducible and reversible,
-    so the oracle is asked once more for each class of a reducible walk."""
-    want = markov_oracle(p)
-    report = ergodicity(p)
-    assert sorted(map(sorted, report.communicating_classes)) == want["classes"]
-    assert report.irreducible is (len(want["classes"]) == 1)
-    assert report.aperiodic is (False not in want["aperiodic"])
-    assert sorted(map(sorted, walk._closed_classes(p))) == want["closed"]
-    assert walk._zero_reachable(p) is want["zero_reachable"]
-    if want["pi"] is None:
-        with pytest.raises(NotIrreducible):
-            stationary(p)
-    else:
-        assert stationary(p) == want["pi"]
-    if want["classes"] == want["closed"]:
-        reversible = all(markov_oracle([[p[x][z] for z in c] for x in c])["reversible"]
-                         for c in want["closed"])
-        assert kolmogorov(p) is reversible
-    else:
-        reversible = False
-        with pytest.raises(NoPositiveStationary):
-            kolmogorov(p)
-    assert (walk._potentials(p) is not None) is reversible
-    return want
+def _zero_one_supports():
+    """Every 0/1 matrix at n <= 3, then every support pattern at n = 4 read
+    as the support of P, which steps from x to n-1-y for each (y, x)."""
+    for n in range(1, 4):
+        for mask in range(1 << n * n):
+            yield [[mask >> (x * n + z) & 1 for z in range(n)] for x in range(n)]
+    for pattern in support_patterns(4):
+        yield [[int((3 - z, x) in pattern) for z in range(4)] for x in range(4)]
+
+
+def test_class_period_is_zero_exactly_for_a_state_without_a_cycle():
+    # the convention `ergodicity` reads as "period at most 1": each class's
+    # period is its cycle gcd, 0 exactly for one state without a loop, and
+    # a walk is aperiodic when every class that has a cycle has period 1
+    supports = 0
+    for p in _zero_one_supports():
+        adj = walk.support(p)
+        comps = list(walk._classes(adj).values())
+        gcds = [cycle_gcd(p, comp) for comp in comps]
+        assert [walk._class_period(adj, comp) for comp in comps] == gcds, p
+        assert [g == 0 for g in gcds] == [len(c) == 1 and not p[c[0]][c[0]] for c in comps], p
+        assert ergodicity(p).aperiodic is all(g == 1 for g in gcds if g), p
+        supports += 1
+    assert supports == 530 + 315
 
 
 def test_walk_verdicts_match_the_markov_oracle():
@@ -823,6 +821,18 @@ def test_subset_walk_m2():
     assert sorted(sub.eigenvalues) == sorted([F(1), F(-1, 2), F(-1, 2), F(1, 4)])
     # charpoly agrees with the closed-form multiset
     assert la.charpoly(subset_matrix(sub)) == la.poly_from_roots(sub.eigenvalues)
+
+
+def test_subset_matrix_is_the_block_recursion():
+    # the Kronecker power of [[0, 1], [p, 1-p]] is M -> [[0, M], [p M, (1-p) M]]
+    # applied m times to [[1]], its zero blocks the Fraction 0
+    for p in (F(1, 4), F(1, 3), F(1, 2), F(2, 3)):
+        want = [[F(1)]]
+        for m in range(1, 7):
+            want = ([[F(0)] * len(want) + row for row in want]
+                    + [[p * v for v in row] + [(1 - p) * v for v in row] for row in want])
+            got = subset_matrix(subset_walk(m, p))
+            assert got == want and all(type(v) is F for row in got for v in row), (m, p)
 
 
 def test_built_laws_are_probability_laws():
