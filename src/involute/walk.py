@@ -14,10 +14,11 @@ through `checked_walk`; every walk built here is stochastic and
 anti-triangular by construction and is not validated again.
 
 This module provides exact construction, stationary distributions
-(potentials, and exact elimination for walks that are not reversible; a
-family's closed form is in `weights`), ergodicity reports, the reversibility
-verdict and the cycle-product criterion, the code that steps P (seeded
-simulation and the mixing fit), and the Kronecker-power walk on subsets.
+(potentials, and exact elimination for walks that are not reversible, with
+one closed class; a family's closed form is in `weights`), ergodicity
+reports, the reversibility verdict and the cycle-product criterion, the code
+that steps P (seeded simulation and the mixing fit), and the
+Kronecker-power walk on subsets.
 Each result is a value: `simulate` returns the trajectory, whose visits
 `visit_frequencies` counts, and a `SubsetWalk` holds the closed forms, from
 which `subset_matrix` builds the dense walk.
@@ -25,10 +26,11 @@ which `subset_matrix` builds the dense walk.
 One engine decides reversibility.  Detailed balance pi_x P[x][z] = pi_z P[z][x]
 fixes the ratio pi_z / pi_x along every edge of the support graph, so the
 potentials are spread over a spanning forest and every other equation is
-checked exactly, once, as the search meets it (_potentials).  A walk is reversible when they exist, that
-is, when detailed balance holds against a strictly positive law; a walk with
-transient states is not.  The stationary law of a reversible walk and the
-Kolmogorov criterion are read from that one check.
+checked exactly, from the larger of its two states (_potentials).  A walk is
+reversible when they exist, that is, when detailed balance holds against a
+strictly positive law; a walk with transient states is not.  The stationary
+law of a reversible walk and the Kolmogorov criterion are read from that one
+check.
 
 One engine decides reachability: the set of states each state reaches, a
 bitmask closed by Warshall's algorithm (_classes).  States that reach the
@@ -39,6 +41,9 @@ from every state when every reach set holds it (_zero_reachable).  For a walk
 whose potentials exist their tree count already answers the last question:
 each tree spans a connected piece of a symmetric support, a class that no
 step leaves, so 0 is reached from every state exactly when there is one.
+The closed classes also count the stationary laws: they span one dimension
+per closed class, so `stationary` refuses a walk with two or more from its
+tree count or its classes, and elimination only solves.
 """
 
 from __future__ import annotations
@@ -238,14 +243,17 @@ def _potentials(rows):
     Detailed balance pi_x P[x][z] = pi_z P[z][x] needs a symmetric support
     and forces pi_z = pi_x P[x][z] / P[z][x] along every support edge.  So
     each tree of a spanning forest of the support graph is grown by a
-    depth-first search from a root with pi = 1, and every other edge's
-    equation is checked once, when the second of its two states comes off
-    the stack; the first failing equation ends the search.  Each support
-    entry is read with its mirror when its row's state comes off the stack,
-    so an entry whose mirror is zero ends it too.  All of it runs
-    on integers: each pi_x is kept as a reduced pair num[x] / den[x], an
-    edge spreads it as a cross-multiplied pair reduced by one gcd, and an
-    equation (a/b)(p/q) == (c/d)(r/s) is checked as a*p*d*s == c*r*b*q.
+    depth-first search from a root with pi = 1.  An equation is checked
+    when the larger of its two states comes off the stack, its smaller
+    state seen by then, unless the larger state spread along it: so every
+    other edge's equation is checked once, and a tree edge that its smaller
+    state spread is checked again and holds.  The first failing equation
+    ends the search.  Each support entry is read with its mirror when its
+    row's state comes off the stack, so an entry whose mirror is zero ends
+    it too.  All of it runs on integers: each pi_x is kept as a reduced
+    pair num[x] / den[x], an edge spreads it as a cross-multiplied pair
+    reduced by one gcd, and an equation (a/b)(p/q) == (c/d)(r/s) is checked
+    as a*p*d*s == c*r*b*q.
     Returns (pairs, trees), pairs[x] = (num[x], den[x]) with pi = 1 at each
     root and trees the number of trees grown (the connected components of
     the support), or None when the support is not symmetric or some
@@ -267,8 +275,6 @@ def _potentials(rows):
     states = range(n)
     num = [0] * n
     den = [0] * n  # 0 until the state's tree reaches it
-    parent = [-1] * n  # the state whose edge spread the potential
-    done = [False] * n  # True once the state has come off the stack
     trees = 0
     for root in states:
         if den[root]:
@@ -278,39 +284,44 @@ def _potentials(rows):
         stack = [root]
         while stack:
             x = stack.pop()
-            row, nx, dx, px = rows[x], num[x], den[x], parent[x]
+            row, nx, dx = rows[x], num[x], den[x]
             for z in compress(states, row):
                 backward = rows[z][x]
                 if not backward:
                     return None  # the support is not symmetric
                 seen = den[z]
-                if seen and (z == px or not done[z]):
-                    continue  # a tree edge, a loop, or checked when z comes off the stack
+                if seen and z >= x:
+                    continue  # a loop, or checked when the larger state z comes off the stack
                 forward = row[z]
                 a = nx * forward.numerator * backward.denominator
                 b = dx * forward.denominator * backward.numerator
                 if not seen:
                     g = math.gcd(a, b)
-                    num[z], den[z], parent[z] = a // g, b // g, x
+                    num[z], den[z] = a // g, b // g
                     stack.append(z)
                 elif a * seen != b * num[z]:
                     return None
-            done[x] = True
     return list(zip(num, den)), trees
 
 
 def stationary(p) -> list:
     """The unique pi with pi P = pi, for a walk whose rows sum to 1.
 
-    When the potentials exist and span one tree, they are pi.  The support
-    is then symmetric and connected, so the walk is irreducible and its
-    stationary law unique; and summing pi_x P[x][z] = pi_z P[z][x] over x
-    gives (pi P)_z = pi_z, because row z of P sums to 1.  Walks that are not
-    reversible (most --lambda and --custom walks) or are reducible fall back
-    to exact elimination on (P - I)^T, within ELIMINATION_BUDGET.
+    The stationary laws of a finite walk span one dimension per closed
+    class, so pi is unique exactly when there is one, and a walk with k > 1
+    is refused from its classes at any n (so is the empty walk, with k = 0).
+    When the potentials exist their tree count is k (the module docstring),
+    and with one tree they are pi: summing pi_x P[x][z] = pi_z P[z][x] over
+    x gives (pi P)_z = pi_z, because row z of P sums to 1.  Otherwise the closed classes are counted
+    by reachability, and a walk that is not reversible (most --lambda and
+    --custom walks), with one closed class, is solved by exact elimination
+    on (P - I)^T, within ELIMINATION_BUDGET.
     """
     found = _potentials(p)
-    if found is not None and found[1] == 1:
+    k = found[1] if found else len(_closed_classes(p))
+    if k != 1:
+        raise NotIrreducible(f"stationary space has dimension {k}")
+    if found:
         return la.law(found[0])
     return _stationary_by_elimination(p)
 
@@ -325,18 +336,20 @@ ELIMINATION_BUDGET = 64
 
 def _stationary_by_elimination(rows) -> list:
     """pi from one rref of (P - I)^T, read off the one column its sorted
-    pivots skip, once n is within ELIMINATION_BUDGET."""
+    pivots skip, once n is within ELIMINATION_BUDGET.
+
+    The walk must have exactly one closed class, as `stationary` checks
+    first.  (P - I)^T then has rank n - 1, and its kernel is spanned by a
+    non-negative law pi; the kernel vector read here is 1 at the skipped
+    column, so it is pi over that column's entry, which is positive.
+    """
     n = len(rows)
     la.check_budget(n, ELIMINATION_BUDGET, "a stationary law by elimination", "elimination")
     m = [[rows[i][j] - (1 if i == j else 0) for i in range(n)] for j in range(n)]
     r, pivots = la.rref(m)
-    if len(pivots) != n - 1:
-        raise NotIrreducible(f"stationary space has dimension {n - len(pivots)}")
     free = next((c for c, pivot in enumerate(pivots) if c != pivot), n - 1)
     v = [-row[free] for row in r[:n - 1]]
     v.insert(free, 1)
-    if sum(v) == 0:
-        raise NotIrreducible("kernel vector has zero mass")
     return la.law([(x.numerator, x.denominator) for x in v])
 
 

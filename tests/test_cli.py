@@ -409,6 +409,30 @@ def test_stationary_by_elimination_is_refused_past_its_budget(tmp_path, capsys, 
                f"budget, got n={n}\n")
 
 
+def test_stationary_names_the_dimension_of_a_reducible_walk_past_the_elimination_budget(
+        monkeypatch, capsys):
+    # the flip J(n) of n ones has n // 2 two-state classes and, for n odd,
+    # a fixed middle state, each closed: its stationary space has dimension
+    # (n + 1) // 2, read off the potentials' trees with no elimination, so
+    # the elimination budget is not what refuses it
+    def hang(signum, frame):
+        raise _Hung(f"no refusal within {seconds} s")
+
+    solved = []
+    monkeypatch.setattr(_linalg, "rref", solved.append)
+    seconds = 1
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        got = [run(capsys, "stationary", "--lambda", ",".join(["1"] * n)) for n in (65, 200)]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert got == [(2, "", "error: stationary space has dimension 33\n"),
+                   (2, "", "error: stationary space has dimension 100\n")]
+    assert solved == []
+
+
 def test_an_oversized_matrix_file_is_refused_before_any_cell_is_parsed(
         monkeypatch, tmp_path, capsys):
     # a --matrix file is held to the table budget like every other source:

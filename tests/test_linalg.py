@@ -14,11 +14,12 @@ from involute.errors import NotIrreducible, OutOfRange, SingularMatrix
 from involute.spectral import left_side, right_eigenvectors
 from involute.transform import (_scaled_walk, binomial_transform, check_conjugator,
                                 gadep_counterexample, lambda_walk)
-from involute.walk import _potentials, _stationary_by_elimination, transition_matrix
+from involute.walk import _potentials, _stationary_by_elimination, stationary, transition_matrix
 from involute.weights import Custom, DeltaAB, GammaAB, GammaC, domain_limit, family_sequence
 
 from oracles import charpoly_faddeev_leverrier, clear_denominators, normalized
 from test_transform import random_stochastic_lambda
+from test_walk import eliminations  # noqa: F401, a fixture
 
 
 def _random_matrix(rng, rows, cols):
@@ -126,7 +127,7 @@ def _custom_walk(rng, n):
     return transition_matrix(Custom(n, table), n)
 
 
-def test_stationary_by_elimination_matches_sympy():
+def test_stationary_by_elimination_matches_sympy(eliminations):
     rng = random.Random(20261020)
     walks = [lambda_walk(random_stochastic_lambda(n, rng)) for n in range(2, 9) for _ in range(6)]
     walks += [_custom_walk(rng, n) for n in range(1, 8) for _ in range(12)]
@@ -139,14 +140,14 @@ def test_stationary_by_elimination_matches_sympy():
             assert _stationary_by_elimination(p) == normalized(
                 [_frac(v) for v in space[0]]), p
         else:
+            # a reducible walk never reaches elimination: stationary counts
+            # its closed classes first
             seen["reducible"] += 1
             with pytest.raises(NotIrreducible, match=f"^stationary space has dimension "
                                                      f"{len(space)}$"):
-                _stationary_by_elimination(p)
+                stationary(p)
     assert all(count >= 10 for count in seen.values()), seen
-    # rows that sum to 1 with a negative entry: the one kernel vector has zero mass
-    with pytest.raises(NotIrreducible, match="^kernel vector has zero mass$"):
-        _stationary_by_elimination([[F(2), F(-1)], [F(1), F(0)]])
+    assert eliminations == []
 
 
 def test_check_conjugator_matches_sympy():

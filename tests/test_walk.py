@@ -38,6 +38,7 @@ from oracles import (
     detailed_balance,
     division_route,
     identity,
+    markov_oracle,
     norm_table,
     pattern_is_ergodic,
     reversible_with_some_distribution,
@@ -304,6 +305,42 @@ def test_walk_verdicts_match_the_markov_oracle():
     assert (len(patterns), records) == (340, 231)
 
 
+def test_stationary_counts_closed_classes_before_any_elimination(monkeypatch):
+    # the stationary laws of a walk span one dimension per closed class: with
+    # k >= 2 the walk is refused from its classes and no rref runs, with one
+    # its law is the oracle's pi, and when the potentials exist their tree
+    # count is k.  The inputs of test_walk_verdicts_match_the_markov_oracle
+    solved = []
+    rref = la.rref
+    monkeypatch.setattr(la, "rref", lambda m: solved.append(len(m)) or rref(m))
+    rng = random.Random(7)
+    walks = []
+    for n in range(1, 5):
+        for pattern in support_patterns(n):
+            table = {cell: rng.randint(1, 4) for cell in sorted(pattern)}
+            walks.append(transition_matrix(Custom(n, table), n))
+    for n in range(1, 7):
+        scale, lattice = _lattice_records(n, 6)
+        walks += [lambda_walk([F(v, scale) for v in scaled]) for scaled, _ in lattice]
+    kinds = set()
+    for p in walks:
+        want = markov_oracle(p)
+        k = len(want["closed"])
+        found = walk._potentials(p)
+        assert found is None or found[1] == k, p
+        solved.clear()
+        if k > 1:
+            assert want["pi"] is None
+            with pytest.raises(NotIrreducible, match=f"^stationary space has dimension {k}$"):
+                stationary(p)
+            assert solved == [], p
+        else:
+            assert stationary(p) == want["pi"], p
+            assert solved == ([] if found else [len(p)]), p
+        kinds.add((k > 1, found is not None))
+    assert len(walks) == 340 + 231 and len(kinds) == 4
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_reversible_walks_match_the_markov_oracle(data):
@@ -555,21 +592,33 @@ def _numerator_reads(rows) -> tuple:
     return walk._potentials([[Entry(v) for v in row] for row in rows]), len(reads)
 
 
-def test_potentials_check_each_equation_once_and_stop_at_the_first_failure():
+def test_potentials_check_each_equation_from_its_larger_state_and_stop_at_the_first_failure():
     # full support on 4 states: the tree from 0 spreads over (0, 1), (0, 2)
-    # and (0, 3), and the other three equations are checked as their second
-    # state comes off the stack: (2, 3) first, then (1, 2), and (1, 3) last
+    # and (0, 3), and each equation is checked as its larger state comes off
+    # the stack: (0, 3), (1, 3), (2, 3), then (0, 2), (1, 2), then (0, 1).
+    # The three tree edges hold by construction, and no other equation is
+    # checked twice
     base = _balanced_table(4)
     found, reads = _numerator_reads(base)
     assert found == ([(1, 1), (2, 1), (3, 1), (4, 1)], 1)
-    assert reads == 2 * 6  # each of the 6 equations once
+    assert reads == 2 * (3 + 3 + 3)  # 3 spreads, 3 checks and the tree edges again
     first, last = [row[:] for row in base], [row[:] for row in base]
     first[2][3] *= 2  # breaks (2, 3) alone
     last[1][3] *= 2  # breaks (1, 3) alone
     assert not detailed_balance(first, [1, 2, 3, 4]) and not detailed_balance(last, [1, 2, 3, 4])
-    assert _numerator_reads(first) == (None, 2 * 4)  # three spreads and one check
-    assert _numerator_reads(last) == (None, 2 * 6)
+    assert _numerator_reads(first) == (None, 2 * 6)  # three spreads and three checks
+    assert _numerator_reads(last) == (None, 2 * 5)
     assert kolmogorov(base) and not kolmogorov(first) and not kolmogorov(last)
+    # a named family's integer L * M: its root 0 steps only to n - 1, which
+    # spreads to every other state, so one tree edge, (0, n - 1), is read
+    # twice and every other equation once
+    for n in (4, 6, 9):
+        m = _scaled_walk(family_sequence(GammaAB(1, F(1, 3)), n))[1]
+        edges = sum(1 for x in range(n) for z in range(x) if m[x][z])
+        assert not any(m[0][:n - 1]) and all(m[n - 1][:n - 1])
+        found, reads = _numerator_reads(m)
+        assert found is not None and found[1] == 1
+        assert reads == 2 * (edges + 1), n
 
 
 def test_potentials_refuse_an_asymmetric_support():
@@ -654,10 +703,11 @@ def test_stationary_falls_back_to_elimination(eliminations):
     pi = stationary(p)
     assert eliminations == [4]
     assert vecmat(pi, p) == pi
-    # reversible but reducible: the potentials span two trees
+    # reversible but reducible: the potentials span two trees, two closed
+    # classes, and the walk is refused with no elimination
     with pytest.raises(NotIrreducible, match="dimension 2"):
         stationary(checked_walk([[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
-    assert eliminations == [4, 3]
+    assert eliminations == [4]
 
 
 def test_elimination_is_refused_past_its_budget(monkeypatch, eliminations):
