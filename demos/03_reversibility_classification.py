@@ -14,7 +14,13 @@ from involute.classify import (
     classify_walk,
     conjecture_search,
     exceptional_ladder,
+    params_from_mu_nu,
 )
+
+print("mu = 2/3, n = 10: the family from the position of nu against mu^2 = 4/9:")
+for nu in (F(1, 2), F(4, 9), F(10, 23), F(2, 5)):
+    print(f"  nu={nu} -> {classification_label(params_from_mu_nu(F(2, 3), nu, 10))}")
+print()
 
 print("mu = 2/3, n = 10 exceptional ladder (m, nu_m, a'_m):")
 for m, nu, ap in exceptional_ladder(F(2, 3), 10):

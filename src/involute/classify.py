@@ -23,6 +23,22 @@ never inferred from (mu, nu) alone; lambda_0..lambda_2 are 1, mu and nu by
 the construction of the candidate, which
 `test_candidate_diagonal_starts_with_one_mu_nu` checks on the den <= 12 grid.
 
+The check reads the term ratio on integers, not the candidate's sequence.
+With mu = p/q, nu = r/s, lead = p s - r q > 0 and gap = r q^2 - p^2 s
+(`params_from_mu_nu`, `_lead_gap`), each candidate has A gap = p lead and
+C gap = q lead: gamma(a, b) with A = a+1, C = a+b+2, and delta(a', b')
+with A = 1-a', C = 2-a'-b' (the `weights` docstring), while gamma(c) has
+gap = 0 and ratio mu = p lead / q lead.  As lambda_{d+1} / lambda_d =
+(A+d) / (C+d),
+
+    lambda_{d+1} (q lead + d gap) = lambda_d (p lead + d gap)
+
+for every d, checked for d = 2..n-2 by cross-multiplying the terms'
+numerators and denominators (`_first_mismatch`).  C+d is never 0 for
+d <= n-2 inside the domain (`weights.ac_sequence`), so the test holds
+exactly when lambda_{d+1} is the candidate's term, given lambda_d is, and
+the first d that fails names the first mismatching term.
+
 The conjecture sweep runs on the integer lattice of
 `transform._lattice_records`: each sequence is a tuple of integers
 lambda_y * L, L = lcm(1..den), handed over with its difference table.
@@ -50,7 +66,7 @@ from .errors import OutOfRange, ZeroNotAccessible
 from .exactnum import as_rational
 from .transform import _lattice_records, _scaled_walk
 from .walk import _potentials, _zero_reachable
-from .weights import DeltaAB, GammaAB, GammaC, domain_limit, family_sequence
+from .weights import DeltaAB, GammaAB, GammaC, domain_limit
 
 
 class IdentityWalk(FrozenRecord):
@@ -94,7 +110,9 @@ def params_from_mu_nu(mu, nu, n: int) -> Classification:
 
     and delta(-a, -b) has a' = (gap - p lead) / gap and
     b' = (gap - (q - p) lead) / gap.  So each parameter is one Fraction of
-    integer products, and the domain test reads those Fractions.
+    integer products, and the domain test reads those Fractions.  The
+    candidate's term ratio is read off the same integers (`_lead_gap`),
+    which `_classify` forms once for both (`_candidate`).
 
     The domain test is the whole admissibility test, ladder included.  An
     integer b' = m is admissible when m >= floor((1 - mu)/mu (n - 2)) + 2
@@ -103,13 +121,16 @@ def params_from_mu_nu(mu, nu, n: int) -> Classification:
     domain test already rejects.
     """
     mu, nu = as_rational(mu), as_rational(nu)
-    p, q, r, s = mu.numerator, mu.denominator, nu.numerator, nu.denominator
-    lead = p * s - r * q
-    if not (p < q and lead > 0 and r >= 0):
+    return _candidate(mu, nu, n, _lead_gap(mu, nu))
+
+
+def _candidate(mu: Fraction, nu: Fraction, n: int, ratio: tuple) -> Classification:
+    """params_from_mu_nu(mu, nu, n), given ratio = _lead_gap(mu, nu)."""
+    p, q, lead, gap = ratio
+    if not (p < q and lead > 0 and nu.numerator >= 0):
         raise OutOfRange(f"need 1 > mu > nu >= 0, got mu={mu}, nu={nu}")
     if n < 3:
         raise OutOfRange("classification needs n >= 3")
-    gap = r * q * q - p * p * s
     if gap > 0:
         return GammaAB(Fraction(p * lead - gap, gap), Fraction((q - p) * lead - gap, gap))
     if gap == 0:
@@ -119,6 +140,29 @@ def params_from_mu_nu(mu, nu, n: int) -> Classification:
     if n > domain_limit(spec):
         return NotClassified(f"delta({spec.a_prime},{spec.b_prime}) does not reach n={n}")
     return spec
+
+
+def _lead_gap(mu: Fraction, nu: Fraction) -> tuple:
+    """(p, q, lead, gap) of mu = p/q and nu = r/s, q, s > 0:
+    lead = p s - r q and gap = r q^2 - p^2 s."""
+    p, q, r, s = mu.numerator, mu.denominator, nu.numerator, nu.denominator
+    return p, q, p * s - r * q, r * q * q - p * p * s
+
+
+def _first_mismatch(lam: list, p: int, q: int, lead: int, gap: int) -> int | None:
+    """The least d >= 3 at which lam leaves the candidate of
+    params_from_mu_nu(lam[1], lam[2], n), given that lam[0..2] are its
+    terms, from lambda_{d+1} (q lead + d gap) = lambda_d (p lead + d gap);
+    None when every term matches.  Only integers are multiplied (the module
+    docstring)."""
+    up, down = p * lead + 2 * gap, q * lead + 2 * gap  # gap (A + 2), gap (C + 2)
+    for d in range(3, len(lam)):
+        prev, term = lam[d - 1], lam[d]
+        if term.numerator * prev.denominator * down != prev.numerator * term.denominator * up:
+            return d
+        up += gap
+        down += gap
+    return None
 
 
 # states exceptional_ladder may be asked for: the table holds up to n - 2
@@ -170,7 +214,7 @@ def classify_walk(lam) -> Classification:
     """Identify the family walk with this eigenvalue sequence, if any.
 
     After the (mu, nu) case split the rest of the sequence is verified
-    against the family's closed form; any mismatch gives NotClassified.
+    against the candidate's term ratio; any mismatch gives NotClassified.
     Reachability is read from the support of the integer L * M, which is
     P's (`transform._scaled_walk`).
     """
@@ -198,17 +242,16 @@ def _classify(lam: list, reaches_zero: bool) -> Classification:
         raise ZeroNotAccessible("state 0 unreachable; the walk never mixes")
     n = len(lam)
     mu, nu = lam[1], lam[2]
+    ratio = _lead_gap(mu, nu)
     try:
-        candidate = params_from_mu_nu(mu, nu, n)
+        candidate = _candidate(mu, nu, n, ratio)
     except OutOfRange as exc:
         return NotClassified(str(exc))
-    if isinstance(candidate, NotClassified) or n == 3:
+    if isinstance(candidate, NotClassified):
         return candidate
     # lambda_0..lambda_2 are 1, mu and nu by the construction of the candidate
-    for d, expected in enumerate(family_sequence(candidate, n)[3:], 3):
-        if lam[d] != expected:
-            return NotClassified(f"lambda_{d} mismatches the candidate family")
-    return candidate
+    d = _first_mismatch(lam, *ratio)
+    return candidate if d is None else NotClassified(f"lambda_{d} mismatches the candidate family")
 
 
 def classification_label(c: Classification) -> str:

@@ -4,7 +4,9 @@ A rational prints as `str` prints it: "p/q", or just "p" when the
 denominator is 1, for a Fraction and an int alike.  A matrix that is only
 printed may hold that text already (`_rational_text`), so every writer
 maps `str` over its entries, which leaves text as it is.  The parser
-additionally accepts terminating decimals ("0.25"), which convert exactly.
+additionally accepts terminating decimals ("0.25"), which convert exactly,
+and reads a plain "p" or "p/q" of ASCII digits on integers, without
+Fraction's string parser (`parse_rational`).
 Pretty matrix output marks structural zeros, the entries whose defining
 interval is empty, with a middle dot: x + z < n - 1 in P, z > x in the
 down-step matrix H, told from P by its zeros above the diagonal.
@@ -40,9 +42,21 @@ def _rational_text(num: int, den: int) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
+    """The rational a text names, once stripped; OutOfRange when it names none.
+
+    A plain "p" or "p/q", ASCII digits only, is read as Fraction(int(p),
+    int(q)), which skips Fraction's string parser; every other form (signs,
+    decimals, exponents, inner spaces, "_", other digits) goes to
+    Fraction(text).  Both refuse the same texts with the same message: a
+    zero q, and more digits than Python's int conversion limit."""
     text = text.strip()
-    _, has_exponent, exponent = text.lower().partition("e")
+    num, slash, den = text.partition("/")
+    if not slash:
+        den = "1"
     try:
+        if text.isascii() and num.isdigit() and den.isdigit():
+            return Fraction(int(num), int(den))
+        _, has_exponent, exponent = text.lower().partition("e")
         if has_exponent and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
             raise OutOfRange(f"decimal exponent in {text!r} is above the limit of "
                              f"{MAX_DECIMAL_EXPONENT} in magnitude")

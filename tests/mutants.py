@@ -35,6 +35,7 @@ TIMEOUT = 300
 Mutant = namedtuple("Mutant", "id file old new test claim")
 
 _WALK = "src/involute/walk.py"
+_CLASSIFY = "src/involute/classify.py"
 _VERDICTS = "tests/test_walk.py::test_walk_verdicts_match_the_markov_oracle"
 
 MUTANTS = [
@@ -67,6 +68,12 @@ MUTANTS = [
            "k = found[1] if found else len(_closed_classes(p))", "k = 1",
            "tests/test_walk.py::test_stationary_not_irreducible",
            "a walk with two closed classes has no unique stationary law"),
+    Mutant("term-ratio-factors-one-index-early", _CLASSIFY,
+           "up, down = p * lead + 2 * gap, q * lead + 2 * gap",
+           "up, down = p * lead + gap, q * lead + gap",
+           "tests/test_classify.py::test_term_ratio_test_matches_the_family_sequence_oracle",
+           "lambda_{d+1} / lambda_d = (A + d) / (C + d) is checked from d = 2, the "
+           "factors at the index of the term they multiply"),
 ]
 
 

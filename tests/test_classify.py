@@ -10,6 +10,8 @@ from involute.classify import (
     NotClassified,
     SearchRecord,
     _classify,
+    _first_mismatch,
+    _lead_gap,
     _top_right_submatrix,
     a_prime_ladder,
     classification_label,
@@ -23,15 +25,17 @@ from involute.classify import (
 from involute.errors import NotStochastic, OutOfRange, ZeroNotAccessible
 from involute.transform import _dj_rows, _lattice_records, _scaled_walk, lambda_walk
 from involute.walk import _potentials
-from involute.weights import DeltaAB, GammaAB, GammaC, family_sequence
+from involute.weights import UNBOUNDED, DeltaAB, GammaAB, GammaC, domain_limit, family_sequence
 
 from oracles import (
+    NAMED_SPECS,
     a_from_mu_nu,
     b_from_mu_nu,
     detailed_balance,
     oracle_dict,
     params_by_fractions,
     reversible_with_some_distribution,
+    spec_from_flags,
     stochastic_grid,
     zero_accessible,
 )
@@ -199,13 +203,13 @@ def test_is_globally_reversible_examples():
 
 def test_classify_walk_coerces_each_entry_once(monkeypatch):
     # the stochastic check coerces the sequence, and classify_walk reads the
-    # Fractions it returns; params_from_mu_nu coerces mu and nu once more
+    # Fractions it returns, mu and nu included
     calls = []
     for module in (classify, transform):
         monkeypatch.setattr(module, "as_rational",
                             lambda v, coerce=module.as_rational: calls.append(v) or coerce(v))
     assert classify_walk([F(1), F(1, 2), F(1, 4), F(1, 8)]) == GammaC(1)
-    assert len(calls) == 6
+    assert len(calls) == 4
 
 
 def test_top_right_submatrix_is_the_truncation_walk():
@@ -435,6 +439,33 @@ def test_candidate_diagonal_starts_with_one_mu_nu():
             assert family_sequence(spec, 3) == [1, mu, nu], (mu, nu)
             kinds.add((type(spec), isinstance(spec, DeltaAB) and spec.b_prime.denominator == 1))
     assert kinds == {(GammaAB, False), (GammaC, False), (DeltaAB, False), (DeltaAB, True)}
+
+
+def test_term_ratio_test_matches_the_family_sequence_oracle():
+    # _first_mismatch reads lambda_{d+1} (C gap + d gap) = lambda_d (A gap + d
+    # gap) on integers; for every named spec at each n of its domain (up to 16
+    # for gamma), delta at n = ceil(a') included, the candidate is the spec,
+    # its own sequence has no mismatch, and with one term lambda_d, d >= 3,
+    # moved either way, the mismatch index is the oracle's: the first index
+    # at which the sequence leaves family_sequence(spec, n)
+    checked = 0
+    for spec in map(spec_from_flags, NAMED_SPECS):
+        limit = domain_limit(spec)
+        for n in range(3, 17 if limit == UNBOUNDED else limit + 1):
+            lam = family_sequence(spec, n)
+            assert params_from_mu_nu(lam[1], lam[2], n) == spec, (spec, n)
+            ratio = _lead_gap(lam[1], lam[2])
+            assert _first_mismatch(lam, *ratio) is None, (spec, n)
+            assert _classify(lam, True) == spec
+            for d in range(3, n):
+                for step in (F(1, 2**20), -lam[d] / 3):
+                    changed = lam[:d] + [lam[d] + step] + lam[d + 1:]
+                    first = next(i for i, (a, b) in enumerate(zip(changed, lam)) if a != b)
+                    assert _first_mismatch(changed, *ratio) == first == d, (spec, n, d)
+                    assert _classify(changed, True) == NotClassified(
+                        f"lambda_{d} mismatches the candidate family")
+                    checked += 1
+    assert checked > 1000
 
 
 def _full_diagonal_classification(lam):

@@ -50,6 +50,46 @@ def test_parse_errors():
         parse_rational_list(" , ,")
 
 
+def _by_fraction_text(text):
+    """Oracle: parse_rational's value, or its refusal text, from
+    Fraction(text) alone."""
+    text = text.strip()
+    try:
+        return F(text)
+    except (ValueError, ZeroDivisionError):
+        return f"cannot parse rational from {text!r}"
+
+
+def test_plain_rationals_are_read_on_integers(monkeypatch):
+    # a plain "p" or "p/q" of ASCII digits is read as Fraction(int(p),
+    # int(q)) and every other form by Fraction(text): both give the oracle's
+    # value or its refusal, a zero q and a part past the int digit limit
+    # included, never a ValueError
+    from involute import serialize
+
+    texts = {}
+
+    class Recorded(F):
+        def __new__(cls, *args):
+            texts.setdefault(current, []).append(args)
+            return F(*args)
+
+    monkeypatch.setattr(serialize, "Fraction", Recorded)
+    long = "1" * 5000
+    plain = ["3/4", "7", "01/02", "0/5", "1/0", " 3/4 ", "0", "9" * 4300, f"{'9' * 4300}/7",
+             long, f"1/{long}", f"{long}/3"]
+    other = ["/3", "3/", "", "1/2/3", "+1/2", "-1/2", "1_0", "١/٢", "²", "0.25", "1e3",
+             "3 / 4", "1/-2", f"-{long}", f"{long}.5"]
+    for current in plain + other:
+        try:
+            got = parse_rational(current)
+        except OutOfRange as exc:
+            got = str(exc)
+        assert got == _by_fraction_text(current), current[:20]
+        text_route = any(isinstance(args[0], str) for args in texts.get(current, []))
+        assert text_route == (current in other), current[:20]
+
+
 def test_decimal_exponent_is_bounded():
     # Fraction builds 10**|e| for an exponent e, seconds from |e| = 10**6 on
     assert parse_rational("1e400") == 10**400
